@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .arousal import AROUSAL_THRESHOLD
 from .errors import (
     DegenerateLabel,
     EmptyGroup,
@@ -24,7 +25,8 @@ from .errors import (
 )
 from .foreground import MIN_FOREGROUND_FRAMES, FilterKind, ForegroundFilter
 from .forest import ForestParams
-from .ingest import parse_cohort
+from .ingest import MIN_DAYS, parse_cohort
+from .locate import RSSI_FLOOR
 from .pipeline import ExtractionConfig, run_extraction
 from .predict import DEFAULT_GRID, binarize_label, cross_validate
 from .simulate import GROUND_TRUTH_FILE, GroundTruth, generate, load_spec, verify_against_truth
@@ -179,7 +181,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         if rows:
             fused = np.array([r["fused"] for r in rows])
             summary.append(f"arousal: {len(rows)} rated recordings, "
-                           f"fused mean {fused.mean():.3f}, pos>{0.25}: {(fused > 0.25).mean():.3f}")
+                           f"fused mean {fused.mean():.3f}, "
+                           f"pos>{AROUSAL_THRESHOLD}: {(fused > AROUSAL_THRESHOLD).mean():.3f}")
     blocks_path = out / reports.BLOCKS_FILE
     if blocks_path.is_file():
         rows = reports.read_blocks_csv(blocks_path)
@@ -225,9 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trust per-frame foreground booleans where present")
     p.add_argument("--min-frames", type=int, default=MIN_FOREGROUND_FRAMES,
                    help="foreground frames needed for a valid recording")
-    p.add_argument("--min-days", type=int, default=5)
-    p.add_argument("--rssi-floor", type=int, default=150)
-    p.add_argument("--arousal-threshold", type=float, default=0.25)
+    p.add_argument("--min-days", type=int, default=MIN_DAYS)
+    p.add_argument("--rssi-floor", type=int, default=RSSI_FLOOR)
+    p.add_argument("--arousal-threshold", type=float, default=AROUSAL_THRESHOLD)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("compare", help="Mann-Whitney group comparisons over features.csv")

@@ -6,15 +6,39 @@ Canonical files (all UTF-8):
   pos_affect,neg_affect,life_satisfaction
 - hubs.csv: hub_id,location_category{ns|pat|lounge|med}
 - rssi.csv: participant_id,shift_date,minute_index,hub_id,rssi
-- recordings.jsonl: one JSON object per recording
-  {participant_id, shift_date, minute_index,
-   frames: [{log_pitch|null, intensity, hf_lf_ratio, foreground_prob[, foreground]}]}
+- recordings.jsonl: one JSON object per recording,
+  {participant_id, shift_date, minute_index, frames}, where frames takes one
+  of two layouts:
+
+  - columnar (what write_cohort emits), one array per frame feature:
+    {"log_pitch": [number|null, ...], "intensity": [...], "hf_lf_ratio": [...],
+     "foreground_prob": [...][, "foreground": [true|false, ...]]}
+  - row-of-dicts, one object per frame:
+    [{"log_pitch": number|null, "intensity", "hf_lf_ratio", "foreground_prob"
+      [, "foreground": true|false]}, ...]; "foreground" is read when the
+    first frame carries it and is then required on every frame.
+
+  Both layouts go through the same validator, so they accept and reject
+  exactly the same recordings. Unknown frame keys are ignored.
 - physiology.csv: participant_id,shift_date,walk_ratio,sleep_hours
 
 Validation is strict (typed fields, range checks, referenced ids must exist)
 except for RSSI values, which are clamped into [136, 193] with a warning
 count, and minute indices, which may fall outside the shift window here and
-are dropped later by filter_shift_window.
+are dropped later by filter_shift_window. In recordings.jsonl this means:
+
+- participant_id is a JSON string and shift_date a YYYY-MM-DD string (as in
+  every file); minute_index is a JSON integer (true and false are not
+  integers);
+- frame features are JSON numbers; numeric strings and booleans are
+  rejected, and so are the literals NaN, Infinity and -Infinity anywhere on
+  the line, and numbers that overflow to infinity;
+- null is the only unvoiced marker and is allowed for log_pitch alone;
+- foreground_prob lies in [0, 1] and hf_lf_ratio is non-negative;
+- foreground, when present, holds JSON booleans only;
+- every frame column has the same non-zero length.
+
+Each violation raises MalformedRow with the file name and line number.
 """
 
 from __future__ import annotations
@@ -24,6 +48,7 @@ import json
 import math
 from datetime import date
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -52,12 +77,17 @@ PHYSIOLOGY_FILE = "physiology.csv"
 
 CANONICAL_FILES = (PARTICIPANTS_FILE, HUBS_FILE, RSSI_FILE, RECORDINGS_FILE, PHYSIOLOGY_FILE)
 
+MIN_DAYS = 5  # distinct shift dates a participant needs to stay in the cohort
+
 
 def _parse_date(text: str, file: str, line: int) -> date:
+    """YYYY-MM-DD only; date.fromisoformat alone also takes 20220301 and 2022-W09-2."""
     try:
-        return date.fromisoformat(text)
-    except ValueError:
-        raise MalformedRow(file, line, f"bad shift_date {text!r}") from None
+        if len(text) == 10 and text[4] == text[7] == "-":
+            return date.fromisoformat(text)
+    except (TypeError, ValueError):
+        pass
+    raise MalformedRow(file, line, f"bad shift_date {text!r}")
 
 
 def _parse_int(text: str, field: str, file: str, line: int) -> int:
@@ -178,26 +208,71 @@ def parse_physiology(path: Path, profiles: dict[str, ParticipantProfile]) -> lis
     return rows
 
 
-def _frames_from_json(raw_frames: list, file: str, lineno: int) -> FrameBlock:
-    has_fg = isinstance(raw_frames[0], dict) and "foreground" in raw_frames[0]
+def _reject_constant(name: str) -> NoReturn:
+    raise ValueError(f"{name} is not a JSON number (null is the only unvoiced marker)")
+
+
+# json.loads(line, parse_constant=_reject_constant), built once instead of per line.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+FRAME_COLUMNS = ("log_pitch", "intensity", "hf_lf_ratio", "foreground_prob")
+_NUMBER = frozenset({int, float})
+_COLUMN_TYPES = {
+    "log_pitch": (_NUMBER | {type(None)}, "a number or null"),
+    "intensity": (_NUMBER, "a number"),
+    "hf_lf_ratio": (_NUMBER, "a number"),
+    "foreground_prob": (_NUMBER, "a number"),
+    "foreground": (frozenset({bool}), "true or false"),
+}
+
+
+def _columns_from_rows(rows: list, file: str, lineno: int) -> dict[str, list]:
+    """Transpose the row-of-dicts layout into the columnar one."""
+    names = FRAME_COLUMNS
+    if rows and type(rows[0]) is dict and "foreground" in rows[0]:
+        names += ("foreground",)
     try:
-        log_pitch = np.array(
-            [math.nan if f["log_pitch"] is None else f["log_pitch"] for f in raw_frames], dtype=float
-        )
-        intensity = np.array([f["intensity"] for f in raw_frames], dtype=float)
-        hf_lf = np.array([f["hf_lf_ratio"] for f in raw_frames], dtype=float)
-        fg_prob = np.array([f["foreground_prob"] for f in raw_frames], dtype=float)
-        fg = np.array([f["foreground"] for f in raw_frames], dtype=bool) if has_fg else None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedRow(file, lineno, f"bad frame: {exc}") from None
-    if np.any((fg_prob < 0.0) | (fg_prob > 1.0)):
+        return {name: [row[name] for row in rows] for name in names}
+    except (KeyError, TypeError) as exc:
+        raise MalformedRow(file, lineno, f"bad frame: {exc!r}") from None
+
+
+def _frame_block(columns: dict, file: str, lineno: int) -> FrameBlock:
+    """Validate the frame columns of one line (either layout) into a FrameBlock."""
+    names = FRAME_COLUMNS + (("foreground",) if "foreground" in columns else ())
+    for name in names:
+        values = columns.get(name)
+        if type(values) is not list:
+            raise MalformedRow(file, lineno, f"frames need a {name} array")
+        allowed, expected = _COLUMN_TYPES[name]
+        if not set(map(type, values)) <= allowed:
+            bad = next(i for i, v in enumerate(values) if type(v) not in allowed)
+            raise MalformedRow(file, lineno, f"frame {bad}: {name} must be {expected}, got {values[bad]!r}")
+    try:
+        feats = np.array([columns[name] for name in FRAME_COLUMNS], dtype=float)
+    except ValueError:
+        raise MalformedRow(file, lineno, "frame columns differ in length") from None
+    except OverflowError:
+        raise MalformedRow(file, lineno, "frame value too large for a float") from None
+    n = feats.shape[1]
+    if n == 0:
+        raise MalformedRow(file, lineno, "frames must be non-empty")
+    # Only a null pitch becomes NaN (no other column admits null), so this
+    # leaves overflowed numbers such as 1e999 as the one non-finite case.
+    if np.isinf(feats).any():
+        raise MalformedRow(file, lineno, "non-finite frame value")
+    log_pitch, intensity, hf_lf, fg_prob = feats
+    if fg_prob.min() < 0.0 or fg_prob.max() > 1.0:
         bad = int(np.argmax((fg_prob < 0.0) | (fg_prob > 1.0)))
         raise MalformedRow(file, lineno, f"frame {bad}: foreground_prob outside [0, 1]")
-    if np.any(hf_lf < 0.0):
+    if hf_lf.min() < 0.0:
         bad = int(np.argmax(hf_lf < 0.0))
         raise MalformedRow(file, lineno, f"frame {bad}: hf_lf_ratio negative")
-    if not (np.all(np.isfinite(intensity)) and np.all(np.isfinite(fg_prob)) and np.all(np.isfinite(hf_lf))):
-        raise MalformedRow(file, lineno, "non-finite frame value")
+    fg = None
+    if "foreground" in columns:
+        fg = np.array(columns["foreground"], dtype=bool)
+        if len(fg) != n:
+            raise MalformedRow(file, lineno, "frame columns differ in length")
     return FrameBlock(log_pitch, intensity, hf_lf, fg_prob, fg)
 
 
@@ -209,9 +284,11 @@ def parse_recordings(path: Path, profiles: dict[str, ParticipantProfile]) -> lis
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = _DECODER.decode(line)
             except json.JSONDecodeError as exc:
                 raise MalformedRow(path.name, lineno, f"invalid JSON: {exc.msg}") from None
+            except ValueError as exc:
+                raise MalformedRow(path.name, lineno, str(exc)) from None
             try:
                 pid = obj["participant_id"]
                 date_raw = obj["shift_date"]
@@ -219,14 +296,16 @@ def parse_recordings(path: Path, profiles: dict[str, ParticipantProfile]) -> lis
                 raw_frames = obj["frames"]
             except (KeyError, TypeError) as exc:
                 raise MalformedRow(path.name, lineno, f"missing field: {exc}") from None
-            if pid not in profiles:
+            if type(pid) is not str or pid not in profiles:
                 raise MalformedRow(path.name, lineno, f"unknown participant_id {pid!r}")
-            if not isinstance(minute, int):
+            if type(minute) is not int:
                 raise MalformedRow(path.name, lineno, f"minute_index must be an integer, got {minute!r}")
-            if not isinstance(raw_frames, list) or not raw_frames:
-                raise MalformedRow(path.name, lineno, "frames must be a non-empty list")
-            shift_date = _parse_date(str(date_raw), path.name, lineno)
-            frames = _frames_from_json(raw_frames, path.name, lineno)
+            shift_date = _parse_date(date_raw, path.name, lineno)
+            if type(raw_frames) is list:
+                raw_frames = _columns_from_rows(raw_frames, path.name, lineno)
+            elif type(raw_frames) is not dict:
+                raise MalformedRow(path.name, lineno, "frames must be an object of arrays or a list of frames")
+            frames = _frame_block(raw_frames, path.name, lineno)
             recordings.append(RecordingSegment(pid, shift_date, minute, frames))
     return recordings
 
@@ -309,31 +388,28 @@ def write_cohort(cohort: Cohort, dir_path: str | Path) -> None:
             w.writerow([d.participant_id, d.shift_date.isoformat(), _fmt(d.walk_ratio), _fmt(d.sleep_hours)])
 
 
-def _recording_json(rec: RecordingSegment) -> str:
-    """Hand-assembled JSON line; float repr matches json.dumps exactly.
+def _json_floats(values: np.ndarray) -> str:
+    return ",".join(map(repr, values.tolist()))
 
-    Recording files run to millions of frames, so skipping the per-frame
-    dict construction that json.dumps would need roughly halves write time.
+
+def _recording_json(rec: RecordingSegment) -> str:
+    """Hand-assembled columnar JSON line; float repr matches json.dumps exactly.
+
+    Each frame column is one array, so the line carries each key once rather
+    than once per frame; NaN pitch is written as null.
     """
     fb = rec.frames
-    lp_list = fb.log_pitch.tolist()
-    it_list = fb.intensity.tolist()
-    hf_list = fb.hf_lf_ratio.tolist()
-    fp_list = fb.foreground_prob.tolist()
-    fg_list = fb.foreground.tolist() if fb.foreground is not None else None
-    parts = []
-    for i in range(len(fb)):
-        lp = lp_list[i]
-        lp_text = "null" if lp != lp else repr(lp)
-        tail = "" if fg_list is None else f',"foreground":{"true" if fg_list[i] else "false"}'
-        parts.append(
-            f'{{"log_pitch":{lp_text},"intensity":{it_list[i]!r},'
-            f'"hf_lf_ratio":{hf_list[i]!r},"foreground_prob":{fp_list[i]!r}{tail}}}'
-        )
+    fg = ""
+    if fb.foreground is not None:
+        fg = ',"foreground":[' + ",".join("true" if x else "false" for x in fb.foreground.tolist()) + "]"
     head = json.dumps(rec.participant_id)
     return (
         f'{{"participant_id":{head},"shift_date":"{rec.shift_date.isoformat()}",'
-        f'"minute_index":{rec.minute_index},"frames":[{",".join(parts)}]}}'
+        f'"minute_index":{rec.minute_index},"frames":{{'
+        f'"log_pitch":[{_json_floats(fb.log_pitch).replace("nan", "null")}],'
+        f'"intensity":[{_json_floats(fb.intensity)}],'
+        f'"hf_lf_ratio":[{_json_floats(fb.hf_lf_ratio)}],'
+        f'"foreground_prob":[{_json_floats(fb.foreground_prob)}]{fg}}}}}'
     )
 
 
@@ -359,7 +435,7 @@ def filter_shift_window(
     return kept_rec, kept_rssi, dropped
 
 
-def filter_min_days(cohort: Cohort, min_days: int = 5) -> Cohort:
+def filter_min_days(cohort: Cohort, min_days: int = MIN_DAYS) -> Cohort:
     """Keep participants with recordings on at least min_days distinct shift dates."""
     if min_days < 1:
         raise ValueError("min_days must be >= 1")

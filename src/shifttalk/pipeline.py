@@ -27,8 +27,8 @@ from .aggregate import (
 from .arousal import AROUSAL_THRESHOLD, FusionWeights, RatedRecording
 from .errors import InsufficientData, TooFewRecordings
 from .foreground import MIN_FOREGROUND_FRAMES, ForegroundFilter, filter_frames, is_valid_recording
-from .ingest import filter_min_days, filter_shift_window
-from .locate import LocationTimeline, empty_timeline, estimate_timeline
+from .ingest import MIN_DAYS, filter_min_days, filter_shift_window
+from .locate import RSSI_FLOOR, LocationTimeline, empty_timeline, estimate_timeline
 from .model import Cohort, RecordingSegment
 from .sessions import SpeechSession, build_sessions
 
@@ -37,8 +37,8 @@ from .sessions import SpeechSession, build_sessions
 class ExtractionConfig:
     foreground: ForegroundFilter = field(default_factory=ForegroundFilter)
     min_frames: int = MIN_FOREGROUND_FRAMES
-    min_days: int = 5
-    rssi_floor: int = 150
+    min_days: int = MIN_DAYS
+    rssi_floor: int = RSSI_FLOOR
     arousal_threshold: float = AROUSAL_THRESHOLD
 
 

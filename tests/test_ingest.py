@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import math
 from datetime import date
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from shifttalk.ingest import (
     parse_cohort,
     write_cohort,
 )
-from shifttalk.model import Cohort
+from shifttalk.model import Cohort, FrameBlock, RecordingSegment
 
 from conftest import D0, obs, profile, recording, tiny_cohort
 
@@ -96,6 +98,14 @@ def test_unknown_participant_in_recordings_rejected(tmp_path):
         parse_cohort(write_dir(tmp_path, **{"recordings.jsonl": rows}))
 
 
+@pytest.mark.parametrize("shift_date", ["20220301", "2022-W09-2", "2022-3-1"])
+def test_non_canonical_shift_date_rejected(tmp_path, shift_date):
+    path = write_dir(tmp_path, **{"rssi.csv": [f"p1,{shift_date},0,h_ns,160"]})
+    with pytest.raises(MalformedRow) as err:
+        parse_cohort(path)
+    assert (err.value.file, err.value.line) == ("rssi.csv", 2)
+
+
 def test_bad_shift_type_rejected(tmp_path):
     path = write_dir(tmp_path, **{"participants.csv": ["p1,swing,icu,30,25,4.2"]})
     with pytest.raises(MalformedRow):
@@ -130,6 +140,104 @@ def test_external_foreground_flags_parsed(tmp_path):
     assert cohort.recordings[0].frames.foreground[0]
 
 
+LAYOUTS = ["columnar", "rows"]
+FRAME = {"log_pitch": 4.7, "intensity": 60.0, "hf_lf_ratio": 0.8, "foreground_prob": 0.9, "foreground": True}
+MARK = "@bad@"
+
+
+def recording_line(layout: str, field: str | None = None, text: str = "") -> str:
+    """A valid two-frame recordings.jsonl line in the given layout.
+
+    With `field`, that field of the line (or of its second frame) is replaced
+    by the raw JSON text `text`.
+    """
+    obj: dict = {"participant_id": "p1", "shift_date": "2022-03-01", "minute_index": 0}
+    frames = [dict(FRAME), dict(FRAME)]
+    if field in obj:
+        obj[field] = MARK
+    elif field is not None:
+        frames[1][field] = MARK
+    obj["frames"] = frames if layout == "rows" else {k: [f[k] for f in frames] for k in FRAME}
+    return json.dumps(obj).replace(f'"{MARK}"', text)
+
+
+BAD_VALUES = [
+    ("minute_index", "true"),
+    ("minute_index", "false"),
+    ("participant_id", '["p1"]'),
+    ("shift_date", "20220301"),
+    ("shift_date", '"20220301"'),
+    ("log_pitch", "Infinity"),
+    ("log_pitch", "-Infinity"),
+    ("log_pitch", "NaN"),
+    ("log_pitch", "1e999"),
+    ("log_pitch", '"4.7"'),
+    ("intensity", '"60"'),
+    ("hf_lf_ratio", '"0.8"'),
+    ("log_pitch", "false"),
+    ("intensity", "true"),
+    ("foreground_prob", "true"),
+    ("foreground", "1"),
+    ("foreground", '"yes"'),
+    ("foreground", "null"),
+]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("field, text", BAD_VALUES)
+def test_recordings_reject_non_strict_values(tmp_path, layout, field, text):
+    good = recording_line(layout)
+    (tmp_path / "ok").mkdir()
+    cohort = parse_cohort(write_dir(tmp_path / "ok", **{"recordings.jsonl": [good]}))
+    assert len(cohort.recordings[0].frames) == 2  # the same line with a valid value parses
+    path = write_dir(tmp_path, **{"recordings.jsonl": [good, recording_line(layout, field, text)]})
+    with pytest.raises(MalformedRow) as err:
+        parse_cohort(path)
+    assert (err.value.file, err.value.line) == ("recordings.jsonl", 2)
+
+
+@pytest.mark.parametrize("frames", [
+    '{"log_pitch":[4.7],"intensity":[60.0],"hf_lf_ratio":[0.8]}',
+    '{"log_pitch":[4.7,null],"intensity":[60.0],"hf_lf_ratio":[0.8],"foreground_prob":[0.9]}',
+    '{"log_pitch":[4.7],"intensity":[60.0],"hf_lf_ratio":[0.8],"foreground_prob":[0.9],"foreground":[true,false]}',
+    '{"log_pitch":4.7,"intensity":[60.0],"hf_lf_ratio":[0.8],"foreground_prob":[0.9]}',
+    '{"log_pitch":[[4.7]],"intensity":[60.0],"hf_lf_ratio":[0.8],"foreground_prob":[0.9]}',
+    '{"log_pitch":[],"intensity":[],"hf_lf_ratio":[],"foreground_prob":[]}',
+    '{"log_pitch":[4.7],"intensity":[60.0],"hf_lf_ratio":[-0.1],"foreground_prob":[0.9]}',
+    '[]',
+    '[[4.7,60.0,0.8,0.9]]',
+    '[{"log_pitch":4.7,"intensity":60.0,"hf_lf_ratio":0.8,"foreground_prob":0.9,"foreground":true},'
+    '{"log_pitch":4.7,"intensity":60.0,"hf_lf_ratio":0.8,"foreground_prob":0.9}]',
+    '"frames"',
+])
+def test_recordings_reject_bad_frame_structure(tmp_path, frames):
+    rows = ['{"participant_id":"p1","shift_date":"2022-03-01","minute_index":0,"frames":' + frames + "}"]
+    with pytest.raises(MalformedRow):
+        parse_cohort(write_dir(tmp_path, **{"recordings.jsonl": rows}))
+
+
+def test_columnar_and_row_layouts_parse_alike(tmp_path):
+    blocks = []
+    for layout in LAYOUTS:
+        line = recording_line(layout, "log_pitch", "null")
+        (tmp_path / layout).mkdir()
+        blocks.append(parse_cohort(write_dir(tmp_path / layout, **{"recordings.jsonl": [line]})).recordings[0].frames)
+    for name in ("log_pitch", "intensity", "hf_lf_ratio", "foreground_prob", "foreground"):
+        np.testing.assert_array_equal(getattr(blocks[0], name), getattr(blocks[1], name))
+    assert np.isnan(blocks[0].log_pitch[1])
+    assert blocks[0].foreground.dtype == bool
+
+
+def test_writer_emits_columnar_frames(tmp_path):
+    cohort = tiny_cohort()
+    write_cohort(cohort, tmp_path)
+    lines = (tmp_path / "recordings.jsonl").read_text().splitlines()
+    assert len(lines) == len(cohort.recordings)
+    frames = json.loads(lines[0])["frames"]
+    assert frames == {"log_pitch": [4.7] * 3, "intensity": [60.0] * 3,
+                      "hf_lf_ratio": [0.8] * 3, "foreground_prob": [1.0] * 3}
+
+
 def assert_cohorts_equal(a: Cohort, b: Cohort) -> None:
     assert a.profiles == b.profiles
     assert a.hubs == b.hubs
@@ -157,6 +265,69 @@ def test_parse_serialize_parse_idempotent(tmp_path):
     write_cohort(second, out2)
     for name in ("participants.csv", "hubs.csv", "rssi.csv", "recordings.jsonl", "physiology.csv"):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_recordings_round_trip_property(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    special = st.sampled_from([
+        0.0, -0.0, 5e-324, -5e-324, 1.5e-310, 2.2250738585072014e-308,
+        1e-5, 9.999999999999999e-06, 1.0000000000000002e-05, 0.00001234,
+        1e16, 9999999999999998.0, 1.0000000000000002e16, -1e16,
+    ])
+    finite = st.one_of(special, st.floats(allow_nan=False, allow_infinity=False))
+    non_negative = st.one_of(special.filter(lambda v: v >= 0.0),
+                             st.floats(min_value=0.0, allow_infinity=False))
+    probability = st.one_of(special.filter(lambda v: 0.0 <= v <= 1.0), st.floats(0.0, 1.0))
+    pitch = st.one_of(st.just(math.nan), finite)
+
+    @st.composite
+    def frame_blocks(draw):
+        n = draw(st.integers(1, 30))
+
+        def column(elements):
+            return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=float)
+
+        fg = draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=n, max_size=n)))
+        return FrameBlock(column(pitch), column(finite), column(non_negative), column(probability),
+                          None if fg is None else np.array(fg, dtype=bool))
+
+    def assert_bitwise_equal(a: FrameBlock, b: FrameBlock) -> None:
+        for name in ("log_pitch", "intensity", "hf_lf_ratio", "foreground_prob"):
+            assert np.array_equal(_bits(getattr(a, name)), _bits(getattr(b, name))), name
+        assert (a.foreground is None) == (b.foreground is None)
+        if a.foreground is not None:
+            assert b.foreground.dtype == bool
+            assert np.array_equal(a.foreground, b.foreground)
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(frame_blocks())
+    def check(block: FrameBlock) -> None:
+        cohort = tiny_cohort()
+        cohort.recordings = [RecordingSegment("p1", D0, 0, block)]
+        write_cohort(cohort, tmp_path / "first")
+        parsed = parse_cohort(tmp_path / "first")
+        assert_bitwise_equal(block, parsed.recordings[0].frames)
+        write_cohort(parsed, tmp_path / "second")
+        for name in ("participants.csv", "hubs.csv", "rssi.csv", "recordings.jsonl", "physiology.csv"):
+            assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "second" / name).read_bytes()
+        columns = {"log_pitch": [None if math.isnan(v) else v for v in block.log_pitch.tolist()],
+                   "intensity": block.intensity.tolist(), "hf_lf_ratio": block.hf_lf_ratio.tolist(),
+                   "foreground_prob": block.foreground_prob.tolist()}
+        if block.foreground is not None:
+            columns["foreground"] = block.foreground.tolist()
+        rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+        line = json.dumps({"participant_id": "p1", "shift_date": D0.isoformat(), "minute_index": 0,
+                           "frames": rows})
+        (tmp_path / "second" / "recordings.jsonl").write_text(line + "\n", encoding="utf-8")
+        assert_bitwise_equal(block, parse_cohort(tmp_path / "second").recordings[0].frames)
+
+    check()
 
 
 def test_shift_window_boundaries():
