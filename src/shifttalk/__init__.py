@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .model import (
     Cohort,
     DailyPhysiology,
-    FeatureFrame,
     FrameBlock,
     HubCategory,
     HubRecord,
@@ -21,7 +20,6 @@ from .model import (
 __all__ = [
     "Cohort",
     "DailyPhysiology",
-    "FeatureFrame",
     "FrameBlock",
     "HubCategory",
     "HubRecord",

@@ -167,10 +167,11 @@ def per_shift_features(
 
     if rated_recordings:
         fused = np.array([r.fused for r in rated_recordings])
+        locations = timeline.slots[[r.minute_index for r in rated_recordings]]
         scalars["pos_ratio_all"] = float((fused > arousal_threshold).mean())
         scalars["neg_ratio_all"] = float((fused < -arousal_threshold).mean())
         for cat, key in ((LocationCategory.NURSING_STATION, "ns"), (LocationCategory.PATIENT_ROOM, "pat")):
-            here = np.array([timeline.category(r.minute_index) is cat for r in rated_recordings])
+            here = locations == cat
             if here.any():
                 scalars[f"pos_ratio_{key}"] = float((fused[here] > arousal_threshold).mean())
                 scalars[f"neg_ratio_{key}"] = float((fused[here] < -arousal_threshold).mean())

@@ -16,7 +16,7 @@ as positive-arousal speech, below -0.25 as negative-arousal speech.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 
 import numpy as np
@@ -27,7 +27,6 @@ from .stats import spearman_rho
 
 AROUSAL_THRESHOLD = 0.25
 FEATURE_NAMES = ("log_pitch", "intensity", "hf_lf_ratio")
-_FALLBACK_W = 1.0 / math.sqrt(3.0)
 
 
 @dataclass
@@ -47,6 +46,10 @@ class FusionWeights:
     w: tuple[float, float, float]
     r: tuple[float, float, float]
     fallback: bool = False
+
+
+# Uniform unit-length weights, used when Spearman weights are unavailable.
+UNIFORM_WEIGHTS = FusionWeights((1.0 / math.sqrt(3.0),) * 3, (0.0, 0.0, 0.0), fallback=True)
 
 
 @dataclass(frozen=True)
@@ -126,13 +129,23 @@ def fusion_weights(scores: list[tuple[float, float, float]]) -> FusionWeights:
             r.append(0.0)
     norm = math.sqrt(sum(v * v for v in r))
     if norm == 0.0:
-        return FusionWeights((_FALLBACK_W,) * 3, tuple(r), fallback=True)
+        return replace(UNIFORM_WEIGHTS, r=tuple(r))
     return FusionWeights(tuple(v / norm for v in r), tuple(r), fallback=False)
+
+
+def fuse(w, p):
+    """Weighted sum of the three feature scores, added left to right.
+
+    Works on floats and, elementwise, on arrays. The fixed order matches
+    Python 3.11's ``sum`` bit for bit (``-0.0`` included, which becomes
+    ``0.0``); ``sum`` itself uses compensated addition from Python 3.12 on.
+    """
+    return ((0.0 + w[0] * p[0]) + w[1] * p[1]) + w[2] * p[2]
 
 
 def rate_recording(score_triple: tuple[float, float, float], weights: FusionWeights) -> float:
     """Fused arousal rating: weighted sum of the three feature scores."""
-    return float(sum(w * p for w, p in zip(weights.w, score_triple)))
+    return float(fuse(weights.w, score_triple))
 
 
 def arousal_ratios(

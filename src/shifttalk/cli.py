@@ -58,13 +58,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_extract(args: argparse.Namespace) -> int:
     cohort = parse_cohort(args.input)
     kind = FilterKind.EXTERNAL_SCORES if args.external_scores else FilterKind.THRESHOLD_BASELINE
-    config = ExtractionConfig(
-        foreground=ForegroundFilter(kind=kind, threshold=args.foreground_threshold),
-        min_frames=args.min_frames,
-        min_days=args.min_days,
-        rssi_floor=args.rssi_floor,
-        arousal_threshold=args.arousal_threshold,
-    )
+    foreground = ForegroundFilter(kind=kind, threshold=args.foreground_threshold)
+    try:
+        config = ExtractionConfig(
+            foreground=foreground,
+            min_frames=args.min_frames,
+            min_days=args.min_days,
+            rssi_floor=args.rssi_floor,
+            arousal_threshold=args.arousal_threshold,
+        )
+    except ValueError as exc:  # the config checks min_frames alone
+        print(f"error: --min-frames: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     result = run_extraction(cohort, config)
     if not result.participant_ids:
         print("error: no participant passed the filters (empty cohort)", file=sys.stderr)

@@ -43,6 +43,22 @@ class ForegroundFilter:
         return by_threshold
 
 
+def cohort_mask(blocks: list[FrameBlock], f: ForegroundFilter) -> np.ndarray:
+    """Keep-mask over the frames of all blocks laid end to end.
+
+    Applies ``f.mask``'s rule block by block in a few whole-array steps:
+    under EXTERNAL_SCORES, a block's own labels where it carries them and
+    the threshold elsewhere.
+    """
+    keep = np.concatenate([b.foreground_prob for b in blocks]) >= f.threshold
+    if f.kind is FilterKind.EXTERNAL_SCORES:
+        labels = [b.foreground for b in blocks if b.foreground is not None]
+        if labels:
+            labeled = np.array([b.foreground is not None for b in blocks])
+            keep[np.repeat(labeled, [len(b) for b in blocks])] = np.concatenate(labels)
+    return keep
+
+
 def filter_frames(recording: RecordingSegment, f: ForegroundFilter) -> RecordingSegment:
     """New recording holding only foreground frames, order preserved."""
     keep = f.mask(recording.frames)

@@ -396,9 +396,19 @@ def _recording_json(rec: RecordingSegment) -> str:
     """Hand-assembled columnar JSON line; float repr matches json.dumps exactly.
 
     Each frame column is one array, so the line carries each key once rather
-    than once per frame; NaN pitch is written as null.
+    than once per frame; NaN pitch is written as null. A value JSON cannot
+    carry (an infinite pitch, or a non-finite value in any other column)
+    raises ValueError, since the reader would reject the line.
     """
     fb = rec.frames
+    pitch = _json_floats(fb.log_pitch).replace("nan", "null")
+    intensity, hf_lf, prob = (_json_floats(c) for c in (fb.intensity, fb.hf_lf_ratio, fb.foreground_prob))
+    # a finite float's repr has no "n"; "nan", "inf" and "-inf" do
+    if "inf" in pitch or "n" in intensity or "n" in hf_lf or "n" in prob:
+        raise ValueError(
+            f"non-finite frame value in recording {rec.participant_id} "
+            f"{rec.shift_date.isoformat()} minute {rec.minute_index}"
+        )
     fg = ""
     if fb.foreground is not None:
         fg = ',"foreground":[' + ",".join("true" if x else "false" for x in fb.foreground.tolist()) + "]"
@@ -406,10 +416,8 @@ def _recording_json(rec: RecordingSegment) -> str:
     return (
         f'{{"participant_id":{head},"shift_date":"{rec.shift_date.isoformat()}",'
         f'"minute_index":{rec.minute_index},"frames":{{'
-        f'"log_pitch":[{_json_floats(fb.log_pitch).replace("nan", "null")}],'
-        f'"intensity":[{_json_floats(fb.intensity)}],'
-        f'"hf_lf_ratio":[{_json_floats(fb.hf_lf_ratio)}],'
-        f'"foreground_prob":[{_json_floats(fb.foreground_prob)}]{fg}}}}}'
+        f'"log_pitch":[{pitch}],"intensity":[{intensity}],'
+        f'"hf_lf_ratio":[{hf_lf}],"foreground_prob":[{prob}]{fg}}}}}'
     )
 
 

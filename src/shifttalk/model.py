@@ -102,22 +102,6 @@ class DailyPhysiology:
     sleep_hours: float  # in [0, 24]
 
 
-@dataclass(frozen=True)
-class FeatureFrame:
-    """One ~10 ms acoustic observation inside a recording.
-
-    ``log_pitch`` is NaN for unvoiced frames. ``foreground`` is an optional
-    externally supplied own-speech label; None when the source file carried
-    no such field.
-    """
-
-    log_pitch: float
-    intensity: float
-    hf_lf_ratio: float
-    foreground_prob: float
-    foreground: bool | None = None
-
-
 @dataclass
 class FrameBlock:
     """Columnar storage for the frames of one recording.
@@ -151,28 +135,6 @@ class FrameBlock:
             hf_lf_ratio=self.hf_lf_ratio[mask],
             foreground_prob=self.foreground_prob[mask],
             foreground=None if self.foreground is None else self.foreground[mask],
-        )
-
-    def frame(self, i: int) -> FeatureFrame:
-        return FeatureFrame(
-            log_pitch=float(self.log_pitch[i]),
-            intensity=float(self.intensity[i]),
-            hf_lf_ratio=float(self.hf_lf_ratio[i]),
-            foreground_prob=float(self.foreground_prob[i]),
-            foreground=None if self.foreground is None else bool(self.foreground[i]),
-        )
-
-    @classmethod
-    def from_frames(cls, frames: list[FeatureFrame]) -> "FrameBlock":
-        fg: np.ndarray | None = None
-        if frames and frames[0].foreground is not None:
-            fg = np.array([bool(f.foreground) for f in frames])
-        return cls(
-            log_pitch=np.array([f.log_pitch for f in frames], dtype=float),
-            intensity=np.array([f.intensity for f in frames], dtype=float),
-            hf_lf_ratio=np.array([f.hf_lf_ratio for f in frames], dtype=float),
-            foreground_prob=np.array([f.foreground_prob for f in frames], dtype=float),
-            foreground=fg,
         )
 
 

@@ -6,12 +6,25 @@ that speaker is scored (two-phase contract). Speakers whose baselines
 cannot be built (no voiced frame anywhere) or who have too few recordings
 for Spearman-derived weights fall back gracefully: the former stay unrated,
 the latter use uniform fusion weights.
+
+Foreground filtering, validity, neutral pools, recording scores and fused
+ratings are computed for the whole cohort in array passes, one frame column
+at a time and over kept frames only: per-recording counts come from cumsum
+differences, each speaker's pool is one sort, medians come from one
+``np.median`` per distinct kept count (the same bits as one call per
+recording), and percentile scores from one ``searchsorted`` pair per speaker
+and feature. Rated rows are ordered by speaker id, then file order. The
+per-recording functions ``filter_frames``, ``is_valid_recording``,
+``build_neutral``, ``score_recording``, ``fusion_weights`` and
+``rate_recording`` state the same rules one recording at a time; tests hold
+the pass to them bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date
+from operator import attrgetter
 
 import numpy as np
 
@@ -24,9 +37,10 @@ from .aggregate import (
     participant_vector,
     per_shift_features,
 )
-from .arousal import AROUSAL_THRESHOLD, FusionWeights, RatedRecording
-from .errors import InsufficientData, TooFewRecordings
-from .foreground import MIN_FOREGROUND_FRAMES, ForegroundFilter, filter_frames, is_valid_recording
+from .arousal import AROUSAL_THRESHOLD, FEATURE_NAMES, UNIFORM_WEIGHTS, FusionWeights, RatedRecording, fuse
+from .errors import TooFewRecordings
+from .foreground import MIN_FOREGROUND_FRAMES, ForegroundFilter, cohort_mask
+from .foreground import filter_frames, is_valid_recording  # noqa: F401  reference; perfbench traces them here
 from .ingest import MIN_DAYS, filter_min_days, filter_shift_window
 from .locate import RSSI_FLOOR, LocationTimeline, empty_timeline, estimate_timeline
 from .model import Cohort, RecordingSegment
@@ -40,6 +54,10 @@ class ExtractionConfig:
     min_days: int = MIN_DAYS
     rssi_floor: int = RSSI_FLOOR
     arousal_threshold: float = AROUSAL_THRESHOLD
+
+    def __post_init__(self) -> None:
+        if self.min_frames < 1:
+            raise ValueError(f"min_frames must be at least 1, got {self.min_frames}")
 
 
 @dataclass
@@ -89,37 +107,13 @@ def run_extraction(cohort: Cohort, config: ExtractionConfig | None = None) -> Ex
         else:
             timelines[key] = empty_timeline(*key)
 
-    # foreground filtering and validity
+    valid, rated, weights_by_speaker = _rate_cohort(kept.recordings, config)
     valid_by_shift: dict[tuple[str, date], list[RecordingSegment]] = {k: [] for k in shift_keys}
-    valid_by_speaker: dict[str, list[RecordingSegment]] = {}
-    for rec in kept.recordings:
-        fg = filter_frames(rec, config.foreground)
-        if is_valid_recording(fg, config.min_frames):
-            valid_by_shift[(fg.participant_id, fg.shift_date)].append(fg)
-            valid_by_speaker.setdefault(fg.participant_id, []).append(fg)
-
-    # phase one: freeze per-speaker neutral pools; phase two: score
+    for rec in valid:
+        valid_by_shift[(rec.participant_id, rec.shift_date)].append(rec)
     rated_by_shift: dict[tuple[str, date], list[RatedRecording]] = {k: [] for k in shift_keys}
-    rated: list[RatedRecording] = []
-    weights_by_speaker: dict[str, FusionWeights] = {}
-    for pid in sorted(valid_by_speaker):
-        recs = valid_by_speaker[pid]
-        try:
-            model = arousal_mod.build_neutral([r.frames for r in recs])
-        except InsufficientData:
-            continue  # speaker never voiced: leave all recordings unrated
-        triples = [arousal_mod.score_recording(r.frames, model) for r in recs]
-        try:
-            weights = arousal_mod.fusion_weights(triples)
-        except TooFewRecordings:
-            w = 1.0 / np.sqrt(3.0)
-            weights = FusionWeights((w, w, w), (0.0, 0.0, 0.0), fallback=True)
-        weights_by_speaker[pid] = weights
-        for rec, p in zip(recs, triples):
-            fused = arousal_mod.rate_recording(p, weights)
-            rr = RatedRecording(rec.participant_id, rec.shift_date, rec.minute_index, p, fused)
-            rated.append(rr)
-            rated_by_shift[(rec.participant_id, rec.shift_date)].append(rr)
+    for rr in rated:
+        rated_by_shift[(rr.participant_id, rr.shift_date)].append(rr)
 
     # sessions and per-shift features
     all_sessions: list[SpeechSession] = []
@@ -161,3 +155,94 @@ def run_extraction(cohort: Cohort, config: ExtractionConfig | None = None) -> Ex
         participant_ids=ids,
         dropped=dropped,
     )
+
+
+def _rate_cohort(
+    recordings: list[RecordingSegment], config: ExtractionConfig
+) -> tuple[list[RecordingSegment], list[RatedRecording], dict[str, FusionWeights]]:
+    """Valid recordings, rated recordings and per-speaker weights.
+
+    Both lists follow the rated-row order: speaker id, then file order.
+    """
+    recs = sorted(recordings, key=attrgetter("participant_id"))
+    if not recs:
+        return [], [], {}
+    lengths = np.array([len(r.frames) for r in recs])
+    keep = cohort_mask([r.frames for r in recs], config.foreground)
+    counts = _segment_counts(keep, lengths)
+    is_valid = counts >= config.min_frames
+    valid = [r for r, ok in zip(recs, is_valid.tolist()) if ok]
+    if not valid:
+        return [], [], {}
+    keep = keep[np.repeat(is_valid, lengths)]  # over the valid recordings' frames only
+    counts = counts[is_valid]
+    pids = [r.participant_id for r in valid]
+    bounds = np.array([i for i in range(len(pids)) if i == 0 or pids[i] != pids[i - 1]] + [len(pids)])
+
+    # phase one freezes each speaker's pools, phase two places each
+    # recording's medians in them; one frame column at a time
+    p = np.empty((len(valid), 3))
+    for j, name in enumerate(FEATURE_NAMES):
+        values = np.concatenate([getattr(r.frames, name) for r in valid])[keep]
+        if name == "log_pitch":
+            voiced = ~np.isnan(values)
+            # a speaker never voiced has no pitch pool and stays unrated
+            voiced_counts = _segment_counts(voiced, counts)
+            p[:, j], voiced_speakers = _percentile_scores(values[voiced], voiced_counts, bounds)
+        else:
+            p[:, j], _ = _percentile_scores(values, counts, bounds)
+
+    weights_by_speaker: dict[str, FusionWeights] = {}
+    w = np.zeros((len(valid), 3))
+    for s in np.flatnonzero(voiced_speakers).tolist():
+        r0, r1 = bounds[s], bounds[s + 1]
+        try:
+            weights = arousal_mod.fusion_weights(p[r0:r1])
+        except TooFewRecordings:
+            weights = UNIFORM_WEIGHTS
+        weights_by_speaker[pids[r0]] = weights
+        w[r0:r1] = weights.w
+    fused = fuse(w.T, p.T)
+
+    rows = np.flatnonzero(np.repeat(voiced_speakers, np.diff(bounds)))
+    rated = [
+        RatedRecording(valid[i].participant_id, valid[i].shift_date, valid[i].minute_index, tuple(pi), fi)
+        for i, pi, fi in zip(rows.tolist(), p[rows].tolist(), fused[rows].tolist())
+    ]
+    return valid, rated, weights_by_speaker
+
+
+def _segment_counts(flags: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Number of true flags in each consecutive segment of the given lengths."""
+    running = np.concatenate(([0], np.cumsum(flags)))
+    return np.diff(running[np.concatenate(([0], np.cumsum(lengths)))])
+
+
+def _percentile_scores(
+    values: np.ndarray, counts: np.ndarray, bounds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``percentile_score`` of each recording's median in its speaker's pool.
+
+    ``values`` holds each recording's kept values back to back (``counts``
+    per recording) and speaker ``s`` owns recordings
+    ``bounds[s]:bounds[s + 1]``; the pool is all of that speaker's values.
+    Returns the scores (0.0 for a recording with no value) and which
+    speakers have a non-empty pool.
+    """
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    medians = np.zeros(len(counts))
+    for c in np.unique(counts[counts > 0]).tolist():
+        rows = np.flatnonzero(counts == c)
+        medians[rows] = np.median(values[starts[rows, None] + np.arange(c)], axis=1)
+    scores = np.zeros(len(counts))
+    has_pool = np.zeros(len(bounds) - 1, dtype=bool)
+    for s, (r0, r1) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+        pool = np.sort(values[starts[r0]:starts[r1]])
+        if len(pool) == 0:
+            continue
+        has_pool[s] = True
+        below = np.searchsorted(pool, medians[r0:r1], side="left")
+        below_or_equal = np.searchsorted(pool, medians[r0:r1], side="right")
+        scores[r0:r1] = 2.0 * ((below + 0.5 * (below_or_equal - below)) / len(pool)) - 1.0
+    scores[counts == 0] = 0.0
+    return scores, has_pool

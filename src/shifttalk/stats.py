@@ -26,14 +26,13 @@ def midranks(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     order = np.argsort(values, kind="stable")
     sorted_vals = values[order]
-    ranks = np.empty(len(values), dtype=float)
-    i = 0
-    while i < len(sorted_vals):
-        j = i
-        while j + 1 < len(sorted_vals) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    n = len(values)
+    new_group = np.ones(n, dtype=bool)  # a tie group starts where the sorted value changes
+    new_group[1:] = sorted_vals[1:] != sorted_vals[:-1]
+    starts = np.flatnonzero(new_group)
+    ends = np.append(starts[1:], n) - 1
+    ranks = np.empty(n, dtype=float)
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 

@@ -199,6 +199,15 @@ def test_rating_is_dot_product():
     assert rate_recording((0.5, -0.5, 0.0), w) == 0.5
 
 
+def test_rating_adds_left_to_right_on_every_python():
+    from shifttalk.arousal import FusionWeights
+
+    w = FusionWeights((1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+    # Python 3.12's compensated sum() would give 1.0000000000000002
+    assert rate_recording((1.0, 1e-16, 1e-16), w) == 1.0
+    assert math.copysign(1.0, rate_recording((-0.0, -0.0, -0.0), w)) == 1.0
+
+
 def test_ratios_all_neutral():
     assert arousal_ratios(rated([0.0, 0.0, 0.0])) == (0.0, 0.0)
 

@@ -83,6 +83,14 @@ def test_extract_empty_cohort_exits_3(pipeline_dirs, tmp_path):
                  "--min-frames", "6", "--min-days", "9"]) == 3
 
 
+def test_extract_min_frames_below_one_exits_2(pipeline_dirs, tmp_path, capsys):
+    _, data, _ = pipeline_dirs
+    assert main(["extract", "--input", str(data), "--out", str(tmp_path / "o"),
+                 "--min-frames", "0", "--foreground-threshold", "0.99"]) == 2
+    assert "--min-frames" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_extract_rerun_identical(pipeline_dirs, tmp_path):
     _, data, out = pipeline_dirs
     again = tmp_path / "again"

@@ -238,6 +238,27 @@ def test_writer_emits_columnar_frames(tmp_path):
                       "hf_lf_ratio": [0.8] * 3, "foreground_prob": [1.0] * 3}
 
 
+@pytest.mark.parametrize("column, value", [
+    ("intensity", math.nan), ("intensity", math.inf), ("hf_lf_ratio", math.inf),
+    ("hf_lf_ratio", math.nan), ("foreground_prob", math.nan), ("foreground_prob", -math.inf),
+    ("log_pitch", math.inf), ("log_pitch", -math.inf),
+])
+def test_writer_refuses_non_finite_frames(tmp_path, column, value):
+    cohort = tiny_cohort()
+    getattr(cohort.recordings[1].frames, column)[2] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        write_cohort(cohort, tmp_path)
+
+
+def test_writer_writes_nan_pitch_as_null(tmp_path):
+    cohort = tiny_cohort()
+    cohort.recordings[1].frames.log_pitch[2] = math.nan
+    write_cohort(cohort, tmp_path)
+    line = (tmp_path / "recordings.jsonl").read_text().splitlines()[1]
+    assert json.loads(line)["frames"]["log_pitch"] == [4.7, 4.7, None]
+    assert np.isnan(parse_cohort(tmp_path).recordings[1].frames.log_pitch[2])
+
+
 def assert_cohorts_equal(a: Cohort, b: Cohort) -> None:
     assert a.profiles == b.profiles
     assert a.hubs == b.hubs

@@ -80,6 +80,15 @@ def test_midranks_with_ties():
     np.testing.assert_allclose(midranks(np.array([3.0, 5.0, 5.0, 9.0])), [1, 2.5, 2.5, 4])
 
 
+def test_midranks_match_scipy_rankdata():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(8)
+    for n in range(60):
+        values = rng.integers(-3, n // 4 + 2, n).astype(float)  # heavy ties
+        values[(values == 0) & (rng.random(n) < 0.5)] = -0.0
+        assert np.array_equal(midranks(values), scipy_stats.rankdata(values, method="average"))
+
+
 def test_spearman_perfect_monotone():
     x = [1.0, 2.0, 5.0, 9.0]
     assert spearman_rho(x, [2.0, 4.0, 6.0, 8.0]) == pytest.approx(1.0)
