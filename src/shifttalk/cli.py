@@ -56,9 +56,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    cohort = parse_cohort(args.input)
     kind = FilterKind.EXTERNAL_SCORES if args.external_scores else FilterKind.THRESHOLD_BASELINE
-    foreground = ForegroundFilter(kind=kind, threshold=args.foreground_threshold)
+    try:
+        foreground = ForegroundFilter(kind=kind, threshold=args.foreground_threshold)
+    except ValueError as exc:
+        print(f"error: --foreground-threshold: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         config = ExtractionConfig(
             foreground=foreground,
@@ -67,9 +70,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
             rssi_floor=args.rssi_floor,
             arousal_threshold=args.arousal_threshold,
         )
-    except ValueError as exc:  # the config checks min_frames alone
-        print(f"error: --min-frames: {exc}", file=sys.stderr)
+    except ValueError as exc:  # the config checks min_frames, then min_days
+        flag = "--min-frames" if args.min_frames < 1 else "--min-days"
+        print(f"error: {flag}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    cohort = parse_cohort(args.input)
     result = run_extraction(cohort, config)
     if not result.participant_ids:
         print("error: no participant passed the filters (empty cohort)", file=sys.stderr)

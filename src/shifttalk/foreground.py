@@ -33,7 +33,7 @@ class ForegroundFilter:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError("threshold must be in [0, 1]")
+            raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
 
     def mask(self, frames: FrameBlock) -> np.ndarray:
         """Boolean keep-mask over the block's frames."""

@@ -39,6 +39,16 @@ are dropped later by filter_shift_window. In recordings.jsonl this means:
 - every frame column has the same non-zero length.
 
 Each violation raises MalformedRow with the file name and line number.
+
+write_cohort writes recordings.jsonl in batches of about 1 << 16 frames. For
+each batch it concatenates every frame column once, refuses non-finite
+values (naming the first recording that holds one) and renders the column's
+text in one array pass: a value on the 1e-4 grid (k = rint(|v| * 1e4) with
+k / 1e4 == |v|, and |v| < 1e11) has repr(v) equal to k's fixed-point text
+with trailing fraction zeros cut, which digit tables give without a repr
+call. A batch column with any value off that grid is written with one repr
+per value, so the bytes are always those of json.dumps; _recording_json is
+that per-value reference. The simulator rounds every frame value to the grid.
 """
 
 from __future__ import annotations
@@ -337,10 +347,53 @@ def parse_cohort(dir_path: str | Path) -> Cohort:
 
 # --- writers (shared by the simulator and round-trip tests) ---
 
+# Frame values on this decimal grid get their JSON text from whole-array
+# digit arithmetic instead of one repr per value; the simulator rounds to it.
+# At most 4: repr switches to exponent notation below 1e-4.
+GRID_DECIMALS = 4
+_GRID_SCALE = 10.0 ** GRID_DECIMALS
+# bound on |v| that keeps k = rint(|v| * scale) below 1e15 (at most 15 digits)
+_GRID_LIMIT = 10.0 ** (15 - GRID_DECIMALS)
+_BATCH_FRAMES = 1 << 16  # frames whose text is built in one array pass
+
+
+def _text_tables() -> tuple[np.ndarray, ...]:
+    """Digit tables for _grid_text; a NUL byte marks a cell the text drops.
+
+    Indexed by a 4-digit group q (a fraction f): the group's digits as one
+    uint32 word in full, with leading zeros dropped, and the same with 0
+    written "0" (the units group); "." + the fraction's digits with trailing
+    zeros dropped (one kept) + ",", as one uint64 word.
+    """
+    digits = (np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")).copy()  # row q: q's 4 digits
+    lead = digits * np.logical_or.accumulate(digits != ord("0"), axis=1)
+    units = lead.copy()
+    units[0, 3] = ord("0")
+    d = GRID_DECIMALS
+    fraction = digits[:10 ** d, 4 - d:]
+    kept = np.logical_or.accumulate(fraction[:, ::-1] != ord("0"), axis=1)[:, ::-1]
+    kept[:, 0] = True
+    frac = np.zeros((10 ** d, 8), np.uint8)
+    frac[:, 0] = ord(".")
+    frac[:, 1:d + 1] = fraction * kept
+    frac[:, d + 1] = ord(",")
+    return (digits.view(np.uint32).ravel(), lead.view(np.uint32).ravel(),
+            units.view(np.uint32).ravel(), frac.view(np.uint64).ravel())
+
+
+_FULL, _LEAD, _UNITS, _FRAC = _text_tables()
+_MINUS, _NULL = np.frombuffer(b"\0\0\0-null", np.uint32)
+_NULL_TAIL = np.frombuffer(b",\0\0\0\0\0\0\0", np.uint64)[0]
+
 
 def _fmt(value: float) -> str:
     """Shortest exact decimal repr, so write -> parse -> write is stable."""
     return repr(float(value))
+
+
+def _iso_dates(rows) -> dict[date, str]:
+    """shift_date -> its YYYY-MM-DD text, formatted once per distinct date."""
+    return {d: d.isoformat() for d in {r.shift_date for r in rows}}
 
 
 def write_cohort(cohort: Cohort, dir_path: str | Path) -> None:
@@ -365,53 +418,152 @@ def write_cohort(cohort: Cohort, dir_path: str | Path) -> None:
     with (root / RSSI_FILE).open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["participant_id", "shift_date", "minute_index", "hub_id", "rssi"])
-        for o in cohort.rssi:
-            w.writerow([o.participant_id, o.shift_date.isoformat(), o.minute_index, o.hub_id, o.rssi])
+        iso = _iso_dates(cohort.rssi)
+        w.writerows((o.participant_id, iso[o.shift_date], o.minute_index, o.hub_id, o.rssi) for o in cohort.rssi)
 
     with (root / RECORDINGS_FILE).open("wb") as fh:
-        chunk: list[str] = []
+        batch: list[RecordingSegment] = []
         size = 0
         for r in cohort.recordings:
-            line = _recording_json(r)
-            chunk.append(line)
-            size += len(line)
-            if size > 1 << 22:
-                fh.write(("\n".join(chunk) + "\n").encode("utf-8"))
-                chunk, size = [], 0
-        if chunk:
-            fh.write(("\n".join(chunk) + "\n").encode("utf-8"))
+            batch.append(r)
+            size += len(r.frames)
+            if size >= _BATCH_FRAMES:
+                fh.write(_batch_lines(batch))
+                batch, size = [], 0
+        if batch:
+            fh.write(_batch_lines(batch))
 
     with (root / PHYSIOLOGY_FILE).open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["participant_id", "shift_date", "walk_ratio", "sleep_hours"])
-        for d in cohort.physiology:
-            w.writerow([d.participant_id, d.shift_date.isoformat(), _fmt(d.walk_ratio), _fmt(d.sleep_hours)])
+        iso = _iso_dates(cohort.physiology)
+        w.writerows((d.participant_id, iso[d.shift_date], _fmt(d.walk_ratio), _fmt(d.sleep_hours))
+                    for d in cohort.physiology)
+
+
+def _grid_text(values: np.ndarray) -> tuple[bytes, np.ndarray] | None:
+    """JSON text of a float column with each value followed by ",", and the
+    end offset of each value's text; None when a value is off the grid.
+
+    A non-NaN value v is on the grid when k = rint(|v| * 1e4) gives
+    k / 1e4 == |v| and |v| < 1e11 (so |v| is 0 or at least 1e-4). Then
+    repr(v) is exactly the fixed-point text of k with trailing fraction
+    zeros cut (one kept): k has at most 15 digits, two decimals of at most
+    15 significant digits never round to the same double, and repr writes
+    exponents -4..15 in fixed notation. NaN is written as null; infinities
+    must be refused before this is called.
+
+    Each value gets one row of a byte matrix (sign, integer digit groups,
+    ".", fraction, ","), filled from _text_tables with NUL in every cell the
+    text leaves out; one bytes.translate drops the NULs.
+    """
+    null = np.isnan(values)
+    mag = np.abs(values)
+    on = mag < _GRID_LIMIT  # False for NaN; never scales a huge value, so no overflow
+    k = np.rint(np.where(on, mag, 0.0) * _GRID_SCALE)
+    on &= k / _GRID_SCALE == mag
+    if not (on | null).all():
+        return None
+    whole, frac = np.divmod(k.astype(np.int64), 10 ** GRID_DECIMALS)
+    groups = 3 if whole.max(initial=0) >= 10_000 else 1  # 4-digit integer groups (k < 1e15)
+    rows = np.empty((len(values), groups + 3), np.uint32)  # words of 4 bytes
+    rows[:, 0] = np.where(np.signbit(values) & ~null, _MINUS, 0)
+    seen = np.zeros(len(values), bool)  # a higher integer group is non-zero
+    for g in range(groups):
+        q = whole // 10 ** (4 * (groups - 1 - g)) % 10_000
+        word = (_UNITS if g == groups - 1 else _LEAD)[q]
+        rows[:, 1 + g] = np.where(seen, _FULL[q], word)
+        seen |= q != 0
+    rows[:, groups] = np.where(null, _NULL, rows[:, groups])
+    rows[:, groups + 1:] = np.where(null, _NULL_TAIL, _FRAC[frac]).view(np.uint32).reshape(-1, 2)
+    text = rows.tobytes().translate(None, b"\0")
+    return text, np.flatnonzero(np.frombuffer(text, np.uint8) == ord(",")) + 1
+
+
+def _column_spans(values: np.ndarray, offsets: np.ndarray) -> list:
+    """Per-recording JSON array bodies of one frame column of a batch.
+
+    offsets[i]:offsets[i + 1] are recording i's frames. A column with any
+    value off the grid falls back to one repr per value (NaN, which only
+    pitch may hold here, written as null).
+    """
+    grid = _grid_text(values)
+    if grid is None:
+        return [_json_floats(values[a:b]).replace("nan", "null").encode()
+                for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
+    text, ends = grid
+    bounds = np.concatenate(([0], ends))[offsets]  # each recording's first byte, and the end
+    lo = bounds[:-1]
+    hi = np.maximum(bounds[1:] - 1, lo)  # drop the last value's ","
+    view = memoryview(text)
+    return [view[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
+
+
+def _batch_lines(batch: list[RecordingSegment]) -> bytes:
+    """The recordings.jsonl lines of a batch of recordings, one pass per frame column.
+
+    Same bytes as joining _recording_json over the batch. A value JSON
+    cannot carry (an infinite pitch, or a non-finite value in any other
+    column) raises ValueError naming the first recording that holds one.
+    """
+    blocks = [r.frames for r in batch]
+    offsets = np.zeros(len(batch) + 1, np.int64)
+    np.cumsum([len(b) for b in blocks], out=offsets[1:])
+    # float64 whatever the blocks hold: repr writes a float32 value widened exactly
+    columns = [np.concatenate([getattr(b, name) for b in blocks], dtype=np.float64) for name in FRAME_COLUMNS]
+    bad = np.isinf(columns[0])
+    for values in columns[1:]:
+        bad |= ~np.isfinite(values)
+    if bad.any():
+        raise _non_finite(batch[int(np.searchsorted(offsets, np.argmax(bad), side="right")) - 1])
+    spans = [_column_spans(values, offsets) for values in columns]
+    keys = [f'"{name}":['.encode() for name in FRAME_COLUMNS]
+    heads: dict[tuple[str, date], bytes] = {}
+    parts: list = []
+    for i, rec in enumerate(batch):
+        key = (rec.participant_id, rec.shift_date)
+        head = heads.get(key)
+        if head is None:
+            head = heads[key] = (f'{{"participant_id":{json.dumps(rec.participant_id)},'
+                                 f'"shift_date":"{rec.shift_date.isoformat()}","minute_index":').encode()
+        parts += (head, b"%d" % rec.minute_index, b',"frames":{', keys[0], spans[0][i], b"],",
+                  keys[1], spans[1][i], b"],", keys[2], spans[2][i], b"],", keys[3], spans[3][i], b"]")
+        if rec.frames.foreground is not None:
+            parts.append(_foreground_json(rec.frames.foreground).encode())
+        parts.append(b"}}\n")
+    return b"".join(parts)
 
 
 def _json_floats(values: np.ndarray) -> str:
     return ",".join(map(repr, values.tolist()))
 
 
+def _foreground_json(labels: np.ndarray) -> str:
+    return ',"foreground":[' + ",".join("true" if x else "false" for x in labels.tolist()) + "]"
+
+
+def _non_finite(rec: RecordingSegment) -> ValueError:
+    return ValueError(
+        f"non-finite frame value in recording {rec.participant_id} "
+        f"{rec.shift_date.isoformat()} minute {rec.minute_index}"
+    )
+
+
 def _recording_json(rec: RecordingSegment) -> str:
-    """Hand-assembled columnar JSON line; float repr matches json.dumps exactly.
+    """One recordings.jsonl line from one repr per value: the reference that
+    write_cohort's batch writer must match byte for byte.
 
     Each frame column is one array, so the line carries each key once rather
     than once per frame; NaN pitch is written as null. A value JSON cannot
-    carry (an infinite pitch, or a non-finite value in any other column)
-    raises ValueError, since the reader would reject the line.
+    carry raises ValueError, since the reader would reject the line.
     """
     fb = rec.frames
     pitch = _json_floats(fb.log_pitch).replace("nan", "null")
     intensity, hf_lf, prob = (_json_floats(c) for c in (fb.intensity, fb.hf_lf_ratio, fb.foreground_prob))
     # a finite float's repr has no "n"; "nan", "inf" and "-inf" do
     if "inf" in pitch or "n" in intensity or "n" in hf_lf or "n" in prob:
-        raise ValueError(
-            f"non-finite frame value in recording {rec.participant_id} "
-            f"{rec.shift_date.isoformat()} minute {rec.minute_index}"
-        )
-    fg = ""
-    if fb.foreground is not None:
-        fg = ',"foreground":[' + ",".join("true" if x else "false" for x in fb.foreground.tolist()) + "]"
+        raise _non_finite(rec)
+    fg = "" if fb.foreground is None else _foreground_json(fb.foreground)
     head = json.dumps(rec.participant_id)
     return (
         f'{{"participant_id":{head},"shift_date":"{rec.shift_date.isoformat()}",'

@@ -58,6 +58,8 @@ class ExtractionConfig:
     def __post_init__(self) -> None:
         if self.min_frames < 1:
             raise ValueError(f"min_frames must be at least 1, got {self.min_frames}")
+        if self.min_days < 1:
+            raise ValueError(f"min_days must be at least 1, got {self.min_days}")
 
 
 @dataclass

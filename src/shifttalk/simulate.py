@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidSpec
-from .ingest import write_cohort
+from .ingest import GRID_DECIMALS, write_cohort
 from .model import (
     Cohort,
     DailyPhysiology,
@@ -230,8 +230,9 @@ def _session_minutes(rng: np.random.Generator, gap_median: float, gap_sd: float,
     return runs
 
 
-def _round4(values: np.ndarray) -> np.ndarray:
-    return np.round(values, 4)
+def _to_grid(values: np.ndarray) -> np.ndarray:
+    """Round to the writer's grid, whose text write_cohort builds without repr."""
+    return np.round(values, GRID_DECIMALS)
 
 
 def generate(spec: CohortSpec, out_dir: str | Path) -> GroundTruth:
@@ -303,8 +304,8 @@ def generate(spec: CohortSpec, out_dir: str | Path) -> GroundTruth:
                 states = _draw_states(rng, minutes, q_pos, q_neg, deltas)
                 for minute, frames in zip(minutes, _emit_frames(rng, spec, mu, states)):
                     cohort.recordings.append(RecordingSegment(pid, shift_date, minute, frames))
-            walk = float(np.clip(round(rng.normal(walk_center, spec.walk_within_sd), 4), 0.0, 1.0))
-            sleep = float(np.clip(round(rng.normal(sleep_center, spec.sleep_within_sd), 4), 0.0, 24.0))
+            walk = float(np.clip(round(rng.normal(walk_center, spec.walk_within_sd), GRID_DECIMALS), 0.0, 1.0))
+            sleep = float(np.clip(round(rng.normal(sleep_center, spec.sleep_within_sd), GRID_DECIMALS), 0.0, 24.0))
             cohort.physiology.append(DailyPhysiology(pid, shift_date, walk, sleep))
 
         truth_participants[pid] = ParticipantTruth(
@@ -490,15 +491,15 @@ def _emit_frames(
     n_rec = len(states)
     n = spec.frames_per_recording
     fg = rng.random((n_rec, n)) < spec.foreground_fraction
-    prob = _round4(np.where(fg, 0.5 + 0.5 * rng.random((n_rec, n)), 0.49 * rng.random((n_rec, n))))
+    prob = _to_grid(np.where(fg, 0.5 + 0.5 * rng.random((n_rec, n)), 0.49 * rng.random((n_rec, n))))
     voiced = rng.random((n_rec, n)) < spec.voiced_fraction
     shift = spec.arousal_effect_size * states[:, None]
     cols = {}
     for name, (_, _, frame_sd) in _FRAME_MODEL.items():
         cols[name] = mu[name] + frame_sd * (shift + rng.normal(size=(n_rec, n)))
-    log_pitch = _round4(np.where(voiced, cols["log_pitch"], np.nan))
-    intensity = _round4(cols["intensity"])
-    hf_lf = _round4(np.maximum(cols["hf_lf_ratio"], 0.0))
+    log_pitch = _to_grid(np.where(voiced, cols["log_pitch"], np.nan))
+    intensity = _to_grid(cols["intensity"])
+    hf_lf = _to_grid(np.maximum(cols["hf_lf_ratio"], 0.0))
     return [
         FrameBlock(
             log_pitch=log_pitch[i],

@@ -91,6 +91,19 @@ def test_extract_min_frames_below_one_exits_2(pipeline_dirs, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--foreground-threshold", "1.5"), ("--foreground-threshold", "-0.1"), ("--min-days", "0"),
+])
+def test_extract_bad_flag_exits_2_before_parsing(tmp_path, capsys, flag, value):
+    # the input does not exist: the flag must be refused before any file is read
+    assert main(["extract", "--input", str(tmp_path / "missing"), "--out", str(tmp_path / "o"),
+                 flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ")
+    assert "not found" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_extract_rerun_identical(pipeline_dirs, tmp_path):
     _, data, out = pipeline_dirs
     again = tmp_path / "again"

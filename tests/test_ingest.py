@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from shifttalk.errors import DuplicateParticipant, MalformedRow, UnknownHub
+from shifttalk import ingest
 from shifttalk.ingest import (
+    _recording_json,
     filter_min_days,
     filter_shift_window,
     parse_cohort,
@@ -246,7 +248,10 @@ def test_writer_emits_columnar_frames(tmp_path):
 def test_writer_refuses_non_finite_frames(tmp_path, column, value):
     cohort = tiny_cohort()
     getattr(cohort.recordings[1].frames, column)[2] = value
-    with pytest.raises(ValueError, match="non-finite"):
+    # a later recording of the same batch is bad too, in another column
+    other = "hf_lf_ratio" if column == "intensity" else "intensity"
+    getattr(cohort.recordings[2].frames, other)[0] = math.nan
+    with pytest.raises(ValueError, match=r"non-finite frame value in recording p1 2022-03-01 minute 1$"):
         write_cohort(cohort, tmp_path)
 
 
@@ -257,6 +262,86 @@ def test_writer_writes_nan_pitch_as_null(tmp_path):
     line = (tmp_path / "recordings.jsonl").read_text().splitlines()[1]
     assert json.loads(line)["frames"]["log_pitch"] == [4.7, 4.7, None]
     assert np.isnan(parse_cohort(tmp_path).recordings[1].frames.log_pitch[2])
+
+
+def _reference_lines(recordings: list[RecordingSegment]) -> bytes:
+    return "".join(_recording_json(r) + "\n" for r in recordings).encode()
+
+
+# on the grid at every integer-group width, and just inside its bounds
+GRID_EDGES = [0.0, -0.0, 1e-4, -1e-4, 9999.9999, 10000.0, 99999999.9999, 1e8, 99999999999.9999,
+              -99999999999.9999]
+# off the grid: each sends its batch column to the one-repr-per-value fallback
+OFF_GRID = [0.1 + 0.2, 1e-5, 5e-324, 1e11, 1e16, -1e16]
+
+
+def test_batch_writer_matches_repr_reference(tmp_path, monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    on_grid = st.one_of(
+        st.sampled_from(GRID_EDGES),
+        st.builds(lambda k, sign: sign * (k / 1e4), st.integers(0, 10**15 - 1), st.sampled_from([1.0, -1.0])),
+        st.builds(lambda k: k / 1e4, st.integers(0, 10**6)),
+    )
+    value = st.one_of(on_grid, on_grid, on_grid, st.sampled_from(OFF_GRID))
+    pitch = st.one_of(st.sampled_from([math.nan, -math.nan]), value)  # null either way
+
+    @st.composite
+    def blocks(draw):
+        n = draw(st.integers(0, 12))
+
+        def column(elements):
+            return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=float)
+
+        fg = draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=n, max_size=n)))
+        return FrameBlock(column(pitch), column(value), column(value), column(value),
+                          None if fg is None else np.array(fg, dtype=bool))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(blocks(), min_size=1, max_size=6), st.integers(1, 30))
+    def check(frame_blocks: list[FrameBlock], batch_frames: int) -> None:
+        monkeypatch.setattr(ingest, "_BATCH_FRAMES", batch_frames)
+        cohort = tiny_cohort()
+        cohort.recordings = [RecordingSegment(f"p{i % 2}", D0, i, b) for i, b in enumerate(frame_blocks)]
+        write_cohort(cohort, tmp_path)
+        assert (tmp_path / "recordings.jsonl").read_bytes() == _reference_lines(cohort.recordings)
+        for name in ingest.FRAME_COLUMNS:
+            values = np.concatenate([getattr(b, name) for b in frame_blocks])
+            off = any(v in OFF_GRID for v in values.tolist())
+            assert (ingest._grid_text(values) is None) == off, name
+
+    check()
+
+
+def test_batch_writer_crosses_the_default_batch_size(tmp_path):
+    rng = np.random.default_rng(0)
+    n = 30_000  # five recordings: three fill the first 1 << 16 frame batch
+
+    def block(i: int) -> FrameBlock:
+        cols = [np.round(rng.normal(60.0, 30.0, n), 4) for _ in range(4)]
+        cols[0][rng.random(n) < 0.25] = math.nan
+        if i == 3:
+            cols[1][7] = 0.1 + 0.2  # this batch's intensity goes through repr
+        return FrameBlock(*cols)
+
+    cohort = tiny_cohort()
+    cohort.recordings = [RecordingSegment("p1", D0, i, block(i)) for i in range(5)]
+    write_cohort(cohort, tmp_path)
+    assert (tmp_path / "recordings.jsonl").read_bytes() == _reference_lines(cohort.recordings)
+
+
+def test_batch_writer_widens_float32_columns_exactly(tmp_path):
+    cohort = tiny_cohort()
+    cohort.recordings = [
+        RecordingSegment(r.participant_id, r.shift_date, r.minute_index,
+                         FrameBlock(*(getattr(r.frames, name).astype(np.float32) for name in ingest.FRAME_COLUMNS)))
+        for r in cohort.recordings
+    ]
+    write_cohort(cohort, tmp_path)
+    text = (tmp_path / "recordings.jsonl").read_bytes()
+    assert b"4.699999809265137" in text  # float32 4.7 is off the grid once widened
+    assert text == _reference_lines(cohort.recordings)
 
 
 def assert_cohorts_equal(a: Cohort, b: Cohort) -> None:

@@ -29,6 +29,12 @@ def test_config_rejects_min_frames_below_one(min_frames):
         ExtractionConfig(min_frames=min_frames)
 
 
+@pytest.mark.parametrize("min_days", [0, -1])
+def test_config_rejects_min_days_below_one(min_days):
+    with pytest.raises(ValueError, match="min_days must be at least 1"):
+        ExtractionConfig(min_days=min_days)
+
+
 def test_config_accepts_one_frame():
     assert ExtractionConfig(min_frames=1).min_frames == 1
 

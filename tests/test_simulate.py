@@ -9,6 +9,7 @@ import pytest
 
 from shifttalk.errors import InvalidSpec
 from shifttalk.foreground import ForegroundFilter
+from shifttalk import ingest
 from shifttalk.ingest import CANONICAL_FILES, parse_cohort
 from shifttalk.pipeline import ExtractionConfig, run_extraction
 from shifttalk.simulate import (
@@ -26,6 +27,15 @@ def spec_text(**overrides) -> str:
     values = dict(TINY)
     values.update(overrides)
     return "\n".join(f"{k} = {v}" for k, v in values.items()) + "\n"
+
+
+def test_simulated_frames_take_the_grid_path(tmp_path, monkeypatch):
+    def no_repr(values):
+        raise AssertionError(f"frame column fell back to repr: {values[:5]}")
+
+    monkeypatch.setattr(ingest, "_json_floats", no_repr)
+    generate(CohortSpec(**TINY), tmp_path)
+    assert len(parse_cohort(tmp_path).recordings) > 0
 
 
 def test_load_spec_roundtrip(tmp_path):
