@@ -12,7 +12,7 @@ from .model import (
     LocationCategory,
     ParticipantProfile,
     RecordingSegment,
-    RssiObservation,
+    RssiTable,
     ShiftType,
     UnitType,
 )
@@ -26,7 +26,7 @@ __all__ = [
     "LocationCategory",
     "ParticipantProfile",
     "RecordingSegment",
-    "RssiObservation",
+    "RssiTable",
     "ShiftType",
     "UnitType",
     "__version__",

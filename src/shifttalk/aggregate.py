@@ -19,7 +19,7 @@ import numpy as np
 from .errors import AllAbsent, EmptyInput
 from .locate import LocationTimeline
 from .model import DailyPhysiology, LocationCategory, ParticipantProfile, ShiftType, UnitType
-from .arousal import AROUSAL_THRESHOLD, RatedRecording
+from .arousal import AROUSAL_THRESHOLD, RatedRecording, arousal_flags
 from .sessions import (
     SpeechSession,
     gt1min_session_ratio,
@@ -123,15 +123,6 @@ class ShiftFeatures:
     recordings_per_block: list[int] = field(default_factory=lambda: [0] * N_BLOCKS)
 
 
-def _ratio_reducer(threshold: float, sign: int) -> Callable[[np.ndarray], float]:
-    def reduce(vals: np.ndarray) -> float:
-        if sign > 0:
-            return float((vals > threshold).mean())
-        return float((vals < -threshold).mean())
-
-    return reduce
-
-
 def per_shift_features(
     sessions: list[SpeechSession],
     rated_recordings: list[RatedRecording],
@@ -166,22 +157,19 @@ def per_shift_features(
                 scalars[f"gt1min_ratio_{key}"] = gt1min_session_ratio(at_cat)
 
     if rated_recordings:
-        fused = np.array([r.fused for r in rated_recordings])
-        locations = timeline.slots[[r.minute_index for r in rated_recordings]]
-        scalars["pos_ratio_all"] = float((fused > arousal_threshold).mean())
-        scalars["neg_ratio_all"] = float((fused < -arousal_threshold).mean())
-        for cat, key in ((LocationCategory.NURSING_STATION, "ns"), (LocationCategory.PATIENT_ROOM, "pat")):
-            here = locations == cat
-            if here.any():
-                scalars[f"pos_ratio_{key}"] = float((fused[here] > arousal_threshold).mean())
-                scalars[f"neg_ratio_{key}"] = float((fused[here] < -arousal_threshold).mean())
-        events = [(r.minute_index, r.fused) for r in rated_recordings]
-        out.pos_blocks = block_series(events, _ratio_reducer(arousal_threshold, +1), "pos_ratio").blocks
-        out.neg_blocks = block_series(events, _ratio_reducer(arousal_threshold, -1), "neg_ratio").blocks
-        for r in rated_recordings:
-            block = r.minute_index // BLOCK_MINUTES
-            if 0 <= block < N_BLOCKS:
-                out.recordings_per_block[block] += 1
+        minutes = [r.minute_index for r in rated_recordings]
+        locations = timeline.slots[minutes]
+        pos, neg = arousal_flags(np.array([r.fused for r in rated_recordings]), arousal_threshold)
+        for name, flag in (("pos", pos), ("neg", neg)):
+            scalars[f"{name}_ratio_all"] = float(flag.mean())
+            for cat, key in ((LocationCategory.NURSING_STATION, "ns"), (LocationCategory.PATIENT_ROOM, "pat")):
+                here = locations == cat
+                if here.any():
+                    scalars[f"{name}_ratio_{key}"] = float(flag[here].mean())
+        out.pos_blocks = block_series(list(zip(minutes, pos)), np.mean, "pos_ratio").blocks
+        out.neg_blocks = block_series(list(zip(minutes, neg)), np.mean, "neg_ratio").blocks
+        blocks = np.asarray(minutes) // BLOCK_MINUTES
+        out.recordings_per_block = np.bincount(blocks[(blocks >= 0) & (blocks < N_BLOCKS)], minlength=N_BLOCKS).tolist()
 
     return out
 

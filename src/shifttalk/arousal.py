@@ -21,7 +21,7 @@ from datetime import date
 
 import numpy as np
 
-from .errors import ConstantInput, EmptyInput, EmptyPool, InsufficientData, TooFewRecordings
+from .errors import ConstantInput, EmptyInput, EmptyPool, InsufficientData
 from .model import FrameBlock
 from .stats import spearman_rho
 
@@ -36,9 +36,6 @@ class NeutralModel:
     log_pitch: np.ndarray
     intensity: np.ndarray
     hf_lf_ratio: np.ndarray
-
-    def pool(self, feature: str) -> np.ndarray:
-        return getattr(self, feature)
 
 
 @dataclass(frozen=True)
@@ -115,10 +112,11 @@ def fusion_weights(scores: list[tuple[float, float, float]]) -> FusionWeights:
 
     Each feature's score vector is correlated with the per-recording mean
     score vector; a constant vector contributes 0. If every correlation is
-    0 the weights fall back to the uniform unit vector.
+    0, or there are fewer than two recordings, the weights fall back to the
+    uniform unit vector.
     """
     if len(scores) < 2:
-        raise TooFewRecordings("fusion weights need at least two rated recordings")
+        return UNIFORM_WEIGHTS
     p = np.asarray(scores, dtype=float)  # shape (n_recordings, 3)
     p_mu = p.mean(axis=1)
     r = []
@@ -148,18 +146,18 @@ def rate_recording(score_triple: tuple[float, float, float], weights: FusionWeig
     return float(fuse(weights.w, score_triple))
 
 
+def arousal_flags(fused: np.ndarray, threshold: float = AROUSAL_THRESHOLD) -> tuple[np.ndarray, np.ndarray]:
+    """(positive, negative) masks of fused ratings: strictly above +threshold
+    counts positive, strictly below -threshold counts negative."""
+    return fused > threshold, fused < -threshold
+
+
 def arousal_ratios(
     rated: list[RatedRecording],
     threshold: float = AROUSAL_THRESHOLD,
 ) -> tuple[float, float]:
-    """(positive, negative) arousal speech ratios over the rated recordings.
-
-    Strictly above +threshold counts positive, strictly below -threshold
-    counts negative.
-    """
+    """(positive, negative) arousal speech ratios over the rated recordings."""
     if not rated:
         raise EmptyInput("no rated recordings")
-    n = len(rated)
-    pos = sum(1 for r in rated if r.fused > threshold)
-    neg = sum(1 for r in rated if r.fused < -threshold)
-    return pos / n, neg / n
+    pos, neg = arousal_flags(np.array([r.fused for r in rated]), threshold)
+    return float(pos.mean()), float(neg.mean())

@@ -16,13 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .arousal import AROUSAL_THRESHOLD
-from .errors import (
-    DegenerateLabel,
-    EmptyGroup,
-    InvalidSpec,
-    MalformedRow,
-    ShiftTalkError,
-)
+from .errors import DegenerateLabel, EmptyGroup, ShiftTalkError
 from .foreground import MIN_FOREGROUND_FRAMES, FilterKind, ForegroundFilter
 from .forest import ForestParams
 from .ingest import MIN_DAYS, parse_cohort
@@ -285,9 +279,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InvalidSpec, MalformedRow) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EmptyGroup as exc:
         print(f"error: {exc}", file=sys.stderr)

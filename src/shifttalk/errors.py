@@ -27,10 +27,6 @@ class DuplicateParticipant(ShiftTalkError):
         super().__init__(f"duplicate participant_id {participant_id!r}")
 
 
-class OutOfRange(ShiftTalkError, IndexError):
-    pass
-
-
 class EmptyInput(ShiftTalkError, ValueError):
     pass
 
@@ -42,10 +38,6 @@ class InsufficientData(ShiftTalkError, ValueError):
 
 
 class EmptyPool(ShiftTalkError, ValueError):
-    pass
-
-
-class TooFewRecordings(ShiftTalkError, ValueError):
     pass
 
 

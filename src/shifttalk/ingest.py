@@ -40,6 +40,10 @@ are dropped later by filter_shift_window. In recordings.jsonl this means:
 
 Each violation raises MalformedRow with the file name and line number.
 
+rssi.csv becomes one RssiTable, checked one row at a time, so the first bad
+row in file order raises. A minute_index beyond the 64-bit integer range is
+stored as the nearest 64-bit value, so filter_shift_window still drops it.
+
 write_cohort writes recordings.jsonl in batches of about 1 << 16 frames. For
 each batch it concatenates every frame column once, refuses non-finite
 values (naming the first recording that holds one) and renders the column's
@@ -56,6 +60,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from datetime import date
 from pathlib import Path
 from typing import NoReturn
@@ -74,7 +79,7 @@ from .model import (
     HubRecord,
     ParticipantProfile,
     RecordingSegment,
-    RssiObservation,
+    RssiTable,
     ShiftType,
     UnitType,
 )
@@ -88,6 +93,13 @@ PHYSIOLOGY_FILE = "physiology.csv"
 CANONICAL_FILES = (PARTICIPANTS_FILE, HUBS_FILE, RSSI_FILE, RECORDINGS_FILE, PHYSIOLOGY_FILE)
 
 MIN_DAYS = 5  # distinct shift dates a participant needs to stay in the cohort
+
+PARTICIPANTS_HEADER = ["participant_id", "shift_type", "unit_type", "pos_affect", "neg_affect", "life_satisfaction"]
+HUBS_HEADER = ["hub_id", "location_category"]
+RSSI_HEADER = ["participant_id", "shift_date", "minute_index", "hub_id", "rssi"]
+PHYSIOLOGY_HEADER = ["participant_id", "shift_date", "walk_ratio", "sleep_hours"]
+_INT64 = np.iinfo(np.int64)
+_BATCH_ROWS = 1 << 14  # rssi rows held as Python objects at once, which bounds peak memory
 
 
 def _parse_date(text: str, file: str, line: int) -> date:
@@ -136,8 +148,7 @@ def _csv_rows(path: Path, expected_header: list[str]):
 
 def parse_participants(path: Path) -> dict[str, ParticipantProfile]:
     profiles: dict[str, ParticipantProfile] = {}
-    header = ["participant_id", "shift_type", "unit_type", "pos_affect", "neg_affect", "life_satisfaction"]
-    for lineno, row in _csv_rows(path, header):
+    for lineno, row in _csv_rows(path, PARTICIPANTS_HEADER):
         pid, shift_raw, unit_raw, pos_raw, neg_raw, swls_raw = row
         if pid in profiles:
             raise DuplicateParticipant(pid)
@@ -164,7 +175,7 @@ def parse_participants(path: Path) -> dict[str, ParticipantProfile]:
 
 def parse_hubs(path: Path) -> dict[str, HubRecord]:
     hubs: dict[str, HubRecord] = {}
-    for lineno, row in _csv_rows(path, ["hub_id", "location_category"]):
+    for lineno, row in _csv_rows(path, HUBS_HEADER):
         hub_id, cat_raw = row
         if hub_id in hubs:
             raise MalformedRow(path.name, lineno, f"duplicate hub_id {hub_id!r}")
@@ -181,29 +192,48 @@ def parse_rssi(
     hubs: dict[str, HubRecord],
     profiles: dict[str, ParticipantProfile],
     warnings: dict[str, int],
-) -> list[RssiObservation]:
-    observations: list[RssiObservation] = []
-    header = ["participant_id", "shift_date", "minute_index", "hub_id", "rssi"]
-    for lineno, row in _csv_rows(path, header):
+) -> RssiTable:
+    """Read rssi.csv into an RssiTable, clamping rssi into [RSSI_MIN, RSSI_MAX].
+
+    Each row is checked once, in file order, and its values appended to the
+    columns, which become arrays every _BATCH_ROWS rows. A minute_index
+    beyond the 64-bit range is stored as the nearest 64-bit value, which
+    lies outside the shift window like the original.
+    """
+    parts: list[RssiTable] = []
+    columns: tuple[list, ...] = ([], [], [], [], [])
+    pids, dates, minutes, hub_ids, values = columns
+    clamped = 0
+    for lineno, row in _csv_rows(path, RSSI_HEADER):
         pid, date_raw, minute_raw, hub_id, rssi_raw = row
         if pid not in profiles:
             raise MalformedRow(path.name, lineno, f"unknown participant_id {pid!r}")
         if hub_id not in hubs:
             raise UnknownHub(hub_id)
-        shift_date = _parse_date(date_raw, path.name, lineno)
+        _parse_date(date_raw, path.name, lineno)
         minute = _parse_int(minute_raw, "minute_index", path.name, lineno)
         rssi = _parse_int(rssi_raw, "rssi", path.name, lineno)
         if rssi < RSSI_MIN or rssi > RSSI_MAX:
-            warnings["rssi_clamped"] = warnings.get("rssi_clamped", 0) + 1
+            clamped += 1
             rssi = min(max(rssi, RSSI_MIN), RSSI_MAX)
-        observations.append(RssiObservation(pid, shift_date, minute, hub_id, rssi))
-    return observations
+        pids.append(pid)
+        dates.append(date_raw)
+        minutes.append(min(max(minute, _INT64.min), _INT64.max))
+        hub_ids.append(hub_id)
+        values.append(rssi)
+        if len(values) >= _BATCH_ROWS:
+            parts.append(RssiTable(*columns))
+            for column in columns:
+                column.clear()
+    parts.append(RssiTable(*columns))
+    if clamped:
+        warnings["rssi_clamped"] = warnings.get("rssi_clamped", 0) + clamped
+    return RssiTable.concat(parts)
 
 
 def parse_physiology(path: Path, profiles: dict[str, ParticipantProfile]) -> list[DailyPhysiology]:
     rows: list[DailyPhysiology] = []
-    header = ["participant_id", "shift_date", "walk_ratio", "sleep_hours"]
-    for lineno, row in _csv_rows(path, header):
+    for lineno, row in _csv_rows(path, PHYSIOLOGY_HEADER):
         pid, date_raw, walk_raw, sleep_raw = row
         if pid not in profiles:
             raise MalformedRow(path.name, lineno, f"unknown participant_id {pid!r}")
@@ -323,7 +353,7 @@ def parse_recordings(path: Path, profiles: dict[str, ParticipantProfile]) -> lis
 def parse_cohort(dir_path: str | Path) -> Cohort:
     """Parse the five canonical files into a validated Cohort.
 
-    Row counts land in cohort.counts; clamp events in cohort.warnings.
+    Row counts are cohort.counts; clamp events land in cohort.warnings.
     """
     root = Path(dir_path)
     for name in CANONICAL_FILES:
@@ -335,14 +365,7 @@ def parse_cohort(dir_path: str | Path) -> Cohort:
     rssi = parse_rssi(root / RSSI_FILE, hubs, profiles, warnings)
     recordings = parse_recordings(root / RECORDINGS_FILE, profiles)
     physiology = parse_physiology(root / PHYSIOLOGY_FILE, profiles)
-    counts = {
-        "participants": len(profiles),
-        "hubs": len(hubs),
-        "rssi": len(rssi),
-        "recordings": len(recordings),
-        "physiology": len(physiology),
-    }
-    return Cohort(profiles, hubs, recordings, rssi, physiology, counts, warnings)
+    return Cohort(profiles, hubs, recordings, rssi, physiology, warnings)
 
 
 # --- writers (shared by the simulator and round-trip tests) ---
@@ -391,54 +414,59 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _iso_dates(rows) -> dict[date, str]:
-    """shift_date -> its YYYY-MM-DD text, formatted once per distinct date."""
-    return {d: d.isoformat() for d in {r.shift_date for r in rows}}
-
-
 def write_cohort(cohort: Cohort, dir_path: str | Path) -> None:
-    """Write a cohort back out in the canonical formats (deterministic bytes)."""
+    """Write a cohort back out in the canonical formats (deterministic bytes).
+
+    Each file is first written to a temporary sibling; the canonical names
+    are replaced only once every file has been written, so a refused write
+    (a non-finite frame value) leaves the directory as it was.
+    """
     root = Path(dir_path)
     root.mkdir(parents=True, exist_ok=True)
-
-    with (root / PARTICIPANTS_FILE).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["participant_id", "shift_type", "unit_type", "pos_affect", "neg_affect", "life_satisfaction"])
-        for pid in sorted(cohort.profiles):
-            p = cohort.profiles[pid]
-            w.writerow([p.participant_id, p.shift_type.value, p.unit_type.value,
-                        p.pos_affect, p.neg_affect, _fmt(p.life_satisfaction)])
-
-    with (root / HUBS_FILE).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["hub_id", "location_category"])
-        for hub_id in sorted(cohort.hubs):
-            w.writerow([hub_id, cohort.hubs[hub_id].location_category.value])
-
-    with (root / RSSI_FILE).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["participant_id", "shift_date", "minute_index", "hub_id", "rssi"])
-        iso = _iso_dates(cohort.rssi)
-        w.writerows((o.participant_id, iso[o.shift_date], o.minute_index, o.hub_id, o.rssi) for o in cohort.rssi)
-
-    with (root / RECORDINGS_FILE).open("wb") as fh:
-        batch: list[RecordingSegment] = []
-        size = 0
-        for r in cohort.recordings:
-            batch.append(r)
-            size += len(r.frames)
-            if size >= _BATCH_FRAMES:
+    temporary = {name: root / f"{name}.tmp" for name in CANONICAL_FILES}
+    try:
+        _write_csv(temporary[PARTICIPANTS_FILE], PARTICIPANTS_HEADER, (
+            (p.participant_id, p.shift_type.value, p.unit_type.value, p.pos_affect, p.neg_affect,
+             _fmt(p.life_satisfaction)) for _, p in sorted(cohort.profiles.items())))
+        _write_csv(temporary[HUBS_FILE], HUBS_HEADER,
+                   ((hub_id, h.location_category.value) for hub_id, h in sorted(cohort.hubs.items())))
+        _write_csv(temporary[RSSI_FILE], RSSI_HEADER, _rssi_text_rows(cohort.rssi))
+        with temporary[RECORDINGS_FILE].open("wb") as fh:
+            batch: list[RecordingSegment] = []
+            size = 0
+            for r in cohort.recordings:
+                batch.append(r)
+                size += len(r.frames)
+                if size >= _BATCH_FRAMES:
+                    fh.write(_batch_lines(batch))
+                    batch, size = [], 0
+            if batch:
                 fh.write(_batch_lines(batch))
-                batch, size = [], 0
-        if batch:
-            fh.write(_batch_lines(batch))
+        iso = {d: d.isoformat() for d in {r.shift_date for r in cohort.physiology}}  # once per date
+        _write_csv(temporary[PHYSIOLOGY_FILE], PHYSIOLOGY_HEADER, (
+            (d.participant_id, iso[d.shift_date], _fmt(d.walk_ratio), _fmt(d.sleep_hours))
+            for d in cohort.physiology))
+    except BaseException:
+        for path in temporary.values():
+            path.unlink(missing_ok=True)
+        raise
+    for name, path in temporary.items():
+        os.replace(path, root / name)
 
-    with (root / PHYSIOLOGY_FILE).open("w", newline="", encoding="utf-8") as fh:
+
+def _rssi_text_rows(t: RssiTable):
+    """rssi.csv rows, turned into Python objects one batch at a time."""
+    for i in range(0, len(t), _BATCH_ROWS):
+        part = t.select(slice(i, i + _BATCH_ROWS))
+        yield from zip(part.participant_id.tolist(), np.datetime_as_string(part.shift_date).tolist(),
+                       part.minute_index.tolist(), part.hub_id.tolist(), part.rssi.tolist())
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["participant_id", "shift_date", "walk_ratio", "sleep_hours"])
-        iso = _iso_dates(cohort.physiology)
-        w.writerows((d.participant_id, iso[d.shift_date], _fmt(d.walk_ratio), _fmt(d.sleep_hours))
-                    for d in cohort.physiology)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _grid_text(values: np.ndarray) -> tuple[bytes, np.ndarray] | None:
@@ -578,16 +606,15 @@ def _recording_json(rec: RecordingSegment) -> str:
 
 def filter_shift_window(
     recordings: list[RecordingSegment],
-    rssi: list[RssiObservation],
-    profiles: dict[str, ParticipantProfile],
-) -> tuple[list[RecordingSegment], list[RssiObservation], dict[str, int]]:
+    rssi: RssiTable,
+) -> tuple[list[RecordingSegment], RssiTable, dict[str, int]]:
     """Keep only events inside the 12-hour shift window [0, 720).
 
     minute_index 0 is the shift start for both day and night schedules. The
     returned dict counts the dropped events; drops are never fatal.
     """
     kept_rec = [r for r in recordings if 0 <= r.minute_index < SHIFT_MINUTES]
-    kept_rssi = [o for o in rssi if 0 <= o.minute_index < SHIFT_MINUTES]
+    kept_rssi = rssi.select((rssi.minute_index >= 0) & (rssi.minute_index < SHIFT_MINUTES))
     dropped = {
         "recordings_dropped": len(recordings) - len(kept_rec),
         "rssi_dropped": len(rssi) - len(kept_rssi),
@@ -603,20 +630,12 @@ def filter_min_days(cohort: Cohort, min_days: int = MIN_DAYS) -> Cohort:
     for r in cohort.recordings:
         days.setdefault(r.participant_id, set()).add(r.shift_date)
     keep = {pid for pid, dates in days.items() if len(dates) >= min_days}
-    profiles = {pid: p for pid, p in cohort.profiles.items() if pid in keep}
-    filtered = Cohort(
-        profiles=profiles,
+    kept_rssi = np.fromiter(map(keep.__contains__, cohort.rssi.participant_id), bool, len(cohort.rssi))
+    return Cohort(
+        profiles={pid: p for pid, p in cohort.profiles.items() if pid in keep},
         hubs=dict(cohort.hubs),
         recordings=[r for r in cohort.recordings if r.participant_id in keep],
-        rssi=[o for o in cohort.rssi if o.participant_id in keep],
+        rssi=cohort.rssi.select(kept_rssi),
         physiology=[d for d in cohort.physiology if d.participant_id in keep],
         warnings=dict(cohort.warnings),
     )
-    filtered.counts = {
-        "participants": len(filtered.profiles),
-        "hubs": len(filtered.hubs),
-        "rssi": len(filtered.rssi),
-        "recordings": len(filtered.recordings),
-        "physiology": len(filtered.physiology),
-    }
-    return filtered

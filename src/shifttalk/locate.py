@@ -1,32 +1,40 @@
-"""Per-minute location estimation from hub RSSI observations.
+"""Per-minute location estimation from hub RSSI rows.
 
-For each minute of a shift: observations with RSSI below the floor (150)
-are dropped as too noisy; if none survive the slot is OutsideUnit, otherwise
-the slot takes the category of the hub with the highest surviving RSSI.
-Lounge and medicine-room hubs both map to the merged LoungeMed category.
+For each minute of a shift: rows with RSSI below the floor (150) are dropped
+as too noisy; if none survive the slot is OutsideUnit, otherwise the slot
+takes the category of the hub with the highest surviving RSSI. Lounge and
+medicine-room hubs both map to the merged LoungeMed category.
 
 Ties across categories resolve by LocationCategory order
 (PatientRoom < NursingStation < LoungeMed), which keeps timelines
 deterministic; ties within one category are immaterial.
+
+estimate_timeline applies the rule to every shift of a cohort in one pass
+over the RssiTable: each kept row scores ``rssi * 4 + (3 - category)`` and
+``np.maximum.at`` keeps the best score per (shift, minute), so the highest
+RSSI wins and, on equal RSSI, the lowest category.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
+from itertools import repeat
 
 import numpy as np
 
-from .errors import OutOfRange
 from .model import (
     HUB_TO_LOCATION,
     SHIFT_MINUTES,
     HubRecord,
     LocationCategory,
-    RssiObservation,
+    RssiTable,
 )
 
 RSSI_FLOOR = 150  # keep rssi >= 150, drop below
+
+_OUTSIDE = int(LocationCategory.OUTSIDE_UNIT)
+_NO_ROW = np.iinfo(np.int64).min
 
 
 @dataclass
@@ -46,46 +54,40 @@ class LocationTimeline:
 
 
 def empty_timeline(participant_id: str, shift_date: date) -> LocationTimeline:
-    slots = np.full(SHIFT_MINUTES, int(LocationCategory.OUTSIDE_UNIT), dtype=np.uint8)
+    slots = np.full(SHIFT_MINUTES, _OUTSIDE, dtype=np.uint8)
     return LocationTimeline(participant_id, shift_date, slots)
 
 
 def estimate_timeline(
-    rssi_for_shift: list[RssiObservation],
+    rssi: RssiTable,
     hubs: dict[str, HubRecord],
+    shifts: list[tuple[str, date]],
     rssi_floor: int = RSSI_FLOOR,
-) -> LocationTimeline:
-    """Build the per-minute timeline for one (participant, shift_date).
+) -> dict[tuple[str, date], LocationTimeline]:
+    """The timeline of every listed (participant, shift_date), in list order.
 
-    All observations must share one participant and shift date and reference
-    known hubs. An empty observation list yields an all-OutsideUnit timeline
-    only when identity is supplied via a non-empty list; callers with zero
-    observations should use empty_timeline directly.
+    Rows of unlisted shifts, rows below the floor and minutes outside
+    [0, 720) are ignored; a shift with no row left is all OutsideUnit. Every
+    hub_id of a kept row must be in ``hubs``.
     """
-    if not rssi_for_shift:
-        raise ValueError("estimate_timeline needs at least one observation; use empty_timeline otherwise")
-    first = rssi_for_shift[0]
-    timeline = empty_timeline(first.participant_id, first.shift_date)
-    best_rssi = np.full(SHIFT_MINUTES, -1, dtype=np.int16)
-    for obs in rssi_for_shift:
-        if obs.participant_id != first.participant_id or obs.shift_date != first.shift_date:
-            raise ValueError("observations span more than one (participant, shift_date)")
-        if not 0 <= obs.minute_index < SHIFT_MINUTES:
-            continue
-        if obs.rssi < rssi_floor:
-            continue
-        cat = HUB_TO_LOCATION[hubs[obs.hub_id].location_category]
-        m = obs.minute_index
-        # strict > keeps the first-seen hub on equal rssi; the category
-        # tie-break below only engages when the stronger category differs
-        if obs.rssi > best_rssi[m] or (obs.rssi == best_rssi[m] and int(cat) < int(timeline.slots[m])):
-            best_rssi[m] = obs.rssi
-            timeline.slots[m] = int(cat)
-    return timeline
-
-
-def location_of(timeline: LocationTimeline, minute_index: int) -> LocationCategory:
-    """Slot lookup with range checking."""
-    if not 0 <= minute_index < SHIFT_MINUTES:
-        raise OutOfRange(f"minute_index {minute_index} outside [0, {SHIFT_MINUTES})")
-    return timeline.category(minute_index)
+    # each row's position in shifts (-1 if unlisted), looked up by (participant, date) code;
+    # ids are coded by dict lookups, which keep the exact strings and need no string sort
+    pid_code: dict[str, int] = {}
+    for pid, _ in shifts:
+        pid_code.setdefault(pid, len(pid_code))
+    days, day_of_row = np.unique(rssi.shift_date, return_inverse=True)
+    day_code = {d: j for j, d in enumerate(days.tolist())}
+    position = np.full((len(pid_code) + 1, len(days)), -1, dtype=np.int64)  # last row: unlisted ids
+    for k, (pid, day) in enumerate(shifts):
+        if day in day_code:
+            position[pid_code[pid], day_code[day]] = k
+    pid_of_row = np.fromiter(map(pid_code.get, rssi.participant_id, repeat(len(pid_code))), np.int64, len(rssi))
+    row_shift = position[pid_of_row, day_of_row]
+    m = rssi.minute_index
+    keep = np.flatnonzero((row_shift >= 0) & (rssi.rssi >= rssi_floor) & (m >= 0) & (m < SHIFT_MINUTES))
+    rank = {h: 3 - int(HUB_TO_LOCATION[hub.location_category]) for h, hub in hubs.items()}
+    hub_rank = np.fromiter(map(rank.__getitem__, rssi.hub_id[keep]), np.int64, len(keep))
+    best = np.full(len(shifts) * SHIFT_MINUTES, _NO_ROW)
+    np.maximum.at(best, row_shift[keep] * SHIFT_MINUTES + m[keep], rssi.rssi[keep] * 4 + hub_rank)
+    slots = np.where(best == _NO_ROW, _OUTSIDE, 3 - best % 4).astype(np.uint8).reshape(-1, SHIFT_MINUTES)
+    return {key: LocationTimeline(key[0], key[1], slots[i]) for i, key in enumerate(shifts)}

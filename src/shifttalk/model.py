@@ -3,11 +3,15 @@
 Time is modeled as (shift_date, minute_index since shift start); minute 0 is
 the start of the 12-hour shift regardless of whether it is a day or night
 schedule, so the analytic code never touches wall clocks.
+
+RSSI rows, which outnumber every other input, live in one RssiTable of
+parallel numpy columns from parse to location timeline; filters select rows
+with boolean masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date
 from enum import Enum, IntEnum
 
@@ -85,13 +89,42 @@ class HubRecord:
     location_category: HubCategory
 
 
-@dataclass(frozen=True)
-class RssiObservation:
-    participant_id: str
-    shift_date: date
-    minute_index: int
-    hub_id: str
-    rssi: int  # clamped to [RSSI_MIN, RSSI_MAX] at parse time
+@dataclass(eq=False)
+class RssiTable:
+    """RSSI rows as parallel columns in file order; RssiTable() is empty.
+
+    Columns may be given as any sequences and are stored as numpy arrays.
+    """
+
+    participant_id: np.ndarray = ()  # object (str kept exactly; numpy str drops trailing NULs)
+    shift_date: np.ndarray = ()  # datetime64[D]
+    minute_index: np.ndarray = ()  # int64
+    hub_id: np.ndarray = ()  # object, as participant_id
+    rssi: np.ndarray = ()  # int64, clamped to [RSSI_MIN, RSSI_MAX] at parse time
+
+    def __post_init__(self) -> None:
+        for name, dtype in zip(self.columns(), (object, "datetime64[D]", np.int64, object, np.int64)):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if len({len(getattr(self, name)) for name in self.columns()}) != 1:
+            raise ValueError("rssi columns must have equal length")
+
+    @staticmethod
+    def columns() -> tuple[str, ...]:
+        return tuple(f.name for f in fields(RssiTable))
+
+    @staticmethod
+    def concat(parts: list["RssiTable"]) -> "RssiTable":
+        """The rows of every part, in order."""
+        if not parts:
+            return RssiTable()
+        return RssiTable(*(np.concatenate([getattr(t, name) for t in parts]) for name in RssiTable.columns()))
+
+    def __len__(self) -> int:
+        return len(self.rssi)
+
+    def select(self, mask: np.ndarray) -> "RssiTable":
+        """New table holding only the rows where mask is True (order kept)."""
+        return RssiTable(*(getattr(self, name)[mask] for name in self.columns()))
 
 
 @dataclass(frozen=True)
@@ -155,10 +188,20 @@ class Cohort:
     profiles: dict[str, ParticipantProfile] = field(default_factory=dict)
     hubs: dict[str, HubRecord] = field(default_factory=dict)
     recordings: list[RecordingSegment] = field(default_factory=list)
-    rssi: list[RssiObservation] = field(default_factory=list)
+    rssi: RssiTable = field(default_factory=RssiTable)
     physiology: list[DailyPhysiology] = field(default_factory=list)
-    counts: dict[str, int] = field(default_factory=dict)
     warnings: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """Rows held per input file."""
+        return {
+            "participants": len(self.profiles),
+            "hubs": len(self.hubs),
+            "rssi": len(self.rssi),
+            "recordings": len(self.recordings),
+            "physiology": len(self.physiology),
+        }
 
     def participant_ids(self) -> list[str]:
         return sorted(self.profiles)

@@ -1,11 +1,12 @@
 """End-to-end extraction: cohort -> timelines -> valid recordings -> sessions
 -> arousal ratings -> per-shift features -> participant feature matrix.
 
-Neutral arousal baselines are frozen per speaker before any recording of
-that speaker is scored (two-phase contract). Speakers whose baselines
-cannot be built (no voiced frame anywhere) or who have too few recordings
-for Spearman-derived weights fall back gracefully: the former stay unrated,
-the latter use uniform fusion weights.
+Location timelines for every shift come from one pass over the cohort's
+RssiTable. Neutral arousal baselines are frozen per speaker before any
+recording of that speaker is scored (two-phase contract). Speakers whose
+baselines cannot be built (no voiced frame anywhere) stay unrated; speakers
+with too few recordings for Spearman-derived weights get uniform fusion
+weights.
 
 Foreground filtering, validity, neutral pools, recording scores and fused
 ratings are computed for the whole cohort in array passes, one frame column
@@ -22,7 +23,7 @@ the pass to them bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date
 from operator import attrgetter
 
@@ -37,12 +38,11 @@ from .aggregate import (
     participant_vector,
     per_shift_features,
 )
-from .arousal import AROUSAL_THRESHOLD, FEATURE_NAMES, UNIFORM_WEIGHTS, FusionWeights, RatedRecording, fuse
-from .errors import TooFewRecordings
+from .arousal import AROUSAL_THRESHOLD, FEATURE_NAMES, FusionWeights, RatedRecording, fuse
 from .foreground import MIN_FOREGROUND_FRAMES, ForegroundFilter, cohort_mask
 from .foreground import filter_frames, is_valid_recording  # noqa: F401  reference; perfbench traces them here
 from .ingest import MIN_DAYS, filter_min_days, filter_shift_window
-from .locate import RSSI_FLOOR, LocationTimeline, empty_timeline, estimate_timeline
+from .locate import RSSI_FLOOR, LocationTimeline, estimate_timeline
 from .model import Cohort, RecordingSegment
 from .sessions import SpeechSession, build_sessions
 
@@ -85,29 +85,11 @@ def run_extraction(cohort: Cohort, config: ExtractionConfig | None = None) -> Ex
     """
     config = config or ExtractionConfig()
 
-    recordings, rssi, dropped = filter_shift_window(cohort.recordings, cohort.rssi, cohort.profiles)
-    windowed = Cohort(
-        profiles=cohort.profiles,
-        hubs=cohort.hubs,
-        recordings=recordings,
-        rssi=rssi,
-        physiology=cohort.physiology,
-        warnings=cohort.warnings,
-    )
-    kept = filter_min_days(windowed, config.min_days)
+    recordings, rssi, dropped = filter_shift_window(cohort.recordings, cohort.rssi)
+    kept = filter_min_days(replace(cohort, recordings=recordings, rssi=rssi), config.min_days)
 
-    # per-(participant, shift) location timelines
-    rssi_by_shift: dict[tuple[str, date], list] = {}
-    for obs in kept.rssi:
-        rssi_by_shift.setdefault((obs.participant_id, obs.shift_date), []).append(obs)
     shift_keys = sorted({(r.participant_id, r.shift_date) for r in kept.recordings})
-    timelines: dict[tuple[str, date], LocationTimeline] = {}
-    for key in shift_keys:
-        obs = rssi_by_shift.get(key, [])
-        if obs:
-            timelines[key] = estimate_timeline(obs, kept.hubs, config.rssi_floor)
-        else:
-            timelines[key] = empty_timeline(*key)
+    timelines = estimate_timeline(kept.rssi, kept.hubs, shift_keys, config.rssi_floor)
 
     valid, rated, weights_by_speaker = _rate_cohort(kept.recordings, config)
     valid_by_shift: dict[tuple[str, date], list[RecordingSegment]] = {k: [] for k in shift_keys}
@@ -198,10 +180,7 @@ def _rate_cohort(
     w = np.zeros((len(valid), 3))
     for s in np.flatnonzero(voiced_speakers).tolist():
         r0, r1 = bounds[s], bounds[s + 1]
-        try:
-            weights = arousal_mod.fusion_weights(p[r0:r1])
-        except TooFewRecordings:
-            weights = UNIFORM_WEIGHTS
+        weights = arousal_mod.fusion_weights(p[r0:r1])
         weights_by_speaker[pids[r0]] = weights
         w[r0:r1] = weights.w
     fused = fuse(w.T, p.T)

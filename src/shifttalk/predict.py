@@ -67,14 +67,6 @@ def znormalize(X: np.ndarray) -> tuple[np.ndarray, Normalizer]:
     return params.transform(X), params
 
 
-@dataclass
-class Dataset:
-    X: np.ndarray  # z-normalized
-    y: np.ndarray  # binary
-    feature_names: list[str]
-    normalizer: Normalizer
-
-
 def micro_f1(pred, truth) -> float:
     """Micro-averaged F1 over the two classes (equals accuracy here)."""
     pred = np.asarray(pred)

@@ -38,6 +38,19 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _read_rows(path: str | Path, convert) -> list[dict]:
+    """convert() of each csv.DictReader row; a row it cannot convert raises
+    MalformedRow with its line number."""
+    rows = []
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        for lineno, row in enumerate(csv.DictReader(fh), start=2):
+            try:
+                rows.append(convert(row))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise MalformedRow(Path(path).name, lineno, str(exc)) from None
+    return rows
+
+
 def write_sessions_csv(path: str | Path, sessions: list[SpeechSession]) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -54,23 +67,16 @@ def write_sessions_csv(path: str | Path, sessions: list[SpeechSession]) -> None:
 
 
 def read_sessions_csv(path: str | Path) -> list[dict]:
-    rows = []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.DictReader(fh), start=2):
-            try:
-                rows.append({
-                    "participant_id": row["participant_id"],
-                    "shift_date": row["shift_date"],
-                    "start": int(row["start"]),
-                    "duration_min": int(row["duration_min"]),
-                    "ns_min": int(row["ns_min"]),
-                    "pat_min": int(row["pat_min"]),
-                    "loungemed_min": int(row["loungemed_min"]),
-                    "outside_min": int(row["outside_min"]),
-                })
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedRow(Path(path).name, lineno, str(exc)) from None
-    return rows
+    return _read_rows(path, lambda row: {
+        "participant_id": row["participant_id"],
+        "shift_date": row["shift_date"],
+        "start": int(row["start"]),
+        "duration_min": int(row["duration_min"]),
+        "ns_min": int(row["ns_min"]),
+        "pat_min": int(row["pat_min"]),
+        "loungemed_min": int(row["loungemed_min"]),
+        "outside_min": int(row["outside_min"]),
+    })
 
 
 def write_arousal_csv(path: str | Path, rated: list[RatedRecording]) -> None:
@@ -84,20 +90,13 @@ def write_arousal_csv(path: str | Path, rated: list[RatedRecording]) -> None:
 
 
 def read_arousal_csv(path: str | Path) -> list[dict]:
-    rows = []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.DictReader(fh), start=2):
-            try:
-                rows.append({
-                    "participant_id": row["participant_id"],
-                    "shift_date": row["shift_date"],
-                    "minute_index": int(row["minute_index"]),
-                    "p": (float(row["p_pitch"]), float(row["p_intensity"]), float(row["p_hflf"])),
-                    "fused": float(row["fused"]),
-                })
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedRow(Path(path).name, lineno, str(exc)) from None
-    return rows
+    return _read_rows(path, lambda row: {
+        "participant_id": row["participant_id"],
+        "shift_date": row["shift_date"],
+        "minute_index": int(row["minute_index"]),
+        "p": (float(row["p_pitch"]), float(row["p_intensity"]), float(row["p_hflf"])),
+        "fused": float(row["fused"]),
+    })
 
 
 def write_blocks_csv(path: str | Path, shift_features: list[ShiftFeatures]) -> None:
@@ -114,21 +113,14 @@ def write_blocks_csv(path: str | Path, shift_features: list[ShiftFeatures]) -> N
 
 
 def read_blocks_csv(path: str | Path) -> list[dict]:
-    rows = []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.DictReader(fh), start=2):
-            try:
-                rows.append({
-                    "participant_id": row["participant_id"],
-                    "shift_date": row["shift_date"],
-                    "block": int(row["block"]),
-                    "recordings": int(row["recordings"]),
-                    "pos_ratio": float(row["pos_ratio"]) if row["pos_ratio"] else None,
-                    "neg_ratio": float(row["neg_ratio"]) if row["neg_ratio"] else None,
-                })
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedRow(Path(path).name, lineno, str(exc)) from None
-    return rows
+    return _read_rows(path, lambda row: {
+        "participant_id": row["participant_id"],
+        "shift_date": row["shift_date"],
+        "block": int(row["block"]),
+        "recordings": int(row["recordings"]),
+        "pos_ratio": float(row["pos_ratio"]) if row["pos_ratio"] else None,
+        "neg_ratio": float(row["neg_ratio"]) if row["neg_ratio"] else None,
+    })
 
 
 def write_features_csv(
@@ -191,25 +183,18 @@ def write_comparisons_csv(path: str | Path, rows: list[tuple[str, ComparisonRow]
 
 
 def read_comparisons_csv(path: str | Path) -> list[dict]:
-    rows = []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.DictReader(fh), start=2):
-            try:
-                rows.append({
-                    "stratum": row["stratum"],
-                    "feature": row["feature"],
-                    "group_a_median": float(row["group_a_median"]),
-                    "group_a_mean": float(row["group_a_mean"]),
-                    "group_b_median": float(row["group_b_median"]),
-                    "group_b_mean": float(row["group_b_mean"]),
-                    "u": float(row["u"]),
-                    "p": float(row["p"]),
-                    "method": row["method"],
-                    "significant": bool(int(row["significant"])),
-                })
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedRow(Path(path).name, lineno, str(exc)) from None
-    return rows
+    return _read_rows(path, lambda row: {
+        "stratum": row["stratum"],
+        "feature": row["feature"],
+        "group_a_median": float(row["group_a_median"]),
+        "group_a_mean": float(row["group_a_mean"]),
+        "group_b_median": float(row["group_b_median"]),
+        "group_b_mean": float(row["group_b_mean"]),
+        "u": float(row["u"]),
+        "p": float(row["p"]),
+        "method": row["method"],
+        "significant": bool(int(row["significant"])),
+    })
 
 
 def write_report_json(path: str | Path, report: CvReport) -> None:

@@ -33,7 +33,7 @@ from .model import (
     HubRecord,
     ParticipantProfile,
     RecordingSegment,
-    RssiObservation,
+    RssiTable,
     ShiftType,
     UnitType,
     SHIFT_MINUTES,
@@ -205,6 +205,12 @@ _HUBS = [
 ]
 
 _ROOM_STATES = ("ns", "pat", "lounge_med", "outside")
+# hub heard in each in-unit room state, by the minute's alt draw (False, True)
+_ROOM_HUBS = np.array([
+    ["hub_ns_1", "hub_ns_1"],
+    ["hub_pat_2", "hub_pat_1"],
+    ["hub_med_1", "hub_lounge_1"],
+])
 
 
 def _room_chain(rng: np.random.Generator, stationary: np.ndarray, stickiness: float) -> np.ndarray:
@@ -259,6 +265,7 @@ def generate(spec: CohortSpec, out_dir: str | Path) -> GroundTruth:
     seeds = np.random.SeedSequence(spec.seed).spawn(len(participants))
 
     cohort = Cohort(hubs={h.hub_id: h for h in _HUBS})
+    rssi: list[RssiTable] = []
     truth_participants: dict[str, ParticipantTruth] = {}
     start_date = date(2022, 3, 1)
 
@@ -298,7 +305,7 @@ def generate(spec: CohortSpec, out_dir: str | Path) -> GroundTruth:
         for s in range(spec.n_shifts):
             shift_date = start_date + timedelta(days=s)
             rooms = _room_chain(rng, stationary, spec.room_stickiness)
-            _emit_rssi(cohort, rng, spec, pid, shift_date, rooms)
+            rssi.append(_emit_rssi(rng, spec, pid, shift_date, rooms))
             minutes = [m for run in _session_minutes(rng, gap_median, spec.inter_session_sd, gt1min) for m in run]
             if minutes:
                 states = _draw_states(rng, minutes, q_pos, q_neg, deltas)
@@ -322,6 +329,7 @@ def generate(spec: CohortSpec, out_dir: str | Path) -> GroundTruth:
             occupancy=occupancy,
         )
 
+    cohort.rssi = RssiTable.concat(rssi)
     write_cohort(cohort, out)
     truth = GroundTruth(
         seed=spec.seed,
@@ -354,27 +362,19 @@ def _informative_features(spec: CohortSpec) -> dict[str, list[str]]:
 
 
 def _emit_rssi(
-    cohort: Cohort,
     rng: np.random.Generator,
     spec: CohortSpec,
     pid: str,
     shift_date: date,
     rooms: np.ndarray,
-) -> None:
-    """One observation per in-unit minute, from a hub of the current room."""
+) -> RssiTable:
+    """One row per in-unit minute, from a hub of the current room."""
     values = np.clip(np.round(rng.normal(spec.rssi_mean, spec.rssi_sd, SHIFT_MINUTES)), 136, 193).astype(int)
     alt = rng.random(SHIFT_MINUTES) < 0.5  # picks between same-category hubs
-    for minute in range(SHIFT_MINUTES):
-        state = _ROOM_STATES[rooms[minute]]
-        if state == "outside":
-            continue
-        if state == "ns":
-            hub = "hub_ns_1"
-        elif state == "pat":
-            hub = "hub_pat_1" if alt[minute] else "hub_pat_2"
-        else:
-            hub = "hub_lounge_1" if alt[minute] else "hub_med_1"
-        cohort.rssi.append(RssiObservation(pid, shift_date, minute, hub, int(values[minute])))
+    minutes = np.flatnonzero(rooms != _ROOM_STATES.index("outside"))
+    n = len(minutes)
+    return RssiTable(np.full(n, pid), np.full(n, shift_date, dtype="datetime64[D]"), minutes,
+                     _ROOM_HUBS[rooms[minutes], alt[minutes].astype(int)], values[minutes])
 
 
 def verify_against_truth(

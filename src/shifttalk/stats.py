@@ -90,7 +90,7 @@ def _u_from_ranks(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
     return u1, pooled
 
 
-def _exact_two_sided_p(a: np.ndarray, b: np.ndarray, u_obs: float) -> float:
+def _exact_p(a: np.ndarray, b: np.ndarray, u_obs: float) -> float:
     """Enumerate all group-label assignments; requires untied pooled data."""
     n1, n2 = len(a), len(b)
     pooled = np.sort(np.concatenate([a, b]))
@@ -108,7 +108,7 @@ def _exact_two_sided_p(a: np.ndarray, b: np.ndarray, u_obs: float) -> float:
     return hits / total
 
 
-def _normal_two_sided_p(u1: float, n1: int, n2: int, pooled: np.ndarray) -> float:
+def _normal_p(u1: float, n1: int, n2: int, pooled: np.ndarray) -> float:
     n = n1 + n2
     _, counts = np.unique(pooled, return_counts=True)
     tie_term = float(((counts**3 - counts)).sum())
@@ -120,7 +120,7 @@ def _normal_two_sided_p(u1: float, n1: int, n2: int, pooled: np.ndarray) -> floa
     return min(1.0, 2.0 * _norm_sf(z))
 
 
-def mann_whitney_u(a, b, two_sided: bool = True, method: str = "auto") -> MwuResult:
+def mann_whitney_u(a, b, method: str = "auto") -> MwuResult:
     """Mann-Whitney U test between samples a and b.
 
     U is reported from a's side, so U(a,b) + U(b,a) == len(a)*len(b).
@@ -132,8 +132,6 @@ def mann_whitney_u(a, b, two_sided: bool = True, method: str = "auto") -> MwuRes
     b = np.asarray(b, dtype=float)
     if len(a) == 0 or len(b) == 0:
         raise EmptyInput("both samples must be non-empty")
-    if not two_sided:
-        raise NotImplementedError("only two-sided tests are supported")
     u1, pooled = _u_from_ranks(a, b)
     has_ties = len(np.unique(pooled)) < len(pooled)
     if method == "auto":
@@ -147,10 +145,10 @@ def mann_whitney_u(a, b, two_sided: bool = True, method: str = "auto") -> MwuRes
     else:
         raise ValueError(f"unknown method {method!r}")
     if use_exact:
-        p = _exact_two_sided_p(a, b, u1)
+        p = _exact_p(a, b, u1)
         used = MwuMethod.EXACT
     else:
-        p = _normal_two_sided_p(u1, len(a), len(b), pooled)
+        p = _normal_p(u1, len(a), len(b), pooled)
         used = MwuMethod.NORMAL_APPROX
     return MwuResult(u1, p, used, _summary(a), _summary(b))
 

@@ -13,7 +13,7 @@ from shifttalk.model import (
     HubRecord,
     ParticipantProfile,
     RecordingSegment,
-    RssiObservation,
+    RssiTable,
     ShiftType,
     UnitType,
 )
@@ -56,8 +56,10 @@ def hub_table() -> dict[str, HubRecord]:
     }
 
 
-def obs(pid: str, minute: int, hub: str, rssi: int, shift_date: date = D0) -> RssiObservation:
-    return RssiObservation(pid, shift_date, minute, hub, rssi)
+def rssi_rows(*rows: tuple[str, int, str, int], shift_date: date = D0) -> RssiTable:
+    """Table of (pid, minute, hub, rssi) rows, all on shift_date."""
+    pids, minutes, hubs, values = zip(*rows) if rows else ((),) * 4
+    return RssiTable(pids, [shift_date] * len(rows), minutes, hubs, values)
 
 
 def tiny_cohort() -> Cohort:
@@ -69,10 +71,6 @@ def tiny_cohort() -> Cohort:
         recording("p1", minute=1, n_frames=3),
         recording("p1", minute=4, n_frames=3, shift_date=date(2022, 3, 2)),
     ]
-    rssi = [obs("p1", 0, "h_ns", 160), obs("p1", 1, "h_ns", 155)]
+    rssi = rssi_rows(("p1", 0, "h_ns", 160), ("p1", 1, "h_ns", 155))
     physiology = [DailyPhysiology("p1", D0, 0.4, 7.0)]
-    cohort = Cohort(profiles, hubs, recs, rssi, physiology)
-    cohort.counts = {
-        "participants": 1, "hubs": 1, "rssi": 2, "recordings": 3, "physiology": 1,
-    }
-    return cohort
+    return Cohort(profiles, hubs, recs, rssi, physiology)

@@ -374,3 +374,37 @@ def test_criterion_9_round_trip_all_artifacts(tmp_path):
         # the report subcommand consumes the whole directory without error
         assert main(["report", str(out)]) == 0
     report_line("9 round-trip of every artifact", True, t.elapsed)
+
+
+# --- golden digests: simulate -> extract -> compare -> predict on SMALL_SPEC ---
+
+# sha256 of every file the four stages write. A change that alters an output
+# on purpose updates these digests and says so.
+GOLDEN_DIGESTS = {
+    "data/ground_truth.json": "50c60828ced67027800f12d01a47a0feeef78fdfc58a7f003a41d919144d7fea",
+    "data/hubs.csv": "20cebae057ec41e24f248edb911d44b54fc8b71abf6e8071e5160779942ad2ba",
+    "data/participants.csv": "0daa71cca36b73eddafbd4c09b97051697847dc4a4d8e35adfd13689e12cfeca",
+    "data/physiology.csv": "97fa8040395ddcbdf3674083ad1b27e29e5d61d85bc1658c4b5347d728f66ddb",
+    "data/recordings.jsonl": "ccf2a369aecc4227eb7b2bdd03060eaf5e0a56ebf693a0c791f2101417c06b4c",
+    "data/rssi.csv": "994359708d135d5bd52025555a833299e6239f89ffd31824aaa0113617dadde7",
+    "out/arousal.csv": "85673f6837568c7aafa7a3969a985dddee7765d58b1545d919dd65717a060908",
+    "out/blocks.csv": "63177785301ff7b31308c3ca7675612bc1b4a6432af7ab0c85e0c42692839acc",
+    "out/comparisons.csv": "244db82824b4e783428f3baa3c14a26b8712b3f17f2e2d6a5eb4dbd0f1cd373b",
+    "out/features.csv": "9eb4bd527c98ee3db88635e320f14b2428427ae177762991b1d7d5ac0fc9f35c",
+    "out/report.json": "f3ecdccfc4b3295eb49bf8c5b52fd437255f467aabdb97f0891cf36e6745f94c",
+    "out/sessions.csv": "15ed4cf647f02786a79823db3712e5f84957da26c79fead06e7517a32195e1aa",
+}
+
+
+def test_golden_digests_of_every_written_file(tmp_path):
+    data, out = run_pipeline(tmp_path, SMALL_SPEC, min_frames=6)
+    assert main(["compare", str(out / "features.csv"), "--factor", "shift",
+                 "--out", str(out / "comparisons.csv")]) == 0
+    assert main(["predict", str(out / "features.csv"), "--label", "neg_affect",
+                 "--seed", "5", "--folds", "2", "--n-trees", "25", "--max-depth", "4",
+                 "--out", str(out / "report.json")]) == 0
+    written = {
+        f"{p.parent.name}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
+        for root in (data, out) for p in sorted(root.iterdir())
+    }
+    assert written == GOLDEN_DIGESTS

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from shifttalk.arousal import (
+    UNIFORM_WEIGHTS,
     arousal_ratios,
     build_neutral,
     fusion_weights,
@@ -14,7 +15,7 @@ from shifttalk.arousal import (
     score_recording,
     RatedRecording,
 )
-from shifttalk.errors import EmptyInput, EmptyPool, InsufficientData, TooFewRecordings
+from shifttalk.errors import EmptyInput, EmptyPool, InsufficientData
 from shifttalk.model import FrameBlock
 
 from conftest import D0
@@ -174,9 +175,12 @@ def test_all_constant_engages_fallback():
     assert w.w == pytest.approx((1 / math.sqrt(3),) * 3)
 
 
-def test_single_recording_raises():
-    with pytest.raises(TooFewRecordings):
-        fusion_weights([(0.1, 0.2, 0.3)])
+def test_single_recording_gets_uniform_weights():
+    w = fusion_weights([(0.1, 0.2, 0.3)])
+    assert w is UNIFORM_WEIGHTS
+    assert w.fallback and w.r == (0.0, 0.0, 0.0)
+    assert w.w == (1 / math.sqrt(3),) * 3
+    assert fusion_weights([]) is UNIFORM_WEIGHTS
 
 
 # --- rating and ratios ---

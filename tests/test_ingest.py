@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
@@ -17,9 +18,10 @@ from shifttalk.ingest import (
     parse_cohort,
     write_cohort,
 )
-from shifttalk.model import Cohort, FrameBlock, RecordingSegment
+from shifttalk.locate import estimate_timeline
+from shifttalk.model import Cohort, FrameBlock, LocationCategory, RecordingSegment
 
-from conftest import D0, obs, profile, recording, tiny_cohort
+from conftest import D0, recording, rssi_rows, tiny_cohort
 
 HEADERS = {
     "participants.csv": "participant_id,shift_type,unit_type,pos_affect,neg_affect,life_satisfaction",
@@ -59,19 +61,90 @@ def test_parse_minimal_directory(tmp_path):
 
 def test_empty_rssi_file_is_fine(tmp_path):
     cohort = parse_cohort(write_dir(tmp_path, **{"rssi.csv": []}))
-    assert cohort.rssi == []
+    assert len(cohort.rssi) == 0
     assert cohort.counts["rssi"] == 0
 
 
 def test_rssi_below_range_clamped_with_warning(tmp_path):
     cohort = parse_cohort(write_dir(tmp_path, **{"rssi.csv": ["p1,2022-03-01,0,h_ns,135"]}))
-    assert cohort.rssi[0].rssi == 136
+    assert cohort.rssi.rssi.tolist() == [136]
     assert cohort.warnings["rssi_clamped"] == 1
 
 
 def test_rssi_above_range_clamped(tmp_path):
     cohort = parse_cohort(write_dir(tmp_path, **{"rssi.csv": ["p1,2022-03-01,0,h_ns,200"]}))
-    assert cohort.rssi[0].rssi == 193
+    assert cohort.rssi.rssi.tolist() == [193]
+
+
+def test_rssi_first_bad_row_in_file_order_raises(tmp_path):
+    # a bad date on line 3 comes before an unknown hub on line 4
+    rows = ["p1,2022-03-01,0,h_ns,160", "p1,2022-3-1,1,h_ns,160", "p1,2022-03-01,2,h_ghost,160"]
+    with pytest.raises(MalformedRow) as err:
+        parse_cohort(write_dir(tmp_path, **{"rssi.csv": rows}))
+    assert str(err.value) == "rssi.csv:3: bad shift_date '2022-3-1'"
+    # swapped, the unknown hub raises first
+    rows[1:] = rows[2], rows[1]
+    with pytest.raises(UnknownHub, match="h_ghost"):
+        parse_cohort(write_dir(tmp_path, **{"rssi.csv": rows}))
+
+
+@pytest.mark.parametrize("rows, message", [
+    # a malformed row after a bad value: the bad value's line raises
+    (["p1,2022-03-01,x,h_ns,160", "p1,2022-03-01,0,h_ns"], "rssi.csv:2: bad integer for minute_index: 'x'"),
+    # and before it: the field count's line raises
+    (["p1,2022-03-01,0,h_ns", "p1,2022-03-01,x,h_ns,160"], "rssi.csv:2: expected 5 fields, got 4"),
+    (["p1,2022-03-01,0,h_ns,160", "", "ghost,2022-03-01,0,h_ns,160"], "rssi.csv:4: unknown participant_id 'ghost'"),
+    (["p1,2022-03-01,0,h_ns,1e3"], "rssi.csv:2: bad integer for rssi: '1e3'"),
+])
+@pytest.mark.parametrize("batch_rows", [1, 2, ingest._BATCH_ROWS])
+def test_rssi_errors_name_their_line(tmp_path, monkeypatch, rows, message, batch_rows):
+    monkeypatch.setattr(ingest, "_BATCH_ROWS", batch_rows)
+    with pytest.raises(MalformedRow) as err:
+        parse_cohort(write_dir(tmp_path, **{"rssi.csv": rows}))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("batch_rows", [1, 2, ingest._BATCH_ROWS])
+def test_rssi_table_columns_follow_file_order(tmp_path, monkeypatch, batch_rows):
+    monkeypatch.setattr(ingest, "_BATCH_ROWS", batch_rows)
+    rows = ["p1,2022-03-02,-3,h_ns,99999999999999999999", "p1,2022-03-01,725,h_ns,150", "p1,2022-03-01,0,h_ns,-7"]
+    cohort = parse_cohort(write_dir(tmp_path, **{"rssi.csv": rows}))
+    t = cohort.rssi
+    assert t.participant_id.tolist() == ["p1"] * 3
+    assert t.shift_date.tolist() == [date(2022, 3, 2), D0, D0]
+    assert t.minute_index.tolist() == [-3, 725, 0]
+    assert t.hub_id.tolist() == ["h_ns"] * 3
+    assert t.rssi.tolist() == [193, 150, 136]
+    assert cohort.warnings == {"rssi_clamped": 2}
+    write_cohort(cohort, tmp_path / "out")
+    assert (tmp_path / "out" / "rssi.csv").read_text().splitlines() == [
+        HEADERS["rssi.csv"], "p1,2022-03-02,-3,h_ns,193", "p1,2022-03-01,725,h_ns,150", "p1,2022-03-01,0,h_ns,136"]
+
+
+def test_minute_beyond_64_bits_is_kept_and_dropped_by_the_window(tmp_path):
+    rows = ["p1,2022-03-01,99999999999999999999,h_ns,160", "p1,2022-03-01,-99999999999999999999,h_ns,160",
+            "p1,2022-03-01,5,h_ns,160"]
+    cohort = parse_cohort(write_dir(tmp_path, **{"rssi.csv": rows}))
+    assert cohort.rssi.minute_index.tolist() == [2**63 - 1, -2**63, 5]
+    _, kept, dropped = filter_shift_window(cohort.recordings, cohort.rssi)
+    assert kept.minute_index.tolist() == [5]
+    assert dropped["rssi_dropped"] == 2
+
+
+def test_ids_with_trailing_nul_kept_exactly(tmp_path):
+    # csv reads NUL inside a field on Python 3.11+; numpy str arrays would drop it
+    rows = ["p1\0,2022-03-01,0,h_ns\0,160", "p1,2022-03-01,1,h_ns,160"]
+    path = write_dir(tmp_path, **{"participants.csv": ["p1\0,day,icu,30,25,4.2", "p1,day,icu,30,25,4.2"],
+                                  "hubs.csv": ["h_ns\0,pat", "h_ns,ns"], "rssi.csv": rows})
+    cohort = parse_cohort(path)
+    assert cohort.rssi.participant_id.tolist() == ["p1\0", "p1"]
+    assert cohort.rssi.hub_id.tolist() == ["h_ns\0", "h_ns"]
+    timelines = estimate_timeline(cohort.rssi, cohort.hubs, [("p1\0", D0), ("p1", D0)])
+    assert timelines["p1\0", D0].category(0) == LocationCategory.PATIENT_ROOM
+    assert timelines["p1", D0].category(1) == LocationCategory.NURSING_STATION
+    assert filter_min_days(cohort, 1).rssi.participant_id.tolist() == ["p1"]  # p1\0 has no recordings
+    write_cohort(cohort, tmp_path / "out")
+    assert (tmp_path / "out" / "rssi.csv").read_text().splitlines()[1:] == rows
 
 
 def test_pos_affect_below_bound_rejected(tmp_path):
@@ -347,7 +420,8 @@ def test_batch_writer_widens_float32_columns_exactly(tmp_path):
 def assert_cohorts_equal(a: Cohort, b: Cohort) -> None:
     assert a.profiles == b.profiles
     assert a.hubs == b.hubs
-    assert a.rssi == b.rssi
+    for column in ("participant_id", "shift_date", "minute_index", "hub_id", "rssi"):
+        np.testing.assert_array_equal(getattr(a.rssi, column), getattr(b.rssi, column))
     assert a.physiology == b.physiology
     assert len(a.recordings) == len(b.recordings)
     for ra, rb in zip(a.recordings, b.recordings):
@@ -436,13 +510,27 @@ def test_recordings_round_trip_property(tmp_path):
     check()
 
 
+def test_refused_write_leaves_directory_unchanged(tmp_path):
+    write_cohort(tiny_cohort(), tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    bad = tiny_cohort()
+    bad.profiles["p1"] = replace(bad.profiles["p1"], pos_affect=40)
+    bad.rssi = rssi_rows(("p1", 9, "h_ns", 170))
+    bad.recordings[1].frames.intensity[0] = math.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        write_cohort(bad, tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_shift_window_boundaries():
     recs = [recording("p1", minute=719), recording("p1", minute=720), recording("p1", minute=-1)]
-    rssi = [obs("p1", 300, "h_ns", 160), obs("p1", 900, "h_ns", 160)]
-    kept_rec, kept_rssi, dropped = filter_shift_window(recs, rssi, {"p1": profile("p1")})
+    rssi = rssi_rows(("p1", 300, "h_ns", 160), ("p1", 900, "h_ns", 160), ("p1", -1, "h_ns", 160),
+                     ("p1", 719, "h_ns", 161))
+    kept_rec, kept_rssi, dropped = filter_shift_window(recs, rssi)
     assert [r.minute_index for r in kept_rec] == [719]
-    assert [o.minute_index for o in kept_rssi] == [300]
-    assert dropped == {"recordings_dropped": 2, "rssi_dropped": 1}
+    assert kept_rssi.minute_index.tolist() == [300, 719]
+    assert kept_rssi.rssi.tolist() == [160, 161]
+    assert dropped == {"recordings_dropped": 2, "rssi_dropped": 2}
 
 
 def test_min_days_keeps_exactly_at_threshold():
@@ -458,6 +546,8 @@ def test_min_days_removes_single_date_participant():
     kept = filter_min_days(cohort, min_days=5)
     assert kept.profiles == {}
     assert kept.recordings == []
+    assert len(kept.rssi) == 0
+    assert kept.counts == {"participants": 0, "hubs": 1, "rssi": 0, "recordings": 0, "physiology": 0}
 
 
 def test_min_days_degenerate_threshold():
@@ -478,6 +568,7 @@ def test_filters_do_not_mutate_input():
     cohort = tiny_cohort()
     n_rec = len(cohort.recordings)
     filter_min_days(cohort, 99)
-    filter_shift_window(cohort.recordings, cohort.rssi, cohort.profiles)
+    filter_shift_window(cohort.recordings, cohort.rssi)
     assert len(cohort.recordings) == n_rec
+    assert len(cohort.rssi) == 2
     assert "p1" in cohort.profiles

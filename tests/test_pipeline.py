@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 
 from shifttalk.arousal import (
-    UNIFORM_WEIGHTS,
     build_neutral,
     fusion_weights,
     rate_recording,
     score_recording,
 )
-from shifttalk.errors import InsufficientData, TooFewRecordings
+from shifttalk.errors import InsufficientData
 from shifttalk.foreground import FilterKind, ForegroundFilter
 from shifttalk.locate import empty_timeline
-from shifttalk.model import Cohort, FrameBlock, RecordingSegment
+from shifttalk.model import Cohort, FrameBlock, RecordingSegment, RssiTable
 from shifttalk.pipeline import ExtractionConfig, filter_frames, is_valid_recording, run_extraction
 from shifttalk.sessions import build_sessions
 
@@ -58,10 +57,7 @@ def reference_extraction(cohort: Cohort, config: ExtractionConfig):
         except InsufficientData:
             continue
         triples = [score_recording(r.frames, model) for r in recs]
-        try:
-            w = fusion_weights(triples)
-        except TooFewRecordings:
-            w = UNIFORM_WEIGHTS
+        w = fusion_weights(triples)
         weights[pid] = (_bits(w.w), _bits(w.r), w.fallback)
         for rec, p in zip(recs, triples):
             rated.append((pid, rec.shift_date, rec.minute_index, _bits(p), _bits(rate_recording(p, w))))
@@ -113,7 +109,7 @@ def test_run_extraction_matches_per_recording_chain():
             min_frames=draw(st.integers(1, 4)),
             min_days=1,
         )
-        return Cohort(profiles, {}, recs, [], []), config
+        return Cohort(profiles, {}, recs, RssiTable(), []), config
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @hypothesis.given(cohorts())

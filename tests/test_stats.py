@@ -111,6 +111,21 @@ def test_spearman_matches_oracle_with_ties():
         assert spearman_rho(x, y) == pytest.approx(oracle_spearman(x.tolist(), y.tolist()), abs=1e-12)
 
 
+def test_spearman_matches_scipy_with_ties():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(12)
+    checked = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 40))
+        x = rng.integers(0, int(rng.integers(2, 8)), n).astype(float)  # heavy ties
+        y = np.where(rng.random(n) < 0.5, x, rng.integers(0, 4, n)).astype(float)
+        if np.all(x == x[0]) or np.all(y == y[0]):
+            continue
+        assert spearman_rho(x, y) == pytest.approx(scipy_stats.spearmanr(x, y).statistic, abs=1e-12)
+        checked += 1
+    assert checked > 200
+
+
 def test_u_statistic_identity():
     rng = np.random.default_rng(1)
     for _ in range(50):
