@@ -6,7 +6,9 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
+from shifttalk.aggregate import ShiftFeatures, per_shift_features
 from shifttalk.arousal import (
+    RatedRecording,
     build_neutral,
     fusion_weights,
     rate_recording,
@@ -14,8 +16,17 @@ from shifttalk.arousal import (
 )
 from shifttalk.errors import InsufficientData
 from shifttalk.foreground import FilterKind, ForegroundFilter
-from shifttalk.locate import empty_timeline
-from shifttalk.model import Cohort, FrameBlock, RecordingSegment, RssiTable
+from shifttalk.locate import estimate_timeline
+from shifttalk.model import (
+    SHIFT_MINUTES,
+    Cohort,
+    FrameBlock,
+    HubCategory,
+    HubRecord,
+    LocationCategory,
+    RecordingSegment,
+    RssiTable,
+)
 from shifttalk.pipeline import ExtractionConfig, filter_frames, is_valid_recording, run_extraction
 from shifttalk.sessions import build_sessions
 
@@ -42,14 +53,30 @@ def _bits(values) -> list[int]:
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
 
 
+_CATEGORY_ORDER = (LocationCategory.NURSING_STATION, LocationCategory.PATIENT_ROOM,
+                   LocationCategory.LOUNGE_MED, LocationCategory.OUTSIDE_UNIT)  # sessions.csv order
+
+
+def _shift_feature_bits(sf: ShiftFeatures) -> tuple:
+    """Every field of one ShiftFeatures, floats as bits and None kept."""
+    def blocks(values):
+        return [None if v is None else _bits(v) for v in values]
+
+    return (sf.participant_id, sf.shift_date, sf.n_recordings, sf.n_sessions,
+            {key: _bits(v) for key, v in sf.scalars.items()},
+            blocks(sf.pos_blocks), blocks(sf.neg_blocks), [int(n) for n in sf.recordings_per_block])
+
+
 def reference_extraction(cohort: Cohort, config: ExtractionConfig):
-    """The per-recording chain: rated rows, weights and sessions, as bits."""
+    """The per-recording and per-shift chain: rated rows and weights as bits,
+    session rows, and every shift's features as bits."""
+    recordings = [r for r in cohort.recordings if 0 <= r.minute_index < SHIFT_MINUTES]
     valid_by_speaker: dict[str, list[RecordingSegment]] = {}
-    for rec in cohort.recordings:
+    for rec in recordings:
         fg = filter_frames(rec, config.foreground)
         if is_valid_recording(fg, config.min_frames):
             valid_by_speaker.setdefault(fg.participant_id, []).append(fg)
-    rated, weights = [], {}
+    rated, weights, rated_recordings = [], {}, []
     for pid in sorted(valid_by_speaker):
         recs = valid_by_speaker[pid]
         try:
@@ -60,13 +87,22 @@ def reference_extraction(cohort: Cohort, config: ExtractionConfig):
         w = fusion_weights(triples)
         weights[pid] = (_bits(w.w), _bits(w.r), w.fallback)
         for rec, p in zip(recs, triples):
-            rated.append((pid, rec.shift_date, rec.minute_index, _bits(p), _bits(rate_recording(p, w))))
+            fused = rate_recording(p, w)
+            rated.append((pid, rec.shift_date, rec.minute_index, _bits(p), _bits(fused)))
+            rated_recordings.append(RatedRecording(pid, rec.shift_date, rec.minute_index, p, fused))
     valid = [r for recs in valid_by_speaker.values() for r in recs]
-    sessions = []
-    for key in sorted({(r.participant_id, r.shift_date) for r in cohort.recordings}):
-        shift = [r for r in valid if (r.participant_id, r.shift_date) == key]
-        sessions.extend(build_sessions(shift, empty_timeline(*key)))
-    return rated, weights, sessions
+    keys = sorted({(r.participant_id, r.shift_date) for r in recordings})
+    timelines = estimate_timeline(cohort.rssi, cohort.hubs, keys, config.rssi_floor)
+    sessions, features = [], []
+    for key in keys:
+        shift_sessions = build_sessions([r for r in valid if (r.participant_id, r.shift_date) == key],
+                                        timelines[key])
+        shift_rated = [r for r in rated_recordings if (r.participant_id, r.shift_date) == key]
+        sessions.extend((s.participant_id, s.shift_date, s.start, s.duration_min,
+                         *(s.location_minutes[c] for c in _CATEGORY_ORDER)) for s in shift_sessions)
+        features.append(_shift_feature_bits(
+            per_shift_features(shift_sessions, shift_rated, timelines[key], config.arousal_threshold)))
+    return rated, weights, sessions, features
 
 
 def test_run_extraction_matches_per_recording_chain():
@@ -78,6 +114,14 @@ def test_run_extraction_matches_per_recording_chain():
     pitch = st.one_of(st.just(math.nan), st.sampled_from([-0.0, 0.0, 4.5, 4.7, 5.0]),
                       st.floats(4.0, 6.0))
     prob = st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0])
+    # runs of consecutive minutes, the 60-minute block edges, the shift's
+    # last minute and minutes outside the window
+    minute = st.one_of(st.integers(0, 12), st.sampled_from([58, 59, 60, 61, 119, 120, 659, 660, 718, 719]),
+                       st.sampled_from([-1, SHIFT_MINUTES]))
+    hubs = {h.hub_id: h for h in (HubRecord("h_pat", HubCategory.PATIENT_ROOM),
+                                  HubRecord("h_ns", HubCategory.NURSING_STATION),
+                                  HubRecord("h_lounge", HubCategory.LOUNGE),
+                                  HubRecord("h_med", HubCategory.MEDICINE_ROOM))}
 
     @st.composite
     def recordings(draw, pid: str, mute: bool):
@@ -90,8 +134,20 @@ def test_run_extraction_matches_per_recording_chain():
         labels = draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=n, max_size=n)))
         block = FrameBlock(log_pitch, column(value), column(value), column(prob),
                            None if labels is None else np.array(labels, dtype=bool))
-        day = D0 + timedelta(days=draw(st.integers(0, 1)))
-        return RecordingSegment(pid, day, draw(st.integers(0, 12)), block)
+        day = D0 + timedelta(days=draw(st.integers(0, 2)))  # several shifts per participant
+        return RecordingSegment(pid, day, draw(minute), block)
+
+    @st.composite
+    def rssi(draw, recs):
+        """A few rows at or next to each recording's minute; rssi 140 is
+        below the floor, and equal values across hubs tie."""
+        rows = []
+        for rec in recs:
+            for _ in range(draw(st.integers(0, 2))):
+                rows.append((rec.participant_id, rec.shift_date,
+                             rec.minute_index + draw(st.integers(0, 1)),
+                             draw(st.sampled_from(sorted(hubs))), draw(st.sampled_from([140, 150, 160]))))
+        return RssiTable(*zip(*rows)) if rows else RssiTable()
 
     @st.composite
     def cohorts(draw):
@@ -108,19 +164,22 @@ def test_run_extraction_matches_per_recording_chain():
                                         draw(st.sampled_from([0.0, 0.5, 0.7]))),
             min_frames=draw(st.integers(1, 4)),
             min_days=1,
+            arousal_threshold=draw(st.sampled_from([0.0, 0.25, 0.5])),
         )
-        return Cohort(profiles, {}, recs, RssiTable(), []), config
+        return Cohort(profiles, hubs, recs, draw(rssi(recs)), []), config
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @hypothesis.given(cohorts())
     def check(drawn) -> None:
         cohort, config = drawn
-        rated, weights, sessions = reference_extraction(cohort, config)
+        rated, weights, sessions, features = reference_extraction(cohort, config)
         result = run_extraction(cohort, config)
         got = [(r.participant_id, r.shift_date, r.minute_index, _bits(r.p), _bits(r.fused))
                for r in result.rated]
         assert got == rated
         assert {pid: (_bits(w.w), _bits(w.r), w.fallback) for pid, w in result.weights.items()} == weights
-        assert result.sessions == sessions
+        assert [(s.participant_id, s.shift_date, s.start, s.duration_min,
+                 *(s.location_minutes[c] for c in _CATEGORY_ORDER)) for s in result.sessions] == sessions
+        assert [_shift_feature_bits(sf) for sf in result.shift_features] == features
 
     check()
