@@ -6,6 +6,10 @@ ratios are additionally summarized at the start, middle and end of the
 shift via 12 one-hour time blocks (4 blocks per window). Location-
 conditioned variants restrict to the timeline category of each minute:
 recordings by their own minute, sessions by their dominant minute category.
+
+cohort_shift_features computes the shift-level features of every shift of
+a cohort in grouped passes; per_shift_features states the same rules for
+one shift.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from .sessions import (
 N_BLOCKS = 12
 BLOCK_MINUTES = 60
 _WINDOWS = {"start": range(0, 4), "middle": range(4, 8), "end": range(8, 12)}
+_LOCATED = ((LocationCategory.NURSING_STATION, "ns"), (LocationCategory.PATIENT_ROOM, "pat"))
+_OCCURRENCE = _LOCATED + ((LocationCategory.LOUNGE_MED, "lounge_med"), (LocationCategory.OUTSIDE_UNIT, "outside"))
 
 FEATURE_COLUMNS: list[str] = [
     "inter_session_time_mean", "inter_session_time_std",
@@ -144,14 +150,9 @@ def per_shift_features(
         if gaps:
             scalars["inter_session_time"] = float(np.mean(gaps))
         scalars["gt1min_ratio_all"] = gt1min_session_ratio(sessions)
-        for cat, key in (
-            (LocationCategory.NURSING_STATION, "ns"),
-            (LocationCategory.PATIENT_ROOM, "pat"),
-            (LocationCategory.LOUNGE_MED, "lounge_med"),
-            (LocationCategory.OUTSIDE_UNIT, "outside"),
-        ):
+        for cat, key in _OCCURRENCE:
             scalars[f"occurrence_{key}"] = session_occurrence_rate(sessions, cat)
-        for cat, key in ((LocationCategory.NURSING_STATION, "ns"), (LocationCategory.PATIENT_ROOM, "pat")):
+        for cat, key in _LOCATED:
             at_cat = [s for s in sessions if dominant_category(s) is cat]
             if at_cat:
                 scalars[f"gt1min_ratio_{key}"] = gt1min_session_ratio(at_cat)
@@ -162,7 +163,7 @@ def per_shift_features(
         pos, neg = arousal_flags(np.array([r.fused for r in rated_recordings]), arousal_threshold)
         for name, flag in (("pos", pos), ("neg", neg)):
             scalars[f"{name}_ratio_all"] = float(flag.mean())
-            for cat, key in ((LocationCategory.NURSING_STATION, "ns"), (LocationCategory.PATIENT_ROOM, "pat")):
+            for cat, key in _LOCATED:
                 here = locations == cat
                 if here.any():
                     scalars[f"{name}_ratio_{key}"] = float(flag[here].mean())
@@ -172,6 +173,76 @@ def per_shift_features(
         out.recordings_per_block = np.bincount(blocks[(blocks >= 0) & (blocks < N_BLOCKS)], minlength=N_BLOCKS).tolist()
 
     return out
+
+
+def cohort_shift_features(
+    keys: list[tuple[str, date]],
+    slots: np.ndarray,
+    sessions: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    rated: tuple[np.ndarray, np.ndarray, np.ndarray],
+    arousal_threshold: float = AROUSAL_THRESHOLD,
+) -> list[ShiftFeatures]:
+    """per_shift_features of every shift in ``keys``, from grouped counts.
+
+    ``slots`` stacks the shifts' timelines, one row per key. ``sessions`` is
+    (shift, start, duration, minutes per LocationCategory value) of every
+    session, by (shift, start), as cohort_sessions returns it; ``rated`` is
+    (shift, minute, fused) of every rated recording. Each feature is a sum
+    of integers over a count, so it equals per_shift_features' value bit for
+    bit; a feature whose count is 0 stays absent.
+    """
+    n = len(keys)
+
+    def total(group: np.ndarray, weights: np.ndarray | None = None, size: int = n) -> np.ndarray:
+        return np.bincount(group, weights, minlength=size)
+
+    ratios: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # scalar -> (sum, count) per shift
+
+    shift, start, duration, minutes = sessions
+    n_sessions = total(shift)
+    follows = shift[1:] == shift[:-1]  # the session after each gap, among all but the first
+    gaps = (start[1:] - (start[:-1] + duration[:-1]))[follows]
+    ratios["inter_session_time"] = (total(shift[1:][follows], gaps), total(shift[1:][follows]))
+    longer = duration >= 2
+    ratios["gt1min_ratio_all"] = (total(shift, longer), n_sessions)
+    dominant = minutes.argmax(axis=1)  # the first maximum: a tie goes to the lowest category
+    for cat, key in _LOCATED:
+        here = dominant == cat
+        ratios[f"gt1min_ratio_{key}"] = (total(shift[here], longer[here]), total(shift[here]))
+    session_minutes = total(shift, duration)
+    for cat, key in _OCCURRENCE:
+        ratios[f"occurrence_{key}"] = (total(shift, minutes[:, cat]), session_minutes)
+
+    shift, minute, fused = rated
+    location = slots[shift, minute]
+    block = shift * N_BLOCKS + minute // BLOCK_MINUTES
+    n_rated = total(shift)
+    per_block = total(block, size=n * N_BLOCKS)
+    block_ratios = []
+    for name, flag in zip(("pos", "neg"), arousal_flags(fused, arousal_threshold)):
+        ratios[f"{name}_ratio_all"] = (total(shift, flag), n_rated)
+        for cat, key in _LOCATED:
+            here = location == cat
+            ratios[f"{name}_ratio_{key}"] = (total(shift[here], flag[here]), total(shift[here]))
+        block_ratios.append(_ratio_or_none(total(block, flag, n * N_BLOCKS), per_block))
+
+    columns = {key: _ratio_or_none(part, whole) for key, (part, whole) in ratios.items()}
+    pos_blocks, neg_blocks = block_ratios
+    per_block = per_block.tolist()
+    n_rated, n_sessions = n_rated.tolist(), n_sessions.tolist()
+    out = []
+    for i, (pid, day) in enumerate(keys):
+        scalars = {key: column[i] for key, column in columns.items() if column[i] is not None}
+        b = slice(i * N_BLOCKS, (i + 1) * N_BLOCKS)
+        out.append(ShiftFeatures(pid, day, n_rated[i], n_sessions[i], scalars,
+                                 pos_blocks[b], neg_blocks[b], per_block[b]))
+    return out
+
+
+def _ratio_or_none(part: np.ndarray, whole: np.ndarray) -> list[float | None]:
+    """part / whole as Python floats, None where whole is 0."""
+    values = (part / np.maximum(whole, 1)).tolist()
+    return [v if w else None for v, w in zip(values, whole.tolist())]
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:

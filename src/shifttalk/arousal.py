@@ -22,7 +22,7 @@ from datetime import date
 import numpy as np
 
 from .errors import ConstantInput, EmptyInput, EmptyPool, InsufficientData
-from .model import FrameBlock
+from .model import ColumnTable, FrameBlock
 from .stats import spearman_rho
 
 AROUSAL_THRESHOLD = 0.25
@@ -56,6 +56,21 @@ class RatedRecording:
     minute_index: int
     p: tuple[float, float, float]  # per-feature percentile scores
     fused: float
+
+
+@dataclass(eq=False)
+class RatedTable(ColumnTable):
+    """Rated recordings as columns, by speaker, then file order: arousal.csv's rows."""
+
+    participant_id: np.ndarray = ()  # object
+    shift_date: np.ndarray = ()  # datetime64[D]
+    minute_index: np.ndarray = ()  # int64
+    p_pitch: np.ndarray = ()  # float64 percentile scores, one column per feature
+    p_intensity: np.ndarray = ()
+    p_hflf: np.ndarray = ()
+    fused: np.ndarray = ()  # float64
+
+    DTYPES = (object, "datetime64[D]", np.int64) + (np.float64,) * 4
 
 
 def build_neutral(speaker_frames: list[FrameBlock]) -> NeutralModel:

@@ -195,24 +195,29 @@ def parse_rssi(
 ) -> RssiTable:
     """Read rssi.csv into an RssiTable, clamping rssi into [RSSI_MIN, RSSI_MAX].
 
-    Each row is checked once, in file order, and its values appended to the
-    columns, which become arrays every _BATCH_ROWS rows. A minute_index
+    Each row is checked once, in file order (a date text only until it has
+    parsed once), and its values appended to the columns, which become
+    arrays every _BATCH_ROWS rows. A minute_index
     beyond the 64-bit range is stored as the nearest 64-bit value, which
     lies outside the shift window like the original.
     """
+    name = path.name
     parts: list[RssiTable] = []
     columns: tuple[list, ...] = ([], [], [], [], [])
     pids, dates, minutes, hub_ids, values = columns
+    good_dates: set[str] = set()  # a file holds few distinct dates; only parsed ones are kept
     clamped = 0
     for lineno, row in _csv_rows(path, RSSI_HEADER):
         pid, date_raw, minute_raw, hub_id, rssi_raw = row
         if pid not in profiles:
-            raise MalformedRow(path.name, lineno, f"unknown participant_id {pid!r}")
+            raise MalformedRow(name, lineno, f"unknown participant_id {pid!r}")
         if hub_id not in hubs:
             raise UnknownHub(hub_id)
-        _parse_date(date_raw, path.name, lineno)
-        minute = _parse_int(minute_raw, "minute_index", path.name, lineno)
-        rssi = _parse_int(rssi_raw, "rssi", path.name, lineno)
+        if date_raw not in good_dates:
+            _parse_date(date_raw, name, lineno)
+            good_dates.add(date_raw)
+        minute = _parse_int(minute_raw, "minute_index", name, lineno)
+        rssi = _parse_int(rssi_raw, "rssi", name, lineno)
         if rssi < RSSI_MIN or rssi > RSSI_MAX:
             clamped += 1
             rssi = min(max(rssi, RSSI_MIN), RSSI_MAX)
@@ -317,7 +322,9 @@ def _frame_block(columns: dict, file: str, lineno: int) -> FrameBlock:
 
 
 def parse_recordings(path: Path, profiles: dict[str, ParticipantProfile]) -> list[RecordingSegment]:
+    name = path.name
     recordings: list[RecordingSegment] = []
+    days: dict[str, date] = {}  # each date text that parsed, with its date
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -326,26 +333,28 @@ def parse_recordings(path: Path, profiles: dict[str, ParticipantProfile]) -> lis
             try:
                 obj = _DECODER.decode(line)
             except json.JSONDecodeError as exc:
-                raise MalformedRow(path.name, lineno, f"invalid JSON: {exc.msg}") from None
+                raise MalformedRow(name, lineno, f"invalid JSON: {exc.msg}") from None
             except ValueError as exc:
-                raise MalformedRow(path.name, lineno, str(exc)) from None
+                raise MalformedRow(name, lineno, str(exc)) from None
             try:
                 pid = obj["participant_id"]
                 date_raw = obj["shift_date"]
                 minute = obj["minute_index"]
                 raw_frames = obj["frames"]
             except (KeyError, TypeError) as exc:
-                raise MalformedRow(path.name, lineno, f"missing field: {exc}") from None
+                raise MalformedRow(name, lineno, f"missing field: {exc}") from None
             if type(pid) is not str or pid not in profiles:
-                raise MalformedRow(path.name, lineno, f"unknown participant_id {pid!r}")
+                raise MalformedRow(name, lineno, f"unknown participant_id {pid!r}")
             if type(minute) is not int:
-                raise MalformedRow(path.name, lineno, f"minute_index must be an integer, got {minute!r}")
-            shift_date = _parse_date(date_raw, path.name, lineno)
+                raise MalformedRow(name, lineno, f"minute_index must be an integer, got {minute!r}")
+            shift_date = days.get(date_raw) if type(date_raw) is str else None
+            if shift_date is None:
+                shift_date = days[date_raw] = _parse_date(date_raw, name, lineno)
             if type(raw_frames) is list:
-                raw_frames = _columns_from_rows(raw_frames, path.name, lineno)
+                raw_frames = _columns_from_rows(raw_frames, name, lineno)
             elif type(raw_frames) is not dict:
-                raise MalformedRow(path.name, lineno, "frames must be an object of arrays or a list of frames")
-            frames = _frame_block(raw_frames, path.name, lineno)
+                raise MalformedRow(name, lineno, "frames must be an object of arrays or a list of frames")
+            frames = _frame_block(raw_frames, name, lineno)
             recordings.append(RecordingSegment(pid, shift_date, minute, frames))
     return recordings
 
@@ -611,10 +620,11 @@ def filter_shift_window(
     """Keep only events inside the 12-hour shift window [0, 720).
 
     minute_index 0 is the shift start for both day and night schedules. The
-    returned dict counts the dropped events; drops are never fatal.
+    returned dict counts the dropped events; drops are never fatal. An RSSI
+    table that loses no row is returned as it is, not copied.
     """
     kept_rec = [r for r in recordings if 0 <= r.minute_index < SHIFT_MINUTES]
-    kept_rssi = rssi.select((rssi.minute_index >= 0) & (rssi.minute_index < SHIFT_MINUTES))
+    kept_rssi = _select(rssi, (rssi.minute_index >= 0) & (rssi.minute_index < SHIFT_MINUTES))
     dropped = {
         "recordings_dropped": len(recordings) - len(kept_rec),
         "rssi_dropped": len(rssi) - len(kept_rssi),
@@ -622,8 +632,16 @@ def filter_shift_window(
     return kept_rec, kept_rssi, dropped
 
 
+def _select(table: RssiTable, mask: np.ndarray) -> RssiTable:
+    """The rows where mask is True; the table itself when that is every row."""
+    return table if mask.all() else table.select(mask)
+
+
 def filter_min_days(cohort: Cohort, min_days: int = MIN_DAYS) -> Cohort:
-    """Keep participants with recordings on at least min_days distinct shift dates."""
+    """Keep participants with recordings on at least min_days distinct shift dates.
+
+    The RSSI table is shared with the input when it loses no row.
+    """
     if min_days < 1:
         raise ValueError("min_days must be >= 1")
     days: dict[str, set[date]] = {}
@@ -635,7 +653,7 @@ def filter_min_days(cohort: Cohort, min_days: int = MIN_DAYS) -> Cohort:
         profiles={pid: p for pid, p in cohort.profiles.items() if pid in keep},
         hubs=dict(cohort.hubs),
         recordings=[r for r in cohort.recordings if r.participant_id in keep],
-        rssi=cohort.rssi.select(kept_rssi),
+        rssi=_select(cohort.rssi, kept_rssi),
         physiology=[d for d in cohort.physiology if d.participant_id in keep],
         warnings=dict(cohort.warnings),
     )

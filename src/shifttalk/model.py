@@ -6,7 +6,8 @@ schedule, so the analytic code never touches wall clocks.
 
 RSSI rows, which outnumber every other input, live in one RssiTable of
 parallel numpy columns from parse to location timeline; filters select rows
-with boolean masks.
+with boolean masks. Extraction's session and rated-recording rows are
+ColumnTables of the same kind.
 """
 
 from __future__ import annotations
@@ -89,12 +90,45 @@ class HubRecord:
     location_category: HubCategory
 
 
-@dataclass(eq=False)
-class RssiTable:
-    """RSSI rows as parallel columns in file order; RssiTable() is empty.
+class ColumnTable:
+    """Rows as parallel numpy columns of one length; T() is empty.
 
-    Columns may be given as any sequences and are stored as numpy arrays.
+    A subclass is a dataclass whose fields are its columns and whose DTYPES
+    holds their dtypes in field order. Columns may be given as any sequences
+    and are stored as numpy arrays.
     """
+
+    DTYPES: tuple = ()
+
+    def __post_init__(self) -> None:
+        names = self.columns()
+        for name, dtype in zip(names, self.DTYPES):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if len({len(getattr(self, name)) for name in names}) != 1:
+            raise ValueError(f"{type(self).__name__} columns must have equal length")
+
+    @classmethod
+    def columns(cls) -> tuple[str, ...]:
+        return tuple(f.name for f in fields(cls))
+
+    @classmethod
+    def concat(cls, parts: list) -> "ColumnTable":
+        """The rows of every part, in order."""
+        if not parts:
+            return cls()
+        return cls(*(np.concatenate([getattr(t, name) for t in parts]) for name in cls.columns()))
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.columns()[0]))
+
+    def select(self, mask: np.ndarray) -> "ColumnTable":
+        """New table holding only the rows where mask is True (order kept)."""
+        return type(self)(*(getattr(self, name)[mask] for name in self.columns()))
+
+
+@dataclass(eq=False)
+class RssiTable(ColumnTable):
+    """RSSI rows in file order."""
 
     participant_id: np.ndarray = ()  # object (str kept exactly; numpy str drops trailing NULs)
     shift_date: np.ndarray = ()  # datetime64[D]
@@ -102,29 +136,7 @@ class RssiTable:
     hub_id: np.ndarray = ()  # object, as participant_id
     rssi: np.ndarray = ()  # int64, clamped to [RSSI_MIN, RSSI_MAX] at parse time
 
-    def __post_init__(self) -> None:
-        for name, dtype in zip(self.columns(), (object, "datetime64[D]", np.int64, object, np.int64)):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        if len({len(getattr(self, name)) for name in self.columns()}) != 1:
-            raise ValueError("rssi columns must have equal length")
-
-    @staticmethod
-    def columns() -> tuple[str, ...]:
-        return tuple(f.name for f in fields(RssiTable))
-
-    @staticmethod
-    def concat(parts: list["RssiTable"]) -> "RssiTable":
-        """The rows of every part, in order."""
-        if not parts:
-            return RssiTable()
-        return RssiTable(*(np.concatenate([getattr(t, name) for t in parts]) for name in RssiTable.columns()))
-
-    def __len__(self) -> int:
-        return len(self.rssi)
-
-    def select(self, mask: np.ndarray) -> "RssiTable":
-        """New table holding only the rows where mask is True (order kept)."""
-        return RssiTable(*(getattr(self, name)[mask] for name in self.columns()))
+    DTYPES = (object, "datetime64[D]", np.int64, object, np.int64)
 
 
 @dataclass(frozen=True)

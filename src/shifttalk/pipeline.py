@@ -1,31 +1,41 @@
 """End-to-end extraction: cohort -> timelines -> valid recordings -> sessions
 -> arousal ratings -> per-shift features -> participant feature matrix.
 
-Location timelines for every shift come from one pass over the cohort's
-RssiTable. Neutral arousal baselines are frozen per speaker before any
-recording of that speaker is scored (two-phase contract). Speakers whose
-baselines cannot be built (no voiced frame anywhere) stay unrated; speakers
-with too few recordings for Spearman-derived weights get uniform fusion
-weights.
+Every layer runs over the whole cohort at once. Each recording carries a
+shift code, its index in the sorted (participant_id, shift_date) keys, and
+each layer groups by those codes instead of looping over shifts:
 
-Foreground filtering, validity, neutral pools, recording scores and fused
-ratings are computed for the whole cohort in array passes, one frame column
-at a time and over kept frames only: per-recording counts come from cumsum
-differences, each speaker's pool is one sort, medians come from one
-``np.median`` per distinct kept count (the same bits as one call per
-recording), and percentile scores from one ``searchsorted`` pair per speaker
-and feature. Rated rows are ordered by speaker id, then file order. The
-per-recording functions ``filter_frames``, ``is_valid_recording``,
-``build_neutral``, ``score_recording``, ``fusion_weights`` and
-``rate_recording`` state the same rules one recording at a time; tests hold
-the pass to them bit for bit.
+- Location timelines for every shift come from one pass over the cohort's
+  RssiTable and are stacked as one (shifts, 720) array.
+- Foreground filtering, validity, neutral pools, recording scores and fused
+  ratings are array passes, one frame column at a time and over kept frames
+  only: per-recording counts come from cumsum differences, each speaker's
+  pool is one sort, medians come from one ``np.median`` per distinct kept
+  count (the same bits as one call per recording), and percentile scores
+  from one ``searchsorted`` pair per speaker and feature. Neutral baselines
+  are frozen per speaker before any of that speaker's recordings is scored
+  (two-phase contract). A speaker never voiced stays unrated; a speaker
+  with too few recordings for Spearman-derived weights gets uniform weights.
+- Sessions are runs of consecutive slots ``shift * 720 + minute`` of the
+  valid recordings, after one ``np.unique``; their minutes per location
+  category are one ``bincount`` over (session, category).
+- Per-shift features (dominant category, gaps, >1-minute ratios, occurrence
+  rates, pos/neg ratios overall, per location and per hour block) are
+  grouped ``bincount`` sums over counts, so they equal the per-shift
+  values bit for bit.
+
+Sessions come out by (participant, date, start) and rated rows by speaker,
+then file order, each as a column table that reports writes in one pass.
+The functions ``filter_frames``, ``is_valid_recording``, ``build_neutral``,
+``score_recording``, ``fusion_weights``, ``rate_recording``,
+``build_sessions`` and ``per_shift_features`` state the same rules one
+recording or one shift at a time; tests hold the passes to them bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from datetime import date
-from operator import attrgetter
 
 import numpy as np
 
@@ -35,16 +45,18 @@ from .aggregate import (
     ParticipantFeatureVector,
     ShiftFeatures,
     build_feature_matrix,
+    cohort_shift_features,
     participant_vector,
-    per_shift_features,
 )
-from .arousal import AROUSAL_THRESHOLD, FEATURE_NAMES, FusionWeights, RatedRecording, fuse
+from .aggregate import per_shift_features  # noqa: F401  reference; perfbench traces it here
+from .arousal import AROUSAL_THRESHOLD, FEATURE_NAMES, FusionWeights, RatedTable, fuse
 from .foreground import MIN_FOREGROUND_FRAMES, ForegroundFilter, cohort_mask
 from .foreground import filter_frames, is_valid_recording  # noqa: F401  reference; perfbench traces them here
 from .ingest import MIN_DAYS, filter_min_days, filter_shift_window
 from .locate import RSSI_FLOOR, LocationTimeline, estimate_timeline
-from .model import Cohort, RecordingSegment
-from .sessions import SpeechSession, build_sessions
+from .model import SHIFT_MINUTES, Cohort, RecordingSegment
+from .sessions import SESSION_CATEGORIES, SessionTable, cohort_sessions
+from .sessions import build_sessions  # noqa: F401  reference; perfbench traces it here
 
 
 @dataclass
@@ -66,8 +78,8 @@ class ExtractionConfig:
 class ExtractionResult:
     cohort: Cohort
     timelines: dict[tuple[str, date], LocationTimeline]
-    sessions: list[SpeechSession]
-    rated: list[RatedRecording]
+    sessions: SessionTable
+    rated: RatedTable
     weights: dict[str, FusionWeights]
     shift_features: list[ShiftFeatures]
     vectors: list[ParticipantFeatureVector]
@@ -88,27 +100,32 @@ def run_extraction(cohort: Cohort, config: ExtractionConfig | None = None) -> Ex
     recordings, rssi, dropped = filter_shift_window(cohort.recordings, cohort.rssi)
     kept = filter_min_days(replace(cohort, recordings=recordings, rssi=rssi), config.min_days)
 
-    shift_keys = sorted({(r.participant_id, r.shift_date) for r in kept.recordings})
+    # each recording's shift: its index in the sorted (participant, date) keys
+    pairs = [(r.participant_id, r.shift_date) for r in kept.recordings]
+    shift_keys = sorted(set(pairs))
+    code = {key: i for i, key in enumerate(shift_keys)}
+    shift = np.fromiter(map(code.__getitem__, pairs), np.int64, len(pairs))
+    minute = np.fromiter((r.minute_index for r in kept.recordings), np.int64, len(pairs))
     timelines = estimate_timeline(kept.rssi, kept.hubs, shift_keys, config.rssi_floor)
+    slots = np.array([timelines[key].slots for key in shift_keys], np.uint8).reshape(-1, SHIFT_MINUTES)
+    key_pids = np.array([pid for pid, _ in shift_keys], dtype=object)
+    key_days = np.array([day for _, day in shift_keys], dtype="datetime64[D]")
 
-    valid, rated, weights_by_speaker = _rate_cohort(kept.recordings, config)
-    valid_by_shift: dict[tuple[str, date], list[RecordingSegment]] = {k: [] for k in shift_keys}
-    for rec in valid:
-        valid_by_shift[(rec.participant_id, rec.shift_date)].append(rec)
-    rated_by_shift: dict[tuple[str, date], list[RatedRecording]] = {k: [] for k in shift_keys}
-    for rr in rated:
-        rated_by_shift[(rr.participant_id, rr.shift_date)].append(rr)
+    _, key_speaker = np.unique(key_pids, return_inverse=True)  # ranks participant ids as sorted() does
+    valid, rated_rows, p, fused, weights_by_speaker = _rate_cohort(kept.recordings, key_speaker[shift], config)
 
-    # sessions and per-shift features
-    all_sessions: list[SpeechSession] = []
-    shift_features: list[ShiftFeatures] = []
-    for key in shift_keys:
-        timeline = timelines[key]
-        sessions = build_sessions(valid_by_shift[key], timeline)
-        all_sessions.extend(sessions)
-        shift_features.append(
-            per_shift_features(sessions, rated_by_shift[key], timeline, config.arousal_threshold)
-        )
+    session_columns = cohort_sessions(shift[valid], minute[valid], slots)
+    session_shift, start, duration, location_minutes = session_columns
+    sessions = SessionTable(
+        key_pids[session_shift], key_days[session_shift], start, duration,
+        *(location_minutes[:, cat] for cat in SESSION_CATEGORIES),
+    )
+    rated_recs = valid[rated_rows]
+    rated_shift, rated_minute = shift[rated_recs], minute[rated_recs]
+    rated = RatedTable(key_pids[rated_shift], key_days[rated_shift], rated_minute, *p.T, fused)
+    shift_features = cohort_shift_features(
+        shift_keys, slots, session_columns, (rated_shift, rated_minute, fused), config.arousal_threshold
+    )
 
     # participant vectors and matrix
     by_pid: dict[str, list[ShiftFeatures]] = {}
@@ -129,7 +146,7 @@ def run_extraction(cohort: Cohort, config: ExtractionConfig | None = None) -> Ex
     return ExtractionResult(
         cohort=kept,
         timelines=timelines,
-        sessions=all_sessions,
+        sessions=sessions,
         rated=rated,
         weights=weights_by_speaker,
         shift_features=shift_features,
@@ -142,26 +159,32 @@ def run_extraction(cohort: Cohort, config: ExtractionConfig | None = None) -> Ex
 
 
 def _rate_cohort(
-    recordings: list[RecordingSegment], config: ExtractionConfig
-) -> tuple[list[RecordingSegment], list[RatedRecording], dict[str, FusionWeights]]:
-    """Valid recordings, rated recordings and per-speaker weights.
+    recordings: list[RecordingSegment], speaker: np.ndarray, config: ExtractionConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[str, FusionWeights]]:
+    """Valid and rated recordings, their scores and per-speaker weights.
 
-    Both lists follow the rated-row order: speaker id, then file order.
+    ``speaker`` ranks each recording's participant id. Returns the valid
+    recordings (indices into ``recordings``) in rated-row order, speaker
+    then file order; which of them are rated (positions among the valid);
+    the rated rows' feature scores ``p`` (rows, 3) and fused ratings; and
+    each rated speaker's weights.
     """
-    recs = sorted(recordings, key=attrgetter("participant_id"))
+    nothing = np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 3)), np.zeros(0), {}
+    order = np.argsort(speaker, kind="stable")
+    recs = [recordings[i] for i in order.tolist()]
     if not recs:
-        return [], [], {}
+        return nothing
     lengths = np.array([len(r.frames) for r in recs])
     keep = cohort_mask([r.frames for r in recs], config.foreground)
     counts = _segment_counts(keep, lengths)
     is_valid = counts >= config.min_frames
     valid = [r for r, ok in zip(recs, is_valid.tolist()) if ok]
     if not valid:
-        return [], [], {}
+        return nothing
     keep = keep[np.repeat(is_valid, lengths)]  # over the valid recordings' frames only
     counts = counts[is_valid]
-    pids = [r.participant_id for r in valid]
-    bounds = np.array([i for i in range(len(pids)) if i == 0 or pids[i] != pids[i - 1]] + [len(pids)])
+    valid_speaker = speaker[order[is_valid]]
+    bounds = np.flatnonzero(np.diff(valid_speaker, prepend=-1, append=-1))
 
     # phase one freezes each speaker's pools, phase two places each
     # recording's medians in them; one frame column at a time
@@ -181,16 +204,12 @@ def _rate_cohort(
     for s in np.flatnonzero(voiced_speakers).tolist():
         r0, r1 = bounds[s], bounds[s + 1]
         weights = arousal_mod.fusion_weights(p[r0:r1])
-        weights_by_speaker[pids[r0]] = weights
+        weights_by_speaker[valid[r0].participant_id] = weights
         w[r0:r1] = weights.w
     fused = fuse(w.T, p.T)
 
     rows = np.flatnonzero(np.repeat(voiced_speakers, np.diff(bounds)))
-    rated = [
-        RatedRecording(valid[i].participant_id, valid[i].shift_date, valid[i].minute_index, tuple(pi), fi)
-        for i, pi, fi in zip(rows.tolist(), p[rows].tolist(), fused[rows].tolist())
-    ]
-    return valid, rated, weights_by_speaker
+    return order[is_valid], rows, p[rows], fused[rows], weights_by_speaker
 
 
 def _segment_counts(flags: np.ndarray, lengths: np.ndarray) -> np.ndarray:

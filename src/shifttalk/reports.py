@@ -16,12 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from .aggregate import FEATURE_COLUMNS, LABEL_COLUMNS, N_BLOCKS, ShiftFeatures
-from .arousal import RatedRecording
+from .arousal import RatedTable
 from .errors import MalformedRow
 from .forest import ForestParams
-from .model import LocationCategory
+from .model import ColumnTable
 from .predict import CvReport
-from .sessions import SpeechSession
+from .sessions import SessionTable
 from .stats import ComparisonRow
 
 SESSIONS_FILE = "sessions.csv"
@@ -51,19 +51,22 @@ def _read_rows(path: str | Path, convert) -> list[dict]:
     return rows
 
 
-def write_sessions_csv(path: str | Path, sessions: list[SpeechSession]) -> None:
+def _write_table(path: str | Path, table: ColumnTable) -> None:
+    """One row per table row under the column names, in one writerows.
+
+    Dates are written as YYYY-MM-DD; floats go to csv as Python floats,
+    which it writes as their repr.
+    """
+    columns = [getattr(table, name) for name in table.columns()]
+    text = [np.datetime_as_string(c).tolist() if c.dtype.kind == "M" else c.tolist() for c in columns]
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["participant_id", "shift_date", "start", "duration_min",
-                    "ns_min", "pat_min", "loungemed_min", "outside_min"])
-        for s in sessions:
-            w.writerow([
-                s.participant_id, s.shift_date.isoformat(), s.start, s.duration_min,
-                s.location_minutes.get(LocationCategory.NURSING_STATION, 0),
-                s.location_minutes.get(LocationCategory.PATIENT_ROOM, 0),
-                s.location_minutes.get(LocationCategory.LOUNGE_MED, 0),
-                s.location_minutes.get(LocationCategory.OUTSIDE_UNIT, 0),
-            ])
+        w.writerow(table.columns())
+        w.writerows(zip(*text))
+
+
+def write_sessions_csv(path: str | Path, sessions: SessionTable) -> None:
+    _write_table(path, sessions)
 
 
 def read_sessions_csv(path: str | Path) -> list[dict]:
@@ -79,14 +82,8 @@ def read_sessions_csv(path: str | Path) -> list[dict]:
     })
 
 
-def write_arousal_csv(path: str | Path, rated: list[RatedRecording]) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["participant_id", "shift_date", "minute_index",
-                    "p_pitch", "p_intensity", "p_hflf", "fused"])
-        for r in rated:
-            w.writerow([r.participant_id, r.shift_date.isoformat(), r.minute_index,
-                        _fmt(r.p[0]), _fmt(r.p[1]), _fmt(r.p[2]), _fmt(r.fused)])
+def write_arousal_csv(path: str | Path, rated: RatedTable) -> None:
+    _write_table(path, rated)
 
 
 def read_arousal_csv(path: str | Path) -> list[dict]:

@@ -4,6 +4,9 @@ A speech session is a maximal run of recordings whose minute indices are
 consecutive (gap of one minute between recordings). A recording occupies
 exactly its one-minute slot, so a session's duration is last - first + 1
 and every session minute carries a recording.
+
+cohort_sessions finds the sessions of every shift of a cohort in one pass;
+build_sessions states the same rule for one shift.
 """
 
 from __future__ import annotations
@@ -11,9 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 
+import numpy as np
+
 from .errors import EmptyInput
 from .locate import LocationTimeline
-from .model import LocationCategory, RecordingSegment
+from .model import SHIFT_MINUTES, ColumnTable, LocationCategory, RecordingSegment
 
 
 @dataclass
@@ -34,6 +39,51 @@ class SpeechSession:
     @property
     def duration_min(self) -> int:
         return self.last - self.start + 1
+
+
+# the category order of SessionTable's minute columns
+SESSION_CATEGORIES = (LocationCategory.NURSING_STATION, LocationCategory.PATIENT_ROOM,
+                      LocationCategory.LOUNGE_MED, LocationCategory.OUTSIDE_UNIT)
+
+
+@dataclass(eq=False)
+class SessionTable(ColumnTable):
+    """Speech sessions by (participant, shift_date, start): sessions.csv's rows."""
+
+    participant_id: np.ndarray = ()  # object
+    shift_date: np.ndarray = ()  # datetime64[D]
+    start: np.ndarray = ()  # int64 minute
+    duration_min: np.ndarray = ()  # int64
+    ns_min: np.ndarray = ()  # int64 session minutes per SESSION_CATEGORIES entry
+    pat_min: np.ndarray = ()
+    loungemed_min: np.ndarray = ()
+    outside_min: np.ndarray = ()
+
+    DTYPES = (object, "datetime64[D]") + (np.int64,) * 6
+
+
+def cohort_sessions(
+    shift: np.ndarray, minute: np.ndarray, slots: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The sessions of every shift at once, by (shift, start).
+
+    ``shift`` and ``minute`` give each valid recording's row of ``slots``
+    (the stacked 720-minute timelines) and its minute in [0, 720); duplicate
+    minutes collapse. Returns each session's shift, start minute, duration
+    and its minutes per LocationCategory value as a (sessions, 4) array.
+    """
+    slot = np.unique(shift * SHIFT_MINUTES + minute)
+    slot_shift, slot_minute = np.divmod(slot, SHIFT_MINUTES)
+    # a session starts after a skipped minute and at a shift's minute 0, which
+    # directly follows the previous shift's minute 719 in slot numbering
+    first = np.ones(len(slot), dtype=bool)
+    first[1:] = (np.diff(slot) != 1) | (slot_minute[1:] == 0)
+    starts = np.flatnonzero(first)
+    session = np.cumsum(first) - 1
+    n_cats = len(LocationCategory)
+    category = slots[slot_shift, slot_minute].astype(np.int64)
+    minutes = np.bincount(session * n_cats + category, minlength=len(starts) * n_cats).reshape(-1, n_cats)
+    return slot_shift[starts], slot_minute[starts], np.diff(starts, append=len(slot)), minutes
 
 
 def build_sessions(

@@ -88,6 +88,32 @@ def test_rssi_first_bad_row_in_file_order_raises(tmp_path):
         parse_cohort(write_dir(tmp_path, **{"rssi.csv": rows}))
 
 
+def test_each_date_text_parses_once_and_a_bad_one_raises_at_its_line(tmp_path, monkeypatch):
+    calls = []
+    parse_date = ingest._parse_date
+    monkeypatch.setattr(ingest, "_parse_date", lambda text, *where: calls.append(text) or parse_date(text, *where))
+    rows = [f"p1,2022-03-0{1 + i % 2},{i},h_ns,160" for i in range(6)]
+    assert len(parse_cohort(write_dir(tmp_path, **{"rssi.csv": rows})).rssi) == 6
+    # once per distinct text in rssi.csv, once each in recordings.jsonl and physiology.csv
+    assert sorted(calls) == ["2022-03-01"] * 3 + ["2022-03-02"]
+    # a bad date text is not remembered: each of its rows would raise, the first one does
+    rows[2:2] = ["p1,2022-3-1,0,h_ns,160", "p1,2022-3-1,1,h_ns,160"]
+    with pytest.raises(MalformedRow) as err:
+        parse_cohort(write_dir(tmp_path, **{"rssi.csv": rows}))
+    assert str(err.value) == "rssi.csv:4: bad shift_date '2022-3-1'"
+
+
+@pytest.mark.parametrize("shift_date, text", [('"2022-3-1"', "'2022-3-1'"), ('["2022-03-01"]', "['2022-03-01']"),
+                                              ("20220301", "20220301")])
+def test_recording_date_after_a_good_one_raises_at_its_line(tmp_path, shift_date, text):
+    line = ('{"participant_id":"p1","shift_date":%s,"minute_index":0,'
+            '"frames":[{"log_pitch":4.7,"intensity":60.0,"hf_lf_ratio":0.8,"foreground_prob":0.9}]}')
+    rows = [line % '"2022-03-01"', line % shift_date, line % '"2022-03-01"']
+    with pytest.raises(MalformedRow) as err:
+        parse_cohort(write_dir(tmp_path, **{"recordings.jsonl": rows}))
+    assert str(err.value) == f"recordings.jsonl:2: bad shift_date {text}"
+
+
 @pytest.mark.parametrize("rows, message", [
     # a malformed row after a bad value: the bad value's line raises
     (["p1,2022-03-01,x,h_ns,160", "p1,2022-03-01,0,h_ns"], "rssi.csv:2: bad integer for minute_index: 'x'"),
@@ -562,6 +588,20 @@ def test_min_days_idempotent():
     twice = filter_min_days(once, 2)
     assert once.profiles == twice.profiles
     assert len(once.recordings) == len(twice.recordings)
+
+
+def test_filters_return_an_rssi_table_that_loses_no_row_itself():
+    cohort = tiny_cohort()
+    _, rssi, dropped = filter_shift_window(cohort.recordings, cohort.rssi)
+    assert rssi is cohort.rssi and dropped["rssi_dropped"] == 0
+    kept = filter_min_days(cohort, 1)
+    assert kept.rssi is cohort.rssi
+    assert kept.counts == cohort.counts
+    # one dropped row: a new table
+    late = replace(cohort, rssi=rssi_rows(("p1", 0, "h_ns", 160), ("p1", 720, "h_ns", 155)))
+    _, rssi, dropped = filter_shift_window(late.recordings, late.rssi)
+    assert rssi is not late.rssi and rssi.minute_index.tolist() == [0] and dropped["rssi_dropped"] == 1
+    assert filter_min_days(late, 99).rssi is not late.rssi
 
 
 def test_filters_do_not_mutate_input():

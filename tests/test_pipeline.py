@@ -28,7 +28,7 @@ from shifttalk.model import (
     RssiTable,
 )
 from shifttalk.pipeline import ExtractionConfig, filter_frames, is_valid_recording, run_extraction
-from shifttalk.sessions import build_sessions
+from shifttalk.sessions import SessionTable, build_sessions
 
 from conftest import D0, profile
 
@@ -174,12 +174,12 @@ def test_run_extraction_matches_per_recording_chain():
         cohort, config = drawn
         rated, weights, sessions, features = reference_extraction(cohort, config)
         result = run_extraction(cohort, config)
-        got = [(r.participant_id, r.shift_date, r.minute_index, _bits(r.p), _bits(r.fused))
-               for r in result.rated]
-        assert got == rated
+        table = result.rated
+        p = _bits(np.column_stack([table.p_pitch, table.p_intensity, table.p_hflf]))
+        assert list(zip(table.participant_id.tolist(), table.shift_date.tolist(), table.minute_index.tolist(),
+                        p, _bits(table.fused))) == rated
         assert {pid: (_bits(w.w), _bits(w.r), w.fallback) for pid, w in result.weights.items()} == weights
-        assert [(s.participant_id, s.shift_date, s.start, s.duration_min,
-                 *(s.location_minutes[c] for c in _CATEGORY_ORDER)) for s in result.sessions] == sessions
+        assert list(zip(*(getattr(result.sessions, name).tolist() for name in SessionTable.columns()))) == sessions
         assert [_shift_feature_bits(sf) for sf in result.shift_features] == features
 
     check()
