@@ -439,7 +439,7 @@ def write_cohort(cohort: Cohort, dir_path: str | Path) -> None:
              _fmt(p.life_satisfaction)) for _, p in sorted(cohort.profiles.items())))
         _write_csv(temporary[HUBS_FILE], HUBS_HEADER,
                    ((hub_id, h.location_category.value) for hub_id, h in sorted(cohort.hubs.items())))
-        _write_csv(temporary[RSSI_FILE], RSSI_HEADER, _rssi_text_rows(cohort.rssi))
+        _write_csv(temporary[RSSI_FILE], RSSI_HEADER, cohort.rssi.text_rows())
         with temporary[RECORDINGS_FILE].open("wb") as fh:
             batch: list[RecordingSegment] = []
             size = 0
@@ -461,14 +461,6 @@ def write_cohort(cohort: Cohort, dir_path: str | Path) -> None:
         raise
     for name, path in temporary.items():
         os.replace(path, root / name)
-
-
-def _rssi_text_rows(t: RssiTable):
-    """rssi.csv rows, turned into Python objects one batch at a time."""
-    for i in range(0, len(t), _BATCH_ROWS):
-        part = t.select(slice(i, i + _BATCH_ROWS))
-        yield from zip(part.participant_id.tolist(), np.datetime_as_string(part.shift_date).tolist(),
-                       part.minute_index.tolist(), part.hub_id.tolist(), part.rssi.tolist())
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:

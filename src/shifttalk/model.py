@@ -21,6 +21,7 @@ import numpy as np
 SHIFT_MINUTES = 720  # 12-hour shift at one-minute resolution
 RSSI_MIN = 136
 RSSI_MAX = 193
+_TEXT_BATCH_ROWS = 1 << 14
 
 
 class ShiftType(str, Enum):
@@ -124,6 +125,16 @@ class ColumnTable:
     def select(self, mask: np.ndarray) -> "ColumnTable":
         """New table holding only the rows where mask is True (order kept)."""
         return type(self)(*(getattr(self, name)[mask] for name in self.columns()))
+
+    def text_rows(self):
+        """The rows as tuples of Python values for csv, dates as YYYY-MM-DD
+        text (csv writes a float as its repr); made _TEXT_BATCH_ROWS rows at
+        a time, which bounds the Python objects held at once."""
+        for i in range(0, len(self), _TEXT_BATCH_ROWS):
+            part = self.select(slice(i, i + _TEXT_BATCH_ROWS))
+            columns = [getattr(part, name) for name in self.columns()]
+            yield from zip(*(np.datetime_as_string(c).tolist() if c.dtype.kind == "M" else c.tolist()
+                             for c in columns))
 
 
 @dataclass(eq=False)

@@ -52,17 +52,11 @@ def _read_rows(path: str | Path, convert) -> list[dict]:
 
 
 def _write_table(path: str | Path, table: ColumnTable) -> None:
-    """One row per table row under the column names, in one writerows.
-
-    Dates are written as YYYY-MM-DD; floats go to csv as Python floats,
-    which it writes as their repr.
-    """
-    columns = [getattr(table, name) for name in table.columns()]
-    text = [np.datetime_as_string(c).tolist() if c.dtype.kind == "M" else c.tolist() for c in columns]
+    """One csv row per table row, under the column names."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(table.columns())
-        w.writerows(zip(*text))
+        w.writerows(table.text_rows())
 
 
 def write_sessions_csv(path: str | Path, sessions: SessionTable) -> None:

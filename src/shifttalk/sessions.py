@@ -81,7 +81,7 @@ def cohort_sessions(
     starts = np.flatnonzero(first)
     session = np.cumsum(first) - 1
     n_cats = len(LocationCategory)
-    category = slots[slot_shift, slot_minute].astype(np.int64)
+    category = slots[slot_shift, slot_minute]
     minutes = np.bincount(session * n_cats + category, minlength=len(starts) * n_cats).reshape(-1, n_cats)
     return slot_shift[starts], slot_minute[starts], np.diff(starts, append=len(slot)), minutes
 
