@@ -200,7 +200,7 @@ def cohort_shift_features(
 
     shift, start, duration, minutes = sessions
     n_sessions = total(shift)
-    follows = shift[1:] == shift[:-1]  # the session after each gap, among all but the first
+    follows = shift[1:] == shift[:-1]  # sessions 1.. that follow one of their own shift: one gap each
     gaps = (start[1:] - (start[:-1] + duration[:-1]))[follows]
     ratios["inter_session_time"] = (total(shift[1:][follows], gaps), total(shift[1:][follows]))
     longer = duration >= 2
