@@ -408,3 +408,37 @@ def test_golden_digests_of_every_written_file(tmp_path):
         for root in (data, out) for p in sorted(root.iterdir())
     }
     assert written == GOLDEN_DIGESTS
+
+
+# sha256 of what the CLI prints on SMALL_SPEC, the temporary directory
+# written as <tmp>, and of the file that compare --within writes. compare
+# runs at alpha 0.5 so that its per-row lines, report's significant rows and
+# verify's flagged_features all show.
+GOLDEN_STDOUT = {
+    "simulate+extract": "f8db4aa42395f03689c81d86d9af1c4f26d6f7c0c5e9aab0c41de00240aa0d24",
+    "compare": "6483f4f9027e73a801d3d9c17b70fca7bcd776ba92abdbd49ac9b1a8795adbcd",
+    "predict": "74dc1dfa1ebbc08f1549abd47e9cdca7bd29b206255e76e92d5bc6e141f0e751",
+    "verify": "9bdf576749fc66a6a7e6ea6f80db08df609c8fb17e70bec8a6c834fd77d296d3",
+    "report": "43bcc6fb54d90383d94d73c09591ecd770964d8f95f9e226c78fb6d0c2b4c38d",
+    "out/comparisons.csv": "d9313238b82c3d4f7f4eb0f0aa6b1629488ca3ed2a370eb19e2e0833cf64fcce",
+}
+
+
+def test_golden_stdout_of_every_command(tmp_path, capsys):
+    data, out = run_pipeline(tmp_path, SMALL_SPEC, min_frames=6)
+    features, comparisons, report = str(out / "features.csv"), str(out / "comparisons.csv"), str(out / "report.json")
+    printed = {"simulate+extract": capsys.readouterr().out}
+    for name, argv in (
+        ("compare", ["compare", features, "--factor", "unit", "--within", "--alpha", "0.5", "--out", comparisons]),
+        ("predict", ["predict", features, "--label", "neg_affect", "--seed", "5", "--folds", "2",
+                     "--n-trees", "25", "--max-depth", "4", "--out", report]),
+        ("verify", ["verify", "--truth", str(data / "ground_truth.json"), "--features", features,
+                    "--comparisons", comparisons, "--report", report]),
+        ("report", ["report", str(out)]),
+    ):
+        assert main(argv) == 0
+        printed[name] = capsys.readouterr().out
+    digests = {name: hashlib.sha256(text.replace(str(tmp_path), "<tmp>").encode()).hexdigest()
+               for name, text in printed.items()}
+    digests["out/comparisons.csv"] = hashlib.sha256((out / "comparisons.csv").read_bytes()).hexdigest()
+    assert digests == GOLDEN_STDOUT, printed
