@@ -3,9 +3,10 @@
 Shift-level session and arousal features are averaged across a participant's
 shifts (mean and population std as the two summary functionals); arousal
 ratios are additionally summarized at the start, middle and end of the
-shift via 12 one-hour time blocks (4 blocks per window). Location-
-conditioned variants restrict to the timeline category of each minute:
-recordings by their own minute, sessions by their dominant minute category.
+shift via 12 one-hour time blocks (4 blocks per window; blocks.csv holds
+them as a BlockTable). Location-conditioned variants restrict to the
+timeline category of each minute: recordings by their own minute, sessions
+by their dominant minute category.
 
 cohort_shift_features computes the shift-level features of every shift of
 a cohort in grouped passes; per_shift_features states the same rules for
@@ -20,9 +21,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AllAbsent, EmptyInput
+from .errors import EmptyInput
 from .locate import LocationTimeline
-from .model import DailyPhysiology, LocationCategory, ParticipantProfile, ShiftType, UnitType
+from .model import ColumnTable, DailyPhysiology, LocationCategory, ParticipantProfile, ShiftType, UnitType
 from .arousal import AROUSAL_THRESHOLD, RatedRecording, arousal_flags
 from .sessions import (
     SpeechSession,
@@ -71,42 +72,18 @@ _SHIFT_SCALARS = [
 ]
 
 
-@dataclass
-class TimeBlockSeries:
-    """One value per one-hour block of the shift; None marks an empty block."""
-
-    feature_name: str
-    blocks: list[float | None]
-
-    def __post_init__(self) -> None:
-        if len(self.blocks) != N_BLOCKS:
-            raise ValueError(f"block series must have {N_BLOCKS} blocks")
-
-
 def block_series(
     events: Sequence[tuple[int, float]],
     reducer: Callable[[np.ndarray], float],
-    feature_name: str = "",
-) -> TimeBlockSeries:
-    """Aggregate (minute_index, value) events into 12 one-hour blocks."""
+) -> list[float | None]:
+    """Aggregate (minute_index, value) events into 12 one-hour blocks; None
+    marks a block without events."""
     buckets: list[list[float]] = [[] for _ in range(N_BLOCKS)]
     for minute, value in events:
         block = minute // BLOCK_MINUTES
         if 0 <= block < N_BLOCKS:
             buckets[block].append(value)
-    blocks = [reducer(np.asarray(vals)) if vals else None for vals in buckets]
-    return TimeBlockSeries(feature_name, blocks)
-
-
-def start_middle_end(series: TimeBlockSeries) -> tuple[float | None, float | None, float | None]:
-    """Window means over blocks 0-3, 4-7 and 8-11 (present blocks only)."""
-    out = []
-    for window in _WINDOWS.values():
-        vals = [series.blocks[b] for b in window if series.blocks[b] is not None]
-        out.append(float(np.mean(vals)) if vals else None)
-    if all(v is None for v in out):
-        raise AllAbsent("no populated block in any window")
-    return tuple(out)  # type: ignore[return-value]
+    return [reducer(np.asarray(vals)) if vals else None for vals in buckets]
 
 
 def dominant_category(session: SpeechSession) -> LocationCategory:
@@ -127,6 +104,27 @@ class ShiftFeatures:
     pos_blocks: list[float | None] = field(default_factory=lambda: [None] * N_BLOCKS)
     neg_blocks: list[float | None] = field(default_factory=lambda: [None] * N_BLOCKS)
     recordings_per_block: list[int] = field(default_factory=lambda: [0] * N_BLOCKS)
+
+
+@dataclass(eq=False)
+class BlockTable(ColumnTable):
+    """Every shift's one-hour blocks, by shift, then block: blocks.csv's rows."""
+
+    participant_id: np.ndarray = ()  # object
+    shift_date: np.ndarray = ()  # datetime64[D]
+    block: np.ndarray = ()  # int64, 0 .. N_BLOCKS - 1
+    recordings: np.ndarray = ()  # int64 rated recordings in the block
+    pos_ratio: np.ndarray = ()  # float64, NaN for a block without recordings
+    neg_ratio: np.ndarray = ()
+
+    DTYPES = (object, "datetime64[D]", np.int64, np.int64, np.float64, np.float64)
+
+
+def block_table(shift_features: list[ShiftFeatures]) -> BlockTable:
+    """The N_BLOCKS hour blocks of each shift, in the order of the shifts."""
+    rows = [(sf.participant_id, sf.shift_date, b, sf.recordings_per_block[b], sf.pos_blocks[b], sf.neg_blocks[b])
+            for sf in shift_features for b in range(N_BLOCKS)]
+    return BlockTable(*zip(*rows)) if rows else BlockTable()  # a None ratio becomes NaN
 
 
 def per_shift_features(
@@ -167,8 +165,8 @@ def per_shift_features(
                 here = locations == cat
                 if here.any():
                     scalars[f"{name}_ratio_{key}"] = float(flag[here].mean())
-        out.pos_blocks = block_series(list(zip(minutes, pos)), np.mean, "pos_ratio").blocks
-        out.neg_blocks = block_series(list(zip(minutes, neg)), np.mean, "neg_ratio").blocks
+        out.pos_blocks = block_series(list(zip(minutes, pos)), np.mean)
+        out.neg_blocks = block_series(list(zip(minutes, neg)), np.mean)
         blocks = np.asarray(minutes) // BLOCK_MINUTES
         out.recordings_per_block = np.bincount(blocks[(blocks >= 0) & (blocks < N_BLOCKS)], minlength=N_BLOCKS).tolist()
 
@@ -271,20 +269,18 @@ def participant_vector(
             feats[f"{key}_mean"] = mean
             feats[f"{key}_std"] = std
 
+    # a window's feature is the mean over shifts of the shift's mean over
+    # its populated blocks; a shift with none in the window is left out
     for polarity in ("pos", "neg"):
-        windows: dict[str, list[float]] = {w: [] for w in _WINDOWS}
-        for sf in shift_features:
-            blocks = sf.pos_blocks if polarity == "pos" else sf.neg_blocks
-            try:
-                s, m, e = start_middle_end(TimeBlockSeries(polarity, list(blocks)))
-            except AllAbsent:
-                continue
-            for name, value in zip(_WINDOWS, (s, m, e)):
-                if value is not None:
-                    windows[name].append(value)
-        for name, vals in windows.items():
-            if vals:
-                feats[f"{polarity}_ratio_{name}"] = float(np.mean(vals))
+        for name, window in _WINDOWS.items():
+            means = []
+            for sf in shift_features:
+                blocks = sf.pos_blocks if polarity == "pos" else sf.neg_blocks
+                present = [blocks[b] for b in window if blocks[b] is not None]
+                if present:
+                    means.append(float(np.mean(present)))
+            if means:
+                feats[f"{polarity}_ratio_{name}"] = float(np.mean(means))
 
     if physiology:
         walk_mean, walk_std = _mean_std([d.walk_ratio for d in physiology])

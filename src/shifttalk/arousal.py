@@ -166,13 +166,3 @@ def arousal_flags(fused: np.ndarray, threshold: float = AROUSAL_THRESHOLD) -> tu
     counts positive, strictly below -threshold counts negative."""
     return fused > threshold, fused < -threshold
 
-
-def arousal_ratios(
-    rated: list[RatedRecording],
-    threshold: float = AROUSAL_THRESHOLD,
-) -> tuple[float, float]:
-    """(positive, negative) arousal speech ratios over the rated recordings."""
-    if not rated:
-        raise EmptyInput("no rated recordings")
-    pos, neg = arousal_flags(np.array([r.fused for r in rated]), threshold)
-    return float(pos.mean()), float(neg.mean())

@@ -17,14 +17,13 @@ import numpy as np
 
 from .arousal import AROUSAL_THRESHOLD
 from .errors import DegenerateLabel, EmptyGroup, ShiftTalkError
-from .foreground import MIN_FOREGROUND_FRAMES, FilterKind, ForegroundFilter
+from .foreground import FilterKind, ForegroundFilter
 from .forest import ForestParams
-from .ingest import MIN_DAYS, parse_cohort
-from .locate import RSSI_FLOOR
+from .ingest import parse_cohort
 from .pipeline import ExtractionConfig, run_extraction
 from .predict import DEFAULT_GRID, binarize_label, cross_validate
 from .simulate import GROUND_TRUTH_FILE, GroundTruth, generate, load_spec, verify_against_truth
-from .stats import compare_groups
+from .stats import ComparisonTable, compare_groups
 from . import reports
 
 EXIT_OK = 0
@@ -81,7 +80,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     }
     reports.write_sessions_csv(out / reports.SESSIONS_FILE, result.sessions)
     reports.write_arousal_csv(out / reports.AROUSAL_FILE, result.rated)
-    reports.write_blocks_csv(out / reports.BLOCKS_FILE, result.shift_features)
+    reports.write_blocks_csv(out / reports.BLOCKS_FILE, result.blocks)
     reports.write_features_csv(out / reports.FEATURES_FILE, result.participant_ids, labels, result.matrix)
     print(f"parsed rows: {result.cohort.counts}")
     if result.cohort.warnings:
@@ -92,40 +91,32 @@ def cmd_extract(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _comparison_feature_names(feature_names: list[str], factor_column: str) -> list[str]:
-    return [n for n in feature_names if n != factor_column]
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     ids, _, X, names = reports.read_features_csv(args.features)
     if args.within and args.factor != "unit":
         print("error: --within applies only to --factor unit", file=sys.stderr)
         return EXIT_USAGE
-    rows: list[tuple[str, object]] = []
-    if args.factor == "shift":
-        in_a = X[:, names.index("shift_night")] == 0.0  # a=day, b=night
-        compared = _comparison_feature_names(names, "shift_night")
-        rows.extend(("all", r) for r in compare_groups(X, names, in_a, compared, args.alpha))
-    else:
-        in_icu = X[:, names.index("unit_icu")] == 1.0  # a=icu, b=non_icu
-        compared = _comparison_feature_names(names, "unit_icu")
-        if args.within:
-            night = X[:, names.index("shift_night")] == 1.0
-            for stratum, mask in (("day", ~night), ("night", night)):
-                sub = X[mask]
-                rows.extend(
-                    (stratum, r)
-                    for r in compare_groups(sub, names, in_icu[mask], compared, args.alpha)
-                )
-        else:
-            rows.extend(("all", r) for r in compare_groups(X, names, in_icu, compared, args.alpha))
-    reports.write_comparisons_csv(args.out, rows)
-    n_sig = sum(1 for _, r in rows if r.significant)
-    print(f"compared {len(rows)} (stratum, feature) pairs; {n_sig} significant at alpha={args.alpha}")
+    # group a is the day shift (--factor shift) or the ICU (--factor unit)
+    factor, a_value = ("shift_night", 0.0) if args.factor == "shift" else ("unit_icu", 1.0)
+    in_a = X[:, names.index(factor)] == a_value
+    compared = [n for n in names if n != factor]
+    strata = [("all", np.ones(len(X), dtype=bool))]
+    if args.within:
+        night = X[:, names.index("shift_night")] == 1.0
+        strata = [("day", ~night), ("night", night)]
+    parts = []
+    for stratum, mask in strata:
+        part = compare_groups(X[mask], names, in_a[mask], compared, args.alpha)
+        part.stratum[:] = stratum
+        parts.append(part)
+    table = ComparisonTable.concat(parts)
+    reports.write_comparisons_csv(args.out, table)
+    print(f"compared {len(table)} (stratum, feature) pairs; {int(table.significant.sum())} significant "
+          f"at alpha={args.alpha}")
     print("note: p-values are per-feature; no multiple-comparison correction is applied")
-    for stratum, r in rows:
-        if r.significant:
-            print(f"  [{stratum}] {r.feature}: a={r.group_a_median:.4g} b={r.group_b_median:.4g} p={r.p:.4g}")
+    for i in np.flatnonzero(table.significant).tolist():
+        print(f"  [{table.stratum[i]}] {table.feature[i]}: a={table.group_a_median[i]:.4g} "
+              f"b={table.group_b_median[i]:.4g} p={table.p[i]:.4g}")
     return EXIT_OK
 
 
@@ -176,32 +167,29 @@ def cmd_report(args: argparse.Namespace) -> int:
     summary: list[str] = []
     sessions_path = out / reports.SESSIONS_FILE
     if sessions_path.is_file():
-        rows = reports.read_sessions_csv(sessions_path)
-        total = sum(r["duration_min"] for r in rows)
-        summary.append(f"sessions: {len(rows)} rows, {total} session-minutes")
+        sessions = reports.read_sessions_csv(sessions_path)
+        summary.append(f"sessions: {len(sessions)} rows, {int(sessions.duration_min.sum())} session-minutes")
     arousal_path = out / reports.AROUSAL_FILE
     if arousal_path.is_file():
-        rows = reports.read_arousal_csv(arousal_path)
-        if rows:
-            fused = np.array([r["fused"] for r in rows])
-            summary.append(f"arousal: {len(rows)} rated recordings, "
+        fused = reports.read_arousal_csv(arousal_path).fused
+        if len(fused):
+            summary.append(f"arousal: {len(fused)} rated recordings, "
                            f"fused mean {fused.mean():.3f}, "
                            f"pos>{AROUSAL_THRESHOLD}: {(fused > AROUSAL_THRESHOLD).mean():.3f}")
     blocks_path = out / reports.BLOCKS_FILE
     if blocks_path.is_file():
-        rows = reports.read_blocks_csv(blocks_path)
-        summary.append(f"blocks: {len(rows)} (shift, block) rows")
+        summary.append(f"blocks: {len(reports.read_blocks_csv(blocks_path))} (shift, block) rows")
     features_path = out / reports.FEATURES_FILE
     if features_path.is_file():
         ids, _, X, names = reports.read_features_csv(features_path)
         summary.append(f"features: {len(ids)} participants x {X.shape[1]} columns")
     comparisons_path = out / reports.COMPARISONS_FILE
     if comparisons_path.is_file():
-        rows = reports.read_comparisons_csv(comparisons_path)
-        sig = [r for r in rows if r["significant"]]
-        summary.append(f"comparisons: {len(rows)} rows, {len(sig)} significant")
-        for r in sig:
-            summary.append(f"  [{r['stratum']}] {r['feature']}: p={r['p']:.4g}")
+        comparisons = reports.read_comparisons_csv(comparisons_path)
+        sig = np.flatnonzero(comparisons.significant).tolist()
+        summary.append(f"comparisons: {len(comparisons)} rows, {len(sig)} significant")
+        for i in sig:
+            summary.append(f"  [{comparisons.stratum[i]}] {comparisons.feature[i]}: p={comparisons.p[i]:.4g}")
     report_path = out / reports.REPORT_FILE
     if report_path.is_file():
         ml = reports.read_report_json(report_path)
@@ -224,17 +212,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the spec's seed")
     p.set_defaults(func=cmd_simulate)
 
+    defaults = ExtractionConfig()
     p = sub.add_parser("extract", help="run the feature-extraction pipeline")
     p.add_argument("--input", required=True, help="canonical input directory")
     p.add_argument("--out", required=True, help="output directory for csv artifacts")
-    p.add_argument("--foreground-threshold", type=float, default=0.5)
+    p.add_argument("--foreground-threshold", type=float, default=defaults.foreground.threshold)
     p.add_argument("--external-scores", action="store_true",
                    help="trust per-frame foreground booleans where present")
-    p.add_argument("--min-frames", type=int, default=MIN_FOREGROUND_FRAMES,
+    p.add_argument("--min-frames", type=int, default=defaults.min_frames,
                    help="foreground frames needed for a valid recording")
-    p.add_argument("--min-days", type=int, default=MIN_DAYS)
-    p.add_argument("--rssi-floor", type=int, default=RSSI_FLOOR)
-    p.add_argument("--arousal-threshold", type=float, default=AROUSAL_THRESHOLD)
+    p.add_argument("--min-days", type=int, default=defaults.min_days)
+    p.add_argument("--rssi-floor", type=int, default=defaults.rssi_floor)
+    p.add_argument("--arousal-threshold", type=float, default=defaults.arousal_threshold)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("compare", help="Mann-Whitney group comparisons over features.csv")

@@ -51,10 +51,6 @@ class EmptyGroup(ShiftTalkError, ValueError):
         super().__init__(f"a comparison group is empty for feature {feature!r}")
 
 
-class AllAbsent(ShiftTalkError, ValueError):
-    pass
-
-
 class DegenerateLabel(ShiftTalkError, ValueError):
     pass
 

@@ -1,7 +1,8 @@
 """Random forest classifier built on CART trees with Gini impurity.
 
-Trees are grown breadth-first on bootstrap resamples with ceil(sqrt(d))
-features drawn per split. Split candidates are midpoints between
+Trees are grown depth-first, left child before right, on bootstrap
+resamples with ceil(sqrt(d)) features drawn per split, so each tree draws
+its feature subsets in that pre-order. Split candidates are midpoints between
 consecutive sorted unique values; ties in Gini gain break toward the lowest
 feature index, then the lowest threshold, so training is fully determined
 by the seed. Per-tree seeds derive from the master seed via

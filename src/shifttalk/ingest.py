@@ -38,7 +38,10 @@ are dropped later by filter_shift_window. In recordings.jsonl this means:
 - foreground, when present, holds JSON booleans only;
 - every frame column has the same non-zero length.
 
-Each violation raises MalformedRow with the file name and line number.
+Each violation raises MalformedRow with the file name and line number. The
+csv files are read and written through model's one CSV rule (csv_rows,
+write_csv, parse_date, ColumnTable.write_csv); the checks above are ingest's
+own.
 
 rssi.csv becomes one RssiTable, checked one row at a time, so the first bad
 row in file order raises. A minute_index beyond the 64-bit integer range is
@@ -57,7 +60,6 @@ that per-value reference. The simulator rounds every frame value to the grid.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -82,6 +84,9 @@ from .model import (
     RssiTable,
     ShiftType,
     UnitType,
+    csv_rows,
+    parse_date,
+    write_csv,
 )
 
 PARTICIPANTS_FILE = "participants.csv"
@@ -96,20 +101,9 @@ MIN_DAYS = 5  # distinct shift dates a participant needs to stay in the cohort
 
 PARTICIPANTS_HEADER = ["participant_id", "shift_type", "unit_type", "pos_affect", "neg_affect", "life_satisfaction"]
 HUBS_HEADER = ["hub_id", "location_category"]
-RSSI_HEADER = ["participant_id", "shift_date", "minute_index", "hub_id", "rssi"]
 PHYSIOLOGY_HEADER = ["participant_id", "shift_date", "walk_ratio", "sleep_hours"]
 _INT64 = np.iinfo(np.int64)
 _BATCH_ROWS = 1 << 14  # rssi rows held as Python objects at once, which bounds peak memory
-
-
-def _parse_date(text: str, file: str, line: int) -> date:
-    """YYYY-MM-DD only; date.fromisoformat alone also takes 20220301 and 2022-W09-2."""
-    try:
-        if len(text) == 10 and text[4] == text[7] == "-":
-            return date.fromisoformat(text)
-    except (TypeError, ValueError):
-        pass
-    raise MalformedRow(file, line, f"bad shift_date {text!r}")
 
 
 def _parse_int(text: str, field: str, file: str, line: int) -> int:
@@ -129,26 +123,9 @@ def _parse_float(text: str, field: str, file: str, line: int) -> float:
     return value
 
 
-def _csv_rows(path: Path, expected_header: list[str]):
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow(path.name, 1, "missing header") from None
-        if header != expected_header:
-            raise MalformedRow(path.name, 1, f"bad header {header!r}, expected {expected_header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
-                raise MalformedRow(path.name, lineno, f"expected {len(expected_header)} fields, got {len(row)}")
-            yield lineno, row
-
-
 def parse_participants(path: Path) -> dict[str, ParticipantProfile]:
     profiles: dict[str, ParticipantProfile] = {}
-    for lineno, row in _csv_rows(path, PARTICIPANTS_HEADER):
+    for lineno, row in csv_rows(path, PARTICIPANTS_HEADER):
         pid, shift_raw, unit_raw, pos_raw, neg_raw, swls_raw = row
         if pid in profiles:
             raise DuplicateParticipant(pid)
@@ -175,7 +152,7 @@ def parse_participants(path: Path) -> dict[str, ParticipantProfile]:
 
 def parse_hubs(path: Path) -> dict[str, HubRecord]:
     hubs: dict[str, HubRecord] = {}
-    for lineno, row in _csv_rows(path, HUBS_HEADER):
+    for lineno, row in csv_rows(path, HUBS_HEADER):
         hub_id, cat_raw = row
         if hub_id in hubs:
             raise MalformedRow(path.name, lineno, f"duplicate hub_id {hub_id!r}")
@@ -207,14 +184,14 @@ def parse_rssi(
     pids, dates, minutes, hub_ids, values = columns
     good_dates: set[str] = set()  # a file holds few distinct dates; only parsed ones are kept
     clamped = 0
-    for lineno, row in _csv_rows(path, RSSI_HEADER):
+    for lineno, row in csv_rows(path, RssiTable.columns()):
         pid, date_raw, minute_raw, hub_id, rssi_raw = row
         if pid not in profiles:
             raise MalformedRow(name, lineno, f"unknown participant_id {pid!r}")
         if hub_id not in hubs:
             raise UnknownHub(hub_id)
         if date_raw not in good_dates:
-            _parse_date(date_raw, name, lineno)
+            parse_date(date_raw, name, lineno)
             good_dates.add(date_raw)
         minute = _parse_int(minute_raw, "minute_index", name, lineno)
         rssi = _parse_int(rssi_raw, "rssi", name, lineno)
@@ -238,11 +215,11 @@ def parse_rssi(
 
 def parse_physiology(path: Path, profiles: dict[str, ParticipantProfile]) -> list[DailyPhysiology]:
     rows: list[DailyPhysiology] = []
-    for lineno, row in _csv_rows(path, PHYSIOLOGY_HEADER):
+    for lineno, row in csv_rows(path, PHYSIOLOGY_HEADER):
         pid, date_raw, walk_raw, sleep_raw = row
         if pid not in profiles:
             raise MalformedRow(path.name, lineno, f"unknown participant_id {pid!r}")
-        shift_date = _parse_date(date_raw, path.name, lineno)
+        shift_date = parse_date(date_raw, path.name, lineno)
         walk = _parse_float(walk_raw, "walk_ratio", path.name, lineno)
         sleep = _parse_float(sleep_raw, "sleep_hours", path.name, lineno)
         if not 0.0 <= walk <= 1.0:
@@ -349,7 +326,7 @@ def parse_recordings(path: Path, profiles: dict[str, ParticipantProfile]) -> lis
                 raise MalformedRow(name, lineno, f"minute_index must be an integer, got {minute!r}")
             shift_date = days.get(date_raw) if type(date_raw) is str else None
             if shift_date is None:
-                shift_date = days[date_raw] = _parse_date(date_raw, name, lineno)
+                shift_date = days[date_raw] = parse_date(date_raw, name, lineno)
             if type(raw_frames) is list:
                 raw_frames = _columns_from_rows(raw_frames, name, lineno)
             elif type(raw_frames) is not dict:
@@ -418,11 +395,6 @@ _MINUS, _NULL = np.frombuffer(b"\0\0\0-null", np.uint32)
 _NULL_TAIL = np.frombuffer(b",\0\0\0\0\0\0\0", np.uint64)[0]
 
 
-def _fmt(value: float) -> str:
-    """Shortest exact decimal repr, so write -> parse -> write is stable."""
-    return repr(float(value))
-
-
 def write_cohort(cohort: Cohort, dir_path: str | Path) -> None:
     """Write a cohort back out in the canonical formats (deterministic bytes).
 
@@ -434,12 +406,12 @@ def write_cohort(cohort: Cohort, dir_path: str | Path) -> None:
     root.mkdir(parents=True, exist_ok=True)
     temporary = {name: root / f"{name}.tmp" for name in CANONICAL_FILES}
     try:
-        _write_csv(temporary[PARTICIPANTS_FILE], PARTICIPANTS_HEADER, (
+        write_csv(temporary[PARTICIPANTS_FILE], PARTICIPANTS_HEADER, (
             (p.participant_id, p.shift_type.value, p.unit_type.value, p.pos_affect, p.neg_affect,
-             _fmt(p.life_satisfaction)) for _, p in sorted(cohort.profiles.items())))
-        _write_csv(temporary[HUBS_FILE], HUBS_HEADER,
-                   ((hub_id, h.location_category.value) for hub_id, h in sorted(cohort.hubs.items())))
-        _write_csv(temporary[RSSI_FILE], RSSI_HEADER, cohort.rssi.text_rows())
+             float(p.life_satisfaction)) for _, p in sorted(cohort.profiles.items())))
+        write_csv(temporary[HUBS_FILE], HUBS_HEADER,
+                  ((hub_id, h.location_category.value) for hub_id, h in sorted(cohort.hubs.items())))
+        cohort.rssi.write_csv(temporary[RSSI_FILE])
         with temporary[RECORDINGS_FILE].open("wb") as fh:
             batch: list[RecordingSegment] = []
             size = 0
@@ -451,9 +423,8 @@ def write_cohort(cohort: Cohort, dir_path: str | Path) -> None:
                     batch, size = [], 0
             if batch:
                 fh.write(_batch_lines(batch))
-        iso = {d: d.isoformat() for d in {r.shift_date for r in cohort.physiology}}  # once per date
-        _write_csv(temporary[PHYSIOLOGY_FILE], PHYSIOLOGY_HEADER, (
-            (d.participant_id, iso[d.shift_date], _fmt(d.walk_ratio), _fmt(d.sleep_hours))
+        write_csv(temporary[PHYSIOLOGY_FILE], PHYSIOLOGY_HEADER, (
+            (d.participant_id, d.shift_date.isoformat(), float(d.walk_ratio), float(d.sleep_hours))
             for d in cohort.physiology))
     except BaseException:
         for path in temporary.values():
@@ -461,13 +432,6 @@ def write_cohort(cohort: Cohort, dir_path: str | Path) -> None:
         raise
     for name, path in temporary.items():
         os.replace(path, root / name)
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
 
 
 def _grid_text(values: np.ndarray) -> tuple[bytes, np.ndarray] | None:

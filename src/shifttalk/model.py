@@ -6,17 +6,29 @@ schedule, so the analytic code never touches wall clocks.
 
 RSSI rows, which outnumber every other input, live in one RssiTable of
 parallel numpy columns from parse to location timeline; filters select rows
-with boolean masks. Extraction's session and rated-recording rows are
-ColumnTables of the same kind.
+with boolean masks. Every CSV output table is a ColumnTable of that kind.
+
+The one CSV rule of the package lives here. csv_rows reads a file under an
+exact header, one field per column, and a bad row raises MalformedRow naming
+file:line; write_csv writes one. A cell is typed by its column: floats as
+their repr with NaN as an empty field, booleans as 0/1, dates as YYYY-MM-DD
+only (parse_date). ColumnTable.write_csv and read_csv apply the rule to a
+table, text_rows and read_columns to loose columns.
 """
 
 from __future__ import annotations
 
+import csv
+import math
 from dataclasses import dataclass, field, fields
 from datetime import date
 from enum import Enum, IntEnum
+from pathlib import Path
+from typing import Sequence
 
 import numpy as np
+
+from .errors import MalformedRow
 
 SHIFT_MINUTES = 720  # 12-hour shift at one-minute resolution
 RSSI_MIN = 136
@@ -55,18 +67,6 @@ class LocationCategory(IntEnum):
     LOUNGE_MED = 2
     OUTSIDE_UNIT = 3
 
-    @property
-    def code(self) -> str:
-        return _LOCATION_CODES[self]
-
-
-_LOCATION_CODES = {
-    LocationCategory.PATIENT_ROOM: "pat",
-    LocationCategory.NURSING_STATION: "ns",
-    LocationCategory.LOUNGE_MED: "lounge_med",
-    LocationCategory.OUTSIDE_UNIT: "outside",
-}
-
 HUB_TO_LOCATION = {
     HubCategory.NURSING_STATION: LocationCategory.NURSING_STATION,
     HubCategory.PATIENT_ROOM: LocationCategory.PATIENT_ROOM,
@@ -89,6 +89,104 @@ class ParticipantProfile:
 class HubRecord:
     hub_id: str
     location_category: HubCategory
+
+
+def parse_date(text: str, file: str, line: int) -> date:
+    """YYYY-MM-DD only; date.fromisoformat alone also takes 20220301 and 2022-W09-2."""
+    try:
+        return _date_cell(text)
+    except (TypeError, ValueError):
+        raise MalformedRow(file, line, f"bad shift_date {text!r}") from None
+
+
+def csv_rows(path: Path, header: Sequence[str]):
+    """(line number, fields) of each non-blank row of a csv file whose
+    header is exactly ``header`` and whose rows have one field per column."""
+    expected = list(header)
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            found = next(reader)
+        except StopIteration:
+            raise MalformedRow(path.name, 1, "missing header") from None
+        if found != expected:
+            raise MalformedRow(path.name, 1, f"bad header {found!r}, expected {expected!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(expected):
+                raise MalformedRow(path.name, lineno, f"expected {len(expected)} fields, got {len(row)}")
+            yield lineno, row
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows) -> None:
+    """The header, then each row; csv writes a float as its repr and None as
+    an empty field."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def text_rows(columns: Sequence[np.ndarray]):
+    """The rows of parallel columns as tuples of csv cells (dates as
+    YYYY-MM-DD text, booleans as 0/1, NaN as None); made _TEXT_BATCH_ROWS
+    rows at a time, which bounds the Python objects held at once."""
+    for i in range(0, len(columns[0]), _TEXT_BATCH_ROWS):
+        yield from zip(*(_cells(c[i:i + _TEXT_BATCH_ROWS]) for c in columns))
+
+
+def _cells(column: np.ndarray) -> list:
+    if column.dtype.kind == "M":
+        return np.datetime_as_string(column).tolist()
+    if column.dtype.kind == "b":
+        return column.astype(np.int64).tolist()
+    if column.dtype.kind == "f" and np.isnan(column).any():
+        column = np.where(np.isnan(column), None, column)
+    return column.tolist()
+
+
+def read_columns(path: str | Path, header: Sequence[str], dtypes: Sequence) -> list[list]:
+    """The columns of a csv file under ``header``, each cell read back as
+    text_rows writes a value of its column's dtype. The first bad field in
+    file order raises MalformedRow naming file:line."""
+    path = Path(path)
+    parsers = [_CELLS[np.dtype(dtype).kind] for dtype in dtypes]
+    columns: list[list] = [[] for _ in parsers]
+    for line, row in csv_rows(path, header):
+        for column, parse, name, text in zip(columns, parsers, header, row):
+            try:
+                column.append(parse(text))
+            except (KeyError, ValueError):
+                raise MalformedRow(path.name, line, f"bad {name} {text!r}") from None
+    return columns
+
+
+def _date_cell(text: str) -> date:
+    if len(text) != 10 or text[4] != "-" or text[7] != "-":
+        raise ValueError(text)
+    return date.fromisoformat(text)
+
+
+def _int_cell(text: str) -> int:
+    value = int(text)
+    if not -(1 << 63) <= value < 1 << 63:  # an int64
+        raise ValueError(text)
+    return value
+
+
+def _float_cell(text: str) -> float:
+    """An empty field is NaN; any other must be a finite number."""
+    if not text:
+        return math.nan
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+# each dtype kind's cell reader; a bad cell raises KeyError or ValueError
+_CELLS = {"O": str, "M": _date_cell, "i": _int_cell, "f": _float_cell, "b": {"0": False, "1": True}.__getitem__}
 
 
 class ColumnTable:
@@ -126,15 +224,14 @@ class ColumnTable:
         """New table holding only the rows where mask is True (order kept)."""
         return type(self)(*(getattr(self, name)[mask] for name in self.columns()))
 
-    def text_rows(self):
-        """The rows as tuples of Python values for csv, dates as YYYY-MM-DD
-        text (csv writes a float as its repr); made _TEXT_BATCH_ROWS rows at
-        a time, which bounds the Python objects held at once."""
-        for i in range(0, len(self), _TEXT_BATCH_ROWS):
-            part = self.select(slice(i, i + _TEXT_BATCH_ROWS))
-            columns = [getattr(part, name) for name in self.columns()]
-            yield from zip(*(np.datetime_as_string(c).tolist() if c.dtype.kind == "M" else c.tolist()
-                             for c in columns))
+    def write_csv(self, path: str | Path) -> None:
+        """One csv row per table row, under the column names."""
+        write_csv(path, self.columns(), text_rows([getattr(self, name) for name in self.columns()]))
+
+    @classmethod
+    def read_csv(cls, path: str | Path) -> "ColumnTable":
+        """The table that write_csv wrote to path."""
+        return cls(*read_columns(path, cls.columns(), cls.DTYPES))
 
 
 @dataclass(eq=False)

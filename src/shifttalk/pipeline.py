@@ -24,8 +24,9 @@ each layer groups by those codes instead of looping over shifts:
   grouped ``bincount`` sums over counts, so they equal the per-shift
   values bit for bit.
 
-Sessions come out by (participant, date, start) and rated rows by speaker,
-then file order, each as a column table that reports writes in one pass.
+Sessions come out by (participant, date, start), rated rows by speaker,
+then file order, and hour blocks by shift, each as a column table that
+reports writes in one pass.
 The functions ``filter_frames``, ``is_valid_recording``, ``build_neutral``,
 ``score_recording``, ``fusion_weights``, ``rate_recording``,
 ``build_sessions`` and ``per_shift_features`` state the same rules one
@@ -35,15 +36,15 @@ recording or one shift at a time; tests hold the passes to them bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from datetime import date
 
 import numpy as np
 
 from . import arousal as arousal_mod
 from .aggregate import (
     FEATURE_COLUMNS,
-    ParticipantFeatureVector,
+    BlockTable,
     ShiftFeatures,
+    block_table,
     build_feature_matrix,
     cohort_shift_features,
     participant_vector,
@@ -53,7 +54,7 @@ from .arousal import AROUSAL_THRESHOLD, FEATURE_NAMES, FusionWeights, RatedTable
 from .foreground import MIN_FOREGROUND_FRAMES, ForegroundFilter, cohort_mask
 from .foreground import filter_frames, is_valid_recording  # noqa: F401  reference; perfbench traces them here
 from .ingest import MIN_DAYS, filter_min_days, filter_shift_window
-from .locate import RSSI_FLOOR, LocationTimeline, estimate_timeline
+from .locate import RSSI_FLOOR, estimate_timeline
 from .model import SHIFT_MINUTES, Cohort, RecordingSegment
 from .sessions import SESSION_CATEGORIES, SessionTable, cohort_sessions
 from .sessions import build_sessions  # noqa: F401  reference; perfbench traces it here
@@ -77,12 +78,11 @@ class ExtractionConfig:
 @dataclass
 class ExtractionResult:
     cohort: Cohort
-    timelines: dict[tuple[str, date], LocationTimeline]
     sessions: SessionTable
     rated: RatedTable
+    blocks: BlockTable
     weights: dict[str, FusionWeights]
     shift_features: list[ShiftFeatures]
-    vectors: list[ParticipantFeatureVector]
     matrix: np.ndarray
     feature_names: list[str]
     participant_ids: list[str]
@@ -145,12 +145,11 @@ def run_extraction(cohort: Cohort, config: ExtractionConfig | None = None) -> Ex
 
     return ExtractionResult(
         cohort=kept,
-        timelines=timelines,
         sessions=sessions,
         rated=rated,
+        blocks=block_table(shift_features),
         weights=weights_by_speaker,
         shift_features=shift_features,
-        vectors=vectors,
         matrix=matrix,
         feature_names=names,
         participant_ids=ids,

@@ -1,28 +1,29 @@
 """Writers and readers for the pipeline's output artifacts.
 
-Every artifact written here can be read back by its paired reader; the
-readers validate structure so downstream commands fail fast on hand-edited
-files. Float formatting uses the shortest exact repr, so write -> read ->
-write is byte-stable.
+Every artifact written here can be read back by its paired reader. The csv
+artifacts follow model's one CSV rule (exact header, one field per column,
+floats as their shortest exact repr, NaN as an empty field, MalformedRow
+naming file:line), so write -> read -> write is byte-stable: sessions,
+arousal, blocks and comparisons are ColumnTables that write and read
+themselves, and features.csv, whose columns follow FEATURE_COLUMNS, is
+written and read on the same primitives.
 """
 
 from __future__ import annotations
 
-import csv
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 
-from .aggregate import FEATURE_COLUMNS, LABEL_COLUMNS, N_BLOCKS, ShiftFeatures
+from .aggregate import FEATURE_COLUMNS, LABEL_COLUMNS, BlockTable
 from .arousal import RatedTable
 from .errors import MalformedRow
 from .forest import ForestParams
-from .model import ColumnTable
+from .model import read_columns, text_rows, write_csv
 from .predict import CvReport
 from .sessions import SessionTable
-from .stats import ComparisonRow
+from .stats import ComparisonTable
 
 SESSIONS_FILE = "sessions.csv"
 AROUSAL_FILE = "arousal.csv"
@@ -31,87 +32,27 @@ BLOCKS_FILE = "blocks.csv"
 COMPARISONS_FILE = "comparisons.csv"
 REPORT_FILE = "report.json"
 
-
-def _fmt(value: float) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return ""
-    return repr(float(value))
+FEATURES_HEADER = ["participant_id", *LABEL_COLUMNS, *FEATURE_COLUMNS]
 
 
-def _read_rows(path: str | Path, convert) -> list[dict]:
-    """convert() of each csv.DictReader row; a row it cannot convert raises
-    MalformedRow with its line number."""
-    rows = []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.DictReader(fh), start=2):
-            try:
-                rows.append(convert(row))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedRow(Path(path).name, lineno, str(exc)) from None
-    return rows
-
-
-def _write_table(path: str | Path, table: ColumnTable) -> None:
-    """One csv row per table row, under the column names."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(table.columns())
-        w.writerows(table.text_rows())
+# Each table reader returns the table that its writer took. The writers stay
+# functions of this module: perfbench's tracer times them by these names.
+read_sessions_csv = SessionTable.read_csv
+read_arousal_csv = RatedTable.read_csv
+read_blocks_csv = BlockTable.read_csv
+read_comparisons_csv = ComparisonTable.read_csv
 
 
 def write_sessions_csv(path: str | Path, sessions: SessionTable) -> None:
-    _write_table(path, sessions)
-
-
-def read_sessions_csv(path: str | Path) -> list[dict]:
-    return _read_rows(path, lambda row: {
-        "participant_id": row["participant_id"],
-        "shift_date": row["shift_date"],
-        "start": int(row["start"]),
-        "duration_min": int(row["duration_min"]),
-        "ns_min": int(row["ns_min"]),
-        "pat_min": int(row["pat_min"]),
-        "loungemed_min": int(row["loungemed_min"]),
-        "outside_min": int(row["outside_min"]),
-    })
+    sessions.write_csv(path)
 
 
 def write_arousal_csv(path: str | Path, rated: RatedTable) -> None:
-    _write_table(path, rated)
+    rated.write_csv(path)
 
 
-def read_arousal_csv(path: str | Path) -> list[dict]:
-    return _read_rows(path, lambda row: {
-        "participant_id": row["participant_id"],
-        "shift_date": row["shift_date"],
-        "minute_index": int(row["minute_index"]),
-        "p": (float(row["p_pitch"]), float(row["p_intensity"]), float(row["p_hflf"])),
-        "fused": float(row["fused"]),
-    })
-
-
-def write_blocks_csv(path: str | Path, shift_features: list[ShiftFeatures]) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["participant_id", "shift_date", "block", "recordings", "pos_ratio", "neg_ratio"])
-        for sf in shift_features:
-            for b in range(N_BLOCKS):
-                w.writerow([
-                    sf.participant_id, sf.shift_date.isoformat(), b, sf.recordings_per_block[b],
-                    _fmt(sf.pos_blocks[b]) if sf.pos_blocks[b] is not None else "",
-                    _fmt(sf.neg_blocks[b]) if sf.neg_blocks[b] is not None else "",
-                ])
-
-
-def read_blocks_csv(path: str | Path) -> list[dict]:
-    return _read_rows(path, lambda row: {
-        "participant_id": row["participant_id"],
-        "shift_date": row["shift_date"],
-        "block": int(row["block"]),
-        "recordings": int(row["recordings"]),
-        "pos_ratio": float(row["pos_ratio"]) if row["pos_ratio"] else None,
-        "neg_ratio": float(row["neg_ratio"]) if row["neg_ratio"] else None,
-    })
+def write_blocks_csv(path: str | Path, blocks: BlockTable) -> None:
+    blocks.write_csv(path)
 
 
 def write_features_csv(
@@ -122,70 +63,22 @@ def write_features_csv(
 ) -> None:
     """features.csv rows: participant_id, the three self-report labels, then
     the full feature schema (imputed, so never empty)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["participant_id", *LABEL_COLUMNS, *FEATURE_COLUMNS])
-        for i, pid in enumerate(participant_ids):
-            w.writerow([
-                pid,
-                *[_fmt(labels[name][i]) for name in LABEL_COLUMNS],
-                *[_fmt(v) for v in matrix[i]],
-            ])
+    columns = [np.asarray(participant_ids, dtype=object),
+               *(np.asarray(labels[name], dtype=float) for name in LABEL_COLUMNS),
+               *np.asarray(matrix, dtype=float).T]
+    write_csv(path, FEATURES_HEADER, text_rows(columns))
 
 
 def read_features_csv(path: str | Path) -> tuple[list[str], dict[str, np.ndarray], np.ndarray, list[str]]:
     """Returns (participant_ids, labels, matrix, feature_names)."""
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["participant_id", *LABEL_COLUMNS, *FEATURE_COLUMNS]
-        if header != expected:
-            raise MalformedRow(path.name, 1, "unexpected features.csv header")
-        ids: list[str] = []
-        label_rows: list[list[float]] = []
-        feat_rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected):
-                raise MalformedRow(path.name, lineno, f"expected {len(expected)} fields, got {len(row)}")
-            try:
-                ids.append(row[0])
-                label_rows.append([float(v) for v in row[1 : 1 + len(LABEL_COLUMNS)]])
-                feat_rows.append([float(v) for v in row[1 + len(LABEL_COLUMNS) :]])
-            except ValueError as exc:
-                raise MalformedRow(path.name, lineno, str(exc)) from None
-    labels_arr = np.asarray(label_rows, dtype=float)
-    labels = {name: labels_arr[:, i] for i, name in enumerate(LABEL_COLUMNS)}
-    return ids, labels, np.asarray(feat_rows, dtype=float), list(FEATURE_COLUMNS)
+    ids, *values = read_columns(path, FEATURES_HEADER, (object,) + (np.float64,) * (len(FEATURES_HEADER) - 1))
+    labels = {name: np.asarray(column, dtype=float) for name, column in zip(LABEL_COLUMNS, values)}
+    matrix = np.array(values[len(LABEL_COLUMNS):], dtype=float).T
+    return ids, labels, matrix, list(FEATURE_COLUMNS)
 
 
-def write_comparisons_csv(path: str | Path, rows: list[tuple[str, ComparisonRow]]) -> None:
-    """rows: (stratum, comparison); stratum is 'all' for unstratified runs."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["stratum", "feature", "group_a_median", "group_a_mean",
-                    "group_b_median", "group_b_mean", "u", "p", "method", "significant"])
-        for stratum, r in rows:
-            w.writerow([stratum, r.feature, _fmt(r.group_a_median), _fmt(r.group_a_mean),
-                        _fmt(r.group_b_median), _fmt(r.group_b_mean),
-                        _fmt(r.u), _fmt(r.p), r.method.value, int(r.significant)])
-
-
-def read_comparisons_csv(path: str | Path) -> list[dict]:
-    return _read_rows(path, lambda row: {
-        "stratum": row["stratum"],
-        "feature": row["feature"],
-        "group_a_median": float(row["group_a_median"]),
-        "group_a_mean": float(row["group_a_mean"]),
-        "group_b_median": float(row["group_b_median"]),
-        "group_b_mean": float(row["group_b_mean"]),
-        "u": float(row["u"]),
-        "p": float(row["p"]),
-        "method": row["method"],
-        "significant": bool(int(row["significant"])),
-    })
+def write_comparisons_csv(path: str | Path, comparisons: ComparisonTable) -> None:
+    comparisons.write_csv(path)
 
 
 def write_report_json(path: str | Path, report: CvReport) -> None:

@@ -445,7 +445,7 @@ def verify_against_truth(
 
     if comparisons_path is not None:
         comp = read_comparisons_csv(comparisons_path)
-        report["flagged_features"] = sorted({r["feature"] for r in comp if r["significant"]})
+        report["flagged_features"] = sorted(set(comp.feature[comp.significant].tolist()))
 
     if report_path is not None:
         ml = read_report_json(report_path)

@@ -17,6 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConstantInput, EmptyGroup, EmptyInput
+from .model import ColumnTable
 
 EXACT_MAX_TOTAL = 12  # full enumeration is C(12,6)=924 assignments at worst
 
@@ -153,17 +154,26 @@ def mann_whitney_u(a, b, method: str = "auto") -> MwuResult:
     return MwuResult(u1, p, used, _summary(a), _summary(b))
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    feature: str
-    group_a_median: float
-    group_a_mean: float
-    group_b_median: float
-    group_b_mean: float
-    u: float
-    p: float
-    method: MwuMethod
-    significant: bool
+@dataclass(eq=False)
+class ComparisonTable(ColumnTable):
+    """One Mann-Whitney comparison per row: comparisons.csv's rows.
+
+    ``stratum`` names the participant subset compared ("all" unless the
+    caller stratifies); ``u`` is group a's U.
+    """
+
+    stratum: np.ndarray = ()  # object
+    feature: np.ndarray = ()  # object
+    group_a_median: np.ndarray = ()  # float64
+    group_a_mean: np.ndarray = ()
+    group_b_median: np.ndarray = ()
+    group_b_mean: np.ndarray = ()
+    u: np.ndarray = ()
+    p: np.ndarray = ()
+    method: np.ndarray = ()  # object, an MwuMethod value
+    significant: np.ndarray = ()  # bool, p < alpha
+
+    DTYPES = (object, object) + (np.float64,) * 6 + (object, bool)
 
 
 def compare_groups(
@@ -172,8 +182,9 @@ def compare_groups(
     in_group_a: np.ndarray,
     features: list[str] | None = None,
     alpha: float = 0.05,
-) -> list[ComparisonRow]:
-    """One Mann-Whitney comparison per feature between two participant groups.
+) -> ComparisonTable:
+    """One Mann-Whitney comparison per feature between two participant groups,
+    in stratum "all".
 
     in_group_a is a boolean vector over rows; rows with NaN in a feature are
     excluded from that feature's comparison. No multiple-comparison
@@ -191,17 +202,6 @@ def compare_groups(
         if len(a) == 0 or len(b) == 0:
             raise EmptyGroup(name)
         res = mann_whitney_u(a, b)
-        rows.append(
-            ComparisonRow(
-                feature=name,
-                group_a_median=res.group_a.median,
-                group_a_mean=res.group_a.mean,
-                group_b_median=res.group_b.median,
-                group_b_mean=res.group_b.mean,
-                u=res.u_statistic,
-                p=res.p_value,
-                method=res.method,
-                significant=res.p_value < alpha,
-            )
-        )
-    return rows
+        rows.append(("all", name, res.group_a.median, res.group_a.mean, res.group_b.median,
+                     res.group_b.mean, res.u_statistic, res.p_value, res.method.value, res.p_value < alpha))
+    return ComparisonTable(*zip(*rows)) if rows else ComparisonTable()

@@ -258,8 +258,9 @@ def test_criterion_6_directional_recovery(tmp_path):
         comp_path = tmp_path / "comparisons.csv"
         assert main(["compare", str(out / "features.csv"), "--factor", "shift",
                      "--out", str(comp_path)]) == 0
-        rows = {r["feature"]: r for r in reports.read_comparisons_csv(comp_path)}
-        inter = rows["inter_session_time_mean"]
+        table = reports.read_comparisons_csv(comp_path)
+        row = table.feature.tolist().index("inter_session_time_mean")
+        inter = {name: getattr(table, name)[row] for name in table.columns()}
         assert inter["significant"] and inter["p"] < 0.05
         assert inter["group_a_median"] < inter["group_b_median"]  # day < night
 

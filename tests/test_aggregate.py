@@ -5,16 +5,14 @@ import pytest
 
 from shifttalk.aggregate import (
     FEATURE_COLUMNS,
-    TimeBlockSeries,
+    ShiftFeatures,
     block_series,
     build_feature_matrix,
     dominant_category,
     participant_vector,
     per_shift_features,
-    start_middle_end,
 )
 from shifttalk.arousal import RatedRecording
-from shifttalk.errors import AllAbsent
 from shifttalk.locate import empty_timeline
 from shifttalk.model import SHIFT_MINUTES, DailyPhysiology, LocationCategory
 from shifttalk.sessions import SpeechSession, build_sessions
@@ -28,72 +26,81 @@ def rated_at(minutes, fused=0.0):
 
 
 def test_block_boundaries():
-    series = block_series([(59, 1.0), (60, 1.0)], reducer=lambda v: float(v.sum()))
-    assert series.blocks[0] == 1.0
-    assert series.blocks[1] == 1.0
-    assert series.blocks[2] is None
+    blocks = block_series([(59, 1.0), (60, 1.0)], reducer=lambda v: float(v.sum()))
+    assert blocks[0] == 1.0
+    assert blocks[1] == 1.0
+    assert blocks[2] is None
 
 
 def test_uniform_events_fill_all_blocks():
     events = [(m, 1.0) for m in range(0, SHIFT_MINUTES, 30)]
-    series = block_series(events, reducer=lambda v: float(len(v)))
-    assert all(b == 2.0 for b in series.blocks)
+    blocks = block_series(events, reducer=lambda v: float(len(v)))
+    assert all(b == 2.0 for b in blocks)
 
 
 def test_single_hour_fills_one_block():
     events = [(m, 1.0) for m in range(0, 60)]
-    series = block_series(events, reducer=lambda v: float(len(v)))
-    assert series.blocks[0] == 60.0
-    assert all(b is None for b in series.blocks[1:])
+    blocks = block_series(events, reducer=lambda v: float(len(v)))
+    assert blocks[0] == 60.0
+    assert all(b is None for b in blocks[1:])
 
 
 def test_block_totals_match_whole_shift_for_additive_reducers():
     rng = np.random.default_rng(0)
     events = [(int(rng.integers(0, SHIFT_MINUTES)), float(rng.normal())) for _ in range(300)]
-    series = block_series(events, reducer=lambda v: float(v.sum()))
-    total = sum(b for b in series.blocks if b is not None)
+    blocks = block_series(events, reducer=lambda v: float(v.sum()))
+    total = sum(b for b in blocks if b is not None)
     assert total == pytest.approx(sum(v for _, v in events))
     counts = block_series(events, reducer=lambda v: float(len(v)))
-    assert sum(b for b in counts.blocks if b is not None) == len(events)
+    assert sum(b for b in counts if b is not None) == len(events)
 
 
 def test_out_of_window_events_ignored():
-    series = block_series([(720, 1.0), (-1, 1.0), (5, 2.0)], reducer=lambda v: float(v.sum()))
-    assert series.blocks[0] == 2.0
-    assert sum(b is not None for b in series.blocks) == 1
+    blocks = block_series([(720, 1.0), (-1, 1.0), (5, 2.0)], reducer=lambda v: float(v.sum()))
+    assert blocks[0] == 2.0
+    assert sum(b is not None for b in blocks) == 1
+
+
+def start_middle_end(*shifts: list) -> tuple[float, float, float]:
+    """participant_vector's pos_ratio_start/middle/end for shifts with these
+    pos blocks; the neg family, given the same blocks, must agree."""
+    sfs = [ShiftFeatures("p1", D0, 0, 0, pos_blocks=list(b), neg_blocks=list(b)) for b in shifts]
+    feats = participant_vector(profile("p1"), sfs, []).features
+    windows = tuple(feats[f"pos_ratio_{w}"] for w in ("start", "middle", "end"))
+    np.testing.assert_array_equal(windows, [feats[f"neg_ratio_{w}"] for w in ("start", "middle", "end")])
+    return windows
 
 
 def test_start_middle_end_constant():
-    series = TimeBlockSeries("x", [3.0] * 12)
-    assert start_middle_end(series) == (3.0, 3.0, 3.0)
+    assert start_middle_end([3.0] * 12) == (3.0, 3.0, 3.0)
 
 
 def test_start_middle_end_front_loaded():
-    series = TimeBlockSeries("x", [1.0] * 4 + [0.0] * 8)
-    assert start_middle_end(series) == (1.0, 0.0, 0.0)
+    assert start_middle_end([1.0] * 4 + [0.0] * 8) == (1.0, 0.0, 0.0)
 
 
 def test_start_middle_end_matches_windowed_mean_oracle():
     rng = np.random.default_rng(1)
     for _ in range(30):
-        values = rng.normal(size=12)
-        present = rng.random(12) < 0.8
-        blocks = [float(v) if keep else None for v, keep in zip(values, present)]
-        if not any(b is not None for b in blocks):
-            continue
-        got = start_middle_end(TimeBlockSeries("x", blocks))
+        shifts = []
+        for _ in range(int(rng.integers(1, 4))):
+            values = rng.normal(size=12)
+            present = rng.random(12) < 0.6
+            shifts.append([float(v) if keep else None for v, keep in zip(values, present)])
+        got = start_middle_end(*shifts)
         for w, window in enumerate((range(0, 4), range(4, 8), range(8, 12))):
-            vals = [blocks[b] for b in window if blocks[b] is not None]
-            expected = float(np.mean(vals)) if vals else None
-            if expected is None:
-                assert got[w] is None
+            # each shift's mean over its populated blocks, then the mean over shifts
+            means = [np.mean(vals) for blocks in shifts
+                     if (vals := [blocks[b] for b in window if blocks[b] is not None])]
+            if means:
+                assert got[w] == pytest.approx(np.mean(means))
             else:
-                assert got[w] == pytest.approx(expected)
+                assert np.isnan(got[w])
 
 
-def test_start_middle_end_all_absent_raises():
-    with pytest.raises(AllAbsent):
-        start_middle_end(TimeBlockSeries("x", [None] * 12))
+def test_start_middle_end_all_absent_shift_skipped():
+    assert start_middle_end([None] * 12, [2.0] * 12) == (2.0, 2.0, 2.0)
+    assert np.isnan(start_middle_end([None] * 12)).all()
 
 
 def test_dominant_category_majority_and_tiebreak():

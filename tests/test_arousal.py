@@ -7,18 +7,15 @@ import pytest
 
 from shifttalk.arousal import (
     UNIFORM_WEIGHTS,
-    arousal_ratios,
+    arousal_flags,
     build_neutral,
     fusion_weights,
     percentile_score,
     rate_recording,
     score_recording,
-    RatedRecording,
 )
-from shifttalk.errors import EmptyInput, EmptyPool, InsufficientData
+from shifttalk.errors import EmptyPool, InsufficientData
 from shifttalk.model import FrameBlock
-
-from conftest import D0
 
 
 def make_block(pitch, intensity, hf) -> FrameBlock:
@@ -35,10 +32,6 @@ def oracle_score(x: float, pool) -> float:
     below = sum(1 for v in pool if v < x)
     equal = sum(1 for v in pool if v == x)
     return 2.0 * ((below + 0.5 * equal) / len(pool)) - 1.0
-
-
-def rated(fused_values) -> list[RatedRecording]:
-    return [RatedRecording("p1", D0, i, (0.0, 0.0, 0.0), f) for i, f in enumerate(fused_values)]
 
 
 # --- neutral model ---
@@ -213,29 +206,36 @@ def test_rating_adds_left_to_right_on_every_python():
 
 
 def test_ratios_all_neutral():
-    assert arousal_ratios(rated([0.0, 0.0, 0.0])) == (0.0, 0.0)
+    pos, neg = arousal_flags(np.array([0.0, 0.0, 0.0]))
+    assert not pos.any() and not neg.any()
 
 
 def test_ratios_split():
-    assert arousal_ratios(rated([0.3, -0.3])) == (0.5, 0.5)
+    pos, neg = arousal_flags(np.array([0.3, -0.3]))
+    assert pos.tolist() == [True, False]
+    assert neg.tolist() == [False, True]
 
 
 def test_threshold_is_strict():
-    assert arousal_ratios(rated([0.25])) == (0.0, 0.0)
-    assert arousal_ratios(rated([-0.25])) == (0.0, 0.0)
+    pos, neg = arousal_flags(np.array([0.25, -0.25]))
+    assert not pos.any() and not neg.any()
+    pos, neg = arousal_flags(np.array([0.5, -0.5, 0.49]), threshold=0.5)
+    assert pos.tolist() == [False, False, False]
+    assert neg.tolist() == [False, False, False]
 
 
-def test_ratios_empty_raises():
-    with pytest.raises(EmptyInput):
-        arousal_ratios([])
+def test_flags_of_no_rating_are_empty():
+    pos, neg = arousal_flags(np.array([]))
+    assert len(pos) == len(neg) == 0
 
 
 def test_ratios_sum_at_most_one():
     rng = np.random.default_rng(6)
     for _ in range(30):
         values = rng.uniform(-2, 2, int(rng.integers(1, 40)))
-        pos, neg = arousal_ratios(rated(values.tolist()))
-        assert pos + neg <= 1.0 + 1e-15
+        pos, neg = arousal_flags(values)
+        assert not (pos & neg).any()  # a rating is positive, negative or neither
+        assert pos.mean() + neg.mean() <= 1.0
 
 
 def test_pitch_median_uses_voiced_frames_only():

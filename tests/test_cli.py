@@ -115,14 +115,13 @@ def test_compare_shift_factor(pipeline_dirs, tmp_path):
     _, _, out = pipeline_dirs
     comp = tmp_path / "comparisons.csv"
     assert main(["compare", str(out / "features.csv"), "--factor", "shift", "--out", str(comp)]) == 0
-    rows = reports.read_comparisons_csv(comp)
-    assert {r["stratum"] for r in rows} == {"all"}
-    names = {r["feature"] for r in rows}
+    table = reports.read_comparisons_csv(comp)
+    assert set(table.stratum) == {"all"}
+    names = table.feature.tolist()
     assert "shift_night" not in names  # the factor itself is excluded
-    by_name = {r["feature"]: r for r in rows}
-    planted = by_name["inter_session_time_mean"]
-    assert planted.get("significant")
-    assert planted["group_a_median"] < planted["group_b_median"]  # day < night
+    planted = names.index("inter_session_time_mean")
+    assert table.significant[planted]
+    assert table.group_a_median[planted] < table.group_b_median[planted]  # day < night
 
 
 def test_compare_within_shift_strata(pipeline_dirs, tmp_path):
@@ -130,8 +129,8 @@ def test_compare_within_shift_strata(pipeline_dirs, tmp_path):
     comp = tmp_path / "strata.csv"
     assert main(["compare", str(out / "features.csv"), "--factor", "unit",
                  "--within", "--out", str(comp)]) == 0
-    rows = reports.read_comparisons_csv(comp)
-    assert {r["stratum"] for r in rows} == {"day", "night"}
+    table = reports.read_comparisons_csv(comp)
+    assert set(table.stratum) == {"day", "night"}
 
 
 def test_compare_within_requires_unit_factor(pipeline_dirs, tmp_path):

@@ -90,8 +90,8 @@ def test_rssi_first_bad_row_in_file_order_raises(tmp_path):
 
 def test_each_date_text_parses_once_and_a_bad_one_raises_at_its_line(tmp_path, monkeypatch):
     calls = []
-    parse_date = ingest._parse_date
-    monkeypatch.setattr(ingest, "_parse_date", lambda text, *where: calls.append(text) or parse_date(text, *where))
+    parse_date = ingest.parse_date
+    monkeypatch.setattr(ingest, "parse_date", lambda text, *where: calls.append(text) or parse_date(text, *where))
     rows = [f"p1,2022-03-0{1 + i % 2},{i},h_ns,160" for i in range(6)]
     assert len(parse_cohort(write_dir(tmp_path, **{"rssi.csv": rows})).rssi) == 6
     # once per distinct text in rssi.csv, once each in recordings.jsonl and physiology.csv

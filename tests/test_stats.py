@@ -253,22 +253,22 @@ def test_compare_groups_flags_planted_shift():
     planted[: n // 2] += 3.0
     X = np.column_stack([null_col, planted])
     in_a = np.arange(n) < n // 2
-    rows = compare_groups(X, ["noise", "planted"], in_a)
-    by_name = {r.feature: r for r in rows}
-    assert by_name["planted"].significant
-    assert not by_name["noise"].significant
+    table = compare_groups(X, ["noise", "planted"], in_a)
+    assert table.feature.tolist() == ["noise", "planted"]
+    assert table.significant.tolist() == [False, True]
+    assert table.stratum.tolist() == ["all", "all"]
 
 
 def test_compare_groups_identical_not_flagged():
     X = np.array([[1.0], [2.0], [3.0], [1.0], [2.0], [3.0]])
-    rows = compare_groups(X, ["f"], np.array([True] * 3 + [False] * 3))
-    assert not rows[0].significant
+    table = compare_groups(X, ["f"], np.array([True] * 3 + [False] * 3))
+    assert not table.significant[0]
 
 
 def test_compare_groups_skips_nan_rows():
     X = np.array([[np.nan], [2.0], [3.0], [1.0], [2.0], [3.0]])
-    rows = compare_groups(X, ["f"], np.array([True] * 3 + [False] * 3))
-    assert rows[0].group_a_median == 2.5
+    table = compare_groups(X, ["f"], np.array([True] * 3 + [False] * 3))
+    assert table.group_a_median[0] == 2.5
 
 
 def test_compare_groups_empty_group_raises():
