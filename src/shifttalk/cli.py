@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .aggregate import LABEL_COLUMNS
 from .arousal import AROUSAL_THRESHOLD
 from .errors import DegenerateLabel, EmptyGroup, ShiftTalkError
 from .foreground import FilterKind, ForegroundFilter
@@ -76,7 +77,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     labels = {
         name: [getattr(result.cohort.profiles[pid], name) for pid in result.participant_ids]
-        for name in ("pos_affect", "neg_affect", "life_satisfaction")
+        for name in LABEL_COLUMNS
     }
     reports.write_sessions_csv(out / reports.SESSIONS_FILE, result.sessions)
     reports.write_arousal_csv(out / reports.AROUSAL_FILE, result.rated)
@@ -237,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="predict a binarized self-report label")
     p.add_argument("features", help="features.csv from extract")
-    p.add_argument("--label", choices=["pos_affect", "neg_affect", "life_satisfaction"], required=True)
+    p.add_argument("--label", choices=LABEL_COLUMNS, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--n-trees", type=int, nargs="+", default=None, help="grid override")

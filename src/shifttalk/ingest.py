@@ -46,6 +46,25 @@ own.
 rssi.csv becomes one RssiTable, checked one row at a time, so the first bad
 row in file order raises. A minute_index beyond the 64-bit integer range is
 stored as the nearest 64-bit value, so filter_shift_window still drops it.
+An integer or number cell must be written as the writers write one (model's
+_int_cell and _float_cell): no surrounding spaces, leading "+", "_"
+separators or non-ASCII digits.
+
+parse_cohort splits the parse of rssi.csv and recordings.jsonl over two
+processes when this one may run on two CPUs, can fork and runs no other
+thread, and recordings.jsonl holds at least _SPLIT_MIN_BYTES. A forked
+worker parses rssi.csv and the recordings.jsonl lines from the first line
+start at or after a byte offset that balances the two sides; this process
+parses the lines before it meanwhile, and each side runs on CPUs of its own. Both sides read lines through
+_read_recordings, which decodes each line as parse_recordings does, extends
+one list per frame column and checks about _PARSE_BATCH_FRAMES frames at
+once (value types, one float array per column, infinities and ranges); the
+recordings' FrameBlocks are views of the batch arrays. The worker sends back
+plain arrays, lists, strings and dates, never an exception, and leaves
+through os._exit. If either side refuses anything, the worker is reaped and
+the serial parse_rssi and parse_recordings, the per-line reference, run over
+both files, so each error keeps its type, file, line and message, and an
+rssi.csv error comes first. Otherwise the parse is serial.
 
 write_cohort writes recordings.jsonl in batches of about 1 << 16 frames. For
 each batch it concatenates every frame column once, refuses non-finite
@@ -63,6 +82,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
+import signal
+import threading
 from datetime import date
 from pathlib import Path
 from typing import NoReturn
@@ -84,6 +106,8 @@ from .model import (
     RssiTable,
     ShiftType,
     UnitType,
+    _float_cell,
+    _int_cell,
     csv_rows,
     parse_date,
     write_csv,
@@ -104,23 +128,23 @@ HUBS_HEADER = ["hub_id", "location_category"]
 PHYSIOLOGY_HEADER = ["participant_id", "shift_date", "walk_ratio", "sleep_hours"]
 _INT64 = np.iinfo(np.int64)
 _BATCH_ROWS = 1 << 14  # rssi rows held as Python objects at once, which bounds peak memory
+_SPLIT_MIN_BYTES = 1 << 20  # a smaller recordings.jsonl is parsed in this process alone
+_RSSI_BYTE_COST = 3  # an rssi.csv byte takes about as long to parse as this many recordings.jsonl bytes
+_PARSE_BATCH_FRAMES = 1 << 13  # frames the split parse holds as Python objects at once, which bounds peak memory
 
 
 def _parse_int(text: str, field: str, file: str, line: int) -> int:
     try:
-        return int(text)
+        return _int_cell(text)
     except ValueError:
         raise MalformedRow(file, line, f"bad integer for {field}: {text!r}") from None
 
 
 def _parse_float(text: str, field: str, file: str, line: int) -> float:
     try:
-        value = float(text)
+        return _float_cell(text)
     except ValueError:
         raise MalformedRow(file, line, f"bad number for {field}: {text!r}") from None
-    if math.isnan(value) or math.isinf(value):
-        raise MalformedRow(file, line, f"non-finite value for {field}")
-    return value
 
 
 def parse_participants(path: Path) -> dict[str, ParticipantProfile]:
@@ -174,9 +198,10 @@ def parse_rssi(
 
     Each row is checked once, in file order (a date text only until it has
     parsed once), and its values appended to the columns, which become
-    arrays every _BATCH_ROWS rows. A minute_index
-    beyond the 64-bit range is stored as the nearest 64-bit value, which
-    lies outside the shift window like the original.
+    arrays every _BATCH_ROWS rows. The id columns hold the profiles' and
+    hubs' own id strings. A minute_index beyond the 64-bit range is stored
+    as the nearest 64-bit value, which lies outside the shift window like
+    the original.
     """
     name = path.name
     parts: list[RssiTable] = []
@@ -186,9 +211,11 @@ def parse_rssi(
     clamped = 0
     for lineno, row in csv_rows(path, RssiTable.columns()):
         pid, date_raw, minute_raw, hub_id, rssi_raw = row
-        if pid not in profiles:
+        profile = profiles.get(pid)
+        if profile is None:
             raise MalformedRow(name, lineno, f"unknown participant_id {pid!r}")
-        if hub_id not in hubs:
+        hub = hubs.get(hub_id)
+        if hub is None:
             raise UnknownHub(hub_id)
         if date_raw not in good_dates:
             parse_date(date_raw, name, lineno)
@@ -198,10 +225,10 @@ def parse_rssi(
         if rssi < RSSI_MIN or rssi > RSSI_MAX:
             clamped += 1
             rssi = min(max(rssi, RSSI_MIN), RSSI_MAX)
-        pids.append(pid)
+        pids.append(profile.participant_id)  # equal to pid; one string object per participant, not per row
         dates.append(date_raw)
         minutes.append(min(max(minute, _INT64.min), _INT64.max))
-        hub_ids.append(hub_id)
+        hub_ids.append(hub.hub_id)
         values.append(rssi)
         if len(values) >= _BATCH_ROWS:
             parts.append(RssiTable(*columns))
@@ -336,10 +363,204 @@ def parse_recordings(path: Path, profiles: dict[str, ParticipantProfile]) -> lis
     return recordings
 
 
+def _read_recordings(path: Path, profiles: dict[str, ParticipantProfile], start: int, stop: float) -> list[tuple]:
+    """The recordings on the lines of recordings.jsonl that start at a byte
+    in [start, stop), in batches of about _PARSE_BATCH_FRAMES frames (see
+    _checked_batch). Raises on every line that parse_recordings refuses,
+    without naming it; start must be a line start.
+    """
+    days: dict[str, date] = {}
+    batches: list[tuple] = []
+    heads, values = _batch_lists()
+    size = 0
+    at = start  # the byte where the next raw line begins
+    with path.open("rb") as fh:
+        fh.seek(start)
+        for raw in fh:
+            if at >= stop:
+                break
+            at += len(raw)
+            text = raw.decode("utf-8")
+            # in text mode, as parse_recordings reads, a lone "\r" also ends a line
+            for line in text.replace("\r", "\n").split("\n") if "\r" in text else (text,):
+                line = line.strip()
+                if not line:
+                    continue
+                obj = _DECODER.decode(line)
+                pid, date_raw, minute, frames = (obj["participant_id"], obj["shift_date"], obj["minute_index"],
+                                                 obj["frames"])
+                if type(pid) is not str or pid not in profiles or type(minute) is not int:
+                    raise ValueError("bad participant_id or minute_index")
+                shift_date = days.get(date_raw) if type(date_raw) is str else None
+                if shift_date is None:
+                    shift_date = days[date_raw] = parse_date(date_raw, path.name, 0)
+                if type(frames) is list:
+                    frames = _columns_from_rows(frames, path.name, 0)
+                elif type(frames) is not dict:
+                    raise ValueError("bad frames")
+                columns = [frames.get(name) for name in FRAME_COLUMNS]
+                labelled = "foreground" in frames
+                if labelled:
+                    columns.append(frames["foreground"])
+                n = len(columns[0]) if type(columns[0]) is list else 0
+                if not n or any(type(column) is not list or len(column) != n for column in columns):
+                    raise ValueError("frame columns are not non-empty arrays of one length")
+                for store, column in zip(values, columns):
+                    store.extend(column)
+                for store, value in zip(heads, (pid, shift_date, minute, n, labelled)):
+                    store.append(value)
+                size += n
+                if size >= _PARSE_BATCH_FRAMES:
+                    batches.append(_checked_batch(heads, values))
+                    heads, values = _batch_lists()
+                    size = 0
+    if size:
+        batches.append(_checked_batch(heads, values))
+    return batches
+
+
+def _batch_lists() -> tuple[tuple[list, ...], tuple[list, ...]]:
+    """Empty (participant_id, shift_date, minute_index, frame count,
+    labelled) lists, one item per recording, and FRAME_COLUMNS + foreground
+    lists, one item per frame."""
+    return ([], [], [], [], []), ([], [], [], [], [])
+
+
+def _checked_batch(heads: tuple[list, ...], values: tuple[list, ...]) -> tuple:
+    """The heads, then the frame columns as arrays, after _frame_block's
+    value checks on every frame of the batch at once."""
+    for store, (allowed, _) in zip(values, _COLUMN_TYPES.values()):
+        if not set(map(type, store)) <= allowed:
+            raise ValueError("frame value of a wrong type")
+    feats = [np.array(store, dtype=float) for store in values[:4]]
+    _, _, hf_lf, fg_prob = feats
+    if any(np.isinf(column).any() for column in feats) or hf_lf.min() < 0.0 \
+            or fg_prob.min() < 0.0 or fg_prob.max() > 1.0:
+        raise ValueError("frame value out of range")
+    return (*heads, *feats, np.array(values[4], dtype=bool))
+
+
+def _recordings_of(batch: tuple) -> list[RecordingSegment]:
+    """The recordings of a batch; their frame columns are views of the batch's."""
+    pids, dates, minutes, counts, labelled, log_pitch, intensity, hf_lf, fg_prob, fg = batch
+    recordings = []
+    end = fg_end = 0
+    for pid, shift_date, minute, n, has_fg in zip(pids, dates, minutes, counts, labelled):
+        start, end = end, end + n
+        foreground = None
+        if has_fg:
+            foreground, fg_end = fg[fg_end:fg_end + n], fg_end + n
+        frames = FrameBlock(log_pitch[start:end], intensity[start:end], hf_lf[start:end], fg_prob[start:end],
+                            foreground)
+        recordings.append(RecordingSegment(pid, shift_date, minute, frames))
+    return recordings
+
+
+def _split_offset(root: Path) -> int | None:
+    """The byte of recordings.jsonl from which a forked worker parses it, or
+    None for a serial parse.
+
+    The parse is split when this process may run on two CPUs, can fork, runs
+    no other thread (a fork copies only the calling one) and the file holds
+    at least _SPLIT_MIN_BYTES. The worker also parses rssi.csv, so the
+    offset weighs each of its bytes as _RSSI_BYTE_COST recordings bytes.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return None
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    size = (root / RECORDINGS_FILE).stat().st_size
+    if cpus < 2 or size < _SPLIT_MIN_BYTES:
+        return None
+    return min(size, (size + _RSSI_BYTE_COST * (root / RSSI_FILE).stat().st_size) // 2)
+
+
+def _line_start(path: Path, offset: int) -> int:
+    """The first byte at or after offset that starts a line (or the end)."""
+    if offset <= 0:
+        return 0
+    with path.open("rb") as fh:
+        fh.seek(offset - 1)
+        return offset - 1 + len(fh.readline())
+
+
+def _pin(cpus: set[int]) -> None:
+    """Run this process on cpus only, where the platform allows that."""
+    if cpus and hasattr(os, "sched_setaffinity"):
+        try:
+            os.sched_setaffinity(0, cpus)
+        except OSError:  # a CPU this process may not use: stay as it is
+            pass
+
+
+def _parse_split(root: Path, hubs: dict[str, HubRecord], profiles: dict[str, ParticipantProfile],
+                 warnings: dict[str, int], offset: int) -> tuple[RssiTable, list[RecordingSegment]] | None:
+    """rssi.csv and recordings.jsonl, parsed by two processes.
+
+    A forked worker parses rssi.csv (parse_rssi) and the lines of
+    recordings.jsonl from the first line start at or after offset; this
+    process parses the lines before it meanwhile, pinned to one of its CPUs
+    while the worker takes the rest. Both read lines through
+    _read_recordings. The worker sends back plain arrays, lists, strings and
+    dates through a pipe and leaves through os._exit whatever happens. None
+    when either side refused anything or the worker did not return a
+    result; the worker is reaped in every case.
+    """
+    path = root / RECORDINGS_FILE
+    cut = _line_start(path, offset)
+    # Left free, the scheduler often keeps a fresh fork on its parent's CPU,
+    # where the two sides take turns; so each side gets CPUs of its own.
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+    parent_cpus = {min(cpus)} if len(cpus) > 1 else cpus
+    read, write = os.pipe()
+    _pin(parent_cpus)
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare
+        _pin(cpus)
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            _pin(cpus - parent_cpus)
+            os.close(read)
+            tail_warnings: dict[str, int] = {}
+            rssi = parse_rssi(root / RSSI_FILE, hubs, profiles, tail_warnings)
+            tail = _read_recordings(path, profiles, cut, math.inf)
+            with os.fdopen(write, "wb") as fh:
+                pickle.dump(([getattr(rssi, name) for name in rssi.columns()], tail_warnings, tail), fh,
+                            protocol=pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    result = None
+    try:
+        with os.fdopen(read, "rb") as fh:
+            head = [rec for batch in _read_recordings(path, profiles, 0, cut) for rec in _recordings_of(batch)]
+            result = pickle.load(fh)  # only this program's worker writes to the pipe
+    except Exception:  # the serial parse that follows raises it with its file and line
+        pass
+    finally:
+        _pin(cpus)
+        if result is None:
+            os.kill(pid, signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+    if result is None or os.waitstatus_to_exitcode(status) != 0:
+        return None
+    rssi_columns, tail_warnings, tail = result
+    warnings.update(tail_warnings)
+    return RssiTable(*rssi_columns), head + [rec for batch in tail for rec in _recordings_of(batch)]
+
+
 def parse_cohort(dir_path: str | Path) -> Cohort:
     """Parse the five canonical files into a validated Cohort.
 
     Row counts are cohort.counts; clamp events land in cohort.warnings.
+    rssi.csv and recordings.jsonl are parsed by two processes where
+    _split_offset allows; when that parse refuses anything, the serial
+    parse_rssi and parse_recordings run over both files and raise.
     """
     root = Path(dir_path)
     for name in CANONICAL_FILES:
@@ -348,8 +569,13 @@ def parse_cohort(dir_path: str | Path) -> Cohort:
     warnings: dict[str, int] = {}
     profiles = parse_participants(root / PARTICIPANTS_FILE)
     hubs = parse_hubs(root / HUBS_FILE)
-    rssi = parse_rssi(root / RSSI_FILE, hubs, profiles, warnings)
-    recordings = parse_recordings(root / RECORDINGS_FILE, profiles)
+    offset = _split_offset(root)
+    parsed = None if offset is None else _parse_split(root, hubs, profiles, warnings, offset)
+    if parsed is None:
+        rssi = parse_rssi(root / RSSI_FILE, hubs, profiles, warnings)
+        recordings = parse_recordings(root / RECORDINGS_FILE, profiles)
+    else:
+        rssi, recordings = parsed
     physiology = parse_physiology(root / PHYSIOLOGY_FILE, profiles)
     return Cohort(profiles, hubs, recordings, rssi, physiology, warnings)
 

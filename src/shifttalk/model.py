@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, field, fields
 from datetime import date
 from enum import Enum, IntEnum
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -146,14 +148,33 @@ def _cells(column: np.ndarray) -> list:
     return column.tolist()
 
 
-def read_columns(path: str | Path, header: Sequence[str], dtypes: Sequence) -> list[list]:
-    """The columns of a csv file under ``header``, each cell read back as
-    text_rows writes a value of its column's dtype. The first bad field in
-    file order raises MalformedRow naming file:line."""
+def read_columns(path: str | Path, header: Sequence[str], dtypes: Sequence) -> list:
+    """The columns (lists or arrays) of a csv file under ``header``, each
+    cell read back as text_rows writes a value of its column's dtype. The
+    first bad field in file order raises MalformedRow naming file:line.
+
+    The cells of all columns of one kind are read in one pass (_COLUMNS);
+    only when a pass refuses are the rows read again cell by cell (_CELLS,
+    the rule each pass follows) to name the bad field.
+    """
     path = Path(path)
-    parsers = [_CELLS[np.dtype(dtype).kind] for dtype in dtypes]
-    columns: list[list] = [[] for _ in parsers]
-    for line, row in csv_rows(path, header):
+    kinds = [np.dtype(dtype).kind for dtype in dtypes]
+    rows = list(csv_rows(path, header))
+    n = len(rows)
+    texts = list(zip(*(row for _, row in rows))) or [()] * len(kinds)
+    columns: list = [None] * len(kinds)
+    try:
+        for kind in set(kinds):
+            at = [j for j, k in enumerate(kinds) if k == kind]
+            values = _COLUMNS[kind](list(chain.from_iterable(texts[j] for j in at)))
+            for i, j in enumerate(at):
+                columns[j] = values[i * n:(i + 1) * n]
+        return columns
+    except (KeyError, ValueError):
+        pass
+    parsers = [_CELLS[kind] for kind in kinds]
+    columns = [[] for _ in parsers]
+    for line, row in rows:
         for column, parse, name, text in zip(columns, parsers, header, row):
             try:
                 column.append(parse(text))
@@ -168,25 +189,91 @@ def _date_cell(text: str) -> date:
     return date.fromisoformat(text)
 
 
+# A number cell as the writers write it: ASCII digits, an optional leading
+# "-" and, for a float, "." and an exponent. int and float alone also take
+# surrounding spaces, a leading "+", "_" separators and non-ASCII digits.
+_INT_TEXT = "-?[0-9]+"
+_FLOAT_TEXT = "-?[0-9.]+(?:[eE][-+]?[0-9]+)?"
+_INT_CELL, _FLOAT_CELL = re.compile(_INT_TEXT), re.compile(_FLOAT_TEXT)
+# cells joined by NUL, each empty or one such number; no cell that int or
+# float takes holds a NUL, so the join splits where the cells do
+_INT_COLUMN, _FLOAT_COLUMN = (re.compile(f"(?:{cell})?(?:\0(?:{cell})?)*") for cell in (_INT_TEXT, _FLOAT_TEXT))
+# the bytes those cells are made of, NUL included
+_INT_CHARS, _FLOAT_CHARS = b"-0123456789\0", b"-+.0123456789eE\0"
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+_BOOLS = {"0": False, "1": True}
+
+
 def _int_cell(text: str) -> int:
-    value = int(text)
-    if not -(1 << 63) <= value < 1 << 63:  # an int64
+    """An integer of any size, written as the writers write one."""
+    if not (text.isascii() and text.isdigit()) and not _INT_CELL.fullmatch(text):
         raise ValueError(text)
-    return value
+    return int(text)
 
 
 def _float_cell(text: str) -> float:
-    """An empty field is NaN; any other must be a finite number."""
-    if not text:
-        return math.nan
+    """A finite number, written as the writers write one."""
+    if not _FLOAT_CELL.fullmatch(text):
+        raise ValueError(text)
     value = float(text)
-    if not math.isfinite(value):
+    if math.isinf(value):
         raise ValueError(text)
     return value
 
 
+def _int64_cell(text: str) -> int:
+    value = _int_cell(text)
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise ValueError(text)
+    return value
+
+
+def _nan_or_float_cell(text: str) -> float:
+    """A table's float cell: an empty field is NaN."""
+    return _float_cell(text) if text else math.nan
+
+
 # each dtype kind's cell reader; a bad cell raises KeyError or ValueError
-_CELLS = {"O": str, "M": _date_cell, "i": _int_cell, "f": _float_cell, "b": {"0": False, "1": True}.__getitem__}
+_CELLS = {"O": str, "M": _date_cell, "i": _int64_cell, "f": _nan_or_float_cell, "b": _BOOLS.__getitem__}
+
+
+def _int64_column(texts: list[str]) -> list[int]:
+    joined = "\0".join(texts)
+    # one byte pass; the pattern only where a "-" makes the form matter
+    if joined.encode("ascii").translate(None, _INT_CHARS) or "-" in joined and not _INT_COLUMN.fullmatch(joined):
+        raise ValueError("bad integer cell")
+    values = list(map(int, texts))
+    if values and not (_INT64_MIN <= min(values) and max(values) <= _INT64_MAX):
+        raise ValueError("integer outside int64")
+    return values
+
+
+def _nan_or_float_column(texts: list[str]) -> np.ndarray:
+    joined = "\0".join(texts)
+    # one byte pass; without a "+" every cell of these bytes that float takes
+    # matches _FLOAT_TEXT, so the pattern runs only where one is present
+    if joined.encode("ascii").translate(None, _FLOAT_CHARS) or "+" in joined and not _FLOAT_COLUMN.fullmatch(joined):
+        raise ValueError("bad number cell")
+    cells = (float(t) if t else math.nan for t in texts) if "" in texts else map(float, texts)
+    values = np.fromiter(cells, np.float64, len(texts))
+    if np.isinf(values).any():
+        raise ValueError("non-finite number cell")
+    return values
+
+
+def _date_column(texts: Sequence[str]) -> np.ndarray:
+    """Each distinct text is read once; a file holds few."""
+    days = {text: code for code, text in enumerate(set(texts))}
+    values = np.array([_date_cell(text) for text in days], dtype="datetime64[D]")
+    return values[np.fromiter(map(days.__getitem__, texts), np.intp, len(texts))]
+
+
+def _bool_column(texts: Sequence[str]) -> list[bool]:
+    return list(map(_BOOLS.__getitem__, texts))
+
+
+# each dtype kind's column reader, which refuses a column iff _CELLS refuses one of its cells
+_COLUMNS = {"O": list, "M": _date_column, "i": _int64_column, "f": _nan_or_float_column, "b": _bool_column}
 
 
 class ColumnTable:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from datetime import date
 
 import numpy as np
@@ -19,6 +20,18 @@ from shifttalk.model import (
 )
 
 D0 = date(2022, 3, 1)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_unreaped():
+    """Fail a test that leaves a child process running or unreaped, such as
+    a parse worker lost on some path."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"a child process was left {'running' if pid == 0 else f'unreaped (pid {pid})'}")
 
 
 def frames(

@@ -130,6 +130,21 @@ def test_rssi_errors_name_their_line(tmp_path, monkeypatch, rows, message, batch
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("file, row, message", [
+    ("rssi.csv", "p1,2022-03-01, 5,h_ns,160", "rssi.csv:2: bad integer for minute_index: ' 5'"),
+    ("rssi.csv", "p1,2022-03-01,+5,h_ns,160", "rssi.csv:2: bad integer for minute_index: '+5'"),
+    ("rssi.csv", "p1,2022-03-01,1_0,h_ns,160", "rssi.csv:2: bad integer for minute_index: '1_0'"),
+    ("rssi.csv", "p1,2022-03-01,5,h_ns,\u0661\u0666\u0660", "rssi.csv:2: bad integer for rssi: '\u0661\u0666\u0660'"),
+    ("physiology.csv", "p1,2022-03-01,+0.4,7.0", "physiology.csv:2: bad number for walk_ratio: '+0.4'"),
+    ("physiology.csv", "p1,2022-03-01,0.4,7_0.0", "physiology.csv:2: bad number for sleep_hours: '7_0.0'"),
+    ("participants.csv", "p1,day,icu,30,25, 4.2", "participants.csv:2: bad number for life_satisfaction: ' 4.2'"),
+])
+def test_number_cells_refuse_what_the_writers_never_write(tmp_path, file, row, message):
+    with pytest.raises(MalformedRow) as err:
+        parse_cohort(write_dir(tmp_path, **{file: [row]}))
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("batch_rows", [1, 2, ingest._BATCH_ROWS])
 def test_rssi_table_columns_follow_file_order(tmp_path, monkeypatch, batch_rows):
     monkeypatch.setattr(ingest, "_BATCH_ROWS", batch_rows)
@@ -297,7 +312,7 @@ def test_recordings_reject_non_strict_values(tmp_path, layout, field, text):
     assert (err.value.file, err.value.line) == ("recordings.jsonl", 2)
 
 
-@pytest.mark.parametrize("frames", [
+BAD_FRAMES = [
     '{"log_pitch":[4.7],"intensity":[60.0],"hf_lf_ratio":[0.8]}',
     '{"log_pitch":[4.7,null],"intensity":[60.0],"hf_lf_ratio":[0.8],"foreground_prob":[0.9]}',
     '{"log_pitch":[4.7],"intensity":[60.0],"hf_lf_ratio":[0.8],"foreground_prob":[0.9],"foreground":[true,false]}',
@@ -310,7 +325,10 @@ def test_recordings_reject_non_strict_values(tmp_path, layout, field, text):
     '[{"log_pitch":4.7,"intensity":60.0,"hf_lf_ratio":0.8,"foreground_prob":0.9,"foreground":true},'
     '{"log_pitch":4.7,"intensity":60.0,"hf_lf_ratio":0.8,"foreground_prob":0.9}]',
     '"frames"',
-])
+]
+
+
+@pytest.mark.parametrize("frames", BAD_FRAMES)
 def test_recordings_reject_bad_frame_structure(tmp_path, frames):
     rows = ['{"participant_id":"p1","shift_date":"2022-03-01","minute_index":0,"frames":' + frames + "}"]
     with pytest.raises(MalformedRow):

@@ -112,3 +112,33 @@ def test_read_csv_refuses_what_write_csv_never_writes(tmp_path, table, line, mes
     with pytest.raises(MalformedRow) as err:
         cls.read_csv(path)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("table, line, message", [
+    ("sessions", "p1,2022-03-01, 1_0 ,+2,0,0,0,0", "sessions.csv:2: bad start ' 1_0 '"),
+    ("sessions", "p1,2022-03-01,10,+2,0,0,0,0", "sessions.csv:2: bad duration_min '+2'"),
+    ("sessions", "p1,2022-03-01,1_0,2,0,0,0,0", "sessions.csv:2: bad start '1_0'"),
+    ("sessions", "p1,2022-03-01,\u0663,2,0,0,0,0", "sessions.csv:2: bad start '\u0663'"),
+    ("blocks", "p1,2022-03-01,0,0, 0.5,", "blocks.csv:2: bad pos_ratio ' 0.5'"),
+    ("blocks", "p1,2022-03-01,0,0,+0.5,", "blocks.csv:2: bad pos_ratio '+0.5'"),
+    ("blocks", "p1,2022-03-01,0,0,0.2_5,", "blocks.csv:2: bad pos_ratio '0.2_5'"),
+    ("blocks", "p1,2022-03-01,0,0,0.\u0665,", "blocks.csv:2: bad pos_ratio '0.\u0665'"),
+    ("blocks", "p1,2022-03-01,0,0,0.5,1e+400", "blocks.csv:2: bad neg_ratio '1e+400'"),
+])
+def test_read_csv_refuses_number_text_that_int_and_float_take(tmp_path, table, line, message):
+    cls = type(TABLES[table])
+    path = tmp_path / f"{table}.csv"
+    path.write_text(",".join(cls.columns()) + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRow) as err:
+        cls.read_csv(path)
+    assert str(err.value) == message
+
+
+def test_read_csv_takes_every_number_form_repr_writes(tmp_path):
+    values = [0.0, -0.0, 1e-05, 2.5e+16, -1.5e-300, 1e22, 123.0, NAN]
+    table = BlockTable(["p"] * len(values), np.full(len(values), DAYS[0]), range(len(values)),
+                       [-1, 0, 2**63 - 1, -(2**63), 7, 8, 9, 10], values, values[::-1])
+    path = tmp_path / "blocks.csv"
+    table.write_csv(path)
+    assert "e+16" in path.read_text()
+    assert_same_columns(BlockTable.read_csv(path), table)
