@@ -461,7 +461,7 @@ def _split_offset(root: Path) -> int | None:
     None for a serial parse.
 
     The parse is split when this process may run on two CPUs, can fork, runs
-    no other thread (a fork copies only the calling one) and the file holds
+    no other Python thread (a fork copies only the calling one) and the file holds
     at least _SPLIT_MIN_BYTES. The worker also parses rssi.csv, so the
     offset weighs each of its bytes as _RSSI_BYTE_COST recordings bytes.
     """
