@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,24 @@ def test_worker_that_fails_is_reaped_and_the_serial_parse_runs(tmp_path, monkeyp
     assert len(forks) == 1
 
 
+def test_parent_that_refuses_does_not_wait_for_the_worker(tmp_path, monkeypatch, forks):
+    root = bad_line_files(tmp_path, 2)
+    parent, parse_rssi = os.getpid(), ingest.parse_rssi
+
+    def slow_in_the_worker(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return parse_rssi(*args)
+
+    monkeypatch.setattr(ingest, "parse_rssi", slow_in_the_worker)
+    monkeypatch.setattr(ingest, "_split_offset", lambda root: 1 << 20)  # every line in the parent's half
+    started = time.monotonic()
+    with pytest.raises(MalformedRow, match="recordings.jsonl:2:"):
+        ingest.parse_cohort(root)
+    assert time.monotonic() - started < 30  # the worker was killed, not waited for
+    assert len(forks) == 1
+
+
 def test_interrupted_parent_reaps_the_worker(tmp_path, monkeypatch, forks):
     root = bad_line_files(tmp_path, None)
     monkeypatch.setattr(ingest, "_split_offset", lambda root: 1)
@@ -247,17 +266,26 @@ def test_interrupted_parent_reaps_the_worker(tmp_path, monkeypatch, forks):
 def test_failed_fork_gives_the_serial_parse(tmp_path, monkeypatch):
     root = bad_line_files(tmp_path, None)
     want = serial(root)
+    pipes: list[int] = []
+    pipe = os.pipe
+
+    def recorded() -> tuple[int, int]:
+        fds = pipe()
+        pipes.extend(fds)
+        return fds
 
     def no_process():
         raise BlockingIOError("fork: resource temporarily unavailable")
 
+    monkeypatch.setattr(os, "pipe", recorded)
     monkeypatch.setattr(os, "fork", no_process)
     monkeypatch.setattr(ingest, "_split_offset", lambda root: 1)
     before = affinity()
-    open_fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
     assert_cohorts_equal(ingest.parse_cohort(root), want)
-    if open_fds is not None:
-        assert len(os.listdir("/proc/self/fd")) == open_fds  # the pipe was closed
+    assert len(pipes) == 2
+    for fd in pipes:  # both ends were closed
+        with pytest.raises(OSError):
+            os.fstat(fd)
     assert affinity() == before
 
 
