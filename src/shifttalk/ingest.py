@@ -50,21 +50,22 @@ An integer or number cell must be written as the writers write one (model's
 _int_cell and _float_cell): no surrounding spaces, leading "+", "_"
 separators or non-ASCII digits.
 
-parse_cohort splits the parse of rssi.csv and recordings.jsonl over two
-processes when this one may run on two CPUs, can fork and runs no other
-thread, and recordings.jsonl holds at least _SPLIT_MIN_BYTES. A forked
-worker parses rssi.csv and the recordings.jsonl lines from the first line
-start at or after a byte offset that balances the two sides; this process
-parses the lines before it meanwhile, and each side runs on CPUs of its own. Both sides read lines through
-_read_recordings, which decodes each line as parse_recordings does, extends
-one list per frame column and checks about _PARSE_BATCH_FRAMES frames at
-once (value types, one float array per column, infinities and ranges); the
-recordings' FrameBlocks are views of the batch arrays. The worker sends back
-plain arrays, lists, strings and dates, never an exception, and leaves
-through os._exit. If either side refuses anything, the worker is reaped and
-the serial parse_rssi and parse_recordings, the per-line reference, run over
-both files, so each error keeps its type, file, line and message, and an
-rssi.csv error comes first. Otherwise the parse is serial.
+parse_cohort reads recordings.jsonl through _read_recordings, which decodes
+each line as parse_recordings does, extends one list per frame column and
+checks about _PARSE_BATCH_FRAMES frames at once (value types, one float
+array per column, infinities and ranges); the recordings' FrameBlocks are
+views of the batch arrays. It splits the parse of rssi.csv and
+recordings.jsonl over two processes when this one may run on two CPUs, can
+fork and runs no other thread, and recordings.jsonl holds at least
+_SPLIT_MIN_BYTES. A forked worker parses rssi.csv and the recordings.jsonl
+lines from the first line start at or after a byte offset that balances the
+two sides; this process parses the lines before it meanwhile, each on a CPU
+of its own when there are exactly two. The worker sends back plain arrays,
+lists, strings and dates, never an exception, and leaves through os._exit.
+Otherwise both files are parsed in this process. If anything is refused,
+the worker (if any) is reaped and parse_rssi and parse_recordings, the
+per-line reference, run over both files in this process, so each error
+keeps its type, file, line and message, and an rssi.csv error comes first.
 
 write_cohort writes recordings.jsonl in batches of about 1 << 16 frames. For
 each batch it concatenates every frame column once, refuses non-finite
@@ -128,9 +129,11 @@ HUBS_HEADER = ["hub_id", "location_category"]
 PHYSIOLOGY_HEADER = ["participant_id", "shift_date", "walk_ratio", "sleep_hours"]
 _INT64 = np.iinfo(np.int64)
 _BATCH_ROWS = 1 << 14  # rssi rows held as Python objects at once, which bounds peak memory
-_SPLIT_MIN_BYTES = 1 << 20  # a smaller recordings.jsonl is parsed in this process alone
+# a smaller recordings.jsonl is parsed in this process alone: on 2 CPUs a split
+# of about 400 kB or less cost as much as it saved (fork, pipe and pickle)
+_SPLIT_MIN_BYTES = 1 << 19
 _RSSI_BYTE_COST = 3  # an rssi.csv byte takes about as long to parse as this many recordings.jsonl bytes
-_PARSE_BATCH_FRAMES = 1 << 13  # frames the split parse holds as Python objects at once, which bounds peak memory
+_PARSE_BATCH_FRAMES = 1 << 13  # frames _read_recordings holds as Python objects at once, which bounds peak memory
 
 
 def _parse_int(text: str, field: str, file: str, line: int) -> int:
@@ -498,19 +501,21 @@ def _parse_split(root: Path, hubs: dict[str, HubRecord], profiles: dict[str, Par
 
     A forked worker parses rssi.csv (parse_rssi) and the lines of
     recordings.jsonl from the first line start at or after offset; this
-    process parses the lines before it meanwhile, pinned to one of its CPUs
-    while the worker takes the rest. Both read lines through
-    _read_recordings. The worker sends back plain arrays, lists, strings and
-    dates through a pipe and leaves through os._exit whatever happens. None
-    when either side refused anything or the worker did not return a
-    result; the worker is reaped in every case.
+    process parses the lines before it meanwhile. With exactly two CPUs this
+    process is pinned to one and the worker to the other. Both read lines
+    through _read_recordings. The worker sends back plain arrays, lists,
+    strings and dates through a pipe and leaves through os._exit whatever
+    happens. None when either side refused anything or the worker did not
+    return a result; the worker is reaped in every case.
     """
     path = root / RECORDINGS_FILE
     cut = _line_start(path, offset)
-    # Left free, the scheduler often keeps a fresh fork on its parent's CPU,
-    # where the two sides take turns; so each side gets CPUs of its own.
+    # Left free on a 2-CPU machine, the scheduler often kept a fresh fork on
+    # its parent's CPU, where the two sides took turns; so there each side
+    # gets a CPU of its own. Other CPU counts were not measured and are left
+    # to the scheduler.
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
-    parent_cpus = {min(cpus)} if len(cpus) > 1 else cpus
+    parent_cpus = {min(cpus)} if len(cpus) == 2 else cpus
     read, write = os.pipe()
     _pin(parent_cpus)
     try:
@@ -554,13 +559,24 @@ def _parse_split(root: Path, hubs: dict[str, HubRecord], profiles: dict[str, Par
     return RssiTable(*rssi_columns), head + [rec for batch in tail for rec in _recordings_of(batch)]
 
 
+def _parse_recordings_here(path: Path, profiles: dict[str, ParticipantProfile]) -> list[RecordingSegment]:
+    """recordings.jsonl parsed in this process by _read_recordings; when that
+    refuses anything, parse_recordings runs over the file and raises."""
+    try:
+        batches = _read_recordings(path, profiles, 0, math.inf)
+    except Exception:  # parse_recordings raises it with its file and line
+        return parse_recordings(path, profiles)
+    return [rec for batch in batches for rec in _recordings_of(batch)]
+
+
 def parse_cohort(dir_path: str | Path) -> Cohort:
     """Parse the five canonical files into a validated Cohort.
 
     Row counts are cohort.counts; clamp events land in cohort.warnings.
     rssi.csv and recordings.jsonl are parsed by two processes where
-    _split_offset allows; when that parse refuses anything, the serial
-    parse_rssi and parse_recordings run over both files and raise.
+    _split_offset allows, else in this one (parse_rssi and
+    _parse_recordings_here); when the split refuses anything, they are
+    parsed in this process and raise.
     """
     root = Path(dir_path)
     for name in CANONICAL_FILES:
@@ -573,7 +589,7 @@ def parse_cohort(dir_path: str | Path) -> Cohort:
     parsed = None if offset is None else _parse_split(root, hubs, profiles, warnings, offset)
     if parsed is None:
         rssi = parse_rssi(root / RSSI_FILE, hubs, profiles, warnings)
-        recordings = parse_recordings(root / RECORDINGS_FILE, profiles)
+        recordings = _parse_recordings_here(root / RECORDINGS_FILE, profiles)
     else:
         rssi, recordings = parsed
     physiology = parse_physiology(root / PHYSIOLOGY_FILE, profiles)

@@ -24,7 +24,6 @@ import re
 from dataclasses import dataclass, field, fields
 from datetime import date
 from enum import Enum, IntEnum
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -153,25 +152,24 @@ def read_columns(path: str | Path, header: Sequence[str], dtypes: Sequence) -> l
     cell read back as text_rows writes a value of its column's dtype. The
     first bad field in file order raises MalformedRow naming file:line.
 
-    The cells of all columns of one kind are read in one pass (_COLUMNS);
-    only when a pass refuses are the rows read again cell by cell (_CELLS,
-    the rule each pass follows) to name the bad field.
+    Each column is read in one pass (_column); only when a pass refuses, or
+    a row has the wrong number of fields, are the rows before that read
+    again cell by cell to name the first bad field.
     """
     path = Path(path)
     kinds = [np.dtype(dtype).kind for dtype in dtypes]
-    rows = list(csv_rows(path, header))
-    n = len(rows)
-    texts = list(zip(*(row for _, row in rows))) or [()] * len(kinds)
-    columns: list = [None] * len(kinds)
+    rows: list = []
+    refused = None
     try:
-        for kind in set(kinds):
-            at = [j for j, k in enumerate(kinds) if k == kind]
-            values = _COLUMNS[kind](list(chain.from_iterable(texts[j] for j in at)))
-            for i, j in enumerate(at):
-                columns[j] = values[i * n:(i + 1) * n]
-        return columns
-    except (KeyError, ValueError):
-        pass
+        rows.extend(csv_rows(path, header))
+    except MalformedRow as exc:  # a bad cell on an earlier line comes first
+        refused = exc
+    if refused is None:
+        texts = list(zip(*(row for _, row in rows))) or [()] * len(kinds)
+        try:
+            return [_column(kind, column) for kind, column in zip(kinds, texts)]
+        except (KeyError, ValueError):
+            pass
     parsers = [_CELLS[kind] for kind in kinds]
     columns = [[] for _ in parsers]
     for line, row in rows:
@@ -180,6 +178,8 @@ def read_columns(path: str | Path, header: Sequence[str], dtypes: Sequence) -> l
                 column.append(parse(text))
             except (KeyError, ValueError):
                 raise MalformedRow(path.name, line, f"bad {name} {text!r}") from None
+    if refused is not None:
+        raise refused
     return columns
 
 
@@ -192,14 +192,7 @@ def _date_cell(text: str) -> date:
 # A number cell as the writers write it: ASCII digits, an optional leading
 # "-" and, for a float, "." and an exponent. int and float alone also take
 # surrounding spaces, a leading "+", "_" separators and non-ASCII digits.
-_INT_TEXT = "-?[0-9]+"
-_FLOAT_TEXT = "-?[0-9.]+(?:[eE][-+]?[0-9]+)?"
-_INT_CELL, _FLOAT_CELL = re.compile(_INT_TEXT), re.compile(_FLOAT_TEXT)
-# cells joined by NUL, each empty or one such number; no cell that int or
-# float takes holds a NUL, so the join splits where the cells do
-_INT_COLUMN, _FLOAT_COLUMN = (re.compile(f"(?:{cell})?(?:\0(?:{cell})?)*") for cell in (_INT_TEXT, _FLOAT_TEXT))
-# the bytes those cells are made of, NUL included
-_INT_CHARS, _FLOAT_CHARS = b"-0123456789\0", b"-+.0123456789eE\0"
+_INT_CELL, _FLOAT_CELL = re.compile("-?[0-9]+"), re.compile("-?[0-9.]+(?:[eE][-+]?[0-9]+)?")
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 _BOOLS = {"0": False, "1": True}
 
@@ -237,43 +230,29 @@ def _nan_or_float_cell(text: str) -> float:
 _CELLS = {"O": str, "M": _date_cell, "i": _int64_cell, "f": _nan_or_float_cell, "b": _BOOLS.__getitem__}
 
 
-def _int64_column(texts: list[str]) -> list[int]:
-    joined = "\0".join(texts)
-    # one byte pass; the pattern only where a "-" makes the form matter
-    if joined.encode("ascii").translate(None, _INT_CHARS) or "-" in joined and not _INT_COLUMN.fullmatch(joined):
-        raise ValueError("bad integer cell")
-    values = list(map(int, texts))
-    if values and not (_INT64_MIN <= min(values) and max(values) <= _INT64_MAX):
-        raise ValueError("integer outside int64")
-    return values
-
-
-def _nan_or_float_column(texts: list[str]) -> np.ndarray:
-    joined = "\0".join(texts)
-    # one byte pass; without a "+" every cell of these bytes that float takes
-    # matches _FLOAT_TEXT, so the pattern runs only where one is present
-    if joined.encode("ascii").translate(None, _FLOAT_CHARS) or "+" in joined and not _FLOAT_COLUMN.fullmatch(joined):
-        raise ValueError("bad number cell")
-    cells = (float(t) if t else math.nan for t in texts) if "" in texts else map(float, texts)
-    values = np.fromiter(cells, np.float64, len(texts))
-    if np.isinf(values).any():
-        raise ValueError("non-finite number cell")
-    return values
-
-
-def _date_column(texts: Sequence[str]) -> np.ndarray:
-    """Each distinct text is read once; a file holds few."""
-    days = {text: code for code, text in enumerate(set(texts))}
-    values = np.array([_date_cell(text) for text in days], dtype="datetime64[D]")
-    return values[np.fromiter(map(days.__getitem__, texts), np.intp, len(texts))]
-
-
-def _bool_column(texts: Sequence[str]) -> list[bool]:
-    return list(map(_BOOLS.__getitem__, texts))
-
-
-# each dtype kind's column reader, which refuses a column iff _CELLS refuses one of its cells
-_COLUMNS = {"O": list, "M": _date_column, "i": _int64_column, "f": _nan_or_float_column, "b": _bool_column}
+def _column(kind: str, texts: Sequence[str]):
+    """A column of one dtype kind, each cell read as _CELLS[kind] reads it;
+    a number column maps the cell's pattern and conversion over its cells."""
+    if kind == "M":  # each distinct text is read once; a file holds few
+        days = {text: code for code, text in enumerate(set(texts))}
+        values = np.array([_date_cell(text) for text in days], dtype="datetime64[D]")
+        return values[np.fromiter(map(days.__getitem__, texts), np.intp, len(texts))]
+    if kind == "i":
+        if not all(map(_INT_CELL.fullmatch, texts)):
+            raise ValueError("bad integer cell")
+        values = list(map(int, texts))
+        if values and not (_INT64_MIN <= min(values) and max(values) <= _INT64_MAX):
+            raise ValueError("integer outside int64")
+        return values
+    if kind == "f":
+        if not all(map(_FLOAT_CELL.fullmatch, filter(None, texts))):
+            raise ValueError("bad number cell")
+        cells = map(float, texts) if all(texts) else (float(t) if t else math.nan for t in texts)
+        values = np.fromiter(cells, np.float64, len(texts))
+        if np.isinf(values).any():
+            raise ValueError("non-finite number cell")
+        return values
+    return list(map(_CELLS[kind], texts))
 
 
 class ColumnTable:

@@ -314,6 +314,33 @@ def test_serial_parse_where_a_split_cannot_help(tmp_path, monkeypatch, forks, wh
     assert not thread.is_alive()
 
 
+@pytest.mark.parametrize("cpus, parent_cpus", [({0, 1}, [{0}, {0, 1}]), ({0, 1, 2, 3}, [{0, 1, 2, 3}] * 2)])
+def test_split_pins_the_two_sides_only_on_two_cpus(tmp_path, monkeypatch, forks, cpus, parent_cpus):
+    root = bad_line_files(tmp_path, None)
+    pins: list[set[int]] = []  # the parent's; the worker's are made in its own memory
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pins.append(set(cpus)), raising=False)
+    monkeypatch.setattr(ingest, "_split_offset", lambda root: 1)
+    assert_cohorts_equal(ingest.parse_cohort(root), serial(root))
+    assert len(forks) == 1
+    assert pins == parent_cpus
+
+
+def test_unsplit_parse_reads_recordings_in_batches(tmp_path, monkeypatch):
+    from shifttalk.simulate import CohortSpec, generate
+
+    generate(CohortSpec(n_per_cell=1, n_shifts=2, frames_per_recording=12, seed=3), tmp_path)
+    profiles = ingest.parse_participants(tmp_path / ingest.PARTICIPANTS_FILE)
+    want = ingest.parse_recordings(tmp_path / ingest.RECORDINGS_FILE, profiles)
+
+    def unused(*args):
+        raise AssertionError("the per-line parse ran on a file that the batched reader takes")
+
+    monkeypatch.setattr(ingest, "_split_offset", lambda root: None)
+    monkeypatch.setattr(ingest, "parse_recordings", unused)
+    assert_same_recordings(ingest.parse_cohort(tmp_path).recordings, want)
+
+
 def test_line_start_is_after_the_first_newline_at_or_after_the_offset(tmp_path):
     path = tmp_path / "lines"
     path.write_bytes(b"ab\ncd\r\nef\rgh\n")  # a lone "\r" ends a line but is never a cut

@@ -88,6 +88,11 @@ def test_features_pair_round_trip(tmp_path):
      "sessions.csv:3: bad shift_date '2022-3-1'"),
     (lambda lines: lines[:1] + [lines[1].replace(",0,1,", ",1.0,1,", 1)] + lines[2:],
      "sessions.csv:2: bad start '1.0'"),
+    # the first bad line in file order raises, whether it holds a bad cell or a wrong field count
+    (lambda lines: [lines[0], lines[1].replace(",0,1,", ",x,1,", 1), lines[2], lines[3] + ",7"],
+     "sessions.csv:2: bad start 'x'"),
+    (lambda lines: [lines[0], lines[1] + ",7", lines[2], lines[3].replace(",5,3,", ",5,x,")],
+     "sessions.csv:2: expected 8 fields, got 9"),
 ])
 def test_read_csv_names_file_and_line(tmp_path, edit, message):
     path = tmp_path / "sessions.csv"
