@@ -12,6 +12,7 @@ from .model import (
     LocationCategory,
     ParticipantProfile,
     RecordingSegment,
+    RecordingTable,
     RssiTable,
     ShiftType,
     UnitType,
@@ -26,6 +27,7 @@ __all__ = [
     "LocationCategory",
     "ParticipantProfile",
     "RecordingSegment",
+    "RecordingTable",
     "RssiTable",
     "ShiftType",
     "UnitType",

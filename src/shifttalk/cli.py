@@ -42,10 +42,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spec = load_spec(spec_path)
     if args.seed is not None:
         spec.seed = args.seed
-    truth = generate(spec, args.out)
-    n_rec = sum(1 for _ in (Path(args.out) / "recordings.jsonl").open())
+    cohort, truth = generate(spec, args.out)
     print(f"simulated cohort: {len(truth.participants)} participants, "
-          f"{spec.n_shifts} shifts each, {n_rec} recordings -> {args.out}")
+          f"{spec.n_shifts} shifts each, {len(cohort.recordings)} recordings -> {args.out}")
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import FrameBlock, RecordingSegment
+from .model import FrameBlock, RecordingSegment, RecordingTable
 
 MIN_FOREGROUND_FRAMES = 200  # ~10% of a 20 s capture at 10 ms hop
 
@@ -43,19 +43,14 @@ class ForegroundFilter:
         return by_threshold
 
 
-def cohort_mask(blocks: list[FrameBlock], f: ForegroundFilter) -> np.ndarray:
-    """Keep-mask over the frames of all blocks laid end to end.
-
-    Applies ``f.mask``'s rule block by block in a few whole-array steps:
-    under EXTERNAL_SCORES, a block's own labels where it carries them and
-    the threshold elsewhere.
-    """
-    keep = np.concatenate([b.foreground_prob for b in blocks]) >= f.threshold
-    if f.kind is FilterKind.EXTERNAL_SCORES:
-        labels = [b.foreground for b in blocks if b.foreground is not None]
-        if labels:
-            labeled = np.array([b.foreground is not None for b in blocks])
-            keep[np.repeat(labeled, [len(b) for b in blocks])] = np.concatenate(labels)
+def cohort_mask(recordings: RecordingTable, frames: FrameBlock, f: ForegroundFilter) -> np.ndarray:
+    """Keep-mask over a cohort's frames (``frames``, end to end for the rows
+    of ``recordings``): ``f.mask``'s rule for every recording at once, so
+    under EXTERNAL_SCORES a labelled recording keeps its own labels."""
+    keep = frames.foreground_prob >= f.threshold
+    if f.kind is FilterKind.EXTERNAL_SCORES and recordings.labelled.any():
+        labelled = np.repeat(recordings.labelled, recordings.n_frames)
+        keep[labelled] = frames.foreground[labelled]
     return keep
 
 

@@ -44,38 +44,29 @@ write_csv, parse_date, ColumnTable.write_csv); the checks above are ingest's
 own.
 
 rssi.csv becomes one RssiTable, checked one row at a time, so the first bad
-row in file order raises. A minute_index beyond the 64-bit integer range is
-stored as the nearest 64-bit value, so filter_shift_window still drops it.
+row in file order raises. recordings.jsonl becomes one RecordingTable, a row
+per recording, and one FrameBlock holding every recording's frames end to
+end. In either file a minute_index beyond the 64-bit integer range is stored
+as the nearest 64-bit value, so filter_shift_window still drops it.
 An integer or number cell must be written as the writers write one (model's
 _int_cell and _float_cell): no surrounding spaces, leading "+", "_"
 separators or non-ASCII digits.
 
-parse_cohort reads recordings.jsonl through _read_recordings, which decodes
-each line as parse_recordings does, extends one list per frame column and
-checks about _PARSE_BATCH_FRAMES frames at once (value types, one float
-array per column, infinities and ranges); the recordings' FrameBlocks are
-views of the batch arrays. It splits the parse of rssi.csv and
-recordings.jsonl over two processes when this one may run on two CPUs, can
-fork and runs no other thread, and recordings.jsonl holds at least
-_SPLIT_MIN_BYTES. A forked worker parses rssi.csv and the recordings.jsonl
-lines from the first line start at or after a byte offset that balances the
-two sides; this process parses the lines before it meanwhile, each on a CPU
-of its own when there are exactly two. The worker sends back plain arrays,
-lists, strings and dates, never an exception, and leaves through os._exit.
-Otherwise both files are parsed in this process. If anything is refused,
-the worker (if any) is reaped and parse_rssi and parse_recordings, the
-per-line reference, run over both files in this process, so each error
-keeps its type, file, line and message, and an rssi.csv error comes first.
+parse_cohort reads recordings.jsonl in batches (_read_recordings), each
+checked at once into a part of the recording table and its frame columns;
+the parts are joined once. Where _split_offset allows, a forked worker
+parses rssi.csv and the tail of recordings.jsonl while this process parses
+the head (_parse_split). If anything is refused, parse_rssi and
+parse_recordings, the per-line reference, run over both files in this
+process, so each error keeps its type, file, line and message, and an
+rssi.csv error comes first.
 
-write_cohort writes recordings.jsonl in batches of about 1 << 16 frames. For
-each batch it concatenates every frame column once, refuses non-finite
-values (naming the first recording that holds one) and renders the column's
-text in one array pass: a value on the 1e-4 grid (k = rint(|v| * 1e4) with
-k / 1e4 == |v|, and |v| < 1e11) has repr(v) equal to k's fixed-point text
-with trailing fraction zeros cut, which digit tables give without a repr
-call. A batch column with any value off that grid is written with one repr
-per value, so the bytes are always those of json.dumps; _recording_json is
-that per-value reference. The simulator rounds every frame value to the grid.
+write_cohort writes recordings.jsonl in batches sliced from the cohort's
+frame columns. It refuses non-finite values (naming the first recording
+that holds one) and builds a column's text in one array pass where every
+value lies on the 1e-4 grid (_grid_text), else with one repr per value, so
+the bytes are always those of json.dumps; _recording_json is that
+per-value reference. The simulator rounds every frame value to the grid.
 """
 
 from __future__ import annotations
@@ -86,6 +77,8 @@ import os
 import pickle
 import signal
 import threading
+from collections import Counter
+from dataclasses import replace
 from datetime import date
 from pathlib import Path
 from typing import NoReturn
@@ -98,18 +91,22 @@ from .model import (
     RSSI_MIN,
     SHIFT_MINUTES,
     Cohort,
+    FRAME_FIELDS,
     DailyPhysiology,
     FrameBlock,
     HubCategory,
     HubRecord,
     ParticipantProfile,
     RecordingSegment,
+    RecordingTable,
     RssiTable,
     ShiftType,
     UnitType,
     _float_cell,
     _int_cell,
     csv_rows,
+    join_recordings,
+    paged,
     parse_date,
     write_csv,
 )
@@ -368,13 +365,14 @@ def parse_recordings(path: Path, profiles: dict[str, ParticipantProfile]) -> lis
 
 def _read_recordings(path: Path, profiles: dict[str, ParticipantProfile], start: int, stop: float) -> list[tuple]:
     """The recordings on the lines of recordings.jsonl that start at a byte
-    in [start, stop), in batches of about _PARSE_BATCH_FRAMES frames (see
-    _checked_batch). Raises on every line that parse_recordings refuses,
-    without naming it; start must be a line start.
+    in [start, stop), as join_recordings parts of about _PARSE_BATCH_FRAMES
+    frames (see _checked_batch). Raises on every line that parse_recordings
+    refuses, without naming it; start must be a line start.
     """
-    days: dict[str, date] = {}
+    days: dict[str, np.datetime64] = {}
     batches: list[tuple] = []
-    heads, values = _batch_lists()
+    # RecordingTable columns, an item per recording; FRAME_COLUMNS + foreground, an item per frame
+    heads, values = tuple([] for _ in range(5)), tuple([] for _ in range(5))
     size = 0
     at = start  # the byte where the next raw line begins
     with path.open("rb") as fh:
@@ -392,11 +390,12 @@ def _read_recordings(path: Path, profiles: dict[str, ParticipantProfile], start:
                 obj = _DECODER.decode(line)
                 pid, date_raw, minute, frames = (obj["participant_id"], obj["shift_date"], obj["minute_index"],
                                                  obj["frames"])
-                if type(pid) is not str or pid not in profiles or type(minute) is not int:
+                profile = profiles.get(pid) if type(pid) is str else None
+                if profile is None or type(minute) is not int:
                     raise ValueError("bad participant_id or minute_index")
                 shift_date = days.get(date_raw) if type(date_raw) is str else None
                 if shift_date is None:
-                    shift_date = days[date_raw] = parse_date(date_raw, path.name, 0)
+                    shift_date = days[date_raw] = np.datetime64(parse_date(date_raw, path.name, 0), "D")
                 if type(frames) is list:
                     frames = _columns_from_rows(frames, path.name, 0)
                 elif type(frames) is not dict:
@@ -410,53 +409,36 @@ def _read_recordings(path: Path, profiles: dict[str, ParticipantProfile], start:
                     raise ValueError("frame columns are not non-empty arrays of one length")
                 for store, column in zip(values, columns):
                     store.extend(column)
-                for store, value in zip(heads, (pid, shift_date, minute, n, labelled)):
+                # the profile's own id string, one object per participant as in parse_rssi
+                for store, value in zip(heads, (profile.participant_id, shift_date,
+                                                min(max(minute, _INT64.min), _INT64.max), n, labelled)):
                     store.append(value)
                 size += n
                 if size >= _PARSE_BATCH_FRAMES:
                     batches.append(_checked_batch(heads, values))
-                    heads, values = _batch_lists()
+                    for store in heads + values:
+                        store.clear()
                     size = 0
     if size:
         batches.append(_checked_batch(heads, values))
     return batches
 
 
-def _batch_lists() -> tuple[tuple[list, ...], tuple[list, ...]]:
-    """Empty (participant_id, shift_date, minute_index, frame count,
-    labelled) lists, one item per recording, and FRAME_COLUMNS + foreground
-    lists, one item per frame."""
-    return ([], [], [], [], []), ([], [], [], [], [])
-
-
-def _checked_batch(heads: tuple[list, ...], values: tuple[list, ...]) -> tuple:
-    """The heads, then the frame columns as arrays, after _frame_block's
-    value checks on every frame of the batch at once."""
+def _checked_batch(heads: tuple[list, ...], values: tuple[list, ...]) -> tuple[RecordingTable, dict]:
+    """The batch as a join_recordings part, after _frame_block's value checks
+    on every frame of the batch at once."""
     for store, (allowed, _) in zip(values, _COLUMN_TYPES.values()):
         if not set(map(type, store)) <= allowed:
             raise ValueError("frame value of a wrong type")
-    feats = [np.array(store, dtype=float) for store in values[:4]]
+    feats = [paged(store) for store in values[:4]]
     _, _, hf_lf, fg_prob = feats
     if any(np.isinf(column).any() for column in feats) or hf_lf.min() < 0.0 \
             or fg_prob.min() < 0.0 or fg_prob.max() > 1.0:
         raise ValueError("frame value out of range")
-    return (*heads, *feats, np.array(values[4], dtype=bool))
-
-
-def _recordings_of(batch: tuple) -> list[RecordingSegment]:
-    """The recordings of a batch; their frame columns are views of the batch's."""
-    pids, dates, minutes, counts, labelled, log_pitch, intensity, hf_lf, fg_prob, fg = batch
-    recordings = []
-    end = fg_end = 0
-    for pid, shift_date, minute, n, has_fg in zip(pids, dates, minutes, counts, labelled):
-        start, end = end, end + n
-        foreground = None
-        if has_fg:
-            foreground, fg_end = fg[fg_end:fg_end + n], fg_end + n
-        frames = FrameBlock(log_pitch[start:end], intensity[start:end], hf_lf[start:end], fg_prob[start:end],
-                            foreground)
-        recordings.append(RecordingSegment(pid, shift_date, minute, frames))
-    return recordings
+    table = RecordingTable(*heads)
+    foreground = paged(np.zeros(len(fg_prob), bool), bool)
+    foreground[np.repeat(table.labelled, table.n_frames)] = values[4]
+    return table, dict(zip(FRAME_FIELDS, (*feats, foreground)))
 
 
 def _split_offset(root: Path) -> int | None:
@@ -496,15 +478,16 @@ def _pin(cpus: set[int]) -> None:
 
 
 def _parse_split(root: Path, hubs: dict[str, HubRecord], profiles: dict[str, ParticipantProfile],
-                 warnings: dict[str, int], offset: int) -> tuple[RssiTable, list[RecordingSegment]] | None:
+                 warnings: dict[str, int], offset: int) -> tuple[RssiTable, list[tuple]] | None:
     """rssi.csv and recordings.jsonl, parsed by two processes.
 
     A forked worker parses rssi.csv (parse_rssi) and the lines of
     recordings.jsonl from the first line start at or after offset; this
     process parses the lines before it meanwhile. With exactly two CPUs this
     process is pinned to one and the worker to the other. Both read lines
-    through _read_recordings. The worker sends back plain arrays, lists,
-    strings and dates through a pipe and leaves through os._exit whatever
+    through _read_recordings; the result is the RSSI table and both sides'
+    join_recordings parts, in file order. The worker sends back tables,
+    arrays and strings through a pipe and leaves through os._exit whatever
     happens. None when either side refused anything or the worker did not
     return a result; the worker is reaped in every case.
     """
@@ -534,8 +517,7 @@ def _parse_split(root: Path, hubs: dict[str, HubRecord], profiles: dict[str, Par
             rssi = parse_rssi(root / RSSI_FILE, hubs, profiles, tail_warnings)
             tail = _read_recordings(path, profiles, cut, math.inf)
             with os.fdopen(write, "wb") as fh:
-                pickle.dump(([getattr(rssi, name) for name in rssi.columns()], tail_warnings, tail), fh,
-                            protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump((rssi, tail_warnings, tail), fh, protocol=pickle.HIGHEST_PROTOCOL)
             code = 0
         finally:
             os._exit(code)
@@ -543,7 +525,7 @@ def _parse_split(root: Path, hubs: dict[str, HubRecord], profiles: dict[str, Par
     result = None
     try:
         with os.fdopen(read, "rb") as fh:
-            head = [rec for batch in _read_recordings(path, profiles, 0, cut) for rec in _recordings_of(batch)]
+            head = _read_recordings(path, profiles, 0, cut)
             result = pickle.load(fh)  # only this program's worker writes to the pipe
     except Exception:  # the serial parse that follows raises it with its file and line
         pass
@@ -554,19 +536,9 @@ def _parse_split(root: Path, hubs: dict[str, HubRecord], profiles: dict[str, Par
         _, status = os.waitpid(pid, 0)
     if result is None or os.waitstatus_to_exitcode(status) != 0:
         return None
-    rssi_columns, tail_warnings, tail = result
+    rssi, tail_warnings, tail = result
     warnings.update(tail_warnings)
-    return RssiTable(*rssi_columns), head + [rec for batch in tail for rec in _recordings_of(batch)]
-
-
-def _parse_recordings_here(path: Path, profiles: dict[str, ParticipantProfile]) -> list[RecordingSegment]:
-    """recordings.jsonl parsed in this process by _read_recordings; when that
-    refuses anything, parse_recordings runs over the file and raises."""
-    try:
-        batches = _read_recordings(path, profiles, 0, math.inf)
-    except Exception:  # parse_recordings raises it with its file and line
-        return parse_recordings(path, profiles)
-    return [rec for batch in batches for rec in _recordings_of(batch)]
+    return rssi, head + tail
 
 
 def parse_cohort(dir_path: str | Path) -> Cohort:
@@ -574,9 +546,8 @@ def parse_cohort(dir_path: str | Path) -> Cohort:
 
     Row counts are cohort.counts; clamp events land in cohort.warnings.
     rssi.csv and recordings.jsonl are parsed by two processes where
-    _split_offset allows, else in this one (parse_rssi and
-    _parse_recordings_here); when the split refuses anything, they are
-    parsed in this process and raise.
+    _split_offset allows, else in this one, and the recordings' parts are
+    joined once. parse_recordings runs only to name what is refused.
     """
     root = Path(dir_path)
     for name in CANONICAL_FILES:
@@ -589,11 +560,15 @@ def parse_cohort(dir_path: str | Path) -> Cohort:
     parsed = None if offset is None else _parse_split(root, hubs, profiles, warnings, offset)
     if parsed is None:
         rssi = parse_rssi(root / RSSI_FILE, hubs, profiles, warnings)
-        recordings = _parse_recordings_here(root / RECORDINGS_FILE, profiles)
-    else:
-        rssi, recordings = parsed
+        try:
+            parsed = rssi, _read_recordings(root / RECORDINGS_FILE, profiles, 0, math.inf)
+        except Exception:
+            parse_recordings(root / RECORDINGS_FILE, profiles)
+            raise
+    rssi, parts = parsed
+    recordings, frames = join_recordings(parts)
     physiology = parse_physiology(root / PHYSIOLOGY_FILE, profiles)
-    return Cohort(profiles, hubs, recordings, rssi, physiology, warnings)
+    return Cohort(profiles, hubs, recordings, frames, rssi, physiology, warnings)
 
 
 # --- writers (shared by the simulator and round-trip tests) ---
@@ -655,16 +630,10 @@ def write_cohort(cohort: Cohort, dir_path: str | Path) -> None:
                   ((hub_id, h.location_category.value) for hub_id, h in sorted(cohort.hubs.items())))
         cohort.rssi.write_csv(temporary[RSSI_FILE])
         with temporary[RECORDINGS_FILE].open("wb") as fh:
-            batch: list[RecordingSegment] = []
-            size = 0
-            for r in cohort.recordings:
-                batch.append(r)
-                size += len(r.frames)
-                if size >= _BATCH_FRAMES:
-                    fh.write(_batch_lines(batch))
-                    batch, size = [], 0
-            if batch:
-                fh.write(_batch_lines(batch))
+            offsets = np.concatenate(([0], np.cumsum(cohort.recordings.n_frames)))  # each recording's first frame
+            starts = np.flatnonzero(np.diff(offsets[:-1] // _BATCH_FRAMES, prepend=-1)).tolist()
+            for lo, hi in zip(starts, starts[1:] + [len(cohort.recordings)]):
+                fh.write(_batch_lines(cohort.recordings, cohort.frames, offsets, lo, hi))
         write_csv(temporary[PHYSIOLOGY_FILE], PHYSIOLOGY_HEADER, (
             (d.participant_id, d.shift_date.isoformat(), float(d.walk_ratio), float(d.sleep_hours))
             for d in cohort.physiology))
@@ -734,37 +703,39 @@ def _column_spans(values: np.ndarray, offsets: np.ndarray) -> list:
     return [view[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
 
 
-def _batch_lines(batch: list[RecordingSegment]) -> bytes:
-    """The recordings.jsonl lines of a batch of recordings, one pass per frame column.
+def _batch_lines(recordings: RecordingTable, frames: FrameBlock, offsets: np.ndarray, lo: int, hi: int) -> bytes:
+    """The recordings.jsonl lines of recordings lo..hi-1, one pass per frame column.
 
-    Same bytes as joining _recording_json over the batch. A value JSON
-    cannot carry (an infinite pitch, or a non-finite value in any other
-    column) raises ValueError naming the first recording that holds one.
+    offsets[i] is recording i's first frame in frames. Same bytes as joining
+    _recording_json over those recordings. A value JSON cannot carry (an
+    infinite pitch, or a non-finite value in any other column) raises
+    ValueError naming the first recording that holds one.
     """
-    blocks = [r.frames for r in batch]
-    offsets = np.zeros(len(batch) + 1, np.int64)
-    np.cumsum([len(b) for b in blocks], out=offsets[1:])
-    # float64 whatever the blocks hold: repr writes a float32 value widened exactly
-    columns = [np.concatenate([getattr(b, name) for b in blocks], dtype=np.float64) for name in FRAME_COLUMNS]
+    first, last = offsets[lo], offsets[hi]
+    bounds = offsets[lo:hi + 1] - first
+    # float64 whatever the frames hold: repr writes a float32 value widened exactly
+    columns = [getattr(frames, name)[first:last].astype(np.float64, copy=False) for name in FRAME_COLUMNS]
     bad = np.isinf(columns[0])
     for values in columns[1:]:
         bad |= ~np.isfinite(values)
+    days = np.datetime_as_string(recordings.shift_date[lo:hi]).tolist()
+    pids, minutes = recordings.participant_id[lo:hi].tolist(), recordings.minute_index[lo:hi].tolist()
     if bad.any():
-        raise _non_finite(batch[int(np.searchsorted(offsets, np.argmax(bad), side="right")) - 1])
-    spans = [_column_spans(values, offsets) for values in columns]
+        i = int(np.searchsorted(bounds, np.argmax(bad), side="right")) - 1
+        raise _non_finite(pids[i], days[i], minutes[i])
+    spans = [_column_spans(values, bounds) for values in columns]
     keys = [f'"{name}":['.encode() for name in FRAME_COLUMNS]
-    heads: dict[tuple[str, date], bytes] = {}
+    heads: dict[tuple[str, str], bytes] = {}
     parts: list = []
-    for i, rec in enumerate(batch):
-        key = (rec.participant_id, rec.shift_date)
-        head = heads.get(key)
+    for i, (pid, day, minute, labelled) in enumerate(zip(pids, days, minutes, recordings.labelled[lo:hi].tolist())):
+        head = heads.get((pid, day))
         if head is None:
-            head = heads[key] = (f'{{"participant_id":{json.dumps(rec.participant_id)},'
-                                 f'"shift_date":"{rec.shift_date.isoformat()}","minute_index":').encode()
-        parts += (head, b"%d" % rec.minute_index, b',"frames":{', keys[0], spans[0][i], b"],",
+            head = heads[pid, day] = (f'{{"participant_id":{json.dumps(pid)},'
+                                      f'"shift_date":"{day}","minute_index":').encode()
+        parts += (head, b"%d" % minute, b',"frames":{', keys[0], spans[0][i], b"],",
                   keys[1], spans[1][i], b"],", keys[2], spans[2][i], b"],", keys[3], spans[3][i], b"]")
-        if rec.frames.foreground is not None:
-            parts.append(_foreground_json(rec.frames.foreground).encode())
+        if labelled:
+            parts.append(_foreground_json(frames.foreground[first + bounds[i]:first + bounds[i + 1]]).encode())
         parts.append(b"}}\n")
     return b"".join(parts)
 
@@ -777,11 +748,8 @@ def _foreground_json(labels: np.ndarray) -> str:
     return ',"foreground":[' + ",".join("true" if x else "false" for x in labels.tolist()) + "]"
 
 
-def _non_finite(rec: RecordingSegment) -> ValueError:
-    return ValueError(
-        f"non-finite frame value in recording {rec.participant_id} "
-        f"{rec.shift_date.isoformat()} minute {rec.minute_index}"
-    )
+def _non_finite(participant_id: str, shift_date: str, minute_index: int) -> ValueError:
+    return ValueError(f"non-finite frame value in recording {participant_id} {shift_date} minute {minute_index}")
 
 
 def _recording_json(rec: RecordingSegment) -> str:
@@ -797,7 +765,7 @@ def _recording_json(rec: RecordingSegment) -> str:
     intensity, hf_lf, prob = (_json_floats(c) for c in (fb.intensity, fb.hf_lf_ratio, fb.foreground_prob))
     # a finite float's repr has no "n"; "nan", "inf" and "-inf" do
     if "inf" in pitch or "n" in intensity or "n" in hf_lf or "n" in prob:
-        raise _non_finite(rec)
+        raise _non_finite(rec.participant_id, rec.shift_date.isoformat(), rec.minute_index)
     fg = "" if fb.foreground is None else _foreground_json(fb.foreground)
     head = json.dumps(rec.participant_id)
     return (
@@ -811,47 +779,43 @@ def _recording_json(rec: RecordingSegment) -> str:
 # --- cohort filters ---
 
 
-def filter_shift_window(
-    recordings: list[RecordingSegment],
-    rssi: RssiTable,
-) -> tuple[list[RecordingSegment], RssiTable, dict[str, int]]:
+def filter_shift_window(cohort: Cohort) -> tuple[Cohort, dict[str, int]]:
     """Keep only events inside the 12-hour shift window [0, 720).
 
     minute_index 0 is the shift start for both day and night schedules. The
-    returned dict counts the dropped events; drops are never fatal. An RSSI
-    table that loses no row is returned as it is, not copied.
+    returned dict counts the dropped events; drops are never fatal.
     """
-    kept_rec = [r for r in recordings if 0 <= r.minute_index < SHIFT_MINUTES]
-    kept_rssi = _select(rssi, (rssi.minute_index >= 0) & (rssi.minute_index < SHIFT_MINUTES))
+    recordings, rssi = cohort.recordings.minute_index, cohort.rssi.minute_index
+    kept = _select(cohort, (recordings >= 0) & (recordings < SHIFT_MINUTES), (rssi >= 0) & (rssi < SHIFT_MINUTES))
     dropped = {
-        "recordings_dropped": len(recordings) - len(kept_rec),
-        "rssi_dropped": len(rssi) - len(kept_rssi),
+        "recordings_dropped": len(cohort.recordings) - len(kept.recordings),
+        "rssi_dropped": len(cohort.rssi) - len(kept.rssi),
     }
-    return kept_rec, kept_rssi, dropped
+    return kept, dropped
 
 
-def _select(table: RssiTable, mask: np.ndarray) -> RssiTable:
-    """The rows where mask is True; the table itself when that is every row."""
-    return table if mask.all() else table.select(mask)
+def _select(cohort: Cohort, recordings: np.ndarray, rssi: np.ndarray, **changes) -> Cohort:
+    """The cohort with the changes and only the recordings (with their frames)
+    and RSSI rows where the masks are True. A table that loses no row is
+    kept as it is, not copied, and so are the frames."""
+    if not recordings.all():
+        changes.update(recordings=cohort.recordings.select(recordings),
+                       frames=cohort.frames.select(np.repeat(recordings, cohort.recordings.n_frames)))
+    return replace(cohort, rssi=cohort.rssi if rssi.all() else cohort.rssi.select(rssi), **changes)
 
 
 def filter_min_days(cohort: Cohort, min_days: int = MIN_DAYS) -> Cohort:
-    """Keep participants with recordings on at least min_days distinct shift dates.
-
-    The RSSI table is shared with the input when it loses no row.
-    """
+    """Keep participants with recordings on at least min_days distinct shift dates."""
     if min_days < 1:
         raise ValueError("min_days must be >= 1")
-    days: dict[str, set[date]] = {}
-    for r in cohort.recordings:
-        days.setdefault(r.participant_id, set()).add(r.shift_date)
-    keep = {pid for pid, dates in days.items() if len(dates) >= min_days}
-    kept_rssi = np.fromiter(map(keep.__contains__, cohort.rssi.participant_id), bool, len(cohort.rssi))
-    return Cohort(
-        profiles={pid: p for pid, p in cohort.profiles.items() if pid in keep},
-        hubs=dict(cohort.hubs),
-        recordings=[r for r in cohort.recordings if r.participant_id in keep],
-        rssi=_select(cohort.rssi, kept_rssi),
-        physiology=[d for d in cohort.physiology if d.participant_id in keep],
-        warnings=dict(cohort.warnings),
-    )
+    table = cohort.recordings
+    days = Counter(pid for pid, _ in set(zip(table.participant_id.tolist(), table.shift_date.tolist())))
+    keep = {pid for pid, n in days.items() if n >= min_days}
+
+    def kept(ids: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(keep.__contains__, ids), bool, len(ids))
+
+    return _select(cohort, kept(table.participant_id), kept(cohort.rssi.participant_id),
+                   profiles={pid: p for pid, p in cohort.profiles.items() if pid in keep}, hubs=dict(cohort.hubs),
+                   physiology=[d for d in cohort.physiology if d.participant_id in keep],
+                   warnings=dict(cohort.warnings))

@@ -4,9 +4,11 @@ Time is modeled as (shift_date, minute_index since shift start); minute 0 is
 the start of the 12-hour shift regardless of whether it is a day or night
 schedule, so the analytic code never touches wall clocks.
 
-RSSI rows, which outnumber every other input, live in one RssiTable of
-parallel numpy columns from parse to location timeline; filters select rows
-with boolean masks. Every CSV output table is a ColumnTable of that kind.
+RSSI rows and recordings, which outnumber every other input, live in
+parallel numpy columns from parse to features: one RssiTable, and one
+RecordingTable with one FrameBlock holding every recording's frames end to
+end. Filters select rows with boolean masks. Every CSV output table is a
+ColumnTable of that kind.
 
 The one CSV rule of the package lives here. csv_rows reads a file under an
 exact header, one field per column, and a bad row raises MalformedRow naming
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
+import mmap
 import re
 from dataclasses import dataclass, field, fields
 from datetime import date
@@ -323,11 +326,11 @@ class DailyPhysiology:
 
 @dataclass
 class FrameBlock:
-    """Columnar storage for the frames of one recording.
+    """Columnar storage for frames: a cohort's, or one recording's.
 
     Recordings routinely hold thousands of frames, so frames live in parallel
     numpy arrays rather than object lists. ``foreground`` is None when the
-    input carried no external own-speech labels.
+    frames carry no external own-speech labels.
     """
 
     log_pitch: np.ndarray  # float64, NaN = unvoiced
@@ -357,6 +360,41 @@ class FrameBlock:
         )
 
 
+FRAME_FIELDS = tuple(f.name for f in fields(FrameBlock))
+
+
+@dataclass(eq=False)
+class RecordingTable(ColumnTable):
+    """Recordings in file order; the cohort's FrameBlock holds their frames
+    end to end in this order. Only a labelled recording's foreground is read."""
+
+    participant_id: np.ndarray = ()  # object, as RssiTable's
+    shift_date: np.ndarray = ()  # datetime64[D]
+    minute_index: np.ndarray = ()  # int64
+    n_frames: np.ndarray = ()  # int64
+    labelled: np.ndarray = ()  # bool: the input carried foreground labels
+
+    DTYPES = (object, "datetime64[D]", np.int64, np.int64, bool)
+
+
+def paged(values, dtype=np.float64) -> np.ndarray:
+    """values copied into memory mapped for them alone, which goes back to the
+    system when the copy is dropped; malloc keeps freed blocks this small resident."""
+    out = np.frombuffer(mmap.mmap(-1, max(len(values) * np.dtype(dtype).itemsize, 1)), dtype, len(values))
+    out[...] = values
+    return out
+
+
+def join_recordings(parts: list[tuple[RecordingTable, dict[str, np.ndarray]]]) -> tuple[RecordingTable, FrameBlock]:
+    """The rows of every part and their frames, end to end. A part is a table
+    and a FrameBlock field -> paged column dict; each frame column's parts are
+    dropped as it is joined, so at most one column is ever held twice."""
+    if not parts:
+        return RecordingTable(), FrameBlock(*np.empty((4, 0)), np.empty(0, bool))
+    frames = FrameBlock(**{name: np.concatenate([f.pop(name) for _, f in parts]) for name in FRAME_FIELDS})
+    return RecordingTable.concat([t for t, _ in parts]), frames
+
+
 @dataclass
 class RecordingSegment:
     """One VAD-triggered ~20 s capture anchored to a shift minute."""
@@ -373,7 +411,8 @@ class Cohort:
 
     profiles: dict[str, ParticipantProfile] = field(default_factory=dict)
     hubs: dict[str, HubRecord] = field(default_factory=dict)
-    recordings: list[RecordingSegment] = field(default_factory=list)
+    recordings: RecordingTable = field(default_factory=RecordingTable)
+    frames: FrameBlock = field(default_factory=lambda: join_recordings([])[1])  # every recording's, in table order
     rssi: RssiTable = field(default_factory=RssiTable)
     physiology: list[DailyPhysiology] = field(default_factory=list)
     warnings: dict[str, int] = field(default_factory=dict)
@@ -388,6 +427,3 @@ class Cohort:
             "recordings": len(self.recordings),
             "physiology": len(self.physiology),
         }
-
-    def participant_ids(self) -> list[str]:
-        return sorted(self.profiles)

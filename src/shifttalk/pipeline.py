@@ -1,18 +1,21 @@
 """End-to-end extraction: cohort -> timelines -> valid recordings -> sessions
 -> arousal ratings -> per-shift features -> participant feature matrix.
 
-Every layer runs over the whole cohort at once. Each recording carries a
-shift code, its index in the sorted (participant_id, shift_date) keys, and
-each layer groups by those codes instead of looping over shifts:
+Every layer runs over the whole cohort at once: over the columns of its
+RecordingTable and of the one FrameBlock that holds every recording's frames
+end to end. Each recording carries a shift code, its index in the sorted
+(participant_id, shift_date) keys, and each layer groups by those codes
+instead of looping over shifts:
 
 - Location timelines for every shift come from one pass over the cohort's
   RssiTable and are stacked as one (shifts, 720) array.
 - Foreground filtering, validity, neutral pools, recording scores and fused
-  ratings are array passes, one frame column at a time and over kept frames
-  only: per-recording counts come from cumsum differences, each speaker's
-  pool is one sort, medians come from one ``np.median`` per distinct kept
-  count (the same bits as one call per recording), and percentile scores
-  from one ``searchsorted`` pair per speaker and feature. Neutral baselines
+  ratings are array passes, one frame column at a time and over the kept
+  frames of valid recordings only: per-recording counts come from cumsum
+  differences, each speaker's pool is one sort, medians come from one
+  ``np.median`` per distinct kept count (the same bits as one call per
+  recording), and percentile scores from one ``searchsorted`` pair per
+  speaker and feature. Neutral baselines
   are frozen per speaker before any of that speaker's recordings is scored
   (two-phase contract). A speaker never voiced stays unrated; a speaker
   with too few recordings for Spearman-derived weights gets uniform weights.
@@ -35,7 +38,7 @@ recording or one shift at a time; tests hold the passes to them bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,7 +58,7 @@ from .foreground import MIN_FOREGROUND_FRAMES, ForegroundFilter, cohort_mask
 from .foreground import filter_frames, is_valid_recording  # noqa: F401  reference; perfbench traces them here
 from .ingest import MIN_DAYS, filter_min_days, filter_shift_window
 from .locate import RSSI_FLOOR, estimate_timeline
-from .model import SHIFT_MINUTES, Cohort, RecordingSegment
+from .model import SHIFT_MINUTES, Cohort
 from .sessions import SESSION_CATEGORIES, SessionTable, cohort_sessions
 from .sessions import build_sessions  # noqa: F401  reference; perfbench traces it here
 
@@ -97,22 +100,22 @@ def run_extraction(cohort: Cohort, config: ExtractionConfig | None = None) -> Ex
     """
     config = config or ExtractionConfig()
 
-    recordings, rssi, dropped = filter_shift_window(cohort.recordings, cohort.rssi)
-    kept = filter_min_days(replace(cohort, recordings=recordings, rssi=rssi), config.min_days)
+    windowed, dropped = filter_shift_window(cohort)
+    kept = filter_min_days(windowed, config.min_days)
 
     # each recording's shift: its index in the sorted (participant, date) keys
-    pairs = [(r.participant_id, r.shift_date) for r in kept.recordings]
+    pairs = list(zip(kept.recordings.participant_id.tolist(), kept.recordings.shift_date.tolist()))
     shift_keys = sorted(set(pairs))
     code = {key: i for i, key in enumerate(shift_keys)}
     shift = np.fromiter(map(code.__getitem__, pairs), np.int64, len(pairs))
-    minute = np.fromiter((r.minute_index for r in kept.recordings), np.int64, len(pairs))
+    minute = kept.recordings.minute_index
     timelines = estimate_timeline(kept.rssi, kept.hubs, shift_keys, config.rssi_floor)
     slots = np.array([timelines[key].slots for key in shift_keys], np.uint8).reshape(-1, SHIFT_MINUTES)
     key_pids = np.array([pid for pid, _ in shift_keys], dtype=object)
     key_days = np.array([day for _, day in shift_keys], dtype="datetime64[D]")
 
     _, key_speaker = np.unique(key_pids, return_inverse=True)  # ranks participant ids as sorted() does
-    valid, rated_rows, p, fused, weights_by_speaker = _rate_cohort(kept.recordings, key_speaker[shift], config)
+    valid, rated_rows, p, fused, weights_by_speaker = _rate_cohort(kept, key_speaker[shift], config)
 
     session_columns = cohort_sessions(shift[valid], minute[valid], slots)
     session_shift, start, duration, location_minutes = session_columns
@@ -136,7 +139,7 @@ def run_extraction(cohort: Cohort, config: ExtractionConfig | None = None) -> Ex
         physiology_by_pid.setdefault(row.participant_id, []).append(row)
     vectors = [
         participant_vector(kept.profiles[pid], by_pid.get(pid, []), physiology_by_pid.get(pid, []))
-        for pid in kept.participant_ids()
+        for pid in sorted(kept.profiles)
     ]
     if vectors:
         matrix, names, ids = build_feature_matrix(vectors)
@@ -158,38 +161,38 @@ def run_extraction(cohort: Cohort, config: ExtractionConfig | None = None) -> Ex
 
 
 def _rate_cohort(
-    recordings: list[RecordingSegment], speaker: np.ndarray, config: ExtractionConfig
+    cohort: Cohort, speaker: np.ndarray, config: ExtractionConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[str, FusionWeights]]:
     """Valid and rated recordings, their scores and per-speaker weights.
 
     ``speaker`` ranks each recording's participant id. Returns the valid
-    recordings (indices into ``recordings``) in rated-row order, speaker
+    recordings (rows of ``cohort.recordings``) in rated-row order, speaker
     then file order; which of them are rated (positions among the valid);
     the rated rows' feature scores ``p`` (rows, 3) and fused ratings; and
     each rated speaker's weights.
     """
     nothing = np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 3)), np.zeros(0), {}
+    recordings = cohort.recordings
+    keep = cohort_mask(recordings, cohort.frames, config.foreground)
+    counts = _segment_counts(keep, recordings.n_frames)  # kept frames per recording
     order = np.argsort(speaker, kind="stable")
-    recs = [recordings[i] for i in order.tolist()]
-    if not recs:
+    valid = order[counts[order] >= config.min_frames]
+    if not len(valid):
         return nothing
-    lengths = np.array([len(r.frames) for r in recs])
-    keep = cohort_mask([r.frames for r in recs], config.foreground)
-    counts = _segment_counts(keep, lengths)
-    is_valid = counts >= config.min_frames
-    valid = [r for r, ok in zip(recs, is_valid.tolist()) if ok]
-    if not valid:
-        return nothing
-    keep = keep[np.repeat(is_valid, lengths)]  # over the valid recordings' frames only
-    counts = counts[is_valid]
-    valid_speaker = speaker[order[is_valid]]
+    # the kept frames of the valid recordings, in that order: each one's
+    # run of counts from its first kept frame
+    first = (np.cumsum(counts) - counts)[valid]
+    counts = counts[valid]
+    ends = np.cumsum(counts)
+    kept = np.flatnonzero(keep)[np.arange(ends[-1]) + np.repeat(first - ends + counts, counts)]
+    valid_speaker = speaker[valid]
     bounds = np.flatnonzero(np.diff(valid_speaker, prepend=-1, append=-1))
 
     # phase one freezes each speaker's pools, phase two places each
     # recording's medians in them; one frame column at a time
     p = np.empty((len(valid), 3))
     for j, name in enumerate(FEATURE_NAMES):
-        values = np.concatenate([getattr(r.frames, name) for r in valid])[keep]
+        values = getattr(cohort.frames, name)[kept]
         if name == "log_pitch":
             voiced = ~np.isnan(values)
             # a speaker never voiced has no pitch pool and stays unrated
@@ -203,12 +206,12 @@ def _rate_cohort(
     for s in np.flatnonzero(voiced_speakers).tolist():
         r0, r1 = bounds[s], bounds[s + 1]
         weights = arousal_mod.fusion_weights(p[r0:r1])
-        weights_by_speaker[valid[r0].participant_id] = weights
+        weights_by_speaker[recordings.participant_id[valid[r0]]] = weights
         w[r0:r1] = weights.w
     fused = fuse(w.T, p.T)
 
     rows = np.flatnonzero(np.repeat(voiced_speakers, np.diff(bounds)))
-    return order[is_valid], rows, p[rows], fused[rows], weights_by_speaker
+    return valid, rows, p[rows], fused[rows], weights_by_speaker
 
 
 def _segment_counts(flags: np.ndarray, lengths: np.ndarray) -> np.ndarray:

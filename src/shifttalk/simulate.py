@@ -28,20 +28,19 @@ from .ingest import GRID_DECIMALS, write_cohort
 from .model import (
     Cohort,
     DailyPhysiology,
-    FrameBlock,
     HubCategory,
     HubRecord,
     ParticipantProfile,
-    RecordingSegment,
+    RecordingTable,
     RssiTable,
     ShiftType,
     UnitType,
     SHIFT_MINUTES,
+    join_recordings,
+    paged,
 )
 
 GROUND_TRUTH_FILE = "ground_truth.json"
-
-_WINDOW_OF_BLOCK = ["start"] * 4 + ["middle"] * 4 + ["end"] * 4
 
 # per-speaker frame model: (mean of speaker means, sd of speaker means, frame sd)
 _FRAME_MODEL = {
@@ -241,8 +240,9 @@ def _to_grid(values: np.ndarray) -> np.ndarray:
     return np.round(values, GRID_DECIMALS)
 
 
-def generate(spec: CohortSpec, out_dir: str | Path) -> GroundTruth:
-    """Write the canonical input directory plus ground_truth.json.
+def generate(spec: CohortSpec, out_dir: str | Path) -> tuple[Cohort, GroundTruth]:
+    """Write the canonical input directory plus ground_truth.json, and return
+    the cohort written and its ground truth.
 
     Deterministic for a given spec: identical spec -> identical bytes.
     """
@@ -266,6 +266,7 @@ def generate(spec: CohortSpec, out_dir: str | Path) -> GroundTruth:
 
     cohort = Cohort(hubs={h.hub_id: h for h in _HUBS})
     rssi: list[RssiTable] = []
+    recordings: list[tuple[RecordingTable, dict]] = []  # one join_recordings part per shift
     truth_participants: dict[str, ParticipantTruth] = {}
     start_date = date(2022, 3, 1)
 
@@ -309,8 +310,10 @@ def generate(spec: CohortSpec, out_dir: str | Path) -> GroundTruth:
             minutes = [m for run in _session_minutes(rng, gap_median, spec.inter_session_sd, gt1min) for m in run]
             if minutes:
                 states = _draw_states(rng, minutes, q_pos, q_neg, deltas)
-                for minute, frames in zip(minutes, _emit_frames(rng, spec, mu, states)):
-                    cohort.recordings.append(RecordingSegment(pid, shift_date, minute, frames))
+                n = len(minutes)
+                table = RecordingTable(np.full(n, pid, dtype=object), np.full(n, shift_date, dtype="datetime64[D]"),
+                                       minutes, np.full(n, spec.frames_per_recording), np.zeros(n, bool))
+                recordings.append((table, _emit_frames(rng, spec, mu, states)))
             walk = float(np.clip(round(rng.normal(walk_center, spec.walk_within_sd), GRID_DECIMALS), 0.0, 1.0))
             sleep = float(np.clip(round(rng.normal(sleep_center, spec.sleep_within_sd), GRID_DECIMALS), 0.0, 24.0))
             cohort.physiology.append(DailyPhysiology(pid, shift_date, walk, sleep))
@@ -329,6 +332,7 @@ def generate(spec: CohortSpec, out_dir: str | Path) -> GroundTruth:
             occupancy=occupancy,
         )
 
+    cohort.recordings, cohort.frames = join_recordings(recordings)
     cohort.rssi = RssiTable.concat(rssi)
     write_cohort(cohort, out)
     truth = GroundTruth(
@@ -338,7 +342,7 @@ def generate(spec: CohortSpec, out_dir: str | Path) -> GroundTruth:
         informative_features=_informative_features(spec),
     )
     (out / GROUND_TRUTH_FILE).write_text(truth.to_json() + "\n", encoding="utf-8")
-    return truth
+    return cohort, truth
 
 
 def _informative_features(spec: CohortSpec) -> dict[str, list[str]]:
@@ -486,8 +490,9 @@ def _emit_frames(
     spec: CohortSpec,
     mu: dict[str, float],
     states: np.ndarray,
-) -> list[FrameBlock]:
-    """Frames for all of one shift's recordings, drawn in one batch."""
+) -> dict[str, np.ndarray]:
+    """Frames for all of one shift's recordings, drawn in one batch, end to
+    end by FrameBlock field; none is labelled."""
     n_rec = len(states)
     n = spec.frames_per_recording
     fg = rng.random((n_rec, n)) < spec.foreground_fraction
@@ -500,12 +505,6 @@ def _emit_frames(
     log_pitch = _to_grid(np.where(voiced, cols["log_pitch"], np.nan))
     intensity = _to_grid(cols["intensity"])
     hf_lf = _to_grid(np.maximum(cols["hf_lf_ratio"], 0.0))
-    return [
-        FrameBlock(
-            log_pitch=log_pitch[i],
-            intensity=intensity[i],
-            hf_lf_ratio=hf_lf[i],
-            foreground_prob=prob[i],
-        )
-        for i in range(n_rec)
-    ]
+    columns = {"log_pitch": log_pitch, "intensity": intensity, "hf_lf_ratio": hf_lf, "foreground_prob": prob,
+               "foreground": np.zeros((n_rec, n), bool)}
+    return {name: paged(values.ravel(), values.dtype) for name, values in columns.items()}

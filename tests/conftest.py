@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
 import pytest
 
 from shifttalk.model import (
+    FRAME_FIELDS,
     Cohort,
     DailyPhysiology,
     FrameBlock,
@@ -14,12 +16,14 @@ from shifttalk.model import (
     HubRecord,
     ParticipantProfile,
     RecordingSegment,
+    RecordingTable,
     RssiTable,
     ShiftType,
     UnitType,
 )
 
 D0 = date(2022, 3, 1)
+_INT64 = np.iinfo(np.int64)
 
 
 @pytest.fixture(autouse=True)
@@ -32,6 +36,24 @@ def no_child_left_unreaped():
     except ChildProcessError:  # no child at all
         return
     pytest.fail(f"a child process was left {'running' if pid == 0 else f'unreaped (pid {pid})'}")
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list[int]:
+    """Each fork of this process (the pid it returned), with two usable CPUs."""
+    calls: list[int] = []
+    fork = os.fork
+
+    def counted() -> int:
+        pid = fork()
+        if pid:
+            calls.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:  # split on one CPU too
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return calls
 
 
 def frames(
@@ -53,6 +75,49 @@ def frames(
 
 def recording(pid: str = "p1", minute: int = 0, n_frames: int = 5, shift_date: date = D0, **kw) -> RecordingSegment:
     return RecordingSegment(pid, shift_date, minute, frames(n_frames, **kw))
+
+
+def with_recordings(cohort: Cohort, recordings: list[RecordingSegment]) -> Cohort:
+    """The cohort with these per-recording segments as its recording table
+    and frames (a minute beyond 64 bits becomes the nearest 64-bit value, as
+    in the parse)."""
+    table = RecordingTable(
+        [r.participant_id for r in recordings], [r.shift_date for r in recordings],
+        [min(max(r.minute_index, _INT64.min), _INT64.max) for r in recordings],
+        [len(r.frames) for r in recordings], [r.frames.foreground is not None for r in recordings])
+    if not recordings:
+        return replace(cohort, recordings=table, frames=Cohort().frames)
+    labels = [np.zeros(len(r.frames), bool) if r.frames.foreground is None else r.frames.foreground
+              for r in recordings]
+    columns = {name: np.concatenate([getattr(r.frames, name) for r in recordings]) for name in FRAME_FIELDS[:4]}
+    return replace(cohort, recordings=table, frames=FrameBlock(**columns, foreground=np.concatenate(labels)))
+
+
+def segments(cohort: Cohort) -> list[RecordingSegment]:
+    """The cohort's recordings, one segment each; their frame columns are
+    views of cohort.frames, and only labelled ones carry foreground."""
+    table, block = cohort.recordings, cohort.frames
+    ends = np.cumsum(table.n_frames).tolist()
+    return [
+        RecordingSegment(pid, day, minute, FrameBlock(*(getattr(block, name)[start:end] for name in FRAME_FIELDS[:4]),
+                                                      block.foreground[start:end] if labelled else None))
+        for pid, day, minute, labelled, start, end in zip(
+            table.participant_id.tolist(), table.shift_date.tolist(), table.minute_index.tolist(),
+            table.labelled.tolist(), [0] + ends[:-1], ends)
+    ]
+
+
+def assert_cohorts_equal(a: Cohort, b: Cohort) -> None:
+    """Two cohorts hold the same values: every table column with its dtype,
+    and every frame column bit for bit, foreground labels included."""
+    assert (a.profiles, a.hubs, a.physiology, a.warnings) == (b.profiles, b.hubs, b.physiology, b.warnings)
+    for x, y in ((a.rssi, b.rssi), (a.recordings, b.recordings)):
+        for name in x.columns():
+            got, want = getattr(x, name), getattr(y, name)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
+    for name in FRAME_FIELDS:
+        got, want = getattr(a.frames, name), getattr(b.frames, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 def profile(pid: str = "p1", shift: ShiftType = ShiftType.DAY, unit: UnitType = UnitType.ICU) -> ParticipantProfile:
@@ -86,4 +151,4 @@ def tiny_cohort() -> Cohort:
     ]
     rssi = rssi_rows(("p1", 0, "h_ns", 160), ("p1", 1, "h_ns", 155))
     physiology = [DailyPhysiology("p1", D0, 0.4, 7.0)]
-    return Cohort(profiles, hubs, recs, rssi, physiology)
+    return with_recordings(Cohort(profiles, hubs, rssi=rssi, physiology=physiology), recs)

@@ -21,7 +21,7 @@ from shifttalk.ingest import (
 from shifttalk.locate import estimate_timeline
 from shifttalk.model import Cohort, FrameBlock, LocationCategory, RecordingSegment
 
-from conftest import D0, recording, rssi_rows, tiny_cohort
+from conftest import D0, assert_cohorts_equal, profile, recording, rssi_rows, segments, tiny_cohort, with_recordings
 
 HEADERS = {
     "participants.csv": "participant_id,shift_type,unit_type,pos_affect,neg_affect,life_satisfaction",
@@ -55,8 +55,9 @@ def test_parse_minimal_directory(tmp_path):
     cohort = parse_cohort(write_dir(tmp_path))
     assert cohort.counts == {"participants": 1, "hubs": 1, "rssi": 1, "recordings": 1, "physiology": 1}
     assert cohort.profiles["p1"].pos_affect == 30
-    assert cohort.recordings[0].minute_index == 0
-    assert len(cohort.recordings[0].frames) == 1
+    assert cohort.recordings.minute_index.tolist() == [0]
+    assert cohort.recordings.n_frames.tolist() == [1]
+    assert len(cohort.frames) == 1
 
 
 def test_empty_rssi_file_is_fine(tmp_path):
@@ -167,8 +168,8 @@ def test_minute_beyond_64_bits_is_kept_and_dropped_by_the_window(tmp_path):
             "p1,2022-03-01,5,h_ns,160"]
     cohort = parse_cohort(write_dir(tmp_path, **{"rssi.csv": rows}))
     assert cohort.rssi.minute_index.tolist() == [2**63 - 1, -2**63, 5]
-    _, kept, dropped = filter_shift_window(cohort.recordings, cohort.rssi)
-    assert kept.minute_index.tolist() == [5]
+    windowed, dropped = filter_shift_window(cohort)
+    assert windowed.rssi.minute_index.tolist() == [5]
     assert dropped["rssi_dropped"] == 2
 
 
@@ -246,14 +247,14 @@ def test_null_log_pitch_becomes_nan(tmp_path):
     rows = ['{"participant_id":"p1","shift_date":"2022-03-01","minute_index":0,'
             '"frames":[{"log_pitch":null,"intensity":60.0,"hf_lf_ratio":0.8,"foreground_prob":0.9}]}']
     cohort = parse_cohort(write_dir(tmp_path, **{"recordings.jsonl": rows}))
-    assert np.isnan(cohort.recordings[0].frames.log_pitch[0])
+    assert np.isnan(cohort.frames.log_pitch[0])
 
 
 def test_external_foreground_flags_parsed(tmp_path):
     rows = ['{"participant_id":"p1","shift_date":"2022-03-01","minute_index":0,'
             '"frames":[{"log_pitch":4.7,"intensity":60.0,"hf_lf_ratio":0.8,"foreground_prob":0.9,"foreground":true}]}']
     cohort = parse_cohort(write_dir(tmp_path, **{"recordings.jsonl": rows}))
-    assert cohort.recordings[0].frames.foreground[0]
+    assert cohort.recordings.labelled[0] and cohort.frames.foreground[0]
 
 
 LAYOUTS = ["columnar", "rows"]
@@ -305,7 +306,7 @@ def test_recordings_reject_non_strict_values(tmp_path, layout, field, text):
     good = recording_line(layout)
     (tmp_path / "ok").mkdir()
     cohort = parse_cohort(write_dir(tmp_path / "ok", **{"recordings.jsonl": [good]}))
-    assert len(cohort.recordings[0].frames) == 2  # the same line with a valid value parses
+    assert cohort.recordings.n_frames.tolist() == [2]  # the same line with a valid value parses
     path = write_dir(tmp_path, **{"recordings.jsonl": [good, recording_line(layout, field, text)]})
     with pytest.raises(MalformedRow) as err:
         parse_cohort(path)
@@ -340,7 +341,7 @@ def test_columnar_and_row_layouts_parse_alike(tmp_path):
     for layout in LAYOUTS:
         line = recording_line(layout, "log_pitch", "null")
         (tmp_path / layout).mkdir()
-        blocks.append(parse_cohort(write_dir(tmp_path / layout, **{"recordings.jsonl": [line]})).recordings[0].frames)
+        blocks.append(parse_cohort(write_dir(tmp_path / layout, **{"recordings.jsonl": [line]})).frames)
     for name in ("log_pitch", "intensity", "hf_lf_ratio", "foreground_prob", "foreground"):
         np.testing.assert_array_equal(getattr(blocks[0], name), getattr(blocks[1], name))
     assert np.isnan(blocks[0].log_pitch[1])
@@ -364,21 +365,22 @@ def test_writer_emits_columnar_frames(tmp_path):
 ])
 def test_writer_refuses_non_finite_frames(tmp_path, column, value):
     cohort = tiny_cohort()
-    getattr(cohort.recordings[1].frames, column)[2] = value
+    recs = segments(cohort)  # views of the cohort's frame columns
+    getattr(recs[1].frames, column)[2] = value
     # a later recording of the same batch is bad too, in another column
     other = "hf_lf_ratio" if column == "intensity" else "intensity"
-    getattr(cohort.recordings[2].frames, other)[0] = math.nan
+    getattr(recs[2].frames, other)[0] = math.nan
     with pytest.raises(ValueError, match=r"non-finite frame value in recording p1 2022-03-01 minute 1$"):
         write_cohort(cohort, tmp_path)
 
 
 def test_writer_writes_nan_pitch_as_null(tmp_path):
     cohort = tiny_cohort()
-    cohort.recordings[1].frames.log_pitch[2] = math.nan
+    segments(cohort)[1].frames.log_pitch[2] = math.nan
     write_cohort(cohort, tmp_path)
     line = (tmp_path / "recordings.jsonl").read_text().splitlines()[1]
     assert json.loads(line)["frames"]["log_pitch"] == [4.7, 4.7, None]
-    assert np.isnan(parse_cohort(tmp_path).recordings[1].frames.log_pitch[2])
+    assert np.isnan(segments(parse_cohort(tmp_path))[1].frames.log_pitch[2])
 
 
 def _reference_lines(recordings: list[RecordingSegment]) -> bytes:
@@ -419,10 +421,9 @@ def test_batch_writer_matches_repr_reference(tmp_path, monkeypatch):
     @hypothesis.given(st.lists(blocks(), min_size=1, max_size=6), st.integers(1, 30))
     def check(frame_blocks: list[FrameBlock], batch_frames: int) -> None:
         monkeypatch.setattr(ingest, "_BATCH_FRAMES", batch_frames)
-        cohort = tiny_cohort()
-        cohort.recordings = [RecordingSegment(f"p{i % 2}", D0, i, b) for i, b in enumerate(frame_blocks)]
-        write_cohort(cohort, tmp_path)
-        assert (tmp_path / "recordings.jsonl").read_bytes() == _reference_lines(cohort.recordings)
+        recs = [RecordingSegment(f"p{i % 2}", D0, i, b) for i, b in enumerate(frame_blocks)]
+        write_cohort(with_recordings(tiny_cohort(), recs), tmp_path)
+        assert (tmp_path / "recordings.jsonl").read_bytes() == _reference_lines(recs)
         for name in ingest.FRAME_COLUMNS:
             values = np.concatenate([getattr(b, name) for b in frame_blocks])
             off = any(v in OFF_GRID for v in values.tolist())
@@ -442,39 +443,23 @@ def test_batch_writer_crosses_the_default_batch_size(tmp_path):
             cols[1][7] = 0.1 + 0.2  # this batch's intensity goes through repr
         return FrameBlock(*cols)
 
-    cohort = tiny_cohort()
-    cohort.recordings = [RecordingSegment("p1", D0, i, block(i)) for i in range(5)]
-    write_cohort(cohort, tmp_path)
-    assert (tmp_path / "recordings.jsonl").read_bytes() == _reference_lines(cohort.recordings)
+    recs = [RecordingSegment("p1", D0, i, block(i)) for i in range(5)]
+    write_cohort(with_recordings(tiny_cohort(), recs), tmp_path)
+    assert (tmp_path / "recordings.jsonl").read_bytes() == _reference_lines(recs)
 
 
 def test_batch_writer_widens_float32_columns_exactly(tmp_path):
-    cohort = tiny_cohort()
-    cohort.recordings = [
+    recs = [
         RecordingSegment(r.participant_id, r.shift_date, r.minute_index,
                          FrameBlock(*(getattr(r.frames, name).astype(np.float32) for name in ingest.FRAME_COLUMNS)))
-        for r in cohort.recordings
+        for r in segments(tiny_cohort())
     ]
+    cohort = with_recordings(tiny_cohort(), recs)
+    assert cohort.frames.log_pitch.dtype == np.float32
     write_cohort(cohort, tmp_path)
     text = (tmp_path / "recordings.jsonl").read_bytes()
     assert b"4.699999809265137" in text  # float32 4.7 is off the grid once widened
-    assert text == _reference_lines(cohort.recordings)
-
-
-def assert_cohorts_equal(a: Cohort, b: Cohort) -> None:
-    assert a.profiles == b.profiles
-    assert a.hubs == b.hubs
-    for column in ("participant_id", "shift_date", "minute_index", "hub_id", "rssi"):
-        np.testing.assert_array_equal(getattr(a.rssi, column), getattr(b.rssi, column))
-    assert a.physiology == b.physiology
-    assert len(a.recordings) == len(b.recordings)
-    for ra, rb in zip(a.recordings, b.recordings):
-        assert (ra.participant_id, ra.shift_date, ra.minute_index) == (
-            rb.participant_id, rb.shift_date, rb.minute_index)
-        np.testing.assert_array_equal(ra.frames.log_pitch, rb.frames.log_pitch)
-        np.testing.assert_array_equal(ra.frames.intensity, rb.frames.intensity)
-        np.testing.assert_array_equal(ra.frames.hf_lf_ratio, rb.frames.hf_lf_ratio)
-        np.testing.assert_array_equal(ra.frames.foreground_prob, rb.frames.foreground_prob)
+    assert text == _reference_lines(recs)
 
 
 def test_parse_serialize_parse_idempotent(tmp_path):
@@ -491,11 +476,7 @@ def test_parse_serialize_parse_idempotent(tmp_path):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def _bits(values: np.ndarray) -> np.ndarray:
-    return np.asarray(values, dtype=float).view(np.uint64)
-
-
-def test_recordings_round_trip_property(tmp_path):
+def test_recordings_round_trip_property(tmp_path, monkeypatch, forks):
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -511,48 +492,50 @@ def test_recordings_round_trip_property(tmp_path):
     pitch = st.one_of(st.just(math.nan), finite)
 
     @st.composite
-    def frame_blocks(draw):
+    def recordings(draw, minute: int):
         n = draw(st.integers(1, 30))
 
         def column(elements):
             return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=float)
 
         fg = draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=n, max_size=n)))
-        return FrameBlock(column(pitch), column(finite), column(non_negative), column(probability),
-                          None if fg is None else np.array(fg, dtype=bool))
+        block = FrameBlock(column(pitch), column(finite), column(non_negative), column(probability),
+                           None if fg is None else np.array(fg, dtype=bool))
+        return RecordingSegment("p1", D0, minute, block)
 
-    def assert_bitwise_equal(a: FrameBlock, b: FrameBlock) -> None:
-        for name in ("log_pitch", "intensity", "hf_lf_ratio", "foreground_prob"):
-            assert np.array_equal(_bits(getattr(a, name)), _bits(getattr(b, name))), name
-        assert (a.foreground is None) == (b.foreground is None)
-        if a.foreground is not None:
-            assert b.foreground.dtype == bool
-            assert np.array_equal(a.foreground, b.foreground)
+    cohorts = st.integers(1, 4).flatmap(lambda k: st.tuples(*(recordings(minute) for minute in range(k))))
+    names = ("participants.csv", "hubs.csv", "rssi.csv", "recordings.jsonl", "physiology.csv")
 
-    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(frame_blocks())
-    def check(block: FrameBlock) -> None:
-        cohort = tiny_cohort()
-        cohort.recordings = [RecordingSegment("p1", D0, 0, block)]
-        write_cohort(cohort, tmp_path / "first")
-        parsed = parse_cohort(tmp_path / "first")
-        assert_bitwise_equal(block, parsed.recordings[0].frames)
-        write_cohort(parsed, tmp_path / "second")
-        for name in ("participants.csv", "hubs.csv", "rssi.csv", "recordings.jsonl", "physiology.csv"):
-            assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "second" / name).read_bytes()
+    def row_layout_line(rec: RecordingSegment) -> str:
+        block = rec.frames
         columns = {"log_pitch": [None if math.isnan(v) else v for v in block.log_pitch.tolist()],
                    "intensity": block.intensity.tolist(), "hf_lf_ratio": block.hf_lf_ratio.tolist(),
                    "foreground_prob": block.foreground_prob.tolist()}
         if block.foreground is not None:
             columns["foreground"] = block.foreground.tolist()
         rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
-        line = json.dumps({"participant_id": "p1", "shift_date": D0.isoformat(), "minute_index": 0,
-                           "frames": rows})
-        (tmp_path / "second" / "recordings.jsonl").write_text(line + "\n", encoding="utf-8")
-        assert_bitwise_equal(block, parse_cohort(tmp_path / "second").recordings[0].frames)
+        return json.dumps({"participant_id": rec.participant_id, "shift_date": rec.shift_date.isoformat(),
+                           "minute_index": rec.minute_index, "frames": rows})
 
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cohorts)
+    def check(recs: tuple[RecordingSegment, ...]) -> None:
+        cohort = with_recordings(tiny_cohort(), list(recs))
+        write_cohort(cohort, tmp_path / "first")
+        for split_min_bytes in (math.inf, 0):  # one process, then split over two
+            monkeypatch.setattr(ingest, "_SPLIT_MIN_BYTES", split_min_bytes)
+            parsed = parse_cohort(tmp_path / "first")
+            assert_cohorts_equal(parsed, cohort)
+        write_cohort(parsed, tmp_path / "second")
+        for name in names:
+            assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "second" / name).read_bytes()
+        (tmp_path / "second" / "recordings.jsonl").write_text(
+            "".join(row_layout_line(rec) + "\n" for rec in recs), encoding="utf-8")
+        assert_cohorts_equal(parse_cohort(tmp_path / "second"), cohort)
+
+    forked = len(forks)
     check()
-
+    assert len(forks) > forked  # the split parse ran
 
 def test_refused_write_leaves_directory_unchanged(tmp_path):
     write_cohort(tiny_cohort(), tmp_path)
@@ -560,7 +543,7 @@ def test_refused_write_leaves_directory_unchanged(tmp_path):
     bad = tiny_cohort()
     bad.profiles["p1"] = replace(bad.profiles["p1"], pos_affect=40)
     bad.rssi = rssi_rows(("p1", 9, "h_ns", 170))
-    bad.recordings[1].frames.intensity[0] = math.nan
+    segments(bad)[1].frames.intensity[0] = math.nan
     with pytest.raises(ValueError, match="non-finite"):
         write_cohort(bad, tmp_path)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
@@ -570,26 +553,26 @@ def test_shift_window_boundaries():
     recs = [recording("p1", minute=719), recording("p1", minute=720), recording("p1", minute=-1)]
     rssi = rssi_rows(("p1", 300, "h_ns", 160), ("p1", 900, "h_ns", 160), ("p1", -1, "h_ns", 160),
                      ("p1", 719, "h_ns", 161))
-    kept_rec, kept_rssi, dropped = filter_shift_window(recs, rssi)
-    assert [r.minute_index for r in kept_rec] == [719]
-    assert kept_rssi.minute_index.tolist() == [300, 719]
-    assert kept_rssi.rssi.tolist() == [160, 161]
+    kept, dropped = filter_shift_window(with_recordings(Cohort(rssi=rssi), recs))
+    assert kept.recordings.minute_index.tolist() == [719]
+    assert len(kept.frames) == 5
+    assert kept.rssi.minute_index.tolist() == [300, 719]
+    assert kept.rssi.rssi.tolist() == [160, 161]
     assert dropped == {"recordings_dropped": 2, "rssi_dropped": 2}
 
 
 def test_min_days_keeps_exactly_at_threshold():
-    cohort = tiny_cohort()
-    cohort.recordings = [recording("p1", minute=i, shift_date=date(2022, 3, 1 + i)) for i in range(5)]
+    cohort = with_recordings(tiny_cohort(), [recording("p1", minute=i, shift_date=date(2022, 3, 1 + i))
+                                             for i in range(5)])
     kept = filter_min_days(cohort, min_days=5)
     assert "p1" in kept.profiles
 
 
 def test_min_days_removes_single_date_participant():
-    cohort = tiny_cohort()
-    cohort.recordings = [recording("p1", minute=i) for i in range(10)]  # one date
+    cohort = with_recordings(tiny_cohort(), [recording("p1", minute=i) for i in range(10)])  # one date
     kept = filter_min_days(cohort, min_days=5)
     assert kept.profiles == {}
-    assert kept.recordings == []
+    assert len(kept.recordings) == 0 and len(kept.frames) == 0
     assert len(kept.rssi) == 0
     assert kept.counts == {"participants": 0, "hubs": 1, "rssi": 0, "recordings": 0, "physiology": 0}
 
@@ -610,23 +593,48 @@ def test_min_days_idempotent():
 
 def test_filters_return_an_rssi_table_that_loses_no_row_itself():
     cohort = tiny_cohort()
-    _, rssi, dropped = filter_shift_window(cohort.recordings, cohort.rssi)
-    assert rssi is cohort.rssi and dropped["rssi_dropped"] == 0
+    windowed, dropped = filter_shift_window(cohort)
+    assert windowed.rssi is cohort.rssi and dropped["rssi_dropped"] == 0
     kept = filter_min_days(cohort, 1)
     assert kept.rssi is cohort.rssi
     assert kept.counts == cohort.counts
     # one dropped row: a new table
     late = replace(cohort, rssi=rssi_rows(("p1", 0, "h_ns", 160), ("p1", 720, "h_ns", 155)))
-    _, rssi, dropped = filter_shift_window(late.recordings, late.rssi)
+    windowed, dropped = filter_shift_window(late)
+    rssi = windowed.rssi
     assert rssi is not late.rssi and rssi.minute_index.tolist() == [0] and dropped["rssi_dropped"] == 1
     assert filter_min_days(late, 99).rssi is not late.rssi
+
+
+def test_filters_return_recordings_and_frames_that_lose_no_row_themselves():
+    cohort = tiny_cohort()
+    windowed, dropped = filter_shift_window(cohort)
+    assert dropped["recordings_dropped"] == 0
+    assert windowed.recordings is cohort.recordings and windowed.frames is cohort.frames
+    kept = filter_min_days(cohort, 2)
+    assert kept.recordings is cohort.recordings and kept.frames is cohort.frames
+    # a dropped recording: new columns, its frames dropped with it
+    recs = segments(cohort)
+    recs[0].participant_id, recs[0].minute_index = "p2", 720
+    recs[1].frames.foreground = np.array([True, False, True])
+    for i, rec in enumerate(recs):
+        rec.frames.intensity[:] = np.arange(3) + 10 * i
+    cohort = with_recordings(replace(cohort, profiles={**cohort.profiles, "p2": profile("p2")}), recs)
+    windowed, dropped = filter_shift_window(cohort)
+    assert dropped["recordings_dropped"] == 1
+    assert windowed.recordings is not cohort.recordings and windowed.frames is not cohort.frames
+    assert_cohorts_equal(windowed, with_recordings(cohort, recs[1:]))
+    kept = filter_min_days(cohort, 2)  # p1 has two dates, p2 one
+    assert_cohorts_equal(kept, with_recordings(replace(cohort, profiles={"p1": cohort.profiles["p1"]}), recs[1:]))
+    assert kept.frames.intensity.tolist() == [10.0, 11.0, 12.0, 20.0, 21.0, 22.0]
+    assert kept.frames.foreground.tolist() == [True, False, True] + [False] * 3
 
 
 def test_filters_do_not_mutate_input():
     cohort = tiny_cohort()
     n_rec = len(cohort.recordings)
     filter_min_days(cohort, 99)
-    filter_shift_window(cohort.recordings, cohort.rssi)
+    filter_shift_window(cohort)
     assert len(cohort.recordings) == n_rec
     assert len(cohort.rssi) == 2
     assert "p1" in cohort.profiles

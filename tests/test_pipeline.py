@@ -30,7 +30,7 @@ from shifttalk.model import (
 from shifttalk.pipeline import ExtractionConfig, filter_frames, is_valid_recording, run_extraction
 from shifttalk.sessions import SessionTable, build_sessions
 
-from conftest import D0, profile
+from conftest import D0, profile, segments, with_recordings
 
 
 @pytest.mark.parametrize("min_frames", [0, -1])
@@ -70,7 +70,7 @@ def _shift_feature_bits(sf: ShiftFeatures) -> tuple:
 def reference_extraction(cohort: Cohort, config: ExtractionConfig):
     """The per-recording and per-shift chain: rated rows and weights as bits,
     session rows, and every shift's features as bits."""
-    recordings = [r for r in cohort.recordings if 0 <= r.minute_index < SHIFT_MINUTES]
+    recordings = [r for r in segments(cohort) if 0 <= r.minute_index < SHIFT_MINUTES]
     valid_by_speaker: dict[str, list[RecordingSegment]] = {}
     for rec in recordings:
         fg = filter_frames(rec, config.foreground)
@@ -166,7 +166,7 @@ def test_run_extraction_matches_per_recording_chain():
             min_days=1,
             arousal_threshold=draw(st.sampled_from([0.0, 0.25, 0.5])),
         )
-        return Cohort(profiles, hubs, recs, draw(rssi(recs)), []), config
+        return with_recordings(Cohort(profiles, hubs, rssi=draw(rssi(recs))), recs), config
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @hypothesis.given(cohorts())
@@ -183,3 +183,29 @@ def test_run_extraction_matches_per_recording_chain():
         assert [_shift_feature_bits(sf) for sf in result.shift_features] == features
 
     check()
+
+
+def test_no_object_per_recording_from_simulate_to_write(tmp_path, monkeypatch):
+    from shifttalk.ingest import parse_cohort, write_cohort
+    from shifttalk.simulate import CohortSpec, generate
+
+    built = {FrameBlock: 0, RecordingSegment: 0}
+    for cls in built:
+        def counted(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
+            built[_cls] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    def run(n_per_cell: int) -> tuple[int, dict]:
+        before = dict(built)
+        root = tmp_path / str(n_per_cell)
+        generate(CohortSpec(n_per_cell=n_per_cell, n_shifts=2, frames_per_recording=4, seed=5), root / "data")
+        cohort = parse_cohort(root / "data")
+        result = run_extraction(cohort, ExtractionConfig(min_frames=2, min_days=2))
+        write_cohort(result.cohort, root / "again")
+        return len(cohort.recordings), {cls.__name__: built[cls] - before[cls] for cls in built}
+
+    (few, few_built), (many, many_built) = run(1), run(3)
+    assert many > 2 * few
+    assert many_built == few_built

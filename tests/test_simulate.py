@@ -78,7 +78,7 @@ def test_generated_directory_parses_cleanly(tmp_path):
     cohort = parse_cohort(tmp_path)
     assert cohort.counts["participants"] == 4
     assert cohort.warnings == {}  # generator emits in-range rssi only
-    minutes = {r.minute_index for r in cohort.recordings}
+    minutes = cohort.recordings.minute_index
     assert min(minutes) >= 0 and max(minutes) < 720
 
 
@@ -98,7 +98,7 @@ def test_seed_changes_output(tmp_path):
 
 
 def test_ground_truth_roundtrip(tmp_path):
-    truth = generate(CohortSpec(**TINY), tmp_path)
+    _, truth = generate(CohortSpec(**TINY), tmp_path)
     loaded = GroundTruth.from_json((tmp_path / "ground_truth.json").read_text())
     assert loaded.seed == truth.seed
     assert loaded.participants.keys() == truth.participants.keys()
@@ -147,7 +147,7 @@ def test_verify_against_truth_reports_recovery(tmp_path):
     from shifttalk import reports
 
     spec = CohortSpec(n_per_cell=2, n_shifts=5, seed=13, frames_per_recording=24)
-    truth = generate(spec, tmp_path / "data")
+    _, truth = generate(spec, tmp_path / "data")
     cohort = parse_cohort(tmp_path / "data")
     result = run_extraction(cohort, ExtractionConfig(min_frames=6))
     labels = {

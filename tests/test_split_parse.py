@@ -12,56 +12,22 @@ import threading
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from shifttalk import ingest
 from shifttalk.errors import MalformedRow
-from shifttalk.model import RecordingSegment
+from shifttalk.model import Cohort, join_recordings
 
-from test_ingest import BAD_FRAMES, BAD_VALUES, LAYOUTS, assert_cohorts_equal, recording_line, write_dir
-
-COLUMNS = ("log_pitch", "intensity", "hf_lf_ratio", "foreground_prob")
-
-
-def assert_same_recordings(got: list[RecordingSegment], want: list[RecordingSegment]) -> None:
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert (a.participant_id, a.shift_date, a.minute_index) == (b.participant_id, b.shift_date, b.minute_index)
-        assert type(a.minute_index) is int
-        for name in COLUMNS:
-            x, y = getattr(a.frames, name), getattr(b.frames, name)
-            assert x.dtype == y.dtype == np.float64, name
-            assert x.view(np.uint64).tolist() == y.view(np.uint64).tolist(), name
-        assert (a.frames.foreground is None) == (b.frames.foreground is None)
-        if a.frames.foreground is not None:
-            assert a.frames.foreground.dtype == b.frames.foreground.dtype == bool
-            assert a.frames.foreground.tolist() == b.frames.foreground.tolist()
+from conftest import assert_cohorts_equal, with_recordings
+from test_ingest import BAD_FRAMES, BAD_VALUES, LAYOUTS, recording_line, write_dir
 
 
-def halves(path: Path, profiles: dict, offset: int) -> list[RecordingSegment]:
+def halves(path: Path, profiles: dict, offset: int) -> Cohort:
     """What the two sides of a split at offset parse, without the fork."""
     cut = ingest._line_start(path, offset)
-    batches = ingest._read_recordings(path, profiles, 0, cut) + ingest._read_recordings(path, profiles, cut, math.inf)
-    return [rec for batch in batches for rec in ingest._recordings_of(batch)]
-
-
-@pytest.fixture
-def forks(monkeypatch) -> list[int]:
-    """Each fork of this process (the pid it returned), with two usable CPUs."""
-    calls: list[int] = []
-    fork = os.fork
-
-    def counted() -> int:
-        pid = fork()
-        if pid:
-            calls.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:  # split on one CPU too
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    return calls
+    parts = ingest._read_recordings(path, profiles, 0, cut) + ingest._read_recordings(path, profiles, cut, math.inf)
+    recordings, frames = join_recordings(parts)
+    return Cohort(recordings=recordings, frames=frames)
 
 
 def affinity() -> set[int] | None:
@@ -128,13 +94,14 @@ def test_split_property(tmp_path):
     def check(lines: list[tuple[str, str]], forked_at: int) -> None:
         data = "".join(body + end for body, end in lines).encode()
         path.write_bytes(data)
-        want = ingest.parse_recordings(path, profiles)
+        want = with_recordings(Cohort(), ingest.parse_recordings(path, profiles))
         bounds = {0, len(data)} | {i + 1 for i, byte in enumerate(data) if byte in b"\r\n"}
         for offset in sorted({b + d for b in bounds for d in (-1, 0, 1)} - {-1}):
-            assert_same_recordings(halves(path, profiles, offset), want)
+            assert_cohorts_equal(halves(path, profiles, offset), want)
         warnings: dict[str, int] = {}
-        rssi, recordings = ingest._parse_split(root, hubs, profiles, warnings, forked_at % (len(data) + 1))
-        assert_same_recordings(recordings, want)
+        rssi, parts = ingest._parse_split(root, hubs, profiles, warnings, forked_at % (len(data) + 1))
+        recordings, frames = join_recordings(parts)
+        assert_cohorts_equal(Cohort(recordings=recordings, frames=frames), want)
         assert warnings == {"rssi_clamped": 1}
         assert rssi.rssi.tolist() == [160, 136]
 
@@ -175,8 +142,6 @@ def test_forced_split_equals_serial_parse(tmp_path, monkeypatch, forks):
     assert len(forks) == 1
     assert affinity() == before  # the parent's CPUs are given back
     assert_cohorts_equal(got, want)
-    assert_same_recordings(got.recordings, want.recordings)
-    assert got.warnings == want.warnings
 
 
 def bad_line_files(tmp_path: Path, bad_at: int | None, rssi_row: str = "p1,2022-03-01,5,h_ns,160") -> Path:
@@ -251,11 +216,14 @@ def test_parent_that_refuses_does_not_wait_for_the_worker(tmp_path, monkeypatch,
 def test_interrupted_parent_reaps_the_worker(tmp_path, monkeypatch, forks):
     root = bad_line_files(tmp_path, None)
     monkeypatch.setattr(ingest, "_split_offset", lambda root: 1)
+    parent, read_recordings = os.getpid(), ingest._read_recordings
 
-    def interrupted(batch):
-        raise KeyboardInterrupt
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return read_recordings(*args)
 
-    monkeypatch.setattr(ingest, "_recordings_of", interrupted)
+    monkeypatch.setattr(ingest, "_read_recordings", interrupted)
     before = affinity()
     with pytest.raises(KeyboardInterrupt):
         ingest.parse_cohort(root)
@@ -338,7 +306,8 @@ def test_unsplit_parse_reads_recordings_in_batches(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ingest, "_split_offset", lambda root: None)
     monkeypatch.setattr(ingest, "parse_recordings", unused)
-    assert_same_recordings(ingest.parse_cohort(tmp_path).recordings, want)
+    got = ingest.parse_cohort(tmp_path)
+    assert_cohorts_equal(got, with_recordings(got, want))
 
 
 def test_line_start_is_after_the_first_newline_at_or_after_the_offset(tmp_path):
