@@ -9,12 +9,16 @@ timeline category of each minute: recordings by their own minute, sessions
 by their dominant minute category.
 
 cohort_shift_features computes the shift-level features of every shift of
-a cohort in grouped passes; per_shift_features states the same rules for
-one shift.
+a cohort in grouped passes, as ShiftColumns; per_shift_features states the
+same rules for one shift. cohort_feature_matrix rolls those columns and the
+physiology rows up to the imputed participant matrix in grouped passes as
+well; participant_vector and build_feature_matrix state the same rules for
+one participant and stay as its reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from datetime import date
 from typing import Callable, Sequence
@@ -120,11 +124,11 @@ class BlockTable(ColumnTable):
     DTYPES = (object, "datetime64[D]", np.int64, np.int64, np.float64, np.float64)
 
 
-def block_table(shift_features: list[ShiftFeatures]) -> BlockTable:
-    """The N_BLOCKS hour blocks of each shift, in the order of the shifts."""
-    rows = [(sf.participant_id, sf.shift_date, b, sf.recordings_per_block[b], sf.pos_blocks[b], sf.neg_blocks[b])
-            for sf in shift_features for b in range(N_BLOCKS)]
-    return BlockTable(*zip(*rows)) if rows else BlockTable()  # a None ratio becomes NaN
+def block_table(pids: np.ndarray, days: np.ndarray, shifts: ShiftColumns) -> BlockTable:
+    """The N_BLOCKS hour blocks of each shift, in the order of the shifts,
+    whose participant ids and dates are ``pids`` and ``days``."""
+    return BlockTable(np.repeat(pids, N_BLOCKS), np.repeat(days, N_BLOCKS), np.tile(np.arange(N_BLOCKS), len(pids)),
+                      shifts.recordings_per_block.ravel(), shifts.pos_blocks.ravel(), shifts.neg_blocks.ravel())
 
 
 def per_shift_features(
@@ -173,23 +177,47 @@ def per_shift_features(
     return out
 
 
+@dataclass
+class ShiftColumns:
+    """Every shift's features as columns, a row per shift; NaN marks a
+    feature or block that per_shift_features leaves absent."""
+
+    n_recordings: np.ndarray  # int64
+    n_sessions: np.ndarray  # int64
+    scalars: dict[str, np.ndarray]  # float64, keyed by _SHIFT_SCALARS
+    pos_blocks: np.ndarray  # float64 (shifts, N_BLOCKS)
+    neg_blocks: np.ndarray
+    recordings_per_block: np.ndarray  # int64 (shifts, N_BLOCKS)
+
+    def records(self, keys: list[tuple[str, date]]) -> list[ShiftFeatures]:
+        """One ShiftFeatures per row, for the shifts ``keys``."""
+        scalars = {key: column.tolist() for key, column in self.scalars.items()}
+        pos, neg = ([[None if math.isnan(v) else v for v in row] for row in blocks.tolist()]
+                    for blocks in (self.pos_blocks, self.neg_blocks))
+        counts = zip(self.n_recordings.tolist(), self.n_sessions.tolist(), self.recordings_per_block.tolist())
+        out = []
+        for i, ((pid, day), (n_recordings, n_sessions, per_block)) in enumerate(zip(keys, counts)):
+            present = {key: column[i] for key, column in scalars.items() if not math.isnan(column[i])}
+            out.append(ShiftFeatures(pid, day, n_recordings, n_sessions, present, pos[i], neg[i], per_block))
+        return out
+
+
 def cohort_shift_features(
-    keys: list[tuple[str, date]],
+    n: int,
     slots: np.ndarray,
     sessions: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     rated: tuple[np.ndarray, np.ndarray, np.ndarray],
     arousal_threshold: float = AROUSAL_THRESHOLD,
-) -> list[ShiftFeatures]:
-    """per_shift_features of every shift in ``keys``, from grouped counts.
+) -> ShiftColumns:
+    """per_shift_features of each of ``n`` shifts, as columns, from grouped counts.
 
-    ``slots`` stacks the shifts' timelines, one row per key. ``sessions`` is
-    (shift, start, duration, minutes per LocationCategory value) of every
+    ``slots`` stacks the shifts' timelines, one row per shift. ``sessions``
+    is (shift, start, duration, minutes per LocationCategory value) of every
     session, by (shift, start), as cohort_sessions returns it; ``rated`` is
     (shift, minute, fused) of every rated recording. Each feature is a sum
     of integers over a count, so it equals per_shift_features' value bit for
-    bit; a feature whose count is 0 stays absent.
+    bit; a feature whose count is 0 is NaN.
     """
-    n = len(keys)
 
     def total(group: np.ndarray, weights: np.ndarray | None = None, size: int = n) -> np.ndarray:
         return np.bincount(group, weights, minlength=size)
@@ -222,25 +250,15 @@ def cohort_shift_features(
         for cat, key in _LOCATED:
             here = location == cat
             ratios[f"{name}_ratio_{key}"] = (total(shift[here], flag[here]), total(shift[here]))
-        block_ratios.append(_ratio_or_none(total(block, flag, n * N_BLOCKS), per_block))
+        block_ratios.append(_ratio(total(block, flag, n * N_BLOCKS), per_block).reshape(n, N_BLOCKS))
 
-    columns = {key: _ratio_or_none(part, whole) for key, (part, whole) in ratios.items()}
-    pos_blocks, neg_blocks = block_ratios
-    per_block = per_block.tolist()
-    n_rated, n_sessions = n_rated.tolist(), n_sessions.tolist()
-    out = []
-    for i, (pid, day) in enumerate(keys):
-        scalars = {key: column[i] for key, column in columns.items() if column[i] is not None}
-        b = slice(i * N_BLOCKS, (i + 1) * N_BLOCKS)
-        out.append(ShiftFeatures(pid, day, n_rated[i], n_sessions[i], scalars,
-                                 pos_blocks[b], neg_blocks[b], per_block[b]))
-    return out
+    return ShiftColumns(n_rated, n_sessions, {key: _ratio(*ratios[key]) for key in _SHIFT_SCALARS},
+                        *block_ratios, per_block.reshape(n, N_BLOCKS))
 
 
-def _ratio_or_none(part: np.ndarray, whole: np.ndarray) -> list[float | None]:
-    """part / whole as Python floats, None where whole is 0."""
-    values = (part / np.maximum(whole, 1)).tolist()
-    return [v if w else None for v, w in zip(values, whole.tolist())]
+def _ratio(part: np.ndarray, whole: np.ndarray) -> np.ndarray:
+    """part / whole, NaN where whole is 0."""
+    return np.where(whole > 0, part / np.maximum(whole, 1), np.nan)
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -307,10 +325,78 @@ def build_feature_matrix(
         raise EmptyInput("no participant vectors")
     ids = [v.participant_id for v in vectors]
     X = np.array([[v.features[name] for name in FEATURE_COLUMNS] for v in vectors], dtype=float)
+    return _impute_medians(X), list(FEATURE_COLUMNS), ids
+
+
+def _impute_medians(X: np.ndarray) -> np.ndarray:
+    """X with each NaN replaced by its column's median, or by 0 in a column
+    without any value."""
     for j in range(X.shape[1]):
         col = X[:, j]
         missing = np.isnan(col)
         if missing.any():
             fill = float(np.median(col[~missing])) if (~missing).any() else 0.0
             col[missing] = fill
-    return X, list(FEATURE_COLUMNS), ids
+    return X
+
+
+def cohort_feature_matrix(
+    profiles: dict[str, ParticipantProfile],
+    shift_pids: np.ndarray,
+    shifts: ShiftColumns,
+    physiology: list[DailyPhysiology],
+) -> tuple[np.ndarray, list[str], list[str]]:
+    """build_feature_matrix of every profile's participant_vector, by sorted
+    participant id, from grouped passes over the shifts' columns (a shift
+    belongs to participant ``shift_pids[i]``) and the physiology rows.
+
+    Each mean and std is one np.mean / np.std per distinct value count over
+    a (participants, count) matrix, which gives the bits of one call per
+    participant; an empty cohort gives a (0, len(FEATURE_COLUMNS)) matrix.
+    """
+    ids = sorted(profiles)
+    n = len(ids)
+    index = {pid: i for i, pid in enumerate(ids)}
+    column = {name: j for j, name in enumerate(FEATURE_COLUMNS)}
+    X = np.full((n, len(FEATURE_COLUMNS)), np.nan)
+
+    owner = np.array([index.get(pid, -1) for pid in shift_pids.tolist()], dtype=np.int64)
+    for key in _SHIFT_SCALARS:
+        values = shifts.scalars[key]
+        present = (owner >= 0) & ~np.isnan(values)
+        X[:, column[f"{key}_mean"]], X[:, column[f"{key}_std"]] = _group_mean_std(owner[present], values[present], n)
+    # a window's feature is the mean over shifts of the shift's mean over
+    # its populated blocks; a shift with none in the window is left out
+    for polarity, blocks in (("pos", shifts.pos_blocks), ("neg", shifts.neg_blocks)):
+        for name, window in _WINDOWS.items():
+            part = blocks[:, window.start:window.stop]
+            present = ~np.isnan(part)
+            shift_mean, _ = _group_mean_std(np.nonzero(present)[0], part[present], len(part))
+            present = (owner >= 0) & ~np.isnan(shift_mean)
+            X[:, column[f"{polarity}_ratio_{name}"]], _ = _group_mean_std(owner[present], shift_mean[present], n)
+
+    owner = np.array([index.get(d.participant_id, -1) for d in physiology], dtype=np.int64)
+    present = owner >= 0
+    for name, values in (("walk_ratio", [d.walk_ratio for d in physiology]),
+                         ("sleep_hours", [d.sleep_hours for d in physiology])):
+        X[:, column[f"{name}_mean"]], X[:, column[f"{name}_std"]] = _group_mean_std(
+            owner[present], np.asarray(values, dtype=float)[present], n)
+
+    X[:, column["shift_night"]] = [profiles[pid].shift_type is ShiftType.NIGHT for pid in ids]
+    X[:, column["unit_icu"]] = [profiles[pid].unit_type is UnitType.ICU for pid in ids]
+    return _impute_medians(X), list(FEATURE_COLUMNS), ids
+
+
+def _group_mean_std(group: np.ndarray, values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population std of the values of each group < size, taken in
+    their given order; NaN for a group without values."""
+    order = np.argsort(group, kind="stable")
+    values = values[order]
+    counts = np.bincount(group, minlength=size)
+    first = np.cumsum(counts) - counts
+    mean, std = np.full(size, np.nan), np.full(size, np.nan)
+    for c in np.unique(counts[counts > 0]).tolist():
+        rows = np.flatnonzero(counts == c)
+        block = values[first[rows, None] + np.arange(c)]
+        mean[rows], std[rows] = block.mean(axis=1), block.std(axis=1)
+    return mean, std

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConstantInput, EmptyInput, EmptyPool, InsufficientData
 from .model import ColumnTable, FrameBlock
-from .stats import spearman_rho
+from .stats import grouped_spearman, spearman_rho
 
 AROUSAL_THRESHOLD = 0.25
 FEATURE_NAMES = ("log_pitch", "intensity", "hf_lf_ratio")
@@ -140,6 +140,20 @@ def fusion_weights(scores: list[tuple[float, float, float]]) -> FusionWeights:
             r.append(spearman_rho(p[:, i], p_mu))
         except ConstantInput:
             r.append(0.0)
+    return _normalized(r)
+
+
+def speaker_fusion_weights(p: np.ndarray, bounds: np.ndarray) -> list[FusionWeights]:
+    """fusion_weights(p[bounds[s]:bounds[s + 1]]) of every speaker s, from one
+    grouped Spearman pass over the score rows ``p`` (rows, 3)."""
+    sizes = np.diff(bounds)
+    speaker = np.repeat(np.arange(len(sizes)), sizes)
+    rho = grouped_spearman(p, p.mean(axis=1), speaker, len(sizes))
+    return [UNIFORM_WEIGHTS if n < 2 else _normalized(r) for n, r in zip(sizes.tolist(), rho.tolist())]
+
+
+def _normalized(r: list[float]) -> FusionWeights:
+    """Weights of unit length along the correlations r; uniform if all are 0."""
     norm = math.sqrt(sum(v * v for v in r))
     if norm == 0.0:
         return replace(UNIFORM_WEIGHTS, r=tuple(r))

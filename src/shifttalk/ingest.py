@@ -623,26 +623,31 @@ def write_cohort(cohort: Cohort, dir_path: str | Path) -> None:
     root.mkdir(parents=True, exist_ok=True)
     temporary = {name: root / f"{name}.tmp" for name in CANONICAL_FILES}
     try:
-        write_csv(temporary[PARTICIPANTS_FILE], PARTICIPANTS_HEADER, (
-            (p.participant_id, p.shift_type.value, p.unit_type.value, p.pos_affect, p.neg_affect,
-             float(p.life_satisfaction)) for _, p in sorted(cohort.profiles.items())))
-        write_csv(temporary[HUBS_FILE], HUBS_HEADER,
-                  ((hub_id, h.location_category.value) for hub_id, h in sorted(cohort.hubs.items())))
+        write_csv(temporary[PARTICIPANTS_FILE], PARTICIPANTS_HEADER, _columns(
+            [(p.participant_id, p.shift_type.value, p.unit_type.value, p.pos_affect, p.neg_affect, p.life_satisfaction)
+             for _, p in sorted(cohort.profiles.items())], (object, object, object, np.int64, np.int64, np.float64)))
+        write_csv(temporary[HUBS_FILE], HUBS_HEADER, _columns(
+            [(hub_id, h.location_category.value) for hub_id, h in sorted(cohort.hubs.items())], (object, object)))
         cohort.rssi.write_csv(temporary[RSSI_FILE])
         with temporary[RECORDINGS_FILE].open("wb") as fh:
             offsets = np.concatenate(([0], np.cumsum(cohort.recordings.n_frames)))  # each recording's first frame
             starts = np.flatnonzero(np.diff(offsets[:-1] // _BATCH_FRAMES, prepend=-1)).tolist()
             for lo, hi in zip(starts, starts[1:] + [len(cohort.recordings)]):
                 fh.write(_batch_lines(cohort.recordings, cohort.frames, offsets, lo, hi))
-        write_csv(temporary[PHYSIOLOGY_FILE], PHYSIOLOGY_HEADER, (
-            (d.participant_id, d.shift_date.isoformat(), float(d.walk_ratio), float(d.sleep_hours))
-            for d in cohort.physiology))
+        write_csv(temporary[PHYSIOLOGY_FILE], PHYSIOLOGY_HEADER, _columns(
+            [(d.participant_id, d.shift_date, d.walk_ratio, d.sleep_hours) for d in cohort.physiology],
+            (object, "datetime64[D]", np.float64, np.float64)))
     except BaseException:
         for path in temporary.values():
             path.unlink(missing_ok=True)
         raise
     for name, path in temporary.items():
         os.replace(path, root / name)
+
+
+def _columns(rows: list[tuple], dtypes: tuple) -> list[np.ndarray]:
+    """Row tuples as one numpy column per dtype."""
+    return [np.array(column, dtype) for column, dtype in zip(list(zip(*rows)) or [()] * len(dtypes), dtypes)]
 
 
 def _grid_text(values: np.ndarray) -> tuple[bytes, np.ndarray] | None:

@@ -12,10 +12,12 @@ ColumnTable of that kind.
 
 The one CSV rule of the package lives here. csv_rows reads a file under an
 exact header, one field per column, and a bad row raises MalformedRow naming
-file:line; write_csv writes one. A cell is typed by its column: floats as
-their repr with NaN as an empty field, booleans as 0/1, dates as YYYY-MM-DD
-only (parse_date). ColumnTable.write_csv and read_csv apply the rule to a
-table, text_rows and read_columns to loose columns.
+file:line. write_csv is the one writer: it takes parallel columns and builds
+the text column by column, in batches of rows. A cell is typed by its
+column: floats as their repr with NaN as an empty field, booleans as 0/1,
+dates as YYYY-MM-DD only (parse_date), text quoted as the csv module's
+excel dialect quotes it. ColumnTable.write_csv and read_csv apply the rule
+to a table, write_csv and read_columns to loose columns.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .errors import MalformedRow
 SHIFT_MINUTES = 720  # 12-hour shift at one-minute resolution
 RSSI_MIN = 136
 RSSI_MAX = 193
-_TEXT_BATCH_ROWS = 1 << 14
+_TEXT_BATCH_ROWS = 1 << 12
 
 
 class ShiftType(str, Enum):
@@ -123,36 +125,57 @@ def csv_rows(path: Path, header: Sequence[str]):
             yield lineno, row
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows) -> None:
-    """The header, then each row; csv writes a float as its repr and None as
-    an empty field."""
+def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """The header, then one row per position of the parallel numpy ``columns``.
+
+    The text is built column by column, _TEXT_BATCH_ROWS rows at a time,
+    which bounds the Python strings held at once. Each cell is written as
+    csv's excel dialect writes its value: floats as their repr with NaN as
+    an empty field, booleans as 0/1, dates as YYYY-MM-DD, a text cell that
+    holds a comma, a double quote, CR or LF in quotes with its quotes
+    doubled; rows end in CRLF.
+    """
+    width = len(header)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(",".join(_quoted(list(header), width)) + "\r\n")
+        for i in range(0, len(columns[0]) if columns else 0, _TEXT_BATCH_ROWS):
+            cells = [_cells(column[i:i + _TEXT_BATCH_ROWS], width) for column in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
-def text_rows(columns: Sequence[np.ndarray]):
-    """The rows of parallel columns as tuples of csv cells (dates as
-    YYYY-MM-DD text, booleans as 0/1, NaN as None); made _TEXT_BATCH_ROWS
-    rows at a time, which bounds the Python objects held at once."""
-    for i in range(0, len(columns[0]), _TEXT_BATCH_ROWS):
-        yield from zip(*(_cells(c[i:i + _TEXT_BATCH_ROWS]) for c in columns))
+def _cells(column: np.ndarray, width: int) -> list[str]:
+    """The csv text of each value of a column of a ``width``-column table."""
+    kind = column.dtype.kind
+    if kind == "M":  # each distinct date is formatted once; a table holds few
+        days, code = np.unique(column, return_inverse=True)
+        return list(map(np.datetime_as_string(days).tolist().__getitem__, code.tolist()))
+    if kind == "b":
+        return np.where(column, "1", "0").tolist()
+    if kind == "f":
+        cells, blank = list(map(float.__repr__, column.tolist())), _quoted([""], width)[0]
+        for i in np.flatnonzero(np.isnan(column)).tolist():
+            cells[i] = blank
+        return cells
+    if kind in "iu":
+        return list(map(int.__repr__, column.tolist()))
+    return _quoted(list(map(str, column.tolist())), width)
 
 
-def _cells(column: np.ndarray) -> list:
-    if column.dtype.kind == "M":
-        return np.datetime_as_string(column).tolist()
-    if column.dtype.kind == "b":
-        return column.astype(np.int64).tolist()
-    if column.dtype.kind == "f" and np.isnan(column).any():
-        column = np.where(np.isnan(column), None, column)
-    return column.tolist()
+def _quoted(cells: list[str], width: int) -> list[str]:
+    """Text cells as csv's QUOTE_MINIMAL writes them. The only field of a
+    row is quoted when empty, so that the row is not blank."""
+    if width == 1 or _SPECIAL.search("".join(cells)):
+        cells = ['"' + c.replace('"', '""') + '"' if _SPECIAL.search(c) or width == 1 and not c else c
+                 for c in cells]
+    return cells
+
+
+_SPECIAL = re.compile('[,"\r\n]')  # what makes csv quote a field
 
 
 def read_columns(path: str | Path, header: Sequence[str], dtypes: Sequence) -> list:
     """The columns (lists or arrays) of a csv file under ``header``, each
-    cell read back as text_rows writes a value of its column's dtype. The
+    cell read back as write_csv writes a value of its column's dtype. The
     first bad field in file order raises MalformedRow naming file:line.
 
     Each column is read in one pass (_column); only when a pass refuses, or
@@ -295,7 +318,7 @@ class ColumnTable:
 
     def write_csv(self, path: str | Path) -> None:
         """One csv row per table row, under the column names."""
-        write_csv(path, self.columns(), text_rows([getattr(self, name) for name in self.columns()]))
+        write_csv(path, self.columns(), [getattr(self, name) for name in self.columns()])
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "ColumnTable":

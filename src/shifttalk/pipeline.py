@@ -5,7 +5,7 @@ Every layer runs over the whole cohort at once: over the columns of its
 RecordingTable and of the one FrameBlock that holds every recording's frames
 end to end. Each recording carries a shift code, its index in the sorted
 (participant_id, shift_date) keys, and each layer groups by those codes
-instead of looping over shifts:
+instead of looping over shifts, speakers or participants:
 
 - Location timelines for every shift come from one pass over the cohort's
   RssiTable and are stacked as one (shifts, 720) array.
@@ -15,10 +15,14 @@ instead of looping over shifts:
   differences, each speaker's pool is one sort, medians come from one
   ``np.median`` per distinct kept count (the same bits as one call per
   recording), and percentile scores from one ``searchsorted`` pair per
-  speaker and feature. Neutral baselines
-  are frozen per speaker before any of that speaker's recordings is scored
-  (two-phase contract). A speaker never voiced stays unrated; a speaker
-  with too few recordings for Spearman-derived weights gets uniform weights.
+  speaker and feature. Neutral baselines are frozen per speaker before any
+  of that speaker's recordings is scored (two-phase contract). A speaker
+  never voiced stays unrated.
+- Fusion weights come from one grouped Spearman pass over every speaker's
+  score rows (stats.grouped_spearman: midranks from one lexsort by
+  speaker and value, dot products from grouped sums, exact in float64). A
+  speaker with too few recordings for Spearman-derived weights gets
+  uniform weights.
 - Sessions are runs of consecutive slots ``shift * 720 + minute`` of the
   valid recordings, after one ``np.unique``; their minutes per location
   category are one ``bincount`` over (session, category).
@@ -26,34 +30,42 @@ instead of looping over shifts:
   rates, pos/neg ratios overall, per location and per hour block) are
   grouped ``bincount`` sums over counts, so they equal the per-shift
   values bit for bit.
+- Participant rows are grouped means and stds over the shift columns and
+  the physiology rows, one ``np.mean``/``np.std`` per distinct count, then
+  imputed by column median.
 
 Sessions come out by (participant, date, start), rated rows by speaker,
 then file order, and hour blocks by shift, each as a column table that
 reports writes in one pass.
 The functions ``filter_frames``, ``is_valid_recording``, ``build_neutral``,
 ``score_recording``, ``fusion_weights``, ``rate_recording``,
-``build_sessions`` and ``per_shift_features`` state the same rules one
-recording or one shift at a time; tests hold the passes to them bit for bit.
+``build_sessions``, ``per_shift_features``, ``participant_vector`` and
+``build_feature_matrix`` state the same rules one recording, speaker,
+shift or participant at a time; they stay as references, and tests hold
+the passes to them bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from datetime import date
 
 import numpy as np
 
-from . import arousal as arousal_mod
 from .aggregate import (
-    FEATURE_COLUMNS,
     BlockTable,
+    ShiftColumns,
     ShiftFeatures,
     block_table,
-    build_feature_matrix,
+    cohort_feature_matrix,
     cohort_shift_features,
-    participant_vector,
 )
-from .aggregate import per_shift_features  # noqa: F401  reference; perfbench traces it here
-from .arousal import AROUSAL_THRESHOLD, FEATURE_NAMES, FusionWeights, RatedTable, fuse
+from .aggregate import (  # noqa: F401  references; perfbench traces them here
+    build_feature_matrix,
+    participant_vector,
+    per_shift_features,
+)
+from .arousal import AROUSAL_THRESHOLD, FEATURE_NAMES, FusionWeights, RatedTable, fuse, speaker_fusion_weights
 from .foreground import MIN_FOREGROUND_FRAMES, ForegroundFilter, cohort_mask
 from .foreground import filter_frames, is_valid_recording  # noqa: F401  reference; perfbench traces them here
 from .ingest import MIN_DAYS, filter_min_days, filter_shift_window
@@ -85,11 +97,17 @@ class ExtractionResult:
     rated: RatedTable
     blocks: BlockTable
     weights: dict[str, FusionWeights]
-    shift_features: list[ShiftFeatures]
+    shifts: ShiftColumns  # a row per key of shift_keys
+    shift_keys: list[tuple[str, date]]
     matrix: np.ndarray
     feature_names: list[str]
     participant_ids: list[str]
     dropped: dict[str, int]
+
+    @property
+    def shift_features(self) -> list[ShiftFeatures]:
+        """One ShiftFeatures per shift, built on request."""
+        return self.shifts.records(self.shift_keys)
 
 
 def run_extraction(cohort: Cohort, config: ExtractionConfig | None = None) -> ExtractionResult:
@@ -126,33 +144,19 @@ def run_extraction(cohort: Cohort, config: ExtractionConfig | None = None) -> Ex
     rated_recs = valid[rated_rows]
     rated_shift, rated_minute = shift[rated_recs], minute[rated_recs]
     rated = RatedTable(key_pids[rated_shift], key_days[rated_shift], rated_minute, *p.T, fused)
-    shift_features = cohort_shift_features(
-        shift_keys, slots, session_columns, (rated_shift, rated_minute, fused), config.arousal_threshold
+    shift_columns = cohort_shift_features(
+        len(shift_keys), slots, session_columns, (rated_shift, rated_minute, fused), config.arousal_threshold
     )
-
-    # participant vectors and matrix
-    by_pid: dict[str, list[ShiftFeatures]] = {}
-    for sf in shift_features:
-        by_pid.setdefault(sf.participant_id, []).append(sf)
-    physiology_by_pid: dict[str, list] = {}
-    for row in kept.physiology:
-        physiology_by_pid.setdefault(row.participant_id, []).append(row)
-    vectors = [
-        participant_vector(kept.profiles[pid], by_pid.get(pid, []), physiology_by_pid.get(pid, []))
-        for pid in sorted(kept.profiles)
-    ]
-    if vectors:
-        matrix, names, ids = build_feature_matrix(vectors)
-    else:
-        matrix, names, ids = np.empty((0, len(FEATURE_COLUMNS))), list(FEATURE_COLUMNS), []
+    matrix, names, ids = cohort_feature_matrix(kept.profiles, key_pids, shift_columns, kept.physiology)
 
     return ExtractionResult(
         cohort=kept,
         sessions=sessions,
         rated=rated,
-        blocks=block_table(shift_features),
+        blocks=block_table(key_pids, key_days, shift_columns),
         weights=weights_by_speaker,
-        shift_features=shift_features,
+        shifts=shift_columns,
+        shift_keys=shift_keys,
         matrix=matrix,
         feature_names=names,
         participant_ids=ids,
@@ -201,16 +205,13 @@ def _rate_cohort(
         else:
             p[:, j], _ = _percentile_scores(values, counts, bounds)
 
-    weights_by_speaker: dict[str, FusionWeights] = {}
-    w = np.zeros((len(valid), 3))
-    for s in np.flatnonzero(voiced_speakers).tolist():
-        r0, r1 = bounds[s], bounds[s + 1]
-        weights = arousal_mod.fusion_weights(p[r0:r1])
-        weights_by_speaker[recordings.participant_id[valid[r0]]] = weights
-        w[r0:r1] = weights.w
-    fused = fuse(w.T, p.T)
+    weights = speaker_fusion_weights(p, bounds)
+    weights_by_speaker = {recordings.participant_id[valid[bounds[s]]]: weights[s]
+                          for s in np.flatnonzero(voiced_speakers).tolist()}
+    segment = np.repeat(np.arange(len(weights)), np.diff(bounds))  # each valid recording's speaker
+    fused = fuse(np.array([wt.w for wt in weights])[segment].T, p.T)
 
-    rows = np.flatnonzero(np.repeat(voiced_speakers, np.diff(bounds)))
+    rows = np.flatnonzero(voiced_speakers[segment])
     return valid, rows, p[rows], fused[rows], weights_by_speaker
 
 

@@ -6,7 +6,8 @@ floats as their shortest exact repr, NaN as an empty field, MalformedRow
 naming file:line), so write -> read -> write is byte-stable: sessions,
 arousal, blocks and comparisons are ColumnTables that write and read
 themselves, and features.csv, whose columns follow FEATURE_COLUMNS, is
-written and read on the same primitives.
+written and read on the same primitives. Every csv file goes through
+model.write_csv, which builds the text column by column.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .aggregate import FEATURE_COLUMNS, LABEL_COLUMNS, BlockTable
 from .arousal import RatedTable
 from .errors import MalformedRow
 from .forest import ForestParams
-from .model import read_columns, text_rows, write_csv
+from .model import read_columns, write_csv
 from .predict import CvReport
 from .sessions import SessionTable
 from .stats import ComparisonTable
@@ -66,7 +67,7 @@ def write_features_csv(
     columns = [np.asarray(participant_ids, dtype=object),
                *(np.asarray(labels[name], dtype=float) for name in LABEL_COLUMNS),
                *np.asarray(matrix, dtype=float).T]
-    write_csv(path, FEATURES_HEADER, text_rows(columns))
+    write_csv(path, FEATURES_HEADER, columns)
 
 
 def read_features_csv(path: str | Path) -> tuple[list[str], dict[str, np.ndarray], np.ndarray, list[str]]:

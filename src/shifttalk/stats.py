@@ -53,6 +53,43 @@ def spearman_rho(x, y) -> float:
     return float(rx @ ry) / denom
 
 
+def grouped_spearman(x: np.ndarray, y: np.ndarray, group: np.ndarray, size: int) -> np.ndarray:
+    """spearman_rho(x[group == g, j], y[group == g]) of every group g < size
+    and column j of x (rows, k), as a (size, k) array; 0.0 where either
+    vector is constant or has fewer than two values.
+
+    Equals spearman_rho bit for bit while each group has fewer than about
+    3e5 values: a centred midrank is a multiple of 0.5, so every product and
+    partial sum below is exact in float64 whatever the summation order.
+    """
+    ry = _centred_midranks(y, group, size)
+    syy = np.bincount(group, ry * ry, minlength=size)
+    rho = np.zeros((size, x.shape[1]))
+    for j in range(x.shape[1]):
+        rx = _centred_midranks(x[:, j], group, size)
+        sxx, sxy = np.bincount(group, rx * rx, minlength=size), np.bincount(group, rx * ry, minlength=size)
+        varies = (sxx > 0) & (syy > 0)  # a constant vector's centred ranks are all 0
+        rho[varies, j] = sxy[varies] / np.sqrt(sxx[varies] * syy[varies])
+    return rho
+
+
+def _centred_midranks(values: np.ndarray, group: np.ndarray, size: int) -> np.ndarray:
+    """Each value's midrank within its group minus the group's mean rank
+    (n + 1) / 2, as midranks(v) - midranks(v).mean() gives it."""
+    order = np.lexsort((values, group))
+    g, v = group[order], values[order]
+    counts = np.bincount(group, minlength=size)
+    first = np.cumsum(counts) - counts
+    new_run = np.ones(len(v), dtype=bool)  # a tie run starts where the group or the value changes
+    new_run[1:] = (g[1:] != g[:-1]) | (v[1:] != v[:-1])
+    starts = np.flatnonzero(new_run)
+    ends = np.append(starts[1:], len(v)) - 1
+    run = g[starts]
+    centred = np.empty(len(v))
+    centred[order] = np.repeat((starts + ends - 2 * first[run] + 1 - counts[run]) / 2.0, ends - starts + 1)
+    return centred
+
+
 def _norm_sf(z: float) -> float:
     """P(Z > z) for standard normal Z."""
     return 0.5 * math.erfc(z / math.sqrt(2.0))

@@ -281,6 +281,7 @@ def test_criterion_6_directional_recovery(tmp_path):
     assert t.elapsed < 60.0
 
 
+@pytest.mark.slow
 def test_criterion_7_ml_recovers_planted_coupling(tmp_path):
     with timer() as t:
         data, out = run_pipeline(tmp_path, ML_SPEC, min_frames=12)

@@ -1,20 +1,26 @@
 from __future__ import annotations
 
+from datetime import timedelta
+
 import numpy as np
 import pytest
 
 from shifttalk.aggregate import (
+    _SHIFT_SCALARS,
     FEATURE_COLUMNS,
+    N_BLOCKS,
+    ShiftColumns,
     ShiftFeatures,
     block_series,
     build_feature_matrix,
+    cohort_feature_matrix,
     dominant_category,
     participant_vector,
     per_shift_features,
 )
 from shifttalk.arousal import RatedRecording
 from shifttalk.locate import empty_timeline
-from shifttalk.model import SHIFT_MINUTES, DailyPhysiology, LocationCategory
+from shifttalk.model import SHIFT_MINUTES, DailyPhysiology, LocationCategory, ShiftType, UnitType
 from shifttalk.sessions import SpeechSession, build_sessions
 
 from conftest import D0, profile, recording
@@ -214,3 +220,59 @@ def test_mean_of_ratios_stays_in_unit_interval():
     for name, value in vec.features.items():
         if "ratio" in name and "std" not in name and not np.isnan(value):
             assert 0.0 <= value <= 1.0
+
+
+def test_cohort_feature_matrix_matches_participant_vectors():
+    """The grouped participant pass gives the bits of participant_vector per
+    participant, then build_feature_matrix: shift scalars and hour blocks
+    missing at random or throughout, tied values, 0 to 130 shifts and
+    physiology days per participant (numpy sums pairwise from 8 values on),
+    and shift and physiology rows of an id without a profile."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    count = st.one_of(st.integers(0, 10), st.sampled_from([8, 9, 16, 129, 130]))
+
+    @st.composite
+    def cohorts(draw):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        missing = draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+        pool = np.concatenate([[0.0, 0.25, 1 / 3, 0.5, 1.0], rng.random(3), rng.random(2) * 700])
+
+        def values(shape):
+            out = rng.choice(pool, shape)
+            out[rng.random(shape) < missing] = np.nan
+            return out
+
+        ids = [f"p{k}" for k in range(draw(st.integers(0, 5)))]
+        profiles = {pid: profile(pid, draw(st.sampled_from(list(ShiftType))), draw(st.sampled_from(list(UnitType))))
+                    for pid in ids}
+        owners = ids + ["q"] * draw(st.booleans())  # q has no profile
+        keys = [(pid, D0 + timedelta(days=d)) for pid in owners for d in range(draw(count))]
+        n = len(keys)
+        shifts = ShiftColumns(rng.integers(0, 9, n), rng.integers(0, 9, n), {key: values(n) for key in _SHIFT_SCALARS},
+                              values((n, N_BLOCKS)), values((n, N_BLOCKS)), rng.integers(0, 9, (n, N_BLOCKS)))
+        physiology = [DailyPhysiology(pid, D0, float(rng.choice(pool[:8])), float(rng.random() * 12))
+                      for pid in owners for _ in range(draw(count))]
+        rng.shuffle(physiology)  # each participant's days interleaved with the others'
+        return profiles, keys, shifts, physiology
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cohorts())
+    def check(drawn) -> None:
+        profiles, keys, shifts, physiology = drawn
+        by_pid: dict[str, list[ShiftFeatures]] = {}
+        for sf in shifts.records(keys):
+            by_pid.setdefault(sf.participant_id, []).append(sf)
+        vectors = [participant_vector(profiles[pid], by_pid.get(pid, []),
+                                      [d for d in physiology if d.participant_id == pid]) for pid in sorted(profiles)]
+        X, names, ids = cohort_feature_matrix(profiles, np.array([pid for pid, _ in keys], dtype=object),
+                                              shifts, physiology)
+        assert names == FEATURE_COLUMNS and ids == sorted(profiles)
+        if not vectors:
+            assert X.shape == (0, len(FEATURE_COLUMNS))
+            return
+        expected, _, _ = build_feature_matrix(vectors)
+        assert X.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    check()

@@ -13,6 +13,7 @@ from shifttalk.arousal import (
     percentile_score,
     rate_recording,
     score_recording,
+    speaker_fusion_weights,
 )
 from shifttalk.errors import EmptyPool, InsufficientData
 from shifttalk.model import FrameBlock
@@ -177,6 +178,45 @@ def test_single_recording_gets_uniform_weights():
 
 
 # --- rating and ratios ---
+
+
+def _weight_bits(weights) -> tuple:
+    return (np.asarray(weights.w).view(np.uint64).tolist(), np.asarray(weights.r).view(np.uint64).tolist(),
+            weights.fallback)
+
+
+def test_speaker_fusion_weights_match_fusion_weights_per_speaker():
+    """The grouped pass gives each speaker the bits of fusion_weights over
+    that speaker's rows: tied and constant score columns, one-recording
+    speakers and all-zero correlations (a constant row mean) included."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    score = st.one_of(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]), st.floats(-1.0, 1.0))
+
+    @st.composite
+    def speaker(draw):
+        n = draw(st.integers(1, 12))
+        kind = draw(st.sampled_from(["free", "constant column", "constant mean"]))
+        rows = draw(st.lists(st.tuples(score, score, score), min_size=n, max_size=n))
+        if kind == "constant column":
+            j, value = draw(st.integers(0, 2)), draw(score)
+            rows = [tuple(value if i == j else v for i, v in enumerate(row)) for row in rows]
+        elif kind == "constant mean":  # each row a permutation of (a, 0, -a): every mean is 0
+            rows = [draw(st.permutations([a, 0.0, -a])) for a in draw(st.lists(score, min_size=n, max_size=n))]
+        return [tuple(row) for row in rows]
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(speaker(), min_size=1, max_size=6))
+    def check(speakers) -> None:
+        p = np.array([row for rows in speakers for row in rows], dtype=float)
+        bounds = np.cumsum([0] + [len(rows) for rows in speakers])
+        got = speaker_fusion_weights(p, bounds)
+        assert [_weight_bits(w) for w in got] == [_weight_bits(fusion_weights(rows)) for rows in speakers]
+
+    check()
+    fallback = speaker_fusion_weights(np.array([[1.0, 0.0, -1.0], [0.0, -1.0, 1.0]]), np.array([0, 2]))
+    assert fallback == [UNIFORM_WEIGHTS]
 
 
 def test_zero_scores_rate_zero():

@@ -6,7 +6,7 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
-from shifttalk.aggregate import ShiftFeatures, per_shift_features
+from shifttalk.aggregate import ShiftFeatures, build_feature_matrix, participant_vector, per_shift_features
 from shifttalk.arousal import (
     RatedRecording,
     build_neutral,
@@ -68,8 +68,9 @@ def _shift_feature_bits(sf: ShiftFeatures) -> tuple:
 
 
 def reference_extraction(cohort: Cohort, config: ExtractionConfig):
-    """The per-recording and per-shift chain: rated rows and weights as bits,
-    session rows, and every shift's features as bits."""
+    """The per-recording, per-shift and per-participant chain: rated rows and
+    weights as bits, session rows, every shift's features as bits, and the
+    feature matrix as bits."""
     recordings = [r for r in segments(cohort) if 0 <= r.minute_index < SHIFT_MINUTES]
     valid_by_speaker: dict[str, list[RecordingSegment]] = {}
     for rec in recordings:
@@ -93,16 +94,21 @@ def reference_extraction(cohort: Cohort, config: ExtractionConfig):
     valid = [r for recs in valid_by_speaker.values() for r in recs]
     keys = sorted({(r.participant_id, r.shift_date) for r in recordings})
     timelines = estimate_timeline(cohort.rssi, cohort.hubs, keys, config.rssi_floor)
-    sessions, features = [], []
+    sessions, features, by_pid = [], [], {}
     for key in keys:
         shift_sessions = build_sessions([r for r in valid if (r.participant_id, r.shift_date) == key],
                                         timelines[key])
         shift_rated = [r for r in rated_recordings if (r.participant_id, r.shift_date) == key]
         sessions.extend((s.participant_id, s.shift_date, s.start, s.duration_min,
                          *(s.location_minutes[c] for c in _CATEGORY_ORDER)) for s in shift_sessions)
-        features.append(_shift_feature_bits(
-            per_shift_features(shift_sessions, shift_rated, timelines[key], config.arousal_threshold)))
-    return rated, weights, sessions, features
+        sf = per_shift_features(shift_sessions, shift_rated, timelines[key], config.arousal_threshold)
+        features.append(_shift_feature_bits(sf))
+        by_pid.setdefault(key[0], []).append(sf)
+    vectors = [participant_vector(cohort.profiles[pid], by_pid[pid],
+                                  [d for d in cohort.physiology if d.participant_id == pid])
+               for pid in sorted(by_pid)]  # min_days is 1: every participant with a shift
+    matrix = _bits(build_feature_matrix(vectors)[0]) if vectors else []
+    return rated, weights, sessions, features, matrix
 
 
 def test_run_extraction_matches_per_recording_chain():
@@ -172,7 +178,7 @@ def test_run_extraction_matches_per_recording_chain():
     @hypothesis.given(cohorts())
     def check(drawn) -> None:
         cohort, config = drawn
-        rated, weights, sessions, features = reference_extraction(cohort, config)
+        rated, weights, sessions, features, matrix = reference_extraction(cohort, config)
         result = run_extraction(cohort, config)
         table = result.rated
         p = _bits(np.column_stack([table.p_pitch, table.p_intensity, table.p_hflf]))
@@ -181,6 +187,7 @@ def test_run_extraction_matches_per_recording_chain():
         assert {pid: (_bits(w.w), _bits(w.r), w.fallback) for pid, w in result.weights.items()} == weights
         assert list(zip(*(getattr(result.sessions, name).tolist() for name in SessionTable.columns()))) == sessions
         assert [_shift_feature_bits(sf) for sf in result.shift_features] == features
+        assert _bits(result.matrix) == matrix
 
     check()
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import random
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -10,6 +12,7 @@ from shifttalk.errors import ConstantInput, EmptyGroup, EmptyInput
 from shifttalk.stats import (
     MwuMethod,
     compare_groups,
+    grouped_spearman,
     mann_whitney_u,
     midranks,
     spearman_rho,
@@ -124,6 +127,54 @@ def test_spearman_matches_scipy_with_ties():
         assert spearman_rho(x, y) == pytest.approx(scipy_stats.spearmanr(x, y).statistic, abs=1e-12)
         checked += 1
     assert checked > 200
+
+
+def _bits(value) -> list[int]:
+    return np.asarray(value, dtype=float).view(np.uint64).tolist()
+
+
+def test_spearman_pinned_to_scipy_and_grouped_pass_to_spearman():
+    """spearman_rho against scipy.stats.spearmanr on tied samples from n = 2
+    up; a constant vector raises ConstantInput where scipy gives NaN. The
+    grouped pass gives spearman_rho's bits in every group, and 0.0 for a
+    constant or one-value group."""
+    scipy_stats = pytest.importorskip("scipy.stats")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # few distinct values, so ties and constant vectors come often; -0.0 ties 0.0
+    value = st.one_of(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]), st.floats(-1e3, 1e3))
+    pair = st.integers(1, 12).flatmap(lambda n: st.tuples(*(st.lists(value, min_size=n, max_size=n),) * 2))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(pair, min_size=1, max_size=5), st.randoms(use_true_random=False))
+    @hypothesis.example([([0.0, 1.0], [3.0, 2.0]), ([0.0, 1.0], [2.0, 3.0]), ([1.0, 1.0], [2.0, 3.0])],
+                        random.Random(0))
+    def check(groups, rnd) -> None:
+        expected = []
+        for x, y in groups:
+            x, y = np.array(x), np.array(y)
+            if len(x) < 2:
+                expected.append(0.0)
+            elif np.all(x == x[0]) or np.all(y == y[0]):
+                with pytest.raises(ConstantInput):
+                    spearman_rho(x, y)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # scipy warns that the input is constant
+                    assert math.isnan(scipy_stats.spearmanr(x, y).statistic)
+                expected.append(0.0)
+            else:
+                rho = spearman_rho(x, y)
+                assert rho == pytest.approx(scipy_stats.spearmanr(x, y).statistic, abs=1e-12)
+                expected.append(rho)
+        # the groups' rows interleaved, as a grouped caller may hold them
+        rows = [(g, a, b) for g, (x, y) in enumerate(groups) for a, b in zip(x, y)]
+        rnd.shuffle(rows)
+        group, x, y = (np.array(column) for column in zip(*rows))
+        rho = grouped_spearman(x[:, None], y, group.astype(np.int64), len(groups))
+        assert _bits(rho[:, 0]) == _bits(expected)
+
+    check()
 
 
 def test_u_statistic_identity():

@@ -5,6 +5,7 @@ file:line."""
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from shifttalk import reports
 from shifttalk.aggregate import FEATURE_COLUMNS, BlockTable
 from shifttalk.arousal import RatedTable
 from shifttalk.errors import MalformedRow
-from shifttalk.model import RssiTable
+from shifttalk.model import RssiTable, read_columns, write_csv
 from shifttalk.sessions import SessionTable
 from shifttalk.stats import ComparisonTable
 
@@ -147,3 +148,70 @@ def test_read_csv_takes_every_number_form_repr_writes(tmp_path):
     table.write_csv(path)
     assert "e+16" in path.read_text()
     assert_same_columns(BlockTable.read_csv(path), table)
+
+
+def csv_module_rows(columns):
+    """The rows the csv module writes for parallel columns under the cell
+    rule: dates as YYYY-MM-DD, booleans as 0/1, NaN as None (an empty
+    field), every other value as itself."""
+    def cells(column):
+        if column.dtype.kind == "M":
+            return np.datetime_as_string(column).tolist()
+        if column.dtype.kind == "b":
+            return column.astype(np.int64).tolist()
+        if column.dtype.kind == "f":
+            return [None if math.isnan(v) else v for v in column.tolist()]
+        return column.tolist()
+
+    return zip(*(cells(column) for column in columns))
+
+
+def test_write_csv_writes_the_csv_modules_bytes_and_reads_back(tmp_path):
+    """write_csv against csv.writer (excel dialect) byte for byte, then
+    read_columns back to the same values, for every column dtype a table
+    holds: text that csv must quote or that it passes through (NUL,
+    non-ASCII), floats at the edges of the range, NaN and -0.0, int64
+    extremes, booleans and dates."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    text = st.text(st.one_of(st.sampled_from([",", '"', "\r", "\n", "\0", " ", "a", "\u00e9", "\u6f22", "\U0001f600"]),
+                             st.characters()), max_size=6)
+    floats = st.one_of(st.sampled_from([math.nan, 0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, 0.1 + 0.2]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    int64 = st.one_of(st.sampled_from([-(2**63), 2**63 - 1, 0, -1]), st.integers(-(2**63), 2**63 - 1))
+    kinds = {
+        object: text,
+        np.float64: floats,
+        np.int64: int64,
+        bool: st.booleans(),
+        "datetime64[D]": st.dates(),
+    }
+
+    @st.composite
+    def tables(draw):
+        dtypes = draw(st.lists(st.sampled_from(list(kinds)), min_size=1, max_size=4))
+        n = draw(st.integers(0, 8))
+        header = draw(st.lists(text, min_size=len(dtypes), max_size=len(dtypes)))
+        columns = [np.array(draw(st.lists(kinds[dtype], min_size=n, max_size=n)), dtype=dtype) for dtype in dtypes]
+        return header, dtypes, columns
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(tables())
+    def check(table) -> None:
+        header, dtypes, columns = table
+        ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+        write_csv(ours, header, columns)
+        with theirs.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(csv_module_rows(columns))
+        assert ours.read_bytes() == theirs.read_bytes()
+
+        for column, back in zip(columns, read_columns(ours, header, dtypes)):
+            back = np.asarray(back, dtype=column.dtype)
+            if column.dtype.kind == "f":  # NaN and -0.0 by their bits
+                back, column = back.view(np.uint64), column.view(np.uint64)
+            assert back.tolist() == column.tolist()
+
+    check()
