@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregate import LABEL_COLUMNS
-from .arousal import AROUSAL_THRESHOLD
+from .arousal import AROUSAL_THRESHOLD, arousal_flags
 from .errors import DegenerateLabel, EmptyGroup, ShiftTalkError
 from .foreground import FilterKind, ForegroundFilter
 from .forest import ForestParams
@@ -175,7 +175,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         if len(fused):
             summary.append(f"arousal: {len(fused)} rated recordings, "
                            f"fused mean {fused.mean():.3f}, "
-                           f"pos>{AROUSAL_THRESHOLD}: {(fused > AROUSAL_THRESHOLD).mean():.3f}")
+                           f"pos>{AROUSAL_THRESHOLD}: {arousal_flags(fused)[0].mean():.3f}")
     blocks_path = out / reports.BLOCKS_FILE
     if blocks_path.is_file():
         summary.append(f"blocks: {len(reports.read_blocks_csv(blocks_path))} (shift, block) rows")

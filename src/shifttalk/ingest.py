@@ -52,14 +52,14 @@ An integer or number cell must be written as the writers write one (model's
 _int_cell and _float_cell): no surrounding spaces, leading "+", "_"
 separators or non-ASCII digits.
 
-parse_cohort reads recordings.jsonl in batches (_read_recordings), each
-checked at once into a part of the recording table and its frame columns;
-the parts are joined once. Where _split_offset allows, a forked worker
-parses rssi.csv and the tail of recordings.jsonl while this process parses
-the head (_parse_split). If anything is refused, parse_rssi and
-parse_recordings, the per-line reference, run over both files in this
-process, so each error keeps its type, file, line and message, and an
-rssi.csv error comes first.
+_read_recordings is the one reader of recordings.jsonl: one structure check
+per line (_recording), and the frame value rules (_frame_values) over about
+_PARSE_BATCH_FRAMES frames at once, run again one recording at a time only
+when they refuse, to find the first bad line. Where _split_offset allows, a
+forked worker parses rssi.csv and the tail of recordings.jsonl while this
+process parses the head (_parse_split); if either side refuses anything,
+both files are parsed again in this process, so an rssi.csv error comes
+first and a recordings.jsonl error names its line in the whole file.
 
 write_cohort writes recordings.jsonl in batches sliced from the cohort's
 frame columns. It refuses non-finite values (naming the first recording
@@ -71,6 +71,7 @@ per-value reference. The simulator rounds every frame value to the grid.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -79,7 +80,7 @@ import signal
 import threading
 from collections import Counter
 from dataclasses import replace
-from datetime import date
+from itertools import islice
 from pathlib import Path
 from typing import NoReturn
 
@@ -275,105 +276,94 @@ _COLUMN_TYPES = {
 }
 
 
-def _columns_from_rows(rows: list, file: str, lineno: int) -> dict[str, list]:
-    """Transpose the row-of-dicts layout into the columnar one."""
-    names = FRAME_COLUMNS
-    if rows and type(rows[0]) is dict and "foreground" in rows[0]:
-        names += ("foreground",)
-    try:
-        return {name: [row[name] for row in rows] for name in names}
-    except (KeyError, TypeError) as exc:
-        raise MalformedRow(file, lineno, f"bad frame: {exc!r}") from None
-
-
-def _frame_block(columns: dict, file: str, lineno: int) -> FrameBlock:
-    """Validate the frame columns of one line (either layout) into a FrameBlock."""
-    names = FRAME_COLUMNS + (("foreground",) if "foreground" in columns else ())
-    for name in names:
-        values = columns.get(name)
-        if type(values) is not list:
-            raise MalformedRow(file, lineno, f"frames need a {name} array")
-        allowed, expected = _COLUMN_TYPES[name]
+def _frame_values(columns: list[list]) -> list[np.ndarray]:
+    """The frame value rules over frame lists (FRAME_COLUMNS, then optionally
+    foreground, each of any length): the four feature columns as paged float
+    arrays, or ValueError with the reason for the first rule broken. A
+    "frame" index counts from the start of the lists."""
+    for (name, (allowed, expected)), values in zip(_COLUMN_TYPES.items(), columns):
         if not set(map(type, values)) <= allowed:
             bad = next(i for i, v in enumerate(values) if type(v) not in allowed)
-            raise MalformedRow(file, lineno, f"frame {bad}: {name} must be {expected}, got {values[bad]!r}")
+            raise ValueError(f"frame {bad}: {name} must be {expected}, got {values[bad]!r}")
     try:
-        feats = np.array([columns[name] for name in FRAME_COLUMNS], dtype=float)
-    except ValueError:
-        raise MalformedRow(file, lineno, "frame columns differ in length") from None
+        feats = [paged(values) for values in columns[:4]]
     except OverflowError:
-        raise MalformedRow(file, lineno, "frame value too large for a float") from None
-    n = feats.shape[1]
-    if n == 0:
-        raise MalformedRow(file, lineno, "frames must be non-empty")
+        raise ValueError("frame value too large for a float") from None
     # Only a null pitch becomes NaN (no other column admits null), so this
     # leaves overflowed numbers such as 1e999 as the one non-finite case.
-    if np.isinf(feats).any():
-        raise MalformedRow(file, lineno, "non-finite frame value")
-    log_pitch, intensity, hf_lf, fg_prob = feats
-    if fg_prob.min() < 0.0 or fg_prob.max() > 1.0:
+    if any(np.isinf(column).any() for column in feats):
+        raise ValueError("non-finite frame value")
+    _, _, hf_lf, fg_prob = feats
+    if fg_prob.min(initial=0.0) < 0.0 or fg_prob.max(initial=1.0) > 1.0:
         bad = int(np.argmax((fg_prob < 0.0) | (fg_prob > 1.0)))
-        raise MalformedRow(file, lineno, f"frame {bad}: foreground_prob outside [0, 1]")
-    if hf_lf.min() < 0.0:
-        bad = int(np.argmax(hf_lf < 0.0))
-        raise MalformedRow(file, lineno, f"frame {bad}: hf_lf_ratio negative")
-    fg = None
-    if "foreground" in columns:
-        fg = np.array(columns["foreground"], dtype=bool)
-        if len(fg) != n:
-            raise MalformedRow(file, lineno, "frame columns differ in length")
-    return FrameBlock(log_pitch, intensity, hf_lf, fg_prob, fg)
+        raise ValueError(f"frame {bad}: foreground_prob outside [0, 1]")
+    if hf_lf.min(initial=0.0) < 0.0:
+        raise ValueError(f"frame {int(np.argmax(hf_lf < 0.0))}: hf_lf_ratio negative")
+    return feats
 
 
-def parse_recordings(path: Path, profiles: dict[str, ParticipantProfile]) -> list[RecordingSegment]:
-    name = path.name
-    recordings: list[RecordingSegment] = []
-    days: dict[str, date] = {}  # each date text that parsed, with its date
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = _DECODER.decode(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRow(name, lineno, f"invalid JSON: {exc.msg}") from None
-            except ValueError as exc:
-                raise MalformedRow(name, lineno, str(exc)) from None
-            try:
-                pid = obj["participant_id"]
-                date_raw = obj["shift_date"]
-                minute = obj["minute_index"]
-                raw_frames = obj["frames"]
-            except (KeyError, TypeError) as exc:
-                raise MalformedRow(name, lineno, f"missing field: {exc}") from None
-            if type(pid) is not str or pid not in profiles:
-                raise MalformedRow(name, lineno, f"unknown participant_id {pid!r}")
-            if type(minute) is not int:
-                raise MalformedRow(name, lineno, f"minute_index must be an integer, got {minute!r}")
-            shift_date = days.get(date_raw) if type(date_raw) is str else None
-            if shift_date is None:
-                shift_date = days[date_raw] = parse_date(date_raw, name, lineno)
-            if type(raw_frames) is list:
-                raw_frames = _columns_from_rows(raw_frames, name, lineno)
-            elif type(raw_frames) is not dict:
-                raise MalformedRow(name, lineno, "frames must be an object of arrays or a list of frames")
-            frames = _frame_block(raw_frames, name, lineno)
-            recordings.append(RecordingSegment(pid, shift_date, minute, frames))
-    return recordings
+def _recording(line: str, profiles: dict[str, ParticipantProfile], days: dict[str, np.datetime64],
+               name: str, lineno: int) -> tuple:
+    """The participant, date, minute and frame lists (FRAME_COLUMNS, then
+    foreground when given) of one stripped recordings.jsonl line, after its
+    structure checks; MalformedRow on the first one it fails. The frame
+    values are left to _frame_values."""
+    try:
+        obj = _DECODER.decode(line)
+    except json.JSONDecodeError as exc:
+        raise MalformedRow(name, lineno, f"invalid JSON: {exc.msg}") from None
+    except ValueError as exc:
+        raise MalformedRow(name, lineno, str(exc)) from None
+    try:
+        pid, date_raw, minute, frames = obj["participant_id"], obj["shift_date"], obj["minute_index"], obj["frames"]
+    except (KeyError, TypeError) as exc:
+        raise MalformedRow(name, lineno, f"missing field: {exc}") from None
+    profile = profiles.get(pid) if type(pid) is str else None
+    if profile is None:
+        raise MalformedRow(name, lineno, f"unknown participant_id {pid!r}")
+    if type(minute) is not int:
+        raise MalformedRow(name, lineno, f"minute_index must be an integer, got {minute!r}")
+    shift_date = days.get(date_raw) if type(date_raw) is str else None
+    if shift_date is None:
+        shift_date = days[date_raw] = np.datetime64(parse_date(date_raw, name, lineno), "D")
+    if type(frames) is list:  # one object per frame; "foreground" is read when the first frame holds it
+        keys = FRAME_COLUMNS
+        if frames and type(frames[0]) is dict and "foreground" in frames[0]:
+            keys += ("foreground",)
+        try:
+            frames = {key: [row[key] for row in frames] for key in keys}
+        except (KeyError, TypeError) as exc:
+            raise MalformedRow(name, lineno, f"bad frame: {exc!r}") from None
+    elif type(frames) is not dict:
+        raise MalformedRow(name, lineno, "frames must be an object of arrays or a list of frames")
+    names = FRAME_COLUMNS + (("foreground",) if "foreground" in frames else ())
+    columns = [frames.get(column) for column in names]
+    n = len(columns[0]) if type(columns[0]) is list else 0
+    if not n or any(type(column) is not list or len(column) != n for column in columns):
+        for column, values in zip(names, columns):
+            if type(values) is not list:
+                raise MalformedRow(name, lineno, f"frames need a {column} array")
+        uneven = any(len(values) != n for values in columns)
+        raise MalformedRow(name, lineno, "frame columns differ in length" if uneven else "frames must be non-empty")
+    # the profile's own id string, one object per participant as in parse_rssi
+    return profile.participant_id, shift_date, min(max(minute, _INT64.min), _INT64.max), columns
 
 
 def _read_recordings(path: Path, profiles: dict[str, ParticipantProfile], start: int, stop: float) -> list[tuple]:
     """The recordings on the lines of recordings.jsonl that start at a byte
     in [start, stop), as join_recordings parts of about _PARSE_BATCH_FRAMES
-    frames (see _checked_batch). Raises on every line that parse_recordings
-    refuses, without naming it; start must be a line start.
+    frames (see _checked_part); start must be a line start.
+
+    Lines are counted as text mode counts them ("\n", "\r\n" and a lone
+    "\r" each end one), the line at start being line 1. The first line that
+    breaks a rule raises MalformedRow with its number and reason.
     """
+    name = path.name
     days: dict[str, np.datetime64] = {}
-    batches: list[tuple] = []
-    # RecordingTable columns, an item per recording; FRAME_COLUMNS + foreground, an item per frame
-    heads, values = tuple([] for _ in range(5)), tuple([] for _ in range(5))
-    size = 0
+    parts: list[tuple] = []
+    # RecordingTable columns and the line number, an item per recording; FRAME_COLUMNS + foreground, an item per frame
+    heads, values = tuple([] for _ in range(6)), tuple([] for _ in range(5))
+    lineno = 0
     at = start  # the byte where the next raw line begins
     with path.open("rb") as fh:
         fh.seek(start)
@@ -382,61 +372,47 @@ def _read_recordings(path: Path, profiles: dict[str, ParticipantProfile], start:
                 break
             at += len(raw)
             text = raw.decode("utf-8")
-            # in text mode, as parse_recordings reads, a lone "\r" also ends a line
-            for line in text.replace("\r", "\n").split("\n") if "\r" in text else (text,):
+            for line in io.StringIO(text, newline=None) if "\r" in text else (text,):
+                lineno += 1
                 line = line.strip()
                 if not line:
                     continue
-                obj = _DECODER.decode(line)
-                pid, date_raw, minute, frames = (obj["participant_id"], obj["shift_date"], obj["minute_index"],
-                                                 obj["frames"])
-                profile = profiles.get(pid) if type(pid) is str else None
-                if profile is None or type(minute) is not int:
-                    raise ValueError("bad participant_id or minute_index")
-                shift_date = days.get(date_raw) if type(date_raw) is str else None
-                if shift_date is None:
-                    shift_date = days[date_raw] = np.datetime64(parse_date(date_raw, path.name, 0), "D")
-                if type(frames) is list:
-                    frames = _columns_from_rows(frames, path.name, 0)
-                elif type(frames) is not dict:
-                    raise ValueError("bad frames")
-                columns = [frames.get(name) for name in FRAME_COLUMNS]
-                labelled = "foreground" in frames
-                if labelled:
-                    columns.append(frames["foreground"])
-                n = len(columns[0]) if type(columns[0]) is list else 0
-                if not n or any(type(column) is not list or len(column) != n for column in columns):
-                    raise ValueError("frame columns are not non-empty arrays of one length")
+                try:
+                    pid, shift_date, minute, columns = _recording(line, profiles, days, name, lineno)
+                except MalformedRow:
+                    _checked_part(name, heads, values)  # an earlier line of the part may break a value rule
+                    raise
                 for store, column in zip(values, columns):
                     store.extend(column)
-                # the profile's own id string, one object per participant as in parse_rssi
-                for store, value in zip(heads, (profile.participant_id, shift_date,
-                                                min(max(minute, _INT64.min), _INT64.max), n, labelled)):
+                n = len(columns[0])
+                for store, value in zip(heads, (pid, shift_date, minute, n, len(columns) > 4, lineno)):
                     store.append(value)
-                size += n
-                if size >= _PARSE_BATCH_FRAMES:
-                    batches.append(_checked_batch(heads, values))
+                if len(values[0]) >= _PARSE_BATCH_FRAMES:
+                    parts.append(_checked_part(name, heads, values))
                     for store in heads + values:
                         store.clear()
-                    size = 0
-    if size:
-        batches.append(_checked_batch(heads, values))
-    return batches
+    if heads[0]:
+        parts.append(_checked_part(name, heads, values))
+    return parts
 
 
-def _checked_batch(heads: tuple[list, ...], values: tuple[list, ...]) -> tuple[RecordingTable, dict]:
-    """The batch as a join_recordings part, after _frame_block's value checks
-    on every frame of the batch at once."""
-    for store, (allowed, _) in zip(values, _COLUMN_TYPES.values()):
-        if not set(map(type, store)) <= allowed:
-            raise ValueError("frame value of a wrong type")
-    feats = [paged(store) for store in values[:4]]
-    _, _, hf_lf, fg_prob = feats
-    if any(np.isinf(column).any() for column in feats) or hf_lf.min() < 0.0 \
-            or fg_prob.min() < 0.0 or fg_prob.max() > 1.0:
-        raise ValueError("frame value out of range")
-    table = RecordingTable(*heads)
-    foreground = paged(np.zeros(len(fg_prob), bool), bool)
+def _checked_part(name: str, heads: tuple[list, ...], values: tuple[list, ...]) -> tuple[RecordingTable, dict]:
+    """The recordings gathered so far as a join_recordings part, after
+    _frame_values over all their frames at once. Should that refuse, it runs
+    over one recording at a time, and the first one it refuses raises
+    MalformedRow at its line."""
+    try:
+        feats = _frame_values(list(values))
+    except ValueError:
+        frames = [iter(column) for column in values]
+        for n, labelled, lineno in zip(*heads[3:]):
+            try:
+                _frame_values([list(islice(column, n)) for column in frames[:4 + labelled]])
+            except ValueError as exc:
+                raise MalformedRow(name, lineno, str(exc)) from None
+        raise
+    table = RecordingTable(*heads[:5])
+    foreground = paged(np.zeros(len(feats[0]), bool), bool)
     foreground[np.repeat(table.labelled, table.n_frames)] = values[4]
     return table, dict(zip(FRAME_FIELDS, (*feats, foreground)))
 
@@ -546,8 +522,9 @@ def parse_cohort(dir_path: str | Path) -> Cohort:
 
     Row counts are cohort.counts; clamp events land in cohort.warnings.
     rssi.csv and recordings.jsonl are parsed by two processes where
-    _split_offset allows, else in this one, and the recordings' parts are
-    joined once. parse_recordings runs only to name what is refused.
+    _split_offset allows, else in this one, where _read_recordings reads
+    recordings.jsonl once and raises the first refusal with its line. When
+    the split refuses anything, the serial parse runs and raises it.
     """
     root = Path(dir_path)
     for name in CANONICAL_FILES:
@@ -560,11 +537,7 @@ def parse_cohort(dir_path: str | Path) -> Cohort:
     parsed = None if offset is None else _parse_split(root, hubs, profiles, warnings, offset)
     if parsed is None:
         rssi = parse_rssi(root / RSSI_FILE, hubs, profiles, warnings)
-        try:
-            parsed = rssi, _read_recordings(root / RECORDINGS_FILE, profiles, 0, math.inf)
-        except Exception:
-            parse_recordings(root / RECORDINGS_FILE, profiles)
-            raise
+        parsed = rssi, _read_recordings(root / RECORDINGS_FILE, profiles, 0, math.inf)
     rssi, parts = parsed
     recordings, frames = join_recordings(parts)
     physiology = parse_physiology(root / PHYSIOLOGY_FILE, profiles)

@@ -31,6 +31,8 @@ from .model import (
     HubCategory,
     HubRecord,
     ParticipantProfile,
+    RSSI_MAX,
+    RSSI_MIN,
     RecordingTable,
     RssiTable,
     ShiftType,
@@ -373,7 +375,7 @@ def _emit_rssi(
     rooms: np.ndarray,
 ) -> RssiTable:
     """One row per in-unit minute, from a hub of the current room."""
-    values = np.clip(np.round(rng.normal(spec.rssi_mean, spec.rssi_sd, SHIFT_MINUTES)), 136, 193).astype(int)
+    values = np.clip(np.round(rng.normal(spec.rssi_mean, spec.rssi_sd, SHIFT_MINUTES)), RSSI_MIN, RSSI_MAX).astype(int)
     alt = rng.random(SHIFT_MINUTES) < 0.5  # picks between same-category hubs
     minutes = np.flatnonzero(rooms != _ROOM_STATES.index("outside"))
     n = len(minutes)

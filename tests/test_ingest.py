@@ -313,6 +313,30 @@ def test_recordings_reject_non_strict_values(tmp_path, layout, field, text):
     assert (err.value.file, err.value.line) == ("recordings.jsonl", 2)
 
 
+VALUE_FAULT = (recording_line("columnar", "log_pitch", '"4.7"'),
+               "frame 1: log_pitch must be a number or null, got '4.7'")
+LABEL_FAULT = (recording_line("columnar", "foreground", "1"), "frame 1: foreground must be true or false, got 1")
+STRUCTURE_FAULT = (recording_line("columnar") + "x", "invalid JSON: Extra data")
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("batch_frames", [1, 3, ingest._PARSE_BATCH_FRAMES])
+@pytest.mark.parametrize("first, then", [(VALUE_FAULT, STRUCTURE_FAULT), (LABEL_FAULT, STRUCTURE_FAULT),
+                                         (STRUCTURE_FAULT, VALUE_FAULT)])
+def test_first_bad_line_raises_whichever_check_finds_it(tmp_path, monkeypatch, end, batch_frames, first, then):
+    # a value fault is found when its part of the file is checked, a
+    # structure fault at its line; the earlier line raises either way
+    root = write_dir(tmp_path)
+    unlabelled = json.dumps({"participant_id": "p1", "shift_date": "2022-03-01", "minute_index": 0,
+                             "frames": {name: [FRAME[name]] * 2 for name in ingest.FRAME_COLUMNS}})
+    lines = [unlabelled, "", first[0], then[0], recording_line("rows")]
+    (root / "recordings.jsonl").write_text("".join(line + end for line in lines), newline="")
+    monkeypatch.setattr(ingest, "_PARSE_BATCH_FRAMES", batch_frames)
+    with pytest.raises(MalformedRow) as err:
+        parse_cohort(root)
+    assert (err.value.file, err.value.line, err.value.reason) == ("recordings.jsonl", 3, first[1])
+
+
 BAD_FRAMES = [
     '{"log_pitch":[4.7],"intensity":[60.0],"hf_lf_ratio":[0.8]}',
     '{"log_pitch":[4.7,null],"intensity":[60.0],"hf_lf_ratio":[0.8],"foreground_prob":[0.9]}',

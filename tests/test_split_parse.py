@@ -1,22 +1,25 @@
-"""The two-process parse of rssi.csv and recordings.jsonl returns what the
-serial parse_rssi and parse_recordings return, bit for bit, wherever the
-file is split; on a bad line in either half or in rssi.csv it raises what
-the serial parse raises; and it falls back to the serial parse where it
-cannot split."""
+"""The two-process parse of rssi.csv and recordings.jsonl returns what a
+json.loads reading of the lines and the serial parse return, bit for bit,
+wherever the file is split; on a bad line in either half or in rssi.csv it
+raises what the serial parse raises; and it falls back to the serial parse
+where it cannot split."""
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import threading
 import time
+from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shifttalk import ingest
 from shifttalk.errors import MalformedRow
-from shifttalk.model import Cohort, join_recordings
+from shifttalk.model import FRAME_FIELDS, Cohort, FrameBlock, RecordingSegment, join_recordings
 
 from conftest import assert_cohorts_equal, with_recordings
 from test_ingest import BAD_FRAMES, BAD_VALUES, LAYOUTS, recording_line, write_dir
@@ -28,6 +31,24 @@ def halves(path: Path, profiles: dict, offset: int) -> Cohort:
     parts = ingest._read_recordings(path, profiles, 0, cut) + ingest._read_recordings(path, profiles, cut, math.inf)
     recordings, frames = join_recordings(parts)
     return Cohort(recordings=recordings, frames=frames)
+
+
+def loaded(data: bytes) -> Cohort:
+    """The recordings of a valid recordings.jsonl, read line by line with json.loads."""
+    recordings = []
+    for line in data.decode().splitlines():  # the lines tested here end in "\n", "\r\n" or "\r" only
+        if not line.strip():
+            continue
+        obj = json.loads(line)
+        frames = obj["frames"]
+        if type(frames) is list:
+            frames = {name: [frame[name] for frame in frames] for name in frames[0]}
+        labels = frames.get("foreground")
+        block = FrameBlock(*(np.array(frames[name], float) for name in FRAME_FIELDS[:4]),  # null becomes NaN
+                           None if labels is None else np.array(labels, bool))
+        recordings.append(RecordingSegment(obj["participant_id"], date.fromisoformat(obj["shift_date"]),
+                                           obj["minute_index"], block))
+    return with_recordings(Cohort(), recordings)
 
 
 def affinity() -> set[int] | None:
@@ -94,7 +115,7 @@ def test_split_property(tmp_path):
     def check(lines: list[tuple[str, str]], forked_at: int) -> None:
         data = "".join(body + end for body, end in lines).encode()
         path.write_bytes(data)
-        want = with_recordings(Cohort(), ingest.parse_recordings(path, profiles))
+        want = loaded(data)
         bounds = {0, len(data)} | {i + 1 for i, byte in enumerate(data) if byte in b"\r\n"}
         for offset in sorted({b + d for b in bounds for d in (-1, 0, 1)} - {-1}):
             assert_cohorts_equal(halves(path, profiles, offset), want)
@@ -121,14 +142,18 @@ BAD_LINES = (
 
 
 @pytest.mark.parametrize("line", BAD_LINES)
-def test_batched_reader_refuses_every_line_the_serial_parse_refuses(tmp_path, line):
+def test_batched_reader_refuses_every_line_the_serial_parse_refuses(tmp_path, monkeypatch, forks, line):
     root = write_dir(tmp_path, **{"recordings.jsonl": [recording_line("rows"), line]})
-    path = root / ingest.RECORDINGS_FILE
-    profiles = ingest.parse_participants(root / ingest.PARTICIPANTS_FILE)
-    with pytest.raises(MalformedRow):
-        ingest.parse_recordings(path, profiles)
-    with pytest.raises(Exception):
-        ingest._read_recordings(path, profiles, 0, math.inf)
+    size = (root / ingest.RECORDINGS_FILE).stat().st_size
+    reasons = set()
+    for offset in (None, 1, size):  # unsplit; line 2 in the worker's half; both lines in the parent's
+        monkeypatch.setattr(ingest, "_split_offset", lambda root: offset)
+        with pytest.raises(MalformedRow) as err:
+            ingest.parse_cohort(root)
+        assert (err.value.file, err.value.line) == ("recordings.jsonl", 2)
+        reasons.add(err.value.reason)
+    assert len(forks) == 2
+    assert len(reasons) == 1
 
 
 def test_forced_split_equals_serial_parse(tmp_path, monkeypatch, forks):
@@ -294,20 +319,23 @@ def test_split_pins_the_two_sides_only_on_two_cpus(tmp_path, monkeypatch, forks,
     assert pins == parent_cpus
 
 
-def test_unsplit_parse_reads_recordings_in_batches(tmp_path, monkeypatch):
-    from shifttalk.simulate import CohortSpec, generate
+@pytest.mark.parametrize("field, text", [("log_pitch", '"4.7"'), ("minute_index", "0.5")])
+def test_refused_file_is_opened_once_on_the_serial_path(tmp_path, monkeypatch, field, text):
+    root = write_dir(tmp_path, **{"recordings.jsonl": [recording_line("columnar"),
+                                                       recording_line("columnar", field, text)]})
+    opened: list[Path] = []
+    path_open = Path.open
 
-    generate(CohortSpec(n_per_cell=1, n_shifts=2, frames_per_recording=12, seed=3), tmp_path)
-    profiles = ingest.parse_participants(tmp_path / ingest.PARTICIPANTS_FILE)
-    want = ingest.parse_recordings(tmp_path / ingest.RECORDINGS_FILE, profiles)
+    def counted(self, *args, **kwargs):
+        if self.name == ingest.RECORDINGS_FILE:
+            opened.append(self)
+        return path_open(self, *args, **kwargs)
 
-    def unused(*args):
-        raise AssertionError("the per-line parse ran on a file that the batched reader takes")
-
+    monkeypatch.setattr(Path, "open", counted)
     monkeypatch.setattr(ingest, "_split_offset", lambda root: None)
-    monkeypatch.setattr(ingest, "parse_recordings", unused)
-    got = ingest.parse_cohort(tmp_path)
-    assert_cohorts_equal(got, with_recordings(got, want))
+    with pytest.raises(MalformedRow, match="recordings.jsonl:2:"):
+        ingest.parse_cohort(root)
+    assert len(opened) == 1
 
 
 def test_line_start_is_after_the_first_newline_at_or_after_the_offset(tmp_path):
