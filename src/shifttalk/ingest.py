@@ -71,7 +71,6 @@ per-value reference. The simulator rounds every frame value to the grid.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -302,18 +301,23 @@ def _frame_values(columns: list[list]) -> list[np.ndarray]:
     return feats
 
 
-def _recording(line: str, profiles: dict[str, ParticipantProfile], days: dict[str, np.datetime64],
+def _recording(line: str | bytes, profiles: dict[str, ParticipantProfile], days: dict[str, np.datetime64],
                name: str, lineno: int) -> tuple:
     """The participant, date, minute and frame lists (FRAME_COLUMNS, then
     foreground when given) of one stripped recordings.jsonl line, after its
-    structure checks; MalformedRow on the first one it fails. The frame
-    values are left to _frame_values."""
+    structure checks; MalformedRow on the first one it fails. A line that
+    is not UTF-8 comes as bytes. The frame values are left to
+    _frame_values."""
+    if type(line) is bytes:
+        raise MalformedRow(name, lineno, "not UTF-8 text")
     try:
         obj = _DECODER.decode(line)
     except json.JSONDecodeError as exc:
         raise MalformedRow(name, lineno, f"invalid JSON: {exc.msg}") from None
     except ValueError as exc:
         raise MalformedRow(name, lineno, str(exc)) from None
+    except RecursionError:
+        raise MalformedRow(name, lineno, "invalid JSON: nested too deeply") from None
     try:
         pid, date_raw, minute, frames = obj["participant_id"], obj["shift_date"], obj["minute_index"], obj["frames"]
     except (KeyError, TypeError) as exc:
@@ -371,10 +375,12 @@ def _read_recordings(path: Path, profiles: dict[str, ParticipantProfile], start:
             if at >= stop:
                 break
             at += len(raw)
-            text = raw.decode("utf-8")
-            for line in io.StringIO(text, newline=None) if "\r" in text else (text,):
+            for piece in raw.splitlines() if b"\r" in raw else (raw,):  # bytes split at "\n", "\r\n" and "\r" only
                 lineno += 1
-                line = line.strip()
+                try:
+                    line = piece.decode("utf-8").strip()
+                except UnicodeDecodeError:  # _recording refuses it in its turn
+                    line = piece
                 if not line:
                     continue
                 try:

@@ -16,8 +16,11 @@ file:line. write_csv is the one writer: it takes parallel columns and builds
 the text column by column, in batches of rows. A cell is typed by its
 column: floats as their repr with NaN as an empty field, booleans as 0/1,
 dates as YYYY-MM-DD only (parse_date), text quoted as the csv module's
-excel dialect quotes it. ColumnTable.write_csv and read_csv apply the rule
-to a table, write_csv and read_columns to loose columns.
+excel dialect quotes it. read_columns is the one reader: one loop over the
+rows csv_rows yields reads each cell with its column's rule in _CELLS, so
+the first bad row or field in file order raises. ColumnTable.write_csv and
+read_csv apply the rule to a table, write_csv and read_columns to loose
+columns.
 """
 
 from __future__ import annotations
@@ -174,38 +177,19 @@ _SPECIAL = re.compile('[,"\r\n]')  # what makes csv quote a field
 
 
 def read_columns(path: str | Path, header: Sequence[str], dtypes: Sequence) -> list:
-    """The columns (lists or arrays) of a csv file under ``header``, each
-    cell read back as write_csv writes a value of its column's dtype. The
-    first bad field in file order raises MalformedRow naming file:line.
-
-    Each column is read in one pass (_column); only when a pass refuses, or
-    a row has the wrong number of fields, are the rows before that read
-    again cell by cell to name the first bad field.
-    """
+    """The columns (one list each) of a csv file under ``header``, each cell
+    read back by _CELLS as write_csv writes a value of its column's dtype.
+    The rows are read in file order, so the first bad row or field raises
+    MalformedRow naming file:line."""
     path = Path(path)
-    kinds = [np.dtype(dtype).kind for dtype in dtypes]
-    rows: list = []
-    refused = None
-    try:
-        rows.extend(csv_rows(path, header))
-    except MalformedRow as exc:  # a bad cell on an earlier line comes first
-        refused = exc
-    if refused is None:
-        texts = list(zip(*(row for _, row in rows))) or [()] * len(kinds)
-        try:
-            return [_column(kind, column) for kind, column in zip(kinds, texts)]
-        except (KeyError, ValueError):
-            pass
-    parsers = [_CELLS[kind] for kind in kinds]
+    parsers = [_CELLS[np.dtype(dtype).kind] for dtype in dtypes]
     columns = [[] for _ in parsers]
-    for line, row in rows:
+    for line, row in csv_rows(path, header):
         for column, parse, name, text in zip(columns, parsers, header, row):
             try:
                 column.append(parse(text))
             except (KeyError, ValueError):
                 raise MalformedRow(path.name, line, f"bad {name} {text!r}") from None
-    if refused is not None:
-        raise refused
     return columns
 
 
@@ -254,31 +238,6 @@ def _nan_or_float_cell(text: str) -> float:
 
 # each dtype kind's cell reader; a bad cell raises KeyError or ValueError
 _CELLS = {"O": str, "M": _date_cell, "i": _int64_cell, "f": _nan_or_float_cell, "b": _BOOLS.__getitem__}
-
-
-def _column(kind: str, texts: Sequence[str]):
-    """A column of one dtype kind, each cell read as _CELLS[kind] reads it;
-    a number column maps the cell's pattern and conversion over its cells."""
-    if kind == "M":  # each distinct text is read once; a file holds few
-        days = {text: code for code, text in enumerate(set(texts))}
-        values = np.array([_date_cell(text) for text in days], dtype="datetime64[D]")
-        return values[np.fromiter(map(days.__getitem__, texts), np.intp, len(texts))]
-    if kind == "i":
-        if not all(map(_INT_CELL.fullmatch, texts)):
-            raise ValueError("bad integer cell")
-        values = list(map(int, texts))
-        if values and not (_INT64_MIN <= min(values) and max(values) <= _INT64_MAX):
-            raise ValueError("integer outside int64")
-        return values
-    if kind == "f":
-        if not all(map(_FLOAT_CELL.fullmatch, filter(None, texts))):
-            raise ValueError("bad number cell")
-        cells = map(float, texts) if all(texts) else (float(t) if t else math.nan for t in texts)
-        values = np.fromiter(cells, np.float64, len(texts))
-        if np.isinf(values).any():
-            raise ValueError("non-finite number cell")
-        return values
-    return list(map(_CELLS[kind], texts))
 
 
 class ColumnTable:

@@ -68,7 +68,12 @@ def znormalize(X: np.ndarray) -> tuple[np.ndarray, Normalizer]:
 
 
 def micro_f1(pred, truth) -> float:
-    """Micro-averaged F1 over the two classes (equals accuracy here)."""
+    """Micro-averaged F1 over the two classes, as 2pr/(p+r).
+
+    In exact arithmetic this is accuracy, c/n with c of n correct, but in
+    floating point it differs from c/n in the last bit for 42,350 of the
+    501,500 pairs with n <= 1000. report.json's cv_micro_f1 pins this formula.
+    """
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if len(pred) != len(truth) or len(pred) == 0:

@@ -131,15 +131,13 @@ def _u_from_ranks(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
 def _exact_p(a: np.ndarray, b: np.ndarray, u_obs: float) -> float:
     """Enumerate all group-label assignments; requires untied pooled data."""
     n1, n2 = len(a), len(b)
-    pooled = np.sort(np.concatenate([a, b]))
     total = math.comb(n1 + n2, n1)
     # |2U - n1*n2| stays integral for untied data; compare in integers
     obs_dev = abs(int(round(2 * u_obs)) - n1 * n2)
     hits = 0
-    idx_all = range(n1 + n2)
-    rank_of = {i: i + 1 for i in idx_all}  # untied: rank = sorted position + 1
-    for group_a in combinations(idx_all, n1):
-        r1 = sum(rank_of[i] for i in group_a)
+    # untied, the ranks are 1..n1 + n2; group_a holds n1 sorted positions (rank - 1)
+    for group_a in combinations(range(n1 + n2), n1):
+        r1 = sum(group_a) + n1
         u = 2 * r1 - n1 * (n1 + 1) - n1 * n2  # 2*U1 - n1*n2
         if abs(u) >= obs_dev:
             hits += 1

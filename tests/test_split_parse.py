@@ -156,6 +156,37 @@ def test_batched_reader_refuses_every_line_the_serial_parse_refuses(tmp_path, mo
     assert len(reasons) == 1
 
 
+UNDECODABLE = recording_line("columnar").encode().replace(b"2022", b"2022\xff", 1)  # not UTF-8
+TOO_DEEP = b"[" * 100_000  # nested past the recursion limit
+OK, NEGATIVE = recording_line("rows").encode(), recording_line("rows", "hf_lf_ratio", "-1").encode()
+
+
+@pytest.mark.parametrize("lines, line, reason", [
+    ([OK, UNDECODABLE], 2, "not UTF-8 text"),
+    ([OK, TOO_DEEP], 2, "invalid JSON: nested too deeply"),
+    ([NEGATIVE, UNDECODABLE], 1, "frame 1: hf_lf_ratio negative"),  # a value rule on an earlier line comes first
+    ([OK, b"{\r" + UNDECODABLE], 2, "invalid JSON: Expecting property name enclosed in double quotes"),
+    ([OK, UNDECODABLE + b"\r{"], 2, "not UTF-8 text"),
+    ([OK, OK + b"\r" + UNDECODABLE], 3, "not UTF-8 text"),
+])
+def test_lines_json_cannot_decode_raise_at_their_line(tmp_path, monkeypatch, capsys, forks, lines, line, reason):
+    from shifttalk.cli import main
+
+    root = tmp_path / "data"
+    root.mkdir()
+    write_dir(root)
+    (root / ingest.RECORDINGS_FILE).write_bytes(b"\n".join(lines) + b"\n")
+    size = (root / ingest.RECORDINGS_FILE).stat().st_size
+    for offset in (None, 1, size):  # unsplit; line 2 in the worker's half; both lines in the parent's
+        monkeypatch.setattr(ingest, "_split_offset", lambda root: offset)
+        with pytest.raises(MalformedRow) as err:
+            ingest.parse_cohort(root)
+        assert (err.value.file, err.value.line, err.value.reason) == ("recordings.jsonl", line, reason)
+    assert len(forks) == 2
+    assert main(["extract", "--input", str(root), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: recordings.jsonl:{line}: {reason}\n"
+
+
 def test_forced_split_equals_serial_parse(tmp_path, monkeypatch, forks):
     from shifttalk.simulate import CohortSpec, generate
 
