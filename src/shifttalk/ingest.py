@@ -55,18 +55,21 @@ separators or non-ASCII digits.
 _read_recordings is the one reader of recordings.jsonl: one structure check
 per line (_recording), and the frame value rules (_frame_values) over about
 _PARSE_BATCH_FRAMES frames at once, run again one recording at a time only
-when they refuse, to find the first bad line. Where _split_offset allows, a
-forked worker parses rssi.csv and the tail of recordings.jsonl while this
-process parses the head (_parse_split); if either side refuses anything,
-both files are parsed again in this process, so an rssi.csv error comes
-first and a recordings.jsonl error names its line in the whole file.
+when they refuse, to find the first bad line.
 
 write_cohort writes recordings.jsonl in batches sliced from the cohort's
 frame columns. It refuses non-finite values (naming the first recording
 that holds one) and builds a column's text in one array pass where every
 value lies on the 1e-4 grid (_grid_text), else with one repr per value, so
-the bytes are always those of json.dumps; _recording_json is that
-per-value reference. The simulator rounds every frame value to the grid.
+the bytes are always those of json.dumps. The simulator rounds every frame
+value to the grid.
+
+Where they can, the parse and the write use two CPUs through beside, the
+package's one fork helper: a forked worker takes rssi.csv and the recordings
+from a cut on, this process those before it. Each line stands alone, so the
+cut changes no byte. If either side fails, this process handles both files
+again and raises the error: rssi.csv's first, then recordings.jsonl's with
+its line in the whole file, or a non-finite value naming its recording.
 """
 
 from __future__ import annotations
@@ -75,13 +78,14 @@ import json
 import math
 import os
 import pickle
+import shutil
 import signal
 import threading
 from collections import Counter
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
-from typing import NoReturn
+from typing import Any, Callable, NoReturn
 
 import numpy as np
 
@@ -97,7 +101,6 @@ from .model import (
     HubCategory,
     HubRecord,
     ParticipantProfile,
-    RecordingSegment,
     RecordingTable,
     RssiTable,
     ShiftType,
@@ -423,31 +426,11 @@ def _checked_part(name: str, heads: tuple[list, ...], values: tuple[list, ...]) 
     return table, dict(zip(FRAME_FIELDS, (*feats, foreground)))
 
 
-def _split_offset(root: Path) -> int | None:
-    """The byte of recordings.jsonl from which a forked worker parses it, or
-    None for a serial parse.
-
-    The parse is split when this process may run on two CPUs, can fork, runs
-    no other Python thread (a fork copies only the calling one) and the file holds
-    at least _SPLIT_MIN_BYTES. The worker also parses rssi.csv, so the
-    offset weighs each of its bytes as _RSSI_BYTE_COST recordings bytes.
-    """
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return None
+def can_fork() -> bool:
+    """Whether this process can fork, runs no other Python thread (a fork
+    copies only the calling one) and may run on two CPUs."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    size = (root / RECORDINGS_FILE).stat().st_size
-    if cpus < 2 or size < _SPLIT_MIN_BYTES:
-        return None
-    return min(size, (size + _RSSI_BYTE_COST * (root / RSSI_FILE).stat().st_size) // 2)
-
-
-def _line_start(path: Path, offset: int) -> int:
-    """The first byte at or after offset that starts a line (or the end)."""
-    if offset <= 0:
-        return 0
-    with path.open("rb") as fh:
-        fh.seek(offset - 1)
-        return offset - 1 + len(fh.readline())
+    return hasattr(os, "fork") and threading.active_count() == 1 and cpus >= 2
 
 
 def _pin(cpus: set[int]) -> None:
@@ -459,26 +442,15 @@ def _pin(cpus: set[int]) -> None:
             pass
 
 
-def _parse_split(root: Path, hubs: dict[str, HubRecord], profiles: dict[str, ParticipantProfile],
-                 warnings: dict[str, int], offset: int) -> tuple[RssiTable, list[tuple]] | None:
-    """rssi.csv and recordings.jsonl, parsed by two processes.
-
-    A forked worker parses rssi.csv (parse_rssi) and the lines of
-    recordings.jsonl from the first line start at or after offset; this
-    process parses the lines before it meanwhile. With exactly two CPUs this
-    process is pinned to one and the worker to the other. Both read lines
-    through _read_recordings; the result is the RSSI table and both sides'
-    join_recordings parts, in file order. The worker sends back tables,
-    arrays and strings through a pipe and leaves through os._exit whatever
-    happens. None when either side refused anything or the worker did not
-    return a result; the worker is reaped in every case.
-    """
-    path = root / RECORDINGS_FILE
-    cut = _line_start(path, offset)
-    # Left free on a 2-CPU machine, the scheduler often kept a fresh fork on
-    # its parent's CPU, where the two sides took turns; so there each side
-    # gets a CPU of its own. Other CPU counts were not measured and are left
-    # to the scheduler.
+def beside(child: Callable[[], Any], parent: Callable[[], Any]) -> tuple[Any, Any] | None:
+    """(parent(), child()), with child() run meanwhile in a forked worker
+    that sends its result back pickled and leaves through os._exit. None,
+    so that the caller can do both halves itself, when either side raised an
+    Exception, the fork failed or the worker died; the worker is killed
+    unless it returned, and reaped, on every path. Left free on 2 CPUs, the
+    scheduler often kept a fresh fork on its parent's CPU, where the two
+    sides took turns; so there each side gets a CPU of its own meanwhile.
+    Other CPU counts were not measured and are left to the scheduler."""
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
     parent_cpus = {min(cpus)} if len(cpus) == 2 else cpus
     read, write = os.pipe()
@@ -495,42 +467,75 @@ def _parse_split(root: Path, hubs: dict[str, HubRecord], profiles: dict[str, Par
         try:
             _pin(cpus - parent_cpus)
             os.close(read)
-            tail_warnings: dict[str, int] = {}
-            rssi = parse_rssi(root / RSSI_FILE, hubs, profiles, tail_warnings)
-            tail = _read_recordings(path, profiles, cut, math.inf)
+            result = child()
             with os.fdopen(write, "wb") as fh:
-                pickle.dump((rssi, tail_warnings, tail), fh, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
             code = 0
         finally:
             os._exit(code)
     os.close(write)
-    result = None
+    results = None
     try:
         with os.fdopen(read, "rb") as fh:
-            head = _read_recordings(path, profiles, 0, cut)
-            result = pickle.load(fh)  # only this program's worker writes to the pipe
-    except Exception:  # the serial parse that follows raises it with its file and line
+            results = parent(), pickle.load(fh)  # only this process's worker writes to the pipe
+    except Exception:  # the caller's serial path raises it in its own terms
         pass
     finally:
         _pin(cpus)
-        if result is None:
+        if results is None:
             os.kill(pid, signal.SIGKILL)
         _, status = os.waitpid(pid, 0)
-    if result is None or os.waitstatus_to_exitcode(status) != 0:
+    return results if os.waitstatus_to_exitcode(status) == 0 else None
+
+
+def _split_offset(root: Path) -> int | None:
+    """The byte of recordings.jsonl from which a forked worker parses it
+    (None for a serial parse): where can_fork allows and the file
+    holds at least _SPLIT_MIN_BYTES. The worker also parses rssi.csv, so
+    each of its bytes weighs _RSSI_BYTE_COST recordings bytes."""
+    size = (root / RECORDINGS_FILE).stat().st_size
+    if size < _SPLIT_MIN_BYTES or not can_fork():
         return None
-    rssi, tail_warnings, tail = result
+    return min(size, (size + _RSSI_BYTE_COST * (root / RSSI_FILE).stat().st_size) // 2)
+
+
+def _line_start(path: Path, offset: int) -> int:
+    """The first byte at or after offset that starts a line (or the end)."""
+    if offset <= 0:
+        return 0
+    with path.open("rb") as fh:
+        fh.seek(offset - 1)
+        return offset - 1 + len(fh.readline())
+
+
+def _parse_split(root: Path, hubs: dict[str, HubRecord], profiles: dict[str, ParticipantProfile],
+                 warnings: dict[str, int], offset: int) -> tuple[RssiTable, list[tuple]] | None:
+    """The RSSI table and recordings.jsonl's join_recordings parts, in file
+    order: a forked worker (beside) parses rssi.csv and the lines from
+    the first line start at or after offset, this process those before it.
+    None when either side refused anything or the worker returned nothing."""
+    path = root / RECORDINGS_FILE
+    cut = _line_start(path, offset)
+
+    def tail() -> tuple:  # warnings is the worker's own copy here
+        rssi = parse_rssi(root / RSSI_FILE, hubs, profiles, warnings)
+        return rssi, warnings, _read_recordings(path, profiles, cut, math.inf)
+
+    results = beside(tail, lambda: _read_recordings(path, profiles, 0, cut))
+    if results is None:
+        return None
+    head, (rssi, tail_warnings, parts) = results
     warnings.update(tail_warnings)
-    return rssi, head + tail
+    return rssi, head + parts
 
 
 def parse_cohort(dir_path: str | Path) -> Cohort:
     """Parse the five canonical files into a validated Cohort.
 
     Row counts are cohort.counts; clamp events land in cohort.warnings.
-    rssi.csv and recordings.jsonl are parsed by two processes where
-    _split_offset allows, else in this one, where _read_recordings reads
-    recordings.jsonl once and raises the first refusal with its line. When
-    the split refuses anything, the serial parse runs and raises it.
+    Where _split_offset allows, two processes parse rssi.csv and
+    recordings.jsonl (_parse_split); should either refuse anything, this
+    process parses both again and raises the first refusal with its line.
     """
     root = Path(dir_path)
     for name in CANONICAL_FILES:
@@ -560,6 +565,8 @@ _GRID_SCALE = 10.0 ** GRID_DECIMALS
 # bound on |v| that keeps k = rint(|v| * scale) below 1e15 (at most 15 digits)
 _GRID_LIMIT = 10.0 ** (15 - GRID_DECIMALS)
 _BATCH_FRAMES = 1 << 16  # frames whose text is built in one array pass
+_WRITE_SPLIT_MIN_FRAMES = 1 << 16  # fewer are written in this process alone: on 2 CPUs 40 k broke even
+_RSSI_ROW_FRAMES = 2  # an rssi.csv row takes about as long to write as this many frames of recordings.jsonl
 
 
 def _text_tables() -> tuple[np.ndarray, ...]:
@@ -596,7 +603,10 @@ def write_cohort(cohort: Cohort, dir_path: str | Path) -> None:
 
     Each file is first written to a temporary sibling; the canonical names
     are replaced only once every file has been written, so a refused write
-    (a non-finite frame value) leaves the directory as it was.
+    (a non-finite frame value) leaves the directory as it was. Where
+    _write_cut allows, two processes write rssi.csv and recordings.jsonl
+    (_write_split); should that fail, this process writes them again and
+    raises any error.
     """
     root = Path(dir_path)
     root.mkdir(parents=True, exist_ok=True)
@@ -607,12 +617,11 @@ def write_cohort(cohort: Cohort, dir_path: str | Path) -> None:
              for _, p in sorted(cohort.profiles.items())], (object, object, object, np.int64, np.int64, np.float64)))
         write_csv(temporary[HUBS_FILE], HUBS_HEADER, _columns(
             [(hub_id, h.location_category.value) for hub_id, h in sorted(cohort.hubs.items())], (object, object)))
-        cohort.rssi.write_csv(temporary[RSSI_FILE])
-        with temporary[RECORDINGS_FILE].open("wb") as fh:
-            offsets = np.concatenate(([0], np.cumsum(cohort.recordings.n_frames)))  # each recording's first frame
-            starts = np.flatnonzero(np.diff(offsets[:-1] // _BATCH_FRAMES, prepend=-1)).tolist()
-            for lo, hi in zip(starts, starts[1:] + [len(cohort.recordings)]):
-                fh.write(_batch_lines(cohort.recordings, cohort.frames, offsets, lo, hi))
+        offsets = np.concatenate(([0], np.cumsum(cohort.recordings.n_frames)))  # each recording's first frame
+        cut = _write_cut(cohort, offsets)
+        if cut is None or not _write_split(cohort, temporary, offsets, cut):
+            cohort.rssi.write_csv(temporary[RSSI_FILE])
+            _write_lines(temporary[RECORDINGS_FILE], cohort, offsets, 0, len(cohort.recordings))
         write_csv(temporary[PHYSIOLOGY_FILE], PHYSIOLOGY_HEADER, _columns(
             [(d.participant_id, d.shift_date, d.walk_ratio, d.sleep_hours) for d in cohort.physiology],
             (object, "datetime64[D]", np.float64, np.float64)))
@@ -622,6 +631,46 @@ def write_cohort(cohort: Cohort, dir_path: str | Path) -> None:
         raise
     for name, path in temporary.items():
         os.replace(path, root / name)
+
+
+def _write_cut(cohort: Cohort, offsets: np.ndarray) -> int | None:
+    """The first recording a forked worker writes, or None for a serial write
+    (see can_fork, or fewer than _WRITE_SPLIT_MIN_FRAMES frames). The
+    worker's rssi.csv rows x _RSSI_ROW_FRAMES plus its frames match the head's."""
+    frames = int(offsets[-1])
+    if frames < _WRITE_SPLIT_MIN_FRAMES or not can_fork():
+        return None
+    half = (frames + _RSSI_ROW_FRAMES * len(cohort.rssi)) // 2
+    return min(len(cohort.recordings), int(np.searchsorted(offsets, half)))
+
+
+def _write_split(cohort: Cohort, temporary: dict[str, Path], offsets: np.ndarray, cut: int) -> bool:
+    """Whether a forked worker (beside) wrote rssi.csv and the lines
+    from recording cut on, to a part file appended once this process wrote
+    the lines before cut. The part file is removed on every path."""
+    path = temporary[RECORDINGS_FILE]
+    part = path.with_name(f"{path.name}.part")
+
+    def tail() -> None:
+        cohort.rssi.write_csv(temporary[RSSI_FILE])
+        _write_lines(part, cohort, offsets, cut, len(cohort.recordings))
+
+    try:
+        done = beside(tail, lambda: _write_lines(path, cohort, offsets, 0, cut)) is not None
+        if done:
+            with part.open("rb") as src, path.open("ab") as dst:
+                shutil.copyfileobj(src, dst)
+        return done
+    finally:
+        part.unlink(missing_ok=True)
+
+
+def _write_lines(path: Path, cohort: Cohort, offsets: np.ndarray, lo: int, hi: int) -> None:
+    """Write the recordings.jsonl lines of recordings lo..hi-1 to path, a _BATCH_FRAMES batch at a time."""
+    starts = (np.flatnonzero(np.diff(offsets[lo:hi] // _BATCH_FRAMES, prepend=-1)) + lo).tolist()
+    with path.open("wb") as fh:
+        for a, b in zip(starts, starts[1:] + [hi]):
+            fh.write(_batch_lines(cohort.recordings, cohort.frames, offsets, a, b))
 
 
 def _columns(rows: list[tuple], dtypes: tuple) -> list[np.ndarray]:
@@ -690,8 +739,8 @@ def _column_spans(values: np.ndarray, offsets: np.ndarray) -> list:
 def _batch_lines(recordings: RecordingTable, frames: FrameBlock, offsets: np.ndarray, lo: int, hi: int) -> bytes:
     """The recordings.jsonl lines of recordings lo..hi-1, one pass per frame column.
 
-    offsets[i] is recording i's first frame in frames. Same bytes as joining
-    _recording_json over those recordings. A value JSON cannot carry (an
+    offsets[i] is recording i's first frame in frames. Same bytes as one
+    repr per value, NaN pitch written as null. A value JSON cannot carry (an
     infinite pitch, or a non-finite value in any other column) raises
     ValueError naming the first recording that holds one.
     """
@@ -734,30 +783,6 @@ def _foreground_json(labels: np.ndarray) -> str:
 
 def _non_finite(participant_id: str, shift_date: str, minute_index: int) -> ValueError:
     return ValueError(f"non-finite frame value in recording {participant_id} {shift_date} minute {minute_index}")
-
-
-def _recording_json(rec: RecordingSegment) -> str:
-    """One recordings.jsonl line from one repr per value: the reference that
-    write_cohort's batch writer must match byte for byte.
-
-    Each frame column is one array, so the line carries each key once rather
-    than once per frame; NaN pitch is written as null. A value JSON cannot
-    carry raises ValueError, since the reader would reject the line.
-    """
-    fb = rec.frames
-    pitch = _json_floats(fb.log_pitch).replace("nan", "null")
-    intensity, hf_lf, prob = (_json_floats(c) for c in (fb.intensity, fb.hf_lf_ratio, fb.foreground_prob))
-    # a finite float's repr has no "n"; "nan", "inf" and "-inf" do
-    if "inf" in pitch or "n" in intensity or "n" in hf_lf or "n" in prob:
-        raise _non_finite(rec.participant_id, rec.shift_date.isoformat(), rec.minute_index)
-    fg = "" if fb.foreground is None else _foreground_json(fb.foreground)
-    head = json.dumps(rec.participant_id)
-    return (
-        f'{{"participant_id":{head},"shift_date":"{rec.shift_date.isoformat()}",'
-        f'"minute_index":{rec.minute_index},"frames":{{'
-        f'"log_pitch":[{pitch}],"intensity":[{intensity}],'
-        f'"hf_lf_ratio":[{hf_lf}],"foreground_prob":[{prob}]{fg}}}}}'
-    )
 
 
 # --- cohort filters ---

@@ -32,6 +32,7 @@ import re
 from dataclasses import dataclass, field, fields
 from datetime import date
 from enum import Enum, IntEnum
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -110,22 +111,33 @@ def parse_date(text: str, file: str, line: int) -> date:
 
 def csv_rows(path: Path, header: Sequence[str]):
     """(line number, fields) of each non-blank row of a csv file whose
-    header is exactly ``header`` and whose rows have one field per column."""
+    header is exactly ``header`` and whose rows have one field per column.
+    The text is decoded 8 KB ahead of the rows; after a byte that is not
+    UTF-8, the rows past those read are read again a line at a time, so the
+    row that holds it raises MalformedRow in its turn."""
     expected = list(header)
+    lineno, lines = 0, None  # the rows read so far (the header is row 1); the lines read again
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            found = next(reader)
-        except StopIteration:
-            raise MalformedRow(path.name, 1, "missing header") from None
-        if found != expected:
-            raise MalformedRow(path.name, 1, f"bad header {found!r}, expected {expected!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected):
-                raise MalformedRow(path.name, lineno, f"expected {len(expected)} fields, got {len(row)}")
-            yield lineno, row
+        while True:
+            try:
+                for lineno, row in enumerate(reader, start=lineno + 1):
+                    if lineno == 1:
+                        if row != expected:
+                            raise MalformedRow(path.name, 1, f"bad header {row!r}, expected {expected!r}")
+                    elif row:
+                        if len(row) != len(expected):
+                            raise MalformedRow(path.name, lineno, f"expected {len(expected)} fields, got {len(row)}")
+                        yield lineno, row
+                break
+            except UnicodeDecodeError:
+                if lines is not None:
+                    raise MalformedRow(path.name, lineno + 1, "not UTF-8 text") from None
+                fh.buffer.seek(0)
+                lines = (piece.decode("utf-8") for raw in fh.buffer for piece in raw.splitlines(keepends=True))
+                reader = islice(csv.reader(lines), lineno, None)  # past the rows read
+    if lineno == 0:
+        raise MalformedRow(path.name, 1, "missing header")
 
 
 def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:

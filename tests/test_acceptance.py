@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shifttalk import reports
+from shifttalk import ingest, reports
 from shifttalk.arousal import fusion_weights, percentile_score
 from shifttalk.cli import main
 from shifttalk.ingest import CANONICAL_FILES, parse_cohort
@@ -398,8 +398,19 @@ GOLDEN_DIGESTS = {
 }
 
 
-def test_golden_digests_of_every_written_file(tmp_path):
+@pytest.mark.parametrize("split_write", [False, True], ids=["serial_write", "split_write"])
+def test_golden_digests_of_every_written_file(tmp_path, monkeypatch, forks, split_write):
+    splits: list[bool] = []  # each two-process write's result
+    write_split = ingest._write_split
+
+    def recorded(*args) -> bool:
+        splits.append(write_split(*args))
+        return splits[-1]
+
+    monkeypatch.setattr(ingest, "_WRITE_SPLIT_MIN_FRAMES", 0 if split_write else math.inf)
+    monkeypatch.setattr(ingest, "_write_split", recorded)
     data, out = run_pipeline(tmp_path, SMALL_SPEC, min_frames=6)
+    assert splits == ([True] if split_write else [])
     assert main(["compare", str(out / "features.csv"), "--factor", "shift",
                  "--out", str(out / "comparisons.csv")]) == 0
     assert main(["predict", str(out / "features.csv"), "--label", "neg_affect",

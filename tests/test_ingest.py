@@ -12,7 +12,6 @@ import pytest
 from shifttalk.errors import DuplicateParticipant, MalformedRow, UnknownHub
 from shifttalk import ingest
 from shifttalk.ingest import (
-    _recording_json,
     filter_min_days,
     filter_shift_window,
     parse_cohort,
@@ -87,6 +86,57 @@ def test_rssi_first_bad_row_in_file_order_raises(tmp_path):
     rows[1:] = rows[2], rows[1]
     with pytest.raises(UnknownHub, match="h_ghost"):
         parse_cohort(write_dir(tmp_path, **{"rssi.csv": rows}))
+
+
+def with_byte_ff(path: Path, line: int) -> None:
+    """Put byte 0xff, which is not UTF-8, at the end of line (1-based) of path."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] += b"\xff"
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+@pytest.mark.parametrize("earlier, error", [
+    (None, "rssi.csv:3: not UTF-8 text"),
+    ("p1,2022-03-01,x,h_ns,160", "rssi.csv:2: bad integer for minute_index: 'x'"),  # an earlier bad row first
+])
+def test_rssi_byte_that_is_not_utf8_raises_at_its_line(tmp_path, monkeypatch, forks, split, earlier, error):
+    rows = ["p1,2022-03-01,0,h_ns,160"] * 4
+    if earlier:
+        rows[0] = earlier
+    root = write_dir(tmp_path, **{"rssi.csv": rows})
+    with_byte_ff(root / "rssi.csv", 3)
+    monkeypatch.setattr(ingest, "_split_offset", lambda root: 1 if split else None)
+    with pytest.raises(MalformedRow) as err:
+        parse_cohort(root)
+    assert str(err.value) == error
+    assert len(forks) == split  # the worker refused, and the serial parse raised
+
+
+@pytest.mark.parametrize("earlier, error", [
+    (None, "participants.csv:3: not UTF-8 text"),
+    ("p1,day,icu,30,25,9.0", "participants.csv:2: life_satisfaction 9.0 outside [1, 7]"),
+])
+def test_participants_byte_that_is_not_utf8_raises_at_its_line(tmp_path, earlier, error):
+    rows = ["p1,day,icu,30,25,4.2", "p2,day,icu,30,25,4.2", "p3,day,icu,30,25,4.2"]
+    if earlier:
+        rows[0] = earlier
+    root = write_dir(tmp_path, **{"participants.csv": rows})
+    with_byte_ff(root / "participants.csv", 3)
+    with pytest.raises(MalformedRow) as err:
+        parse_cohort(root)
+    assert str(err.value) == error
+
+
+def test_extract_exits_2_on_a_csv_byte_that_is_not_utf8(tmp_path, capsys):
+    from shifttalk.cli import main
+
+    root = tmp_path / "data"
+    root.mkdir()
+    write_dir(root, **{"rssi.csv": ["p1,2022-03-01,0,h_ns,160"] * 4})
+    with_byte_ff(root / "rssi.csv", 3)
+    assert main(["extract", "--input", str(root), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: rssi.csv:3: not UTF-8 text\n"
 
 
 def test_each_date_text_parses_once_and_a_bad_one_raises_at_its_line(tmp_path, monkeypatch):
@@ -405,6 +455,30 @@ def test_writer_writes_nan_pitch_as_null(tmp_path):
     line = (tmp_path / "recordings.jsonl").read_text().splitlines()[1]
     assert json.loads(line)["frames"]["log_pitch"] == [4.7, 4.7, None]
     assert np.isnan(segments(parse_cohort(tmp_path))[1].frames.log_pitch[2])
+
+
+def _recording_json(rec: RecordingSegment) -> str:
+    """One recordings.jsonl line from one repr per value: the reference that
+    write_cohort's batch writer must match byte for byte.
+
+    Each frame column is one array, so the line carries each key once rather
+    than once per frame; NaN pitch is written as null. A value JSON cannot
+    carry raises ValueError, since the reader would reject the line.
+    """
+    fb = rec.frames
+    pitch = ingest._json_floats(fb.log_pitch).replace("nan", "null")
+    intensity, hf_lf, prob = (ingest._json_floats(c) for c in (fb.intensity, fb.hf_lf_ratio, fb.foreground_prob))
+    # a finite float's repr has no "n"; "nan", "inf" and "-inf" do
+    if "inf" in pitch or "n" in intensity or "n" in hf_lf or "n" in prob:
+        raise ingest._non_finite(rec.participant_id, rec.shift_date.isoformat(), rec.minute_index)
+    fg = "" if fb.foreground is None else ingest._foreground_json(fb.foreground)
+    head = json.dumps(rec.participant_id)
+    return (
+        f'{{"participant_id":{head},"shift_date":"{rec.shift_date.isoformat()}",'
+        f'"minute_index":{rec.minute_index},"frames":{{'
+        f'"log_pitch":[{pitch}],"intensity":[{intensity}],'
+        f'"hf_lf_ratio":[{hf_lf}],"foreground_prob":[{prob}]{fg}}}}}'
+    )
 
 
 def _reference_lines(recordings: list[RecordingSegment]) -> bytes:

@@ -215,3 +215,32 @@ def test_write_csv_writes_the_csv_modules_bytes_and_reads_back(tmp_path):
             assert back.tolist() == column.tolist()
 
     check()
+
+
+def sessions_file(path, n: int) -> list[bytes]:
+    """A sessions.csv of n rows as write_csv writes it; its lines, CRLF ends kept."""
+    SessionTable(["p1"] * n, np.full(n, "2022-03-01", "datetime64[D]"), np.arange(n) % 720, [1] * n, [0] * n,
+                 [1] * n, [0] * n, [0] * n).write_csv(path)
+    return path.read_bytes().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("n, bad_at, earlier, message", [
+    (3, 3, None, "sessions.csv:3: not UTF-8 text"),  # decoded with the header, before any row is read
+    (3, 1, None, "sessions.csv:1: not UTF-8 text"),  # the header itself
+    (3, 3, "cell", "sessions.csv:2: bad start 'x"),  # an earlier bad row still raises first
+    (3, 3, "fields", "sessions.csv:2: expected 8 fields, got 9"),
+    (2000, 1500, None, "sessions.csv:1500: not UTF-8 text"),  # many 8 KB reads past the first
+    (2000, 1500, "cell", "sessions.csv:1499: bad start 'x"),
+])
+def test_read_csv_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, n, bad_at, earlier, message):
+    path = tmp_path / "sessions.csv"
+    lines = sessions_file(path, n)
+    lines[bad_at - 1] = lines[bad_at - 1].replace(b",", b"\xff,", 1)
+    if earlier == "cell":
+        lines[bad_at - 2] = lines[bad_at - 2].replace(b"p1,2022-03-01,", b"p1,2022-03-01,x", 1)
+    elif earlier == "fields":
+        lines[bad_at - 2] = lines[bad_at - 2].replace(b"\r\n", b",7\r\n")
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(MalformedRow) as err:
+        SessionTable.read_csv(path)
+    assert str(err.value).startswith(message), str(err.value)
