@@ -111,32 +111,38 @@ def parse_date(text: str, file: str, line: int) -> date:
 
 def csv_rows(path: Path, header: Sequence[str]):
     """(line number, fields) of each non-blank row of a csv file whose
-    header is exactly ``header`` and whose rows have one field per column.
-    The text is decoded 8 KB ahead of the rows; after a byte that is not
-    UTF-8, the rows past those read are read again a line at a time, so the
-    row that holds it raises MalformedRow in its turn."""
+    header is exactly ``header`` and whose rows have one field per column;
+    a row's number is the physical line it starts on. The text is decoded
+    8 KB ahead of the rows; after a byte that is not UTF-8, the file is read
+    again a line at a time past the rows read, so the row that holds it
+    raises MalformedRow in its turn."""
     expected = list(header)
-    lineno, lines = 0, None  # the rows read so far (the header is row 1); the lines read again
+    rows, lines = 0, None  # the rows read so far (the header's among them); the lines read again
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         while True:
+            line = reader.line_num + 1  # where the next row starts
             try:
-                for lineno, row in enumerate(reader, start=lineno + 1):
-                    if lineno == 1:
+                for row in reader:
+                    rows += 1
+                    if rows == 1:
                         if row != expected:
-                            raise MalformedRow(path.name, 1, f"bad header {row!r}, expected {expected!r}")
+                            raise MalformedRow(path.name, line, f"bad header {row!r}, expected {expected!r}")
                     elif row:
                         if len(row) != len(expected):
-                            raise MalformedRow(path.name, lineno, f"expected {len(expected)} fields, got {len(row)}")
-                        yield lineno, row
+                            raise MalformedRow(path.name, line, f"expected {len(expected)} fields, got {len(row)}")
+                        yield line, row
+                    line = reader.line_num + 1
                 break
             except UnicodeDecodeError:
                 if lines is not None:
-                    raise MalformedRow(path.name, lineno + 1, "not UTF-8 text") from None
+                    raise MalformedRow(path.name, line, "not UTF-8 text") from None
                 fh.buffer.seek(0)
                 lines = (piece.decode("utf-8") for raw in fh.buffer for piece in raw.splitlines(keepends=True))
-                reader = islice(csv.reader(lines), lineno, None)  # past the rows read
-    if lineno == 0:
+                reader = csv.reader(lines)
+                for _ in islice(reader, rows):  # past the rows read
+                    pass
+    if rows == 0:
         raise MalformedRow(path.name, 1, "missing header")
 
 
@@ -371,10 +377,15 @@ class RecordingTable(ColumnTable):
     DTYPES = (object, "datetime64[D]", np.int64, np.int64, bool)
 
 
+def mapped(n: int, dtype=np.float64) -> np.ndarray:
+    """n zero values in memory mapped for them alone, which goes back to the
+    system when the array is dropped; malloc keeps freed blocks this small resident."""
+    return np.frombuffer(mmap.mmap(-1, max(n * np.dtype(dtype).itemsize, 1)), dtype, n)
+
+
 def paged(values, dtype=np.float64) -> np.ndarray:
-    """values copied into memory mapped for them alone, which goes back to the
-    system when the copy is dropped; malloc keeps freed blocks this small resident."""
-    out = np.frombuffer(mmap.mmap(-1, max(len(values) * np.dtype(dtype).itemsize, 1)), dtype, len(values))
+    """values copied into mapped memory."""
+    out = mapped(len(values), dtype)
     out[...] = values
     return out
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidSpec
-from .ingest import GRID_DECIMALS, write_cohort
+from .ingest import write_cohort
 from .model import (
     Cohort,
     DailyPhysiology,
@@ -43,6 +43,10 @@ from .model import (
 )
 
 GROUND_TRUTH_FILE = "ground_truth.json"
+# Frame and physiology values are rounded to this many decimals. No file
+# format needs the rounding; it stays because a seed's simulated values, and
+# so every out/ file, depend on it.
+GRID_DECIMALS = 4
 
 # per-speaker frame model: (mean of speaker means, sd of speaker means, frame sd)
 _FRAME_MODEL = {
@@ -238,7 +242,6 @@ def _session_minutes(rng: np.random.Generator, gap_median: float, gap_sd: float,
 
 
 def _to_grid(values: np.ndarray) -> np.ndarray:
-    """Round to the writer's grid, whose text write_cohort builds without repr."""
     return np.round(values, GRID_DECIMALS)
 
 

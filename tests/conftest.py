@@ -28,32 +28,13 @@ _INT64 = np.iinfo(np.int64)
 
 @pytest.fixture(autouse=True)
 def no_child_left_unreaped():
-    """Fail a test that leaves a child process running or unreaped, such as
-    a parse worker lost on some path."""
+    """Fail a test that leaves a child process running or unreaped."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:  # no child at all
         return
     pytest.fail(f"a child process was left {'running' if pid == 0 else f'unreaped (pid {pid})'}")
-
-
-@pytest.fixture
-def forks(monkeypatch) -> list[int]:
-    """Each fork of this process (the pid it returned), with two usable CPUs."""
-    calls: list[int] = []
-    fork = os.fork
-
-    def counted() -> int:
-        pid = fork()
-        if pid:
-            calls.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:  # split on one CPU too
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    return calls
 
 
 def frames(

@@ -20,10 +20,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shifttalk import ingest, reports
+from shifttalk import reports
 from shifttalk.arousal import fusion_weights, percentile_score
 from shifttalk.cli import main
-from shifttalk.ingest import CANONICAL_FILES, parse_cohort
+from shifttalk.ingest import CANONICAL_FILES, FRAMES_FILE, parse_cohort
 from shifttalk.locate import empty_timeline
 from shifttalk.model import SHIFT_MINUTES, RecordingSegment
 from shifttalk.sessions import build_sessions, gt1min_session_ratio, inter_session_times
@@ -361,7 +361,7 @@ def test_criterion_9_round_trip_all_artifacts(tmp_path):
         from shifttalk.ingest import write_cohort
 
         write_cohort(cohort, rewritten)
-        for name in CANONICAL_FILES:
+        for name in CANONICAL_FILES + (FRAMES_FILE,):
             assert (rewritten / name).read_bytes() == (data / name).read_bytes(), name
 
         # every analysis artifact re-parses through its paired reader
@@ -383,11 +383,12 @@ def test_criterion_9_round_trip_all_artifacts(tmp_path):
 # sha256 of every file the four stages write. A change that alters an output
 # on purpose updates these digests and says so.
 GOLDEN_DIGESTS = {
+    "data/frames.bin": "1905f049b1c17ffb2714d6fa1d68a1d88f58dd4ea7d9e5a96f7cdbf5af4f2a06",
     "data/ground_truth.json": "50c60828ced67027800f12d01a47a0feeef78fdfc58a7f003a41d919144d7fea",
     "data/hubs.csv": "20cebae057ec41e24f248edb911d44b54fc8b71abf6e8071e5160779942ad2ba",
     "data/participants.csv": "0daa71cca36b73eddafbd4c09b97051697847dc4a4d8e35adfd13689e12cfeca",
     "data/physiology.csv": "97fa8040395ddcbdf3674083ad1b27e29e5d61d85bc1658c4b5347d728f66ddb",
-    "data/recordings.jsonl": "ccf2a369aecc4227eb7b2bdd03060eaf5e0a56ebf693a0c791f2101417c06b4c",
+    "data/recordings.jsonl": "a18876afa6acd0f6d9c7e3741ab23329c87a7c962218c28ec56971eb9cbf3d1e",
     "data/rssi.csv": "994359708d135d5bd52025555a833299e6239f89ffd31824aaa0113617dadde7",
     "out/arousal.csv": "85673f6837568c7aafa7a3969a985dddee7765d58b1545d919dd65717a060908",
     "out/blocks.csv": "63177785301ff7b31308c3ca7675612bc1b4a6432af7ab0c85e0c42692839acc",
@@ -398,19 +399,8 @@ GOLDEN_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("split_write", [False, True], ids=["serial_write", "split_write"])
-def test_golden_digests_of_every_written_file(tmp_path, monkeypatch, forks, split_write):
-    splits: list[bool] = []  # each two-process write's result
-    write_split = ingest._write_split
-
-    def recorded(*args) -> bool:
-        splits.append(write_split(*args))
-        return splits[-1]
-
-    monkeypatch.setattr(ingest, "_WRITE_SPLIT_MIN_FRAMES", 0 if split_write else math.inf)
-    monkeypatch.setattr(ingest, "_write_split", recorded)
+def test_golden_digests_of_every_written_file(tmp_path):
     data, out = run_pipeline(tmp_path, SMALL_SPEC, min_frames=6)
-    assert splits == ([True] if split_write else [])
     assert main(["compare", str(out / "features.csv"), "--factor", "shift",
                  "--out", str(out / "comparisons.csv")]) == 0
     assert main(["predict", str(out / "features.csv"), "--label", "neg_affect",

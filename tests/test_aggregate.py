@@ -228,8 +228,8 @@ def test_cohort_feature_matrix_matches_participant_vectors():
     missing at random or throughout, tied values, 0 to 130 shifts and
     physiology days per participant (numpy sums pairwise from 8 values on),
     and shift and physiology rows of an id without a profile."""
-    hypothesis = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
+    import hypothesis
+    from hypothesis import strategies as st
 
     count = st.one_of(st.integers(0, 10), st.sampled_from([8, 9, 16, 129, 130]))
 

@@ -189,8 +189,8 @@ def test_speaker_fusion_weights_match_fusion_weights_per_speaker():
     """The grouped pass gives each speaker the bits of fusion_weights over
     that speaker's rows: tied and constant score columns, one-recording
     speakers and all-zero correlations (a constant row mean) included."""
-    hypothesis = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
+    import hypothesis
+    from hypothesis import strategies as st
 
     score = st.one_of(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]), st.floats(-1.0, 1.0))
 

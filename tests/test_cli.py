@@ -8,7 +8,7 @@ import pytest
 
 from shifttalk import reports
 from shifttalk.cli import main
-from shifttalk.ingest import CANONICAL_FILES
+from shifttalk.ingest import CANONICAL_FILES, FRAMES_FILE
 
 SPEC = """\
 n_per_cell = 2
@@ -47,10 +47,9 @@ def pipeline_dirs(tmp_path_factory):
     return root, data, out
 
 
-def test_simulate_writes_six_files(pipeline_dirs):
+def test_simulate_writes_seven_files(pipeline_dirs):
     _, data, _ = pipeline_dirs
-    for name in list(CANONICAL_FILES) + ["ground_truth.json"]:
-        assert (data / name).is_file()
+    assert sorted(p.name for p in data.iterdir()) == sorted([*CANONICAL_FILES, FRAMES_FILE, "ground_truth.json"])
 
 
 def test_simulate_missing_spec_exits_2(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import replace
@@ -12,6 +13,7 @@ import pytest
 from shifttalk.errors import DuplicateParticipant, MalformedRow, UnknownHub
 from shifttalk import ingest
 from shifttalk.ingest import (
+    CANONICAL_FILES,
     filter_min_days,
     filter_shift_window,
     parse_cohort,
@@ -95,22 +97,19 @@ def with_byte_ff(path: Path, line: int) -> None:
     path.write_bytes(b"\n".join(lines))
 
 
-@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
 @pytest.mark.parametrize("earlier, error", [
     (None, "rssi.csv:3: not UTF-8 text"),
     ("p1,2022-03-01,x,h_ns,160", "rssi.csv:2: bad integer for minute_index: 'x'"),  # an earlier bad row first
 ])
-def test_rssi_byte_that_is_not_utf8_raises_at_its_line(tmp_path, monkeypatch, forks, split, earlier, error):
+def test_rssi_byte_that_is_not_utf8_raises_at_its_line(tmp_path, earlier, error):
     rows = ["p1,2022-03-01,0,h_ns,160"] * 4
     if earlier:
         rows[0] = earlier
     root = write_dir(tmp_path, **{"rssi.csv": rows})
     with_byte_ff(root / "rssi.csv", 3)
-    monkeypatch.setattr(ingest, "_split_offset", lambda root: 1 if split else None)
     with pytest.raises(MalformedRow) as err:
         parse_cohort(root)
     assert str(err.value) == error
-    assert len(forks) == split  # the worker refused, and the serial parse raised
 
 
 @pytest.mark.parametrize("earlier, error", [
@@ -126,6 +125,15 @@ def test_participants_byte_that_is_not_utf8_raises_at_its_line(tmp_path, earlier
     with pytest.raises(MalformedRow) as err:
         parse_cohort(root)
     assert str(err.value) == error
+
+
+def test_participant_row_after_a_quoted_line_break_raises_at_its_line(tmp_path):
+    rows = ['"p\n1",day,icu,30,25,4.2', "p2,day,icu,30,25,4.2", "p3,swing,icu,30,25,4.2"]
+    with pytest.raises(MalformedRow) as err:
+        ingest.parse_participants(write_dir(tmp_path, **{"participants.csv": rows}) / "participants.csv")
+    assert str(err.value) == "participants.csv:5: bad shift_type 'swing'"
+    assert list(ingest.parse_participants(write_dir(tmp_path, **{"participants.csv": rows[:2]})
+                                          / "participants.csv")) == ["p\n1", "p2"]
 
 
 def test_extract_exits_2_on_a_csv_byte_that_is_not_utf8(tmp_path, capsys):
@@ -422,131 +430,185 @@ def test_columnar_and_row_layouts_parse_alike(tmp_path):
     assert blocks[0].foreground.dtype == bool
 
 
-def test_writer_emits_columnar_frames(tmp_path):
-    cohort = tiny_cohort()
-    write_cohort(cohort, tmp_path)
-    lines = (tmp_path / "recordings.jsonl").read_text().splitlines()
-    assert len(lines) == len(cohort.recordings)
-    frames = json.loads(lines[0])["frames"]
-    assert frames == {"log_pitch": [4.7] * 3, "intensity": [60.0] * 3,
-                      "hf_lf_ratio": [0.8] * 3, "foreground_prob": [1.0] * 3}
+HEAD = '{"participant_id":"p1","shift_date":"2022-03-01","minute_index":0,"frames":'
+BAD_LINES = (
+    [recording_line(layout, field, text) for layout in LAYOUTS for field, text in BAD_VALUES]
+    + [HEAD + frames + "}" for frames in BAD_FRAMES]
+    + [HEAD + '{"log_pitch":[4.7],"intensity":[60.0],"hf_lf_ratio":[0.8],"foreground_prob":[%s]}}' % prob
+       for prob in ("1.5", "-0.1", "1e999")]
+    + [recording_line("columnar", "participant_id", '"ghost"'), recording_line("columnar", "minute_index", "0.5"),
+       recording_line("columnar", "intensity", "1" + "0" * 400), recording_line("rows", "hf_lf_ratio", "-1"),
+       "[1]", "null", "{", '{"participant_id":"p1"}', recording_line("columnar") + "x"]
+)
 
 
-@pytest.mark.parametrize("column, value", [
-    ("intensity", math.nan), ("intensity", math.inf), ("hf_lf_ratio", math.inf),
-    ("hf_lf_ratio", math.nan), ("foreground_prob", math.nan), ("foreground_prob", -math.inf),
-    ("log_pitch", math.inf), ("log_pitch", -math.inf),
+@pytest.mark.parametrize("line", BAD_LINES)
+def test_every_bad_line_raises_at_its_line(tmp_path, line):
+    root = write_dir(tmp_path, **{"recordings.jsonl": [recording_line("rows"), line]})
+    with pytest.raises(MalformedRow) as err:
+        parse_cohort(root)
+    assert (err.value.file, err.value.line) == ("recordings.jsonl", 2)
+
+
+UNDECODABLE = recording_line("columnar").encode().replace(b"2022", b"2022\xff", 1)  # not UTF-8
+TOO_DEEP = b"[" * 100_000  # nested past the recursion limit
+OK, NEGATIVE = recording_line("rows").encode(), recording_line("rows", "hf_lf_ratio", "-1").encode()
+
+
+@pytest.mark.parametrize("lines, line, reason", [
+    ([OK, UNDECODABLE], 2, "not UTF-8 text"),
+    ([OK, TOO_DEEP], 2, "invalid JSON: nested too deeply"),
+    ([NEGATIVE, UNDECODABLE], 1, "frame 1: hf_lf_ratio negative"),  # a value rule on an earlier line comes first
+    ([OK, b"{\r" + UNDECODABLE], 2, "invalid JSON: Expecting property name enclosed in double quotes"),
+    ([OK, UNDECODABLE + b"\r{"], 2, "not UTF-8 text"),
+    ([OK, OK + b"\r" + UNDECODABLE], 3, "not UTF-8 text"),
 ])
-def test_writer_refuses_non_finite_frames(tmp_path, column, value):
-    cohort = tiny_cohort()
-    recs = segments(cohort)  # views of the cohort's frame columns
-    getattr(recs[1].frames, column)[2] = value
-    # a later recording of the same batch is bad too, in another column
-    other = "hf_lf_ratio" if column == "intensity" else "intensity"
-    getattr(recs[2].frames, other)[0] = math.nan
-    with pytest.raises(ValueError, match=r"non-finite frame value in recording p1 2022-03-01 minute 1$"):
-        write_cohort(cohort, tmp_path)
+def test_lines_json_cannot_decode_raise_at_their_line(tmp_path, capsys, lines, line, reason):
+    from shifttalk.cli import main
+
+    root = tmp_path / "data"
+    root.mkdir()
+    write_dir(root)
+    (root / ingest.RECORDINGS_FILE).write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(MalformedRow) as err:
+        ingest.parse_cohort(root)
+    assert (err.value.file, err.value.line, err.value.reason) == ("recordings.jsonl", line, reason)
+    assert main(["extract", "--input", str(root), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: recordings.jsonl:{line}: {reason}\n"
 
 
-def test_writer_writes_nan_pitch_as_null(tmp_path):
-    cohort = tiny_cohort()
-    segments(cohort)[1].frames.log_pitch[2] = math.nan
-    write_cohort(cohort, tmp_path)
-    line = (tmp_path / "recordings.jsonl").read_text().splitlines()[1]
-    assert json.loads(line)["frames"]["log_pitch"] == [4.7, 4.7, None]
-    assert np.isnan(segments(parse_cohort(tmp_path))[1].frames.log_pitch[2])
+BAD_RSSI = "p1,2022-03-01,x,h_ns,160"
 
 
-def _recording_json(rec: RecordingSegment) -> str:
-    """One recordings.jsonl line from one repr per value: the reference that
-    write_cohort's batch writer must match byte for byte.
-
-    Each frame column is one array, so the line carries each key once rather
-    than once per frame; NaN pitch is written as null. A value JSON cannot
-    carry raises ValueError, since the reader would reject the line.
-    """
-    fb = rec.frames
-    pitch = ingest._json_floats(fb.log_pitch).replace("nan", "null")
-    intensity, hf_lf, prob = (ingest._json_floats(c) for c in (fb.intensity, fb.hf_lf_ratio, fb.foreground_prob))
-    # a finite float's repr has no "n"; "nan", "inf" and "-inf" do
-    if "inf" in pitch or "n" in intensity or "n" in hf_lf or "n" in prob:
-        raise ingest._non_finite(rec.participant_id, rec.shift_date.isoformat(), rec.minute_index)
-    fg = "" if fb.foreground is None else ingest._foreground_json(fb.foreground)
-    head = json.dumps(rec.participant_id)
-    return (
-        f'{{"participant_id":{head},"shift_date":"{rec.shift_date.isoformat()}",'
-        f'"minute_index":{rec.minute_index},"frames":{{'
-        f'"log_pitch":[{pitch}],"intensity":[{intensity}],'
-        f'"hf_lf_ratio":[{hf_lf}],"foreground_prob":[{prob}]{fg}}}}}'
-    )
+@pytest.mark.parametrize("bad_at, rssi_row, error", [
+    (2, None, "recordings.jsonl:2: frame 1: log_pitch must be a number or null, got '4.7'"),
+    (9, None, "recordings.jsonl:9: frame 1: log_pitch must be a number or null, got '4.7'"),
+    (None, BAD_RSSI, "rssi.csv:7: bad integer for minute_index: 'x'"),
+    (2, BAD_RSSI, "rssi.csv:7: bad integer for minute_index: 'x'"),  # rssi.csv is read first
+    (9, "p1,2022-03-01,5,h_ghost,160", "rssi row references unknown hub_id 'h_ghost'"),
+])
+def test_rssi_csv_refuses_before_recordings_jsonl(tmp_path, bad_at, rssi_row, error):
+    lines = [recording_line("columnar")] * 10
+    if bad_at is not None:
+        lines[bad_at - 1] = recording_line("columnar", "log_pitch", '"4.7"')
+    rssi = ["p1,2022-03-01,0,h_ns,160"] * 5 + [rssi_row or "p1,2022-03-01,5,h_ns,160"]
+    with pytest.raises(Exception) as err:
+        parse_cohort(write_dir(tmp_path, **{"recordings.jsonl": lines, "rssi.csv": rssi}))
+    assert str(err.value) == error
 
 
-def _reference_lines(recordings: list[RecordingSegment]) -> bytes:
-    return "".join(_recording_json(r) + "\n" for r in recordings).encode()
+@pytest.mark.parametrize("field, text", [("log_pitch", '"4.7"'), ("minute_index", "0.5")])
+def test_refused_file_is_opened_once(tmp_path, monkeypatch, field, text):
+    root = write_dir(tmp_path, **{"recordings.jsonl": [recording_line("columnar"),
+                                                       recording_line("columnar", field, text)]})
+    opened: list[Path] = []
+    path_open = Path.open
+
+    def counted(self, *args, **kwargs):
+        if self.name == ingest.RECORDINGS_FILE:
+            opened.append(self)
+        return path_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counted)
+    with pytest.raises(MalformedRow, match="recordings.jsonl:2:"):
+        parse_cohort(root)
+    assert len(opened) == 1
 
 
-# on the grid at every integer-group width, and just inside its bounds
-GRID_EDGES = [0.0, -0.0, 1e-4, -1e-4, 9999.9999, 10000.0, 99999999.9999, 1e8, 99999999999.9999,
-              -99999999999.9999]
-# off the grid: each sends its batch column to the one-repr-per-value fallback
-OFF_GRID = [0.1 + 0.2, 1e-5, 5e-324, 1e11, 1e16, -1e16]
+def loaded(data: bytes) -> Cohort:
+    """The recordings of a valid inline recordings.jsonl, read line by line with json.loads."""
+    recordings = []
+    for line in data.decode().splitlines():  # the lines tested here end in "\n", "\r\n" or "\r" only
+        if not line.strip():
+            continue
+        obj = json.loads(line)
+        frames = obj["frames"]
+        if type(frames) is list:
+            frames = {name: [frame[name] for frame in frames] for name in frames[0]}
+        labels = frames.get("foreground")
+        block = FrameBlock(*(np.array(frames[name], float) for name in ingest.FRAME_COLUMNS),  # null becomes NaN
+                           None if labels is None else np.array(labels, bool))
+        recordings.append(RecordingSegment(obj["participant_id"], date.fromisoformat(obj["shift_date"]),
+                                           obj["minute_index"], block))
+    return with_recordings(Cohort(), recordings)
 
 
-def test_batch_writer_matches_repr_reference(tmp_path, monkeypatch):
-    hypothesis = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
+def test_inline_reader_matches_json_loads_property(tmp_path):
+    import hypothesis
+    from hypothesis import strategies as st
 
-    on_grid = st.one_of(
-        st.sampled_from(GRID_EDGES),
-        st.builds(lambda k, sign: sign * (k / 1e4), st.integers(0, 10**15 - 1), st.sampled_from([1.0, -1.0])),
-        st.builds(lambda k: k / 1e4, st.integers(0, 10**6)),
-    )
-    value = st.one_of(on_grid, on_grid, on_grid, st.sampled_from(OFF_GRID))
-    pitch = st.one_of(st.sampled_from([math.nan, -math.nan]), value)  # null either way
+    special = ["0", "-0", "0.0", "-0.0", "5e-324", "1e-05", "1E3", "2.5e+16", "123456789012345678901234567890",
+               "-9223372036854775809", "18446744073709551616"]
+    number = st.one_of(st.sampled_from(special), st.integers(-(2**80), 2**80).map(str),
+                       st.floats(allow_nan=False, allow_infinity=False).map(repr))
+    non_negative = st.one_of(st.sampled_from([t for t in special if not t.startswith("-") or t in ("-0", "-0.0")]),
+                             st.integers(0, 2**80).map(str),
+                             st.floats(min_value=0.0, allow_infinity=False).map(repr))
+    probability = st.one_of(st.sampled_from(["0", "-0", "-0.0", "1", "1.0", "0.25", "1e-05"]),
+                            st.floats(0.0, 1.0).map(repr))
 
     @st.composite
-    def blocks(draw):
-        n = draw(st.integers(0, 12))
+    def line(draw) -> str:
+        n = draw(st.integers(1, 5))
+        columns = {
+            "log_pitch": draw(st.lists(st.one_of(st.just("null"), number), min_size=n, max_size=n)),
+            "intensity": draw(st.lists(number, min_size=n, max_size=n)),
+            "hf_lf_ratio": draw(st.lists(non_negative, min_size=n, max_size=n)),
+            "foreground_prob": draw(st.lists(probability, min_size=n, max_size=n)),
+        }
+        if draw(st.booleans()):
+            columns["foreground"] = draw(st.lists(st.sampled_from(["true", "false"]), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            frames = "{" + ",".join(f'"{k}":[{",".join(v)}]' for k, v in columns.items()) + "}"
+        else:
+            frames = "[" + ",".join("{" + ",".join(f'"{k}":{v[i]}' for k, v in columns.items()) + "}"
+                                    for i in range(n)) + "]"
+        pid = draw(st.sampled_from(["p1", "p2"]))
+        day = draw(st.sampled_from(["2022-03-01", "2022-03-02"]))
+        minute = draw(st.one_of(st.integers(-5, 800), st.sampled_from([2**70, -(2**64)])))
+        return (f'{{"participant_id":"{pid}","shift_date":"{day}","minute_index":{minute},'
+                f'"frames":{frames}}}')
 
-        def column(elements):
-            return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=float)
+    text = st.lists(st.tuples(st.one_of(line(), st.sampled_from(["", "  ", "\t"])),
+                              st.sampled_from(["\n", "\r\n", "\r"])), max_size=8)
+    root = write_dir(tmp_path, **{"participants.csv": ["p1,day,icu,30,25,4.2", "p2,night,non_icu,20,30,5.0"]})
+    profiles = ingest.parse_participants(root / ingest.PARTICIPANTS_FILE)
+    path = root / ingest.RECORDINGS_FILE
 
-        fg = draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=n, max_size=n)))
-        return FrameBlock(column(pitch), column(value), column(value), column(value),
-                          None if fg is None else np.array(fg, dtype=bool))
-
-    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(st.lists(blocks(), min_size=1, max_size=6), st.integers(1, 30))
-    def check(frame_blocks: list[FrameBlock], batch_frames: int) -> None:
-        monkeypatch.setattr(ingest, "_BATCH_FRAMES", batch_frames)
-        recs = [RecordingSegment(f"p{i % 2}", D0, i, b) for i, b in enumerate(frame_blocks)]
-        write_cohort(with_recordings(tiny_cohort(), recs), tmp_path)
-        assert (tmp_path / "recordings.jsonl").read_bytes() == _reference_lines(recs)
-        for name in ingest.FRAME_COLUMNS:
-            values = np.concatenate([getattr(b, name) for b in frame_blocks])
-            off = any(v in OFF_GRID for v in values.tolist())
-            assert (ingest._grid_text(values) is None) == off, name
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(text, st.sampled_from([3, ingest._PARSE_BATCH_FRAMES]))
+    def check(lines: list[tuple[str, str]], batch_frames: int) -> None:
+        data = "".join(body + end for body, end in lines).encode()
+        path.write_bytes(data)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_PARSE_BATCH_FRAMES", batch_frames)
+            recordings, frames = ingest.parse_recordings(path, profiles)
+        assert_cohorts_equal(Cohort(recordings=recordings, frames=frames), loaded(data))
 
     check()
 
 
-def test_batch_writer_crosses_the_default_batch_size(tmp_path):
-    rng = np.random.default_rng(0)
-    n = 30_000  # five recordings: three fill the first 1 << 16 frame batch
+def test_writer_emits_head_lines_and_frames_bin(tmp_path):
+    recs = [recording("p1", minute=0, n_frames=2, log_pitch=math.nan),
+            recording("p\0é\"", minute=3, n_frames=1, foreground=[True])]
+    cohort = with_recordings(replace(tiny_cohort(), profiles={"p1": profile("p1"), "p\0é\"": profile("p\0é\"")}),
+                             recs)
+    write_cohort(cohort, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(CANONICAL_FILES + ("frames.bin",))
+    assert (tmp_path / "recordings.jsonl").read_bytes() == (
+        b'{"participant_id":"p1","shift_date":"2022-03-01","minute_index":0,"n_frames":2}\n'
+        b'{"participant_id":"p\\u0000\\u00e9\\"","shift_date":"2022-03-01","minute_index":3,"n_frames":1,'
+        b'"labelled":true}\n')
+    with (tmp_path / "frames.bin").open("rb") as fh:
+        arrays = [np.load(fh, allow_pickle=False) for _ in range(5)]
+        assert fh.read() == b""
+    assert [a.dtype.str for a in arrays] == ["<f8"] * 4 + ["|b1"]
+    assert [a.tolist() for a in arrays[1:]] == [[60.0] * 3, [0.8] * 3, [1.0] * 3, [False, False, True]]
+    assert np.isnan(arrays[0][:2]).all() and arrays[0][2] == 4.7
+    assert_cohorts_equal(parse_cohort(tmp_path), cohort)
 
-    def block(i: int) -> FrameBlock:
-        cols = [np.round(rng.normal(60.0, 30.0, n), 4) for _ in range(4)]
-        cols[0][rng.random(n) < 0.25] = math.nan
-        if i == 3:
-            cols[1][7] = 0.1 + 0.2  # this batch's intensity goes through repr
-        return FrameBlock(*cols)
 
-    recs = [RecordingSegment("p1", D0, i, block(i)) for i in range(5)]
-    write_cohort(with_recordings(tiny_cohort(), recs), tmp_path)
-    assert (tmp_path / "recordings.jsonl").read_bytes() == _reference_lines(recs)
-
-
-def test_batch_writer_widens_float32_columns_exactly(tmp_path):
+def test_writer_widens_float32_columns_exactly(tmp_path):
     recs = [
         RecordingSegment(r.participant_id, r.shift_date, r.minute_index,
                          FrameBlock(*(getattr(r.frames, name).astype(np.float32) for name in ingest.FRAME_COLUMNS)))
@@ -555,9 +617,143 @@ def test_batch_writer_widens_float32_columns_exactly(tmp_path):
     cohort = with_recordings(tiny_cohort(), recs)
     assert cohort.frames.log_pitch.dtype == np.float32
     write_cohort(cohort, tmp_path)
-    text = (tmp_path / "recordings.jsonl").read_bytes()
-    assert b"4.699999809265137" in text  # float32 4.7 is off the grid once widened
-    assert text == _reference_lines(recs)
+    frames = parse_cohort(tmp_path).frames
+    for name in ingest.FRAME_COLUMNS:
+        assert getattr(frames, name).tolist() == getattr(cohort.frames, name).astype(np.float64).tolist()
+    assert frames.log_pitch[0] == 4.699999809265137
+
+
+def frames_bin_files(tmp_path: Path) -> tuple[Path, list[np.ndarray]]:
+    """tiny_cohort written out (three recordings of three frames, on lines
+    1-3), and the five arrays of its frames.bin."""
+    write_cohort(tiny_cohort(), tmp_path)
+    with (tmp_path / "frames.bin").open("rb") as fh:
+        return tmp_path, [np.load(fh) for _ in range(5)]
+
+
+def saved(*arrays: np.ndarray) -> bytes:
+    out = io.BytesIO()
+    for array in arrays:
+        np.save(out, array, allow_pickle=True)
+    return out.getvalue()
+
+
+def column(arrays: list[np.ndarray], k: int, value) -> bytes:
+    """frames.bin with array k (0-based) replaced by value, or with
+    value(array) when value is callable."""
+    arrays = list(arrays)
+    arrays[k] = value(arrays[k]) if callable(value) else value
+    return saved(*arrays)
+
+
+def frame(arrays: list[np.ndarray], k: int, i: int, value: float) -> bytes:
+    """frames.bin with frame i of array k set to value."""
+    array = arrays[k].copy()
+    array[i] = value
+    return column(arrays, k, array)
+
+
+FRAMES_BIN_REFUSALS = {
+    "pickled objects": (lambda a: column(a, 1, np.array([60.0] * 9, object)),
+                        "frames.bin:2: intensity must be a 1-D <f8 array, got |O of shape (9,)"),
+    "float32": (lambda a: column(a, 1, lambda x: x.astype(np.float32)),
+                "frames.bin:2: intensity must be a 1-D <f8 array, got <f4 of shape (9,)"),
+    "big-endian": (lambda a: column(a, 0, lambda x: x.astype(">f8")),
+                   "frames.bin:1: log_pitch must be a 1-D <f8 array, got >f8 of shape (9,)"),
+    "int labels": (lambda a: column(a, 4, lambda x: x.astype(np.uint8)),
+                   "frames.bin:5: foreground must be a 1-D |b1 array, got |u1 of shape (9,)"),
+    "2-D": (lambda a: column(a, 2, lambda x: x.reshape(3, 3)),
+            "frames.bin:3: hf_lf_ratio must be a 1-D <f8 array, got <f8 of shape (3, 3)"),
+    "short": (lambda a: column(a, 3, lambda x: x[:-1]),
+              "frames.bin:4: foreground_prob holds 8 frames, but the n_frames of recordings.jsonl sum to 9"),
+    "long": (lambda a: column(a, 4, lambda x: np.append(x, False)),
+             "frames.bin:5: foreground holds 10 frames, but the n_frames of recordings.jsonl sum to 9"),
+    "truncated": (lambda a: saved(*a)[:-1], "frames.bin:5: foreground: the file ends inside the array"),
+    "cut in a header": (lambda a: saved(*a)[:-20], "frames.bin:5: foreground: EOF: reading array header, "
+                                                   "expected 118 bytes got 107"),
+    "empty": (lambda a: b"", "frames.bin:1: log_pitch: EOF: reading magic string, expected 8 bytes got 0"),
+    "trailing byte": (lambda a: saved(*a) + b"\0", "frames.bin:5: bytes after the last array"),
+    "bad magic": (lambda a: b"\x93NUMPZ" + saved(*a)[6:],
+                  "frames.bin:1: log_pitch: the magic string is not correct; expected b'\\x93NUMPY', "
+                  "got b'\\x93NUMPZ'"),
+    "version 3.0": (lambda a: saved(*a)[:6] + b"\x03" + saved(*a)[7:],
+                    "frames.bin:1: log_pitch: not a version 1.0 .npy array"),
+    "label byte 2": (lambda a: column(a, 4, np.frombuffer(bytes([0, 0, 0, 0, 2, 0, 0, 0, 0]), bool)),
+                     "frames.bin:5: foreground holds a byte other than 0 and 1"),
+    "NaN intensity": (lambda a: frame(a, 1, 4, math.nan), "recordings.jsonl:2: frames.bin: "
+                                                          "non-finite frame value in recording p1 2022-03-01 minute 1"),
+    "inf intensity": (lambda a: frame(a, 1, 8, math.inf), "recordings.jsonl:3: frames.bin: "
+                                                          "non-finite frame value in recording p1 2022-03-02 minute 4"),
+    "inf pitch": (lambda a: frame(a, 0, 0, -math.inf), "recordings.jsonl:1: frames.bin: "
+                                                       "non-finite frame value in recording p1 2022-03-01 minute 0"),
+    "foreground_prob 1.5": (lambda a: frame(a, 3, 5, 1.5), "recordings.jsonl:2: frames.bin: foreground_prob "
+                                                           "outside [0, 1] in recording p1 2022-03-01 minute 1"),
+    "hf_lf_ratio -1": (lambda a: frame(a, 2, 3, -1.0), "recordings.jsonl:2: frames.bin: "
+                                                       "hf_lf_ratio negative in recording p1 2022-03-01 minute 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(FRAMES_BIN_REFUSALS))
+def test_frames_bin_refusals(tmp_path, case):
+    edit, error = FRAMES_BIN_REFUSALS[case]
+    root, arrays = frames_bin_files(tmp_path)
+    (root / "frames.bin").write_bytes(edit(arrays))
+    with pytest.raises(MalformedRow) as err:
+        parse_cohort(root)
+    assert str(err.value) == error
+
+
+def test_frames_bin_refuses_n_frames_that_do_not_sum_to_its_frames(tmp_path):
+    root, _ = frames_bin_files(tmp_path)
+    path = root / "recordings.jsonl"
+    path.write_bytes(path.read_bytes().replace(b'"n_frames":3', b'"n_frames":4', 1))
+    with pytest.raises(MalformedRow) as err:
+        parse_cohort(root)
+    assert str(err.value) == "frames.bin:1: log_pitch holds 9 frames, but the n_frames of recordings.jsonl sum to 10"
+
+
+def test_frames_bin_keeps_only_a_labelled_recordings_foreground(tmp_path):
+    root, arrays = frames_bin_files(tmp_path)
+    (root / "frames.bin").write_bytes(column(arrays, 4, np.ones(9, bool)))
+    path = root / "recordings.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1].replace(b"}", b',"labelled":true}')
+    path.write_bytes(b"".join(lines))
+    cohort = parse_cohort(root)
+    assert cohort.recordings.labelled.tolist() == [False, True, False]
+    assert cohort.frames.foreground.tolist() == [False] * 3 + [True] * 3 + [False] * 3
+
+
+HEAD_LINE = '{"participant_id":"p1","shift_date":"2022-03-01","minute_index":0,"n_frames":1}'
+
+
+@pytest.mark.parametrize("lines, frames_bin, error", [
+    ([recording_line("rows"), HEAD_LINE], False, "recordings.jsonl:2: n_frames without a frames.bin"),
+    ([HEAD_LINE, recording_line("rows")], False, "recordings.jsonl:1: n_frames without a frames.bin"),
+    ([HEAD_LINE, recording_line("rows")], True, "recordings.jsonl:2: frames given inline beside a frames.bin"),
+    ([recording_line("rows"), HEAD_LINE], True, "recordings.jsonl:1: frames given inline beside a frames.bin"),
+    ([HEAD_LINE, HEAD_LINE.replace("1}", "1,\"frames\":[]}")], True,
+     "recordings.jsonl:2: frames given inline beside a frames.bin"),
+    ([HEAD_LINE.replace('"n_frames":1', '"frame_count":1')], True,
+     "recordings.jsonl:1: n_frames must be a positive integer, got None"),
+    ([HEAD_LINE.replace("1}", "0}")], True, "recordings.jsonl:1: n_frames must be a positive integer, got 0"),
+    ([HEAD_LINE.replace("1}", "-1}")], True, "recordings.jsonl:1: n_frames must be a positive integer, got -1"),
+    ([HEAD_LINE.replace("1}", "1.0}")], True, "recordings.jsonl:1: n_frames must be a positive integer, got 1.0"),
+    ([HEAD_LINE.replace("1}", "true}")], True, "recordings.jsonl:1: n_frames must be a positive integer, got True"),
+    ([HEAD_LINE.replace("1}", '"1"}')], True, "recordings.jsonl:1: n_frames must be a positive integer, got '1'"),
+    ([HEAD_LINE.replace("1}", "9223372036854775808}")], True,
+     "recordings.jsonl:1: n_frames must be a positive integer, got 9223372036854775808"),
+    ([HEAD_LINE.replace("1}", '1,"labelled":1}')], True, "recordings.jsonl:1: labelled must be true or false, got 1"),
+    ([HEAD_LINE.replace('"p1"', '"ghost"')], True, "recordings.jsonl:1: unknown participant_id 'ghost'"),
+    ([HEAD_LINE.replace("0,", "0.5,")], True, "recordings.jsonl:1: minute_index must be an integer, got 0.5"),
+])
+def test_recordings_forms_do_not_mix(tmp_path, lines, frames_bin, error):
+    root = write_dir(tmp_path, **{"recordings.jsonl": lines})
+    if frames_bin:
+        (root / "frames.bin").write_bytes(saved(*np.ones((4, 1)), np.zeros(1, bool)))
+    with pytest.raises(MalformedRow) as err:
+        parse_cohort(root)
+    assert str(err.value) == error
 
 
 def test_parse_serialize_parse_idempotent(tmp_path):
@@ -570,17 +766,17 @@ def test_parse_serialize_parse_idempotent(tmp_path):
     # and the bytes stabilize after one round
     out2 = tmp_path / "c"
     write_cohort(second, out2)
-    for name in ("participants.csv", "hubs.csv", "rssi.csv", "recordings.jsonl", "physiology.csv"):
+    for name in CANONICAL_FILES + ("frames.bin",):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_recordings_round_trip_property(tmp_path, monkeypatch, forks):
-    hypothesis = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
+def test_recordings_round_trip_property(tmp_path):
+    import hypothesis
+    from hypothesis import strategies as st
 
     special = st.sampled_from([
         0.0, -0.0, 5e-324, -5e-324, 1.5e-310, 2.2250738585072014e-308,
-        1e-5, 9.999999999999999e-06, 1.0000000000000002e-05, 0.00001234,
+        1e-5, 9.999999999999999e-06, 1.0000000000000002e-05, 0.00001234, 0.1 + 0.2,
         1e16, 9999999999999998.0, 1.0000000000000002e16, -1e16,
     ])
     finite = st.one_of(special, st.floats(allow_nan=False, allow_infinity=False))
@@ -588,6 +784,7 @@ def test_recordings_round_trip_property(tmp_path, monkeypatch, forks):
                              st.floats(min_value=0.0, allow_infinity=False))
     probability = st.one_of(special.filter(lambda v: 0.0 <= v <= 1.0), st.floats(0.0, 1.0))
     pitch = st.one_of(st.just(math.nan), finite)
+    ids = ["p1", "p\0", "é日", 'q"r', "s,t", "u\r\nv"]  # NUL, non-ASCII, a quote, csv specials
 
     @st.composite
     def recordings(draw, minute: int):
@@ -599,10 +796,11 @@ def test_recordings_round_trip_property(tmp_path, monkeypatch, forks):
         fg = draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=n, max_size=n)))
         block = FrameBlock(column(pitch), column(finite), column(non_negative), column(probability),
                            None if fg is None else np.array(fg, dtype=bool))
-        return RecordingSegment("p1", D0, minute, block)
+        return RecordingSegment(draw(st.sampled_from(ids)), D0, minute, block)
 
-    cohorts = st.integers(1, 4).flatmap(lambda k: st.tuples(*(recordings(minute) for minute in range(k))))
-    names = ("participants.csv", "hubs.csv", "rssi.csv", "recordings.jsonl", "physiology.csv")
+    cohorts = st.integers(0, 4).flatmap(lambda k: st.tuples(*(recordings(minute) for minute in range(k))))
+    names = CANONICAL_FILES + ("frames.bin",)
+    base = replace(tiny_cohort(), profiles={pid: profile(pid) for pid in ids})
 
     def row_layout_line(rec: RecordingSegment) -> str:
         block = rec.frames
@@ -618,33 +816,96 @@ def test_recordings_round_trip_property(tmp_path, monkeypatch, forks):
     @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @hypothesis.given(cohorts)
     def check(recs: tuple[RecordingSegment, ...]) -> None:
-        cohort = with_recordings(tiny_cohort(), list(recs))
+        cohort = with_recordings(base, list(recs))
         write_cohort(cohort, tmp_path / "first")
-        for split_min_bytes in (math.inf, 0):  # one process, then split over two
-            monkeypatch.setattr(ingest, "_SPLIT_MIN_BYTES", split_min_bytes)
-            parsed = parse_cohort(tmp_path / "first")
-            assert_cohorts_equal(parsed, cohort)
+        parsed = parse_cohort(tmp_path / "first")
+        assert_cohorts_equal(parsed, cohort)
         write_cohort(parsed, tmp_path / "second")
         for name in names:
             assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "second" / name).read_bytes()
+        # the same recordings with their frames inline
+        (tmp_path / "second" / "frames.bin").unlink()
         (tmp_path / "second" / "recordings.jsonl").write_text(
             "".join(row_layout_line(rec) + "\n" for rec in recs), encoding="utf-8")
         assert_cohorts_equal(parse_cohort(tmp_path / "second"), cohort)
 
-    forked = len(forks)
     check()
-    assert len(forks) > forked  # the split parse ran
 
-def test_refused_write_leaves_directory_unchanged(tmp_path):
-    write_cohort(tiny_cohort(), tmp_path)
-    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    bad = tiny_cohort()
-    bad.profiles["p1"] = replace(bad.profiles["p1"], pos_affect=40)
-    bad.rssi = rssi_rows(("p1", 9, "h_ns", 170))
-    segments(bad)[1].frames.intensity[0] = math.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        write_cohort(bad, tmp_path)
-    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+@pytest.mark.parametrize("column, value", [
+    ("intensity", math.nan), ("intensity", math.inf), ("hf_lf_ratio", math.inf),
+    ("hf_lf_ratio", math.nan), ("foreground_prob", math.nan), ("foreground_prob", -math.inf),
+    ("log_pitch", math.inf), ("log_pitch", -math.inf),
+])
+def test_writer_refuses_non_finite_frames(tmp_path, column, value):
+    cohort = tiny_cohort()
+    recs = segments(cohort)  # views of the cohort's frame columns
+    getattr(recs[1].frames, column)[2] = value
+    # a later recording is bad too, in another column
+    other = "hf_lf_ratio" if column == "intensity" else "intensity"
+    getattr(recs[2].frames, other)[0] = math.nan
+    with pytest.raises(ValueError, match=r"non-finite frame value in recording p1 2022-03-01 minute 1$"):
+        write_cohort(cohort, tmp_path)
+
+
+@pytest.mark.parametrize("column, value, error", [
+    ("foreground_prob", 1.5, "foreground_prob outside [0, 1] in recording p1 2022-03-01 minute 1"),
+    ("foreground_prob", -0.5, "foreground_prob outside [0, 1] in recording p1 2022-03-01 minute 1"),
+    ("hf_lf_ratio", -1.0, "hf_lf_ratio negative in recording p1 2022-03-01 minute 1"),
+])
+def test_writer_refuses_what_its_reader_refuses(tmp_path, column, value, error):
+    cohort = tiny_cohort()
+    getattr(segments(cohort)[1].frames, column)[2] = value
+    with pytest.raises(ValueError) as err:
+        write_cohort(cohort, tmp_path)
+    assert str(err.value) == error
+
+
+def cohort_to_write() -> Cohort:
+    """Six recordings: two labelled, one with NaN pitch, one off the 1e-4
+    grid; RSSI rows at both clamp bounds."""
+    recordings = [
+        recording("p1", minute=0, n_frames=3),
+        recording("p1", minute=1, n_frames=4, foreground=[True, False, True, True]),
+        recording("p1", minute=2, n_frames=2, log_pitch=math.nan),
+        recording("p1", minute=5, n_frames=5, intensity=0.1 + 0.2),
+        recording("p1", minute=7, n_frames=1, foreground=[False]),
+        recording("p1", minute=9, n_frames=3, log_pitch=-4.25),
+    ]
+    rssi = rssi_rows(("p1", 0, "h_ns", 136), ("p1", 1, "h_ns", 193), ("p1", 2, "h_ns", 160))
+    return with_recordings(replace(tiny_cohort(), rssi=rssi), recordings)
+
+
+def written(root: Path) -> dict[str, bytes]:
+    """Every file in root, by name."""
+    return {path.name: path.read_bytes() for path in sorted(root.iterdir())}
+
+
+@pytest.mark.parametrize("bad, minute", [((1,), 1), ((4,), 7), ((1, 4), 1), ((0, 5), 0)])
+def test_refused_write_names_the_first_bad_recording_and_leaves_the_directory(tmp_path, bad, minute):
+    root = tmp_path / "data"
+    write_cohort(cohort_to_write(), root)
+    assert_cohorts_equal(parse_cohort(root), cohort_to_write())
+    before = written(root)
+    cohort = cohort_to_write()
+    cohort.profiles["p1"] = replace(cohort.profiles["p1"], pos_affect=40)
+    cohort.rssi = rssi_rows(("p1", 9, "h_ns", 170))
+    for i in bad:
+        segments(cohort)[i].frames.intensity[0] = math.inf
+    with pytest.raises(ValueError) as err:
+        write_cohort(cohort, root)
+    assert str(err.value) == f"non-finite frame value in recording p1 2022-03-01 minute {minute}"
+    assert written(root) == before  # no .tmp file either
+
+
+def test_interrupted_write_leaves_no_file(tmp_path, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(np, "save", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        write_cohort(cohort_to_write(), tmp_path / "data")
+    assert written(tmp_path / "data") == {}
 
 
 def test_shift_window_boundaries():

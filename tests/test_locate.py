@@ -137,8 +137,8 @@ def oracle_timeline(rows, hubs, floor: int) -> np.ndarray:
 
 
 def test_estimate_timeline_matches_brute_force_oracle(hub_table):
-    hypothesis = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
+    import hypothesis
+    from hypothesis import strategies as st
 
     shift_keys = [(pid, D0 + timedelta(days=d)) for pid in ("p1", "p2") for d in range(2)]
     # few distinct minutes and values so ties and repeats are common; some

@@ -13,6 +13,7 @@ from shifttalk import ingest
 from shifttalk.ingest import CANONICAL_FILES, parse_cohort
 from shifttalk.pipeline import ExtractionConfig, run_extraction
 from shifttalk.simulate import (
+    GRID_DECIMALS,
     CohortSpec,
     GroundTruth,
     generate,
@@ -29,13 +30,13 @@ def spec_text(**overrides) -> str:
     return "\n".join(f"{k} = {v}" for k, v in values.items()) + "\n"
 
 
-def test_simulated_frames_take_the_grid_path(tmp_path, monkeypatch):
-    def no_repr(values):
-        raise AssertionError(f"frame column fell back to repr: {values[:5]}")
-
-    monkeypatch.setattr(ingest, "_json_floats", no_repr)
+def test_simulated_frames_lie_on_the_grid(tmp_path):
     generate(CohortSpec(**TINY), tmp_path)
-    assert len(parse_cohort(tmp_path).recordings) > 0
+    frames = parse_cohort(tmp_path).frames
+    for name in ingest.FRAME_COLUMNS:
+        values = getattr(frames, name)
+        values = values[~np.isnan(values)]
+        assert len(values) and np.array_equal(np.round(values, GRID_DECIMALS), values), name
 
 
 def test_load_spec_roundtrip(tmp_path):
@@ -86,7 +87,7 @@ def test_generation_is_byte_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     generate(CohortSpec(**TINY), a)
     generate(CohortSpec(**TINY), b)
-    for name in list(CANONICAL_FILES) + ["ground_truth.json"]:
+    for name in list(CANONICAL_FILES) + [ingest.FRAMES_FILE, "ground_truth.json"]:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
@@ -94,7 +95,7 @@ def test_seed_changes_output(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     generate(CohortSpec(**TINY), a)
     generate(CohortSpec(**{**TINY, "seed": 4}), b)
-    assert (a / "recordings.jsonl").read_bytes() != (b / "recordings.jsonl").read_bytes()
+    assert (a / "frames.bin").read_bytes() != (b / "frames.bin").read_bytes()
 
 
 def test_ground_truth_roundtrip(tmp_path):

@@ -84,7 +84,7 @@ def test_midranks_with_ties():
 
 
 def test_midranks_match_scipy_rankdata():
-    scipy_stats = pytest.importorskip("scipy.stats")
+    from scipy import stats as scipy_stats
     rng = np.random.default_rng(8)
     for n in range(60):
         values = rng.integers(-3, n // 4 + 2, n).astype(float)  # heavy ties
@@ -115,7 +115,7 @@ def test_spearman_matches_oracle_with_ties():
 
 
 def test_spearman_matches_scipy_with_ties():
-    scipy_stats = pytest.importorskip("scipy.stats")
+    from scipy import stats as scipy_stats
     rng = np.random.default_rng(12)
     checked = 0
     for _ in range(300):
@@ -138,9 +138,9 @@ def test_spearman_pinned_to_scipy_and_grouped_pass_to_spearman():
     up; a constant vector raises ConstantInput where scipy gives NaN. The
     grouped pass gives spearman_rho's bits in every group, and 0.0 for a
     constant or one-value group."""
-    scipy_stats = pytest.importorskip("scipy.stats")
-    hypothesis = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
+    from scipy import stats as scipy_stats
+    import hypothesis
+    from hypothesis import strategies as st
 
     # few distinct values, so ties and constant vectors come often; -0.0 ties 0.0
     value = st.one_of(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]), st.floats(-1e3, 1e3))
@@ -251,7 +251,7 @@ def untied_configurations():
 
 
 def test_exact_p_matches_scipy():
-    scipy_stats = pytest.importorskip("scipy.stats")
+    from scipy import stats as scipy_stats
     for a, b in untied_configurations():
         res = mann_whitney_u(a, b, method="exact")
         ref = scipy_stats.mannwhitneyu(a, b, method="exact")
@@ -260,7 +260,7 @@ def test_exact_p_matches_scipy():
 
 
 def test_normal_p_matches_scipy():
-    scipy_stats = pytest.importorskip("scipy.stats")
+    from scipy import stats as scipy_stats
     for a, b in untied_configurations():
         res = mann_whitney_u(a, b, method="normal")
         ref = scipy_stats.mannwhitneyu(a, b, method="asymptotic", use_continuity=True)

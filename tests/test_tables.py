@@ -172,8 +172,8 @@ def test_write_csv_writes_the_csv_modules_bytes_and_reads_back(tmp_path):
     holds: text that csv must quote or that it passes through (NUL,
     non-ASCII), floats at the edges of the range, NaN and -0.0, int64
     extremes, booleans and dates."""
-    hypothesis = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
+    import hypothesis
+    from hypothesis import strategies as st
 
     text = st.text(st.one_of(st.sampled_from([",", '"', "\r", "\n", "\0", " ", "a", "\u00e9", "\u6f22", "\U0001f600"]),
                              st.characters()), max_size=6)
@@ -201,11 +201,16 @@ def test_write_csv_writes_the_csv_modules_bytes_and_reads_back(tmp_path):
     def check(table) -> None:
         header, dtypes, columns = table
         ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+        try:
+            with theirs.open("w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(csv_module_rows(columns))
+        except UnicodeEncodeError:  # a lone surrogate, which UTF-8 cannot hold: both writers refuse it
+            with pytest.raises(UnicodeEncodeError):
+                write_csv(ours, header, columns)
+            return
         write_csv(ours, header, columns)
-        with theirs.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(csv_module_rows(columns))
         assert ours.read_bytes() == theirs.read_bytes()
 
         for column, back in zip(columns, read_columns(ours, header, dtypes)):
@@ -240,6 +245,27 @@ def test_read_csv_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, n, bad_at,
         lines[bad_at - 2] = lines[bad_at - 2].replace(b"p1,2022-03-01,", b"p1,2022-03-01,x", 1)
     elif earlier == "fields":
         lines[bad_at - 2] = lines[bad_at - 2].replace(b"\r\n", b",7\r\n")
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(MalformedRow) as err:
+        SessionTable.read_csv(path)
+    assert str(err.value).startswith(message), str(err.value)
+
+
+@pytest.mark.parametrize("bad_cell, bad_byte_at, message", [
+    (True, None, "sessions.csv:5: bad start 'x"),  # read from the text stream
+    (True, 7, "sessions.csv:5: bad start 'x"),  # read again line by line after the byte that is not UTF-8
+    (False, 7, "sessions.csv:7: not UTF-8 text"),
+    (False, 3, "sessions.csv:2: not UTF-8 text"),  # in the quoted line break of the row that starts on line 2
+])
+def test_rows_are_numbered_by_the_line_they_start_on(tmp_path, bad_cell, bad_byte_at, message):
+    path = tmp_path / "sessions.csv"
+    lines = sessions_file(path, 5)
+    lines[1] = lines[1].replace(b"p1", b'"p\n1', 1).replace(b",", b'",', 1)  # a row on lines 2 and 3
+    lines[1:2] = lines[1].splitlines(keepends=True)
+    if bad_cell:
+        lines[4] = lines[4].replace(b"p1,2022-03-01,", b"p1,2022-03-01,x", 1)
+    if bad_byte_at:
+        lines[bad_byte_at - 1] = lines[bad_byte_at - 1].replace(b",", b"\xff,", 1)
     path.write_bytes(b"".join(lines))
     with pytest.raises(MalformedRow) as err:
         SessionTable.read_csv(path)
