@@ -6,60 +6,38 @@ Canonical files (all UTF-8):
   pos_affect,neg_affect,life_satisfaction
 - hubs.csv: hub_id,location_category{ns|pat|lounge|med}
 - rssi.csv: participant_id,shift_date,minute_index,hub_id,rssi
-- recordings.jsonl: one JSON object per line and recording,
-  {participant_id, shift_date, minute_index, ...}, in one of two forms:
-
-  - head lines (what write_cohort emits), when frames.bin lies beside it:
-    {..., "n_frames": a positive integer[, "labelled": true|false]}. The
-    frames of every recording, in line order, are in frames.bin.
-  - inline frames, when there is no frames.bin: {..., "frames": ...}, where
-    frames takes one of two layouts:
-
-    - columnar, one array per frame feature:
-      {"log_pitch": [number|null, ...], "intensity": [...], "hf_lf_ratio": [...],
-       "foreground_prob": [...][, "foreground": [true|false, ...]]}
-    - row-of-dicts, one object per frame:
-      [{"log_pitch": number|null, "intensity", "hf_lf_ratio", "foreground_prob"
-        [, "foreground": true|false]}, ...]; "foreground" is read when the
-      first frame carries it and is then required on every frame.
-
-    Both layouts go through the same validator, so they accept and reject
-    exactly the same recordings. Unknown frame keys are ignored.
-
-  A head line without a frames.bin, and an inline line beside one, is
-  refused at its line, so a file that mixes the two forms is refused too.
+- recordings.jsonl: one JSON object per line and recording, its head:
+  {"participant_id", "shift_date", "minute_index", "n_frames": a positive
+  integer[, "labelled": true|false]}. Other keys are ignored, except
+  "frames": a line that holds its frames inline is refused.
 - physiology.csv: participant_id,shift_date,walk_ratio,sleep_hours
+- frames.bin (binary): the frames of every recording, in line order, as five
+  NEP 1 .npy arrays back to back, each over all frames: log_pitch, intensity,
+  hf_lf_ratio and foreground_prob as little-endian float64, then foreground
+  as bool (read only for a recording whose head says "labelled": true).
 
-frames.bin (optional, binary) holds five NEP 1 .npy arrays back to back, each
-over all frames in recording order: log_pitch, intensity, hf_lf_ratio and
-foreground_prob as little-endian float64, then foreground as bool (read
-only for a recording whose head says "labelled": true). The reader builds
-no Python object from the file. It refuses a bad magic, any dtype but that
-exact one, a shape other than 1-D with the n_frames' sum, an array the file
-ends inside, a label byte other than 0 and 1, and any byte after the last
-array, each as MalformedRow("frames.bin", k, reason) with the array's
-number k (1-5) in place of a line.
+All six files are required; a missing one raises FileNotFoundError naming it.
+
+The frames.bin reader builds no Python object from the file. It refuses a
+bad magic, any dtype but that exact one, a shape other than 1-D with the
+n_frames' sum, an array the file ends inside, a label byte other than 0 and
+1, and any byte after the last array, each as MalformedRow("frames.bin", k,
+reason) with the array's number k (1-5) in place of a line.
 
 Validation is strict (typed fields, range checks, referenced ids must exist)
 except for RSSI values, which are clamped into [136, 193] with a warning
 count, and minute indices, which may fall outside the shift window here and
-are dropped later by filter_shift_window. In recordings.jsonl this means:
+are dropped later by filter_shift_window. In recordings.jsonl this means
+that participant_id is a JSON string, shift_date a YYYY-MM-DD string (as in
+every file), and minute_index and n_frames JSON integers (true and false
+are not integers, and neither are the literals NaN and Infinity).
 
-- participant_id is a JSON string and shift_date a YYYY-MM-DD string (as in
-  every file); minute_index is a JSON integer (true and false are not
-  integers);
-- inline frame features are JSON numbers; numeric strings and booleans are
-  rejected, and so are the literals NaN, Infinity and -Infinity anywhere on
-  the line, and numbers that overflow to infinity;
-- null is the only unvoiced marker and is allowed for log_pitch alone;
-- inline foreground, when present, holds JSON booleans only;
-- every inline frame column has the same non-zero length.
-
-The frame value rules (_value_refusal) are the same for both forms: finite
-values, with NaN only as an unvoiced log_pitch; foreground_prob in [0, 1];
-hf_lf_ratio non-negative. A frames.bin value that breaks one raises
-MalformedRow at its recording's line of recordings.jsonl, naming frames.bin
-and the recording's participant, date and minute.
+The frame value rules (_value_refusal) are: finite values, with NaN only as
+an unvoiced log_pitch; foreground_prob in [0, 1]; hf_lf_ratio non-negative.
+Every line of recordings.jsonl is checked before any frame value; a
+frames.bin value that breaks a rule raises MalformedRow at its recording's
+line of recordings.jsonl, naming frames.bin and the recording's
+participant, date and minute.
 
 Each violation raises MalformedRow with the file name and line number. The
 csv files are read and written through model's one CSV rule (csv_rows,
@@ -67,19 +45,13 @@ write_csv, parse_date, ColumnTable.write_csv); the checks above are ingest's
 own.
 
 rssi.csv becomes one RssiTable, checked one row at a time, so the first bad
-row in file order raises. recordings.jsonl becomes one RecordingTable, a row
-per recording, and one FrameBlock holding every recording's frames end to
-end. In either file a minute_index beyond the 64-bit integer range is stored
-as the nearest 64-bit value, so filter_shift_window still drops it.
-An integer or number cell must be written as the writers write one (model's
-_int_cell and _float_cell): no surrounding spaces, leading "+", "_"
-separators or non-ASCII digits.
-
-parse_recordings reads recordings.jsonl in one pass from its first byte.
-Inline frames go through _read_recordings: one structure check per line
-(_recording, _inline_frames), and the frame value rules (_frame_values) over
-about _PARSE_BATCH_FRAMES frames at once, run again one recording at a time
-only when they refuse, to find the first bad line.
+row in file order raises. recordings.jsonl and frames.bin become one
+RecordingTable, a row per recording, and one FrameBlock holding every
+recording's frames end to end. In either table a minute_index beyond the
+64-bit integer range is stored as the nearest 64-bit value, so
+filter_shift_window still drops it. An integer or number cell must be
+written as the writers write one (model's _int_cell and _float_cell): no
+surrounding spaces, leading "+", "_" separators or non-ASCII digits.
 """
 
 from __future__ import annotations
@@ -88,9 +60,8 @@ import json
 import os
 from collections import Counter
 from dataclasses import replace
-from itertools import islice
 from pathlib import Path
-from typing import BinaryIO, Iterator, NoReturn
+from typing import BinaryIO, Iterator
 
 import numpy as np
 from numpy.lib import format as npy
@@ -111,12 +82,12 @@ from .model import (
     RssiTable,
     ShiftType,
     UnitType,
+    _INT64_MAX,
+    _INT64_MIN,
     _float_cell,
     _int_cell,
     csv_rows,
-    join_recordings,
     mapped,
-    paged,
     parse_date,
     write_csv,
 )
@@ -135,9 +106,7 @@ MIN_DAYS = 5  # distinct shift dates a participant needs to stay in the cohort
 PARTICIPANTS_HEADER = ["participant_id", "shift_type", "unit_type", "pos_affect", "neg_affect", "life_satisfaction"]
 HUBS_HEADER = ["hub_id", "location_category"]
 PHYSIOLOGY_HEADER = ["participant_id", "shift_date", "walk_ratio", "sleep_hours"]
-_INT64 = np.iinfo(np.int64)
 _BATCH_ROWS = 1 << 14  # rssi rows held as Python objects at once, which bounds peak memory
-_PARSE_BATCH_FRAMES = 1 << 13  # frames _read_recordings holds as Python objects at once, which bounds peak memory
 
 
 def _parse_int(text: str, field: str, file: str, line: int) -> int:
@@ -234,7 +203,7 @@ def parse_rssi(
             rssi = min(max(rssi, RSSI_MIN), RSSI_MAX)
         pids.append(profile.participant_id)  # equal to pid; one string object per participant, not per row
         dates.append(date_raw)
-        minutes.append(min(max(minute, _INT64.min), _INT64.max))
+        minutes.append(min(max(minute, _INT64_MIN), _INT64_MAX))
         hub_ids.append(hub.hub_id)
         values.append(rssi)
         if len(values) >= _BATCH_ROWS:
@@ -264,22 +233,7 @@ def parse_physiology(path: Path, profiles: dict[str, ParticipantProfile]) -> lis
     return rows
 
 
-def _reject_constant(name: str) -> NoReturn:
-    raise ValueError(f"{name} is not a JSON number (null is the only unvoiced marker)")
-
-
-# json.loads(line, parse_constant=_reject_constant), built once instead of per line.
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
-
 FRAME_COLUMNS = ("log_pitch", "intensity", "hf_lf_ratio", "foreground_prob")
-_NUMBER = frozenset({int, float})
-_COLUMN_TYPES = {
-    "log_pitch": (_NUMBER | {type(None)}, "a number or null"),
-    "intensity": (_NUMBER, "a number"),
-    "hf_lf_ratio": (_NUMBER, "a number"),
-    "foreground_prob": (_NUMBER, "a number"),
-    "foreground": (frozenset({bool}), "true or false"),
-}
 # frames.bin's arrays, one per FrameBlock field in field order
 _FRAME_DTYPES = (np.dtype("<f8"),) * len(FRAME_COLUMNS) + (np.dtype(bool),)
 
@@ -315,25 +269,6 @@ def _refused_recording(recordings: RecordingTable, refusal: tuple[int, str]) -> 
     return i, f"{reason} in recording {recordings.participant_id[i]} {day} minute {recordings.minute_index[i]}"
 
 
-def _frame_values(columns: list[list]) -> list[np.ndarray]:
-    """The frame value rules over inline frame lists (FRAME_COLUMNS, then
-    optionally foreground, each of any length): the four feature columns as
-    paged float arrays, or ValueError with the reason for the first rule
-    broken. A "frame" index counts from the start of the lists."""
-    for (name, (allowed, expected)), values in zip(_COLUMN_TYPES.items(), columns):
-        if not set(map(type, values)) <= allowed:
-            bad = next(i for i, v in enumerate(values) if type(v) not in allowed)
-            raise ValueError(f"frame {bad}: {name} must be {expected}, got {values[bad]!r}")
-    try:
-        feats = [paged(values) for values in columns[:4]]
-    except OverflowError:
-        raise ValueError("frame value too large for a float") from None
-    refusal = _value_refusal(feats)  # only a null pitch became NaN: no other column admits null
-    if refusal is not None:
-        raise ValueError("frame %d: %s" % refusal)
-    return feats
-
-
 def _lines(fh: BinaryIO) -> Iterator[tuple[int, str | bytes]]:
     """The number and stripped text of each non-blank line of a file opened
     in binary mode, counted as text mode counts them ("\n", "\r\n" and a lone
@@ -344,24 +279,23 @@ def _lines(fh: BinaryIO) -> Iterator[tuple[int, str | bytes]]:
             lineno += 1
             try:
                 line = piece.decode("utf-8").strip()
-            except UnicodeDecodeError:  # _recording refuses it in its turn
+            except UnicodeDecodeError:  # _head refuses it in its turn
                 line = piece
             if line:
                 yield lineno, line
 
 
-def _recording(line: str | bytes, profiles: dict[str, ParticipantProfile], days: dict[str, np.datetime64],
-               name: str, lineno: int) -> tuple:
-    """The decoded object, participant, date and minute of one recordings.jsonl
-    line, after the checks every line takes; MalformedRow on the first one it
-    fails. The frames are left to _inline_frames or _frame_count."""
+def _head(line: str | bytes, profiles: dict[str, ParticipantProfile], days: dict[str, np.datetime64],
+          name: str, lineno: int) -> tuple:
+    """The participant, date, minute, frame count and labelled flag of one
+    recordings.jsonl line; MalformedRow on the first check it fails."""
     if type(line) is bytes:
         raise MalformedRow(name, lineno, "not UTF-8 text")
     try:
-        obj = _DECODER.decode(line)
+        obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise MalformedRow(name, lineno, f"invalid JSON: {exc.msg}") from None
-    except ValueError as exc:
+    except ValueError as exc:  # an integer past int's digit limit
         raise MalformedRow(name, lineno, str(exc)) from None
     except RecursionError:
         raise MalformedRow(name, lineno, "invalid JSON: nested too deeply") from None
@@ -377,126 +311,33 @@ def _recording(line: str | bytes, profiles: dict[str, ParticipantProfile], days:
     shift_date = days.get(date_raw) if type(date_raw) is str else None
     if shift_date is None:
         shift_date = days[date_raw] = np.datetime64(parse_date(date_raw, name, lineno), "D")
-    # the profile's own id string, one object per participant as in parse_rssi
-    return obj, profile.participant_id, shift_date, min(max(minute, _INT64.min), _INT64.max)
-
-
-def _inline_frames(obj: dict, name: str, lineno: int) -> list[list]:
-    """The frame lists (FRAME_COLUMNS, then foreground when given) of a
-    recording whose frames its line holds, after their structure checks. The
-    frame values are left to _frame_values."""
-    if "frames" not in obj:
-        raise MalformedRow(name, lineno, f"n_frames without a {FRAMES_FILE}" if "n_frames" in obj
-                           else "missing field: 'frames'")
-    frames = obj["frames"]
-    if type(frames) is list:  # one object per frame; "foreground" is read when the first frame holds it
-        keys = FRAME_COLUMNS
-        if frames and type(frames[0]) is dict and "foreground" in frames[0]:
-            keys += ("foreground",)
-        try:
-            frames = {key: [row[key] for row in frames] for key in keys}
-        except (KeyError, TypeError) as exc:
-            raise MalformedRow(name, lineno, f"bad frame: {exc!r}") from None
-    elif type(frames) is not dict:
-        raise MalformedRow(name, lineno, "frames must be an object of arrays or a list of frames")
-    names = FRAME_COLUMNS + (("foreground",) if "foreground" in frames else ())
-    columns = [frames.get(column) for column in names]
-    n = len(columns[0]) if type(columns[0]) is list else 0
-    if not n or any(type(column) is not list or len(column) != n for column in columns):
-        for column, values in zip(names, columns):
-            if type(values) is not list:
-                raise MalformedRow(name, lineno, f"frames need a {column} array")
-        uneven = any(len(values) != n for values in columns)
-        raise MalformedRow(name, lineno, "frame columns differ in length" if uneven else "frames must be non-empty")
-    return columns
-
-
-def _frame_count(obj: dict, name: str, lineno: int) -> tuple[int, bool]:
-    """The frame count and labelled flag of a recording whose frames are in frames.bin."""
     if "frames" in obj:
-        raise MalformedRow(name, lineno, f"frames given inline beside a {FRAMES_FILE}")
+        raise MalformedRow(name, lineno, f"inline frames are no longer read; a recording's frames go in {FRAMES_FILE}")
     n, labelled = obj.get("n_frames"), obj.get("labelled", False)
-    if type(n) is not int or not 0 < n <= _INT64.max:
+    if type(n) is not int or not 0 < n <= _INT64_MAX:
         raise MalformedRow(name, lineno, f"n_frames must be a positive integer, got {n!r}")
     if type(labelled) is not bool:
         raise MalformedRow(name, lineno, f"labelled must be true or false, got {labelled!r}")
-    return n, labelled
+    # the profile's own id string, one object per participant as in parse_rssi
+    return profile.participant_id, shift_date, min(max(minute, _INT64_MIN), _INT64_MAX), n, labelled
 
 
 def parse_recordings(path: Path, profiles: dict[str, ParticipantProfile]) -> tuple[RecordingTable, FrameBlock]:
-    """The recordings of recordings.jsonl and their frames: from frames.bin
-    when that file lies beside it (_read_heads, _read_frames), else from
-    the lines themselves (_read_recordings)."""
-    frames_path = path.with_name(FRAMES_FILE)
-    if not frames_path.is_file():
-        return join_recordings(_read_recordings(path, profiles))
+    """The recordings of recordings.jsonl (_read_heads) and their frames,
+    from the frames.bin beside it (_read_frames)."""
     recordings, lines = _read_heads(path, profiles)
-    return recordings, _read_frames(frames_path, recordings, lines)
-
-
-def _read_recordings(path: Path, profiles: dict[str, ParticipantProfile]) -> list[tuple]:
-    """The recordings of a recordings.jsonl whose lines hold their frames, as
-    join_recordings parts of about _PARSE_BATCH_FRAMES frames (see
-    _checked_part). The first line that breaks a rule raises MalformedRow
-    with its number (see _lines) and reason."""
-    name = path.name
-    days: dict[str, np.datetime64] = {}
-    parts: list[tuple] = []
-    # RecordingTable columns and the line number, an item per recording; FRAME_COLUMNS + foreground, an item per frame
-    heads, values = tuple([] for _ in range(6)), tuple([] for _ in range(5))
-    with path.open("rb") as fh:
-        for lineno, line in _lines(fh):
-            try:
-                obj, pid, shift_date, minute = _recording(line, profiles, days, name, lineno)
-                columns = _inline_frames(obj, name, lineno)
-            except MalformedRow:
-                _checked_part(name, heads, values)  # an earlier line of the part may break a value rule
-                raise
-            for store, column in zip(values, columns):
-                store.extend(column)
-            n = len(columns[0])
-            for store, value in zip(heads, (pid, shift_date, minute, n, len(columns) > 4, lineno)):
-                store.append(value)
-            if len(values[0]) >= _PARSE_BATCH_FRAMES:
-                parts.append(_checked_part(name, heads, values))
-                for store in heads + values:
-                    store.clear()
-    if heads[0]:
-        parts.append(_checked_part(name, heads, values))
-    return parts
-
-
-def _checked_part(name: str, heads: tuple[list, ...], values: tuple[list, ...]) -> tuple[RecordingTable, dict]:
-    """The recordings gathered so far as a join_recordings part, after
-    _frame_values over all their frames at once. Should that refuse, it runs
-    over one recording at a time, and the first one it refuses raises
-    MalformedRow at its line."""
-    try:
-        feats = _frame_values(list(values))
-    except ValueError:
-        frames = [iter(column) for column in values]
-        for n, labelled, lineno in zip(*heads[3:]):
-            try:
-                _frame_values([list(islice(column, n)) for column in frames[:4 + labelled]])
-            except ValueError as exc:
-                raise MalformedRow(name, lineno, str(exc)) from None
-        raise
-    table = RecordingTable(*heads[:5])
-    foreground = mapped(len(feats[0]), bool)
-    foreground[np.repeat(table.labelled, table.n_frames)] = values[4]
-    return table, dict(zip(FRAME_FIELDS, (*feats, foreground)))
+    return recordings, _read_frames(path.with_name(FRAMES_FILE), recordings, lines)
 
 
 def _read_heads(path: Path, profiles: dict[str, ParticipantProfile]) -> tuple[RecordingTable, list[int]]:
-    """The recordings of a recordings.jsonl whose frames are in frames.bin,
-    and the line of each; the first line that breaks a rule raises
-    MalformedRow with its number and reason."""
+    """The recordings of recordings.jsonl, and the line of each; the first
+    line that breaks a rule raises MalformedRow with its number (see _lines)
+    and reason."""
     days: dict[str, np.datetime64] = {}
     heads = tuple([] for _ in range(6))  # RecordingTable columns and the line number
     with path.open("rb") as fh:
         for lineno, line in _lines(fh):
-            obj, pid, shift_date, minute = _recording(line, profiles, days, path.name, lineno)
-            for store, value in zip(heads, (pid, shift_date, minute, *_frame_count(obj, path.name, lineno), lineno)):
+            for store, value in zip(heads, (*_head(line, profiles, days, path.name, lineno), lineno)):
                 store.append(value)
     return RecordingTable(*heads[:5]), heads[5]
 
@@ -546,11 +387,11 @@ def _read_array(fh: BinaryIO, file: str, k: int, name: str, dtype: np.dtype, n: 
 
 
 def parse_cohort(dir_path: str | Path) -> Cohort:
-    """Parse the five canonical files, and frames.bin when present, into a
-    validated Cohort. Row counts are cohort.counts; clamp events land in
+    """Parse the five canonical files and frames.bin into a validated
+    Cohort. Row counts are cohort.counts; clamp events land in
     cohort.warnings."""
     root = Path(dir_path)
-    for name in CANONICAL_FILES:
+    for name in CANONICAL_FILES + (FRAMES_FILE,):
         if not (root / name).is_file():
             raise FileNotFoundError(root / name)
     warnings: dict[str, int] = {}
@@ -610,7 +451,7 @@ def _columns(rows: list[tuple], dtypes: tuple) -> list[np.ndarray]:
 
 
 def _write_heads(path: Path, recordings: RecordingTable) -> None:
-    """recordings.jsonl when frames.bin holds the frames: one line per recording."""
+    """recordings.jsonl: one head line per recording."""
     ids = {pid: json.dumps(pid) for pid in set(recordings.participant_id.tolist())}  # escapes every non-ASCII character
     labels = ("", ',"labelled":true')
     with path.open("w", encoding="ascii", newline="") as fh:

@@ -12,7 +12,9 @@ deterministic; ties within one category are immaterial.
 estimate_timeline applies the rule to every shift of a cohort in one pass
 over the RssiTable: each kept row scores ``rssi * 4 + (3 - category)`` and
 ``np.maximum.at`` keeps the best score per (shift, minute), so the highest
-RSSI wins and, on equal RSSI, the lowest category.
+RSSI wins and, on equal RSSI, the lowest category. It returns one
+(shifts, 720) slots array; a LocationTimeline holds one shift's row for the
+per-shift references (sessions.build_sessions).
 """
 
 from __future__ import annotations
@@ -63,8 +65,9 @@ def estimate_timeline(
     hubs: dict[str, HubRecord],
     shifts: list[tuple[str, date]],
     rssi_floor: int = RSSI_FLOOR,
-) -> dict[tuple[str, date], LocationTimeline]:
-    """The timeline of every listed (participant, shift_date), in list order.
+) -> np.ndarray:
+    """The (len(shifts), 720) uint8 LocationCategory slots of every listed
+    (participant, shift_date), a row each in list order.
 
     Rows of unlisted shifts, rows below the floor and minutes outside
     [0, 720) are ignored; a shift with no row left is all OutsideUnit. Every
@@ -89,5 +92,4 @@ def estimate_timeline(
     hub_rank = np.fromiter(map(rank.__getitem__, rssi.hub_id[keep]), np.int64, len(keep))
     best = np.full(len(shifts) * SHIFT_MINUTES, _NO_ROW)
     np.maximum.at(best, row_shift[keep] * SHIFT_MINUTES + m[keep], rssi.rssi[keep] * 4 + hub_rank)
-    slots = np.where(best == _NO_ROW, _OUTSIDE, 3 - best % 4).astype(np.uint8).reshape(-1, SHIFT_MINUTES)
-    return {key: LocationTimeline(key[0], key[1], slots[i]) for i, key in enumerate(shifts)}
+    return np.where(best == _NO_ROW, _OUTSIDE, 3 - best % 4).astype(np.uint8).reshape(-1, SHIFT_MINUTES)

@@ -383,23 +383,6 @@ def mapped(n: int, dtype=np.float64) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, max(n * np.dtype(dtype).itemsize, 1)), dtype, n)
 
 
-def paged(values, dtype=np.float64) -> np.ndarray:
-    """values copied into mapped memory."""
-    out = mapped(len(values), dtype)
-    out[...] = values
-    return out
-
-
-def join_recordings(parts: list[tuple[RecordingTable, dict[str, np.ndarray]]]) -> tuple[RecordingTable, FrameBlock]:
-    """The rows of every part and their frames, end to end. A part is a table
-    and a FrameBlock field -> paged column dict; each frame column's parts are
-    dropped as it is joined, so at most one column is ever held twice."""
-    if not parts:
-        return RecordingTable(), FrameBlock(*np.empty((4, 0)), np.empty(0, bool))
-    frames = FrameBlock(**{name: np.concatenate([f.pop(name) for _, f in parts]) for name in FRAME_FIELDS})
-    return RecordingTable.concat([t for t, _ in parts]), frames
-
-
 @dataclass
 class RecordingSegment:
     """One VAD-triggered ~20 s capture anchored to a shift minute."""
@@ -417,7 +400,8 @@ class Cohort:
     profiles: dict[str, ParticipantProfile] = field(default_factory=dict)
     hubs: dict[str, HubRecord] = field(default_factory=dict)
     recordings: RecordingTable = field(default_factory=RecordingTable)
-    frames: FrameBlock = field(default_factory=lambda: join_recordings([])[1])  # every recording's, in table order
+    frames: FrameBlock = field(  # every recording's, in table order
+        default_factory=lambda: FrameBlock(*np.empty((4, 0)), np.empty(0, bool)))
     rssi: RssiTable = field(default_factory=RssiTable)
     physiology: list[DailyPhysiology] = field(default_factory=list)
     warnings: dict[str, int] = field(default_factory=dict)

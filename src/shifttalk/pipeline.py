@@ -8,7 +8,7 @@ end to end. Each recording carries a shift code, its index in the sorted
 instead of looping over shifts, speakers or participants:
 
 - Location timelines for every shift come from one pass over the cohort's
-  RssiTable and are stacked as one (shifts, 720) array.
+  RssiTable, as one (shifts, 720) array.
 - Foreground filtering, validity, neutral pools, recording scores and fused
   ratings are array passes, one frame column at a time and over the kept
   frames of valid recordings only: per-recording counts come from cumsum
@@ -70,7 +70,7 @@ from .foreground import MIN_FOREGROUND_FRAMES, ForegroundFilter, cohort_mask
 from .foreground import filter_frames, is_valid_recording  # noqa: F401  reference; perfbench traces them here
 from .ingest import MIN_DAYS, filter_min_days, filter_shift_window
 from .locate import RSSI_FLOOR, estimate_timeline
-from .model import SHIFT_MINUTES, Cohort
+from .model import Cohort
 from .sessions import SESSION_CATEGORIES, SessionTable, cohort_sessions
 from .sessions import build_sessions  # noqa: F401  reference; perfbench traces it here
 
@@ -127,8 +127,7 @@ def run_extraction(cohort: Cohort, config: ExtractionConfig | None = None) -> Ex
     code = {key: i for i, key in enumerate(shift_keys)}
     shift = np.fromiter(map(code.__getitem__, pairs), np.int64, len(pairs))
     minute = kept.recordings.minute_index
-    timelines = estimate_timeline(kept.rssi, kept.hubs, shift_keys, config.rssi_floor)
-    slots = np.array([timelines[key].slots for key in shift_keys], np.uint8).reshape(-1, SHIFT_MINUTES)
+    slots = estimate_timeline(kept.rssi, kept.hubs, shift_keys, config.rssi_floor)
     key_pids = np.array([pid for pid, _ in shift_keys], dtype=object)
     key_days = np.array([day for _, day in shift_keys], dtype="datetime64[D]")
 

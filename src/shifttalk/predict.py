@@ -1,10 +1,14 @@
-"""Self-report prediction: median-binarized labels, z-normalized features,
-random-forest grid search under stratified 5-fold cross-validation,
-scored by micro-F1.
-
-Normalization parameters are always fit on training folds only; the final
-model (used for feature importances) refits on all rows with the best
+"""Self-report prediction: median-binarized labels, random-forest grid
+search under stratified 5-fold cross-validation, scored by micro-F1. The
+final model (used for feature importances) refits on all rows with the best
 configuration.
+
+The features go to the forest as they are, with no z-score. A tree splits a
+column at the midpoint of two neighbouring training values, so which rows go
+left depends only on the order of the values in each column, and a
+per-column z-score keeps that order. In floating point a z-score could still
+merge two close values or move a validation value across a midpoint; on
+criterion 7's cohort report.json was byte-identical with and without one.
 """
 
 from __future__ import annotations
@@ -37,34 +41,6 @@ def binarize_label(values) -> np.ndarray:
         # heavy mass at the median can still leave one side empty
         raise DegenerateLabel("median split produced a single class")
     return labels
-
-
-@dataclass
-class Normalizer:
-    mean: np.ndarray
-    std: np.ndarray
-    zero_std: np.ndarray  # bool flags for constant columns
-
-    @classmethod
-    def fit(cls, X: np.ndarray) -> "Normalizer":
-        mean = X.mean(axis=0)
-        std = X.std(axis=0)
-        zero = std == 0.0
-        return cls(mean=mean, std=np.where(zero, 1.0, std), zero_std=zero)
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        Z = (X - self.mean) / self.std
-        Z[:, self.zero_std] = 0.0
-        return Z
-
-
-def znormalize(X: np.ndarray) -> tuple[np.ndarray, Normalizer]:
-    """Center/scale each column; constant columns become all-zero (flagged)."""
-    X = np.asarray(X, dtype=float)
-    if len(X) < 2:
-        raise TooFewSamples("need at least two rows to normalize")
-    params = Normalizer.fit(X)
-    return params.transform(X), params
 
 
 def micro_f1(pred, truth) -> float:
@@ -144,10 +120,9 @@ def cross_validate(
         scores = []
         for fi, val_rows in enumerate(folds):
             train_rows = np.setdiff1d(all_rows, val_rows, assume_unique=True)
-            norm = Normalizer.fit(X[train_rows])
             forest_seed = int(np.random.SeedSequence([seed, 1, ci, fi]).generate_state(1)[0])
-            model = train_forest(norm.transform(X[train_rows]), y[train_rows], params, forest_seed)
-            pred = model.predict(norm.transform(X[val_rows]))
+            model = train_forest(X[train_rows], y[train_rows], params, forest_seed)
+            pred = model.predict(X[val_rows])
             scores.append(micro_f1(pred, y[val_rows]))
         mean_score = float(np.mean(scores))
         per_config.append((params, mean_score))
@@ -155,9 +130,8 @@ def cross_validate(
             best_score = mean_score
             best_idx = ci
     best_params = grid[best_idx]
-    Xz, norm = znormalize(X)
     final_seed = int(np.random.SeedSequence([seed, 2]).generate_state(1)[0])
-    final = train_forest(Xz, y, best_params, final_seed)
+    final = train_forest(X, y, best_params, final_seed)
     order = np.argsort(-final.importances, kind="stable")
     importances = [(feature_names[j], float(final.importances[j])) for j in order]
     return CvReport(

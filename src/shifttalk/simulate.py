@@ -26,8 +26,10 @@ import numpy as np
 from .errors import InvalidSpec
 from .ingest import write_cohort
 from .model import (
+    FRAME_FIELDS,
     Cohort,
     DailyPhysiology,
+    FrameBlock,
     HubCategory,
     HubRecord,
     ParticipantProfile,
@@ -38,8 +40,7 @@ from .model import (
     ShiftType,
     UnitType,
     SHIFT_MINUTES,
-    join_recordings,
-    paged,
+    mapped,
 )
 
 GROUND_TRUTH_FILE = "ground_truth.json"
@@ -271,7 +272,7 @@ def generate(spec: CohortSpec, out_dir: str | Path) -> tuple[Cohort, GroundTruth
 
     cohort = Cohort(hubs={h.hub_id: h for h in _HUBS})
     rssi: list[RssiTable] = []
-    recordings: list[tuple[RecordingTable, dict]] = []  # one join_recordings part per shift
+    recordings: list[tuple[RecordingTable, dict]] = []  # one _join_recordings part per shift
     truth_participants: dict[str, ParticipantTruth] = {}
     start_date = date(2022, 3, 1)
 
@@ -337,7 +338,8 @@ def generate(spec: CohortSpec, out_dir: str | Path) -> tuple[Cohort, GroundTruth
             occupancy=occupancy,
         )
 
-    cohort.recordings, cohort.frames = join_recordings(recordings)
+    if recordings:
+        cohort.recordings, cohort.frames = _join_recordings(recordings)
     cohort.rssi = RssiTable.concat(rssi)
     write_cohort(cohort, out)
     truth = GroundTruth(
@@ -512,4 +514,20 @@ def _emit_frames(
     hf_lf = _to_grid(np.maximum(cols["hf_lf_ratio"], 0.0))
     columns = {"log_pitch": log_pitch, "intensity": intensity, "hf_lf_ratio": hf_lf, "foreground_prob": prob,
                "foreground": np.zeros((n_rec, n), bool)}
-    return {name: paged(values.ravel(), values.dtype) for name, values in columns.items()}
+    return {name: _paged(values.ravel()) for name, values in columns.items()}
+
+
+def _paged(values: np.ndarray) -> np.ndarray:
+    """values copied into mapped memory (model.mapped)."""
+    out = mapped(len(values), values.dtype)
+    out[...] = values
+    return out
+
+
+def _join_recordings(parts: list[tuple[RecordingTable, dict[str, np.ndarray]]]) -> tuple[RecordingTable, FrameBlock]:
+    """The rows of every part (at least one) and their frames, end to end. A
+    part is a table and a FrameBlock field -> paged column dict; each frame
+    column's parts are dropped as it is joined, so at most one column is
+    ever held twice."""
+    frames = FrameBlock(**{name: np.concatenate([f.pop(name) for _, f in parts]) for name in FRAME_FIELDS})
+    return RecordingTable.concat([t for t, _ in parts]), frames

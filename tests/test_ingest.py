@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib import format as npy
 
 from shifttalk.errors import DuplicateParticipant, MalformedRow, UnknownHub
 from shifttalk import ingest
@@ -20,7 +21,7 @@ from shifttalk.ingest import (
     write_cohort,
 )
 from shifttalk.locate import estimate_timeline
-from shifttalk.model import Cohort, FrameBlock, LocationCategory, RecordingSegment
+from shifttalk.model import Cohort, FrameBlock, LocationCategory, RecordingSegment, RecordingTable
 
 from conftest import D0, assert_cohorts_equal, profile, recording, rssi_rows, segments, tiny_cohort, with_recordings
 
@@ -32,8 +33,47 @@ HEADERS = {
 }
 
 
-def write_dir(tmp_path: Path, **overrides: list[str]) -> Path:
-    """Minimal valid input directory, with per-file row overrides."""
+HEAD = {"participant_id": "p1", "shift_date": "2022-03-01", "minute_index": 0, "n_frames": 1}
+HEAD_LINE = json.dumps(HEAD, separators=(",", ":"))
+MARK = "@bad@"
+
+
+def head_line(field: str, text: str) -> str:
+    """HEAD_LINE with `field` set to (or, if absent, given) the raw JSON text `text`."""
+    return json.dumps({**HEAD, field: MARK}, separators=(",", ":")).replace(f'"{MARK}"', text)
+
+
+def saved(*arrays: np.ndarray) -> bytes:
+    out = io.BytesIO()
+    for array in arrays:
+        np.save(out, array, allow_pickle=True)
+    return out.getvalue()
+
+
+def column(arrays: list[np.ndarray], k: int, value) -> bytes:
+    """frames.bin with array k (0-based) replaced by value, or with
+    value(array) when value is callable."""
+    arrays = list(arrays)
+    arrays[k] = value(arrays[k]) if callable(value) else value
+    return saved(*arrays)
+
+
+def frame(arrays: list[np.ndarray], k: int, i: int, value: float) -> bytes:
+    """frames.bin with frame i of array k set to value."""
+    array = arrays[k].copy()
+    array[i] = value
+    return column(arrays, k, array)
+
+
+def good_arrays(n: int) -> list[np.ndarray]:
+    """frames.bin's five arrays for n valid frames, none labelled."""
+    return [np.full(n, value) for value in (4.7, 60.0, 0.8, 0.9)] + [np.zeros(n, bool)]
+
+
+def write_dir(tmp_path: Path, frames_bin: bytes | None = None, **overrides: list[str]) -> Path:
+    """Minimal valid input directory, with per-file row overrides. frames.bin
+    holds frames_bin, by default one valid frame per non-blank line of
+    recordings.jsonl (whose default line, HEAD_LINE, has one frame)."""
     defaults = {
         "participants.csv": ["p1,day,icu,30,25,4.2"],
         "hubs.csv": ["h_ns,ns"],
@@ -43,12 +83,11 @@ def write_dir(tmp_path: Path, **overrides: list[str]) -> Path:
     defaults.update({k: v for k, v in overrides.items() if k != "recordings.jsonl"})
     for name, rows in defaults.items():
         (tmp_path / name).write_text("\n".join([HEADERS[name]] + rows) + "\n")
-    rec_rows = overrides.get(
-        "recordings.jsonl",
-        ['{"participant_id":"p1","shift_date":"2022-03-01","minute_index":0,'
-         '"frames":[{"log_pitch":4.7,"intensity":60.0,"hf_lf_ratio":0.8,"foreground_prob":0.9}]}'],
-    )
+    rec_rows = overrides.get("recordings.jsonl", [HEAD_LINE])
     (tmp_path / "recordings.jsonl").write_text("\n".join(rec_rows) + "\n")
+    if frames_bin is None:
+        frames_bin = saved(*good_arrays(sum(1 for row in rec_rows if row.strip())))
+    (tmp_path / "frames.bin").write_bytes(frames_bin)
     return tmp_path
 
 
@@ -165,9 +204,7 @@ def test_each_date_text_parses_once_and_a_bad_one_raises_at_its_line(tmp_path, m
 @pytest.mark.parametrize("shift_date, text", [('"2022-3-1"', "'2022-3-1'"), ('["2022-03-01"]', "['2022-03-01']"),
                                               ("20220301", "20220301")])
 def test_recording_date_after_a_good_one_raises_at_its_line(tmp_path, shift_date, text):
-    line = ('{"participant_id":"p1","shift_date":%s,"minute_index":0,'
-            '"frames":[{"log_pitch":4.7,"intensity":60.0,"hf_lf_ratio":0.8,"foreground_prob":0.9}]}')
-    rows = [line % '"2022-03-01"', line % shift_date, line % '"2022-03-01"']
+    rows = [HEAD_LINE, head_line("shift_date", shift_date), HEAD_LINE]
     with pytest.raises(MalformedRow) as err:
         parse_cohort(write_dir(tmp_path, **{"recordings.jsonl": rows}))
     assert str(err.value) == f"recordings.jsonl:2: bad shift_date {text}"
@@ -239,9 +276,9 @@ def test_ids_with_trailing_nul_kept_exactly(tmp_path):
     cohort = parse_cohort(path)
     assert cohort.rssi.participant_id.tolist() == ["p1\0", "p1"]
     assert cohort.rssi.hub_id.tolist() == ["h_ns\0", "h_ns"]
-    timelines = estimate_timeline(cohort.rssi, cohort.hubs, [("p1\0", D0), ("p1", D0)])
-    assert timelines["p1\0", D0].category(0) == LocationCategory.PATIENT_ROOM
-    assert timelines["p1", D0].category(1) == LocationCategory.NURSING_STATION
+    slots = estimate_timeline(cohort.rssi, cohort.hubs, [("p1\0", D0), ("p1", D0)])
+    assert slots[0, 0] == LocationCategory.PATIENT_ROOM
+    assert slots[1, 1] == LocationCategory.NURSING_STATION
     assert filter_min_days(cohort, 1).rssi.participant_id.tolist() == ["p1"]  # p1\0 has no recordings
     write_cohort(cohort, tmp_path / "out")
     assert (tmp_path / "out" / "rssi.csv").read_text().splitlines()[1:] == rows
@@ -267,10 +304,10 @@ def test_unknown_hub_rejected(tmp_path):
 
 
 def test_unknown_participant_in_recordings_rejected(tmp_path):
-    rows = ['{"participant_id":"ghost","shift_date":"2022-03-01","minute_index":0,'
-            '"frames":[{"log_pitch":null,"intensity":60.0,"hf_lf_ratio":0.8,"foreground_prob":0.9}]}']
-    with pytest.raises(MalformedRow):
+    rows = [head_line("participant_id", '"ghost"')]
+    with pytest.raises(MalformedRow) as err:
         parse_cohort(write_dir(tmp_path, **{"recordings.jsonl": rows}))
+    assert str(err.value) == "recordings.jsonl:1: unknown participant_id 'ghost'"
 
 
 @pytest.mark.parametrize("shift_date", ["20220301", "2022-W09-2", "2022-3-1"])
@@ -288,187 +325,210 @@ def test_bad_shift_type_rejected(tmp_path):
 
 
 def test_foreground_prob_out_of_range_rejected(tmp_path):
-    rows = ['{"participant_id":"p1","shift_date":"2022-03-01","minute_index":0,'
-            '"frames":[{"log_pitch":4.7,"intensity":60.0,"hf_lf_ratio":0.8,"foreground_prob":1.5}]}']
-    with pytest.raises(MalformedRow):
-        parse_cohort(write_dir(tmp_path, **{"recordings.jsonl": rows}))
+    with pytest.raises(MalformedRow) as err:
+        parse_cohort(write_dir(tmp_path, frame(good_arrays(1), 3, 0, 1.5)))
+    assert str(err.value) == ("recordings.jsonl:1: frames.bin: foreground_prob outside [0, 1] "
+                              "in recording p1 2022-03-01 minute 0")
 
 
-def test_missing_file_raises(tmp_path):
+@pytest.mark.parametrize("name", ["hubs.csv", "frames.bin"])
+def test_missing_file_raises(tmp_path, name):
     write_dir(tmp_path)
-    (tmp_path / "hubs.csv").unlink()
-    with pytest.raises(FileNotFoundError):
+    (tmp_path / name).unlink()
+    with pytest.raises(FileNotFoundError) as err:
         parse_cohort(tmp_path)
+    assert str(err.value) == str(tmp_path / name)
+
+
+INLINE_LINE = ('{"participant_id":"p1","shift_date":"2022-03-01","minute_index":0,'
+               '"frames":[{"log_pitch":4.7,"intensity":60.0,"hf_lf_ratio":0.8,"foreground_prob":0.9}]}')
+
+
+def test_extract_exits_2_on_inline_frames_without_frames_bin(tmp_path, capsys):
+    from shifttalk.cli import main
+
+    root = tmp_path / "data"
+    root.mkdir()
+    write_dir(root, **{"recordings.jsonl": [INLINE_LINE]})
+    (root / "frames.bin").unlink()
+    assert main(["extract", "--input", str(root), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: file not found: {root / 'frames.bin'}\n"
 
 
 def test_null_log_pitch_becomes_nan(tmp_path):
-    rows = ['{"participant_id":"p1","shift_date":"2022-03-01","minute_index":0,'
-            '"frames":[{"log_pitch":null,"intensity":60.0,"hf_lf_ratio":0.8,"foreground_prob":0.9}]}']
-    cohort = parse_cohort(write_dir(tmp_path, **{"recordings.jsonl": rows}))
+    cohort = parse_cohort(write_dir(tmp_path, frame(good_arrays(1), 0, 0, math.nan)))
     assert np.isnan(cohort.frames.log_pitch[0])
 
 
 def test_external_foreground_flags_parsed(tmp_path):
-    rows = ['{"participant_id":"p1","shift_date":"2022-03-01","minute_index":0,'
-            '"frames":[{"log_pitch":4.7,"intensity":60.0,"hf_lf_ratio":0.8,"foreground_prob":0.9,"foreground":true}]}']
-    cohort = parse_cohort(write_dir(tmp_path, **{"recordings.jsonl": rows}))
+    root = write_dir(tmp_path, column(good_arrays(1), 4, np.ones(1, bool)),
+                     **{"recordings.jsonl": [head_line("labelled", "true")]})
+    cohort = parse_cohort(root)
     assert cohort.recordings.labelled[0] and cohort.frames.foreground[0]
 
 
-LAYOUTS = ["columnar", "rows"]
-FRAME = {"log_pitch": 4.7, "intensity": 60.0, "hf_lf_ratio": 0.8, "foreground_prob": 0.9, "foreground": True}
-MARK = "@bad@"
+def integer_refusal(digits: str) -> str:
+    """What int() says of an integer text past its digit limit, as json.loads says it."""
+    try:
+        int(digits)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("int() took it")
 
 
-def recording_line(layout: str, field: str | None = None, text: str = "") -> str:
-    """A valid two-frame recordings.jsonl line in the given layout.
-
-    With `field`, that field of the line (or of its second frame) is replaced
-    by the raw JSON text `text`.
-    """
-    obj: dict = {"participant_id": "p1", "shift_date": "2022-03-01", "minute_index": 0}
-    frames = [dict(FRAME), dict(FRAME)]
-    if field in obj:
-        obj[field] = MARK
-    elif field is not None:
-        frames[1][field] = MARK
-    obj["frames"] = frames if layout == "rows" else {k: [f[k] for f in frames] for k in FRAME}
-    return json.dumps(obj).replace(f'"{MARK}"', text)
+def lookup_refusal(line: str) -> str:
+    """What a line that decodes to something other than a JSON object says
+    when its participant_id is looked up."""
+    try:
+        json.loads(line)["participant_id"]
+    except (KeyError, TypeError) as exc:
+        return f"missing field: {exc}"
+    raise AssertionError("the lookup took it")
 
 
-BAD_VALUES = [
-    ("minute_index", "true"),
-    ("minute_index", "false"),
-    ("participant_id", '["p1"]'),
-    ("shift_date", "20220301"),
-    ("shift_date", '"20220301"'),
-    ("log_pitch", "Infinity"),
-    ("log_pitch", "-Infinity"),
-    ("log_pitch", "NaN"),
-    ("log_pitch", "1e999"),
-    ("log_pitch", '"4.7"'),
-    ("intensity", '"60"'),
-    ("hf_lf_ratio", '"0.8"'),
-    ("log_pitch", "false"),
-    ("intensity", "true"),
-    ("foreground_prob", "true"),
-    ("foreground", "1"),
-    ("foreground", '"yes"'),
-    ("foreground", "null"),
+TOO_LONG = "1" + "0" * 5000  # past int's default limit of 4300 digits
+BAD_VALUES = [  # (field, raw JSON text, reason); NaN and Infinity fail the field's own type check
+    ("minute_index", "true", "minute_index must be an integer, got True"),
+    ("minute_index", "false", "minute_index must be an integer, got False"),
+    ("minute_index", "0.5", "minute_index must be an integer, got 0.5"),
+    ("minute_index", '"0"', "minute_index must be an integer, got '0'"),
+    ("minute_index", "NaN", "minute_index must be an integer, got nan"),
+    ("minute_index", TOO_LONG, integer_refusal(TOO_LONG)),
+    ("participant_id", '["p1"]', "unknown participant_id ['p1']"),
+    ("participant_id", '"ghost"', "unknown participant_id 'ghost'"),
+    ("participant_id", "NaN", "unknown participant_id nan"),
+    ("shift_date", "20220301", "bad shift_date 20220301"),
+    ("shift_date", '"20220301"', "bad shift_date '20220301'"),
+    ("shift_date", "Infinity", "bad shift_date inf"),
+    ("n_frames", "0", "n_frames must be a positive integer, got 0"),
+    ("n_frames", "-1", "n_frames must be a positive integer, got -1"),
+    ("n_frames", "1.0", "n_frames must be a positive integer, got 1.0"),
+    ("n_frames", "true", "n_frames must be a positive integer, got True"),
+    ("n_frames", '"1"', "n_frames must be a positive integer, got '1'"),
+    ("n_frames", "null", "n_frames must be a positive integer, got None"),
+    ("n_frames", "Infinity", "n_frames must be a positive integer, got inf"),
+    ("n_frames", "9223372036854775808", "n_frames must be a positive integer, got 9223372036854775808"),
+    ("labelled", "1", "labelled must be true or false, got 1"),
+    ("labelled", '"yes"', "labelled must be true or false, got 'yes'"),
+    ("labelled", "null", "labelled must be true or false, got None"),
+    ("labelled", "-Infinity", "labelled must be true or false, got -inf"),
+    ("minute_index", "null", "minute_index must be an integer, got None"),
+    ("minute_index", "[0]", "minute_index must be an integer, got [0]"),
+    ("minute_index", "1e2", "minute_index must be an integer, got 100.0"),
+    ("minute_index", "-0.0", "minute_index must be an integer, got -0.0"),
+    ("minute_index", "-Infinity", "minute_index must be an integer, got -inf"),
+    ("participant_id", "null", "unknown participant_id None"),
+    ("participant_id", "1", "unknown participant_id 1"),
+    ("participant_id", '""', "unknown participant_id ''"),
+    ("participant_id", '"P1"', "unknown participant_id 'P1'"),
+    ("participant_id", '"p1 "', "unknown participant_id 'p1 '"),
+    ("participant_id", '{"id":"p1"}', "unknown participant_id {'id': 'p1'}"),
+    ("shift_date", "null", "bad shift_date None"),
+    ("shift_date", '"2022-02-30"', "bad shift_date '2022-02-30'"),
+    ("shift_date", '"2022-03-01T00:00"', "bad shift_date '2022-03-01T00:00'"),
+    ("shift_date", '" 2022-03-01"', "bad shift_date ' 2022-03-01'"),
+    ("shift_date", '"2022-W09-2"', "bad shift_date '2022-W09-2'"),
+    ("n_frames", "[1]", "n_frames must be a positive integer, got [1]"),
+    ("n_frames", "1e0", "n_frames must be a positive integer, got 1.0"),
+    ("n_frames", "-0", "n_frames must be a positive integer, got 0"),
+    ("n_frames", "NaN", "n_frames must be a positive integer, got nan"),
+    ("n_frames", "{}", "n_frames must be a positive integer, got {}"),
+    ("labelled", "0", "labelled must be true or false, got 0"),
+    ("labelled", '"true"', "labelled must be true or false, got 'true'"),
+    ("labelled", "[]", "labelled must be true or false, got []"),
+    ("labelled", "NaN", "labelled must be true or false, got nan"),
+]
+INLINE = "inline frames are no longer read; a recording's frames go in frames.bin"
+BAD_LINES = [(head_line(field, text), reason) for field, text, reason in BAD_VALUES] + [
+    (INLINE_LINE, INLINE),
+    (head_line("frames", "[]"), INLINE),
+    (HEAD_LINE.replace('"n_frames"', '"frame_count"'), "n_frames must be a positive integer, got None"),
+    ("[1]", "missing field: list indices must be integers or slices, not str"),
+    ("null", "missing field: 'NoneType' object is not subscriptable"),
+    ("{", "invalid JSON: Expecting property name enclosed in double quotes"),
+    ('{"participant_id":"p1"}', "missing field: 'shift_date'"),
+    (HEAD_LINE + "x", "invalid JSON: Extra data"),
+    (HEAD_LINE + HEAD_LINE, "invalid JSON: Extra data"),
+    (HEAD_LINE.replace("}", ",}"), "invalid JSON: Expecting property name enclosed in double quotes"),
+    (HEAD_LINE.replace('"', "'"), "invalid JSON: Expecting property name enclosed in double quotes"),
+    ("\ufeff" + HEAD_LINE, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ("{}", "missing field: 'participant_id'"),
+    (HEAD_LINE.replace('"minute_index":0,', ""), "missing field: 'minute_index'"),
+    ('"p1"', lookup_refusal('"p1"')),
+    ("1", lookup_refusal("1")),
+    ("true", lookup_refusal("true")),
+    ("[]", lookup_refusal("[]")),
 ]
 
 
-@pytest.mark.parametrize("layout", LAYOUTS)
-@pytest.mark.parametrize("field, text", BAD_VALUES)
-def test_recordings_reject_non_strict_values(tmp_path, layout, field, text):
-    good = recording_line(layout)
-    (tmp_path / "ok").mkdir()
-    cohort = parse_cohort(write_dir(tmp_path / "ok", **{"recordings.jsonl": [good]}))
-    assert cohort.recordings.n_frames.tolist() == [2]  # the same line with a valid value parses
-    path = write_dir(tmp_path, **{"recordings.jsonl": [good, recording_line(layout, field, text)]})
+@pytest.mark.parametrize("line, reason", BAD_LINES)
+def test_every_bad_line_raises_at_its_line(tmp_path, line, reason):
+    root = write_dir(tmp_path, **{"recordings.jsonl": [HEAD_LINE, line]})
     with pytest.raises(MalformedRow) as err:
-        parse_cohort(path)
-    assert (err.value.file, err.value.line) == ("recordings.jsonl", 2)
+        parse_cohort(root)
+    assert (err.value.file, err.value.line, err.value.reason) == ("recordings.jsonl", 2, reason)
 
 
-VALUE_FAULT = (recording_line("columnar", "log_pitch", '"4.7"'),
-               "frame 1: log_pitch must be a number or null, got '4.7'")
-LABEL_FAULT = (recording_line("columnar", "foreground", "1"), "frame 1: foreground must be true or false, got 1")
-STRUCTURE_FAULT = (recording_line("columnar") + "x", "invalid JSON: Extra data")
+VALUE_FAULT = (head_line("minute_index", '"0"'), "minute_index must be an integer, got '0'")
+LABEL_FAULT = (head_line("labelled", "1"), "labelled must be true or false, got 1")
+STRUCTURE_FAULT = (HEAD_LINE + "x", "invalid JSON: Extra data")
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
-@pytest.mark.parametrize("batch_frames", [1, 3, ingest._PARSE_BATCH_FRAMES])
 @pytest.mark.parametrize("first, then", [(VALUE_FAULT, STRUCTURE_FAULT), (LABEL_FAULT, STRUCTURE_FAULT),
                                          (STRUCTURE_FAULT, VALUE_FAULT)])
-def test_first_bad_line_raises_whichever_check_finds_it(tmp_path, monkeypatch, end, batch_frames, first, then):
-    # a value fault is found when its part of the file is checked, a
-    # structure fault at its line; the earlier line raises either way
+def test_first_bad_line_raises_at_its_number_whatever_the_line_end(tmp_path, end, first, then):
     root = write_dir(tmp_path)
-    unlabelled = json.dumps({"participant_id": "p1", "shift_date": "2022-03-01", "minute_index": 0,
-                             "frames": {name: [FRAME[name]] * 2 for name in ingest.FRAME_COLUMNS}})
-    lines = [unlabelled, "", first[0], then[0], recording_line("rows")]
+    lines = [HEAD_LINE, "", first[0], then[0], HEAD_LINE]
     (root / "recordings.jsonl").write_text("".join(line + end for line in lines), newline="")
-    monkeypatch.setattr(ingest, "_PARSE_BATCH_FRAMES", batch_frames)
     with pytest.raises(MalformedRow) as err:
         parse_cohort(root)
     assert (err.value.file, err.value.line, err.value.reason) == ("recordings.jsonl", 3, first[1])
 
 
-BAD_FRAMES = [
-    '{"log_pitch":[4.7],"intensity":[60.0],"hf_lf_ratio":[0.8]}',
-    '{"log_pitch":[4.7,null],"intensity":[60.0],"hf_lf_ratio":[0.8],"foreground_prob":[0.9]}',
-    '{"log_pitch":[4.7],"intensity":[60.0],"hf_lf_ratio":[0.8],"foreground_prob":[0.9],"foreground":[true,false]}',
-    '{"log_pitch":4.7,"intensity":[60.0],"hf_lf_ratio":[0.8],"foreground_prob":[0.9]}',
-    '{"log_pitch":[[4.7]],"intensity":[60.0],"hf_lf_ratio":[0.8],"foreground_prob":[0.9]}',
-    '{"log_pitch":[],"intensity":[],"hf_lf_ratio":[],"foreground_prob":[]}',
-    '{"log_pitch":[4.7],"intensity":[60.0],"hf_lf_ratio":[-0.1],"foreground_prob":[0.9]}',
-    '[]',
-    '[[4.7,60.0,0.8,0.9]]',
-    '[{"log_pitch":4.7,"intensity":60.0,"hf_lf_ratio":0.8,"foreground_prob":0.9,"foreground":true},'
-    '{"log_pitch":4.7,"intensity":60.0,"hf_lf_ratio":0.8,"foreground_prob":0.9}]',
-    '"frames"',
-]
-
-
-@pytest.mark.parametrize("frames", BAD_FRAMES)
-def test_recordings_reject_bad_frame_structure(tmp_path, frames):
-    rows = ['{"participant_id":"p1","shift_date":"2022-03-01","minute_index":0,"frames":' + frames + "}"]
-    with pytest.raises(MalformedRow):
-        parse_cohort(write_dir(tmp_path, **{"recordings.jsonl": rows}))
-
-
-def test_columnar_and_row_layouts_parse_alike(tmp_path):
-    blocks = []
-    for layout in LAYOUTS:
-        line = recording_line(layout, "log_pitch", "null")
-        (tmp_path / layout).mkdir()
-        blocks.append(parse_cohort(write_dir(tmp_path / layout, **{"recordings.jsonl": [line]})).frames)
-    for name in ("log_pitch", "intensity", "hf_lf_ratio", "foreground_prob", "foreground"):
-        np.testing.assert_array_equal(getattr(blocks[0], name), getattr(blocks[1], name))
-    assert np.isnan(blocks[0].log_pitch[1])
-    assert blocks[0].foreground.dtype == bool
-
-
-HEAD = '{"participant_id":"p1","shift_date":"2022-03-01","minute_index":0,"frames":'
-BAD_LINES = (
-    [recording_line(layout, field, text) for layout in LAYOUTS for field, text in BAD_VALUES]
-    + [HEAD + frames + "}" for frames in BAD_FRAMES]
-    + [HEAD + '{"log_pitch":[4.7],"intensity":[60.0],"hf_lf_ratio":[0.8],"foreground_prob":[%s]}}' % prob
-       for prob in ("1.5", "-0.1", "1e999")]
-    + [recording_line("columnar", "participant_id", '"ghost"'), recording_line("columnar", "minute_index", "0.5"),
-       recording_line("columnar", "intensity", "1" + "0" * 400), recording_line("rows", "hf_lf_ratio", "-1"),
-       "[1]", "null", "{", '{"participant_id":"p1"}', recording_line("columnar") + "x"]
-)
-
-
-@pytest.mark.parametrize("line", BAD_LINES)
-def test_every_bad_line_raises_at_its_line(tmp_path, line):
-    root = write_dir(tmp_path, **{"recordings.jsonl": [recording_line("rows"), line]})
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("bad_frames, head_fault, line, reason", [
+    # a bad frame is named by its recording's line, blank lines counted
+    ([2], None, 4, "frames.bin: hf_lf_ratio negative in recording p1 2022-03-01 minute 0"),
+    ([1, 3], None, 3, "frames.bin: hf_lf_ratio negative in recording p1 2022-03-01 minute 0"),
+    # and every head line is checked first, a later one too
+    ([0], LABEL_FAULT[0], 5, LABEL_FAULT[1]),
+])
+def test_bad_frame_raises_at_its_recordings_line_whatever_the_line_end(tmp_path, end, bad_frames, head_fault,
+                                                                      line, reason):
+    arrays = good_arrays(5)
+    for i in bad_frames:
+        arrays[2][i] = -1.0
+    root = write_dir(tmp_path, saved(*arrays))
+    lines = [HEAD_LINE, "", HEAD_LINE, HEAD_LINE, head_fault or HEAD_LINE, HEAD_LINE]
+    (root / "recordings.jsonl").write_text("".join(line + end for line in lines), newline="")
     with pytest.raises(MalformedRow) as err:
         parse_cohort(root)
-    assert (err.value.file, err.value.line) == ("recordings.jsonl", 2)
+    assert (err.value.file, err.value.line, err.value.reason) == ("recordings.jsonl", line, reason)
 
 
-UNDECODABLE = recording_line("columnar").encode().replace(b"2022", b"2022\xff", 1)  # not UTF-8
+UNDECODABLE = HEAD_LINE.encode().replace(b"2022", b"2022\xff", 1)  # not UTF-8
 TOO_DEEP = b"[" * 100_000  # nested past the recursion limit
-OK, NEGATIVE = recording_line("rows").encode(), recording_line("rows", "hf_lf_ratio", "-1").encode()
+OK = HEAD_LINE.encode()
+NEGATIVE = frame(good_arrays(2), 2, 0, -1.0)  # frames.bin whose first frame has a negative hf_lf_ratio
 
 
-@pytest.mark.parametrize("lines, line, reason", [
-    ([OK, UNDECODABLE], 2, "not UTF-8 text"),
-    ([OK, TOO_DEEP], 2, "invalid JSON: nested too deeply"),
-    ([NEGATIVE, UNDECODABLE], 1, "frame 1: hf_lf_ratio negative"),  # a value rule on an earlier line comes first
-    ([OK, b"{\r" + UNDECODABLE], 2, "invalid JSON: Expecting property name enclosed in double quotes"),
-    ([OK, UNDECODABLE + b"\r{"], 2, "not UTF-8 text"),
-    ([OK, OK + b"\r" + UNDECODABLE], 3, "not UTF-8 text"),
+@pytest.mark.parametrize("lines, frames_bin, line, reason", [
+    ([OK, UNDECODABLE], None, 2, "not UTF-8 text"),
+    ([OK, TOO_DEEP], None, 2, "invalid JSON: nested too deeply"),
+    # every line is checked before any frame value
+    ([OK, OK], NEGATIVE, 1, "frames.bin: hf_lf_ratio negative in recording p1 2022-03-01 minute 0"),
+    ([OK, UNDECODABLE], NEGATIVE, 2, "not UTF-8 text"),
+    ([OK, b"{\r" + UNDECODABLE], None, 2, "invalid JSON: Expecting property name enclosed in double quotes"),
+    ([OK, UNDECODABLE + b"\r{"], None, 2, "not UTF-8 text"),
+    ([OK, OK + b"\r" + UNDECODABLE], None, 3, "not UTF-8 text"),
 ])
-def test_lines_json_cannot_decode_raise_at_their_line(tmp_path, capsys, lines, line, reason):
+def test_lines_json_cannot_decode_raise_at_their_line(tmp_path, capsys, lines, frames_bin, line, reason):
     from shifttalk.cli import main
 
     root = tmp_path / "data"
     root.mkdir()
-    write_dir(root)
+    write_dir(root, frames_bin)
     (root / ingest.RECORDINGS_FILE).write_bytes(b"\n".join(lines) + b"\n")
     with pytest.raises(MalformedRow) as err:
         ingest.parse_cohort(root)
@@ -481,26 +541,29 @@ BAD_RSSI = "p1,2022-03-01,x,h_ns,160"
 
 
 @pytest.mark.parametrize("bad_at, rssi_row, error", [
-    (2, None, "recordings.jsonl:2: frame 1: log_pitch must be a number or null, got '4.7'"),
-    (9, None, "recordings.jsonl:9: frame 1: log_pitch must be a number or null, got '4.7'"),
+    (2, None, "recordings.jsonl:2: minute_index must be an integer, got '0'"),
+    (9, None, "recordings.jsonl:9: minute_index must be an integer, got '0'"),
     (None, BAD_RSSI, "rssi.csv:7: bad integer for minute_index: 'x'"),
     (2, BAD_RSSI, "rssi.csv:7: bad integer for minute_index: 'x'"),  # rssi.csv is read first
     (9, "p1,2022-03-01,5,h_ghost,160", "rssi row references unknown hub_id 'h_ghost'"),
 ])
 def test_rssi_csv_refuses_before_recordings_jsonl(tmp_path, bad_at, rssi_row, error):
-    lines = [recording_line("columnar")] * 10
+    lines = [HEAD_LINE] * 10
     if bad_at is not None:
-        lines[bad_at - 1] = recording_line("columnar", "log_pitch", '"4.7"')
+        lines[bad_at - 1] = VALUE_FAULT[0]
     rssi = ["p1,2022-03-01,0,h_ns,160"] * 5 + [rssi_row or "p1,2022-03-01,5,h_ns,160"]
     with pytest.raises(Exception) as err:
         parse_cohort(write_dir(tmp_path, **{"recordings.jsonl": lines, "rssi.csv": rssi}))
     assert str(err.value) == error
 
 
-@pytest.mark.parametrize("field, text", [("log_pitch", '"4.7"'), ("minute_index", "0.5")])
-def test_refused_file_is_opened_once(tmp_path, monkeypatch, field, text):
-    root = write_dir(tmp_path, **{"recordings.jsonl": [recording_line("columnar"),
-                                                       recording_line("columnar", field, text)]})
+@pytest.mark.parametrize("second, frames_bin", [
+    (head_line("minute_index", "0.5"), None),
+    (head_line("labelled", "1"), None),
+    (HEAD_LINE, frame(good_arrays(2), 1, 1, math.inf)),  # a frame value is named by the line read once
+])
+def test_refused_file_is_opened_once(tmp_path, monkeypatch, second, frames_bin):
+    root = write_dir(tmp_path, frames_bin, **{"recordings.jsonl": [HEAD_LINE, second]})
     opened: list[Path] = []
     path_open = Path.open
 
@@ -515,59 +578,34 @@ def test_refused_file_is_opened_once(tmp_path, monkeypatch, field, text):
     assert len(opened) == 1
 
 
-def loaded(data: bytes) -> Cohort:
-    """The recordings of a valid inline recordings.jsonl, read line by line with json.loads."""
-    recordings = []
-    for line in data.decode().splitlines():  # the lines tested here end in "\n", "\r\n" or "\r" only
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        frames = obj["frames"]
-        if type(frames) is list:
-            frames = {name: [frame[name] for frame in frames] for name in frames[0]}
-        labels = frames.get("foreground")
-        block = FrameBlock(*(np.array(frames[name], float) for name in ingest.FRAME_COLUMNS),  # null becomes NaN
-                           None if labels is None else np.array(labels, bool))
-        recordings.append(RecordingSegment(obj["participant_id"], date.fromisoformat(obj["shift_date"]),
-                                           obj["minute_index"], block))
-    return with_recordings(Cohort(), recordings)
+def loaded(data: bytes) -> RecordingTable:
+    """The recordings of a valid recordings.jsonl, read line by line with json.loads."""
+    heads = [json.loads(line) for line in data.decode().splitlines() if line.strip()]  # lines end in \n, \r\n or \r
+    return RecordingTable([h["participant_id"] for h in heads], [date.fromisoformat(h["shift_date"]) for h in heads],
+                          [min(max(h["minute_index"], -2**63), 2**63 - 1) for h in heads],
+                          [h["n_frames"] for h in heads], [h.get("labelled", False) for h in heads])
 
 
-def test_inline_reader_matches_json_loads_property(tmp_path):
+def test_head_reader_matches_json_loads_property(tmp_path):
     import hypothesis
     from hypothesis import strategies as st
 
-    special = ["0", "-0", "0.0", "-0.0", "5e-324", "1e-05", "1E3", "2.5e+16", "123456789012345678901234567890",
-               "-9223372036854775809", "18446744073709551616"]
-    number = st.one_of(st.sampled_from(special), st.integers(-(2**80), 2**80).map(str),
-                       st.floats(allow_nan=False, allow_infinity=False).map(repr))
-    non_negative = st.one_of(st.sampled_from([t for t in special if not t.startswith("-") or t in ("-0", "-0.0")]),
-                             st.integers(0, 2**80).map(str),
-                             st.floats(min_value=0.0, allow_infinity=False).map(repr))
-    probability = st.one_of(st.sampled_from(["0", "-0", "-0.0", "1", "1.0", "0.25", "1e-05"]),
-                            st.floats(0.0, 1.0).map(repr))
-
     @st.composite
     def line(draw) -> str:
-        n = draw(st.integers(1, 5))
-        columns = {
-            "log_pitch": draw(st.lists(st.one_of(st.just("null"), number), min_size=n, max_size=n)),
-            "intensity": draw(st.lists(number, min_size=n, max_size=n)),
-            "hf_lf_ratio": draw(st.lists(non_negative, min_size=n, max_size=n)),
-            "foreground_prob": draw(st.lists(probability, min_size=n, max_size=n)),
+        head = {
+            "participant_id": draw(st.sampled_from(["p1", "p2"])),
+            "shift_date": draw(st.sampled_from(["2022-03-01", "2022-03-02"])),
+            "minute_index": draw(st.one_of(st.integers(-5, 800),
+                                           st.sampled_from([2**70, -(2**64), 2**63 - 1, -(2**63), -(2**63) - 1]))),
+            "n_frames": draw(st.integers(1, 4)),
         }
+        labelled = draw(st.sampled_from([None, True, False]))
+        if labelled is not None:
+            head["labelled"] = labelled
         if draw(st.booleans()):
-            columns["foreground"] = draw(st.lists(st.sampled_from(["true", "false"]), min_size=n, max_size=n))
-        if draw(st.booleans()):
-            frames = "{" + ",".join(f'"{k}":[{",".join(v)}]' for k, v in columns.items()) + "}"
-        else:
-            frames = "[" + ",".join("{" + ",".join(f'"{k}":{v[i]}' for k, v in columns.items()) + "}"
-                                    for i in range(n)) + "]"
-        pid = draw(st.sampled_from(["p1", "p2"]))
-        day = draw(st.sampled_from(["2022-03-01", "2022-03-02"]))
-        minute = draw(st.one_of(st.integers(-5, 800), st.sampled_from([2**70, -(2**64)])))
-        return (f'{{"participant_id":"{pid}","shift_date":"{day}","minute_index":{minute},'
-                f'"frames":{frames}}}')
+            head["note"] = "other keys are ignored"
+        order = draw(st.permutations(list(head)))
+        return json.dumps({key: head[key] for key in order}, separators=draw(st.sampled_from([(",", ":"), None])))
 
     text = st.lists(st.tuples(st.one_of(line(), st.sampled_from(["", "  ", "\t"])),
                               st.sampled_from(["\n", "\r\n", "\r"])), max_size=8)
@@ -575,15 +613,20 @@ def test_inline_reader_matches_json_loads_property(tmp_path):
     profiles = ingest.parse_participants(root / ingest.PARTICIPANTS_FILE)
     path = root / ingest.RECORDINGS_FILE
 
-    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(text, st.sampled_from([3, ingest._PARSE_BATCH_FRAMES]))
-    def check(lines: list[tuple[str, str]], batch_frames: int) -> None:
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(text)
+    def check(lines: list[tuple[str, str]]) -> None:
         data = "".join(body + end for body, end in lines).encode()
+        want = loaded(data)
+        n = int(want.n_frames.sum())
+        # every frame labelled in the file, so only the heads decide which labels are kept
+        arrays = [np.full(n, 4.7), np.arange(n, dtype=float), np.full(n, 0.8), np.full(n, 0.9), np.ones(n, bool)]
         path.write_bytes(data)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ingest, "_PARSE_BATCH_FRAMES", batch_frames)
-            recordings, frames = ingest.parse_recordings(path, profiles)
-        assert_cohorts_equal(Cohort(recordings=recordings, frames=frames), loaded(data))
+        (root / "frames.bin").write_bytes(saved(*arrays))
+        recordings, frames = ingest.parse_recordings(path, profiles)
+        arrays[4] = np.repeat(want.labelled, want.n_frames)
+        assert_cohorts_equal(Cohort(recordings=recordings, frames=frames),
+                             Cohort(recordings=want, frames=FrameBlock(*arrays)))
 
     check()
 
@@ -631,26 +674,12 @@ def frames_bin_files(tmp_path: Path) -> tuple[Path, list[np.ndarray]]:
         return tmp_path, [np.load(fh) for _ in range(5)]
 
 
-def saved(*arrays: np.ndarray) -> bytes:
+def version_2(array: np.ndarray) -> bytes:
+    """array as a version 2.0 .npy array, which np.save writes only when a
+    header outgrows version 1.0."""
     out = io.BytesIO()
-    for array in arrays:
-        np.save(out, array, allow_pickle=True)
+    npy.write_array(out, array, version=(2, 0))
     return out.getvalue()
-
-
-def column(arrays: list[np.ndarray], k: int, value) -> bytes:
-    """frames.bin with array k (0-based) replaced by value, or with
-    value(array) when value is callable."""
-    arrays = list(arrays)
-    arrays[k] = value(arrays[k]) if callable(value) else value
-    return saved(*arrays)
-
-
-def frame(arrays: list[np.ndarray], k: int, i: int, value: float) -> bytes:
-    """frames.bin with frame i of array k set to value."""
-    array = arrays[k].copy()
-    array[i] = value
-    return column(arrays, k, array)
 
 
 FRAMES_BIN_REFUSALS = {
@@ -678,6 +707,25 @@ FRAMES_BIN_REFUSALS = {
                   "got b'\\x93NUMPZ'"),
     "version 3.0": (lambda a: saved(*a)[:6] + b"\x03" + saved(*a)[7:],
                     "frames.bin:1: log_pitch: not a version 1.0 .npy array"),
+    "0-D": (lambda a: column(a, 0, np.float64(4.7)),
+            "frames.bin:1: log_pitch must be a 1-D <f8 array, got <f8 of shape ()"),
+    "int64": (lambda a: column(a, 2, lambda x: x.astype(np.int64)),
+              "frames.bin:3: hf_lf_ratio must be a 1-D <f8 array, got <i8 of shape (9,)"),
+    "complex": (lambda a: column(a, 3, lambda x: x.astype(np.complex128)),
+                "frames.bin:4: foreground_prob must be a 1-D <f8 array, got <c16 of shape (9,)"),
+    "structured": (lambda a: column(a, 1, np.zeros(9, [("intensity", "<f8")])),
+                   "frames.bin:2: intensity must be a 1-D <f8 array, got |V8 of shape (9,)"),
+    "float labels": (lambda a: column(a, 4, lambda x: x.astype(np.float64)),
+                     "frames.bin:5: foreground must be a 1-D |b1 array, got <f8 of shape (9,)"),
+    "labels first": (lambda a: saved(a[4], *a[:4]),
+                     "frames.bin:1: log_pitch must be a 1-D <f8 array, got |b1 of shape (9,)"),
+    "four arrays": (lambda a: saved(*a[:4]),
+                    "frames.bin:5: foreground: EOF: reading magic string, expected 8 bytes got 0"),
+    "six arrays": (lambda a: saved(*a, a[4]), "frames.bin:5: bytes after the last array"),
+    "first array truncated": (lambda a: saved(a[0])[:-8],
+                              "frames.bin:1: log_pitch: the file ends inside the array"),
+    "version 2.0": (lambda a: version_2(a[0]) + saved(*a[1:]),
+                    "frames.bin:1: log_pitch: not a version 1.0 .npy array"),
     "label byte 2": (lambda a: column(a, 4, np.frombuffer(bytes([0, 0, 0, 0, 2, 0, 0, 0, 0]), bool)),
                      "frames.bin:5: foreground holds a byte other than 0 and 1"),
     "NaN intensity": (lambda a: frame(a, 1, 4, math.nan), "recordings.jsonl:2: frames.bin: "
@@ -703,6 +751,69 @@ def test_frames_bin_refusals(tmp_path, case):
     assert str(err.value) == error
 
 
+# frames of tiny_cohort's frames.bin, one in each recording, and where a refusal names it
+FRAME_PLACES = [(0, "recordings.jsonl:1: frames.bin: {} in recording p1 2022-03-01 minute 0"),
+                (5, "recordings.jsonl:2: frames.bin: {} in recording p1 2022-03-01 minute 1"),
+                (8, "recordings.jsonl:3: frames.bin: {} in recording p1 2022-03-02 minute 4")]
+NON_FINITE = "non-finite frame value"
+FRAME_VALUE_REFUSALS = [  # (array, value, rule broken); NaN is a valid log_pitch
+    (0, math.inf, NON_FINITE), (0, -math.inf, NON_FINITE),
+    (1, math.nan, NON_FINITE), (1, math.inf, NON_FINITE), (1, -math.inf, NON_FINITE),
+    (2, math.nan, NON_FINITE), (2, math.inf, NON_FINITE), (2, -math.inf, NON_FINITE),
+    (2, -1.0, "hf_lf_ratio negative"), (2, -5e-324, "hf_lf_ratio negative"),
+    (3, math.nan, NON_FINITE), (3, math.inf, NON_FINITE), (3, -math.inf, NON_FINITE),
+    (3, 1.5, "foreground_prob outside [0, 1]"), (3, -0.5, "foreground_prob outside [0, 1]"),
+    (3, 1.0000000000000002, "foreground_prob outside [0, 1]"), (3, -5e-324, "foreground_prob outside [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("place, error", FRAME_PLACES)
+@pytest.mark.parametrize("k, value, rule", FRAME_VALUE_REFUSALS)
+def test_frame_value_refused_at_its_recordings_line(tmp_path, k, value, rule, place, error):
+    root, arrays = frames_bin_files(tmp_path)
+    (root / "frames.bin").write_bytes(frame(arrays, k, place, value))
+    with pytest.raises(MalformedRow) as err:
+        parse_cohort(root)
+    assert str(err.value) == error.format(rule)
+
+
+@pytest.mark.parametrize("k, value", [
+    (0, math.nan), (0, -1.7976931348623157e308), (0, 5e-324),
+    (1, -0.0), (1, 1.7976931348623157e308), (1, -1e300),
+    (2, 0.0), (2, -0.0), (2, 5e-324), (2, 1e308),
+    (3, 0.0), (3, -0.0), (3, 1.0), (3, 5e-324), (3, 0.9999999999999999),
+])
+def test_frame_value_on_a_rule_boundary_is_read_exactly(tmp_path, k, value):
+    root, arrays = frames_bin_files(tmp_path)
+    (root / "frames.bin").write_bytes(frame(arrays, k, 5, value))
+    read = getattr(parse_cohort(root).frames, ingest.FRAME_FIELDS[k])
+    assert read[5].tobytes() == np.float64(value).tobytes()  # the sign of -0.0 and NaN's bits too
+    np.testing.assert_array_equal(np.delete(read, 5), np.delete(arrays[k], 5))
+
+
+@pytest.mark.parametrize("faults, error", [
+    # the first bad frame in file order raises, whatever its array
+    ([(3, 7, 1.5), (2, 2, -1.0)], "recordings.jsonl:1: frames.bin: hf_lf_ratio negative "
+                                  "in recording p1 2022-03-01 minute 0"),
+    ([(0, 8, math.inf), (3, 4, -0.5)], "recordings.jsonl:2: frames.bin: foreground_prob outside [0, 1] "
+                                       "in recording p1 2022-03-01 minute 1"),
+    # one frame that breaks two rules is named by the first: non-finite, then foreground_prob, then hf_lf_ratio
+    ([(3, 4, 2.0), (1, 4, math.nan)], "recordings.jsonl:2: frames.bin: non-finite frame value "
+                                      "in recording p1 2022-03-01 minute 1"),
+    ([(2, 6, -1.0), (3, 6, 2.0)], "recordings.jsonl:3: frames.bin: foreground_prob outside [0, 1] "
+                                  "in recording p1 2022-03-02 minute 4"),
+])
+def test_first_bad_frame_raises_with_its_first_rule(tmp_path, faults, error):
+    root, arrays = frames_bin_files(tmp_path)
+    for k, i, value in faults:
+        arrays[k] = arrays[k].copy()
+        arrays[k][i] = value
+    (root / "frames.bin").write_bytes(saved(*arrays))
+    with pytest.raises(MalformedRow) as err:
+        parse_cohort(root)
+    assert str(err.value) == error
+
+
 def test_frames_bin_refuses_n_frames_that_do_not_sum_to_its_frames(tmp_path):
     root, _ = frames_bin_files(tmp_path)
     path = root / "recordings.jsonl"
@@ -722,38 +833,6 @@ def test_frames_bin_keeps_only_a_labelled_recordings_foreground(tmp_path):
     cohort = parse_cohort(root)
     assert cohort.recordings.labelled.tolist() == [False, True, False]
     assert cohort.frames.foreground.tolist() == [False] * 3 + [True] * 3 + [False] * 3
-
-
-HEAD_LINE = '{"participant_id":"p1","shift_date":"2022-03-01","minute_index":0,"n_frames":1}'
-
-
-@pytest.mark.parametrize("lines, frames_bin, error", [
-    ([recording_line("rows"), HEAD_LINE], False, "recordings.jsonl:2: n_frames without a frames.bin"),
-    ([HEAD_LINE, recording_line("rows")], False, "recordings.jsonl:1: n_frames without a frames.bin"),
-    ([HEAD_LINE, recording_line("rows")], True, "recordings.jsonl:2: frames given inline beside a frames.bin"),
-    ([recording_line("rows"), HEAD_LINE], True, "recordings.jsonl:1: frames given inline beside a frames.bin"),
-    ([HEAD_LINE, HEAD_LINE.replace("1}", "1,\"frames\":[]}")], True,
-     "recordings.jsonl:2: frames given inline beside a frames.bin"),
-    ([HEAD_LINE.replace('"n_frames":1', '"frame_count":1')], True,
-     "recordings.jsonl:1: n_frames must be a positive integer, got None"),
-    ([HEAD_LINE.replace("1}", "0}")], True, "recordings.jsonl:1: n_frames must be a positive integer, got 0"),
-    ([HEAD_LINE.replace("1}", "-1}")], True, "recordings.jsonl:1: n_frames must be a positive integer, got -1"),
-    ([HEAD_LINE.replace("1}", "1.0}")], True, "recordings.jsonl:1: n_frames must be a positive integer, got 1.0"),
-    ([HEAD_LINE.replace("1}", "true}")], True, "recordings.jsonl:1: n_frames must be a positive integer, got True"),
-    ([HEAD_LINE.replace("1}", '"1"}')], True, "recordings.jsonl:1: n_frames must be a positive integer, got '1'"),
-    ([HEAD_LINE.replace("1}", "9223372036854775808}")], True,
-     "recordings.jsonl:1: n_frames must be a positive integer, got 9223372036854775808"),
-    ([HEAD_LINE.replace("1}", '1,"labelled":1}')], True, "recordings.jsonl:1: labelled must be true or false, got 1"),
-    ([HEAD_LINE.replace('"p1"', '"ghost"')], True, "recordings.jsonl:1: unknown participant_id 'ghost'"),
-    ([HEAD_LINE.replace("0,", "0.5,")], True, "recordings.jsonl:1: minute_index must be an integer, got 0.5"),
-])
-def test_recordings_forms_do_not_mix(tmp_path, lines, frames_bin, error):
-    root = write_dir(tmp_path, **{"recordings.jsonl": lines})
-    if frames_bin:
-        (root / "frames.bin").write_bytes(saved(*np.ones((4, 1)), np.zeros(1, bool)))
-    with pytest.raises(MalformedRow) as err:
-        parse_cohort(root)
-    assert str(err.value) == error
 
 
 def test_parse_serialize_parse_idempotent(tmp_path):
@@ -802,17 +881,6 @@ def test_recordings_round_trip_property(tmp_path):
     names = CANONICAL_FILES + ("frames.bin",)
     base = replace(tiny_cohort(), profiles={pid: profile(pid) for pid in ids})
 
-    def row_layout_line(rec: RecordingSegment) -> str:
-        block = rec.frames
-        columns = {"log_pitch": [None if math.isnan(v) else v for v in block.log_pitch.tolist()],
-                   "intensity": block.intensity.tolist(), "hf_lf_ratio": block.hf_lf_ratio.tolist(),
-                   "foreground_prob": block.foreground_prob.tolist()}
-        if block.foreground is not None:
-            columns["foreground"] = block.foreground.tolist()
-        rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
-        return json.dumps({"participant_id": rec.participant_id, "shift_date": rec.shift_date.isoformat(),
-                           "minute_index": rec.minute_index, "frames": rows})
-
     @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @hypothesis.given(cohorts)
     def check(recs: tuple[RecordingSegment, ...]) -> None:
@@ -823,11 +891,6 @@ def test_recordings_round_trip_property(tmp_path):
         write_cohort(parsed, tmp_path / "second")
         for name in names:
             assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "second" / name).read_bytes()
-        # the same recordings with their frames inline
-        (tmp_path / "second" / "frames.bin").unlink()
-        (tmp_path / "second" / "recordings.jsonl").write_text(
-            "".join(row_layout_line(rec) + "\n" for rec in recs), encoding="utf-8")
-        assert_cohorts_equal(parse_cohort(tmp_path / "second"), cohort)
 
     check()
 

@@ -5,7 +5,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from shifttalk.locate import RSSI_FLOOR, empty_timeline, estimate_timeline
+from shifttalk.locate import RSSI_FLOOR, LocationTimeline, empty_timeline, estimate_timeline
 from shifttalk.model import HUB_TO_LOCATION, SHIFT_MINUTES, LocationCategory, RssiTable
 
 from conftest import D0, rssi_rows
@@ -13,7 +13,7 @@ from conftest import D0, rssi_rows
 
 def one_shift(table: RssiTable, hubs):
     """The timeline of shift (p1, D0)."""
-    return estimate_timeline(table, hubs, [("p1", D0)])[("p1", D0)]
+    return LocationTimeline("p1", D0, estimate_timeline(table, hubs, [("p1", D0)])[0])
 
 
 def test_max_rssi_hub_wins_across_hubs(hub_table):
@@ -67,9 +67,8 @@ def test_rows_of_other_shifts_never_leak(hub_table):
         ["h_ns", "h_pat", "h_med", "h_pat"], [160, 160, 160, 160],
     )
     shifts = [("p2", D0), ("p1", d1), ("p1", D0), ("p9", D0)]
-    timelines = estimate_timeline(table, hub_table, shifts)
-    assert list(timelines) == shifts
-    assert [(t.participant_id, t.shift_date) for t in timelines.values()] == shifts
+    slots_of = estimate_timeline(table, hub_table, shifts)
+    assert slots_of.shape == (len(shifts), SHIFT_MINUTES) and slots_of.dtype == np.uint8
     outside = int(LocationCategory.OUTSIDE_UNIT)
     expected = {
         ("p1", D0): {0: LocationCategory.NURSING_STATION},
@@ -81,11 +80,11 @@ def test_rows_of_other_shifts_never_leak(hub_table):
         slots = np.full(SHIFT_MINUTES, outside)
         for minute, cat in occupied.items():
             slots[minute] = int(cat)
-        np.testing.assert_array_equal(timelines[key].slots, slots)
+        np.testing.assert_array_equal(slots_of[shifts.index(key)], slots)
 
 
 def test_empty_table_and_no_shifts(hub_table):
-    assert estimate_timeline(RssiTable(), hub_table, []) == {}
+    assert estimate_timeline(RssiTable(), hub_table, []).shape == (0, SHIFT_MINUTES)
     timeline = one_shift(RssiTable(), hub_table)
     assert (timeline.slots == int(LocationCategory.OUTSIDE_UNIT)).all()
 
@@ -156,10 +155,10 @@ def test_estimate_timeline_matches_brute_force_oracle(hub_table):
     def check(rows, shifts, floor) -> None:
         flat = [(pid, day, m, hub, rssi) for (pid, day), m, hub, rssi in rows]
         table = RssiTable(*zip(*flat)) if flat else RssiTable()
-        timelines = estimate_timeline(table, hub_table, shifts, floor)
-        assert list(timelines) == shifts
-        for key in shifts:
+        slots = estimate_timeline(table, hub_table, shifts, floor)
+        assert slots.shape == (len(shifts), SHIFT_MINUTES)
+        for key, got in zip(shifts, slots):
             own = [(m, hub, rssi) for k, m, hub, rssi in rows if k == key]
-            np.testing.assert_array_equal(timelines[key].slots, oracle_timeline(own, hub_table, floor))
+            np.testing.assert_array_equal(got, oracle_timeline(own, hub_table, floor))
 
     check()

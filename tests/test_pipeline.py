@@ -16,7 +16,7 @@ from shifttalk.arousal import (
 )
 from shifttalk.errors import InsufficientData
 from shifttalk.foreground import FilterKind, ForegroundFilter
-from shifttalk.locate import estimate_timeline
+from shifttalk.locate import LocationTimeline, estimate_timeline
 from shifttalk.model import (
     SHIFT_MINUTES,
     Cohort,
@@ -93,7 +93,8 @@ def reference_extraction(cohort: Cohort, config: ExtractionConfig):
             rated_recordings.append(RatedRecording(pid, rec.shift_date, rec.minute_index, p, fused))
     valid = [r for recs in valid_by_speaker.values() for r in recs]
     keys = sorted({(r.participant_id, r.shift_date) for r in recordings})
-    timelines = estimate_timeline(cohort.rssi, cohort.hubs, keys, config.rssi_floor)
+    slots = estimate_timeline(cohort.rssi, cohort.hubs, keys, config.rssi_floor)
+    timelines = {key: LocationTimeline(*key, row) for key, row in zip(keys, slots)}
     sessions, features, by_pid = [], [], {}
     for key in keys:
         shift_sessions = build_sessions([r for r in valid if (r.participant_id, r.shift_date) == key],

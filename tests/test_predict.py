@@ -10,7 +10,6 @@ from shifttalk.predict import (
     cross_validate,
     micro_f1,
     stratified_folds,
-    znormalize,
 )
 
 
@@ -33,22 +32,6 @@ def test_binarize_degenerate():
 
 def test_binarize_median_ties_go_low():
     np.testing.assert_array_equal(binarize_label([1.0, 2.0, 2.0, 3.0]), [0, 0, 0, 1])
-
-
-def test_znormalize_constant_column_zeroed():
-    X = np.array([[1.0, 0.0], [1.0, 2.0]])
-    Z, params = znormalize(X)
-    np.testing.assert_array_equal(Z[:, 0], [0.0, 0.0])
-    assert params.zero_std[0]
-    np.testing.assert_allclose(Z[:, 1], [-1.0, 1.0])
-
-
-def test_znormalize_moments():
-    rng = np.random.default_rng(1)
-    X = rng.normal(3.0, 2.5, size=(40, 6))
-    Z, _ = znormalize(X)
-    np.testing.assert_allclose(Z.mean(axis=0), 0.0, atol=1e-9)
-    np.testing.assert_allclose(Z.std(axis=0), 1.0, atol=1e-9)
 
 
 def test_micro_f1_values():
