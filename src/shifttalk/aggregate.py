@@ -11,9 +11,9 @@ by their dominant minute category.
 cohort_shift_features computes the shift-level features of every shift of
 a cohort in grouped passes, as ShiftColumns; per_shift_features states the
 same rules for one shift. cohort_feature_matrix rolls those columns and the
-physiology rows up to the imputed participant matrix in grouped passes as
-well; participant_vector and build_feature_matrix state the same rules for
-one participant and stay as its reference.
+physiology rows up to the imputed participant matrix in passes grouped by
+participant code; participant_vector and build_feature_matrix state the
+same rules for one participant and stay as its reference.
 """
 
 from __future__ import annotations
@@ -21,13 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import EmptyInput
 from .locate import LocationTimeline
-from .model import ColumnTable, DailyPhysiology, LocationCategory, ParticipantProfile, ShiftType, UnitType
+from .model import (ColumnTable, DailyPhysiology, LocationCategory, ParticipantProfile, ShiftType, UnitType,
+                    participant_codes)
 from .arousal import AROUSAL_THRESHOLD, RatedRecording, arousal_flags
 from .sessions import (
     SpeechSession,
@@ -189,7 +190,7 @@ class ShiftColumns:
     neg_blocks: np.ndarray
     recordings_per_block: np.ndarray  # int64 (shifts, N_BLOCKS)
 
-    def records(self, keys: list[tuple[str, date]]) -> list[ShiftFeatures]:
+    def records(self, keys: Iterable[tuple[str, date]]) -> list[ShiftFeatures]:
         """One ShiftFeatures per row, for the shifts ``keys``."""
         scalars = {key: column.tolist() for key, column in self.scalars.items()}
         pos, neg = ([[None if math.isnan(v) else v for v in row] for row in blocks.tolist()]
@@ -342,13 +343,14 @@ def _impute_medians(X: np.ndarray) -> np.ndarray:
 
 def cohort_feature_matrix(
     profiles: dict[str, ParticipantProfile],
-    shift_pids: np.ndarray,
+    owner: np.ndarray,
     shifts: ShiftColumns,
     physiology: list[DailyPhysiology],
 ) -> tuple[np.ndarray, list[str], list[str]]:
     """build_feature_matrix of every profile's participant_vector, by sorted
-    participant id, from grouped passes over the shifts' columns (a shift
-    belongs to participant ``shift_pids[i]``) and the physiology rows.
+    participant id, from grouped passes over the shifts' columns (shift i
+    belongs to the participant whose code, model.participant_codes, is
+    ``owner[i]``; -1: to none) and the physiology rows.
 
     Each mean and std is one np.mean / np.std per distinct value count over
     a (participants, count) matrix, which gives the bits of one call per
@@ -356,11 +358,9 @@ def cohort_feature_matrix(
     """
     ids = sorted(profiles)
     n = len(ids)
-    index = {pid: i for i, pid in enumerate(ids)}
     column = {name: j for j, name in enumerate(FEATURE_COLUMNS)}
     X = np.full((n, len(FEATURE_COLUMNS)), np.nan)
 
-    owner = np.array([index.get(pid, -1) for pid in shift_pids.tolist()], dtype=np.int64)
     for key in _SHIFT_SCALARS:
         values = shifts.scalars[key]
         present = (owner >= 0) & ~np.isnan(values)
@@ -375,7 +375,7 @@ def cohort_feature_matrix(
             present = (owner >= 0) & ~np.isnan(shift_mean)
             X[:, column[f"{polarity}_ratio_{name}"]], _ = _group_mean_std(owner[present], shift_mean[present], n)
 
-    owner = np.array([index.get(d.participant_id, -1) for d in physiology], dtype=np.int64)
+    owner = participant_codes(ids, [d.participant_id for d in physiology])
     present = owner >= 0
     for name, values in (("walk_ratio", [d.walk_ratio for d in physiology]),
                          ("sleep_hours", [d.sleep_hours for d in physiology])):

@@ -10,6 +10,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .aggregate import LABEL_COLUMNS
 from .arousal import AROUSAL_THRESHOLD, arousal_flags
-from .errors import DegenerateLabel, EmptyGroup, ShiftTalkError
+from .errors import BadParameter, DegenerateLabel, EmptyGroup, ShiftTalkError
 from .foreground import FilterKind, ForegroundFilter
 from .forest import ForestParams
 from .ingest import parse_cohort
@@ -32,6 +33,8 @@ EXIT_USAGE = 2
 EXIT_EMPTY_COHORT = 3
 EXIT_EMPTY_GROUP = 4
 EXIT_DEGENERATE_LABEL = 5
+_EXIT_CODES = {EmptyGroup: EXIT_EMPTY_GROUP, DegenerateLabel: EXIT_DEGENERATE_LABEL}  # any other error: EXIT_USAGE
+_OPTIONS = {"threshold": "--foreground-threshold", "k": "--folds"}  # settings not named as their option
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -50,23 +53,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     kind = FilterKind.EXTERNAL_SCORES if args.external_scores else FilterKind.THRESHOLD_BASELINE
-    try:
-        foreground = ForegroundFilter(kind=kind, threshold=args.foreground_threshold)
-    except ValueError as exc:
-        print(f"error: --foreground-threshold: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        config = ExtractionConfig(
-            foreground=foreground,
-            min_frames=args.min_frames,
-            min_days=args.min_days,
-            rssi_floor=args.rssi_floor,
-            arousal_threshold=args.arousal_threshold,
-        )
-    except ValueError as exc:  # the config checks min_frames, then min_days
-        flag = "--min-frames" if args.min_frames < 1 else "--min-days"
-        print(f"error: {flag}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    config = ExtractionConfig(
+        foreground=ForegroundFilter(kind=kind, threshold=args.foreground_threshold),
+        min_frames=args.min_frames,
+        min_days=args.min_days,
+        rssi_floor=args.rssi_floor,
+        arousal_threshold=args.arousal_threshold,
+    )
     cohort = parse_cohort(args.input)
     result = run_extraction(cohort, config)
     if not result.participant_ids:
@@ -123,23 +116,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def _grid_from_args(args: argparse.Namespace) -> list[ForestParams] | None:
     if not (args.n_trees or args.max_depth or args.min_leaf):
         return None
-    n_trees = args.n_trees or [p.n_trees for p in DEFAULT_GRID[:1]]
-    depths_raw = args.max_depth or ["none"]
-    min_leaf = args.min_leaf or [1]
-    depths = [None if d.lower() == "none" else int(d) for d in depths_raw]
-    return [
-        ForestParams(n_trees=t, max_depth=d, min_leaf=m)
-        for t in n_trees for d in depths for m in min_leaf
-    ]
+    depths = [None if d.lower() == "none" else int(d) for d in args.max_depth or ["none"]]
+    return [ForestParams(n_trees=t, max_depth=d, min_leaf=m)
+            for t in args.n_trees or [DEFAULT_GRID[0].n_trees] for d in depths for m in args.min_leaf or [1]]
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    grid = _grid_from_args(args)
     ids, labels, X, names = reports.read_features_csv(args.features)
     if args.label not in labels:
         print(f"error: unknown label {args.label!r}", file=sys.stderr)
         return EXIT_USAGE
     y = binarize_label(labels[args.label])
-    grid = _grid_from_args(args)
     report = cross_validate(X, y, names, grid=grid, k=args.folds, seed=args.seed, label_name=args.label)
     reports.write_report_json(args.out, report)
     print(f"label={args.label} n={len(y)} best=({report.best_params.label()}) "
@@ -153,8 +141,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     truth = GroundTruth.from_json(Path(args.truth).read_text(encoding="utf-8"))
     report = verify_against_truth(args.features, truth, args.comparisons, args.report)
-    import json
-
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -269,15 +255,12 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except EmptyGroup as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_GROUP
-    except DegenerateLabel as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE_LABEL
+    except BadParameter as exc:  # named by its option
+        print(f"error: {_OPTIONS.get(exc.name, '--' + exc.name.replace('_', '-'))}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ShiftTalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _EXIT_CODES.get(type(exc), EXIT_USAGE)
 
 
 if __name__ == "__main__":

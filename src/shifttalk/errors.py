@@ -27,6 +27,14 @@ class DuplicateParticipant(ShiftTalkError):
         super().__init__(f"duplicate participant_id {participant_id!r}")
 
 
+class BadParameter(ShiftTalkError, ValueError):
+    """A setting outside its domain; ``name`` is the setting's."""
+
+    def __init__(self, name: str, value, rule: str):
+        self.name = name
+        super().__init__(f"{name} must be {rule}, got {value!r}")
+
+
 class EmptyInput(ShiftTalkError, ValueError):
     pass
 

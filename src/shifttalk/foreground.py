@@ -14,6 +14,7 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import BadParameter
 from .model import FrameBlock, RecordingSegment, RecordingTable
 
 MIN_FOREGROUND_FRAMES = 200  # ~10% of a 20 s capture at 10 ms hop
@@ -33,7 +34,7 @@ class ForegroundFilter:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
+            raise BadParameter("threshold", self.threshold, "in [0, 1]")
 
     def mask(self, frames: FrameBlock) -> np.ndarray:
         """Boolean keep-mask over the block's frames."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingleClassInput
+from .errors import BadParameter, SingleClassInput
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,12 @@ class ForestParams:
     n_trees: int = 200
     max_depth: int | None = None  # None = unlimited
     min_leaf: int = 1
+
+    def __post_init__(self) -> None:
+        for name, low in (("n_trees", 1), ("min_leaf", 1), ("max_depth", 0)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise BadParameter(name, value, f"at least {low}")
 
     def label(self) -> str:
         depth = "none" if self.max_depth is None else str(self.max_depth)

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import json
 import os
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from typing import BinaryIO, Iterator
@@ -89,6 +88,9 @@ from .model import (
     csv_rows,
     mapped,
     parse_date,
+    participant_codes,
+    shift_codes,
+    shift_parts,
     write_csv,
 )
 
@@ -492,17 +494,16 @@ def _select(cohort: Cohort, recordings: np.ndarray, rssi: np.ndarray, **changes)
 
 
 def filter_min_days(cohort: Cohort, min_days: int = MIN_DAYS) -> Cohort:
-    """Keep participants with recordings on at least min_days distinct shift dates."""
+    """Keep participants with recordings on at least min_days distinct shift
+    dates, and drop the rows of an id without a profile."""
     if min_days < 1:
         raise ValueError("min_days must be >= 1")
-    table = cohort.recordings
-    days = Counter(pid for pid, _ in set(zip(table.participant_id.tolist(), table.shift_date.tolist())))
-    keep = {pid for pid, n in days.items() if n >= min_days}
-
-    def kept(ids: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(keep.__contains__, ids), bool, len(ids))
-
-    return _select(cohort, kept(table.participant_id), kept(cohort.rssi.participant_id),
-                   profiles={pid: p for pid, p in cohort.profiles.items() if pid in keep}, hubs=dict(cohort.hubs),
-                   physiology=[d for d in cohort.physiology if d.participant_id in keep],
+    recordings = participant_codes(cohort.profiles, cohort.recordings.participant_id)
+    owners, _ = shift_parts(np.unique(shift_codes(recordings, cohort.recordings.shift_date)))
+    days = np.bincount(owners[owners >= 0], minlength=len(cohort.profiles))
+    keep = np.append(days >= min_days, False)  # code -1 reads the last: no profile
+    ids = {pid for pid, k in zip(sorted(cohort.profiles), keep.tolist()) if k}
+    return _select(cohort, keep[recordings], keep[participant_codes(cohort.profiles, cohort.rssi.participant_id)],
+                   profiles={pid: p for pid, p in cohort.profiles.items() if pid in ids}, hubs=dict(cohort.hubs),
+                   physiology=[d for d in cohort.physiology if d.participant_id in ids],
                    warnings=dict(cohort.warnings))

@@ -8,7 +8,9 @@ RSSI rows and recordings, which outnumber every other input, live in
 parallel numpy columns from parse to features: one RssiTable, and one
 RecordingTable with one FrameBlock holding every recording's frames end to
 end. Filters select rows with boolean masks. Every CSV output table is a
-ColumnTable of that kind.
+ColumnTable of that kind. Rows are grouped by integer keys made here alone:
+a participant's code is its id's rank among the sorted profile ids, and a
+shift's is one int64 that sorts as its (participant code, date) pair.
 
 The one CSV rule of the package lives here. csv_rows reads a file under an
 exact header, one field per column, and a bad row raises MalformedRow naming
@@ -32,9 +34,9 @@ import re
 from dataclasses import dataclass, field, fields
 from datetime import date
 from enum import Enum, IntEnum
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -351,13 +353,8 @@ class FrameBlock:
 
     def select(self, mask: np.ndarray) -> "FrameBlock":
         """New block holding only the frames where mask is True (order kept)."""
-        return FrameBlock(
-            log_pitch=self.log_pitch[mask],
-            intensity=self.intensity[mask],
-            hf_lf_ratio=self.hf_lf_ratio[mask],
-            foreground_prob=self.foreground_prob[mask],
-            foreground=None if self.foreground is None else self.foreground[mask],
-        )
+        columns = map(self.__dict__.get, FRAME_FIELDS)
+        return FrameBlock(*(None if column is None else column[mask] for column in columns))
 
 
 FRAME_FIELDS = tuple(f.name for f in fields(FrameBlock))
@@ -375,6 +372,26 @@ class RecordingTable(ColumnTable):
     labelled: np.ndarray = ()  # bool: the input carried foreground labels
 
     DTYPES = (object, "datetime64[D]", np.int64, np.int64, bool)
+
+
+_DAY_ONE = np.datetime64("0001-01-01", "D")
+
+
+def participant_codes(profiles: Iterable[str], ids: Iterable[str]) -> np.ndarray:
+    """Each id's rank among the sorted profile ids, or -1 for an id without a profile."""
+    rank = {pid: i for i, pid in enumerate(sorted(profiles))}
+    return np.fromiter(map(rank.get, ids, repeat(-1)), np.int64)
+
+
+def shift_codes(participants: np.ndarray, days: np.ndarray) -> np.ndarray:
+    """One int64 per (participant code, shift date), ordered as those pairs are;
+    the code -1 of an id without a profile sorts first."""
+    return participants << 32 | (days - _DAY_ONE).astype(np.int64)
+
+
+def shift_parts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The participant codes and shift dates of shift codes."""
+    return codes >> 32, _DAY_ONE + (codes & 0xFFFFFFFF)
 
 
 def mapped(n: int, dtype=np.float64) -> np.ndarray:

@@ -3,9 +3,9 @@
 
 Every layer runs over the whole cohort at once: over the columns of its
 RecordingTable and of the one FrameBlock that holds every recording's frames
-end to end. Each recording carries a shift code, its index in the sorted
-(participant_id, shift_date) keys, and each layer groups by those codes
-instead of looping over shifts, speakers or participants:
+end to end. Each recording and RSSI row carries its shift's index among the
+sorted shift codes (model.shift_codes), and each layer groups by those
+integers instead of looping over shifts, speakers or participants:
 
 - Location timelines for every shift come from one pass over the cohort's
   RssiTable, as one (shifts, 720) array.
@@ -48,7 +48,6 @@ the passes to them bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date
 
 import numpy as np
 
@@ -66,11 +65,12 @@ from .aggregate import (  # noqa: F401  references; perfbench traces them here
     per_shift_features,
 )
 from .arousal import AROUSAL_THRESHOLD, FEATURE_NAMES, FusionWeights, RatedTable, fuse, speaker_fusion_weights
+from .errors import BadParameter
 from .foreground import MIN_FOREGROUND_FRAMES, ForegroundFilter, cohort_mask
 from .foreground import filter_frames, is_valid_recording  # noqa: F401  reference; perfbench traces them here
 from .ingest import MIN_DAYS, filter_min_days, filter_shift_window
 from .locate import RSSI_FLOOR, estimate_timeline
-from .model import Cohort
+from .model import Cohort, participant_codes, shift_codes, shift_parts
 from .sessions import SESSION_CATEGORIES, SessionTable, cohort_sessions
 from .sessions import build_sessions  # noqa: F401  reference; perfbench traces it here
 
@@ -84,10 +84,11 @@ class ExtractionConfig:
     arousal_threshold: float = AROUSAL_THRESHOLD
 
     def __post_init__(self) -> None:
-        if self.min_frames < 1:
-            raise ValueError(f"min_frames must be at least 1, got {self.min_frames}")
-        if self.min_days < 1:
-            raise ValueError(f"min_days must be at least 1, got {self.min_days}")
+        for name in ("min_frames", "min_days"):
+            if getattr(self, name) < 1:
+                raise BadParameter(name, getattr(self, name), "at least 1")
+        if not 0.0 <= self.arousal_threshold < np.inf:
+            raise BadParameter("arousal_threshold", self.arousal_threshold, "finite and non-negative")
 
 
 @dataclass
@@ -98,7 +99,7 @@ class ExtractionResult:
     blocks: BlockTable
     weights: dict[str, FusionWeights]
     shifts: ShiftColumns  # a row per key of shift_keys
-    shift_keys: list[tuple[str, date]]
+    shift_keys: np.ndarray  # the sorted shift codes (model.shift_codes)
     matrix: np.ndarray
     feature_names: list[str]
     participant_ids: list[str]
@@ -107,7 +108,8 @@ class ExtractionResult:
     @property
     def shift_features(self) -> list[ShiftFeatures]:
         """One ShiftFeatures per shift, built on request."""
-        return self.shifts.records(self.shift_keys)
+        participant, days = shift_parts(self.shift_keys)
+        return self.shifts.records(zip(np.array(self.participant_ids, object)[participant].tolist(), days.tolist()))
 
 
 def run_extraction(cohort: Cohort, config: ExtractionConfig | None = None) -> ExtractionResult:
@@ -121,18 +123,18 @@ def run_extraction(cohort: Cohort, config: ExtractionConfig | None = None) -> Ex
     windowed, dropped = filter_shift_window(cohort)
     kept = filter_min_days(windowed, config.min_days)
 
-    # each recording's shift: its index in the sorted (participant, date) keys
-    pairs = list(zip(kept.recordings.participant_id.tolist(), kept.recordings.shift_date.tolist()))
-    shift_keys = sorted(set(pairs))
-    code = {key: i for i, key in enumerate(shift_keys)}
-    shift = np.fromiter(map(code.__getitem__, pairs), np.int64, len(pairs))
+    # each recording's and RSSI row's shift: its index in the sorted shift codes
+    speaker = participant_codes(kept.profiles, kept.recordings.participant_id)
+    shift_keys, shift = np.unique(shift_codes(speaker, kept.recordings.shift_date), return_inverse=True)
+    rssi_codes = shift_codes(participant_codes(kept.profiles, kept.rssi.participant_id), kept.rssi.shift_date)
+    at = np.searchsorted(shift_keys, rssi_codes)
+    rssi_shift = np.where(np.append(shift_keys, -1)[at] == rssi_codes, at, -1)  # -1 is no shift's code
+    slots = estimate_timeline(kept.rssi, rssi_shift, len(shift_keys), kept.hubs, config.rssi_floor)
+    key_speaker, key_days = shift_parts(shift_keys)
+    key_pids = np.array(sorted(kept.profiles), dtype=object)[key_speaker]
     minute = kept.recordings.minute_index
-    slots = estimate_timeline(kept.rssi, kept.hubs, shift_keys, config.rssi_floor)
-    key_pids = np.array([pid for pid, _ in shift_keys], dtype=object)
-    key_days = np.array([day for _, day in shift_keys], dtype="datetime64[D]")
 
-    _, key_speaker = np.unique(key_pids, return_inverse=True)  # ranks participant ids as sorted() does
-    valid, rated_rows, p, fused, weights_by_speaker = _rate_cohort(kept, key_speaker[shift], config)
+    valid, rated_rows, p, fused, weights_by_speaker = _rate_cohort(kept, speaker, config)
 
     session_columns = cohort_sessions(shift[valid], minute[valid], slots)
     session_shift, start, duration, location_minutes = session_columns
@@ -146,7 +148,7 @@ def run_extraction(cohort: Cohort, config: ExtractionConfig | None = None) -> Ex
     shift_columns = cohort_shift_features(
         len(shift_keys), slots, session_columns, (rated_shift, rated_minute, fused), config.arousal_threshold
     )
-    matrix, names, ids = cohort_feature_matrix(kept.profiles, key_pids, shift_columns, kept.physiology)
+    matrix, names, ids = cohort_feature_matrix(kept.profiles, key_speaker, shift_columns, kept.physiology)
 
     return ExtractionResult(
         cohort=kept,

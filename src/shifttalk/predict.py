@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateLabel, LengthMismatch, TooFewSamples
+from .errors import BadParameter, DegenerateLabel, LengthMismatch, TooFewSamples
 from .forest import ForestModel, ForestParams, train_forest
 
 DEFAULT_GRID: list[ForestParams] = [
@@ -106,16 +106,15 @@ def cross_validate(
     Fold assignment is shared across configurations; per-fit forest seeds
     derive from (seed, config index, fold index) so reruns are bit-identical.
     """
+    if k < 2:
+        raise BadParameter("k", k, "at least 2")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.uint8)
-    if grid is None:
-        grid = DEFAULT_GRID
+    grid = DEFAULT_GRID if grid is None else grid
     fold_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     folds = stratified_folds(y, k, fold_rng)
     all_rows = np.arange(len(y))
     per_config: list[tuple[ForestParams, float]] = []
-    best_idx = 0
-    best_score = -1.0
     for ci, params in enumerate(grid):
         scores = []
         for fi, val_rows in enumerate(folds):
@@ -124,12 +123,8 @@ def cross_validate(
             model = train_forest(X[train_rows], y[train_rows], params, forest_seed)
             pred = model.predict(X[val_rows])
             scores.append(micro_f1(pred, y[val_rows]))
-        mean_score = float(np.mean(scores))
-        per_config.append((params, mean_score))
-        if mean_score > best_score:
-            best_score = mean_score
-            best_idx = ci
-    best_params = grid[best_idx]
+        per_config.append((params, float(np.mean(scores))))
+    best_params, best_score = max(per_config, key=lambda config: config[1])  # the first of the best
     final_seed = int(np.random.SeedSequence([seed, 2]).generate_state(1)[0])
     final = train_forest(X, y, best_params, final_seed)
     order = np.argsort(-final.importances, kind="stable")

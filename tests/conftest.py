@@ -7,6 +7,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+from shifttalk.locate import RSSI_FLOOR, estimate_timeline
 from shifttalk.model import (
     FRAME_FIELDS,
     Cohort,
@@ -119,6 +120,15 @@ def rssi_rows(*rows: tuple[str, int, str, int], shift_date: date = D0) -> RssiTa
     """Table of (pid, minute, hub, rssi) rows, all on shift_date."""
     pids, minutes, hubs, values = zip(*rows) if rows else ((),) * 4
     return RssiTable(pids, [shift_date] * len(rows), minutes, hubs, values)
+
+
+def listed_timelines(rssi: RssiTable, hubs: dict[str, HubRecord], shifts: list[tuple[str, date]],
+                     floor: int = RSSI_FLOOR) -> np.ndarray:
+    """estimate_timeline's slots of the listed (participant, date) shifts, a
+    row each in list order, each RSSI row placed in its shift by a tuple lookup."""
+    index = {key: i for i, key in enumerate(shifts)}
+    keys = zip(rssi.participant_id.tolist(), rssi.shift_date.tolist())
+    return estimate_timeline(rssi, np.array([index.get(key, -1) for key in keys], np.int64), len(shifts), hubs, floor)
 
 
 def tiny_cohort() -> Cohort:

@@ -20,7 +20,7 @@ from shifttalk.aggregate import (
 )
 from shifttalk.arousal import RatedRecording
 from shifttalk.locate import empty_timeline
-from shifttalk.model import SHIFT_MINUTES, DailyPhysiology, LocationCategory, ShiftType, UnitType
+from shifttalk.model import SHIFT_MINUTES, DailyPhysiology, LocationCategory, ShiftType, UnitType, participant_codes
 from shifttalk.sessions import SpeechSession, build_sessions
 
 from conftest import D0, profile, recording
@@ -266,7 +266,7 @@ def test_cohort_feature_matrix_matches_participant_vectors():
             by_pid.setdefault(sf.participant_id, []).append(sf)
         vectors = [participant_vector(profiles[pid], by_pid.get(pid, []),
                                       [d for d in physiology if d.participant_id == pid]) for pid in sorted(profiles)]
-        X, names, ids = cohort_feature_matrix(profiles, np.array([pid for pid, _ in keys], dtype=object),
+        X, names, ids = cohort_feature_matrix(profiles, participant_codes(profiles, [pid for pid, _ in keys]),
                                               shifts, physiology)
         assert names == FEATURE_COLUMNS and ids == sorted(profiles)
         if not vectors:

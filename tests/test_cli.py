@@ -92,6 +92,7 @@ def test_extract_min_frames_below_one_exits_2(pipeline_dirs, tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--foreground-threshold", "1.5"), ("--foreground-threshold", "-0.1"), ("--min-days", "0"),
+    ("--arousal-threshold", "nan"), ("--arousal-threshold", "inf"), ("--arousal-threshold", "-0.1"),
 ])
 def test_extract_bad_flag_exits_2_before_parsing(tmp_path, capsys, flag, value):
     # the input does not exist: the flag must be refused before any file is read
@@ -170,6 +171,19 @@ def test_predict_constant_label_exits_5(pipeline_dirs, tmp_path):
     reports.write_features_csv(flat, ids, labels, X)
     assert main(["predict", str(flat), "--label", "pos_affect",
                  "--out", str(tmp_path / "r.json")]) == 5
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--folds", "0"), ("--folds", "1"), ("--n-trees", "0"), ("--max-depth", "-1"), ("--min-leaf", "0"),
+])
+def test_predict_bad_forest_or_cv_value_exits_2(pipeline_dirs, tmp_path, capsys, flag, value):
+    _, _, out = pipeline_dirs
+    report_path = tmp_path / "report.json"
+    assert main(["predict", str(out / "features.csv"), "--label", "neg_affect", "--folds", "2",
+                 flag, value, "--out", str(report_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ") and "at least" in err
+    assert not report_path.exists()
 
 
 def test_predict_deterministic(pipeline_dirs, tmp_path):

@@ -20,10 +20,10 @@ from shifttalk.ingest import (
     parse_cohort,
     write_cohort,
 )
-from shifttalk.locate import estimate_timeline
 from shifttalk.model import Cohort, FrameBlock, LocationCategory, RecordingSegment, RecordingTable
 
-from conftest import D0, assert_cohorts_equal, profile, recording, rssi_rows, segments, tiny_cohort, with_recordings
+from conftest import (D0, assert_cohorts_equal, listed_timelines, profile, recording, rssi_rows, segments, tiny_cohort,
+                      with_recordings)
 
 HEADERS = {
     "participants.csv": "participant_id,shift_type,unit_type,pos_affect,neg_affect,life_satisfaction",
@@ -276,7 +276,7 @@ def test_ids_with_trailing_nul_kept_exactly(tmp_path):
     cohort = parse_cohort(path)
     assert cohort.rssi.participant_id.tolist() == ["p1\0", "p1"]
     assert cohort.rssi.hub_id.tolist() == ["h_ns\0", "h_ns"]
-    slots = estimate_timeline(cohort.rssi, cohort.hubs, [("p1\0", D0), ("p1", D0)])
+    slots = listed_timelines(cohort.rssi, cohort.hubs, [("p1\0", D0), ("p1", D0)])
     assert slots[0, 0] == LocationCategory.PATIENT_ROOM
     assert slots[1, 1] == LocationCategory.NURSING_STATION
     assert filter_min_days(cohort, 1).rssi.participant_id.tolist() == ["p1"]  # p1\0 has no recordings

@@ -5,15 +5,15 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from shifttalk.locate import RSSI_FLOOR, LocationTimeline, empty_timeline, estimate_timeline
+from shifttalk.locate import RSSI_FLOOR, LocationTimeline, empty_timeline
 from shifttalk.model import HUB_TO_LOCATION, SHIFT_MINUTES, LocationCategory, RssiTable
 
-from conftest import D0, rssi_rows
+from conftest import D0, listed_timelines, rssi_rows
 
 
 def one_shift(table: RssiTable, hubs):
     """The timeline of shift (p1, D0)."""
-    return LocationTimeline("p1", D0, estimate_timeline(table, hubs, [("p1", D0)])[0])
+    return LocationTimeline("p1", D0, listed_timelines(table, hubs, [("p1", D0)])[0])
 
 
 def test_max_rssi_hub_wins_across_hubs(hub_table):
@@ -67,7 +67,7 @@ def test_rows_of_other_shifts_never_leak(hub_table):
         ["h_ns", "h_pat", "h_med", "h_pat"], [160, 160, 160, 160],
     )
     shifts = [("p2", D0), ("p1", d1), ("p1", D0), ("p9", D0)]
-    slots_of = estimate_timeline(table, hub_table, shifts)
+    slots_of = listed_timelines(table, hub_table, shifts)
     assert slots_of.shape == (len(shifts), SHIFT_MINUTES) and slots_of.dtype == np.uint8
     outside = int(LocationCategory.OUTSIDE_UNIT)
     expected = {
@@ -84,7 +84,7 @@ def test_rows_of_other_shifts_never_leak(hub_table):
 
 
 def test_empty_table_and_no_shifts(hub_table):
-    assert estimate_timeline(RssiTable(), hub_table, []).shape == (0, SHIFT_MINUTES)
+    assert listed_timelines(RssiTable(), hub_table, []).shape == (0, SHIFT_MINUTES)
     timeline = one_shift(RssiTable(), hub_table)
     assert (timeline.slots == int(LocationCategory.OUTSIDE_UNIT)).all()
 
@@ -155,7 +155,7 @@ def test_estimate_timeline_matches_brute_force_oracle(hub_table):
     def check(rows, shifts, floor) -> None:
         flat = [(pid, day, m, hub, rssi) for (pid, day), m, hub, rssi in rows]
         table = RssiTable(*zip(*flat)) if flat else RssiTable()
-        slots = estimate_timeline(table, hub_table, shifts, floor)
+        slots = listed_timelines(table, hub_table, shifts, floor)
         assert slots.shape == (len(shifts), SHIFT_MINUTES)
         for key, got in zip(shifts, slots):
             own = [(m, hub, rssi) for k, m, hub, rssi in rows if k == key]

@@ -16,7 +16,7 @@ from shifttalk.arousal import (
 )
 from shifttalk.errors import InsufficientData
 from shifttalk.foreground import FilterKind, ForegroundFilter
-from shifttalk.locate import LocationTimeline, estimate_timeline
+from shifttalk.locate import LocationTimeline
 from shifttalk.model import (
     SHIFT_MINUTES,
     Cohort,
@@ -30,7 +30,7 @@ from shifttalk.model import (
 from shifttalk.pipeline import ExtractionConfig, filter_frames, is_valid_recording, run_extraction
 from shifttalk.sessions import SessionTable, build_sessions
 
-from conftest import D0, profile, segments, with_recordings
+from conftest import D0, listed_timelines, profile, segments, with_recordings
 
 
 @pytest.mark.parametrize("min_frames", [0, -1])
@@ -43,6 +43,16 @@ def test_config_rejects_min_frames_below_one(min_frames):
 def test_config_rejects_min_days_below_one(min_days):
     with pytest.raises(ValueError, match="min_days must be at least 1"):
         ExtractionConfig(min_days=min_days)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, -0.1])
+def test_config_rejects_an_arousal_threshold_that_is_not_finite_and_non_negative(threshold):
+    with pytest.raises(ValueError, match="arousal_threshold must be finite and non-negative"):
+        ExtractionConfig(arousal_threshold=threshold)
+
+
+def test_config_accepts_a_zero_arousal_threshold():
+    assert ExtractionConfig(arousal_threshold=0.0).arousal_threshold == 0.0
 
 
 def test_config_accepts_one_frame():
@@ -93,7 +103,7 @@ def reference_extraction(cohort: Cohort, config: ExtractionConfig):
             rated_recordings.append(RatedRecording(pid, rec.shift_date, rec.minute_index, p, fused))
     valid = [r for recs in valid_by_speaker.values() for r in recs]
     keys = sorted({(r.participant_id, r.shift_date) for r in recordings})
-    slots = estimate_timeline(cohort.rssi, cohort.hubs, keys, config.rssi_floor)
+    slots = listed_timelines(cohort.rssi, cohort.hubs, keys, config.rssi_floor)
     timelines = {key: LocationTimeline(*key, row) for key, row in zip(keys, slots)}
     sessions, features, by_pid = [], [], {}
     for key in keys:
@@ -147,13 +157,16 @@ def test_run_extraction_matches_per_recording_chain():
     @st.composite
     def rssi(draw, recs):
         """A few rows at or next to each recording's minute; rssi 140 is
-        below the floor, and equal values across hubs tie."""
+        below the floor, and equal values across hubs tie. Some rows fall on
+        a date after every recording's, a shift that is not extracted."""
         rows = []
         for rec in recs:
             for _ in range(draw(st.integers(0, 2))):
                 rows.append((rec.participant_id, rec.shift_date,
                              rec.minute_index + draw(st.integers(0, 1)),
                              draw(st.sampled_from(sorted(hubs))), draw(st.sampled_from([140, 150, 160]))))
+            if draw(st.integers(0, 3)) == 0:
+                rows.append((rec.participant_id, D0 + timedelta(days=5), rec.minute_index, "h_ns", 160))
         return RssiTable(*zip(*rows)) if rows else RssiTable()
 
     @st.composite

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from shifttalk.errors import DegenerateLabel, LengthMismatch, SingleClassInput, TooFewSamples
+from shifttalk.errors import BadParameter, DegenerateLabel, LengthMismatch, SingleClassInput, TooFewSamples
 from shifttalk.forest import ForestParams, train_forest
 from shifttalk.predict import (
     binarize_label,
@@ -152,6 +152,29 @@ def test_cross_validate_importances_sum_to_one():
     report = cross_validate(X, y, [f"f{i}" for i in range(5)],
                             grid=[ForestParams(n_trees=15)], seed=1)
     assert sum(w for _, w in report.importances) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_trees", 0), ("n_trees", -3), ("min_leaf", 0), ("max_depth", -1),
+])
+def test_forest_params_refuse_values_a_forest_cannot_use(field, value):
+    with pytest.raises(BadParameter, match=f"^{field} must be at least") as err:
+        ForestParams(**{field: value})
+    assert err.value.name == field
+
+
+def test_forest_params_accept_the_smallest_usable_values():
+    params = ForestParams(n_trees=1, max_depth=0, min_leaf=1)
+    assert params.label() == "n_trees=1,max_depth=0,min_leaf=1"
+    assert ForestParams(max_depth=None).max_depth is None
+
+
+@pytest.mark.parametrize("k", [1, 0, -2])
+def test_cross_validate_needs_two_folds(k):
+    X, y = separable_data(n=20, seed=16)
+    with pytest.raises(BadParameter, match="^k must be at least 2") as err:
+        cross_validate(X, y, [f"f{i}" for i in range(5)], grid=[ForestParams(n_trees=2)], k=k)
+    assert err.value.name == "k"
 
 
 def test_cross_validate_too_few_samples():
