@@ -28,7 +28,7 @@ import numpy as np
 from .errors import EmptyInput
 from .locate import LocationTimeline
 from .model import (ColumnTable, DailyPhysiology, LocationCategory, ParticipantProfile, ShiftType, UnitType,
-                    participant_codes)
+                    distinct, participant_codes)
 from .arousal import AROUSAL_THRESHOLD, RatedRecording, arousal_flags
 from .sessions import (
     SpeechSession,
@@ -395,7 +395,7 @@ def _group_mean_std(group: np.ndarray, values: np.ndarray, size: int) -> tuple[n
     counts = np.bincount(group, minlength=size)
     first = np.cumsum(counts) - counts
     mean, std = np.full(size, np.nan), np.full(size, np.nan)
-    for c in np.unique(counts[counts > 0]).tolist():
+    for c in distinct(counts[counts > 0]).tolist():
         rows = np.flatnonzero(counts == c)
         block = values[first[rows, None] + np.arange(c)]
         mean[rows], std[rows] = block.mean(axis=1), block.std(axis=1)

@@ -116,9 +116,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def _grid_from_args(args: argparse.Namespace) -> list[ForestParams] | None:
     if not (args.n_trees or args.max_depth or args.min_leaf):
         return None
-    depths = [None if d.lower() == "none" else int(d) for d in args.max_depth or ["none"]]
     return [ForestParams(n_trees=t, max_depth=d, min_leaf=m)
-            for t in args.n_trees or [DEFAULT_GRID[0].n_trees] for d in depths for m in args.min_leaf or [1]]
+            for t in args.n_trees or [DEFAULT_GRID[0].n_trees] for d in args.max_depth or [None]
+            for m in args.min_leaf or [1]]
+
+
+def depth(text: str) -> int | None:
+    """A --max-depth word: an integer, or 'none' (any case) for unlimited."""
+    return None if text.lower() == "none" else int(text)
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
@@ -227,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--n-trees", type=int, nargs="+", default=None, help="grid override")
-    p.add_argument("--max-depth", nargs="+", default=None, help="grid override; use 'none' for unlimited")
+    p.add_argument("--max-depth", type=depth, nargs="+", default=None, help="grid override; use 'none' for unlimited")
     p.add_argument("--min-leaf", type=int, nargs="+", default=None, help="grid override")
     p.add_argument("--out", required=True, help="report.json path")
     p.set_defaults(func=cmd_predict)

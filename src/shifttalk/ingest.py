@@ -86,6 +86,7 @@ from .model import (
     _float_cell,
     _int_cell,
     csv_rows,
+    distinct,
     mapped,
     parse_date,
     participant_codes,
@@ -499,7 +500,7 @@ def filter_min_days(cohort: Cohort, min_days: int = MIN_DAYS) -> Cohort:
     if min_days < 1:
         raise ValueError("min_days must be >= 1")
     recordings = participant_codes(cohort.profiles, cohort.recordings.participant_id)
-    owners, _ = shift_parts(np.unique(shift_codes(recordings, cohort.recordings.shift_date)))
+    owners, _ = shift_parts(distinct(shift_codes(recordings, cohort.recordings.shift_date)))
     days = np.bincount(owners[owners >= 0], minlength=len(cohort.profiles))
     keep = np.append(days >= min_days, False)  # code -1 reads the last: no profile
     ids = {pid for pid, k in zip(sorted(cohort.profiles), keep.tolist()) if k}

@@ -136,6 +136,8 @@ def csv_rows(path: Path, header: Sequence[str]):
                         yield line, row
                     line = reader.line_num + 1
                 break
+            except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+                raise MalformedRow(path.name, line, str(exc)) from None
             except UnicodeDecodeError:
                 if lines is not None:
                     raise MalformedRow(path.name, line, "not UTF-8 text") from None
@@ -394,10 +396,21 @@ def shift_parts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes >> 32, _DAY_ONE + (codes & 0xFFFFFFFF)
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values, as ``np.unique(values)`` gives them for
+    integers; that call imports numpy.ma on first use (13 ms, about 2 MB)."""
+    values = np.sort(values)
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
 def mapped(n: int, dtype=np.float64) -> np.ndarray:
     """n zero values in memory mapped for them alone, which goes back to the
-    system when the array is dropped; malloc keeps freed blocks this small resident."""
-    return np.frombuffer(mmap.mmap(-1, max(n * np.dtype(dtype).itemsize, 1)), dtype, n)
+    system when the array is dropped; malloc keeps freed blocks this small resident.
+    The mapping is private: a shared anonymous one is backed by shmem, whose
+    pages cost more to fault in."""
+    return np.frombuffer(mmap.mmap(-1, max(n * np.dtype(dtype).itemsize, 1), flags=mmap.MAP_PRIVATE), dtype, n)
 
 
 @dataclass

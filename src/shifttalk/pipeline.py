@@ -1,31 +1,34 @@
 """End-to-end extraction: cohort -> timelines -> valid recordings -> sessions
 -> arousal ratings -> per-shift features -> participant feature matrix.
 
-Every layer runs over the whole cohort at once: over the columns of its
-RecordingTable and of the one FrameBlock that holds every recording's frames
-end to end. Each recording and RSSI row carries its shift's index among the
-sorted shift codes (model.shift_codes), and each layer groups by those
-integers instead of looping over shifts, speakers or participants:
+Every layer but the arousal pass runs over the whole cohort at once: over
+the columns of its RecordingTable and of the one FrameBlock that holds every
+recording's frames end to end. Each recording and RSSI row carries its
+shift's index among the sorted shift codes (model.shift_codes), and each
+layer groups by those integers instead of looping over shifts or
+participants; the arousal pass loops over speakers:
 
 - Location timelines for every shift come from one pass over the cohort's
   RssiTable, as one (shifts, 720) array.
-- Foreground filtering, validity, neutral pools, recording scores and fused
-  ratings are array passes, one frame column at a time and over the kept
-  frames of valid recordings only: per-recording counts come from cumsum
-  differences, each speaker's pool is one sort, medians come from one
-  ``np.median`` per distinct kept count (the same bits as one call per
-  recording), and percentile scores from one ``searchsorted`` pair per
-  speaker and feature. Neutral baselines are frozen per speaker before any
-  of that speaker's recordings is scored (two-phase contract). A speaker
-  never voiced stays unrated.
+- Foreground filtering is one mask over the cohort's frames. Validity,
+  neutral pools and recording scores are array passes over one speaker's
+  frames at a time, so that no temporary spans more frames than one
+  speaker's. The speaker's kept-frame counts come from one
+  ``np.add.reduceat``. For each feature, one ``argsort`` gives the pool,
+  and one sort of ``recording * len(pool) + position`` lists each
+  recording's values in order: its median is the middle value, or the mean
+  of the two middle values as ``np.median`` takes it. Percentile scores
+  come from one ``searchsorted`` pair. Neutral baselines are frozen per
+  speaker before any of that speaker's recordings is scored (two-phase
+  contract). A speaker never voiced stays unrated.
 - Fusion weights come from one grouped Spearman pass over every speaker's
   score rows (stats.grouped_spearman: midranks from one lexsort by
   speaker and value, dot products from grouped sums, exact in float64). A
   speaker with too few recordings for Spearman-derived weights gets
   uniform weights.
 - Sessions are runs of consecutive slots ``shift * 720 + minute`` of the
-  valid recordings, after one ``np.unique``; their minutes per location
-  category are one ``bincount`` over (session, category).
+  valid recordings, after one sort (model.distinct); their minutes per
+  location category are one ``bincount`` over (session, category).
 - Per-shift features (dominant category, gaps, >1-minute ratios, occurrence
   rates, pos/neg ratios overall, per location and per hour block) are
   grouped ``bincount`` sums over counts, so they equal the per-shift
@@ -176,35 +179,45 @@ def _rate_cohort(
     the rated rows' feature scores ``p`` (rows, 3) and fused ratings; and
     each rated speaker's weights.
     """
-    nothing = np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 3)), np.zeros(0), {}
     recordings = cohort.recordings
     keep = cohort_mask(recordings, cohort.frames, config.foreground)
-    counts = _segment_counts(keep, recordings.n_frames)  # kept frames per recording
+    first = np.cumsum(recordings.n_frames) - recordings.n_frames  # each recording's first frame
     order = np.argsort(speaker, kind="stable")
-    valid = order[counts[order] >= config.min_frames]
-    if not len(valid):
-        return nothing
-    # the kept frames of the valid recordings, in that order: each one's
-    # run of counts from its first kept frame
-    first = (np.cumsum(counts) - counts)[valid]
-    counts = counts[valid]
-    ends = np.cumsum(counts)
-    kept = np.flatnonzero(keep)[np.arange(ends[-1]) + np.repeat(first - ends + counts, counts)]
-    valid_speaker = speaker[valid]
-    bounds = np.flatnonzero(np.diff(valid_speaker, prepend=-1, append=-1))
+    by_speaker = np.flatnonzero(np.diff(speaker[order], prepend=-1, append=-1))
 
-    # phase one freezes each speaker's pools, phase two places each
-    # recording's medians in them; one frame column at a time
-    p = np.empty((len(valid), 3))
-    for j, name in enumerate(FEATURE_NAMES):
-        values = getattr(cohort.frames, name)[kept]
-        if name == "log_pitch":
-            voiced = ~np.isnan(values)
-            # a speaker never voiced has no pitch pool and stays unrated
-            voiced_counts = _segment_counts(voiced, counts)
-            p[:, j], voiced_speakers = _percentile_scores(values[voiced], voiced_counts, bounds)
-        else:
-            p[:, j], _ = _percentile_scores(values, counts, bounds)
+    # one speaker at a time, so that no temporary spans more than one
+    # speaker's frames: phase one freezes the speaker's pools, phase two
+    # places each of its recordings' medians in them
+    valid, scores, voiced_speakers = [], [], []
+    for a, b in zip(by_speaker[:-1].tolist(), by_speaker[1:].tolist()):
+        recs = order[a:b]
+        n = recordings.n_frames[recs]
+        ends = np.cumsum(n)
+        # the speaker's frames, recording by recording, then its kept frames
+        frames = np.repeat(first[recs] - ends + n, n) + np.arange(ends[-1])
+        kept = keep[frames]
+        counts = np.add.reduceat(kept, ends - n, dtype=np.int64)
+        ok = counts >= config.min_frames
+        if not ok.any():
+            continue
+        kept &= np.repeat(ok, n)
+        frames = frames[kept]
+        recs, counts = recs[ok], counts[ok]
+        recording = np.repeat(np.arange(len(recs)), counts)
+        p = np.empty((len(recs), 3))
+        for j, name in enumerate(FEATURE_NAMES):
+            values, owner = getattr(cohort.frames, name)[frames], recording
+            if name == "log_pitch":  # voiced frames only; a speaker never voiced stays unrated
+                voiced = ~np.isnan(values)
+                values, owner = values[voiced], recording[voiced]
+                voiced_speakers.append(len(values) > 0)
+            p[:, j] = _percentile_scores(values, owner, len(recs))
+        valid.append(recs)
+        scores.append(p)
+    if not valid:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 3)), np.zeros(0), {}
+    valid, p, voiced_speakers = np.concatenate(valid), np.concatenate(scores), np.array(voiced_speakers)
+    bounds = np.flatnonzero(np.diff(speaker[valid], prepend=-1, append=-1))
 
     weights = speaker_fusion_weights(p, bounds)
     weights_by_speaker = {recordings.participant_id[valid[bounds[s]]]: weights[s]
@@ -216,37 +229,30 @@ def _rate_cohort(
     return valid, rows, p[rows], fused[rows], weights_by_speaker
 
 
-def _segment_counts(flags: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Number of true flags in each consecutive segment of the given lengths."""
-    running = np.concatenate(([0], np.cumsum(flags)))
-    return np.diff(running[np.concatenate(([0], np.cumsum(lengths)))])
+def _percentile_scores(values: np.ndarray, recording: np.ndarray, n: int) -> np.ndarray:
+    """``percentile_score`` of each of ``n`` recordings' median in one
+    speaker's pool, all of ``values``; ``recording`` gives each value's
+    recording. A recording with no value scores 0.0.
 
-
-def _percentile_scores(
-    values: np.ndarray, counts: np.ndarray, bounds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``percentile_score`` of each recording's median in its speaker's pool.
-
-    ``values`` holds each recording's kept values back to back (``counts``
-    per recording) and speaker ``s`` owns recordings
-    ``bounds[s]:bounds[s + 1]``; the pool is all of that speaker's values.
-    Returns the scores (0.0 for a recording with no value) and which
-    speakers have a non-empty pool.
+    One sort of ``recording * len(pool) + position`` lists each recording's
+    values in pool order, so its median is its middle value, or the mean of
+    its two middle values as ``np.median`` takes it.
     """
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    medians = np.zeros(len(counts))
-    for c in np.unique(counts[counts > 0]).tolist():
-        rows = np.flatnonzero(counts == c)
-        medians[rows] = np.median(values[starts[rows, None] + np.arange(c)], axis=1)
-    scores = np.zeros(len(counts))
-    has_pool = np.zeros(len(bounds) - 1, dtype=bool)
-    for s, (r0, r1) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
-        pool = np.sort(values[starts[r0]:starts[r1]])
-        if len(pool) == 0:
-            continue
-        has_pool[s] = True
-        below = np.searchsorted(pool, medians[r0:r1], side="left")
-        below_or_equal = np.searchsorted(pool, medians[r0:r1], side="right")
-        scores[r0:r1] = 2.0 * ((below + 0.5 * (below_or_equal - below)) / len(pool)) - 1.0
-    scores[counts == 0] = 0.0
-    return scores, has_pool
+    scores = np.zeros(n)
+    if not len(values):
+        return scores
+    order = np.argsort(values)
+    pool = values[order]
+    m = len(pool)
+    by_recording = pool[np.sort(recording[order] * m + np.arange(m)) % m]
+    sizes = np.bincount(recording, minlength=n)
+    has = np.flatnonzero(sizes)
+    start = (np.cumsum(sizes) - sizes)[has]
+    half = sizes[has] // 2
+    medians = by_recording[start + half]
+    even = np.flatnonzero(sizes[has] % 2 == 0)
+    medians[even] = (by_recording[start[even] + half[even] - 1] + medians[even]) / 2
+    below = np.searchsorted(pool, medians, side="left")
+    below_or_equal = np.searchsorted(pool, medians, side="right")
+    scores[has] = 2.0 * ((below + 0.5 * (below_or_equal - below)) / m) - 1.0
+    return scores

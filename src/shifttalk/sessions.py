@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EmptyInput
 from .locate import LocationTimeline
-from .model import SHIFT_MINUTES, ColumnTable, LocationCategory, RecordingSegment
+from .model import SHIFT_MINUTES, ColumnTable, LocationCategory, RecordingSegment, distinct
 
 
 @dataclass
@@ -72,7 +72,7 @@ def cohort_sessions(
     minutes collapse. Returns each session's shift, start minute, duration
     and its minutes per LocationCategory value as a (sessions, 4) array.
     """
-    slot = np.unique(shift * SHIFT_MINUTES + minute)
+    slot = distinct(shift * SHIFT_MINUTES + minute)
     slot_shift, slot_minute = np.divmod(slot, SHIFT_MINUTES)
     # a session starts after a skipped minute and at a shift's minute 0, which
     # directly follows the previous shift's minute 719 in slot numbering

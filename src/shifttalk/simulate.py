@@ -526,8 +526,16 @@ def _paged(values: np.ndarray) -> np.ndarray:
 
 def _join_recordings(parts: list[tuple[RecordingTable, dict[str, np.ndarray]]]) -> tuple[RecordingTable, FrameBlock]:
     """The rows of every part (at least one) and their frames, end to end. A
-    part is a table and a FrameBlock field -> paged column dict; each frame
-    column's parts are dropped as it is joined, so at most one column is
-    ever held twice."""
-    frames = FrameBlock(**{name: np.concatenate([f.pop(name) for _, f in parts]) for name in FRAME_FIELDS})
-    return RecordingTable.concat([t for t, _ in parts]), frames
+    part is a table and a FrameBlock field -> paged column dict; each part
+    is copied into one mapped column and dropped as it goes, so no frame
+    column is ever held twice."""
+    n = sum(len(f["log_pitch"]) for _, f in parts)
+    columns = {}
+    for name in FRAME_FIELDS:
+        columns[name] = mapped(n, parts[0][1][name].dtype)
+        at = 0
+        for _, f in parts:
+            part = f.pop(name)
+            columns[name][at:at + len(part)] = part
+            at += len(part)
+    return RecordingTable.concat([t for t, _ in parts]), FrameBlock(**columns)

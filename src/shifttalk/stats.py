@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ConstantInput, EmptyGroup, EmptyInput
+from .errors import BadParameter, ConstantInput, EmptyGroup, EmptyInput
 from .model import ColumnTable
 
 EXACT_MAX_TOTAL = 12  # full enumeration is C(12,6)=924 assignments at worst
@@ -223,8 +223,10 @@ def compare_groups(
 
     in_group_a is a boolean vector over rows; rows with NaN in a feature are
     excluded from that feature's comparison. No multiple-comparison
-    correction is applied (single-test alpha only).
+    correction is applied (single-test alpha only); alpha must lie in (0, 1).
     """
+    if not 0.0 < alpha < 1.0:
+        raise BadParameter("alpha", alpha, "in (0, 1)")
     if features is None:
         features = list(feature_names)
     col_of = {name: i for i, name in enumerate(feature_names)}

@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import shifttalk
 from shifttalk import reports
 from shifttalk.cli import main
 from shifttalk.ingest import CANONICAL_FILES, FRAMES_FILE
@@ -148,6 +153,26 @@ def test_compare_single_group_exits_4(pipeline_dirs, tmp_path):
     assert main(["compare", str(solo), "--factor", "unit", "--out", str(tmp_path / "c.csv")]) == 4
 
 
+@pytest.mark.parametrize("alpha", ["2", "1", "0", "-1", "nan"])
+def test_compare_alpha_outside_0_1_exits_2(pipeline_dirs, tmp_path, capsys, alpha):
+    _, _, out = pipeline_dirs
+    comp = tmp_path / "c.csv"
+    assert main(["compare", str(out / "features.csv"), "--factor", "unit", "--alpha", alpha,
+                 "--out", str(comp)]) == 2
+    assert capsys.readouterr().err.startswith("error: --alpha: alpha must be in (0, 1), got ")
+    assert not comp.exists()
+
+
+def test_compare_exits_2_on_a_csv_field_over_the_csv_modules_limit(pipeline_dirs, tmp_path, capsys):
+    _, _, out = pipeline_dirs
+    lines = (out / "features.csv").read_bytes().splitlines(keepends=True)
+    lines[2] = b"p" * 200_000 + lines[2]
+    big = tmp_path / "features.csv"
+    big.write_bytes(b"".join(lines))
+    assert main(["compare", str(big), "--factor", "unit", "--out", str(tmp_path / "c.csv")]) == 2
+    assert capsys.readouterr().err == "error: features.csv:3: field larger than field limit (131072)\n"
+
+
 def test_predict_writes_report(pipeline_dirs, tmp_path):
     _, _, out = pipeline_dirs
     report_path = tmp_path / "report.json"
@@ -186,6 +211,17 @@ def test_predict_bad_forest_or_cv_value_exits_2(pipeline_dirs, tmp_path, capsys,
     assert not report_path.exists()
 
 
+def test_predict_max_depth_that_is_no_integer_exits_2_with_usage(pipeline_dirs, tmp_path, capsys):
+    _, _, out = pipeline_dirs
+    with pytest.raises(SystemExit) as exited:
+        main(["predict", str(out / "features.csv"), "--label", "neg_affect", "--max-depth", "4", "abc",
+              "--out", str(tmp_path / "r.json")])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: shifttalk predict ")
+    assert "argument --max-depth: invalid depth value: 'abc'" in err
+
+
 def test_predict_deterministic(pipeline_dirs, tmp_path):
     _, _, out = pipeline_dirs
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -194,6 +230,24 @@ def test_predict_deterministic(pipeline_dirs, tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_simulate_and_extract_leave_numpy_ma_unimported(tmp_path):
+    """np.median and np.unique without index or count outputs import
+    numpy.ma (13 ms, about 2 MB); extract needs neither on a cohort whose
+    features are all present."""
+    spec, data, out = write_spec(tmp_path), tmp_path / "data", tmp_path / "out"
+    script = ("import sys\n"
+              "from shifttalk.cli import main\n"
+              f"assert main(['simulate', {str(spec)!r}, '--out', {str(data)!r}]) == 0\n"
+              f"assert main(['extract', '--input', {str(data)!r}, '--out', {str(out)!r}, '--min-frames', '6']) == 0\n"
+              "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(shifttalk.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    _, _, X, _ = reports.read_features_csv(out / "features.csv")
+    assert not np.isnan(X).any()  # _impute_medians' np.median stays unused
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 def test_verify_subcommand(pipeline_dirs, tmp_path):

@@ -186,6 +186,16 @@ def test_extract_exits_2_on_a_csv_byte_that_is_not_utf8(tmp_path, capsys):
     assert capsys.readouterr().err == "error: rssi.csv:3: not UTF-8 text\n"
 
 
+def test_extract_exits_2_on_a_csv_field_over_the_csv_modules_limit(tmp_path, capsys):
+    from shifttalk.cli import main
+
+    root = tmp_path / "data"
+    root.mkdir()
+    write_dir(root, **{"rssi.csv": ["p1,2022-03-01,0,h_ns,160"] * 2 + ["p1,2022-03-01,0,h_" + "x" * 200_000 + ",160"]})
+    assert main(["extract", "--input", str(root), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: rssi.csv:4: field larger than field limit (131072)\n"
+
+
 def test_each_date_text_parses_once_and_a_bad_one_raises_at_its_line(tmp_path, monkeypatch):
     calls = []
     parse_date = ingest.parse_date

@@ -206,6 +206,30 @@ def test_run_extraction_matches_per_recording_chain():
     check()
 
 
+def test_rating_pass_peaks_below_a_quarter_of_the_frame_bytes(tmp_path):
+    """The arousal pass's temporaries span one speaker's frames, not the
+    cohort's; tracemalloc counts numpy's allocations, so the peak repeats."""
+    import tracemalloc
+
+    from shifttalk.model import participant_codes
+    from shifttalk.pipeline import _rate_cohort
+    from shifttalk.simulate import CohortSpec, generate
+
+    # the frames_heavy benchmark workload's shape: 12 speakers, ~1.5 k recordings of 400 frames
+    cohort, _ = generate(CohortSpec(n_per_cell=3, n_shifts=1, frames_per_recording=400, seed=11), tmp_path)
+    speaker = participant_codes(cohort.profiles, cohort.recordings.participant_id)
+    frame_bytes = sum(column.nbytes for column in vars(cohort.frames).values())
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        valid, *_ = _rate_cohort(cohort, speaker, ExtractionConfig(min_frames=100, min_days=1))
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert len(valid) > 1000
+    assert peak < 0.25 * frame_bytes
+
+
 def test_no_object_per_recording_from_simulate_to_write(tmp_path, monkeypatch):
     from shifttalk.ingest import parse_cohort, write_cohort
     from shifttalk.simulate import CohortSpec, generate
