@@ -28,7 +28,7 @@ import numpy as np
 from .errors import EmptyInput
 from .locate import LocationTimeline
 from .model import (ColumnTable, DailyPhysiology, LocationCategory, ParticipantProfile, ShiftType, UnitType,
-                    distinct, participant_codes)
+                    distinct, median, participant_codes)
 from .arousal import AROUSAL_THRESHOLD, RatedRecording, arousal_flags
 from .sessions import (
     SpeechSession,
@@ -336,7 +336,7 @@ def _impute_medians(X: np.ndarray) -> np.ndarray:
         col = X[:, j]
         missing = np.isnan(col)
         if missing.any():
-            fill = float(np.median(col[~missing])) if (~missing).any() else 0.0
+            fill = median(col[~missing]) if (~missing).any() else 0.0
             col[missing] = fill
     return X
 

@@ -15,16 +15,16 @@ class MalformedRow(ShiftTalkError):
         super().__init__(f"{file}:{line}: {reason}")
 
 
-class UnknownHub(ShiftTalkError):
-    def __init__(self, hub_id: str):
+class UnknownHub(MalformedRow):
+    def __init__(self, file: str, line: int, hub_id: str):
         self.hub_id = hub_id
-        super().__init__(f"rssi row references unknown hub_id {hub_id!r}")
+        super().__init__(file, line, f"unknown hub_id {hub_id!r}")
 
 
-class DuplicateParticipant(ShiftTalkError):
-    def __init__(self, participant_id: str):
+class DuplicateParticipant(MalformedRow):
+    def __init__(self, file: str, line: int, participant_id: str):
         self.participant_id = participant_id
-        super().__init__(f"duplicate participant_id {participant_id!r}")
+        super().__init__(file, line, f"duplicate participant_id {participant_id!r}")
 
 
 class BadParameter(ShiftTalkError, ValueError):

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParameter, SingleClassInput
+from .model import distinct
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,7 @@ def train_forest(X: np.ndarray, y: np.ndarray, params: ForestParams, seed: int) 
     """Fit a forest; deterministic for a given (X, y, params, seed)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.uint8)
-    if len(np.unique(y)) < 2:
+    if len(distinct(y)) < 2:
         raise SingleClassInput("training labels contain a single class")
     n, d = X.shape
     mtry = min(d, math.ceil(math.sqrt(d)))

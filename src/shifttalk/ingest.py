@@ -39,31 +39,37 @@ frames.bin value that breaks a rule raises MalformedRow at its recording's
 line of recordings.jsonl, naming frames.bin and the recording's
 participant, date and minute.
 
-Each violation raises MalformedRow with the file name and line number. The
-csv files are read and written through model's one CSV rule (csv_rows,
-write_csv, parse_date, ColumnTable.write_csv); the checks above are ingest's
-own.
+Each violation raises MalformedRow (UnknownHub and DuplicateParticipant
+among them) with the file name and line number. The csv files are read and
+written through model's one CSV rule (csv_rows, write_csv, parse_date,
+ColumnTable.write_csv); the checks above are ingest's own.
 
-rssi.csv becomes one RssiTable, checked one row at a time, so the first bad
-row in file order raises. recordings.jsonl and frames.bin become one
-RecordingTable, a row per recording, and one FrameBlock holding every
-recording's frames end to end. In either table a minute_index beyond the
-64-bit integer range is stored as the nearest 64-bit value, so
-filter_shift_window still drops it. An integer or number cell must be
-written as the writers write one (model's _int_cell and _float_cell): no
-surrounding spaces, leading "+", "_" separators or non-ASCII digits.
+rssi.csv becomes one RssiTable, checked block by block, first bad row in
+file order: numpy splits a block of lines into fields (csv_rows does, from
+the first block that holds a quote), and each rule is one mask over a
+column. recordings.jsonl is read the same way, with one JSON scan per line.
+With frames.bin it becomes one RecordingTable, a row per recording, and one
+FrameBlock holding every recording's frames end to end. In either table a
+minute_index beyond the 64-bit integer range is stored as the nearest
+64-bit value, so filter_shift_window still drops it. An integer or number
+cell must be written as the writers write one (model's _int_cell and
+_float_cell): no surrounding spaces, leading "+", "_" separators or
+non-ASCII digits.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
 import numpy as np
 from numpy.lib import format as npy
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DuplicateParticipant, MalformedRow, UnknownHub
 from .model import (
@@ -109,7 +115,11 @@ MIN_DAYS = 5  # distinct shift dates a participant needs to stay in the cohort
 PARTICIPANTS_HEADER = ["participant_id", "shift_type", "unit_type", "pos_affect", "neg_affect", "life_satisfaction"]
 HUBS_HEADER = ["hub_id", "location_category"]
 PHYSIOLOGY_HEADER = ["participant_id", "shift_date", "walk_ratio", "sleep_hours"]
-_BATCH_ROWS = 1 << 14  # rssi rows held as Python objects at once, which bounds peak memory
+_BATCH_ROWS = 1 << 12  # lines of rssi.csv or recordings.jsonl checked at once, which bounds peak memory
+_READ_BYTES = 1 << 17  # bytes read at once; a block may hold fewer lines than _BATCH_ROWS
+# the fewest bytes a valid row or head line takes, line end included, which bounds the rows of a file
+_RSSI_ROW_BYTES = len(",2022-03-01,0,,1\n")
+_HEAD_LINE_BYTES = len('{"participant_id":"","shift_date":"2022-03-01","minute_index":0,"n_frames":1}\n')
 
 
 def _parse_int(text: str, field: str, file: str, line: int) -> int:
@@ -131,7 +141,7 @@ def parse_participants(path: Path) -> dict[str, ParticipantProfile]:
     for lineno, row in csv_rows(path, PARTICIPANTS_HEADER):
         pid, shift_raw, unit_raw, pos_raw, neg_raw, swls_raw = row
         if pid in profiles:
-            raise DuplicateParticipant(pid)
+            raise DuplicateParticipant(path.name, lineno, pid)
         try:
             shift = ShiftType(shift_raw)
         except ValueError:
@@ -175,48 +185,231 @@ def parse_rssi(
 ) -> RssiTable:
     """Read rssi.csv into an RssiTable, clamping rssi into [RSSI_MIN, RSSI_MAX].
 
-    Each row is checked once, in file order (a date text only until it has
-    parsed once), and its values appended to the columns, which become
-    arrays every _BATCH_ROWS rows. The id columns hold the profiles' and
-    hubs' own id strings. A minute_index beyond the 64-bit range is stored
-    as the nearest 64-bit value, which lies outside the shift window like
-    the original.
+    The header is read by csv_rows. The rows are then read a block of lines
+    at a time (_rssi_blocks) and checked by column (_rssi_rows); the first
+    bad row in file order raises. The id columns hold the profiles' and
+    hubs' own id strings, and each distinct date text of the file is parsed
+    once. A minute_index beyond the 64-bit range is stored as the nearest
+    64-bit value, which lies outside the shift window like the original.
     """
-    name = path.name
-    parts: list[RssiTable] = []
-    columns: tuple[list, ...] = ([], [], [], [], [])
-    pids, dates, minutes, hub_ids, values = columns
-    good_dates: set[str] = set()  # a file holds few distinct dates; only parsed ones are kept
-    clamped = 0
-    for lineno, row in csv_rows(path, RssiTable.columns()):
-        pid, date_raw, minute_raw, hub_id, rssi_raw = row
-        profile = profiles.get(pid)
-        if profile is None:
-            raise MalformedRow(name, lineno, f"unknown participant_id {pid!r}")
-        hub = hubs.get(hub_id)
-        if hub is None:
-            raise UnknownHub(hub_id)
-        if date_raw not in good_dates:
-            parse_date(date_raw, name, lineno)
-            good_dates.add(date_raw)
-        minute = _parse_int(minute_raw, "minute_index", name, lineno)
-        rssi = _parse_int(rssi_raw, "rssi", name, lineno)
-        if rssi < RSSI_MIN or rssi > RSSI_MAX:
-            clamped += 1
-            rssi = min(max(rssi, RSSI_MIN), RSSI_MAX)
-        pids.append(profile.participant_id)  # equal to pid; one string object per participant, not per row
-        dates.append(date_raw)
-        minutes.append(min(max(minute, _INT64_MIN), _INT64_MAX))
-        hub_ids.append(hub.hub_id)
-        values.append(rssi)
-        if len(values) >= _BATCH_ROWS:
-            parts.append(RssiTable(*columns))
-            for column in columns:
-                column.clear()
-    parts.append(RssiTable(*columns))
+    header = csv_rows(path, RssiTable.columns())
+    try:
+        next(header, None)  # csv_rows refuses a bad header (and a first row it cannot split)
+    finally:
+        header.close()
+    ids = (sorted(profiles), list(hubs))  # a row's ids are coded by their places here
+    ranks = tuple({key: i for i, key in enumerate(keys)} for keys in ids)
+    days: dict[bytes, np.datetime64 | str] = {}  # each date text of the file: its day, or why it is refused
+    participant, day, minute, hub, rssi = _gathered(
+        (_rssi_rows(*block, path.name, ranks, days) for block in _rssi_blocks(path)),
+        path.stat().st_size // _RSSI_ROW_BYTES + 1, (np.int64, "datetime64[D]", np.int64, np.int64, np.int64))
+    clamped = int(np.count_nonzero((rssi < RSSI_MIN) | (rssi > RSSI_MAX)))
     if clamped:
         warnings["rssi_clamped"] = warnings.get("rssi_clamped", 0) + clamped
-    return RssiTable.concat(parts)
+    np.clip(rssi, RSSI_MIN, RSSI_MAX, out=rssi)
+    return RssiTable(np.array(ids[0], object)[participant], day, minute, np.array(ids[1], object)[hub], rssi)
+
+
+def _gathered(blocks: Iterator[tuple[np.ndarray, ...]], capacity: int, dtypes: tuple) -> list[np.ndarray]:
+    """The columns of every block end to end, each written into memory mapped
+    for capacity values (model.mapped): no copy of a block is left on the
+    heap, where freed blocks would stay resident."""
+    columns = [mapped(capacity, dtype) for dtype in dtypes]
+    n = 0
+    for block in blocks:
+        for column, values in zip(columns, block):
+            column[n:n + len(values)] = values
+        n += len(block[0])
+    return [column[:n] for column in columns]
+
+
+def _line_blocks(fh: BinaryIO) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+    """Blocks of at most _BATCH_ROWS whole lines of a file opened in binary
+    mode, lines counted as text mode counts them ("\\n", "\\r\\n" and a lone
+    "\\r" each end one): the block's bytes, where each line starts in them
+    and where its text stops (before its line end), and the number of the
+    block's first line."""
+    tail, lineno = b"", 1
+    while True:
+        chunk = fh.read(_READ_BYTES)
+        data = tail + chunk
+        if not data:
+            return
+        a = np.frombuffer(data, np.uint8)
+        stop = np.flatnonzero((a == 10) | (a == 13))
+        stop = stop[(a[stop] == 13) | (a[stop - 1] != 13) | (stop == 0)]  # the LF of a CRLF ends no line itself
+        after = stop + 1 + ((a[stop] == 13) & (a[np.minimum(stop + 1, len(a) - 1)] == 10))
+        if chunk and a[-1] == 13:  # a CR that ends the bytes read may begin a CRLF
+            stop, after = stop[:-1], after[:-1]
+        if not chunk and (not len(after) or after[-1] < len(a)):  # the last line has no line end
+            stop, after = np.append(stop, len(a)), np.append(after, len(a))
+        begin = np.concatenate(([0], after[:-1]))
+        for i in range(0, len(stop), _BATCH_ROWS):
+            j = min(i + _BATCH_ROWS, len(stop))
+            base = begin[i]
+            yield a[base:after[j - 1]], begin[i:j] - base, stop[i:j] - base, lineno + i
+        if not chunk:
+            return
+        lineno += len(stop)
+        tail = data[after[-1]:] if len(after) else data
+
+
+def _rssi_blocks(path: Path) -> Iterator[tuple]:
+    """rssi.csv's rows after its header, a block at a time, each block as
+    (bytes, field starts, field ends, lines, refusal): row i's field k is
+    bytes[start[i, k]:end[i, k]], and refusal, if not None, is the
+    MalformedRow of the row that ended the block, to raise once its rows
+    have been checked. A block of lines that holds no quote and no line
+    longer than csv's field limit is split at line ends and commas; from
+    the first block that does, csv_rows splits the rest of the file."""
+    with path.open("rb") as fh:
+        for a, begin, stop, first in _line_blocks(fh):
+            if (a == ord('"')).any() or (stop - begin).max() > csv.field_size_limit():
+                yield from _csv_blocks(path, first)
+                return
+            yield a, *_plain_rows(a, begin, stop, first, path.name)
+
+
+def _plain_rows(a: np.ndarray, begin: np.ndarray, stop: np.ndarray, first: int, name: str) -> tuple:
+    """The rows of a block of rssi.csv lines with no quote (see _rssi_blocks),
+    each line one row of comma-separated fields, up to the first line that
+    is not UTF-8 text or has other than five fields. Blank lines, and the
+    header on line 1, are no rows."""
+    cut, refusal = len(begin), None
+    if a.max() > 127:
+        try:
+            str(a, "utf-8")
+        except UnicodeDecodeError as exc:
+            cut = int(np.searchsorted(stop, exc.start, side="right"))
+            refusal = MalformedRow(name, first + cut, "not UTF-8 text")
+    commas = np.flatnonzero(a == ord(","))
+    fields = np.searchsorted(commas, stop) - np.searchsorted(commas, begin) + 1
+    row = np.flatnonzero(stop[:cut] > begin[:cut])
+    if first == 1:
+        row = row[row > 0]
+    wrong = row[fields[row] != 5]
+    if len(wrong):
+        row = row[row < wrong[0]]
+        refusal = MalformedRow(name, first + int(wrong[0]), f"expected 5 fields, got {fields[wrong[0]]}")
+    comma = commas[np.searchsorted(commas, begin[row])[:, None] + np.arange(4)]
+    return np.column_stack((begin[row], comma + 1)), np.column_stack((comma, stop[row])), row + first, refusal
+
+
+def _csv_blocks(path: Path, first: int) -> Iterator[tuple]:
+    """The rows csv_rows reads from rssi.csv on and after line first, in
+    _rssi_blocks' form: blocks of at most _BATCH_ROWS rows, the one that
+    csv_rows refuses ending the last."""
+    rows = ((line, row) for line, row in csv_rows(path, RssiTable.columns()) if line >= first)
+    refusal = None
+    while refusal is None:
+        block = []
+        try:
+            for item in rows:
+                block.append(item)
+                if len(block) == _BATCH_ROWS:
+                    break
+        except MalformedRow as exc:
+            refusal = exc
+        cells = [cell.encode() for _, row in block for cell in row]
+        size = np.fromiter(map(len, cells), np.int64, len(cells)).reshape(-1, 5)
+        end = np.cumsum(size + 1).reshape(-1, 5) - 1  # each field followed by one byte
+        yield (np.frombuffer(b",".join(cells) + b",", np.uint8), end - size, end,
+               np.array([line for line, _ in block], np.int64), refusal)
+        if len(block) < _BATCH_ROWS:
+            return
+
+
+def _rssi_rows(a: np.ndarray, start: np.ndarray, end: np.ndarray, lines: np.ndarray, refusal: MalformedRow | None,
+               name: str, ranks: tuple[dict[str, int], dict[str, int]], days: dict) -> tuple[np.ndarray, ...]:
+    """The columns of one block of _rssi_blocks: each row's participant and
+    hub as its rank in ranks, its shift_date, and its minute_index and rssi
+    (_integers, not yet clamped). Each rule is one mask over a column: a
+    known participant_id, a known hub_id, a YYYY-MM-DD shift_date, and
+    integer minute_index and rssi cells. The first row that breaks a rule
+    raises its refusal, naming the first rule it breaks; if none does, the
+    block's own refusal is raised."""
+    participant, participant_text = _coded(a, start[:, 0], end[:, 0])
+    day, day_text = _coded(a, start[:, 1], end[:, 1])
+    hub, hub_text = _coded(a, start[:, 3], end[:, 3])
+    minute, bad_minute = _integers(a, start[:, 2], end[:, 2])
+    rssi, bad_rssi = _integers(a, start[:, 4], end[:, 4])
+    for text in set(day_text).difference(days):
+        try:
+            days[text] = np.datetime64(parse_date(text.decode(), name, 0), "D")
+        except MalformedRow as exc:
+            days[text] = exc.reason
+    participant, hub = (np.array([rank.get(text.decode(), -1) for text in texts] + [-1], np.int64)[codes]
+                        for rank, codes, texts in zip(ranks, (participant, hub), (participant_text, hub_text)))
+    dates = [days[text] for text in day_text]
+    broken = np.array([
+        participant < 0,
+        hub < 0,
+        np.array([type(d) is str for d in dates] + [False])[day],
+        bad_minute,
+        bad_rssi,
+    ])
+    if broken.any():
+        i = int(np.argmax(broken.any(axis=0)))
+        rule = int(np.argmax(broken[:, i]))
+        k = (0, 3, 1, 2, 4)[rule]  # the rule's field
+        text, line = a[start[i, k]:end[i, k]].tobytes().decode(), int(lines[i])
+        if rule == 1:
+            raise UnknownHub(name, line, text)
+        reasons = (f"unknown participant_id {text!r}", "", dates[day[i]] if rule == 2 else "",
+                   f"bad integer for minute_index: {text!r}", f"bad integer for rssi: {text!r}")
+        raise MalformedRow(name, line, reasons[rule])
+    if refusal is not None:
+        raise refusal
+    return participant, np.array(dates + [np.datetime64("NaT")], "datetime64[D]")[day], minute, hub, rssi
+
+
+def _coded(a: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, list[bytes]]:
+    """A code for each field a[start:end], equal where the bytes are, and
+    the bytes of each code. The fields of one length are compared as rows
+    of 64-bit words."""
+    length = end - start
+    codes = np.empty(len(length), np.int64)
+    firsts: list[np.ndarray] = []
+    for size in distinct(length).tolist():
+        rows = np.flatnonzero(length == size)
+        words = np.zeros((len(rows), max(-(-size // 8), 1) * 8), np.uint8)
+        words[:, :size] = sliding_window_view(a, size)[start[rows]]
+        words = words.view(np.uint64).T
+        order = np.lexsort(words)
+        ranked = words[:, order]
+        new = np.ones(len(rows), bool)
+        new[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+        codes[rows[order]] = np.cumsum(new) - 1 + sum(map(len, firsts))
+        firsts.append(rows[order[new]])
+    first = np.concatenate(firsts) if firsts else np.empty(0, np.int64)
+    return codes, [a[i:j].tobytes() for i, j in zip(start[first].tolist(), end[first].tolist())]
+
+
+def _integers(a: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each field a[start:end] as an integer, one beyond the 64-bit range as
+    the nearest 64-bit value, and where a field is no integer as model's
+    _int_cell reads one: an optional "-", then ASCII digits, within the
+    digit limit of Python's int."""
+    negative = (end > start) & (a[np.minimum(start, len(a) - 1)] == ord("-"))
+    first = start + negative
+    size = end - first
+    value, bad = np.zeros(len(start), np.int64), size == 0
+    for digits in distinct(size[size > 0]).tolist():
+        rows = np.flatnonzero(size == digits)
+        cells = sliding_window_view(a, digits)[first[rows]] - np.uint8(ord("0"))
+        bad[rows] = (cells > 9).any(axis=1)
+        if digits <= 18:  # exact in 64 bits
+            number = np.zeros(len(rows), np.int64)
+            for column in cells.T:
+                number = number * 10 + column
+            value[rows] = np.where(negative[rows], -number, number)
+            continue
+        for i in rows[~bad[rows]].tolist():
+            try:
+                value[i] = min(max(int(a[start[i]:end[i]].tobytes()), _INT64_MIN), _INT64_MAX)
+            except ValueError:  # past int's digit limit
+                bad[i] = True
+    return value, bad
 
 
 def parse_physiology(path: Path, profiles: dict[str, ParticipantProfile]) -> list[DailyPhysiology]:
@@ -272,59 +465,6 @@ def _refused_recording(recordings: RecordingTable, refusal: tuple[int, str]) -> 
     return i, f"{reason} in recording {recordings.participant_id[i]} {day} minute {recordings.minute_index[i]}"
 
 
-def _lines(fh: BinaryIO) -> Iterator[tuple[int, str | bytes]]:
-    """The number and stripped text of each non-blank line of a file opened
-    in binary mode, counted as text mode counts them ("\n", "\r\n" and a lone
-    "\r" each end one). A line that is not UTF-8 comes as bytes."""
-    lineno = 0
-    for raw in fh:
-        for piece in raw.splitlines() if b"\r" in raw else (raw,):  # bytes split at "\n", "\r\n" and "\r" only
-            lineno += 1
-            try:
-                line = piece.decode("utf-8").strip()
-            except UnicodeDecodeError:  # _head refuses it in its turn
-                line = piece
-            if line:
-                yield lineno, line
-
-
-def _head(line: str | bytes, profiles: dict[str, ParticipantProfile], days: dict[str, np.datetime64],
-          name: str, lineno: int) -> tuple:
-    """The participant, date, minute, frame count and labelled flag of one
-    recordings.jsonl line; MalformedRow on the first check it fails."""
-    if type(line) is bytes:
-        raise MalformedRow(name, lineno, "not UTF-8 text")
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedRow(name, lineno, f"invalid JSON: {exc.msg}") from None
-    except ValueError as exc:  # an integer past int's digit limit
-        raise MalformedRow(name, lineno, str(exc)) from None
-    except RecursionError:
-        raise MalformedRow(name, lineno, "invalid JSON: nested too deeply") from None
-    try:
-        pid, date_raw, minute = obj["participant_id"], obj["shift_date"], obj["minute_index"]
-    except (KeyError, TypeError) as exc:
-        raise MalformedRow(name, lineno, f"missing field: {exc}") from None
-    profile = profiles.get(pid) if type(pid) is str else None
-    if profile is None:
-        raise MalformedRow(name, lineno, f"unknown participant_id {pid!r}")
-    if type(minute) is not int:
-        raise MalformedRow(name, lineno, f"minute_index must be an integer, got {minute!r}")
-    shift_date = days.get(date_raw) if type(date_raw) is str else None
-    if shift_date is None:
-        shift_date = days[date_raw] = np.datetime64(parse_date(date_raw, name, lineno), "D")
-    if "frames" in obj:
-        raise MalformedRow(name, lineno, f"inline frames are no longer read; a recording's frames go in {FRAMES_FILE}")
-    n, labelled = obj.get("n_frames"), obj.get("labelled", False)
-    if type(n) is not int or not 0 < n <= _INT64_MAX:
-        raise MalformedRow(name, lineno, f"n_frames must be a positive integer, got {n!r}")
-    if type(labelled) is not bool:
-        raise MalformedRow(name, lineno, f"labelled must be true or false, got {labelled!r}")
-    # the profile's own id string, one object per participant as in parse_rssi
-    return profile.participant_id, shift_date, min(max(minute, _INT64_MIN), _INT64_MAX), n, labelled
-
-
 def parse_recordings(path: Path, profiles: dict[str, ParticipantProfile]) -> tuple[RecordingTable, FrameBlock]:
     """The recordings of recordings.jsonl (_read_heads) and their frames,
     from the frames.bin beside it (_read_frames)."""
@@ -332,20 +472,128 @@ def parse_recordings(path: Path, profiles: dict[str, ParticipantProfile]) -> tup
     return recordings, _read_frames(path.with_name(FRAMES_FILE), recordings, lines)
 
 
-def _read_heads(path: Path, profiles: dict[str, ParticipantProfile]) -> tuple[RecordingTable, list[int]]:
-    """The recordings of recordings.jsonl, and the line of each; the first
-    line that breaks a rule raises MalformedRow with its number (see _lines)
-    and reason."""
-    days: dict[str, np.datetime64] = {}
-    heads = tuple([] for _ in range(6))  # RecordingTable columns and the line number
+def _read_heads(path: Path, profiles: dict[str, ParticipantProfile]) -> tuple[RecordingTable, np.ndarray]:
+    """The recordings of recordings.jsonl, and the line of each, read a block
+    of lines at a time (_line_blocks): each non-blank line takes one JSON
+    scan (_decoded), then each rule is one mask over a column (_head_rows).
+    The first line in file order that breaks a rule raises MalformedRow
+    with its number and reason."""
+    ids = sorted(profiles)  # a recording's participant is coded by its place here
+    rank = {pid: i for i, pid in enumerate(ids)}
+    days: dict[str, np.datetime64 | None] = {}  # each date text of the file: its day, or None if refused
     with path.open("rb") as fh:
-        for lineno, line in _lines(fh):
-            for store, value in zip(heads, (*_head(line, profiles, days, path.name, lineno), lineno)):
-                store.append(value)
-    return RecordingTable(*heads[:5]), heads[5]
+        participant, *columns, lines = _gathered(
+            (_head_rows(*_decoded(a.tobytes(), stop, first, path.name), rank, days, path.name)
+             for a, _, stop, first in _line_blocks(fh)),
+            path.stat().st_size // _HEAD_LINE_BYTES + 1,
+            (np.int64, "datetime64[D]", np.int64, np.int64, bool, np.int64))
+    return RecordingTable(np.array(ids, object)[participant], *columns), lines
 
 
-def _read_frames(path: Path, recordings: RecordingTable, lines: list[int]) -> FrameBlock:
+_SCAN = json.JSONDecoder().scan_once
+_BOM = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+
+
+def _decoded(data: bytes, stop: np.ndarray, first: int, name: str) -> tuple[list, np.ndarray, MalformedRow | None]:
+    """The JSON value and the line of each non-blank line (after
+    str.strip) of a block of recordings.jsonl lines, up to the first line
+    that is not UTF-8 text or not one JSON value, with that line's refusal.
+    A line is read as json.loads reads it, by one call of its scanner."""
+    lines = data.splitlines()  # at "\n", "\r\n" and "\r", as _line_blocks
+    cut, refusal = len(lines), None
+    if not data.isascii():
+        try:
+            data.decode()
+        except UnicodeDecodeError as exc:
+            cut = int(np.searchsorted(stop, exc.start, side="right"))
+            refusal = MalformedRow(name, first + cut, "not UTF-8 text")
+    heads, where = [], []
+    for i, text in enumerate(map(str.strip, map(bytes.decode, lines[:cut]))):
+        if not text:
+            continue
+        try:
+            head, end = _SCAN(text, 0)  # the JSON value that starts the line, and where it ends
+        except StopIteration:  # no value starts the line; json.loads names a byte order mark first
+            reason = "invalid JSON: " + (_BOM if text[0] == "\ufeff" else "Expecting value")
+        except json.JSONDecodeError as exc:
+            reason = f"invalid JSON: {exc.msg}"
+        except ValueError as exc:  # an integer past int's digit limit
+            reason = str(exc)
+        except RecursionError:
+            reason = "invalid JSON: nested too deeply"
+        else:
+            if end == len(text):
+                heads.append(head)
+                where.append(first + i)
+                continue
+            reason = "invalid JSON: Extra data"
+        refusal = MalformedRow(name, first + i, reason)
+        break
+    return heads, np.array(where, np.int64), refusal
+
+
+_MISSING = object()
+
+
+def _head_rows(heads: list, lines: np.ndarray, refusal: MalformedRow | None, rank: dict[str, int], days: dict,
+               name: str) -> tuple[np.ndarray, ...]:
+    """The columns of the JSON values of one block of recordings.jsonl lines
+    (_decoded): each recording's participant as its rank in rank, its
+    shift_date, minute_index, n_frames and labelled flag, and its line.
+    Each rule is one mask over a column, in this order: an object with
+    participant_id, shift_date and minute_index; a known participant_id
+    string; an integer minute_index; a YYYY-MM-DD shift_date string; no
+    inline frames; n_frames a positive 64-bit integer; labelled true or
+    false (false if absent). The first line that breaks a rule raises its
+    refusal, naming the first rule it breaks; if none does, the block's own
+    refusal is raised."""
+    objects = [head if type(head) is dict else {} for head in heads]
+    pid, day, minute = (list(map(dict.get, objects, repeat(key), repeat(_MISSING)))
+                        for key in ("participant_id", "shift_date", "minute_index"))
+    n_frames, labelled = (list(map(dict.get, objects, repeat(key), repeat(default)))
+                          for key, default in (("n_frames", None), ("labelled", False)))
+    for text in {d for d in day if type(d) is str}.difference(days):
+        try:
+            days[text] = np.datetime64(parse_date(text, name, 0), "D")
+        except MalformedRow:
+            days[text] = None
+    participants = [rank.get(p, -1) if type(p) is str else -1 for p in pid]
+    dates = [days[d] if type(d) is str else None for d in day]
+    broken = np.array([
+        [p is _MISSING or d is _MISSING or m is _MISSING for p, d, m in zip(pid, day, minute)],
+        [p < 0 for p in participants],
+        [type(m) is not int for m in minute],
+        [d is None for d in dates],
+        ["frames" in o for o in objects],
+        [type(n) is not int or not 0 < n <= _INT64_MAX for n in n_frames],
+        [type(flag) is not bool for flag in labelled],
+    ], bool)
+    if broken.any():
+        i = int(np.argmax(broken.any(axis=0)))
+        rule, line = int(np.argmax(broken[:, i])), int(lines[i])
+        if rule == 0:
+            try:
+                heads[i]["participant_id"], heads[i]["shift_date"], heads[i]["minute_index"]
+            except (KeyError, TypeError) as exc:
+                raise MalformedRow(name, line, f"missing field: {exc}") from None
+        if rule == 3:
+            parse_date(day[i], name, line)  # raises: the text was refused
+        raise MalformedRow(name, line, (
+            "", f"unknown participant_id {pid[i]!r}", f"minute_index must be an integer, got {minute[i]!r}", "",
+            f"inline frames are no longer read; a recording's frames go in {FRAMES_FILE}",
+            f"n_frames must be a positive integer, got {n_frames[i]!r}",
+            f"labelled must be true or false, got {labelled[i]!r}")[rule])
+    if refusal is not None:
+        raise refusal
+    try:
+        minutes = np.array(minute, np.int64)
+    except OverflowError:  # a minute_index beyond 64 bits: the nearest 64-bit value
+        minutes = np.array([min(max(m, _INT64_MIN), _INT64_MAX) for m in minute], np.int64)
+    return (np.array(participants, np.int64), np.array(dates, "datetime64[D]"), minutes, np.array(n_frames, np.int64),
+            np.array(labelled, bool), lines)
+
+
+def _read_frames(path: Path, recordings: RecordingTable, lines: np.ndarray) -> FrameBlock:
     """frames.bin's arrays, one per FrameBlock field, each read into mapped
     memory (model.mapped) as _read_array checks it. A frame value that breaks a rule of
     _value_refusal raises MalformedRow at its recording's line of
@@ -359,7 +607,7 @@ def _read_frames(path: Path, recordings: RecordingTable, lines: list[int]) -> Fr
     refusal = _value_refusal(columns[:4])
     if refusal is not None:
         i, reason = _refused_recording(recordings, refusal)
-        raise MalformedRow(RECORDINGS_FILE, lines[i], f"{path.name}: {reason}")
+        raise MalformedRow(RECORDINGS_FILE, int(lines[i]), f"{path.name}: {reason}")
     frames = FrameBlock(*columns)
     frames.foreground &= np.repeat(recordings.labelled, recordings.n_frames)
     return frames

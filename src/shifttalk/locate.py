@@ -36,7 +36,7 @@ from .model import (
 RSSI_FLOOR = 150  # keep rssi >= 150, drop below
 
 _OUTSIDE = int(LocationCategory.OUTSIDE_UNIT)
-_NO_ROW = np.iinfo(np.int64).min
+_NO_ROW = np.iinfo(np.int16).min
 
 
 @dataclass
@@ -71,12 +71,19 @@ def estimate_timeline(
 
     Rows of no shift, rows below the floor and minutes outside [0, 720) are
     ignored; a shift with no row left is all OutsideUnit. Every hub_id of a
-    kept row must be in ``hubs``.
+    kept row must be in ``hubs``, and every kept rssi within [RSSI_MIN,
+    RSSI_MAX], as the parse clamps it.
     """
     m = rssi.minute_index
-    keep = np.flatnonzero((shift >= 0) & (rssi.rssi >= rssi_floor) & (m >= 0) & (m < SHIFT_MINUTES))
+    keep = (shift >= 0) & (rssi.rssi >= rssi_floor) & (m >= 0) & (m < SHIFT_MINUTES)
     rank = {h: 3 - int(HUB_TO_LOCATION[hub.location_category]) for h, hub in hubs.items()}
-    hub_rank = np.fromiter(map(rank.__getitem__, rssi.hub_id[keep]), np.int64, len(keep))
-    best = np.full(n * SHIFT_MINUTES, _NO_ROW)
-    np.maximum.at(best, shift[keep] * SHIFT_MINUTES + m[keep], rssi.rssi[keep] * 4 + hub_rank)
+    # each temporary over the kept rows is as narrow as its values: a score fits int16 and a slot int32
+    score = rssi.rssi[keep].astype(np.int16)
+    score *= 4
+    score += np.fromiter(map(rank.__getitem__, rssi.hub_id[keep]), np.int16, len(score))
+    slot = shift[keep].astype(np.int32 if n * SHIFT_MINUTES <= np.iinfo(np.int32).max else np.int64)
+    slot *= SHIFT_MINUTES
+    slot += m[keep].astype(slot.dtype)
+    best = np.full(n * SHIFT_MINUTES, _NO_ROW, np.int16)
+    np.maximum.at(best, slot, score)
     return np.where(best == _NO_ROW, _OUTSIDE, 3 - best % 4).astype(np.uint8).reshape(-1, SHIFT_MINUTES)

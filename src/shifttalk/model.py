@@ -216,7 +216,7 @@ def read_columns(path: str | Path, header: Sequence[str], dtypes: Sequence) -> l
 
 
 def _date_cell(text: str) -> date:
-    if len(text) != 10 or text[4] != "-" or text[7] != "-":
+    if type(text) is not str or len(text) != 10 or text[4] != "-" or text[7] != "-":  # a JSON value may be no str
         raise ValueError(text)
     return date.fromisoformat(text)
 
@@ -397,12 +397,21 @@ def shift_parts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def distinct(values: np.ndarray) -> np.ndarray:
-    """The sorted distinct values, as ``np.unique(values)`` gives them for
-    integers; that call imports numpy.ma on first use (13 ms, about 2 MB)."""
-    values = np.sort(values)
+    """The sorted distinct values, as ``np.unique(values)`` gives them (NaNs
+    as one, last); that call imports numpy.ma on first use (13 ms, about 2 MB)."""
+    values = np.sort(values)  # NaNs last
     first = np.ones(len(values), dtype=bool)
-    first[1:] = values[1:] != values[:-1]
+    first[1:] = (values[1:] != values[:-1]) & ~np.isnan(values[:-1])
     return values[first]
+
+
+def median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-D float array, bit for bit: the same
+    partition, then the mean of its middle value or two, or its last value
+    if that is NaN. np.median imports numpy.ma for that last check."""
+    middle = [len(values) // 2 - 1, len(values) // 2] if len(values) % 2 == 0 else [len(values) // 2]
+    part = np.partition(values, middle + [-1])
+    return float(part[-1] if np.isnan(part[-1]) else part[middle].mean())
 
 
 def mapped(n: int, dtype=np.float64) -> np.ndarray:

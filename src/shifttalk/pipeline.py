@@ -129,10 +129,7 @@ def run_extraction(cohort: Cohort, config: ExtractionConfig | None = None) -> Ex
     # each recording's and RSSI row's shift: its index in the sorted shift codes
     speaker = participant_codes(kept.profiles, kept.recordings.participant_id)
     shift_keys, shift = np.unique(shift_codes(speaker, kept.recordings.shift_date), return_inverse=True)
-    rssi_codes = shift_codes(participant_codes(kept.profiles, kept.rssi.participant_id), kept.rssi.shift_date)
-    at = np.searchsorted(shift_keys, rssi_codes)
-    rssi_shift = np.where(np.append(shift_keys, -1)[at] == rssi_codes, at, -1)  # -1 is no shift's code
-    slots = estimate_timeline(kept.rssi, rssi_shift, len(shift_keys), kept.hubs, config.rssi_floor)
+    slots = estimate_timeline(kept.rssi, _rssi_shifts(kept, shift_keys), len(shift_keys), kept.hubs, config.rssi_floor)
     key_speaker, key_days = shift_parts(shift_keys)
     key_pids = np.array(sorted(kept.profiles), dtype=object)[key_speaker]
     minute = kept.recordings.minute_index
@@ -166,6 +163,14 @@ def run_extraction(cohort: Cohort, config: ExtractionConfig | None = None) -> Ex
         participant_ids=ids,
         dropped=dropped,
     )
+
+
+def _rssi_shifts(kept: Cohort, shift_keys: np.ndarray) -> np.ndarray:
+    """Each RSSI row's shift: its index in the sorted shift codes, or -1.
+    Its temporaries, each as long as the table, are dropped on return."""
+    codes = shift_codes(participant_codes(kept.profiles, kept.rssi.participant_id), kept.rssi.shift_date)
+    at = np.searchsorted(shift_keys, codes)
+    return np.where(np.append(shift_keys, -1)[at] == codes, at, -1)  # -1 is no shift's code
 
 
 def _rate_cohort(

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import BadParameter, DegenerateLabel, LengthMismatch, TooFewSamples
 from .forest import ForestModel, ForestParams, train_forest
+from .model import median
 
 DEFAULT_GRID: list[ForestParams] = [
     ForestParams(n_trees=t, max_depth=depth, min_leaf=leaf)
@@ -35,8 +36,7 @@ def binarize_label(values) -> np.ndarray:
         raise TooFewSamples("need at least two values to binarize")
     if np.all(values == values[0]):
         raise DegenerateLabel("all label values identical")
-    median = float(np.median(values))
-    labels = (values > median).astype(np.uint8)
+    labels = (values > median(values)).astype(np.uint8)
     if labels.min() == labels.max():
         # heavy mass at the median can still leave one side empty
         raise DegenerateLabel("median split produced a single class")

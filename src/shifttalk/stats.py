@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BadParameter, ConstantInput, EmptyGroup, EmptyInput
-from .model import ColumnTable
+from .model import ColumnTable, distinct, median
 
 EXACT_MAX_TOTAL = 12  # full enumeration is C(12,6)=924 assignments at worst
 
@@ -117,7 +117,7 @@ class MwuResult:
 
 
 def _summary(values: np.ndarray) -> GroupSummary:
-    return GroupSummary(median=float(np.median(values)), mean=float(values.mean()), n=len(values))
+    return GroupSummary(median=median(values), mean=float(values.mean()), n=len(values))
 
 
 def _u_from_ranks(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
@@ -169,7 +169,7 @@ def mann_whitney_u(a, b, method: str = "auto") -> MwuResult:
     if len(a) == 0 or len(b) == 0:
         raise EmptyInput("both samples must be non-empty")
     u1, pooled = _u_from_ranks(a, b)
-    has_ties = len(np.unique(pooled)) < len(pooled)
+    has_ties = len(distinct(pooled)) < len(pooled)
     if method == "auto":
         use_exact = len(pooled) <= EXACT_MAX_TOTAL and not has_ties
     elif method == "exact":

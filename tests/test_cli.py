@@ -232,22 +232,27 @@ def test_predict_deterministic(pipeline_dirs, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_simulate_and_extract_leave_numpy_ma_unimported(tmp_path):
+def test_no_stage_imports_numpy_ma(tmp_path):
     """np.median and np.unique without index or count outputs import
-    numpy.ma (13 ms, about 2 MB); extract needs neither on a cohort whose
-    features are all present."""
+    numpy.ma (13 ms, about 2 MB); model.median and model.distinct stand in
+    for them, so that no stage pays for it."""
     spec, data, out = write_spec(tmp_path), tmp_path / "data", tmp_path / "out"
+    features = str(out / "features.csv")
+    stages = [["simulate", str(spec), "--out", str(data)],
+              ["extract", "--input", str(data), "--out", str(out), "--min-frames", "6"],
+              ["compare", features, "--factor", "unit", "--within", "--out", str(out / "comparisons.csv")],
+              ["predict", features, "--label", "neg_affect", "--folds", "2", "--n-trees", "5", "--max-depth", "3",
+               "--out", str(out / "report.json")]]
     script = ("import sys\n"
               "from shifttalk.cli import main\n"
-              f"assert main(['simulate', {str(spec)!r}, '--out', {str(data)!r}]) == 0\n"
-              f"assert main(['extract', '--input', {str(data)!r}, '--out', {str(out)!r}, '--min-frames', '6']) == 0\n"
-              "print('numpy.ma' in sys.modules)\n")
+              f"for argv in {stages!r}:\n"
+              "    assert main(argv) == 0, argv\n"
+              "    print(argv[0], 'numpy.ma' in sys.modules)\n")
     src = str(Path(shifttalk.__file__).parents[1])
     run = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
-    _, _, X, _ = reports.read_features_csv(out / "features.csv")
-    assert not np.isnan(X).any()  # _impute_medians' np.median stays unused
-    assert run.stdout.splitlines()[-1] == "False"
+    assert [line.split()[-2:] for line in run.stdout.splitlines() if line.endswith(("True", "False"))] == [
+        [stage, "False"] for stage in ("simulate", "extract", "compare", "predict")]
 
 
 def test_verify_subcommand(pipeline_dirs, tmp_path):

@@ -20,7 +20,8 @@ from shifttalk.ingest import (
     parse_cohort,
     write_cohort,
 )
-from shifttalk.model import Cohort, FrameBlock, LocationCategory, RecordingSegment, RecordingTable
+from shifttalk.model import (RSSI_MAX, RSSI_MIN, Cohort, FrameBlock, HubCategory, HubRecord, LocationCategory,
+                             RecordingSegment, RecordingTable, RssiTable)
 
 from conftest import (D0, assert_cohorts_equal, listed_timelines, profile, recording, rssi_rows, segments, tiny_cohort,
                       with_recordings)
@@ -227,6 +228,10 @@ def test_recording_date_after_a_good_one_raises_at_its_line(tmp_path, shift_date
     (["p1,2022-03-01,0,h_ns", "p1,2022-03-01,x,h_ns,160"], "rssi.csv:2: expected 5 fields, got 4"),
     (["p1,2022-03-01,0,h_ns,160", "", "ghost,2022-03-01,0,h_ns,160"], "rssi.csv:4: unknown participant_id 'ghost'"),
     (["p1,2022-03-01,0,h_ns,1e3"], "rssi.csv:2: bad integer for rssi: '1e3'"),
+    # a field one character past csv's limit, alone on its line; and one at the limit
+    (["p1,2022-03-01,0,h_ns,160", "x" * 131073], "rssi.csv:3: field larger than field limit (131072)"),
+    (["p1,2022-03-01,0,h_ns,160", "p1,2022-03-01,0," + "h" * 131072 + ",160"],
+     "rssi.csv:3: unknown hub_id '" + "h" * 131072 + "'"),
 ])
 @pytest.mark.parametrize("batch_rows", [1, 2, ingest._BATCH_ROWS])
 def test_rssi_errors_name_their_line(tmp_path, monkeypatch, rows, message, batch_rows):
@@ -303,14 +308,34 @@ def test_pos_affect_below_bound_rejected(tmp_path):
 
 def test_duplicate_participant_rejected(tmp_path):
     path = write_dir(tmp_path, **{"participants.csv": ["p1,day,icu,30,25,4.2", "p1,night,icu,30,25,4.2"]})
-    with pytest.raises(DuplicateParticipant):
+    with pytest.raises(DuplicateParticipant) as err:
         parse_cohort(path)
+    assert str(err.value) == "participants.csv:3: duplicate participant_id 'p1'"
+    assert err.value.participant_id == "p1"
 
 
 def test_unknown_hub_rejected(tmp_path):
-    path = write_dir(tmp_path, **{"rssi.csv": ["p1,2022-03-01,0,h_ghost,160"]})
-    with pytest.raises(UnknownHub):
+    path = write_dir(tmp_path, **{"rssi.csv": ["p1,2022-03-01,0,h_ns,160", "p1,2022-03-01,0,h_ghost,160"]})
+    with pytest.raises(UnknownHub) as err:
         parse_cohort(path)
+    assert str(err.value) == "rssi.csv:3: unknown hub_id 'h_ghost'"
+    assert err.value.hub_id == "h_ghost"
+
+
+@pytest.mark.parametrize("file, row, error", [
+    ("rssi.csv", "p1,2022-03-01,0,h_ghost,160", "rssi.csv:3: unknown hub_id 'h_ghost'"),
+    ("participants.csv", "p1,night,icu,30,25,4.2", "participants.csv:3: duplicate participant_id 'p1'"),
+])
+def test_extract_exits_2_naming_the_line_of_an_unknown_hub_or_a_duplicate_participant(tmp_path, capsys, file, row,
+                                                                                       error):
+    from shifttalk.cli import main
+
+    root = tmp_path / "data"
+    root.mkdir()
+    write_dir(root, **{file: {"rssi.csv": ["p1,2022-03-01,0,h_ns,160"],
+                              "participants.csv": ["p1,day,icu,30,25,4.2"]}[file] + [row]})
+    assert main(["extract", "--input", str(root), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_unknown_participant_in_recordings_rejected(tmp_path):
@@ -397,6 +422,7 @@ def lookup_refusal(line: str) -> str:
 
 
 TOO_LONG = "1" + "0" * 5000  # past int's default limit of 4300 digits
+TEN_KEYS = json.dumps({str(k): k for k in range(10)})
 BAD_VALUES = [  # (field, raw JSON text, reason); NaN and Infinity fail the field's own type check
     ("minute_index", "true", "minute_index must be an integer, got True"),
     ("minute_index", "false", "minute_index must be an integer, got False"),
@@ -438,6 +464,7 @@ BAD_VALUES = [  # (field, raw JSON text, reason); NaN and Infinity fail the fiel
     ("shift_date", '"2022-03-01T00:00"', "bad shift_date '2022-03-01T00:00'"),
     ("shift_date", '" 2022-03-01"', "bad shift_date ' 2022-03-01'"),
     ("shift_date", '"2022-W09-2"', "bad shift_date '2022-W09-2'"),
+    ("shift_date", TEN_KEYS, f"bad shift_date {json.loads(TEN_KEYS)!r}"),  # as long as a date, but no text
     ("n_frames", "[1]", "n_frames must be a positive integer, got [1]"),
     ("n_frames", "1e0", "n_frames must be a positive integer, got 1.0"),
     ("n_frames", "-0", "n_frames must be a positive integer, got 0"),
@@ -555,7 +582,7 @@ BAD_RSSI = "p1,2022-03-01,x,h_ns,160"
     (9, None, "recordings.jsonl:9: minute_index must be an integer, got '0'"),
     (None, BAD_RSSI, "rssi.csv:7: bad integer for minute_index: 'x'"),
     (2, BAD_RSSI, "rssi.csv:7: bad integer for minute_index: 'x'"),  # rssi.csv is read first
-    (9, "p1,2022-03-01,5,h_ghost,160", "rssi row references unknown hub_id 'h_ghost'"),
+    (9, "p1,2022-03-01,5,h_ghost,160", "rssi.csv:7: unknown hub_id 'h_ghost'"),
 ])
 def test_rssi_csv_refuses_before_recordings_jsonl(tmp_path, bad_at, rssi_row, error):
     lines = [HEAD_LINE] * 10
@@ -639,6 +666,219 @@ def test_head_reader_matches_json_loads_property(tmp_path):
                              Cohort(recordings=want, frames=FrameBlock(*arrays)))
 
     check()
+
+
+ODD_IDS = ["p1", "p,2", 'p"3', "p\r4", "p\n5", "p\r\n6", "p\x007", "p\u00e9\u65e5", ""]  # csv specials, NUL, non-ASCII
+ODD_HUBS = ["h_ns", "h,2", 'h"3', "h\r\n4", "h\x005", "h\u00e9"]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+FIELD_LIMIT = 64  # csv's field limit while the oracle tests run, so that an over-long field stays small
+
+
+def utf8_with_byte_ff(text: str, at: int | None) -> bytes:
+    """text as UTF-8, with byte 0xff (not UTF-8) put before character at, if given."""
+    return text.encode() if at is None else text[:at].encode() + b"\xff" + text[at:].encode()
+
+
+def block_sizes(draw, monkeypatch) -> None:
+    """Read with a drawn block size and read size, small ones spanning many blocks."""
+    from hypothesis import strategies as st
+
+    for name in ("_BATCH_ROWS", "_READ_BYTES"):
+        monkeypatch.setattr(ingest, name, draw(st.sampled_from([1, 2, 3, 7, 64, 1 << 20])))
+
+
+def outcome(read):
+    """What read() returns, or the type and message of what it raises."""
+    try:
+        return read()
+    except Exception as exc:  # noqa: BLE001 - the oracle raises the same
+        return type(exc), str(exc)
+
+
+def same_table(got, want) -> None:
+    if isinstance(want, tuple) and isinstance(want[0], type):  # a refusal
+        assert got == want
+        return
+    assert type(got) is type(want)
+    for name in want.columns():
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+
+
+@pytest.mark.parametrize("read_bytes", range(1, 9))
+def test_line_blocks_count_lines_as_text_mode_whatever_the_read_size(tmp_path, monkeypatch, read_bytes):
+    data = b"\n\r\r\na\r\n\rb\n\n\rc\r\r\n\nd\re"
+    monkeypatch.setattr(ingest, "_READ_BYTES", read_bytes)
+    monkeypatch.setattr(ingest, "_BATCH_ROWS", 3)
+    path = tmp_path / "lines"
+    path.write_bytes(data)
+    with path.open("rb") as fh:
+        lines = [(first + k, a[b:e].tobytes()) for a, begin, stop, first in ingest._line_blocks(fh)
+                 for k, (b, e) in enumerate(zip(begin.tolist(), stop.tolist()))]
+    assert lines == list(enumerate(data.splitlines(), start=1))
+    with path.open(newline="") as fh:
+        assert len(lines) == len(fh.readlines())
+
+
+def test_rssi_blocks_match_the_row_loop_property(tmp_path, monkeypatch):
+    import csv
+
+    import hypothesis
+    from hypothesis import strategies as st
+
+    import reference
+
+    profiles = {pid: profile(pid) for pid in ODD_IDS}
+    hubs = {h: HubRecord(h, HubCategory.NURSING_STATION) for h in ODD_HUBS}
+    integer = st.one_of(st.integers(-3, 800).map(str), st.integers(120, 210).map(str), st.sampled_from([
+        "-0", "007", "99999999999999999999", "-99999999999999999999", "9" * 18, "-" + "9" * 18, "9" * 19]))
+    quoted = ',"\r\n'  # what the csv module quotes
+
+    def cells(quotes: bool):
+        """A valid row's cells; with quotes false, none the csv module quotes."""
+        ids, hub_ids = ([i for i in pool if quotes or not any(c in i for c in quoted)] for pool in (ODD_IDS, ODD_HUBS))
+        return st.tuples(st.sampled_from(ids), st.sampled_from(["2022-03-01", "2022-03-02"]), integer,
+                         st.sampled_from(hub_ids), integer)
+
+    faults = st.sampled_from([  # (field or None for the row, text)
+        (0, "ghost"), (0, "x" * (FIELD_LIMIT + 1)), (1, "2022-3-1"), (1, "2022-02-30"), (1, "20220301"), (1, ""),
+        (3, "h_ghost"), (None, "short"), (None, "long"), (None, "space"), (None, "0xff"), (None, "one long field")] + [
+        (k, text) for k in (2, 4) for text in ("+5", " 5", "5 ", "\u0665", "1_0", "", "-", "1" + "0" * 5000)])
+
+    @st.composite
+    def line(draw, faulty: bool, quotes: bool) -> bytes:
+        field, fault = draw(faults) if faulty and draw(st.integers(0, 3)) == 0 else (None, None)
+        row = list(draw(cells(quotes)))
+        if field is not None:
+            row[field] = fault
+        row = row[:4] if fault == "short" else row + ["1"] if fault == "long" else row
+        quote = quotes and draw(st.booleans())  # now and then a quote the csv module needs not
+        text = ",".join('"' + c.replace('"', '""') + '"' if quote or any(ch in c for ch in quoted) else c
+                        for c in row)
+        text = {"space": " ", "one long field": "x" * (FIELD_LIMIT + 1)}.get(fault) or draw(
+            st.sampled_from([text] * 9 + [""]))
+        at = draw(st.integers(0, len(text))) if fault == "0xff" else None
+        return utf8_with_byte_ff(text, at) + draw(st.sampled_from(LINE_ENDS)).encode()
+
+    header = HEADERS["rssi.csv"]
+    # None is an empty file; the quoted header is one the csv module reads as the right one
+    headers = st.sampled_from([header] * 12 + [None, "", header[:-5], '"participant_id"' + header[14:]])
+    files = st.tuples(st.booleans(), st.booleans()).flatmap(lambda kind: st.tuples(
+        headers if kind[0] else st.just(header),
+        st.sampled_from(LINE_ENDS), st.lists(line(*kind), max_size=12)))
+    path = tmp_path / "rssi.csv"
+
+    @hypothesis.settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(files, st.data())
+    def check(file, data) -> None:
+        head, end, lines = file
+        path.write_bytes(b"" if head is None else (head + end).encode() + b"".join(lines))
+        block_sizes(data.draw, monkeypatch)
+        got_warnings, want_warnings = {}, {}
+        got = outcome(lambda: ingest.parse_rssi(path, hubs, profiles, got_warnings))
+        want = outcome(lambda: reference.parse_rssi(path, hubs, profiles, want_warnings))
+        same_table(got, want)
+        assert got_warnings == want_warnings
+
+    limit = csv.field_size_limit(FIELD_LIMIT)
+    try:
+        check()
+    finally:
+        csv.field_size_limit(limit)
+
+
+def test_head_blocks_match_the_line_loop_property(tmp_path, monkeypatch):
+    import hypothesis
+    from hypothesis import strategies as st
+
+    import reference
+
+    profiles = {pid: profile(pid) for pid in ODD_IDS}
+    absent = object()
+    valid = st.fixed_dictionaries({
+        "participant_id": st.sampled_from(ODD_IDS),
+        "shift_date": st.sampled_from(["2022-03-01", "2022-03-02"]),
+        "minute_index": st.one_of(st.integers(-5, 800), st.sampled_from([2**70, -(2**64), 2**63 - 1, -(2**63) - 1])),
+        "n_frames": st.one_of(st.integers(1, 4), st.just(2**63 - 1)),
+        "labelled": st.sampled_from([absent, True, False]),
+        "note": st.sampled_from([absent, "\u2028 other keys are ignored"]),
+    })
+    faults = st.sampled_from([(key, value) for key, values in {
+        "participant_id": ["ghost", None, 1, ["p1"], absent],
+        "shift_date": ["2022-3-1", "2022-02-30", 20220301, None, absent],
+        "minute_index": [True, 0.5, "0", None, absent],
+        "n_frames": [0, -1, 2**63, 1.0, True, absent],
+        "labelled": [1, None],
+        "frames": [[]],
+    }.items() for value in values] + [(None, text) for text in [
+        "{}x", "{}{}", "[{}]", "\ufeff{}", "{", "1", "null", '"p1"', "[" * 3000, "0xff",
+        '{"minute_index":1' + "0" * 5000 + "}"]])
+
+    @st.composite
+    def line(draw, faulty: bool) -> bytes:
+        key, fault = draw(faults) if faulty and draw(st.integers(0, 3)) == 0 else (None, None)
+        head = draw(valid)
+        if key is not None:
+            head[key] = fault
+        head = {key: head[key] for key in draw(st.permutations(list(head))) if head[key] is not absent}
+        text = json.dumps(head, ensure_ascii=draw(st.booleans()), separators=draw(st.sampled_from([(",", ":"), None])))
+        if key is None and fault is not None and fault != "0xff":
+            text = fault.replace("{}", text)
+        text = draw(st.sampled_from(["{}"] * 12 + ["  {}\t", "", " ", "\t", "\x0b", "\u2028", "\x1c"])).replace(
+            "{}", text)
+        at = draw(st.integers(0, len(text))) if fault == "0xff" else None
+        return utf8_with_byte_ff(text, at) + draw(st.sampled_from(LINE_ENDS)).encode()
+
+    path = tmp_path / "recordings.jsonl"
+
+    @hypothesis.settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.booleans().flatmap(lambda faulty: st.lists(line(faulty), max_size=12)), st.data())
+    def check(lines, data) -> None:
+        path.write_bytes(b"".join(lines))
+        block_sizes(data.draw, monkeypatch)
+        got = outcome(lambda: ingest._read_heads(path, profiles))
+        want = outcome(lambda: reference.read_heads(path, profiles))
+        if isinstance(want, tuple) and isinstance(want[0], type):
+            assert got == want
+        else:
+            same_table(got[0], want[0])
+            assert got[1].tolist() == want[1]
+
+    check()
+
+
+@pytest.mark.parametrize("file", ["rssi.csv", "recordings.jsonl"])
+def test_rows_are_read_a_block_at_a_time(tmp_path, file):
+    """While 65,536 rows are read, the heap holds less than the table they
+    become: a block of lines at a time, the columns written into mapped
+    memory (which tracemalloc does not count). One pass over the whole file
+    at once holds several times the table."""
+    import tracemalloc
+
+    n = 1 << 16
+    rng = np.random.default_rng(0)
+    ids = [f"p{i:03d}" for i in range(100)]
+    hubs = {f"h_{i}": HubRecord(f"h_{i}", HubCategory.NURSING_STATION) for i in range(20)}
+    profiles = {pid: profile(pid) for pid in ids}
+    pids = np.array(ids, object)[np.sort(rng.integers(0, 100, n))]
+    days = np.datetime64("2022-03-01") + rng.integers(0, 5, n)
+    path = tmp_path / file
+    if file == "rssi.csv":
+        RssiTable(pids, days, rng.integers(0, 720, n), np.array(list(hubs), object)[rng.integers(0, 20, n)],
+                  rng.integers(RSSI_MIN, RSSI_MAX + 1, n)).write_csv(path)
+        read = lambda: ingest.parse_rssi(path, hubs, profiles, {})  # noqa: E731
+    else:
+        ingest._write_heads(path, RecordingTable(pids, days, rng.integers(0, 720, n), rng.integers(1, 30, n),
+                                                 rng.random(n) < 0.1))
+        read = lambda: ingest._read_heads(path, profiles)[0]  # noqa: E731
+    tracemalloc.start()
+    try:
+        table = read()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == n
+    assert peak < sum(getattr(table, name).nbytes for name in table.columns())
 
 
 def test_writer_emits_head_lines_and_frames_bin(tmp_path):

@@ -338,3 +338,23 @@ def test_null_calibration_quick():
         if mann_whitney_u(a, b).p_value < 0.05:
             flagged += 1
     assert 0.02 <= flagged / trials <= 0.08
+
+
+def test_median_and_distinct_match_numpy_bit_for_bit_property():
+    import hypothesis
+    from hypothesis import strategies as st
+
+    from shifttalk.model import distinct, median
+
+    special = st.sampled_from([0.0, -0.0, 1.0, 2.5, -1e308, 1e308, 5e-324, math.inf, -math.inf, math.nan])
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(st.one_of(special, st.floats()), min_size=1, max_size=9))
+    @hypothesis.example([-math.inf, math.inf])
+    def check(values: list[float]) -> None:
+        x = np.array(values)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or a sum past the largest float
+            assert np.float64(median(x)).tobytes() == np.median(x).tobytes()
+        assert distinct(x).tobytes() == np.unique(x).tobytes()
+
+    check()
