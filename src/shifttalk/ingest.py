@@ -41,25 +41,24 @@ participant, date and minute.
 
 Each violation raises MalformedRow (UnknownHub and DuplicateParticipant
 among them) with the file name and line number. The csv files are read and
-written through model's one CSV rule (csv_rows, write_csv, parse_date,
-ColumnTable.write_csv); the checks above are ingest's own.
+written through model's one CSV rule (csv_rows, csv_blocks, write_csv,
+parse_date, ColumnTable.write_csv); the checks above are ingest's own.
 
 rssi.csv becomes one RssiTable, checked block by block, first bad row in
-file order: numpy splits a block of lines into fields (csv_rows does, from
-the first block that holds a quote), and each rule is one mask over a
-column. recordings.jsonl is read the same way, with one JSON scan per line.
-With frames.bin it becomes one RecordingTable, a row per recording, and one
+file order: model.csv_blocks splits a block of lines into fields, and each
+rule is one mask over a column. recordings.jsonl is read a block of lines
+at a time too (model.line_blocks), with one JSON scan per line. With
+frames.bin it becomes one RecordingTable, a row per recording, and one
 FrameBlock holding every recording's frames end to end. In either table a
 minute_index beyond the 64-bit integer range is stored as the nearest
 64-bit value, so filter_shift_window still drops it. An integer or number
-cell must be written as the writers write one (model's _int_cell and
-_float_cell): no surrounding spaces, leading "+", "_" separators or
-non-ASCII digits.
+cell must be written as the writers write one (model's _int_cell,
+_int_cells and _float_cell): no surrounding spaces, leading "+", "_"
+separators or non-ASCII digits.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import replace
@@ -91,8 +90,11 @@ from .model import (
     _INT64_MIN,
     _float_cell,
     _int_cell,
+    _int_cells,
+    csv_blocks,
     csv_rows,
     distinct,
+    line_blocks,
     mapped,
     parse_date,
     participant_codes,
@@ -185,23 +187,19 @@ def parse_rssi(
 ) -> RssiTable:
     """Read rssi.csv into an RssiTable, clamping rssi into [RSSI_MIN, RSSI_MAX].
 
-    The header is read by csv_rows. The rows are then read a block of lines
-    at a time (_rssi_blocks) and checked by column (_rssi_rows); the first
-    bad row in file order raises. The id columns hold the profiles' and
-    hubs' own id strings, and each distinct date text of the file is parsed
-    once. A minute_index beyond the 64-bit range is stored as the nearest
-    64-bit value, which lies outside the shift window like the original.
+    The rows are read a block of lines at a time (model.csv_blocks) and
+    checked by column (_rssi_rows); the first bad row in file order raises.
+    The id columns hold the profiles' and hubs' own id strings, and each
+    distinct date text of the file is parsed once. A minute_index beyond
+    the 64-bit range is stored as the nearest 64-bit value, which lies
+    outside the shift window like the original.
     """
-    header = csv_rows(path, RssiTable.columns())
-    try:
-        next(header, None)  # csv_rows refuses a bad header (and a first row it cannot split)
-    finally:
-        header.close()
     ids = (sorted(profiles), list(hubs))  # a row's ids are coded by their places here
     ranks = tuple({key: i for i, key in enumerate(keys)} for keys in ids)
     days: dict[bytes, np.datetime64 | str] = {}  # each date text of the file: its day, or why it is refused
+    blocks = csv_blocks(path, RssiTable.columns(), _BATCH_ROWS, _READ_BYTES)
     participant, day, minute, hub, rssi = _gathered(
-        (_rssi_rows(*block, path.name, ranks, days) for block in _rssi_blocks(path)),
+        (_rssi_rows(*block, path.name, ranks, days) for block in blocks),
         path.stat().st_size // _RSSI_ROW_BYTES + 1, (np.int64, "datetime64[D]", np.int64, np.int64, np.int64))
     clamped = int(np.count_nonzero((rssi < RSSI_MIN) | (rssi > RSSI_MAX)))
     if clamped:
@@ -223,116 +221,20 @@ def _gathered(blocks: Iterator[tuple[np.ndarray, ...]], capacity: int, dtypes: t
     return [column[:n] for column in columns]
 
 
-def _line_blocks(fh: BinaryIO) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
-    """Blocks of at most _BATCH_ROWS whole lines of a file opened in binary
-    mode, lines counted as text mode counts them ("\\n", "\\r\\n" and a lone
-    "\\r" each end one): the block's bytes, where each line starts in them
-    and where its text stops (before its line end), and the number of the
-    block's first line."""
-    tail, lineno = b"", 1
-    while True:
-        chunk = fh.read(_READ_BYTES)
-        data = tail + chunk
-        if not data:
-            return
-        a = np.frombuffer(data, np.uint8)
-        stop = np.flatnonzero((a == 10) | (a == 13))
-        stop = stop[(a[stop] == 13) | (a[stop - 1] != 13) | (stop == 0)]  # the LF of a CRLF ends no line itself
-        after = stop + 1 + ((a[stop] == 13) & (a[np.minimum(stop + 1, len(a) - 1)] == 10))
-        if chunk and a[-1] == 13:  # a CR that ends the bytes read may begin a CRLF
-            stop, after = stop[:-1], after[:-1]
-        if not chunk and (not len(after) or after[-1] < len(a)):  # the last line has no line end
-            stop, after = np.append(stop, len(a)), np.append(after, len(a))
-        begin = np.concatenate(([0], after[:-1]))
-        for i in range(0, len(stop), _BATCH_ROWS):
-            j = min(i + _BATCH_ROWS, len(stop))
-            base = begin[i]
-            yield a[base:after[j - 1]], begin[i:j] - base, stop[i:j] - base, lineno + i
-        if not chunk:
-            return
-        lineno += len(stop)
-        tail = data[after[-1]:] if len(after) else data
-
-
-def _rssi_blocks(path: Path) -> Iterator[tuple]:
-    """rssi.csv's rows after its header, a block at a time, each block as
-    (bytes, field starts, field ends, lines, refusal): row i's field k is
-    bytes[start[i, k]:end[i, k]], and refusal, if not None, is the
-    MalformedRow of the row that ended the block, to raise once its rows
-    have been checked. A block of lines that holds no quote and no line
-    longer than csv's field limit is split at line ends and commas; from
-    the first block that does, csv_rows splits the rest of the file."""
-    with path.open("rb") as fh:
-        for a, begin, stop, first in _line_blocks(fh):
-            if (a == ord('"')).any() or (stop - begin).max() > csv.field_size_limit():
-                yield from _csv_blocks(path, first)
-                return
-            yield a, *_plain_rows(a, begin, stop, first, path.name)
-
-
-def _plain_rows(a: np.ndarray, begin: np.ndarray, stop: np.ndarray, first: int, name: str) -> tuple:
-    """The rows of a block of rssi.csv lines with no quote (see _rssi_blocks),
-    each line one row of comma-separated fields, up to the first line that
-    is not UTF-8 text or has other than five fields. Blank lines, and the
-    header on line 1, are no rows."""
-    cut, refusal = len(begin), None
-    if a.max() > 127:
-        try:
-            str(a, "utf-8")
-        except UnicodeDecodeError as exc:
-            cut = int(np.searchsorted(stop, exc.start, side="right"))
-            refusal = MalformedRow(name, first + cut, "not UTF-8 text")
-    commas = np.flatnonzero(a == ord(","))
-    fields = np.searchsorted(commas, stop) - np.searchsorted(commas, begin) + 1
-    row = np.flatnonzero(stop[:cut] > begin[:cut])
-    if first == 1:
-        row = row[row > 0]
-    wrong = row[fields[row] != 5]
-    if len(wrong):
-        row = row[row < wrong[0]]
-        refusal = MalformedRow(name, first + int(wrong[0]), f"expected 5 fields, got {fields[wrong[0]]}")
-    comma = commas[np.searchsorted(commas, begin[row])[:, None] + np.arange(4)]
-    return np.column_stack((begin[row], comma + 1)), np.column_stack((comma, stop[row])), row + first, refusal
-
-
-def _csv_blocks(path: Path, first: int) -> Iterator[tuple]:
-    """The rows csv_rows reads from rssi.csv on and after line first, in
-    _rssi_blocks' form: blocks of at most _BATCH_ROWS rows, the one that
-    csv_rows refuses ending the last."""
-    rows = ((line, row) for line, row in csv_rows(path, RssiTable.columns()) if line >= first)
-    refusal = None
-    while refusal is None:
-        block = []
-        try:
-            for item in rows:
-                block.append(item)
-                if len(block) == _BATCH_ROWS:
-                    break
-        except MalformedRow as exc:
-            refusal = exc
-        cells = [cell.encode() for _, row in block for cell in row]
-        size = np.fromiter(map(len, cells), np.int64, len(cells)).reshape(-1, 5)
-        end = np.cumsum(size + 1).reshape(-1, 5) - 1  # each field followed by one byte
-        yield (np.frombuffer(b",".join(cells) + b",", np.uint8), end - size, end,
-               np.array([line for line, _ in block], np.int64), refusal)
-        if len(block) < _BATCH_ROWS:
-            return
-
-
 def _rssi_rows(a: np.ndarray, start: np.ndarray, end: np.ndarray, lines: np.ndarray, refusal: MalformedRow | None,
                name: str, ranks: tuple[dict[str, int], dict[str, int]], days: dict) -> tuple[np.ndarray, ...]:
-    """The columns of one block of _rssi_blocks: each row's participant and
-    hub as its rank in ranks, its shift_date, and its minute_index and rssi
-    (_integers, not yet clamped). Each rule is one mask over a column: a
-    known participant_id, a known hub_id, a YYYY-MM-DD shift_date, and
+    """The columns of one block of rssi.csv (model.csv_blocks): each row's
+    participant and hub as its rank in ranks, its shift_date, and its
+    minute_index and rssi (model._int_cells, not yet clamped). Each rule is
+    one mask over a column: a known participant_id, a known hub_id, a YYYY-MM-DD shift_date, and
     integer minute_index and rssi cells. The first row that breaks a rule
     raises its refusal, naming the first rule it breaks; if none does, the
     block's own refusal is raised."""
     participant, participant_text = _coded(a, start[:, 0], end[:, 0])
     day, day_text = _coded(a, start[:, 1], end[:, 1])
     hub, hub_text = _coded(a, start[:, 3], end[:, 3])
-    minute, bad_minute = _integers(a, start[:, 2], end[:, 2])
-    rssi, bad_rssi = _integers(a, start[:, 4], end[:, 4])
+    minute, bad_minute = _int_cells(a, start[:, 2], end[:, 2])
+    rssi, bad_rssi = _int_cells(a, start[:, 4], end[:, 4])
     for text in set(day_text).difference(days):
         try:
             days[text] = np.datetime64(parse_date(text.decode(), name, 0), "D")
@@ -383,33 +285,6 @@ def _coded(a: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarra
         firsts.append(rows[order[new]])
     first = np.concatenate(firsts) if firsts else np.empty(0, np.int64)
     return codes, [a[i:j].tobytes() for i, j in zip(start[first].tolist(), end[first].tolist())]
-
-
-def _integers(a: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each field a[start:end] as an integer, one beyond the 64-bit range as
-    the nearest 64-bit value, and where a field is no integer as model's
-    _int_cell reads one: an optional "-", then ASCII digits, within the
-    digit limit of Python's int."""
-    negative = (end > start) & (a[np.minimum(start, len(a) - 1)] == ord("-"))
-    first = start + negative
-    size = end - first
-    value, bad = np.zeros(len(start), np.int64), size == 0
-    for digits in distinct(size[size > 0]).tolist():
-        rows = np.flatnonzero(size == digits)
-        cells = sliding_window_view(a, digits)[first[rows]] - np.uint8(ord("0"))
-        bad[rows] = (cells > 9).any(axis=1)
-        if digits <= 18:  # exact in 64 bits
-            number = np.zeros(len(rows), np.int64)
-            for column in cells.T:
-                number = number * 10 + column
-            value[rows] = np.where(negative[rows], -number, number)
-            continue
-        for i in rows[~bad[rows]].tolist():
-            try:
-                value[i] = min(max(int(a[start[i]:end[i]].tobytes()), _INT64_MIN), _INT64_MAX)
-            except ValueError:  # past int's digit limit
-                bad[i] = True
-    return value, bad
 
 
 def parse_physiology(path: Path, profiles: dict[str, ParticipantProfile]) -> list[DailyPhysiology]:
@@ -474,8 +349,9 @@ def parse_recordings(path: Path, profiles: dict[str, ParticipantProfile]) -> tup
 
 def _read_heads(path: Path, profiles: dict[str, ParticipantProfile]) -> tuple[RecordingTable, np.ndarray]:
     """The recordings of recordings.jsonl, and the line of each, read a block
-    of lines at a time (_line_blocks): each non-blank line takes one JSON
-    scan (_decoded), then each rule is one mask over a column (_head_rows).
+    of lines at a time (model.line_blocks): each non-blank line takes one
+    JSON scan (_decoded), then each rule is one mask over a column
+    (_head_rows).
     The first line in file order that breaks a rule raises MalformedRow
     with its number and reason."""
     ids = sorted(profiles)  # a recording's participant is coded by its place here
@@ -484,7 +360,7 @@ def _read_heads(path: Path, profiles: dict[str, ParticipantProfile]) -> tuple[Re
     with path.open("rb") as fh:
         participant, *columns, lines = _gathered(
             (_head_rows(*_decoded(a.tobytes(), stop, first, path.name), rank, days, path.name)
-             for a, _, stop, first in _line_blocks(fh)),
+             for a, _, stop, first in line_blocks(fh, _BATCH_ROWS, _READ_BYTES)),
             path.stat().st_size // _HEAD_LINE_BYTES + 1,
             (np.int64, "datetime64[D]", np.int64, np.int64, bool, np.int64))
     return RecordingTable(np.array(ids, object)[participant], *columns), lines
@@ -499,7 +375,7 @@ def _decoded(data: bytes, stop: np.ndarray, first: int, name: str) -> tuple[list
     str.strip) of a block of recordings.jsonl lines, up to the first line
     that is not UTF-8 text or not one JSON value, with that line's refusal.
     A line is read as json.loads reads it, by one call of its scanner."""
-    lines = data.splitlines()  # at "\n", "\r\n" and "\r", as _line_blocks
+    lines = data.splitlines()  # at "\n", "\r\n" and "\r", as line_blocks
     cut, refusal = len(lines), None
     if not data.isascii():
         try:

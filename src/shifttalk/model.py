@@ -14,15 +14,17 @@ shift's is one int64 that sorts as its (participant code, date) pair.
 
 The one CSV rule of the package lives here. csv_rows reads a file under an
 exact header, one field per column, and a bad row raises MalformedRow naming
-file:line. write_csv is the one writer: it takes parallel columns and builds
-the text column by column, in batches of rows. A cell is typed by its
-column: floats as their repr with NaN as an empty field, booleans as 0/1,
-dates as YYYY-MM-DD only (parse_date), text quoted as the csv module's
-excel dialect quotes it. read_columns is the one reader: one loop over the
-rows csv_rows yields reads each cell with its column's rule in _CELLS, so
-the first bad row or field in file order raises. ColumnTable.write_csv and
-read_csv apply the rule to a table, write_csv and read_columns to loose
-columns.
+file:line. csv_blocks reads the same rows a block of lines at a time, as
+byte offsets into the block for column-wise checks (_int_cells reads
+integer cells as _int_cell does). write_csv is the one writer: it takes
+parallel columns and builds the text column by column, in batches of rows.
+A cell is typed by its column: floats as their repr with NaN as an empty
+field, booleans as 0/1, dates as YYYY-MM-DD only (parse_date), text quoted
+as the csv module's excel dialect quotes it. read_columns is the one
+reader: one loop over the rows csv_rows yields reads each cell with its
+column's rule in _CELLS, so the first bad row or field in file order
+raises. ColumnTable.write_csv and read_csv apply the rule to a table,
+write_csv and read_columns to loose columns.
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ from datetime import date
 from enum import Enum, IntEnum
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MalformedRow
 
@@ -150,6 +153,111 @@ def csv_rows(path: Path, header: Sequence[str]):
         raise MalformedRow(path.name, 1, "missing header")
 
 
+def line_blocks(fh: BinaryIO, batch_rows: int,
+                read_bytes: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+    """Blocks of at most batch_rows whole lines of a file opened in binary
+    mode, read read_bytes at a time, lines counted as text mode counts them
+    ("\\n", "\\r\\n" and a lone "\\r" each end one): the block's bytes, where
+    each line starts in them and where its text stops (before its line
+    end), and the number of the block's first line."""
+    tail, lineno = b"", 1
+    while True:
+        chunk = fh.read(read_bytes)
+        data = tail + chunk
+        if not data:
+            return
+        a = np.frombuffer(data, np.uint8)
+        stop = np.flatnonzero((a == 10) | (a == 13))
+        stop = stop[(a[stop] == 13) | (a[stop - 1] != 13) | (stop == 0)]  # the LF of a CRLF ends no line itself
+        after = stop + 1 + ((a[stop] == 13) & (a[np.minimum(stop + 1, len(a) - 1)] == 10))
+        if chunk and a[-1] == 13:  # a CR that ends the bytes read may begin a CRLF
+            stop, after = stop[:-1], after[:-1]
+        if not chunk and (not len(after) or after[-1] < len(a)):  # the last line has no line end
+            stop, after = np.append(stop, len(a)), np.append(after, len(a))
+        begin = np.concatenate(([0], after[:-1]))
+        for i in range(0, len(stop), batch_rows):
+            j = min(i + batch_rows, len(stop))
+            base = begin[i]
+            yield a[base:after[j - 1]], begin[i:j] - base, stop[i:j] - base, lineno + i
+        if not chunk:
+            return
+        lineno += len(stop)
+        tail = data[after[-1]:] if len(after) else data
+
+
+def csv_blocks(path: Path, header: Sequence[str], batch_rows: int, read_bytes: int) -> Iterator[tuple]:
+    """The rows csv_rows reads from a file, a block of at most batch_rows at
+    a time (line_blocks), each block as (bytes, field starts, field ends,
+    lines, refusal): row i's field k is bytes[start[i, k]:end[i, k]], and
+    refusal, if not None, is the MalformedRow of the row that ended the
+    block, to raise once its rows have been checked. A block of lines that
+    holds no quote and no line longer than csv's field limit is split at
+    line ends and commas by numpy (_plain_rows); from the first block that
+    does, csv_rows splits the rest of the file (_quoted_rows). Both feed
+    the same checks; the first way is kept because csv_rows alone takes
+    about as long on a quote-free file as splitting and checking it so."""
+    rows = csv_rows(path, header)
+    try:
+        next(rows, None)  # csv_rows refuses a bad header (and a first row it cannot split)
+    finally:
+        rows.close()
+    with path.open("rb") as fh:
+        for a, begin, stop, first in line_blocks(fh, batch_rows, read_bytes):
+            if (a == ord('"')).any() or (stop - begin).max() > csv.field_size_limit():
+                yield from _quoted_rows(path, header, first, batch_rows)
+                return
+            yield a, *_plain_rows(a, begin, stop, first, path.name, len(header))
+
+
+def _plain_rows(a: np.ndarray, begin: np.ndarray, stop: np.ndarray, first: int, name: str, width: int) -> tuple:
+    """The rows of a block of csv lines with no quote (see csv_blocks), each
+    line one row of comma-separated fields, up to the first line that is
+    not UTF-8 text or has other than width fields. Blank lines, and the
+    header on line 1, are no rows."""
+    cut, refusal = len(begin), None
+    if a.max() > 127:
+        try:
+            str(a, "utf-8")
+        except UnicodeDecodeError as exc:
+            cut = int(np.searchsorted(stop, exc.start, side="right"))
+            refusal = MalformedRow(name, first + cut, "not UTF-8 text")
+    commas = np.flatnonzero(a == ord(","))
+    fields = np.searchsorted(commas, stop) - np.searchsorted(commas, begin) + 1
+    row = np.flatnonzero(stop[:cut] > begin[:cut])
+    if first == 1:
+        row = row[row > 0]
+    wrong = row[fields[row] != width]
+    if len(wrong):
+        row = row[row < wrong[0]]
+        refusal = MalformedRow(name, first + int(wrong[0]), f"expected {width} fields, got {fields[wrong[0]]}")
+    comma = commas[np.searchsorted(commas, begin[row])[:, None] + np.arange(width - 1)]
+    return np.column_stack((begin[row], comma + 1)), np.column_stack((comma, stop[row])), row + first, refusal
+
+
+def _quoted_rows(path: Path, header: Sequence[str], first: int, batch_rows: int) -> Iterator[tuple]:
+    """The rows csv_rows reads from a file on and after line first, in
+    csv_blocks' form: blocks of at most batch_rows rows, the one that
+    csv_rows refuses ending the last."""
+    rows = ((line, row) for line, row in csv_rows(path, header) if line >= first)
+    refusal = None
+    while refusal is None:
+        block = []
+        try:
+            for item in rows:
+                block.append(item)
+                if len(block) == batch_rows:
+                    break
+        except MalformedRow as exc:
+            refusal = exc
+        cells = [cell.encode() for _, row in block for cell in row]
+        size = np.fromiter(map(len, cells), np.int64, len(cells)).reshape(-1, len(header))
+        end = np.cumsum(size + 1).reshape(-1, len(header)) - 1  # each field followed by one byte
+        yield (np.frombuffer(b",".join(cells) + b",", np.uint8), end - size, end,
+               np.array([line for line, _ in block], np.int64), refusal)
+        if len(block) < batch_rows:
+            return
+
+
 def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """The header, then one row per position of the parallel numpy ``columns``.
 
@@ -234,6 +342,33 @@ def _int_cell(text: str) -> int:
     if not (text.isascii() and text.isdigit()) and not _INT_CELL.fullmatch(text):
         raise ValueError(text)
     return int(text)
+
+
+def _int_cells(a: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each field a[start:end] of a csv_blocks block as an integer, one
+    beyond the 64-bit range as the nearest 64-bit value, and where a field
+    is no integer as _int_cell reads one: an optional "-", then ASCII
+    digits, within the digit limit of Python's int."""
+    negative = (end > start) & (a[np.minimum(start, len(a) - 1)] == ord("-"))
+    first = start + negative
+    size = end - first
+    value, bad = np.zeros(len(start), np.int64), size == 0
+    for digits in distinct(size[size > 0]).tolist():
+        rows = np.flatnonzero(size == digits)
+        cells = sliding_window_view(a, digits)[first[rows]] - np.uint8(ord("0"))
+        bad[rows] = (cells > 9).any(axis=1)
+        if digits <= 18:  # exact in 64 bits
+            number = np.zeros(len(rows), np.int64)
+            for column in cells.T:
+                number = number * 10 + column
+            value[rows] = np.where(negative[rows], -number, number)
+            continue
+        for i in rows[~bad[rows]].tolist():
+            try:
+                value[i] = min(max(int(a[start[i]:end[i]].tobytes()), _INT64_MIN), _INT64_MAX)
+            except ValueError:  # past int's digit limit
+                bad[i] = True
+    return value, bad
 
 
 def _float_cell(text: str) -> float:

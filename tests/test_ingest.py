@@ -21,7 +21,7 @@ from shifttalk.ingest import (
     write_cohort,
 )
 from shifttalk.model import (RSSI_MAX, RSSI_MIN, Cohort, FrameBlock, HubCategory, HubRecord, LocationCategory,
-                             RecordingSegment, RecordingTable, RssiTable)
+                             RecordingSegment, RecordingTable, RssiTable, line_blocks)
 
 from conftest import (D0, assert_cohorts_equal, listed_timelines, profile, recording, rssi_rows, segments, tiny_cohort,
                       with_recordings)
@@ -706,14 +706,12 @@ def same_table(got, want) -> None:
 
 
 @pytest.mark.parametrize("read_bytes", range(1, 9))
-def test_line_blocks_count_lines_as_text_mode_whatever_the_read_size(tmp_path, monkeypatch, read_bytes):
+def test_line_blocks_count_lines_as_text_mode_whatever_the_read_size(tmp_path, read_bytes):
     data = b"\n\r\r\na\r\n\rb\n\n\rc\r\r\n\nd\re"
-    monkeypatch.setattr(ingest, "_READ_BYTES", read_bytes)
-    monkeypatch.setattr(ingest, "_BATCH_ROWS", 3)
     path = tmp_path / "lines"
     path.write_bytes(data)
     with path.open("rb") as fh:
-        lines = [(first + k, a[b:e].tobytes()) for a, begin, stop, first in ingest._line_blocks(fh)
+        lines = [(first + k, a[b:e].tobytes()) for a, begin, stop, first in line_blocks(fh, 3, read_bytes)
                  for k, (b, e) in enumerate(zip(begin.tolist(), stop.tolist()))]
     assert lines == list(enumerate(data.splitlines(), start=1))
     with path.open(newline="") as fh:
