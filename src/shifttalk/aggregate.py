@@ -18,10 +18,9 @@ same rules for one participant and stay as its reference.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -189,18 +188,6 @@ class ShiftColumns:
     pos_blocks: np.ndarray  # float64 (shifts, N_BLOCKS)
     neg_blocks: np.ndarray
     recordings_per_block: np.ndarray  # int64 (shifts, N_BLOCKS)
-
-    def records(self, keys: Iterable[tuple[str, date]]) -> list[ShiftFeatures]:
-        """One ShiftFeatures per row, for the shifts ``keys``."""
-        scalars = {key: column.tolist() for key, column in self.scalars.items()}
-        pos, neg = ([[None if math.isnan(v) else v for v in row] for row in blocks.tolist()]
-                    for blocks in (self.pos_blocks, self.neg_blocks))
-        counts = zip(self.n_recordings.tolist(), self.n_sessions.tolist(), self.recordings_per_block.tolist())
-        out = []
-        for i, ((pid, day), (n_recordings, n_sessions, per_block)) in enumerate(zip(keys, counts)):
-            present = {key: column[i] for key, column in scalars.items() if not math.isnan(column[i])}
-            out.append(ShiftFeatures(pid, day, n_recordings, n_sessions, present, pos[i], neg[i], per_block))
-        return out
 
 
 def cohort_shift_features(

@@ -42,19 +42,20 @@ participant, date and minute.
 Each violation raises MalformedRow (UnknownHub and DuplicateParticipant
 among them) with the file name and line number. The csv files are read and
 written through model's one CSV rule (csv_rows, csv_blocks, write_csv,
-parse_date, ColumnTable.write_csv); the checks above are ingest's own.
+parse_date); the checks above are ingest's own.
 
 rssi.csv becomes one RssiTable, checked block by block, first bad row in
 file order: model.csv_blocks splits a block of lines into fields, and each
 rule is one mask over a column. recordings.jsonl is read a block of lines
 at a time too (model.line_blocks), with one JSON scan per line. With
 frames.bin it becomes one RecordingTable, a row per recording, and one
-FrameBlock holding every recording's frames end to end. In either table a
-minute_index beyond the 64-bit integer range is stored as the nearest
-64-bit value, so filter_shift_window still drops it. An integer or number
-cell must be written as the writers write one (model's _int_cell,
-_int_cells and _float_cell): no surrounding spaces, leading "+", "_"
-separators or non-ASCII digits.
+FrameBlock holding every recording's frames end to end. Both tables name a
+participant, and an RSSI row its hub, by a code (model); write_cohort writes
+the ids again. In either table a minute_index beyond the 64-bit integer
+range is stored as the nearest 64-bit value, so filter_shift_window still
+drops it. An integer or number cell must be written as the writers write one
+(model's _int_cell, _int_cells and _float_cell): no surrounding spaces,
+leading "+", "_" separators or non-ASCII digits.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ from .model import (
     RSSI_MIN,
     SHIFT_MINUTES,
     Cohort,
+    FRAME_COLUMNS,
     FRAME_FIELDS,
     DailyPhysiology,
     FrameBlock,
@@ -97,7 +99,6 @@ from .model import (
     line_blocks,
     mapped,
     parse_date,
-    participant_codes,
     shift_codes,
     shift_parts,
     write_csv,
@@ -116,6 +117,7 @@ MIN_DAYS = 5  # distinct shift dates a participant needs to stay in the cohort
 
 PARTICIPANTS_HEADER = ["participant_id", "shift_type", "unit_type", "pos_affect", "neg_affect", "life_satisfaction"]
 HUBS_HEADER = ["hub_id", "location_category"]
+RSSI_HEADER = ["participant_id", "shift_date", "minute_index", "hub_id", "rssi"]
 PHYSIOLOGY_HEADER = ["participant_id", "shift_date", "walk_ratio", "sleep_hours"]
 _BATCH_ROWS = 1 << 12  # lines of rssi.csv or recordings.jsonl checked at once, which bounds peak memory
 _READ_BYTES = 1 << 17  # bytes read at once; a block may hold fewer lines than _BATCH_ROWS
@@ -189,15 +191,15 @@ def parse_rssi(
 
     The rows are read a block of lines at a time (model.csv_blocks) and
     checked by column (_rssi_rows); the first bad row in file order raises.
-    The id columns hold the profiles' and hubs' own id strings, and each
-    distinct date text of the file is parsed once. A minute_index beyond
-    the 64-bit range is stored as the nearest 64-bit value, which lies
-    outside the shift window like the original.
+    A row's participant and hub are codes, their ids' ranks among the
+    sorted profile ids and the sorted hub ids, and each distinct date text
+    of the file is parsed once. A minute_index beyond the 64-bit range is
+    stored as the nearest 64-bit value, which lies outside the shift window
+    like the original.
     """
-    ids = (sorted(profiles), list(hubs))  # a row's ids are coded by their places here
-    ranks = tuple({key: i for i, key in enumerate(keys)} for keys in ids)
+    ranks = tuple({key: i for i, key in enumerate(sorted(ids))} for ids in (profiles, hubs))
     days: dict[bytes, np.datetime64 | str] = {}  # each date text of the file: its day, or why it is refused
-    blocks = csv_blocks(path, RssiTable.columns(), _BATCH_ROWS, _READ_BYTES)
+    blocks = csv_blocks(path, RSSI_HEADER, _BATCH_ROWS, _READ_BYTES)
     participant, day, minute, hub, rssi = _gathered(
         (_rssi_rows(*block, path.name, ranks, days) for block in blocks),
         path.stat().st_size // _RSSI_ROW_BYTES + 1, (np.int64, "datetime64[D]", np.int64, np.int64, np.int64))
@@ -205,7 +207,7 @@ def parse_rssi(
     if clamped:
         warnings["rssi_clamped"] = warnings.get("rssi_clamped", 0) + clamped
     np.clip(rssi, RSSI_MIN, RSSI_MAX, out=rssi)
-    return RssiTable(np.array(ids[0], object)[participant], day, minute, np.array(ids[1], object)[hub], rssi)
+    return RssiTable(participant, day, minute, hub, rssi)
 
 
 def _gathered(blocks: Iterator[tuple[np.ndarray, ...]], capacity: int, dtypes: tuple) -> list[np.ndarray]:
@@ -304,7 +306,6 @@ def parse_physiology(path: Path, profiles: dict[str, ParticipantProfile]) -> lis
     return rows
 
 
-FRAME_COLUMNS = ("log_pitch", "intensity", "hf_lf_ratio", "foreground_prob")
 # frames.bin's arrays, one per FrameBlock field in field order
 _FRAME_DTYPES = (np.dtype("<f8"),) * len(FRAME_COLUMNS) + (np.dtype(bool),)
 
@@ -331,20 +332,20 @@ def _value_refusal(feats: list[np.ndarray]) -> tuple[int, str] | None:
     return frame, next(reason for reason, broken in rules if broken[frame])
 
 
-def _refused_recording(recordings: RecordingTable, refusal: tuple[int, str]) -> tuple[int, str]:
+def _refused_recording(recordings: RecordingTable, profiles: dict, refusal: tuple[int, str]) -> tuple[int, str]:
     """The index of the recording that holds a _value_refusal frame, and the
-    refusal with that recording named."""
+    refusal with that recording named by its participant's id."""
     frame, reason = refusal
     i = int(np.searchsorted(np.cumsum(recordings.n_frames), frame, side="right"))
-    day = np.datetime_as_string(recordings.shift_date[i])
-    return i, f"{reason} in recording {recordings.participant_id[i]} {day} minute {recordings.minute_index[i]}"
+    pid, day = sorted(profiles)[recordings.participant[i]], np.datetime_as_string(recordings.shift_date[i])
+    return i, f"{reason} in recording {pid} {day} minute {recordings.minute_index[i]}"
 
 
 def parse_recordings(path: Path, profiles: dict[str, ParticipantProfile]) -> tuple[RecordingTable, FrameBlock]:
     """The recordings of recordings.jsonl (_read_heads) and their frames,
     from the frames.bin beside it (_read_frames)."""
     recordings, lines = _read_heads(path, profiles)
-    return recordings, _read_frames(path.with_name(FRAMES_FILE), recordings, lines)
+    return recordings, _read_frames(path.with_name(FRAMES_FILE), recordings, profiles, lines)
 
 
 def _read_heads(path: Path, profiles: dict[str, ParticipantProfile]) -> tuple[RecordingTable, np.ndarray]:
@@ -353,17 +354,17 @@ def _read_heads(path: Path, profiles: dict[str, ParticipantProfile]) -> tuple[Re
     JSON scan (_decoded), then each rule is one mask over a column
     (_head_rows).
     The first line in file order that breaks a rule raises MalformedRow
-    with its number and reason."""
-    ids = sorted(profiles)  # a recording's participant is coded by its place here
-    rank = {pid: i for i, pid in enumerate(ids)}
+    with its number and reason. A recording's participant is a code, its
+    id's rank among the sorted profile ids."""
+    rank = {pid: i for i, pid in enumerate(sorted(profiles))}
     days: dict[str, np.datetime64 | None] = {}  # each date text of the file: its day, or None if refused
     with path.open("rb") as fh:
-        participant, *columns, lines = _gathered(
+        *columns, lines = _gathered(
             (_head_rows(*_decoded(a.tobytes(), stop, first, path.name), rank, days, path.name)
              for a, _, stop, first in line_blocks(fh, _BATCH_ROWS, _READ_BYTES)),
             path.stat().st_size // _HEAD_LINE_BYTES + 1,
             (np.int64, "datetime64[D]", np.int64, np.int64, bool, np.int64))
-    return RecordingTable(np.array(ids, object)[participant], *columns), lines
+    return RecordingTable(*columns), lines
 
 
 _SCAN = json.JSONDecoder().scan_once
@@ -469,7 +470,7 @@ def _head_rows(heads: list, lines: np.ndarray, refusal: MalformedRow | None, ran
             np.array(labelled, bool), lines)
 
 
-def _read_frames(path: Path, recordings: RecordingTable, lines: np.ndarray) -> FrameBlock:
+def _read_frames(path: Path, recordings: RecordingTable, profiles: dict, lines: np.ndarray) -> FrameBlock:
     """frames.bin's arrays, one per FrameBlock field, each read into mapped
     memory (model.mapped) as _read_array checks it. A frame value that breaks a rule of
     _value_refusal raises MalformedRow at its recording's line of
@@ -482,7 +483,7 @@ def _read_frames(path: Path, recordings: RecordingTable, lines: np.ndarray) -> F
             raise MalformedRow(path.name, len(columns), "bytes after the last array")
     refusal = _value_refusal(columns[:4])
     if refusal is not None:
-        i, reason = _refused_recording(recordings, refusal)
+        i, reason = _refused_recording(recordings, profiles, refusal)
         raise MalformedRow(RECORDINGS_FILE, int(lines[i]), f"{path.name}: {reason}")
     frames = FrameBlock(*columns)
     frames.foreground &= np.repeat(recordings.labelled, recordings.n_frames)
@@ -546,18 +547,21 @@ def write_cohort(cohort: Cohort, dir_path: str | Path) -> None:
     recordings, frames = cohort.recordings, cohort.frames
     refusal = _value_refusal([getattr(frames, name) for name in FRAME_COLUMNS])
     if refusal is not None:
-        raise ValueError(_refused_recording(recordings, refusal)[1])
+        raise ValueError(_refused_recording(recordings, cohort.profiles, refusal)[1])
     root = Path(dir_path)
     root.mkdir(parents=True, exist_ok=True)
     temporary = {name: root / f"{name}.tmp" for name in CANONICAL_FILES + (FRAMES_FILE,)}
+    ids, hubs = np.array(sorted(cohort.profiles), object), np.array(sorted(cohort.hubs), object)  # by code
     try:
         write_csv(temporary[PARTICIPANTS_FILE], PARTICIPANTS_HEADER, _columns(
             [(p.participant_id, p.shift_type.value, p.unit_type.value, p.pos_affect, p.neg_affect, p.life_satisfaction)
              for _, p in sorted(cohort.profiles.items())], (object, object, object, np.int64, np.int64, np.float64)))
         write_csv(temporary[HUBS_FILE], HUBS_HEADER, _columns(
             [(hub_id, h.location_category.value) for hub_id, h in sorted(cohort.hubs.items())], (object, object)))
-        cohort.rssi.write_csv(temporary[RSSI_FILE])
-        _write_heads(temporary[RECORDINGS_FILE], recordings)
+        rssi = cohort.rssi
+        write_csv(temporary[RSSI_FILE], RSSI_HEADER,
+                  [ids[rssi.participant], rssi.shift_date, rssi.minute_index, hubs[rssi.hub], rssi.rssi])
+        _write_heads(temporary[RECORDINGS_FILE], recordings, ids)
         with temporary[FRAMES_FILE].open("wb") as fh:
             for name, dtype in zip(FRAME_FIELDS, _FRAME_DTYPES):
                 np.save(fh, np.asarray(getattr(frames, name), dtype), allow_pickle=False)
@@ -577,16 +581,16 @@ def _columns(rows: list[tuple], dtypes: tuple) -> list[np.ndarray]:
     return [np.array(column, dtype) for column, dtype in zip(list(zip(*rows)) or [()] * len(dtypes), dtypes)]
 
 
-def _write_heads(path: Path, recordings: RecordingTable) -> None:
-    """recordings.jsonl: one head line per recording."""
-    ids = {pid: json.dumps(pid) for pid in set(recordings.participant_id.tolist())}  # escapes every non-ASCII character
+def _write_heads(path: Path, recordings: RecordingTable, ids: np.ndarray) -> None:
+    """recordings.jsonl: one head line per recording, its participant named by ids[code]."""
+    names = [json.dumps(pid) for pid in ids.tolist()]  # escapes every non-ASCII character
     labels = ("", ',"labelled":true')
     with path.open("w", encoding="ascii", newline="") as fh:
         fh.writelines(
-            f'{{"participant_id":{ids[pid]},"shift_date":"{day}","minute_index":{minute},'
+            f'{{"participant_id":{names[code]},"shift_date":"{day}","minute_index":{minute},'
             f'"n_frames":{n}{labels[labelled]}}}\n'
-            for pid, day, minute, n, labelled in zip(
-                recordings.participant_id.tolist(), np.datetime_as_string(recordings.shift_date).tolist(),
+            for code, day, minute, n, labelled in zip(
+                recordings.participant.tolist(), np.datetime_as_string(recordings.shift_date).tolist(),
                 recordings.minute_index.tolist(), recordings.n_frames.tolist(), recordings.labelled.tolist()))
 
 
@@ -620,15 +624,19 @@ def _select(cohort: Cohort, recordings: np.ndarray, rssi: np.ndarray, **changes)
 
 def filter_min_days(cohort: Cohort, min_days: int = MIN_DAYS) -> Cohort:
     """Keep participants with recordings on at least min_days distinct shift
-    dates, and drop the rows of an id without a profile."""
+    dates. The kept keep their order, so their codes become 0, 1, ... in it."""
     if min_days < 1:
         raise ValueError("min_days must be >= 1")
-    recordings = participant_codes(cohort.profiles, cohort.recordings.participant_id)
+    recordings, rssi = cohort.recordings.participant, cohort.rssi.participant
     owners, _ = shift_parts(distinct(shift_codes(recordings, cohort.recordings.shift_date)))
-    days = np.bincount(owners[owners >= 0], minlength=len(cohort.profiles))
-    keep = np.append(days >= min_days, False)  # code -1 reads the last: no profile
+    keep = np.bincount(owners, minlength=len(cohort.profiles)) >= min_days
     ids = {pid for pid, k in zip(sorted(cohort.profiles), keep.tolist()) if k}
-    return _select(cohort, keep[recordings], keep[participant_codes(cohort.profiles, cohort.rssi.participant_id)],
+    kept = _select(cohort, keep[recordings], keep[rssi],
                    profiles={pid: p for pid, p in cohort.profiles.items() if pid in ids}, hubs=dict(cohort.hubs),
                    physiology=[d for d in cohort.physiology if d.participant_id in ids],
                    warnings=dict(cohort.warnings))
+    if not keep.all():
+        code = np.cumsum(keep) - 1  # a kept participant's code among the kept
+        kept.recordings = replace(kept.recordings, participant=code[kept.recordings.participant])
+        kept.rssi = replace(kept.rssi, participant=code[kept.rssi.participant])
+    return kept

@@ -11,7 +11,8 @@ deterministic; ties within one category are immaterial.
 
 estimate_timeline applies the rule to every shift of a cohort in one pass
 over the RssiTable, given each row's shift as an index: it knows nothing of
-participant ids or dates. Each kept row scores ``rssi * 4 + (3 - category)``
+participant ids or dates, and a hub's category is read by its code. Each
+kept row scores ``rssi * 4 + (3 - category)``
 and ``np.maximum.at`` keeps the best score per (shift, minute), so the
 highest RSSI wins and, on equal RSSI, the lowest category. It returns one
 (shifts, 720) slots array; a LocationTimeline holds one shift's row for the
@@ -70,17 +71,17 @@ def estimate_timeline(
     i belongs to shift ``shift[i]`` (-1: to none of them).
 
     Rows of no shift, rows below the floor and minutes outside [0, 720) are
-    ignored; a shift with no row left is all OutsideUnit. Every hub_id of a
-    kept row must be in ``hubs``, and every kept rssi within [RSSI_MIN,
-    RSSI_MAX], as the parse clamps it.
+    ignored; a shift with no row left is all OutsideUnit. A row's hub is a
+    code, its id's rank among the sorted ids of ``hubs``, and every kept
+    rssi lies within [RSSI_MIN, RSSI_MAX], as the parse clamps it.
     """
     m = rssi.minute_index
     keep = (shift >= 0) & (rssi.rssi >= rssi_floor) & (m >= 0) & (m < SHIFT_MINUTES)
-    rank = {h: 3 - int(HUB_TO_LOCATION[hub.location_category]) for h, hub in hubs.items()}
+    rank = np.array([3 - HUB_TO_LOCATION[hubs[h].location_category] for h in sorted(hubs)], np.int16)  # by hub code
     # each temporary over the kept rows is as narrow as its values: a score fits int16 and a slot int32
     score = rssi.rssi[keep].astype(np.int16)
     score *= 4
-    score += np.fromiter(map(rank.__getitem__, rssi.hub_id[keep]), np.int16, len(score))
+    score += rank[rssi.hub[keep]]
     slot = shift[keep].astype(np.int32 if n * SHIFT_MINUTES <= np.iinfo(np.int32).max else np.int64)
     slot *= SHIFT_MINUTES
     slot += m[keep].astype(slot.dtype)

@@ -9,8 +9,11 @@ parallel numpy columns from parse to features: one RssiTable, and one
 RecordingTable with one FrameBlock holding every recording's frames end to
 end. Filters select rows with boolean masks. Every CSV output table is a
 ColumnTable of that kind. Rows are grouped by integer keys made here alone:
-a participant's code is its id's rank among the sorted profile ids, and a
-shift's is one int64 that sorts as its (participant code, date) pair.
+a participant's code is its id's rank among the sorted profile ids, a hub's
+its id's rank among the sorted hub ids, and a shift's is one int64 that
+sorts as its (participant code, date) pair. The two row tables hold codes,
+not ids, from the parse on; id strings live only in the profiles, hubs and
+physiology rows and in the outputs.
 
 The one CSV rule of the package lives here. csv_rows reads a file under an
 exact header, one field per column, and a bad row raises MalformedRow naming
@@ -446,13 +449,13 @@ class ColumnTable:
 class RssiTable(ColumnTable):
     """RSSI rows in file order."""
 
-    participant_id: np.ndarray = ()  # object (str kept exactly; numpy str drops trailing NULs)
+    participant: np.ndarray = ()  # int64 code: the id's rank among the sorted profile ids
     shift_date: np.ndarray = ()  # datetime64[D]
     minute_index: np.ndarray = ()  # int64
-    hub_id: np.ndarray = ()  # object, as participant_id
+    hub: np.ndarray = ()  # int64 code: the id's rank among the sorted hub ids
     rssi: np.ndarray = ()  # int64, clamped to [RSSI_MIN, RSSI_MAX] at parse time
 
-    DTYPES = (object, "datetime64[D]", np.int64, object, np.int64)
+    DTYPES = (np.int64, "datetime64[D]", np.int64, np.int64, np.int64)
 
 
 @dataclass(frozen=True)
@@ -495,6 +498,7 @@ class FrameBlock:
 
 
 FRAME_FIELDS = tuple(f.name for f in fields(FrameBlock))
+FRAME_COLUMNS = FRAME_FIELDS[:4]  # the frame values, the foreground labels aside
 
 
 @dataclass(eq=False)
@@ -502,27 +506,28 @@ class RecordingTable(ColumnTable):
     """Recordings in file order; the cohort's FrameBlock holds their frames
     end to end in this order. Only a labelled recording's foreground is read."""
 
-    participant_id: np.ndarray = ()  # object, as RssiTable's
+    participant: np.ndarray = ()  # int64 code, as RssiTable's
     shift_date: np.ndarray = ()  # datetime64[D]
     minute_index: np.ndarray = ()  # int64
     n_frames: np.ndarray = ()  # int64
     labelled: np.ndarray = ()  # bool: the input carried foreground labels
 
-    DTYPES = (object, "datetime64[D]", np.int64, np.int64, bool)
+    DTYPES = (np.int64, "datetime64[D]", np.int64, np.int64, bool)
 
 
 _DAY_ONE = np.datetime64("0001-01-01", "D")
 
 
 def participant_codes(profiles: Iterable[str], ids: Iterable[str]) -> np.ndarray:
-    """Each id's rank among the sorted profile ids, or -1 for an id without a profile."""
+    """Each id's code, its rank among the sorted profile ids, or -1 for an
+    id without a profile. The row tables hold codes from the parse on; this
+    codes the physiology rows, which keep their ids."""
     rank = {pid: i for i, pid in enumerate(sorted(profiles))}
     return np.fromiter(map(rank.get, ids, repeat(-1)), np.int64)
 
 
 def shift_codes(participants: np.ndarray, days: np.ndarray) -> np.ndarray:
-    """One int64 per (participant code, shift date), ordered as those pairs are;
-    the code -1 of an id without a profile sorts first."""
+    """One int64 per (participant code, shift date), ordered as those pairs are."""
     return participants << 32 | (days - _DAY_ONE).astype(np.int64)
 
 

@@ -4,9 +4,10 @@
 Every layer but the arousal pass runs over the whole cohort at once: over
 the columns of its RecordingTable and of the one FrameBlock that holds every
 recording's frames end to end. Each recording and RSSI row carries its
-shift's index among the sorted shift codes (model.shift_codes), and each
-layer groups by those integers instead of looping over shifts or
-participants; the arousal pass loops over speakers:
+participant's code from the parse on, and so its shift's index among the
+sorted shift codes (model.shift_codes); each layer groups by those integers
+instead of looping over shifts or participants, and the arousal pass loops
+over speakers:
 
 - Location timelines for every shift come from one pass over the cohort's
   RssiTable, as one (shifts, 720) array.
@@ -57,7 +58,6 @@ import numpy as np
 from .aggregate import (
     BlockTable,
     ShiftColumns,
-    ShiftFeatures,
     block_table,
     cohort_feature_matrix,
     cohort_shift_features,
@@ -73,7 +73,7 @@ from .foreground import MIN_FOREGROUND_FRAMES, ForegroundFilter, cohort_mask
 from .foreground import filter_frames, is_valid_recording  # noqa: F401  reference; perfbench traces them here
 from .ingest import MIN_DAYS, filter_min_days, filter_shift_window
 from .locate import RSSI_FLOOR, estimate_timeline
-from .model import Cohort, participant_codes, shift_codes, shift_parts
+from .model import Cohort, shift_codes, shift_parts
 from .sessions import SESSION_CATEGORIES, SessionTable, cohort_sessions
 from .sessions import build_sessions  # noqa: F401  reference; perfbench traces it here
 
@@ -108,12 +108,6 @@ class ExtractionResult:
     participant_ids: list[str]
     dropped: dict[str, int]
 
-    @property
-    def shift_features(self) -> list[ShiftFeatures]:
-        """One ShiftFeatures per shift, built on request."""
-        participant, days = shift_parts(self.shift_keys)
-        return self.shifts.records(zip(np.array(self.participant_ids, object)[participant].tolist(), days.tolist()))
-
 
 def run_extraction(cohort: Cohort, config: ExtractionConfig | None = None) -> ExtractionResult:
     """Run the full feature-extraction pipeline on a parsed cohort.
@@ -127,14 +121,14 @@ def run_extraction(cohort: Cohort, config: ExtractionConfig | None = None) -> Ex
     kept = filter_min_days(windowed, config.min_days)
 
     # each recording's and RSSI row's shift: its index in the sorted shift codes
-    speaker = participant_codes(kept.profiles, kept.recordings.participant_id)
-    shift_keys, shift = np.unique(shift_codes(speaker, kept.recordings.shift_date), return_inverse=True)
+    shift_keys, shift = np.unique(shift_codes(kept.recordings.participant, kept.recordings.shift_date),
+                                  return_inverse=True)
     slots = estimate_timeline(kept.rssi, _rssi_shifts(kept, shift_keys), len(shift_keys), kept.hubs, config.rssi_floor)
     key_speaker, key_days = shift_parts(shift_keys)
     key_pids = np.array(sorted(kept.profiles), dtype=object)[key_speaker]
     minute = kept.recordings.minute_index
 
-    valid, rated_rows, p, fused, weights_by_speaker = _rate_cohort(kept, speaker, config)
+    valid, rated_rows, p, fused, weights_by_speaker = _rate_cohort(kept, config)
 
     session_columns = cohort_sessions(shift[valid], minute[valid], slots)
     session_shift, start, duration, location_minutes = session_columns
@@ -168,23 +162,23 @@ def run_extraction(cohort: Cohort, config: ExtractionConfig | None = None) -> Ex
 def _rssi_shifts(kept: Cohort, shift_keys: np.ndarray) -> np.ndarray:
     """Each RSSI row's shift: its index in the sorted shift codes, or -1.
     Its temporaries, each as long as the table, are dropped on return."""
-    codes = shift_codes(participant_codes(kept.profiles, kept.rssi.participant_id), kept.rssi.shift_date)
+    codes = shift_codes(kept.rssi.participant, kept.rssi.shift_date)
     at = np.searchsorted(shift_keys, codes)
     return np.where(np.append(shift_keys, -1)[at] == codes, at, -1)  # -1 is no shift's code
 
 
 def _rate_cohort(
-    cohort: Cohort, speaker: np.ndarray, config: ExtractionConfig
+    cohort: Cohort, config: ExtractionConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[str, FusionWeights]]:
     """Valid and rated recordings, their scores and per-speaker weights.
 
-    ``speaker`` ranks each recording's participant id. Returns the valid
+    Returns the valid
     recordings (rows of ``cohort.recordings``) in rated-row order, speaker
     then file order; which of them are rated (positions among the valid);
     the rated rows' feature scores ``p`` (rows, 3) and fused ratings; and
     each rated speaker's weights.
     """
-    recordings = cohort.recordings
+    recordings, speaker = cohort.recordings, cohort.recordings.participant
     keep = cohort_mask(recordings, cohort.frames, config.foreground)
     first = np.cumsum(recordings.n_frames) - recordings.n_frames  # each recording's first frame
     order = np.argsort(speaker, kind="stable")
@@ -225,8 +219,8 @@ def _rate_cohort(
     bounds = np.flatnonzero(np.diff(speaker[valid], prepend=-1, append=-1))
 
     weights = speaker_fusion_weights(p, bounds)
-    weights_by_speaker = {recordings.participant_id[valid[bounds[s]]]: weights[s]
-                          for s in np.flatnonzero(voiced_speakers).tolist()}
+    ids = sorted(cohort.profiles)
+    weights_by_speaker = {ids[speaker[valid[bounds[s]]]]: weights[s] for s in np.flatnonzero(voiced_speakers).tolist()}
     segment = np.repeat(np.arange(len(weights)), np.diff(bounds))  # each valid recording's speaker
     fused = fuse(np.array([wt.w for wt in weights])[segment].T, p.T)
 

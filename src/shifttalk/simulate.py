@@ -41,6 +41,7 @@ from .model import (
     UnitType,
     SHIFT_MINUTES,
     mapped,
+    median,
 )
 
 GROUND_TRUTH_FILE = "ground_truth.json"
@@ -211,8 +212,8 @@ _HUBS = [
 ]
 
 _ROOM_STATES = ("ns", "pat", "lounge_med", "outside")
-# hub heard in each in-unit room state, by the minute's alt draw (False, True)
-_ROOM_HUBS = np.array([
+# code of the hub heard in each in-unit room state, by the minute's alt draw (False, True)
+_ROOM_HUBS = np.searchsorted(sorted(h.hub_id for h in _HUBS), [
     ["hub_ns_1", "hub_ns_1"],
     ["hub_pat_2", "hub_pat_1"],
     ["hub_med_1", "hub_lounge_1"],
@@ -269,6 +270,7 @@ def generate(spec: CohortSpec, out_dir: str | Path) -> tuple[Cohort, GroundTruth
         )
     ]
     seeds = np.random.SeedSequence(spec.seed).spawn(len(participants))
+    codes = {pid: i for i, pid in enumerate(sorted(pid for pid, _, _ in participants))}
 
     cohort = Cohort(hubs={h.hub_id: h for h in _HUBS})
     rssi: list[RssiTable] = []
@@ -312,12 +314,12 @@ def generate(spec: CohortSpec, out_dir: str | Path) -> tuple[Cohort, GroundTruth
         for s in range(spec.n_shifts):
             shift_date = start_date + timedelta(days=s)
             rooms = _room_chain(rng, stationary, spec.room_stickiness)
-            rssi.append(_emit_rssi(rng, spec, pid, shift_date, rooms))
+            rssi.append(_emit_rssi(rng, spec, codes[pid], shift_date, rooms))
             minutes = [m for run in _session_minutes(rng, gap_median, spec.inter_session_sd, gt1min) for m in run]
             if minutes:
                 states = _draw_states(rng, minutes, q_pos, q_neg, deltas)
                 n = len(minutes)
-                table = RecordingTable(np.full(n, pid, dtype=object), np.full(n, shift_date, dtype="datetime64[D]"),
+                table = RecordingTable(np.full(n, codes[pid]), np.full(n, shift_date, dtype="datetime64[D]"),
                                        minutes, np.full(n, spec.frames_per_recording), np.zeros(n, bool))
                 recordings.append((table, _emit_frames(rng, spec, mu, states)))
             walk = float(np.clip(round(rng.normal(walk_center, spec.walk_within_sd), GRID_DECIMALS), 0.0, 1.0))
@@ -375,16 +377,16 @@ def _informative_features(spec: CohortSpec) -> dict[str, list[str]]:
 def _emit_rssi(
     rng: np.random.Generator,
     spec: CohortSpec,
-    pid: str,
+    participant: int,
     shift_date: date,
     rooms: np.ndarray,
 ) -> RssiTable:
-    """One row per in-unit minute, from a hub of the current room."""
+    """One row per in-unit minute of the participant (a code), from a hub of the current room."""
     values = np.clip(np.round(rng.normal(spec.rssi_mean, spec.rssi_sd, SHIFT_MINUTES)), RSSI_MIN, RSSI_MAX).astype(int)
     alt = rng.random(SHIFT_MINUTES) < 0.5  # picks between same-category hubs
     minutes = np.flatnonzero(rooms != _ROOM_STATES.index("outside"))
     n = len(minutes)
-    return RssiTable(np.full(n, pid), np.full(n, shift_date, dtype="datetime64[D]"), minutes,
+    return RssiTable(np.full(n, participant), np.full(n, shift_date, dtype="datetime64[D]"), minutes,
                      _ROOM_HUBS[rooms[minutes], alt[minutes].astype(int)], values[minutes])
 
 
@@ -420,10 +422,10 @@ def verify_against_truth(
         gt1_knob = knobs[f"gt1min_ratio_{group}"]
         pos_knob = knobs[f"pos_arousal_{group}"]
         neg_knob = knobs[f"neg_arousal_{group}"]
-        inter = float(np.median(rows[:, col["inter_session_time_mean"]]))
-        gt1 = float(np.median(rows[:, col["gt1min_ratio_all_mean"]]))
-        pos = float(np.median(rows[:, col["pos_ratio_all_mean"]]))
-        neg = float(np.median(rows[:, col["neg_ratio_all_mean"]]))
+        inter = median(rows[:, col["inter_session_time_mean"]])
+        gt1 = median(rows[:, col["gt1min_ratio_all_mean"]])
+        pos = median(rows[:, col["pos_ratio_all_mean"]])
+        neg = median(rows[:, col["neg_ratio_all_mean"]])
         report["groups"][group] = {
             "n": int(len(rows)),
             "inter_session_median": inter,
@@ -447,7 +449,7 @@ def verify_against_truth(
             "n": int(len(rows)),
             **{
                 f"occurrence_{loc}": {
-                    "median": float(np.median(rows[:, col[f"occurrence_{loc}_mean"]])),
+                    "median": median(rows[:, col[f"occurrence_{loc}_mean"]]),
                     "knob": knobs[f"occ_{unit}_{loc}"],
                 }
                 for loc in ("ns", "pat", "lounge_med", "outside")

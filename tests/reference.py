@@ -1,18 +1,27 @@
 """Row-at-a-time readers of rssi.csv and recordings.jsonl: the per-row loops
 that ingest's block and column passes replaced, kept as the oracles of the
 tests that hold those passes to them. Both refuse the first bad row in file
-order, with the same exception and message as ingest."""
+order, with the same exception and message as ingest. Each reads a row's ids
+as strings (rssi_rows, heads) and then codes them, an id by its place among
+the sorted ids (parse_rssi, read_heads).
+
+Also the per-shift records of an extraction (shift_records, shift_features),
+which only the tests that hold the grouped passes to the per-shift
+references build."""
 
 from __future__ import annotations
 
 import json
+import math
+from datetime import date
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
+from shifttalk.aggregate import ShiftColumns, ShiftFeatures
 from shifttalk.errors import MalformedRow, UnknownHub
-from shifttalk.ingest import FRAMES_FILE, _parse_int
+from shifttalk.ingest import FRAMES_FILE, RSSI_HEADER, _parse_int
 from shifttalk.model import (
     RSSI_MAX,
     RSSI_MIN,
@@ -24,19 +33,34 @@ from shifttalk.model import (
     _INT64_MIN,
     csv_rows,
     parse_date,
+    shift_parts,
 )
+from shifttalk.pipeline import ExtractionResult
+
+
+def coded(ids: Iterable[str], keys: list[str]) -> list[int]:
+    """Each key's place among the sorted ids."""
+    ranked = sorted(ids)
+    return [ranked.index(key) for key in keys]
 
 
 def parse_rssi(path: Path, hubs: dict[str, HubRecord], profiles: dict[str, ParticipantProfile],
                warnings: dict[str, int]) -> RssiTable:
-    """rssi.csv as an RssiTable, checked one row at a time in file order (a
-    date text only until it has parsed once), rssi clamped into [RSSI_MIN,
-    RSSI_MAX] with a warning count."""
+    """rssi_rows as an RssiTable, each id coded."""
+    pids, days, minutes, hub_ids, rssi = rssi_rows(path, hubs, profiles, warnings)
+    return RssiTable(coded(profiles, pids), days, minutes, coded(hubs, hub_ids), rssi)
+
+
+def rssi_rows(path: Path, hubs: dict[str, HubRecord], profiles: dict[str, ParticipantProfile],
+              warnings: dict[str, int]) -> tuple[list, ...]:
+    """rssi.csv's columns, ids as strings, checked one row at a time in file
+    order (a date text only until it has parsed once), rssi clamped into
+    [RSSI_MIN, RSSI_MAX] with a warning count."""
     name = path.name
     columns: tuple[list, ...] = ([], [], [], [], [])
     good_dates: set[str] = set()
     clamped = 0
-    for lineno, row in csv_rows(path, RssiTable.columns()):
+    for lineno, row in csv_rows(path, RSSI_HEADER):
         pid, date_raw, minute_raw, hub_id, rssi_raw = row
         profile = profiles.get(pid)
         if profile is None:
@@ -57,7 +81,7 @@ def parse_rssi(path: Path, hubs: dict[str, HubRecord], profiles: dict[str, Parti
             column.append(value)
     if clamped:
         warnings["rssi_clamped"] = warnings.get("rssi_clamped", 0) + clamped
-    return RssiTable(*columns)
+    return columns
 
 
 def lines(fh: BinaryIO) -> Iterator[tuple[int, str | bytes]]:
@@ -113,12 +137,39 @@ def head(line: str | bytes, profiles: dict[str, ParticipantProfile], days: dict[
 
 
 def read_heads(path: Path, profiles: dict[str, ParticipantProfile]) -> tuple[RecordingTable, list[int]]:
-    """The recordings of recordings.jsonl, and the line of each; the first
-    line that breaks a rule raises MalformedRow with its number and reason."""
+    """heads as a RecordingTable, each participant_id coded, and the line of each recording."""
+    pids, *columns, where = heads(path, profiles)
+    return RecordingTable(coded(profiles, pids), *columns), where
+
+
+def heads(path: Path, profiles: dict[str, ParticipantProfile]) -> tuple[list, ...]:
+    """The columns of recordings.jsonl's recordings, participant_id as a
+    string, and the line of each; the first line that breaks a rule raises
+    MalformedRow with its number and reason."""
     days: dict[str, np.datetime64] = {}
-    heads = tuple([] for _ in range(6))  # RecordingTable columns and the line number
+    columns = tuple([] for _ in range(6))  # RecordingTable's and the line number
     with path.open("rb") as fh:
         for lineno, line in lines(fh):
-            for store, value in zip(heads, (*head(line, profiles, days, path.name, lineno), lineno)):
+            for store, value in zip(columns, (*head(line, profiles, days, path.name, lineno), lineno)):
                 store.append(value)
-    return RecordingTable(*heads[:5]), heads[5]
+    return columns
+
+
+def shift_records(shifts: ShiftColumns, keys: Iterable[tuple[str, date]]) -> list[ShiftFeatures]:
+    """One ShiftFeatures per row of shifts, for the (participant id, date) shifts ``keys``."""
+    scalars = {key: column.tolist() for key, column in shifts.scalars.items()}
+    pos, neg = ([[None if math.isnan(v) else v for v in row] for row in blocks.tolist()]
+                for blocks in (shifts.pos_blocks, shifts.neg_blocks))
+    counts = zip(shifts.n_recordings.tolist(), shifts.n_sessions.tolist(), shifts.recordings_per_block.tolist())
+    out = []
+    for i, ((pid, day), (n_recordings, n_sessions, per_block)) in enumerate(zip(keys, counts)):
+        present = {key: column[i] for key, column in scalars.items() if not math.isnan(column[i])}
+        out.append(ShiftFeatures(pid, day, n_recordings, n_sessions, present, pos[i], neg[i], per_block))
+    return out
+
+
+def shift_features(result: ExtractionResult) -> list[ShiftFeatures]:
+    """One ShiftFeatures per shift of an extraction."""
+    participant, days = shift_parts(result.shift_keys)
+    return shift_records(result.shifts, zip(np.array(result.participant_ids, object)[participant].tolist(),
+                                            days.tolist()))

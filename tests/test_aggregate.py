@@ -231,6 +231,8 @@ def test_cohort_feature_matrix_matches_participant_vectors():
     import hypothesis
     from hypothesis import strategies as st
 
+    import reference
+
     count = st.one_of(st.integers(0, 10), st.sampled_from([8, 9, 16, 129, 130]))
 
     @st.composite
@@ -262,7 +264,7 @@ def test_cohort_feature_matrix_matches_participant_vectors():
     def check(drawn) -> None:
         profiles, keys, shifts, physiology = drawn
         by_pid: dict[str, list[ShiftFeatures]] = {}
-        for sf in shifts.records(keys):
+        for sf in reference.shift_records(shifts, keys):
             by_pid.setdefault(sf.participant_id, []).append(sf)
         vectors = [participant_vector(profiles[pid], by_pid.get(pid, []),
                                       [d for d in physiology if d.participant_id == pid]) for pid in sorted(profiles)]

@@ -242,7 +242,10 @@ def test_no_stage_imports_numpy_ma(tmp_path):
               ["extract", "--input", str(data), "--out", str(out), "--min-frames", "6"],
               ["compare", features, "--factor", "unit", "--within", "--out", str(out / "comparisons.csv")],
               ["predict", features, "--label", "neg_affect", "--folds", "2", "--n-trees", "5", "--max-depth", "3",
-               "--out", str(out / "report.json")]]
+               "--out", str(out / "report.json")],
+              ["verify", "--truth", str(data / "ground_truth.json"), "--features", features,
+               "--comparisons", str(out / "comparisons.csv"), "--report", str(out / "report.json")],
+              ["report", str(out)]]
     script = ("import sys\n"
               "from shifttalk.cli import main\n"
               f"for argv in {stages!r}:\n"
@@ -252,7 +255,7 @@ def test_no_stage_imports_numpy_ma(tmp_path):
     run = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
     assert [line.split()[-2:] for line in run.stdout.splitlines() if line.endswith(("True", "False"))] == [
-        [stage, "False"] for stage in ("simulate", "extract", "compare", "predict")]
+        [stage, "False"] for stage in ("simulate", "extract", "compare", "predict", "verify", "report")]
 
 
 def test_verify_subcommand(pipeline_dirs, tmp_path):

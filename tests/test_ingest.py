@@ -20,11 +20,11 @@ from shifttalk.ingest import (
     parse_cohort,
     write_cohort,
 )
-from shifttalk.model import (RSSI_MAX, RSSI_MIN, Cohort, FrameBlock, HubCategory, HubRecord, LocationCategory,
-                             RecordingSegment, RecordingTable, RssiTable, line_blocks)
+from shifttalk.model import (FRAME_COLUMNS, RSSI_MAX, RSSI_MIN, Cohort, FrameBlock, HubCategory, HubRecord,
+                             LocationCategory, RecordingSegment, RecordingTable, line_blocks, write_csv)
 
-from conftest import (D0, assert_cohorts_equal, listed_timelines, profile, recording, rssi_rows, segments, tiny_cohort,
-                      with_recordings)
+from conftest import (D0, assert_cohorts_equal, decoded, listed_timelines, profile, recording, rssi_rows, segments,
+                      tiny_cohort, with_recordings)
 
 HEADERS = {
     "participants.csv": "participant_id,shift_type,unit_type,pos_affect,neg_affect,life_satisfaction",
@@ -262,10 +262,10 @@ def test_rssi_table_columns_follow_file_order(tmp_path, monkeypatch, batch_rows)
     rows = ["p1,2022-03-02,-3,h_ns,99999999999999999999", "p1,2022-03-01,725,h_ns,150", "p1,2022-03-01,0,h_ns,-7"]
     cohort = parse_cohort(write_dir(tmp_path, **{"rssi.csv": rows}))
     t = cohort.rssi
-    assert t.participant_id.tolist() == ["p1"] * 3
+    assert t.participant.tolist() == [0] * 3
     assert t.shift_date.tolist() == [date(2022, 3, 2), D0, D0]
     assert t.minute_index.tolist() == [-3, 725, 0]
-    assert t.hub_id.tolist() == ["h_ns"] * 3
+    assert t.hub.tolist() == [0] * 3
     assert t.rssi.tolist() == [193, 150, 136]
     assert cohort.warnings == {"rssi_clamped": 2}
     write_cohort(cohort, tmp_path / "out")
@@ -289,12 +289,13 @@ def test_ids_with_trailing_nul_kept_exactly(tmp_path):
     path = write_dir(tmp_path, **{"participants.csv": ["p1\0,day,icu,30,25,4.2", "p1,day,icu,30,25,4.2"],
                                   "hubs.csv": ["h_ns\0,pat", "h_ns,ns"], "rssi.csv": rows})
     cohort = parse_cohort(path)
-    assert cohort.rssi.participant_id.tolist() == ["p1\0", "p1"]
-    assert cohort.rssi.hub_id.tolist() == ["h_ns\0", "h_ns"]
-    slots = listed_timelines(cohort.rssi, cohort.hubs, [("p1\0", D0), ("p1", D0)])
+    assert decoded(cohort.profiles, cohort.rssi.participant) == ["p1\0", "p1"]
+    assert decoded(cohort.hubs, cohort.rssi.hub) == ["h_ns\0", "h_ns"]
+    slots = listed_timelines(cohort.rssi, cohort.hubs, [("p1\0", D0), ("p1", D0)], profiles=cohort.profiles)
     assert slots[0, 0] == LocationCategory.PATIENT_ROOM
     assert slots[1, 1] == LocationCategory.NURSING_STATION
-    assert filter_min_days(cohort, 1).rssi.participant_id.tolist() == ["p1"]  # p1\0 has no recordings
+    kept = filter_min_days(cohort, 1)  # p1\0 has no recordings
+    assert decoded(kept.profiles, kept.rssi.participant) == ["p1"]
     write_cohort(cohort, tmp_path / "out")
     assert (tmp_path / "out" / "rssi.csv").read_text().splitlines()[1:] == rows
 
@@ -616,9 +617,11 @@ def test_refused_file_is_opened_once(tmp_path, monkeypatch, second, frames_bin):
 
 
 def loaded(data: bytes) -> RecordingTable:
-    """The recordings of a valid recordings.jsonl, read line by line with json.loads."""
+    """The recordings of a valid recordings.jsonl with participants p1 and
+    p2, read line by line with json.loads."""
     heads = [json.loads(line) for line in data.decode().splitlines() if line.strip()]  # lines end in \n, \r\n or \r
-    return RecordingTable([h["participant_id"] for h in heads], [date.fromisoformat(h["shift_date"]) for h in heads],
+    return RecordingTable([["p1", "p2"].index(h["participant_id"]) for h in heads],
+                          [date.fromisoformat(h["shift_date"]) for h in heads],
                           [min(max(h["minute_index"], -2**63), 2**63 - 1) for h in heads],
                           [h["n_frames"] for h in heads], [h.get("labelled", False) for h in heads])
 
@@ -845,6 +848,51 @@ def test_head_blocks_match_the_line_loop_property(tmp_path, monkeypatch):
     check()
 
 
+def test_parsed_codes_decode_to_the_ids_read_row_by_row_property(tmp_path, monkeypatch):
+    """Each row's participant and hub code, decoded by its place among the
+    sorted profile or hub ids, is the id the row-loop readers read: ids that
+    differ by a trailing NUL, non-ASCII ids, and ids the csv module quotes
+    (read by model._quoted_rows), with participants.csv and hubs.csv in any
+    order."""
+    import hypothesis
+    from hypothesis import strategies as st
+
+    import reference
+
+    ids, hub_ids = ODD_IDS + ["p1\0"], ODD_HUBS + ["h_ns\0"]
+    quoted = ',"\r\n'  # what the csv module quotes
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.permutations(ids), st.permutations(hub_ids), st.booleans(), st.data())
+    def check(pids, hids, quotes, data) -> None:
+        used = [[i for i in pool if quotes or not any(c in i for c in quoted)] for pool in (pids, hids)]
+        rows = data.draw(st.lists(st.tuples(*map(st.sampled_from, used)), max_size=12))
+        block_sizes(data.draw, monkeypatch)
+        root = tmp_path
+        write_csv(root / "participants.csv", ingest.PARTICIPANTS_HEADER,
+                  [np.array(pids, object), *(np.full(len(pids), value) for value in ("day", "icu", 30, 25, 4.2))])
+        write_csv(root / "hubs.csv", ingest.HUBS_HEADER, [np.array(hids, object), np.full(len(hids), "ns", object)])
+        n = len(rows)
+        write_csv(root / "rssi.csv", ingest.RSSI_HEADER,
+                  [np.array([pid for pid, _ in rows], object), np.full(n, D0, "datetime64[D]"), np.arange(n),
+                   np.array([hub for _, hub in rows], object), np.full(n, 160)])
+        ascii_only = data.draw(st.booleans())
+        (root / "recordings.jsonl").write_text("".join(
+            json.dumps({**HEAD, "participant_id": pid}, ensure_ascii=ascii_only) + "\n" for pid, _ in rows),
+            encoding="utf-8")
+        profiles = ingest.parse_participants(root / "participants.csv")
+        hubs = ingest.parse_hubs(root / "hubs.csv")
+        assert list(profiles) == pids and list(hubs) == hids  # file order, not sorted
+        rssi = ingest.parse_rssi(root / "rssi.csv", hubs, profiles, {})
+        want = reference.rssi_rows(root / "rssi.csv", hubs, profiles, {})
+        assert decoded(profiles, rssi.participant) == want[0] == [pid for pid, _ in rows]
+        assert decoded(hubs, rssi.hub) == want[3] == [hub for _, hub in rows]
+        recordings, _ = ingest._read_heads(root / "recordings.jsonl", profiles)
+        assert decoded(profiles, recordings.participant) == reference.heads(root / "recordings.jsonl", profiles)[0]
+
+    check()
+
+
 @pytest.mark.parametrize("file", ["rssi.csv", "recordings.jsonl"])
 def test_rows_are_read_a_block_at_a_time(tmp_path, file):
     """While 65,536 rows are read, the heap holds less than the table they
@@ -855,19 +903,20 @@ def test_rows_are_read_a_block_at_a_time(tmp_path, file):
 
     n = 1 << 16
     rng = np.random.default_rng(0)
-    ids = [f"p{i:03d}" for i in range(100)]
+    ids = np.array([f"p{i:03d}" for i in range(100)], object)  # sorted: an id's code is its place
     hubs = {f"h_{i}": HubRecord(f"h_{i}", HubCategory.NURSING_STATION) for i in range(20)}
     profiles = {pid: profile(pid) for pid in ids}
-    pids = np.array(ids, object)[np.sort(rng.integers(0, 100, n))]
+    codes = np.sort(rng.integers(0, 100, n))
     days = np.datetime64("2022-03-01") + rng.integers(0, 5, n)
     path = tmp_path / file
     if file == "rssi.csv":
-        RssiTable(pids, days, rng.integers(0, 720, n), np.array(list(hubs), object)[rng.integers(0, 20, n)],
-                  rng.integers(RSSI_MIN, RSSI_MAX + 1, n)).write_csv(path)
+        write_csv(path, ingest.RSSI_HEADER, [ids[codes], days, rng.integers(0, 720, n),
+                                             np.array(list(hubs), object)[rng.integers(0, 20, n)],
+                                             rng.integers(RSSI_MIN, RSSI_MAX + 1, n)])
         read = lambda: ingest.parse_rssi(path, hubs, profiles, {})  # noqa: E731
     else:
-        ingest._write_heads(path, RecordingTable(pids, days, rng.integers(0, 720, n), rng.integers(1, 30, n),
-                                                 rng.random(n) < 0.1))
+        ingest._write_heads(path, RecordingTable(codes, days, rng.integers(0, 720, n), rng.integers(1, 30, n),
+                                                 rng.random(n) < 0.1), ids)
         read = lambda: ingest._read_heads(path, profiles)[0]  # noqa: E731
     tracemalloc.start()
     try:
@@ -882,8 +931,7 @@ def test_rows_are_read_a_block_at_a_time(tmp_path, file):
 def test_writer_emits_head_lines_and_frames_bin(tmp_path):
     recs = [recording("p1", minute=0, n_frames=2, log_pitch=math.nan),
             recording("p\0é\"", minute=3, n_frames=1, foreground=[True])]
-    cohort = with_recordings(replace(tiny_cohort(), profiles={"p1": profile("p1"), "p\0é\"": profile("p\0é\"")}),
-                             recs)
+    cohort = with_recordings(tiny_cohort("p\0é\""), recs)
     write_cohort(cohort, tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(CANONICAL_FILES + ("frames.bin",))
     assert (tmp_path / "recordings.jsonl").read_bytes() == (
@@ -902,14 +950,14 @@ def test_writer_emits_head_lines_and_frames_bin(tmp_path):
 def test_writer_widens_float32_columns_exactly(tmp_path):
     recs = [
         RecordingSegment(r.participant_id, r.shift_date, r.minute_index,
-                         FrameBlock(*(getattr(r.frames, name).astype(np.float32) for name in ingest.FRAME_COLUMNS)))
+                         FrameBlock(*(getattr(r.frames, name).astype(np.float32) for name in FRAME_COLUMNS)))
         for r in segments(tiny_cohort())
     ]
     cohort = with_recordings(tiny_cohort(), recs)
     assert cohort.frames.log_pitch.dtype == np.float32
     write_cohort(cohort, tmp_path)
     frames = parse_cohort(tmp_path).frames
-    for name in ingest.FRAME_COLUMNS:
+    for name in FRAME_COLUMNS:
         assert getattr(frames, name).tolist() == getattr(cohort.frames, name).astype(np.float64).tolist()
     assert frames.log_pitch[0] == 4.699999809265137
 
@@ -1127,7 +1175,7 @@ def test_recordings_round_trip_property(tmp_path):
 
     cohorts = st.integers(0, 4).flatmap(lambda k: st.tuples(*(recordings(minute) for minute in range(k))))
     names = CANONICAL_FILES + ("frames.bin",)
-    base = replace(tiny_cohort(), profiles={pid: profile(pid) for pid in ids})
+    base = tiny_cohort(*ids)
 
     @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @hypothesis.given(cohorts)
@@ -1183,7 +1231,7 @@ def cohort_to_write() -> Cohort:
         recording("p1", minute=7, n_frames=1, foreground=[False]),
         recording("p1", minute=9, n_frames=3, log_pitch=-4.25),
     ]
-    rssi = rssi_rows(("p1", 0, "h_ns", 136), ("p1", 1, "h_ns", 193), ("p1", 2, "h_ns", 160))
+    rssi = rssi_rows(("p1", 0, "h_ns", 136), ("p1", 1, "h_ns", 193), ("p1", 2, "h_ns", 160), hubs={"h_ns"})
     return with_recordings(replace(tiny_cohort(), rssi=rssi), recordings)
 
 
@@ -1200,7 +1248,7 @@ def test_refused_write_names_the_first_bad_recording_and_leaves_the_directory(tm
     before = written(root)
     cohort = cohort_to_write()
     cohort.profiles["p1"] = replace(cohort.profiles["p1"], pos_affect=40)
-    cohort.rssi = rssi_rows(("p1", 9, "h_ns", 170))
+    cohort.rssi = rssi_rows(("p1", 9, "h_ns", 170), hubs=cohort.hubs)
     for i in bad:
         segments(cohort)[i].frames.intensity[0] = math.inf
     with pytest.raises(ValueError) as err:
@@ -1222,8 +1270,8 @@ def test_interrupted_write_leaves_no_file(tmp_path, monkeypatch):
 def test_shift_window_boundaries():
     recs = [recording("p1", minute=719), recording("p1", minute=720), recording("p1", minute=-1)]
     rssi = rssi_rows(("p1", 300, "h_ns", 160), ("p1", 900, "h_ns", 160), ("p1", -1, "h_ns", 160),
-                     ("p1", 719, "h_ns", 161))
-    kept, dropped = filter_shift_window(with_recordings(Cohort(rssi=rssi), recs))
+                     ("p1", 719, "h_ns", 161), hubs={"h_ns"})
+    kept, dropped = filter_shift_window(with_recordings(Cohort({"p1": profile("p1")}, rssi=rssi), recs))
     assert kept.recordings.minute_index.tolist() == [719]
     assert len(kept.frames) == 5
     assert kept.rssi.minute_index.tolist() == [300, 719]
@@ -1269,7 +1317,7 @@ def test_filters_return_an_rssi_table_that_loses_no_row_itself():
     assert kept.rssi is cohort.rssi
     assert kept.counts == cohort.counts
     # one dropped row: a new table
-    late = replace(cohort, rssi=rssi_rows(("p1", 0, "h_ns", 160), ("p1", 720, "h_ns", 155)))
+    late = replace(cohort, rssi=rssi_rows(("p1", 0, "h_ns", 160), ("p1", 720, "h_ns", 155), hubs=cohort.hubs))
     windowed, dropped = filter_shift_window(late)
     rssi = windowed.rssi
     assert rssi is not late.rssi and rssi.minute_index.tolist() == [0] and dropped["rssi_dropped"] == 1

@@ -1,5 +1,5 @@
 """The integer participant and shift keys of model.py, held to tuple oracles,
-and the cohort filter that keys rows by them."""
+and the cohort filter that renumbers the participant codes of the rows it keeps."""
 
 from __future__ import annotations
 
@@ -8,10 +8,12 @@ from datetime import date
 
 import numpy as np
 
-from shifttalk.ingest import filter_min_days
-from shifttalk.model import Cohort, participant_codes, shift_codes, shift_parts
+from shifttalk.ingest import parse_cohort, write_cohort
+from shifttalk.model import participant_codes, shift_codes, shift_parts
+from shifttalk.pipeline import ExtractionConfig, run_extraction
+from shifttalk.simulate import CohortSpec, generate
 
-from conftest import profile, recording, rssi_rows, with_recordings
+from conftest import assert_cohorts_equal
 
 
 def test_shift_codes_order_and_inverse_match_sorted_tuples():
@@ -48,14 +50,40 @@ def test_shift_codes_order_and_inverse_match_sorted_tuples():
     check()
 
 
-def test_filter_min_days_drops_rows_of_an_id_without_a_profile():
-    cohort = Cohort(profiles={"p1": profile("p1")}, rssi=rssi_rows(("ghost", 0, "h_ns", 160), ("p1", 1, "h_ns", 160)))
-    cohort = with_recordings(cohort, [recording("ghost", minute=0, n_frames=2), recording("p1", minute=1, n_frames=3)])
-    kept = filter_min_days(cohort, 1)
-    assert kept.recordings.participant_id.tolist() == ["p1"] and len(kept.frames) == 3
-    assert kept.rssi.participant_id.tolist() == ["p1"]
-    assert list(kept.profiles) == ["p1"]
-    # the same with every row's id known keeps every row
-    known = replace(cohort, profiles={**cohort.profiles, "ghost": profile("ghost")})
-    kept = filter_min_days(known, 1)
-    assert kept.recordings is known.recordings and kept.rssi is known.rssi
+def test_dropping_a_participant_between_two_kept_ones_renumbers_the_codes(tmp_path):
+    """filter_min_days drops p002, whose id sorts between p001 and p003, for
+    its one shift date; every output of run_extraction, and the kept cohort,
+    equals that of the same cohort written without p002."""
+    generate(CohortSpec(n_per_cell=1, n_shifts=2, frames_per_recording=40, seed=4), tmp_path / "all")
+    cohort = parse_cohort(tmp_path / "all")
+    ids = sorted(cohort.profiles)
+    assert ids == ["p001", "p002", "p003", "p004"]
+    recordings, rssi = cohort.recordings, cohort.rssi
+    code = ids.index("p002")
+
+    # p002 keeps the recordings of its first date only: too few dates for min_days=2
+    late = (recordings.participant == code) & (recordings.shift_date > recordings.shift_date.min())
+    one_date = replace(cohort, recordings=recordings.select(~late),
+                       frames=cohort.frames.select(np.repeat(~late, recordings.n_frames)))
+
+    # the cohort without p002, its later codes one lower, as written and read again
+    mine = recordings.participant == code
+    kept_recordings, kept_rssi = recordings.select(~mine), rssi.select(rssi.participant != code)
+    for table in (kept_recordings, kept_rssi):
+        table.participant = table.participant - (table.participant > code)
+    without = replace(cohort, profiles={pid: p for pid, p in cohort.profiles.items() if pid != "p002"},
+                      recordings=kept_recordings, frames=cohort.frames.select(np.repeat(~mine, recordings.n_frames)),
+                      rssi=kept_rssi, physiology=[d for d in cohort.physiology if d.participant_id != "p002"])
+    write_cohort(without, tmp_path / "without")
+
+    config = ExtractionConfig(min_frames=6, min_days=2)
+    got, want = run_extraction(one_date, config), run_extraction(parse_cohort(tmp_path / "without"), config)
+    assert "p002" not in got.cohort.profiles and got.participant_ids == ["p001", "p003", "p004"]
+    assert_cohorts_equal(got.cohort, want.cohort)
+    for name in ("sessions", "rated", "blocks"):
+        a, b = getattr(got, name), getattr(want, name)
+        for column in a.columns():
+            assert getattr(a, column).tolist() == getattr(b, column).tolist(), (name, column)
+    assert got.weights == want.weights and got.shift_keys.tolist() == want.shift_keys.tolist()
+    assert got.matrix.tobytes() == want.matrix.tobytes() and got.feature_names == want.feature_names
+    assert got.dropped == want.dropped

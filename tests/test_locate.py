@@ -8,48 +8,46 @@ import pytest
 from shifttalk.locate import RSSI_FLOOR, LocationTimeline, empty_timeline
 from shifttalk.model import HUB_TO_LOCATION, SHIFT_MINUTES, LocationCategory, RssiTable
 
-from conftest import D0, listed_timelines, rssi_rows
+from conftest import D0, listed_timelines, rssi_rows, rssi_table
 
 
-def one_shift(table: RssiTable, hubs):
-    """The timeline of shift (p1, D0)."""
-    return LocationTimeline("p1", D0, listed_timelines(table, hubs, [("p1", D0)])[0])
+def one_shift(hubs, *rows: tuple[str, int, str, int]):
+    """The timeline of shift (p1, D0) from (pid, minute, hub, rssi) rows."""
+    return LocationTimeline("p1", D0, listed_timelines(rssi_rows(*rows, hubs=hubs), hubs, [("p1", D0)])[0])
 
 
 def test_max_rssi_hub_wins_across_hubs(hub_table):
     # two hubs hear the same minute at 154 and 162; the stronger one decides
-    timeline = one_shift(rssi_rows(("p1", 10, "h_ns", 154), ("p1", 10, "h_pat", 162)), hub_table)
+    timeline = one_shift(hub_table, ("p1", 10, "h_ns", 154), ("p1", 10, "h_pat", 162))
     assert timeline.category(10) is LocationCategory.PATIENT_ROOM
 
 
 def test_below_floor_observation_dropped(hub_table):
-    timeline = one_shift(rssi_rows(("p1", 5, "h_ns", 149)), hub_table)
+    timeline = one_shift(hub_table, ("p1", 5, "h_ns", 149))
     assert timeline.category(5) is LocationCategory.OUTSIDE_UNIT
 
 
 def test_at_floor_observation_kept(hub_table):
-    timeline = one_shift(rssi_rows(("p1", 5, "h_ns", 150)), hub_table)
+    timeline = one_shift(hub_table, ("p1", 5, "h_ns", 150))
     assert timeline.category(5) is LocationCategory.NURSING_STATION
 
 
 def test_minute_without_observations_is_outside(hub_table):
-    timeline = one_shift(rssi_rows(("p1", 5, "h_ns", 160)), hub_table)
+    timeline = one_shift(hub_table, ("p1", 5, "h_ns", 160))
     assert timeline.category(17) is LocationCategory.OUTSIDE_UNIT
 
 
 def test_lounge_and_medicine_room_merge(hub_table):
-    timeline = one_shift(rssi_rows(("p1", 1, "h_lounge", 160), ("p1", 2, "h_med", 160)), hub_table)
+    timeline = one_shift(hub_table, ("p1", 1, "h_lounge", 160), ("p1", 2, "h_med", 160))
     assert timeline.category(1) is LocationCategory.LOUNGE_MED
     assert timeline.category(2) is LocationCategory.LOUNGE_MED
 
 
 def test_rssi_tie_resolves_by_category_precedence(hub_table):
     # patient room beats nursing station beats lounge+med on exact ties
-    timeline = one_shift(
-        rssi_rows(("p1", 3, "h_ns", 160), ("p1", 3, "h_pat", 160), ("p1", 3, "h_med", 160)), hub_table
-    )
+    timeline = one_shift(hub_table, ("p1", 3, "h_ns", 160), ("p1", 3, "h_pat", 160), ("p1", 3, "h_med", 160))
     assert timeline.category(3) is LocationCategory.PATIENT_ROOM
-    timeline = one_shift(rssi_rows(("p1", 4, "h_med", 171), ("p1", 4, "h_ns", 171)), hub_table)
+    timeline = one_shift(hub_table, ("p1", 4, "h_med", 171), ("p1", 4, "h_ns", 171))
     assert timeline.category(4) is LocationCategory.NURSING_STATION
 
 
@@ -62,12 +60,11 @@ def test_rows_of_other_shifts_never_leak(hub_table):
     # each listed shift sees only its own rows; a shift without rows is all
     # outside, and rows of an unlisted shift are ignored
     d1 = date(2022, 3, 9)
-    table = RssiTable(
-        ["p1", "p1", "p2", "p3"], [D0, d1, D0, D0], [0, 1, 2, 3],
-        ["h_ns", "h_pat", "h_med", "h_pat"], [160, 160, 160, 160],
-    )
+    profiles = ("p1", "p2", "p3")
+    table = rssi_table([("p1", D0, 0, "h_ns", 160), ("p1", d1, 1, "h_pat", 160), ("p2", D0, 2, "h_med", 160),
+                        ("p3", D0, 3, "h_pat", 160)], profiles, hub_table)
     shifts = [("p2", D0), ("p1", d1), ("p1", D0), ("p9", D0)]
-    slots_of = listed_timelines(table, hub_table, shifts)
+    slots_of = listed_timelines(table, hub_table, shifts, profiles=profiles)
     assert slots_of.shape == (len(shifts), SHIFT_MINUTES) and slots_of.dtype == np.uint8
     outside = int(LocationCategory.OUTSIDE_UNIT)
     expected = {
@@ -85,7 +82,7 @@ def test_rows_of_other_shifts_never_leak(hub_table):
 
 def test_empty_table_and_no_shifts(hub_table):
     assert listed_timelines(RssiTable(), hub_table, []).shape == (0, SHIFT_MINUTES)
-    timeline = one_shift(RssiTable(), hub_table)
+    timeline = one_shift(hub_table)
     assert (timeline.slots == int(LocationCategory.OUTSIDE_UNIT)).all()
 
 
@@ -97,7 +94,7 @@ def test_raising_one_observation_dominates(hub_table):
         rows = [(hubs[int(rng.integers(len(hubs)))], int(rng.integers(150, 190))) for _ in range(5)]
         chosen = int(rng.integers(5))
         boosted = [("p1", minute, hub, 193 if i == chosen else min(rssi, 180)) for i, (hub, rssi) in enumerate(rows)]
-        timeline = one_shift(rssi_rows(*boosted), hub_table)
+        timeline = one_shift(hub_table, *boosted)
         expected = HUB_TO_LOCATION[hub_table[rows[chosen][0]].location_category]
         assert timeline.category(minute) is expected
 
@@ -109,17 +106,17 @@ def test_observation_order_never_matters(hub_table):
         ("p1", int(rng.integers(0, 30)), hubs[int(rng.integers(len(hubs)))], int(rng.integers(136, 194)))
         for _ in range(60)
     ]
-    baseline = one_shift(rssi_rows(*rows), hub_table)
+    baseline = one_shift(hub_table, *rows)
     for _ in range(10):
         shuffled = [rows[i] for i in rng.permutation(len(rows))]
-        np.testing.assert_array_equal(one_shift(rssi_rows(*shuffled), hub_table).slots, baseline.slots)
+        np.testing.assert_array_equal(one_shift(hub_table, *shuffled).slots, baseline.slots)
 
 
 def test_no_outside_when_all_observations_strong(hub_table):
     rng = np.random.default_rng(3)
     hubs = list(hub_table)
     rows = [("p1", minute, hubs[int(rng.integers(len(hubs)))], int(rng.integers(150, 194))) for minute in range(100)]
-    timeline = one_shift(rssi_rows(*rows), hub_table)
+    timeline = one_shift(hub_table, *rows)
     assert all(timeline.category(m) is not LocationCategory.OUTSIDE_UNIT for m in range(100))
 
 
@@ -153,9 +150,8 @@ def test_estimate_timeline_matches_brute_force_oracle(hub_table):
     @hypothesis.given(st.lists(row, max_size=40), st.lists(st.sampled_from(shift_keys), unique=True),
                       st.sampled_from([RSSI_FLOOR, 136, 170]))
     def check(rows, shifts, floor) -> None:
-        flat = [(pid, day, m, hub, rssi) for (pid, day), m, hub, rssi in rows]
-        table = RssiTable(*zip(*flat)) if flat else RssiTable()
-        slots = listed_timelines(table, hub_table, shifts, floor)
+        table = rssi_table([(pid, day, m, hub, rssi) for (pid, day), m, hub, rssi in rows], ("p1", "p2"), hub_table)
+        slots = listed_timelines(table, hub_table, shifts, floor, ("p1", "p2"))
         assert slots.shape == (len(shifts), SHIFT_MINUTES)
         for key, got in zip(shifts, slots):
             own = [(m, hub, rssi) for k, m, hub, rssi in rows if k == key]

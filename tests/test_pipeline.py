@@ -25,12 +25,11 @@ from shifttalk.model import (
     HubRecord,
     LocationCategory,
     RecordingSegment,
-    RssiTable,
 )
 from shifttalk.pipeline import ExtractionConfig, filter_frames, is_valid_recording, run_extraction
 from shifttalk.sessions import SessionTable, build_sessions
 
-from conftest import D0, listed_timelines, profile, segments, with_recordings
+from conftest import D0, listed_timelines, profile, rssi_table, segments, with_recordings
 
 
 @pytest.mark.parametrize("min_frames", [0, -1])
@@ -103,7 +102,7 @@ def reference_extraction(cohort: Cohort, config: ExtractionConfig):
             rated_recordings.append(RatedRecording(pid, rec.shift_date, rec.minute_index, p, fused))
     valid = [r for recs in valid_by_speaker.values() for r in recs]
     keys = sorted({(r.participant_id, r.shift_date) for r in recordings})
-    slots = listed_timelines(cohort.rssi, cohort.hubs, keys, config.rssi_floor)
+    slots = listed_timelines(cohort.rssi, cohort.hubs, keys, config.rssi_floor, cohort.profiles)
     timelines = {key: LocationTimeline(*key, row) for key, row in zip(keys, slots)}
     sessions, features, by_pid = [], [], {}
     for key in keys:
@@ -125,6 +124,8 @@ def reference_extraction(cohort: Cohort, config: ExtractionConfig):
 def test_run_extraction_matches_per_recording_chain():
     import hypothesis
     from hypothesis import strategies as st
+
+    import reference
 
     # few distinct values so medians, pools and scores tie often
     value = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 3.0, 62.5])
@@ -167,7 +168,7 @@ def test_run_extraction_matches_per_recording_chain():
                              draw(st.sampled_from(sorted(hubs))), draw(st.sampled_from([140, 150, 160]))))
             if draw(st.integers(0, 3)) == 0:
                 rows.append((rec.participant_id, D0 + timedelta(days=5), rec.minute_index, "h_ns", 160))
-        return RssiTable(*zip(*rows)) if rows else RssiTable()
+        return rows
 
     @st.composite
     def cohorts(draw):
@@ -186,7 +187,7 @@ def test_run_extraction_matches_per_recording_chain():
             min_days=1,
             arousal_threshold=draw(st.sampled_from([0.0, 0.25, 0.5])),
         )
-        return with_recordings(Cohort(profiles, hubs, rssi=draw(rssi(recs))), recs), config
+        return with_recordings(Cohort(profiles, hubs, rssi=rssi_table(draw(rssi(recs)), profiles, hubs)), recs), config
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @hypothesis.given(cohorts())
@@ -200,7 +201,7 @@ def test_run_extraction_matches_per_recording_chain():
                         p, _bits(table.fused))) == rated
         assert {pid: (_bits(w.w), _bits(w.r), w.fallback) for pid, w in result.weights.items()} == weights
         assert list(zip(*(getattr(result.sessions, name).tolist() for name in SessionTable.columns()))) == sessions
-        assert [_shift_feature_bits(sf) for sf in result.shift_features] == features
+        assert [_shift_feature_bits(sf) for sf in reference.shift_features(result)] == features
         assert _bits(result.matrix) == matrix
 
     check()
@@ -211,18 +212,16 @@ def test_rating_pass_peaks_below_a_quarter_of_the_frame_bytes(tmp_path):
     cohort's; tracemalloc counts numpy's allocations, so the peak repeats."""
     import tracemalloc
 
-    from shifttalk.model import participant_codes
     from shifttalk.pipeline import _rate_cohort
     from shifttalk.simulate import CohortSpec, generate
 
     # the frames_heavy benchmark workload's shape: 12 speakers, ~1.5 k recordings of 400 frames
     cohort, _ = generate(CohortSpec(n_per_cell=3, n_shifts=1, frames_per_recording=400, seed=11), tmp_path)
-    speaker = participant_codes(cohort.profiles, cohort.recordings.participant_id)
     frame_bytes = sum(column.nbytes for column in vars(cohort.frames).values())
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        valid, *_ = _rate_cohort(cohort, speaker, ExtractionConfig(min_frames=100, min_days=1))
+        valid, *_ = _rate_cohort(cohort, ExtractionConfig(min_frames=100, min_days=1))
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()

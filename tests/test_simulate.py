@@ -11,6 +11,7 @@ from shifttalk.errors import InvalidSpec
 from shifttalk.foreground import ForegroundFilter
 from shifttalk import ingest
 from shifttalk.ingest import CANONICAL_FILES, parse_cohort
+from shifttalk.model import FRAME_COLUMNS
 from shifttalk.pipeline import ExtractionConfig, run_extraction
 from shifttalk.simulate import (
     GRID_DECIMALS,
@@ -33,7 +34,7 @@ def spec_text(**overrides) -> str:
 def test_simulated_frames_lie_on_the_grid(tmp_path):
     generate(CohortSpec(**TINY), tmp_path)
     frames = parse_cohort(tmp_path).frames
-    for name in ingest.FRAME_COLUMNS:
+    for name in FRAME_COLUMNS:
         values = getattr(frames, name)
         values = values[~np.isnan(values)]
         assert len(values) and np.array_equal(np.round(values, GRID_DECIMALS), values), name

@@ -32,7 +32,7 @@ TABLES = {
                                    [1 / 3, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0],
                                    [0.0, 12.5, 3.0], [0.05, 1.0, 0.0001], ["exact", "normal_approx", "exact"],
                                    [False, True, True]),
-    "rssi": RssiTable(IDS, DAYS, [0, -1, 9223372036854775807], ["h1", "h,2", "h3"], [136, 193, 160]),
+    "rssi": RssiTable([0, 2, 1], DAYS, [0, -1, 9223372036854775807], [1, 0, 2], [136, 193, 160]),
     "empty": SessionTable(),
 }
 
@@ -108,8 +108,8 @@ def test_read_csv_names_file_and_line(tmp_path, edit, message):
     ("blocks", "p1,2022-03-01,0,0,nan,", "blocks.csv:2: bad pos_ratio 'nan'"),
     ("blocks", "p1,2022-03-01,0,0,inf,", "blocks.csv:2: bad pos_ratio 'inf'"),
     ("comparisons", "all,f,1.0,1.0,1.0,1.0,1.0,1.0,exact,2", "comparisons.csv:2: bad significant '2'"),
-    ("rssi", "p1,2022-03-01,9223372036854775808,h1,160", "rssi.csv:2: bad minute_index '9223372036854775808'"),
-    ("rssi", "p1,20220301,0,h1,160", "rssi.csv:2: bad shift_date '20220301'"),
+    ("rssi", "0,2022-03-01,9223372036854775808,1,160", "rssi.csv:2: bad minute_index '9223372036854775808'"),
+    ("rssi", "0,20220301,0,1,160", "rssi.csv:2: bad shift_date '20220301'"),
 ])
 def test_read_csv_refuses_what_write_csv_never_writes(tmp_path, table, line, message):
     cls = type(TABLES[table])
