@@ -5,12 +5,12 @@ __version__ = "0.1.0"
 
 from .model import (
     Cohort,
-    DailyPhysiology,
     FrameBlock,
     HubCategory,
     HubRecord,
     LocationCategory,
     ParticipantProfile,
+    PhysiologyTable,
     RecordingSegment,
     RecordingTable,
     RssiTable,
@@ -20,12 +20,12 @@ from .model import (
 
 __all__ = [
     "Cohort",
-    "DailyPhysiology",
     "FrameBlock",
     "HubCategory",
     "HubRecord",
     "LocationCategory",
     "ParticipantProfile",
+    "PhysiologyTable",
     "RecordingSegment",
     "RecordingTable",
     "RssiTable",

@@ -11,9 +11,10 @@ by their dominant minute category.
 cohort_shift_features computes the shift-level features of every shift of
 a cohort in grouped passes, as ShiftColumns; per_shift_features states the
 same rules for one shift. cohort_feature_matrix rolls those columns and the
-physiology rows up to the imputed participant matrix in passes grouped by
-participant code; participant_vector and build_feature_matrix state the
-same rules for one participant and stay as its reference.
+physiology rows (a PhysiologyTable, coded as the shifts' owners are) up to
+the imputed participant matrix in passes grouped by participant code;
+participant_vector and build_feature_matrix state the same rules for one
+participant and stay as its reference.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import numpy as np
 
 from .errors import EmptyInput
 from .locate import LocationTimeline
-from .model import (ColumnTable, DailyPhysiology, LocationCategory, ParticipantProfile, ShiftType, UnitType,
-                    distinct, median, participant_codes)
+from .model import (ColumnTable, LocationCategory, ParticipantProfile, PhysiologyTable, ShiftType, UnitType,
+                    distinct, median)
 from .arousal import AROUSAL_THRESHOLD, RatedRecording, arousal_flags
 from .sessions import (
     SpeechSession,
@@ -42,30 +43,6 @@ _WINDOWS = {"start": range(0, 4), "middle": range(4, 8), "end": range(8, 12)}
 _LOCATED = ((LocationCategory.NURSING_STATION, "ns"), (LocationCategory.PATIENT_ROOM, "pat"))
 _OCCURRENCE = _LOCATED + ((LocationCategory.LOUNGE_MED, "lounge_med"), (LocationCategory.OUTSIDE_UNIT, "outside"))
 
-FEATURE_COLUMNS: list[str] = [
-    "inter_session_time_mean", "inter_session_time_std",
-    "gt1min_ratio_all_mean", "gt1min_ratio_all_std",
-    "gt1min_ratio_ns_mean", "gt1min_ratio_ns_std",
-    "gt1min_ratio_pat_mean", "gt1min_ratio_pat_std",
-    "occurrence_ns_mean", "occurrence_ns_std",
-    "occurrence_pat_mean", "occurrence_pat_std",
-    "occurrence_lounge_med_mean", "occurrence_lounge_med_std",
-    "occurrence_outside_mean", "occurrence_outside_std",
-    "pos_ratio_all_mean", "pos_ratio_all_std",
-    "pos_ratio_ns_mean", "pos_ratio_ns_std",
-    "pos_ratio_pat_mean", "pos_ratio_pat_std",
-    "neg_ratio_all_mean", "neg_ratio_all_std",
-    "neg_ratio_ns_mean", "neg_ratio_ns_std",
-    "neg_ratio_pat_mean", "neg_ratio_pat_std",
-    "pos_ratio_start", "pos_ratio_middle", "pos_ratio_end",
-    "neg_ratio_start", "neg_ratio_middle", "neg_ratio_end",
-    "walk_ratio_mean", "walk_ratio_std",
-    "sleep_hours_mean", "sleep_hours_std",
-    "shift_night", "unit_icu",
-]
-
-LABEL_COLUMNS = ["pos_affect", "neg_affect", "life_satisfaction"]
-
 # shift-level scalars that get mean+std across shifts, in FEATURE_COLUMNS order
 _SHIFT_SCALARS = [
     "inter_session_time",
@@ -74,6 +51,16 @@ _SHIFT_SCALARS = [
     "pos_ratio_all", "pos_ratio_ns", "pos_ratio_pat",
     "neg_ratio_all", "neg_ratio_ns", "neg_ratio_pat",
 ]
+_DAILY = ("walk_ratio", "sleep_hours")  # PhysiologyTable columns that get mean+std across days
+
+FEATURE_COLUMNS: list[str] = [
+    *(f"{key}_{stat}" for key in _SHIFT_SCALARS for stat in ("mean", "std")),
+    *(f"{polarity}_ratio_{window}" for polarity in ("pos", "neg") for window in _WINDOWS),
+    *(f"{name}_{stat}" for name in _DAILY for stat in ("mean", "std")),
+    "shift_night", "unit_icu",
+]
+
+LABEL_COLUMNS = ["pos_affect", "neg_affect", "life_satisfaction"]
 
 
 def block_series(
@@ -249,7 +236,7 @@ def _ratio(part: np.ndarray, whole: np.ndarray) -> np.ndarray:
     return np.where(whole > 0, part / np.maximum(whole, 1), np.nan)
 
 
-def _mean_std(values: list[float]) -> tuple[float, float]:
+def _mean_std(values: Sequence[float]) -> tuple[float, float]:
     arr = np.asarray(values, dtype=float)
     return float(arr.mean()), float(arr.std())
 
@@ -263,9 +250,10 @@ class ParticipantFeatureVector:
 def participant_vector(
     profile: ParticipantProfile,
     shift_features: list[ShiftFeatures],
-    physiology: list[DailyPhysiology],
+    physiology: PhysiologyTable,
 ) -> ParticipantFeatureVector:
-    """Summarize one participant's shifts into the fixed feature schema."""
+    """Summarize one participant's shifts and physiology rows into the fixed
+    feature schema."""
     feats: dict[str, float] = {name: float("nan") for name in FEATURE_COLUMNS}
 
     for key in _SHIFT_SCALARS:
@@ -288,13 +276,9 @@ def participant_vector(
             if means:
                 feats[f"{polarity}_ratio_{name}"] = float(np.mean(means))
 
-    if physiology:
-        walk_mean, walk_std = _mean_std([d.walk_ratio for d in physiology])
-        sleep_mean, sleep_std = _mean_std([d.sleep_hours for d in physiology])
-        feats["walk_ratio_mean"] = walk_mean
-        feats["walk_ratio_std"] = walk_std
-        feats["sleep_hours_mean"] = sleep_mean
-        feats["sleep_hours_std"] = sleep_std
+    if len(physiology):
+        for name in _DAILY:
+            feats[f"{name}_mean"], feats[f"{name}_std"] = _mean_std(getattr(physiology, name))
 
     feats["shift_night"] = 1.0 if profile.shift_type is ShiftType.NIGHT else 0.0
     feats["unit_icu"] = 1.0 if profile.unit_type is UnitType.ICU else 0.0
@@ -332,12 +316,12 @@ def cohort_feature_matrix(
     profiles: dict[str, ParticipantProfile],
     owner: np.ndarray,
     shifts: ShiftColumns,
-    physiology: list[DailyPhysiology],
+    physiology: PhysiologyTable,
 ) -> tuple[np.ndarray, list[str], list[str]]:
     """build_feature_matrix of every profile's participant_vector, by sorted
     participant id, from grouped passes over the shifts' columns (shift i
-    belongs to the participant whose code, model.participant_codes, is
-    ``owner[i]``; -1: to none) and the physiology rows.
+    belongs to the participant whose code is ``owner[i]``) and over the
+    physiology rows, grouped by their participant codes.
 
     Each mean and std is one np.mean / np.std per distinct value count over
     a (participants, count) matrix, which gives the bits of one call per
@@ -350,7 +334,7 @@ def cohort_feature_matrix(
 
     for key in _SHIFT_SCALARS:
         values = shifts.scalars[key]
-        present = (owner >= 0) & ~np.isnan(values)
+        present = ~np.isnan(values)
         X[:, column[f"{key}_mean"]], X[:, column[f"{key}_std"]] = _group_mean_std(owner[present], values[present], n)
     # a window's feature is the mean over shifts of the shift's mean over
     # its populated blocks; a shift with none in the window is left out
@@ -359,15 +343,12 @@ def cohort_feature_matrix(
             part = blocks[:, window.start:window.stop]
             present = ~np.isnan(part)
             shift_mean, _ = _group_mean_std(np.nonzero(present)[0], part[present], len(part))
-            present = (owner >= 0) & ~np.isnan(shift_mean)
+            present = ~np.isnan(shift_mean)
             X[:, column[f"{polarity}_ratio_{name}"]], _ = _group_mean_std(owner[present], shift_mean[present], n)
 
-    owner = participant_codes(ids, [d.participant_id for d in physiology])
-    present = owner >= 0
-    for name, values in (("walk_ratio", [d.walk_ratio for d in physiology]),
-                         ("sleep_hours", [d.sleep_hours for d in physiology])):
+    for name in _DAILY:
         X[:, column[f"{name}_mean"]], X[:, column[f"{name}_std"]] = _group_mean_std(
-            owner[present], np.asarray(values, dtype=float)[present], n)
+            physiology.participant, getattr(physiology, name), n)
 
     X[:, column["shift_night"]] = [profiles[pid].shift_type is ShiftType.NIGHT for pid in ids]
     X[:, column["unit_icu"]] = [profiles[pid].unit_type is UnitType.ICU for pid in ids]

@@ -144,7 +144,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    truth = GroundTruth.from_json(Path(args.truth).read_text(encoding="utf-8"))
+    truth = GroundTruth.read(args.truth)
     report = verify_against_truth(args.features, truth, args.comparisons, args.report)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:

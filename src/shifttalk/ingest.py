@@ -49,11 +49,13 @@ file order: model.csv_blocks splits a block of lines into fields, and each
 rule is one mask over a column. recordings.jsonl is read a block of lines
 at a time too (model.line_blocks), with one JSON scan per line. With
 frames.bin it becomes one RecordingTable, a row per recording, and one
-FrameBlock holding every recording's frames end to end. Both tables name a
-participant, and an RSSI row its hub, by a code (model); write_cohort writes
-the ids again. In either table a minute_index beyond the 64-bit integer
-range is stored as the nearest 64-bit value, so filter_shift_window still
-drops it. An integer or number cell must be written as the writers write one
+FrameBlock holding every recording's frames end to end. physiology.csv, a
+row per participant and day, is read a row at a time into one
+PhysiologyTable. The three tables name a participant, and an RSSI row its
+hub, by a code (model), its id's rank among the sorted ids (_ranks);
+write_cohort writes the ids again. In an RSSI row or a recording, a
+minute_index beyond the 64-bit integer range is stored as the nearest
+64-bit value, so filter_shift_window still drops it. An integer or number cell must be written as the writers write one
 (model's _int_cell, _int_cells and _float_cell): no surrounding spaces,
 leading "+", "_" separators or non-ASCII digits.
 """
@@ -65,7 +67,7 @@ import os
 from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 from numpy.lib import format as npy
@@ -79,11 +81,11 @@ from .model import (
     Cohort,
     FRAME_COLUMNS,
     FRAME_FIELDS,
-    DailyPhysiology,
     FrameBlock,
     HubCategory,
     HubRecord,
     ParticipantProfile,
+    PhysiologyTable,
     RecordingTable,
     RssiTable,
     ShiftType,
@@ -138,6 +140,11 @@ def _parse_float(text: str, field: str, file: str, line: int) -> float:
         return _float_cell(text)
     except ValueError:
         raise MalformedRow(file, line, f"bad number for {field}: {text!r}") from None
+
+
+def _ranks(ids: Iterable[str]) -> dict[str, int]:
+    """Each id's code: its rank among the sorted ids."""
+    return {key: i for i, key in enumerate(sorted(ids))}
 
 
 def parse_participants(path: Path) -> dict[str, ParticipantProfile]:
@@ -197,7 +204,7 @@ def parse_rssi(
     stored as the nearest 64-bit value, which lies outside the shift window
     like the original.
     """
-    ranks = tuple({key: i for i, key in enumerate(sorted(ids))} for ids in (profiles, hubs))
+    ranks = (_ranks(profiles), _ranks(hubs))
     days: dict[bytes, np.datetime64 | str] = {}  # each date text of the file: its day, or why it is refused
     blocks = csv_blocks(path, RSSI_HEADER, _BATCH_ROWS, _READ_BYTES)
     participant, day, minute, hub, rssi = _gathered(
@@ -289,11 +296,14 @@ def _coded(a: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarra
     return codes, [a[i:j].tobytes() for i, j in zip(start[first].tolist(), end[first].tolist())]
 
 
-def parse_physiology(path: Path, profiles: dict[str, ParticipantProfile]) -> list[DailyPhysiology]:
-    rows: list[DailyPhysiology] = []
+def parse_physiology(path: Path, profiles: dict[str, ParticipantProfile]) -> PhysiologyTable:
+    """Read physiology.csv into a PhysiologyTable, a row at a time; a row's
+    participant is a code, its id's rank among the sorted profile ids."""
+    rank = _ranks(profiles)
+    rows: list[tuple] = []
     for lineno, row in csv_rows(path, PHYSIOLOGY_HEADER):
         pid, date_raw, walk_raw, sleep_raw = row
-        if pid not in profiles:
+        if pid not in rank:
             raise MalformedRow(path.name, lineno, f"unknown participant_id {pid!r}")
         shift_date = parse_date(date_raw, path.name, lineno)
         walk = _parse_float(walk_raw, "walk_ratio", path.name, lineno)
@@ -302,8 +312,8 @@ def parse_physiology(path: Path, profiles: dict[str, ParticipantProfile]) -> lis
             raise MalformedRow(path.name, lineno, f"walk_ratio {walk} outside [0, 1]")
         if not 0.0 <= sleep <= 24.0:
             raise MalformedRow(path.name, lineno, f"sleep_hours {sleep} outside [0, 24]")
-        rows.append(DailyPhysiology(pid, shift_date, walk, sleep))
-    return rows
+        rows.append((rank[pid], shift_date, walk, sleep))
+    return PhysiologyTable(*_columns(rows, PhysiologyTable.DTYPES))
 
 
 # frames.bin's arrays, one per FrameBlock field in field order
@@ -356,7 +366,7 @@ def _read_heads(path: Path, profiles: dict[str, ParticipantProfile]) -> tuple[Re
     The first line in file order that breaks a rule raises MalformedRow
     with its number and reason. A recording's participant is a code, its
     id's rank among the sorted profile ids."""
-    rank = {pid: i for i, pid in enumerate(sorted(profiles))}
+    rank = _ranks(profiles)
     days: dict[str, np.datetime64 | None] = {}  # each date text of the file: its day, or None if refused
     with path.open("rb") as fh:
         *columns, lines = _gathered(
@@ -565,9 +575,9 @@ def write_cohort(cohort: Cohort, dir_path: str | Path) -> None:
         with temporary[FRAMES_FILE].open("wb") as fh:
             for name, dtype in zip(FRAME_FIELDS, _FRAME_DTYPES):
                 np.save(fh, np.asarray(getattr(frames, name), dtype), allow_pickle=False)
-        write_csv(temporary[PHYSIOLOGY_FILE], PHYSIOLOGY_HEADER, _columns(
-            [(d.participant_id, d.shift_date, d.walk_ratio, d.sleep_hours) for d in cohort.physiology],
-            (object, "datetime64[D]", np.float64, np.float64)))
+        physiology = cohort.physiology
+        write_csv(temporary[PHYSIOLOGY_FILE], PHYSIOLOGY_HEADER,
+                  [ids[physiology.participant], physiology.shift_date, physiology.walk_ratio, physiology.sleep_hours])
     except BaseException:
         for path in temporary.values():
             path.unlink(missing_ok=True)
@@ -624,7 +634,8 @@ def _select(cohort: Cohort, recordings: np.ndarray, rssi: np.ndarray, **changes)
 
 def filter_min_days(cohort: Cohort, min_days: int = MIN_DAYS) -> Cohort:
     """Keep participants with recordings on at least min_days distinct shift
-    dates. The kept keep their order, so their codes become 0, 1, ... in it."""
+    dates, and the rows of each table that are theirs. The kept keep their
+    order, so their codes become 0, 1, ... in it."""
     if min_days < 1:
         raise ValueError("min_days must be >= 1")
     recordings, rssi = cohort.recordings.participant, cohort.rssi.participant
@@ -633,10 +644,11 @@ def filter_min_days(cohort: Cohort, min_days: int = MIN_DAYS) -> Cohort:
     ids = {pid for pid, k in zip(sorted(cohort.profiles), keep.tolist()) if k}
     kept = _select(cohort, keep[recordings], keep[rssi],
                    profiles={pid: p for pid, p in cohort.profiles.items() if pid in ids}, hubs=dict(cohort.hubs),
-                   physiology=[d for d in cohort.physiology if d.participant_id in ids],
                    warnings=dict(cohort.warnings))
     if not keep.all():
         code = np.cumsum(keep) - 1  # a kept participant's code among the kept
-        kept.recordings = replace(kept.recordings, participant=code[kept.recordings.participant])
-        kept.rssi = replace(kept.rssi, participant=code[kept.rssi.participant])
+        kept.physiology = cohort.physiology.select(keep[cohort.physiology.participant])
+        for name in ("recordings", "rssi", "physiology"):
+            table = getattr(kept, name)
+            setattr(kept, name, replace(table, participant=code[table.participant]))
     return kept

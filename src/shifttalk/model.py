@@ -4,16 +4,15 @@ Time is modeled as (shift_date, minute_index since shift start); minute 0 is
 the start of the 12-hour shift regardless of whether it is a day or night
 schedule, so the analytic code never touches wall clocks.
 
-RSSI rows and recordings, which outnumber every other input, live in
-parallel numpy columns from parse to features: one RssiTable, and one
-RecordingTable with one FrameBlock holding every recording's frames end to
-end. Filters select rows with boolean masks. Every CSV output table is a
-ColumnTable of that kind. Rows are grouped by integer keys made here alone:
-a participant's code is its id's rank among the sorted profile ids, a hub's
-its id's rank among the sorted hub ids, and a shift's is one int64 that
-sorts as its (participant code, date) pair. The two row tables hold codes,
-not ids, from the parse on; id strings live only in the profiles, hubs and
-physiology rows and in the outputs.
+The input rows live in parallel numpy columns from parse to features: one
+RssiTable, one RecordingTable with one FrameBlock holding every recording's
+frames end to end, and one PhysiologyTable. Filters select rows with
+boolean masks. Every CSV output table is a ColumnTable of that kind. The
+row tables name a participant, and an RSSI row its hub, by an integer code
+from the parse on: a participant's code is its id's rank among the sorted
+profile ids, a hub's its id's rank among the sorted hub ids. A shift's key
+is one int64, made here alone, that sorts as its (participant code, date)
+pair. Id strings live only in the profiles, the hubs and the outputs.
 
 The one CSV rule of the package lives here. csv_rows reads a file under an
 exact header, one field per column, and a bad row raises MalformedRow naming
@@ -27,21 +26,23 @@ as the csv module's excel dialect quotes it. read_columns is the one
 reader: one loop over the rows csv_rows yields reads each cell with its
 column's rule in _CELLS, so the first bad row or field in file order
 raises. ColumnTable.write_csv and read_csv apply the rule to a table,
-write_csv and read_columns to loose columns.
+write_csv and read_columns to loose columns. read_json reads a JSON file,
+whose bad text or missing key raises MalformedRow naming file:line too.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import mmap
 import re
 from dataclasses import dataclass, field, fields
 from datetime import date
 from enum import Enum, IntEnum
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -261,6 +262,20 @@ def _quoted_rows(path: Path, header: Sequence[str], first: int, batch_rows: int)
             return
 
 
+def read_json(path: str | Path, keys: Sequence[str]) -> dict:
+    """The JSON object in a file, which must hold each of keys; text that is
+    not JSON raises MalformedRow at the line json names, a missing key at line 1."""
+    path = Path(path)
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise MalformedRow(path.name, exc.lineno, f"invalid JSON: {exc.msg}") from None
+    for key in keys:
+        if not isinstance(payload, dict) or key not in payload:
+            raise MalformedRow(path.name, 1, f"missing key {key!r}")
+    return payload
+
+
 def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """The header, then one row per position of the parallel numpy ``columns``.
 
@@ -458,12 +473,16 @@ class RssiTable(ColumnTable):
     DTYPES = (np.int64, "datetime64[D]", np.int64, np.int64, np.int64)
 
 
-@dataclass(frozen=True)
-class DailyPhysiology:
-    participant_id: str
-    shift_date: date
-    walk_ratio: float  # in [0, 1]
-    sleep_hours: float  # in [0, 24]
+@dataclass(eq=False)
+class PhysiologyTable(ColumnTable):
+    """Daily physiology rows in file order."""
+
+    participant: np.ndarray = ()  # int64 code, as RssiTable's
+    shift_date: np.ndarray = ()  # datetime64[D]
+    walk_ratio: np.ndarray = ()  # float64 in [0, 1]
+    sleep_hours: np.ndarray = ()  # float64 in [0, 24]
+
+    DTYPES = (np.int64, "datetime64[D]", np.float64, np.float64)
 
 
 @dataclass
@@ -516,14 +535,6 @@ class RecordingTable(ColumnTable):
 
 
 _DAY_ONE = np.datetime64("0001-01-01", "D")
-
-
-def participant_codes(profiles: Iterable[str], ids: Iterable[str]) -> np.ndarray:
-    """Each id's code, its rank among the sorted profile ids, or -1 for an
-    id without a profile. The row tables hold codes from the parse on; this
-    codes the physiology rows, which keep their ids."""
-    rank = {pid: i for i, pid in enumerate(sorted(profiles))}
-    return np.fromiter(map(rank.get, ids, repeat(-1)), np.int64)
 
 
 def shift_codes(participants: np.ndarray, days: np.ndarray) -> np.ndarray:
@@ -582,7 +593,7 @@ class Cohort:
     frames: FrameBlock = field(  # every recording's, in table order
         default_factory=lambda: FrameBlock(*np.empty((4, 0)), np.empty(0, bool)))
     rssi: RssiTable = field(default_factory=RssiTable)
-    physiology: list[DailyPhysiology] = field(default_factory=list)
+    physiology: PhysiologyTable = field(default_factory=PhysiologyTable)
     warnings: dict[str, int] = field(default_factory=dict)
 
     @property

@@ -3,11 +3,11 @@
 
 Every layer but the arousal pass runs over the whole cohort at once: over
 the columns of its RecordingTable and of the one FrameBlock that holds every
-recording's frames end to end. Each recording and RSSI row carries its
-participant's code from the parse on, and so its shift's index among the
-sorted shift codes (model.shift_codes); each layer groups by those integers
-instead of looping over shifts or participants, and the arousal pass loops
-over speakers:
+recording's frames end to end. Each recording, RSSI and physiology row
+carries its participant's code from the parse on, and a recording or RSSI
+row so its shift's index among the sorted shift codes (model.shift_codes);
+each layer groups by those integers instead of looping over shifts or
+participants, and the arousal pass loops over speakers:
 
 - Location timelines for every shift come from one pass over the cohort's
   RssiTable, as one (shifts, 720) array.
@@ -35,8 +35,8 @@ over speakers:
   grouped ``bincount`` sums over counts, so they equal the per-shift
   values bit for bit.
 - Participant rows are grouped means and stds over the shift columns and
-  the physiology rows, one ``np.mean``/``np.std`` per distinct count, then
-  imputed by column median.
+  the physiology rows, both grouped by participant code, one
+  ``np.mean``/``np.std`` per distinct count, then imputed by column median.
 
 Sessions come out by (participant, date, start), rated rows by speaker,
 then file order, and hour blocks by shift, each as a column table that

@@ -108,6 +108,8 @@ def cross_validate(
     """
     if k < 2:
         raise BadParameter("k", k, "at least 2")
+    if seed < 0:
+        raise BadParameter("seed", seed, "a non-negative integer")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.uint8)
     grid = DEFAULT_GRID if grid is None else grid

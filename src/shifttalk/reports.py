@@ -19,9 +19,7 @@ import numpy as np
 
 from .aggregate import FEATURE_COLUMNS, LABEL_COLUMNS, BlockTable
 from .arousal import RatedTable
-from .errors import MalformedRow
-from .forest import ForestParams
-from .model import read_columns, write_csv
+from .model import read_columns, read_json, write_csv
 from .predict import CvReport
 from .sessions import SessionTable
 from .stats import ComparisonTable
@@ -98,13 +96,4 @@ def write_report_json(path: str | Path, report: CvReport) -> None:
 
 
 def read_report_json(path: str | Path) -> dict:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    for key in ("label", "best_config", "cv_micro_f1", "importances", "seed"):
-        if key not in payload:
-            raise MalformedRow(Path(path).name, 1, f"missing key {key!r}")
-    payload["best_params"] = ForestParams(
-        n_trees=int(payload["best_config"]["n_trees"]),
-        max_depth=payload["best_config"]["max_depth"],
-        min_leaf=int(payload["best_config"]["min_leaf"]),
-    )
-    return payload
+    return read_json(path, ("label", "best_config", "cv_micro_f1", "importances", "seed"))

@@ -17,6 +17,7 @@ sorted participant order, so identical specs produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from datetime import date, timedelta
 from pathlib import Path
@@ -28,11 +29,11 @@ from .ingest import write_cohort
 from .model import (
     FRAME_FIELDS,
     Cohort,
-    DailyPhysiology,
     FrameBlock,
     HubCategory,
     HubRecord,
     ParticipantProfile,
+    PhysiologyTable,
     RSSI_MAX,
     RSSI_MIN,
     RecordingTable,
@@ -42,6 +43,7 @@ from .model import (
     SHIFT_MINUTES,
     mapped,
     median,
+    read_json,
 )
 
 GROUND_TRUTH_FILE = "ground_truth.json"
@@ -126,6 +128,12 @@ class CohortSpec:
     def validate(self) -> None:
         if self.n_per_cell < 1 or self.n_shifts < 1 or self.frames_per_recording < 1:
             raise InvalidSpec("n_per_cell, n_shifts and frames_per_recording must be >= 1")
+        for f in fields(self):  # values that no draw can use
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise InvalidSpec(f"{f.name}={value} must be finite")
+            if (f.name == "seed" or f.name.endswith("_sd") or f.name.startswith("label_noise_")) and value < 0:
+                raise InvalidSpec(f"{f.name}={value} must be >= 0")
         for name in ("foreground_fraction", "voiced_fraction", "room_stickiness",
                      "gt1min_ratio_day", "gt1min_ratio_night",
                      "pos_arousal_day", "pos_arousal_night",
@@ -197,8 +205,9 @@ class GroundTruth:
         return json.dumps(payload, sort_keys=True, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "GroundTruth":
-        payload = json.loads(text)
+    def read(cls, path: str | Path) -> "GroundTruth":
+        """The ground truth that to_json wrote to a file (model.read_json)."""
+        payload = read_json(path, ("seed", "knobs", "participants", "informative_features"))
         participants = {pid: ParticipantTruth(**t) for pid, t in payload["participants"].items()}
         return cls(payload["seed"], payload["knobs"], participants, payload["informative_features"])
 
@@ -275,6 +284,7 @@ def generate(spec: CohortSpec, out_dir: str | Path) -> tuple[Cohort, GroundTruth
     cohort = Cohort(hubs={h.hub_id: h for h in _HUBS})
     rssi: list[RssiTable] = []
     recordings: list[tuple[RecordingTable, dict]] = []  # one _join_recordings part per shift
+    physiology: list[tuple] = []  # one row per shift
     truth_participants: dict[str, ParticipantTruth] = {}
     start_date = date(2022, 3, 1)
 
@@ -324,7 +334,7 @@ def generate(spec: CohortSpec, out_dir: str | Path) -> tuple[Cohort, GroundTruth
                 recordings.append((table, _emit_frames(rng, spec, mu, states)))
             walk = float(np.clip(round(rng.normal(walk_center, spec.walk_within_sd), GRID_DECIMALS), 0.0, 1.0))
             sleep = float(np.clip(round(rng.normal(sleep_center, spec.sleep_within_sd), GRID_DECIMALS), 0.0, 24.0))
-            cohort.physiology.append(DailyPhysiology(pid, shift_date, walk, sleep))
+            physiology.append((codes[pid], shift_date, walk, sleep))
 
         truth_participants[pid] = ParticipantTruth(
             participant_id=pid,
@@ -343,6 +353,7 @@ def generate(spec: CohortSpec, out_dir: str | Path) -> tuple[Cohort, GroundTruth
     if recordings:
         cohort.recordings, cohort.frames = _join_recordings(recordings)
     cohort.rssi = RssiTable.concat(rssi)
+    cohort.physiology = PhysiologyTable(*zip(*physiology))
     write_cohort(cohort, out)
     truth = GroundTruth(
         seed=spec.seed,
@@ -357,18 +368,10 @@ def generate(spec: CohortSpec, out_dir: str | Path) -> tuple[Cohort, GroundTruth
 def _informative_features(spec: CohortSpec) -> dict[str, list[str]]:
     """Feature families planted to carry signal for each label."""
     out: dict[str, list[str]] = {"pos_affect": [], "neg_affect": [], "life_satisfaction": []}
-    pos_family = [
-        "pos_ratio_all_mean", "pos_ratio_ns_mean", "pos_ratio_pat_mean",
-        "pos_ratio_start", "pos_ratio_middle", "pos_ratio_end",
-    ]
-    neg_family = [
-        "neg_ratio_all_mean", "neg_ratio_ns_mean", "neg_ratio_pat_mean",
-        "neg_ratio_start", "neg_ratio_middle", "neg_ratio_end",
-    ]
-    if spec.label_coupling_pos != 0 and spec.arousal_between_sd > 0:
-        out["pos_affect"] = pos_family
-    if spec.label_coupling_neg != 0 and spec.arousal_between_sd > 0:
-        out["neg_affect"] = neg_family
+    for polarity in ("pos", "neg"):
+        if getattr(spec, f"label_coupling_{polarity}") != 0 and spec.arousal_between_sd > 0:
+            out[f"{polarity}_affect"] = [f"{polarity}_ratio_{part}" for part in (
+                "all_mean", "ns_mean", "pat_mean", "start", "middle", "end")]
     if spec.label_coupling_swls != 0 and spec.sleep_between_sd > 0:
         out["life_satisfaction"] = ["sleep_hours_mean"]
     return out

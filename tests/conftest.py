@@ -13,17 +13,16 @@ from shifttalk.model import (
     FRAME_COLUMNS,
     FRAME_FIELDS,
     Cohort,
-    DailyPhysiology,
     FrameBlock,
     HubCategory,
     HubRecord,
     ParticipantProfile,
+    PhysiologyTable,
     RecordingSegment,
     RecordingTable,
     RssiTable,
     ShiftType,
     UnitType,
-    participant_codes,
 )
 
 D0 = date(2022, 3, 1)
@@ -67,7 +66,7 @@ def with_recordings(cohort: Cohort, recordings: list[RecordingSegment]) -> Cohor
     each participant_id coded among the cohort's profiles, and frames (a
     minute beyond 64 bits becomes the nearest 64-bit value, as in the parse)."""
     table = RecordingTable(
-        participant_codes(cohort.profiles, [r.participant_id for r in recordings]), [r.shift_date for r in recordings],
+        coded(cohort.profiles, [r.participant_id for r in recordings]), [r.shift_date for r in recordings],
         [min(max(r.minute_index, _INT64.min), _INT64.max) for r in recordings],
         [len(r.frames) for r in recordings], [r.frames.foreground is not None for r in recordings])
     if not recordings:
@@ -93,6 +92,12 @@ def segments(cohort: Cohort) -> list[RecordingSegment]:
     ]
 
 
+def coded(ids: Iterable[str], values: Iterable[str]) -> np.ndarray:
+    """The code of each value, one of ids: its place among the sorted ids."""
+    rank = {key: i for i, key in enumerate(sorted(ids))}
+    return np.array([rank[value] for value in values], np.int64)
+
+
 def decoded(ids: Iterable[str], codes: np.ndarray) -> list[str]:
     """The id of each code: its place among the sorted ids."""
     return np.array(sorted(ids) + [None], object)[codes].tolist()
@@ -101,8 +106,8 @@ def decoded(ids: Iterable[str], codes: np.ndarray) -> list[str]:
 def assert_cohorts_equal(a: Cohort, b: Cohort) -> None:
     """Two cohorts hold the same values: every table column with its dtype,
     and every frame column bit for bit, foreground labels included."""
-    assert (a.profiles, a.hubs, a.physiology, a.warnings) == (b.profiles, b.hubs, b.physiology, b.warnings)
-    for x, y in ((a.rssi, b.rssi), (a.recordings, b.recordings)):
+    assert (a.profiles, a.hubs, a.warnings) == (b.profiles, b.hubs, b.warnings)
+    for x, y in ((a.rssi, b.rssi), (a.recordings, b.recordings), (a.physiology, b.physiology)):
         for name in x.columns():
             got, want = getattr(x, name), getattr(y, name)
             assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
@@ -130,7 +135,7 @@ def rssi_table(rows: Iterable[tuple[str, date, int, str, int]], profiles: Iterab
     """Table of (pid, date, minute, hub, rssi) rows, each id coded among the
     profile or hub ids."""
     pids, days, minutes, hub_ids, values = zip(*rows) if rows else ((),) * 5
-    return RssiTable(participant_codes(profiles, pids), days, minutes, participant_codes(hubs, hub_ids), values)
+    return RssiTable(coded(profiles, pids), days, minutes, coded(hubs, hub_ids), values)
 
 
 def rssi_rows(*rows: tuple[str, int, str, int], hubs: Iterable[str], profiles: Iterable[str] = ("p1",),
@@ -160,5 +165,5 @@ def tiny_cohort(*others: str) -> Cohort:
         recording("p1", minute=4, n_frames=3, shift_date=date(2022, 3, 2)),
     ]
     rssi = rssi_rows(("p1", 0, "h_ns", 160), ("p1", 1, "h_ns", 155), hubs=hubs, profiles=profiles)
-    physiology = [DailyPhysiology("p1", D0, 0.4, 7.0)]
+    physiology = PhysiologyTable(coded(profiles, ["p1"]), [D0], [0.4], [7.0])
     return with_recordings(Cohort(profiles, hubs, rssi=rssi, physiology=physiology), recs)

@@ -285,7 +285,7 @@ def test_criterion_6_directional_recovery(tmp_path):
 def test_criterion_7_ml_recovers_planted_coupling(tmp_path):
     with timer() as t:
         data, out = run_pipeline(tmp_path, ML_SPEC, min_frames=12)
-        truth = GroundTruth.from_json((data / "ground_truth.json").read_text())
+        truth = GroundTruth.read(data / "ground_truth.json")
         planted = set(truth.informative_features["neg_affect"])
 
         report_path = tmp_path / "report.json"
@@ -372,7 +372,7 @@ def test_criterion_9_round_trip_all_artifacts(tmp_path):
         assert len(ids) == 8 and not np.any(np.isnan(X))
         assert reports.read_comparisons_csv(comp_path)
         assert reports.read_report_json(out / "report.json")["label"] == "pos_affect"
-        GroundTruth.from_json((data / "ground_truth.json").read_text())
+        GroundTruth.read(data / "ground_truth.json")
         # the report subcommand consumes the whole directory without error
         assert main(["report", str(out)]) == 0
     report_line("9 round-trip of every artifact", True, t.elapsed)

@@ -20,10 +20,10 @@ from shifttalk.aggregate import (
 )
 from shifttalk.arousal import RatedRecording
 from shifttalk.locate import empty_timeline
-from shifttalk.model import SHIFT_MINUTES, DailyPhysiology, LocationCategory, ShiftType, UnitType, participant_codes
+from shifttalk.model import SHIFT_MINUTES, LocationCategory, PhysiologyTable, ShiftType, UnitType
 from shifttalk.sessions import SpeechSession, build_sessions
 
-from conftest import D0, profile, recording
+from conftest import D0, coded, profile, recording
 
 
 def rated_at(minutes, fused=0.0):
@@ -171,7 +171,7 @@ def test_participant_vector_and_matrix_schema():
     timeline = empty_timeline("p1", D0)
     sessions = build_sessions([recording("p1", minute=0), recording("p1", minute=1)], timeline)
     sf = per_shift_features(sessions, rated_at([0, 1], [0.5, -0.5]), timeline)
-    vec = participant_vector(profile("p1"), [sf], [DailyPhysiology("p1", D0, 0.4, 7.0)])
+    vec = participant_vector(profile("p1"), [sf], PhysiologyTable([0], [D0], [0.4], [7.0]))
     assert set(vec.features) == set(FEATURE_COLUMNS)
     X, names, ids = build_feature_matrix([vec])
     assert X.shape == (1, len(FEATURE_COLUMNS))
@@ -184,7 +184,7 @@ def test_identical_participants_identical_rows():
     timeline = empty_timeline("p1", D0)
     sessions = build_sessions([recording("p1", minute=0)], timeline)
     sf = per_shift_features(sessions, rated_at([0], [0.3]), timeline)
-    phys = [DailyPhysiology("p1", D0, 0.4, 7.0)]
+    phys = PhysiologyTable([0], [D0], [0.4], [7.0])
     a = participant_vector(profile("p1"), [sf], phys)
     b = participant_vector(profile("p2"), [sf], phys)
     b.participant_id = "p2"
@@ -195,7 +195,7 @@ def test_identical_participants_identical_rows():
 def test_imputation_uses_column_median():
     vecs = []
     for pid, value in (("a", 1.0), ("b", 3.0), ("c", float("nan"))):
-        v = participant_vector(profile(pid), [], [])
+        v = participant_vector(profile(pid), [], PhysiologyTable())
         v.features["walk_ratio_mean"] = value
         vecs.append(v)
     X, names, _ = build_feature_matrix(vecs)
@@ -216,7 +216,7 @@ def test_mean_of_ratios_stays_in_unit_interval():
         sessions = build_sessions(recs, timeline)
         rated = [RatedRecording("p1", d, m, (0, 0, 0), float(rng.normal())) for m in minutes]
         sfs.append(per_shift_features(sessions, rated, timeline))
-    vec = participant_vector(profile("p1"), sfs, [])
+    vec = participant_vector(profile("p1"), sfs, PhysiologyTable())
     for name, value in vec.features.items():
         if "ratio" in name and "std" not in name and not np.isnan(value):
             assert 0.0 <= value <= 1.0
@@ -226,8 +226,7 @@ def test_cohort_feature_matrix_matches_participant_vectors():
     """The grouped participant pass gives the bits of participant_vector per
     participant, then build_feature_matrix: shift scalars and hour blocks
     missing at random or throughout, tied values, 0 to 130 shifts and
-    physiology days per participant (numpy sums pairwise from 8 values on),
-    and shift and physiology rows of an id without a profile."""
+    physiology days per participant (numpy sums pairwise from 8 values on)."""
     import hypothesis
     from hypothesis import strategies as st
 
@@ -249,15 +248,14 @@ def test_cohort_feature_matrix_matches_participant_vectors():
         ids = [f"p{k}" for k in range(draw(st.integers(0, 5)))]
         profiles = {pid: profile(pid, draw(st.sampled_from(list(ShiftType))), draw(st.sampled_from(list(UnitType))))
                     for pid in ids}
-        owners = ids + ["q"] * draw(st.booleans())  # q has no profile
-        keys = [(pid, D0 + timedelta(days=d)) for pid in owners for d in range(draw(count))]
+        keys = [(pid, D0 + timedelta(days=d)) for pid in ids for d in range(draw(count))]
         n = len(keys)
         shifts = ShiftColumns(rng.integers(0, 9, n), rng.integers(0, 9, n), {key: values(n) for key in _SHIFT_SCALARS},
                               values((n, N_BLOCKS)), values((n, N_BLOCKS)), rng.integers(0, 9, (n, N_BLOCKS)))
-        physiology = [DailyPhysiology(pid, D0, float(rng.choice(pool[:8])), float(rng.random() * 12))
-                      for pid in owners for _ in range(draw(count))]
-        rng.shuffle(physiology)  # each participant's days interleaved with the others'
-        return profiles, keys, shifts, physiology
+        rows = [(code, D0, float(rng.choice(pool[:8])), float(rng.random() * 12))
+                for code in range(len(ids)) for _ in range(draw(count))]
+        rng.shuffle(rows)  # each participant's days interleaved with the others'
+        return profiles, keys, shifts, PhysiologyTable(*zip(*rows))
 
     @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @hypothesis.given(cohorts())
@@ -267,9 +265,9 @@ def test_cohort_feature_matrix_matches_participant_vectors():
         for sf in reference.shift_records(shifts, keys):
             by_pid.setdefault(sf.participant_id, []).append(sf)
         vectors = [participant_vector(profiles[pid], by_pid.get(pid, []),
-                                      [d for d in physiology if d.participant_id == pid]) for pid in sorted(profiles)]
-        X, names, ids = cohort_feature_matrix(profiles, participant_codes(profiles, [pid for pid, _ in keys]),
-                                              shifts, physiology)
+                                      physiology.select(physiology.participant == code))
+                   for code, pid in enumerate(sorted(profiles))]
+        X, names, ids = cohort_feature_matrix(profiles, coded(profiles, [pid for pid, _ in keys]), shifts, physiology)
         assert names == FEATURE_COLUMNS and ids == sorted(profiles)
         if not vectors:
             assert X.shape == (0, len(FEATURE_COLUMNS))

@@ -66,6 +66,28 @@ def test_simulate_bad_spec_exits_2(tmp_path):
     assert main(["simulate", str(spec), "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("spec_text, flags", [(SPEC, ["--seed", "-1"]), (SPEC.replace("seed = 5", "seed = -1"), [])],
+                         ids=["flag", "spec"])
+def test_simulate_negative_seed_exits_2(tmp_path, capsys, spec_text, flags):
+    spec = write_spec(tmp_path, spec_text)
+    assert main(["simulate", str(spec), "--out", str(tmp_path / "x"), *flags]) == 2
+    assert capsys.readouterr().err == "error: seed=-1 must be >= 0\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("line", [
+    "inter_session_sd = -1", "rssi_sd = -2", "walk_within_sd = -0.1", "label_noise_affect = -1",
+    "inter_session_median_day = nan", "arousal_effect_size = nan", "rssi_mean = inf",
+])
+def test_simulate_spec_knob_that_no_draw_can_use_exits_2(tmp_path, capsys, line):
+    spec = write_spec(tmp_path, SPEC + line + "\n")
+    assert main(["simulate", str(spec), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    key, _, value = line.partition(" = ")
+    assert err.startswith(f"error: {key}={float(value)} must be ") and err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
 def test_simulate_deterministic_checksums(tmp_path):
     spec = write_spec(tmp_path)
     a, b = tmp_path / "a", tmp_path / "b"
@@ -211,6 +233,15 @@ def test_predict_bad_forest_or_cv_value_exits_2(pipeline_dirs, tmp_path, capsys,
     assert not report_path.exists()
 
 
+def test_predict_negative_seed_exits_2(pipeline_dirs, tmp_path, capsys):
+    _, _, out = pipeline_dirs
+    report_path = tmp_path / "report.json"
+    assert main(["predict", str(out / "features.csv"), "--label", "neg_affect", "--seed", "-3",
+                 "--out", str(report_path)]) == 2
+    assert capsys.readouterr().err == "error: --seed: seed must be a non-negative integer, got -3\n"
+    assert not report_path.exists()
+
+
 def test_predict_max_depth_that_is_no_integer_exits_2_with_usage(pipeline_dirs, tmp_path, capsys):
     _, _, out = pipeline_dirs
     with pytest.raises(SystemExit) as exited:
@@ -268,6 +299,33 @@ def test_verify_subcommand(pipeline_dirs, tmp_path):
     assert report["groups"]["day"]["inter_session_rel_error"] < 0.15
 
 
+@pytest.mark.parametrize("text, error", [
+    ("not json\n", "ground_truth.json:1: invalid JSON: Expecting value"),
+    ('{\n  "seed": 0,\n  oops\n}\n',
+     "ground_truth.json:3: invalid JSON: Expecting property name enclosed in double quotes"),
+    ('{\n  "seed": 0,\n  "knobs": {},\n  "informative_features": {}\n}\n',
+     "ground_truth.json:1: missing key 'participants'"),
+])
+def test_verify_truth_that_is_no_ground_truth_exits_2(pipeline_dirs, tmp_path, capsys, text, error):
+    _, _, out = pipeline_dirs
+    truth = tmp_path / "ground_truth.json"
+    truth.write_text(text)
+    assert main(["verify", "--truth", str(truth), "--features", str(out / "features.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+BROKEN_REPORT = '{\n  "label": "pos_affect",\n  "cv_micro_f1": 0.5,,\n}\n'
+BROKEN_REPORT_ERROR = "error: report.json:3: invalid JSON: Expecting property name enclosed in double quotes\n"
+
+
+def test_verify_report_that_does_not_parse_exits_2(pipeline_dirs, tmp_path, capsys):
+    _, data, out = pipeline_dirs
+    (tmp_path / "report.json").write_text(BROKEN_REPORT)
+    assert main(["verify", "--truth", str(data / "ground_truth.json"), "--features", str(out / "features.csv"),
+                 "--report", str(tmp_path / "report.json")]) == 2
+    assert capsys.readouterr().err == BROKEN_REPORT_ERROR
+
+
 def test_report_subcommand(pipeline_dirs, capsys):
     _, _, out = pipeline_dirs
     assert main(["report", str(out)]) == 0
@@ -278,6 +336,12 @@ def test_report_subcommand(pipeline_dirs, capsys):
 
 def test_report_empty_dir_exits_2(tmp_path):
     assert main(["report", str(tmp_path)]) == 2
+
+
+def test_report_on_a_report_json_that_does_not_parse_exits_2(tmp_path, capsys):
+    (tmp_path / "report.json").write_text(BROKEN_REPORT)
+    assert main(["report", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == BROKEN_REPORT_ERROR
 
 
 def test_all_extract_artifacts_reparse(pipeline_dirs):

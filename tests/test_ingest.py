@@ -893,6 +893,29 @@ def test_parsed_codes_decode_to_the_ids_read_row_by_row_property(tmp_path, monke
     check()
 
 
+def test_parsed_physiology_codes_decode_to_the_ids_of_the_file(tmp_path):
+    """Each physiology row's participant code, decoded by its place among the
+    sorted profile ids, is the participant_id that the csv module reads from
+    its row: ids the csv module quotes, a NUL and non-ASCII ids, each on
+    several rows, with participants.csv in reverse order."""
+    import csv
+
+    pids = ODD_IDS + ["p1\0"]
+    write_csv(tmp_path / "participants.csv", ingest.PARTICIPANTS_HEADER,
+              [np.array(pids[::-1], object), *(np.full(len(pids), value) for value in ("day", "icu", 30, 25, 4.2))])
+    rows = [pids[(3 * i) % len(pids)] for i in range(2 * len(pids))]
+    write_csv(tmp_path / "physiology.csv", ingest.PHYSIOLOGY_HEADER,
+              [np.array(rows, object), np.full(len(rows), D0, "datetime64[D]"), np.linspace(0, 1, len(rows)),
+               np.full(len(rows), 7.5)])
+    profiles = ingest.parse_participants(tmp_path / "participants.csv")
+    physiology = ingest.parse_physiology(tmp_path / "physiology.csv", profiles)
+    with (tmp_path / "physiology.csv").open(newline="", encoding="utf-8") as fh:
+        read = [row[0] for row in csv.reader(fh)][1:]
+    assert physiology.participant.dtype == np.int64
+    assert decoded(profiles, physiology.participant) == read == rows
+    assert physiology.walk_ratio.tolist() == np.linspace(0, 1, len(rows)).tolist()
+
+
 @pytest.mark.parametrize("file", ["rssi.csv", "recordings.jsonl"])
 def test_rows_are_read_a_block_at_a_time(tmp_path, file):
     """While 65,536 rows are read, the heap holds less than the table they

@@ -1,5 +1,5 @@
-"""The integer participant and shift keys of model.py, held to tuple oracles,
-and the cohort filter that renumbers the participant codes of the rows it keeps."""
+"""The integer shift keys of model.py, held to a tuple oracle, and the cohort
+filter that renumbers the participant codes of the rows it keeps."""
 
 from __future__ import annotations
 
@@ -9,11 +9,11 @@ from datetime import date
 import numpy as np
 
 from shifttalk.ingest import parse_cohort, write_cohort
-from shifttalk.model import participant_codes, shift_codes, shift_parts
+from shifttalk.model import shift_codes, shift_parts
 from shifttalk.pipeline import ExtractionConfig, run_extraction
 from shifttalk.simulate import CohortSpec, generate
 
-from conftest import assert_cohorts_equal
+from conftest import assert_cohorts_equal, coded, decoded
 
 
 def test_shift_codes_order_and_inverse_match_sorted_tuples():
@@ -24,28 +24,24 @@ def test_shift_codes_order_and_inverse_match_sorted_tuples():
     ident = st.text(st.sampled_from(["a", "b", "\0", '"', "é", "☃", "𝄞"]), max_size=4)
     day = st.one_of(st.sampled_from([date(1, 1, 1), date(9999, 12, 31), date(2022, 3, 1)]), st.dates())
 
-    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(st.lists(ident, unique=True, max_size=6), st.lists(st.tuples(ident, day), max_size=40))
-    def check(profiles, rows) -> None:
-        ids, days = [pid for pid, _ in rows], np.array([d for _, d in rows], "datetime64[D]")
-        participant = participant_codes(profiles, ids)
-        known = [pid in profiles for pid in ids]
-        assert participant.dtype == np.int64 and len(participant) == len(ids)
-        assert [code for code, k in zip(participant.tolist(), known) if not k] == [-1] * known.count(False)
-        ranked = sorted(profiles)
-        assert [ranked[code] for code, k in zip(participant.tolist(), known) if k] == [
-            pid for pid, k in zip(ids, known) if k]
+    @st.composite
+    def cohorts(draw):
+        profiles = draw(st.lists(ident, unique=True, max_size=6))
+        rows = st.lists(st.tuples(st.sampled_from(profiles), day), max_size=40) if profiles else st.just([])
+        return profiles, draw(rows)
 
-        keys, inverse = np.unique(shift_codes(participant, days), return_inverse=True)
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cohorts())
+    def check(drawn) -> None:
+        profiles, rows = drawn
+        days = np.array([d for _, d in rows], "datetime64[D]")
+        keys, inverse = np.unique(shift_codes(coded(profiles, [pid for pid, _ in rows]), days), return_inverse=True)
         owners, key_days = shift_parts(keys)
         assert key_days.dtype == np.dtype("datetime64[D]")
-        # an id without a profile keys as (-1, date): those keys sort first
-        oracle = sorted({(pid, d) for pid, d in rows if pid in profiles})
-        loose = sorted({d for pid, d in rows if pid not in profiles})
-        assert owners.tolist() == [-1] * len(loose) + [ranked.index(pid) for pid, _ in oracle]
-        assert key_days.tolist() == loose + [d for _, d in oracle]
-        assert inverse.tolist() == [oracle.index((pid, d)) + len(loose) if pid in profiles else loose.index(d)
-                                    for pid, d in rows]
+        oracle = sorted(set(rows))
+        assert owners.tolist() == [sorted(profiles).index(pid) for pid, _ in oracle]
+        assert key_days.tolist() == [d for _, d in oracle]
+        assert inverse.tolist() == [oracle.index(row) for row in rows]
 
     check()
 
@@ -53,12 +49,13 @@ def test_shift_codes_order_and_inverse_match_sorted_tuples():
 def test_dropping_a_participant_between_two_kept_ones_renumbers_the_codes(tmp_path):
     """filter_min_days drops p002, whose id sorts between p001 and p003, for
     its one shift date; every output of run_extraction, and the kept cohort,
-    equals that of the same cohort written without p002."""
+    equals that of the same cohort written without p002. The kept rows of
+    each table, physiology's among them, name p003 and p004 by codes one lower."""
     generate(CohortSpec(n_per_cell=1, n_shifts=2, frames_per_recording=40, seed=4), tmp_path / "all")
     cohort = parse_cohort(tmp_path / "all")
     ids = sorted(cohort.profiles)
     assert ids == ["p001", "p002", "p003", "p004"]
-    recordings, rssi = cohort.recordings, cohort.rssi
+    recordings, rssi, physiology = cohort.recordings, cohort.rssi, cohort.physiology
     code = ids.index("p002")
 
     # p002 keeps the recordings of its first date only: too few dates for min_days=2
@@ -69,16 +66,20 @@ def test_dropping_a_participant_between_two_kept_ones_renumbers_the_codes(tmp_pa
     # the cohort without p002, its later codes one lower, as written and read again
     mine = recordings.participant == code
     kept_recordings, kept_rssi = recordings.select(~mine), rssi.select(rssi.participant != code)
-    for table in (kept_recordings, kept_rssi):
+    kept_physiology = physiology.select(physiology.participant != code)
+    for table in (kept_recordings, kept_rssi, kept_physiology):
         table.participant = table.participant - (table.participant > code)
     without = replace(cohort, profiles={pid: p for pid, p in cohort.profiles.items() if pid != "p002"},
                       recordings=kept_recordings, frames=cohort.frames.select(np.repeat(~mine, recordings.n_frames)),
-                      rssi=kept_rssi, physiology=[d for d in cohort.physiology if d.participant_id != "p002"])
+                      rssi=kept_rssi, physiology=kept_physiology)
     write_cohort(without, tmp_path / "without")
 
     config = ExtractionConfig(min_frames=6, min_days=2)
     got, want = run_extraction(one_date, config), run_extraction(parse_cohort(tmp_path / "without"), config)
     assert "p002" not in got.cohort.profiles and got.participant_ids == ["p001", "p003", "p004"]
+    assert sorted(set(got.cohort.physiology.participant.tolist())) == [0, 1, 2]
+    assert decoded(got.cohort.profiles, got.cohort.physiology.participant) == [
+        pid for pid in decoded(ids, physiology.participant) if pid != "p002"]
     assert_cohorts_equal(got.cohort, want.cohort)
     for name in ("sessions", "rated", "blocks"):
         a, b = getattr(got, name), getattr(want, name)

@@ -24,12 +24,13 @@ from shifttalk.model import (
     HubCategory,
     HubRecord,
     LocationCategory,
+    PhysiologyTable,
     RecordingSegment,
 )
 from shifttalk.pipeline import ExtractionConfig, filter_frames, is_valid_recording, run_extraction
 from shifttalk.sessions import SessionTable, build_sessions
 
-from conftest import D0, listed_timelines, profile, rssi_table, segments, with_recordings
+from conftest import D0, decoded, listed_timelines, profile, rssi_table, segments, with_recordings
 
 
 @pytest.mark.parametrize("min_frames", [0, -1])
@@ -114,8 +115,8 @@ def reference_extraction(cohort: Cohort, config: ExtractionConfig):
         sf = per_shift_features(shift_sessions, shift_rated, timelines[key], config.arousal_threshold)
         features.append(_shift_feature_bits(sf))
         by_pid.setdefault(key[0], []).append(sf)
-    vectors = [participant_vector(cohort.profiles[pid], by_pid[pid],
-                                  [d for d in cohort.physiology if d.participant_id == pid])
+    owners = np.array(decoded(cohort.profiles, cohort.physiology.participant), object)
+    vectors = [participant_vector(cohort.profiles[pid], by_pid[pid], cohort.physiology.select(owners == pid))
                for pid in sorted(by_pid)]  # min_days is 1: every participant with a shift
     matrix = _bits(build_feature_matrix(vectors)[0]) if vectors else []
     return rated, weights, sessions, features, matrix
@@ -180,6 +181,9 @@ def test_run_extraction_matches_per_recording_chain():
         order = draw(st.permutations(range(len(recs))))  # interleave speakers in the file
         recs = [recs[i] for i in order]
         profiles = {r.participant_id: profile(r.participant_id) for r in recs}
+        walk, sleep = st.sampled_from([0.0, 0.4, 1.0]), st.sampled_from([0.0, 7.5])
+        days = draw(st.permutations([(code, D0, draw(walk), draw(sleep))  # physiology rows, interleaved
+                                     for code in range(len(profiles)) for _ in range(draw(st.integers(0, 3)))]))
         config = ExtractionConfig(
             foreground=ForegroundFilter(draw(st.sampled_from(list(FilterKind))),
                                         draw(st.sampled_from([0.0, 0.5, 0.7]))),
@@ -187,7 +191,9 @@ def test_run_extraction_matches_per_recording_chain():
             min_days=1,
             arousal_threshold=draw(st.sampled_from([0.0, 0.25, 0.5])),
         )
-        return with_recordings(Cohort(profiles, hubs, rssi=rssi_table(draw(rssi(recs)), profiles, hubs)), recs), config
+        cohort = Cohort(profiles, hubs, rssi=rssi_table(draw(rssi(recs)), profiles, hubs),
+                        physiology=PhysiologyTable(*zip(*days)))
+        return with_recordings(cohort, recs), config
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @hypothesis.given(cohorts())

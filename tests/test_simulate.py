@@ -101,7 +101,7 @@ def test_seed_changes_output(tmp_path):
 
 def test_ground_truth_roundtrip(tmp_path):
     _, truth = generate(CohortSpec(**TINY), tmp_path)
-    loaded = GroundTruth.from_json((tmp_path / "ground_truth.json").read_text())
+    loaded = GroundTruth.read(tmp_path / "ground_truth.json")
     assert loaded.seed == truth.seed
     assert loaded.participants.keys() == truth.participants.keys()
     assert loaded.knobs == truth.knobs
