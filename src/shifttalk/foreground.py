@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BadParameter
-from .model import FrameBlock, RecordingSegment, RecordingTable
+from .model import FrameBlock, RecordingSegment, RecordingTable, frame_windows, mapped, release, window_repeat
 
 MIN_FOREGROUND_FRAMES = 200  # ~10% of a 20 s capture at 10 ms hop
 
@@ -47,11 +47,18 @@ class ForegroundFilter:
 def cohort_mask(recordings: RecordingTable, frames: FrameBlock, f: ForegroundFilter) -> np.ndarray:
     """Keep-mask over a cohort's frames (``frames``, end to end for the rows
     of ``recordings``): ``f.mask``'s rule for every recording at once, so
-    under EXTERNAL_SCORES a labelled recording keeps its own labels."""
-    keep = frames.foreground_prob >= f.threshold
-    if f.kind is FilterKind.EXTERNAL_SCORES and recordings.labelled.any():
-        labelled = np.repeat(recordings.labelled, recordings.n_frames)
-        keep[labelled] = frames.foreground[labelled]
+    under EXTERNAL_SCORES a labelled recording keeps its own labels. The
+    frames are walked a window at a time (model.frame_windows), the pages
+    of a mapped frames.bin released after each (model.release)."""
+    keep = mapped(len(frames), bool)
+    external = f.kind is FilterKind.EXTERNAL_SCORES and recordings.labelled.any()
+    ends = np.cumsum(recordings.n_frames)
+    for window in frame_windows(len(frames)):
+        np.greater_equal(frames.foreground_prob[window], f.threshold, out=keep[window])
+        if external:
+            labelled = window_repeat(recordings.labelled, ends, window)
+            keep[window][labelled] = frames.foreground[window][labelled]
+        release(frames.foreground_prob)
     return keep
 
 

@@ -22,7 +22,15 @@ The frames.bin reader builds no Python object from the file. It refuses a
 bad magic, any dtype but that exact one, a shape other than 1-D with the
 n_frames' sum, an array the file ends inside, a label byte other than 0 and
 1, and any byte after the last array, each as MalformedRow("frames.bin", k,
-reason) with the array's number k (1-5) in place of a line.
+reason) with the array's number k (1-5) in place of a line. It walks the
+five headers, then maps the file once, read-only: the four value columns of
+the parsed FrameBlock are views of that map, and foreground is a copy of
+its own (model.mapped). The label bytes and the frame values are checked a
+window of frames at a time (model.frame_windows), and the map's pages are
+released after each window (model.release), so the frames resident at once
+are one window's whatever the file's size. FrameWriter writes frames.bin a
+chunk of recordings at a time (simulate appends each shift's frames as it
+draws them), through one temporary file per array.
 
 Validation is strict (typed fields, range checks, referenced ids must exist)
 except for RSSI values, which are clamped into [136, 193] with a warning
@@ -49,7 +57,7 @@ file order: model.csv_blocks splits a block of lines into fields, and each
 rule is one mask over a column. recordings.jsonl is read a block of lines
 at a time too (model.line_blocks), with one JSON scan per line. With
 frames.bin it becomes one RecordingTable, a row per recording, and one
-FrameBlock holding every recording's frames end to end. physiology.csv, a
+FrameBlock of every recording's frames end to end. physiology.csv, a
 row per participant and day, is read a row at a time into one
 PhysiologyTable. The three tables name a participant, and an RSSI row its
 hub, by a code (model), its id's rank among the sorted ids (_ranks);
@@ -63,7 +71,9 @@ leading "+", "_" separators or non-ASCII digits.
 from __future__ import annotations
 
 import json
+import mmap
 import os
+import shutil
 from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
@@ -98,11 +108,14 @@ from .model import (
     csv_blocks,
     csv_rows,
     distinct,
+    frame_windows,
     line_blocks,
     mapped,
     parse_date,
+    release,
     shift_codes,
     shift_parts,
+    window_repeat,
     write_csv,
 )
 
@@ -324,9 +337,21 @@ def _value_refusal(feats: list[np.ndarray]) -> tuple[int, str] | None:
     """The first frame (an index into the FRAME_COLUMNS arrays feats) that
     breaks a frame value rule, with the first rule it breaks; None when every
     frame keeps them. Values are finite, except NaN as an unvoiced pitch;
-    foreground_prob lies in [0, 1] and hf_lf_ratio is non-negative."""
+    foreground_prob lies in [0, 1] and hf_lf_ratio is non-negative. The
+    columns are walked a window of frames at a time (model.frame_windows),
+    the pages of a mapped frames.bin released after each (model.release)."""
+    for window in frame_windows(len(feats[0])):
+        refusal = _window_refusal([feat[window] for feat in feats])
+        release(*feats)
+        if refusal is not None:
+            return window.start + refusal[0], refusal[1]
+    return None
+
+
+def _window_refusal(feats: list[np.ndarray]) -> tuple[int, str] | None:
+    """_value_refusal of one window of frames."""
     pitch, intensity, hf_lf, fg_prob = feats
-    # reductions first, which need no array as large as a column; NaN spoils a min or max (fmin and fmax skip it)
+    # reductions first, which need no array as large as the window; NaN spoils a min or max (fmin and fmax skip it)
     ends = np.array([np.fmin.reduce(pitch, initial=0.0), np.fmax.reduce(pitch, initial=0.0),
                      intensity.min(initial=0.0), intensity.max(initial=0.0), hf_lf.max(initial=0.0)])
     if (np.isfinite(ends).all() and hf_lf.min(initial=0.0) >= 0.0
@@ -342,12 +367,12 @@ def _value_refusal(feats: list[np.ndarray]) -> tuple[int, str] | None:
     return frame, next(reason for reason, broken in rules if broken[frame])
 
 
-def _refused_recording(recordings: RecordingTable, profiles: dict, refusal: tuple[int, str]) -> tuple[int, str]:
+def _refused_recording(recordings: RecordingTable, ids: list[str], refusal: tuple[int, str]) -> tuple[int, str]:
     """The index of the recording that holds a _value_refusal frame, and the
-    refusal with that recording named by its participant's id."""
+    refusal with that recording named by its participant's id, ids[code]."""
     frame, reason = refusal
     i = int(np.searchsorted(np.cumsum(recordings.n_frames), frame, side="right"))
-    pid, day = sorted(profiles)[recordings.participant[i]], np.datetime_as_string(recordings.shift_date[i])
+    pid, day = ids[recordings.participant[i]], np.datetime_as_string(recordings.shift_date[i])
     return i, f"{reason} in recording {pid} {day} minute {recordings.minute_index[i]}"
 
 
@@ -481,30 +506,38 @@ def _head_rows(heads: list, lines: np.ndarray, refusal: MalformedRow | None, ran
 
 
 def _read_frames(path: Path, recordings: RecordingTable, profiles: dict, lines: np.ndarray) -> FrameBlock:
-    """frames.bin's arrays, one per FrameBlock field, each read into mapped
-    memory (model.mapped) as _read_array checks it. A frame value that breaks a rule of
-    _value_refusal raises MalformedRow at its recording's line of
-    recordings.jsonl. Only a labelled recording's foreground labels are kept."""
+    """frames.bin's arrays as _frame_block holds them, once the file has
+    passed its checks: the walk of the five headers (_array_start), the
+    label bytes, and the frame values (_value_refusal), which raise
+    MalformedRow at a bad value's recording's line of recordings.jsonl. The
+    label bytes are walked a window at a time as the values are, the
+    pages of the map released after each (model.release)."""
     n = sum(recordings.n_frames.tolist())
     with path.open("rb") as fh:
-        columns = [_read_array(fh, path.name, k, name, dtype, n)
-                   for k, (name, dtype) in enumerate(zip(FRAME_FIELDS, _FRAME_DTYPES), start=1)]
-        if fh.read(1):
-            raise MalformedRow(path.name, len(columns), "bytes after the last array")
+        starts = [_array_start(fh, path.name, k, name, dtype, n)
+                  for k, (name, dtype) in enumerate(zip(FRAME_FIELDS, _FRAME_DTYPES), start=1)]
+        after = os.fstat(fh.fileno()).st_size > fh.tell()
+        columns = _map_arrays(fh, starts, n)
+    labels = columns[-1].view(np.uint8)
+    for window in frame_windows(n):
+        bad = labels[window].max() > 1
+        release(labels)
+        if bad:
+            raise MalformedRow(path.name, len(columns), f"{FRAME_FIELDS[-1]} holds a byte other than 0 and 1")
+    if after:
+        raise MalformedRow(path.name, len(columns), "bytes after the last array")
     refusal = _value_refusal(columns[:4])
     if refusal is not None:
-        i, reason = _refused_recording(recordings, profiles, refusal)
+        i, reason = _refused_recording(recordings, sorted(profiles), refusal)
         raise MalformedRow(RECORDINGS_FILE, int(lines[i]), f"{path.name}: {reason}")
-    frames = FrameBlock(*columns)
-    frames.foreground &= np.repeat(recordings.labelled, recordings.n_frames)
-    return frames
+    return _frame_block(columns, recordings)
 
 
-def _read_array(fh: BinaryIO, file: str, k: int, name: str, dtype: np.dtype, n: int) -> np.ndarray:
-    """Array k (1-based) of frames.bin, the frame column name: a version 1.0
-    NEP 1 .npy array of exactly n values of exactly dtype, whose header is read as a
-    literal and whose values are read as raw bytes; a refusal raises
-    MalformedRow with k as its line."""
+def _array_start(fh: BinaryIO, file: str, k: int, name: str, dtype: np.dtype, n: int) -> int:
+    """Where the values of array k (1-based) of frames.bin, the frame column
+    name, start, the file read past them: a version 1.0 NEP 1 .npy array of
+    exactly n values of exactly dtype, whose header is read as a literal; a
+    refusal raises MalformedRow with k as its line."""
     try:
         if npy.read_magic(fh) != (1, 0):  # what np.save writes for these arrays
             raise ValueError("not a version 1.0 .npy array")
@@ -515,13 +548,37 @@ def _read_array(fh: BinaryIO, file: str, k: int, name: str, dtype: np.dtype, n: 
         raise MalformedRow(file, k, f"{name} must be a 1-D {dtype.str} array, got {found.str} of shape {shape}")
     if shape[0] != n:
         raise MalformedRow(file, k, f"{name} holds {shape[0]} frames, but the n_frames of {RECORDINGS_FILE} sum to {n}")
-    if os.fstat(fh.fileno()).st_size - fh.tell() < n * dtype.itemsize:  # checked before memory is mapped for it
+    start = fh.tell()
+    if os.fstat(fh.fileno()).st_size - start < n * dtype.itemsize:
         raise MalformedRow(file, k, f"{name}: the file ends inside the array")
-    out = mapped(n, dtype)
-    fh.readinto(out)
-    if dtype == bool and out.view(np.uint8).max(initial=0) > 1:
-        raise MalformedRow(file, k, f"{name} holds a byte other than 0 and 1")
-    return out
+    fh.seek(n * dtype.itemsize, os.SEEK_CUR)
+    return start
+
+
+def _map_arrays(fh: BinaryIO, starts: list[int], n: int) -> list[np.ndarray]:
+    """The five arrays of n values of the frames.bin open as fh, starting at
+    starts, as views of one read-only map of the file, which stays open
+    with them; no page is read until a view is touched."""
+    file_map = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    return [np.frombuffer(file_map, dtype, n, start) for dtype, start in zip(_FRAME_DTYPES, starts)]
+
+
+def _frame_block(columns: list[np.ndarray], recordings: RecordingTable) -> FrameBlock:
+    """The FrameBlock of frames.bin's mapped arrays (_map_arrays) for the
+    rows of recordings: the four value columns as they are, and foreground
+    in memory of its own (model.mapped), the file's labels where a
+    recording is labelled and False elsewhere. Only the windows that hold a
+    labelled recording's frames are read."""
+    *values, labels = columns
+    foreground = mapped(len(labels), bool)
+    if recordings.labelled.any():
+        ends = np.cumsum(recordings.n_frames)
+        for window in frame_windows(len(labels)):
+            labelled = window_repeat(recordings.labelled, ends, window)
+            if labelled.any():
+                np.logical_and(labels[window], labelled, out=foreground[window])
+                release(labels)
+    return FrameBlock(*values, foreground)
 
 
 def parse_cohort(dir_path: str | Path) -> Cohort:
@@ -544,20 +601,84 @@ def parse_cohort(dir_path: str | Path) -> Cohort:
 # --- writer (shared by the simulator and round-trip tests) ---
 
 
-def write_cohort(cohort: Cohort, dir_path: str | Path) -> None:
-    """Write a cohort back out as the five canonical files and frames.bin
-    (deterministic bytes).
+class FrameWriter:
+    """frames.bin written a chunk of recordings at a time, its memory that of
+    one chunk: append puts each chunk's five columns at the end of one
+    temporary sibling file per FrameBlock field, and assemble writes
+    frames.bin from them (each field's .npy header, then its file). Used as
+    a context manager, it removes its files on exit, whatever happened.
 
-    A frame value its reader would refuse (see _value_refusal) raises
-    ValueError naming the first recording that holds one, before any file
-    is written. Each file is first written to a temporary sibling; the
-    canonical names are replaced only once every file has been written, so
-    a failed write leaves the directory as it was.
+    A chunk with a frame value that the reader would refuse (_value_refusal)
+    raises ValueError naming the first recording that holds one, by its
+    participant's id ids[code], before any of the chunk is written; the
+    directory is made, and the files opened, for the first chunk written."""
+
+    def __init__(self, root: str | Path, ids: list[str]) -> None:
+        self.root, self.ids, self.n = Path(root), ids, 0
+        self.parts = {name: self.root / f"{FRAMES_FILE}.{name}.tmp" for name in FRAME_FIELDS}
+        self.files: list[BinaryIO] = []
+
+    def __enter__(self) -> "FrameWriter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for fh in self.files:
+            fh.close()
+        for path in self.parts.values():
+            path.unlink(missing_ok=True)
+
+    def append(self, recordings: RecordingTable, columns: list[np.ndarray]) -> None:
+        """Write the frames of the rows of recordings, given by FrameBlock
+        field in field order, after those appended before."""
+        refusal = _value_refusal(columns[:4])
+        if refusal is not None:
+            raise ValueError(_refused_recording(recordings, self.ids, refusal)[1])
+        if not self.files:
+            self.root.mkdir(parents=True, exist_ok=True)
+            self.files = [path.open("wb") for path in self.parts.values()]
+        for window in frame_windows(len(columns[0])):
+            for fh, column, dtype in zip(self.files, columns, _FRAME_DTYPES):
+                fh.write(np.ascontiguousarray(column[window], dtype).data)
+            release(*columns)
+        self.n += len(columns[0])
+
+    def assemble(self, path: Path) -> list[int]:
+        """Write frames.bin to path; return where each array's values start."""
+        for fh in self.files:
+            fh.flush()
+        starts = []
+        with path.open("wb") as out:
+            for name, dtype in zip(FRAME_FIELDS, _FRAME_DTYPES):
+                npy.write_array_header_1_0(out, {"descr": npy.dtype_to_descr(dtype), "fortran_order": False,
+                                                 "shape": (self.n,)})  # as np.save writes it
+                starts.append(out.tell())
+                if self.files:
+                    with self.parts[name].open("rb") as part:
+                        shutil.copyfileobj(part, out, _COPY_BYTES)
+        return starts
+
+
+_COPY_BYTES = 1 << 20  # bytes of a part file that FrameWriter.assemble copies at once
+
+
+def write_cohort(cohort: Cohort, dir_path: str | Path, frames: FrameWriter | None = None) -> FrameBlock:
+    """Write a cohort back out as the five canonical files and frames.bin
+    (deterministic bytes), and return the frames as written (_frame_block
+    of a map of frames.bin).
+
+    The frames are those appended to frames, a FrameWriter of the
+    directory, when it is given (cohort.frames is then not read), else
+    cohort.frames, appended as one chunk. A frame value its reader would
+    refuse (see _value_refusal) raises ValueError naming the first recording
+    that holds one, before any file is written. Each file is first written
+    to a temporary sibling; the canonical names are replaced only once every
+    file has been written, so a failed write leaves the directory as it was.
     """
-    recordings, frames = cohort.recordings, cohort.frames
-    refusal = _value_refusal([getattr(frames, name) for name in FRAME_COLUMNS])
-    if refusal is not None:
-        raise ValueError(_refused_recording(recordings, cohort.profiles, refusal)[1])
+    if frames is None:
+        with FrameWriter(dir_path, sorted(cohort.profiles)) as frames:
+            frames.append(cohort.recordings, [getattr(cohort.frames, name) for name in FRAME_FIELDS])
+            return write_cohort(cohort, dir_path, frames)
+    recordings = cohort.recordings
     root = Path(dir_path)
     root.mkdir(parents=True, exist_ok=True)
     temporary = {name: root / f"{name}.tmp" for name in CANONICAL_FILES + (FRAMES_FILE,)}
@@ -572,9 +693,7 @@ def write_cohort(cohort: Cohort, dir_path: str | Path) -> None:
         write_csv(temporary[RSSI_FILE], RSSI_HEADER,
                   [ids[rssi.participant], rssi.shift_date, rssi.minute_index, hubs[rssi.hub], rssi.rssi])
         _write_heads(temporary[RECORDINGS_FILE], recordings, ids)
-        with temporary[FRAMES_FILE].open("wb") as fh:
-            for name, dtype in zip(FRAME_FIELDS, _FRAME_DTYPES):
-                np.save(fh, np.asarray(getattr(frames, name), dtype), allow_pickle=False)
+        starts = frames.assemble(temporary[FRAMES_FILE])
         physiology = cohort.physiology
         write_csv(temporary[PHYSIOLOGY_FILE], PHYSIOLOGY_HEADER,
                   [ids[physiology.participant], physiology.shift_date, physiology.walk_ratio, physiology.sleep_hours])
@@ -584,6 +703,8 @@ def write_cohort(cohort: Cohort, dir_path: str | Path) -> None:
         raise
     for name, path in temporary.items():
         os.replace(path, root / name)
+    with (root / FRAMES_FILE).open("rb") as fh:
+        return _frame_block(_map_arrays(fh, starts, frames.n), recordings)
 
 
 def _columns(rows: list[tuple], dtypes: tuple) -> list[np.ndarray]:

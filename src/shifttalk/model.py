@@ -6,8 +6,11 @@ schedule, so the analytic code never touches wall clocks.
 
 The input rows live in parallel numpy columns from parse to features: one
 RssiTable, one RecordingTable with one FrameBlock holding every recording's
-frames end to end, and one PhysiologyTable. Filters select rows with
-boolean masks. Every CSV output table is a ColumnTable of that kind. The
+frames end to end, and one PhysiologyTable. A parsed FrameBlock's values
+are views of a read-only map of frames.bin; a pass over whole frame
+columns walks them FRAME_WINDOW frames at a time (frame_windows) and
+releases the map's pages after each window (release). Filters select rows
+with boolean masks. Every CSV output table is a ColumnTable of that kind. The
 row tables name a participant, and an RSSI row its hub, by an integer code
 from the parse on: a participant's code is its id's rank among the sorted
 profile ids, a hub's its id's rank among the sorted hub ids. A shift's key
@@ -263,17 +266,29 @@ def _quoted_rows(path: Path, header: Sequence[str], first: int, batch_rows: int)
 
 
 def read_json(path: str | Path, keys: Sequence[str]) -> dict:
-    """The JSON object in a file, which must hold each of keys; text that is
-    not JSON raises MalformedRow at the line json names, a missing key at line 1."""
+    """The JSON object in a file, which must hold each of keys; a byte that
+    is not UTF-8 text raises MalformedRow at its line, text that is not JSON
+    at the line json names, and a missing key at line 1. Lines are counted
+    as text mode counts them."""
     path = Path(path)
+    data = path.read_bytes()
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(path.name, _newlines(data[:exc.start].decode()).count("\n") + 1, "not UTF-8 text") from None
+    try:
+        payload = json.loads(_newlines(text))
     except json.JSONDecodeError as exc:
         raise MalformedRow(path.name, exc.lineno, f"invalid JSON: {exc.msg}") from None
     for key in keys:
         if not isinstance(payload, dict) or key not in payload:
             raise MalformedRow(path.name, 1, f"missing key {key!r}")
     return payload
+
+
+def _newlines(text: str) -> str:
+    """text with each "\\r\\n" and lone "\\r" read as "\\n", as text mode reads it."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
@@ -568,9 +583,50 @@ def median(values: np.ndarray) -> float:
 def mapped(n: int, dtype=np.float64) -> np.ndarray:
     """n zero values in memory mapped for them alone, which goes back to the
     system when the array is dropped; malloc keeps freed blocks this small resident.
+    The row columns of a parse are gathered into such memory, and so are the
+    1-byte-per-frame foreground labels and keep masks; frame values are never
+    copied into it (frames.bin is mapped read-only instead, see release).
     The mapping is private: a shared anonymous one is backed by shmem, whose
     pages cost more to fault in."""
     return np.frombuffer(mmap.mmap(-1, max(n * np.dtype(dtype).itemsize, 1), flags=mmap.MAP_PRIVATE), dtype, n)
+
+
+FRAME_WINDOW = 1 << 16  # frames that a pass over whole frame columns takes at once
+
+
+def frame_windows(n: int) -> Iterator[slice]:
+    """Slices of at most FRAME_WINDOW frames, in order, that cover n frames."""
+    return (slice(a, min(a + FRAME_WINDOW, n)) for a in range(0, n, FRAME_WINDOW))
+
+
+def window_repeat(values: np.ndarray, ends: np.ndarray, window: slice) -> np.ndarray:
+    """``np.repeat(values, n)[window]`` with ``ends = np.cumsum(n)``: each
+    frame's recording's value, for the frames of a non-empty window alone."""
+    first = int(np.searchsorted(ends, window.start, side="right"))  # the recording of the window's first frame
+    last = int(np.searchsorted(ends, window.stop, side="left"))  # and of its last
+    counts = np.diff(np.clip(ends[first:last + 1], window.start, window.stop), prepend=window.start)
+    return np.repeat(values[first:last + 1], counts)
+
+
+_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
+
+
+def release(*columns: np.ndarray) -> None:
+    """Drop from this process the resident pages of each read-only file map
+    that a column is a view of; they are read again from the page cache
+    when next touched, so a pass that releases after each window holds one
+    window of the file. An array of other memory is left alone (dropping
+    the pages of a writable map would lose its values), and so is every
+    array where the system has no MADV_DONTNEED."""
+    maps = {}
+    for base in columns:
+        while isinstance(base, np.ndarray):
+            base = base.base
+        if isinstance(base, memoryview) and base.readonly and isinstance(base.obj, mmap.mmap):
+            maps[id(base.obj)] = base.obj
+    if _DONTNEED is not None:
+        for file_map in maps.values():
+            file_map.madvise(_DONTNEED)
 
 
 @dataclass

@@ -11,11 +11,14 @@ participants, and the arousal pass loops over speakers:
 
 - Location timelines for every shift come from one pass over the cohort's
   RssiTable, as one (shifts, 720) array.
-- Foreground filtering is one mask over the cohort's frames. Validity,
-  neutral pools and recording scores are array passes over one speaker's
-  frames at a time, so that no temporary spans more frames than one
-  speaker's. The speaker's kept-frame counts come from one
-  ``np.add.reduceat``. For each feature, one ``argsort`` gives the pool,
+- Foreground filtering is one mask over the cohort's frames, walked a
+  window of frames at a time (foreground.cohort_mask). Validity, neutral
+  pools and recording scores are array passes over one speaker's frames at
+  a time, so that no temporary spans more frames than one speaker's. When
+  the frames are views of a map of frames.bin (ingest), the pages read are
+  released after each window and each speaker (model.release), so the
+  frames resident at once are one window's or one speaker's. The
+  speaker's kept-frame counts come from one ``np.add.reduceat``. For each feature, one ``argsort`` gives the pool,
   and one sort of ``recording * len(pool) + position`` lists each
   recording's values in order: its median is the middle value, or the mean
   of the two middle values as ``np.median`` takes it. Percentile scores
@@ -73,7 +76,7 @@ from .foreground import MIN_FOREGROUND_FRAMES, ForegroundFilter, cohort_mask
 from .foreground import filter_frames, is_valid_recording  # noqa: F401  reference; perfbench traces them here
 from .ingest import MIN_DAYS, filter_min_days, filter_shift_window
 from .locate import RSSI_FLOOR, estimate_timeline
-from .model import Cohort, shift_codes, shift_parts
+from .model import Cohort, release, shift_codes, shift_parts
 from .sessions import SESSION_CATEGORIES, SessionTable, cohort_sessions
 from .sessions import build_sessions  # noqa: F401  reference; perfbench traces it here
 
@@ -213,6 +216,7 @@ def _rate_cohort(
             p[:, j] = _percentile_scores(values, owner, len(recs))
         valid.append(recs)
         scores.append(p)
+        release(*(getattr(cohort.frames, name) for name in FEATURE_NAMES))  # the pages of this speaker's frames
     if not valid:
         return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 3)), np.zeros(0), {}
     valid, p, voiced_speakers = np.concatenate(valid), np.concatenate(scores), np.array(voiced_speakers)

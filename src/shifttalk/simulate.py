@@ -11,7 +11,11 @@ a per-recording arousal state; self-report labels couple to the
 participant-level arousal and sleep latents.
 
 All randomness flows from one seed through numpy SeedSequence spawning in
-sorted participant order, so identical specs produce identical bytes.
+sorted participant order, so identical specs produce identical bytes. Each
+shift's frames go to disk as they are drawn (ingest.FrameWriter), so the
+frames held at once are one shift's; the cohort that generate returns holds
+the written frames.bin's frames as views of a read-only map of it, which
+nothing reads back here.
 """
 
 from __future__ import annotations
@@ -24,12 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSpec
-from .ingest import write_cohort
+from .errors import InvalidSpec, MalformedRow
+from .ingest import FrameWriter, write_cohort
 from .model import (
-    FRAME_FIELDS,
     Cohort,
-    FrameBlock,
     HubCategory,
     HubRecord,
     ParticipantProfile,
@@ -41,7 +43,6 @@ from .model import (
     ShiftType,
     UnitType,
     SHIFT_MINUTES,
-    mapped,
     median,
     read_json,
 )
@@ -142,7 +143,11 @@ class CohortSpec:
             if not 0.0 <= value <= 1.0:
                 raise InvalidSpec(f"{name}={value} outside [0, 1]")
         for unit in ("icu", "non_icu"):
-            total = sum(getattr(self, f"occ_{unit}_{loc}") for loc in ("ns", "pat", "lounge_med", "outside"))
+            for loc in _ROOM_STATES:  # each a probability, as each sum is one
+                value = getattr(self, f"occ_{unit}_{loc}")
+                if not 0.0 <= value <= 1.0:
+                    raise InvalidSpec(f"occ_{unit}_{loc}={value} outside [0, 1]")
+            total = sum(getattr(self, f"occ_{unit}_{loc}") for loc in _ROOM_STATES)
             if abs(total - 1.0) > 1e-9:
                 raise InvalidSpec(f"occupancy profile for {unit} sums to {total}, expected 1")
         if self.inter_session_median_day < 1 or self.inter_session_median_night < 1:
@@ -188,6 +193,9 @@ class ParticipantTruth:
     occupancy: dict[str, float]
 
 
+_TRUTH_KEYS = {f.name for f in fields(ParticipantTruth)}
+
+
 @dataclass
 class GroundTruth:
     seed: int
@@ -207,7 +215,14 @@ class GroundTruth:
     @classmethod
     def read(cls, path: str | Path) -> "GroundTruth":
         """The ground truth that to_json wrote to a file (model.read_json)."""
+        path = Path(path)
         payload = read_json(path, ("seed", "knobs", "participants", "informative_features"))
+        if type(payload["participants"]) is not dict:
+            raise MalformedRow(path.name, 1, "participants is not an object")
+        for pid, t in payload["participants"].items():
+            if type(t) is not dict or t.keys() != _TRUTH_KEYS:
+                raise MalformedRow(path.name, 1, f"participant {pid!r} is not an object with the keys "
+                                                 f"{', '.join(sorted(_TRUTH_KEYS))}")
         participants = {pid: ParticipantTruth(**t) for pid, t in payload["participants"].items()}
         return cls(payload["seed"], payload["knobs"], participants, payload["informative_features"])
 
@@ -279,82 +294,84 @@ def generate(spec: CohortSpec, out_dir: str | Path) -> tuple[Cohort, GroundTruth
         )
     ]
     seeds = np.random.SeedSequence(spec.seed).spawn(len(participants))
-    codes = {pid: i for i, pid in enumerate(sorted(pid for pid, _, _ in participants))}
+    ids = sorted(pid for pid, _, _ in participants)
+    codes = {pid: i for i, pid in enumerate(ids)}
 
     cohort = Cohort(hubs={h.hub_id: h for h in _HUBS})
     rssi: list[RssiTable] = []
-    recordings: list[tuple[RecordingTable, dict]] = []  # one _join_recordings part per shift
+    recordings: list[RecordingTable] = []  # one per shift with a recording
     physiology: list[tuple] = []  # one row per shift
     truth_participants: dict[str, ParticipantTruth] = {}
     start_date = date(2022, 3, 1)
 
-    for (pid, shift, unit), seq in zip(participants, seeds):
-        rng = np.random.default_rng(seq)
-        day = shift is ShiftType.DAY
-        gap_median = spec.inter_session_median_day if day else spec.inter_session_median_night
-        gt1min = spec.gt1min_ratio_day if day else spec.gt1min_ratio_night
-        q_pos_base = spec.pos_arousal_day if day else spec.pos_arousal_night
-        q_neg_base = spec.neg_arousal_day if day else spec.neg_arousal_night
-        group = "day" if day else "night"
-        occupancy = {
-            loc: getattr(spec, f"occ_{unit.value}_{loc}") for loc in _ROOM_STATES
-        }
-        stationary = np.array([occupancy[loc] for loc in _ROOM_STATES])
+    with FrameWriter(out, ids) as frames:  # each shift's frames go to disk as they are drawn
+        for (pid, shift, unit), seq in zip(participants, seeds):
+            rng = np.random.default_rng(seq)
+            day = shift is ShiftType.DAY
+            gap_median = spec.inter_session_median_day if day else spec.inter_session_median_night
+            gt1min = spec.gt1min_ratio_day if day else spec.gt1min_ratio_night
+            q_pos_base = spec.pos_arousal_day if day else spec.pos_arousal_night
+            q_neg_base = spec.neg_arousal_day if day else spec.neg_arousal_night
+            group = "day" if day else "night"
+            occupancy = {
+                loc: getattr(spec, f"occ_{unit.value}_{loc}") for loc in _ROOM_STATES
+            }
+            stationary = np.array([occupancy[loc] for loc in _ROOM_STATES])
 
-        z_pos, z_neg, z_sleep, z_walk = rng.normal(size=4)
-        q_pos = float(np.clip(q_pos_base + spec.arousal_between_sd * z_pos, 0.0, 0.45))
-        q_neg = float(np.clip(q_neg_base + spec.arousal_between_sd * z_neg, 0.0, 0.45))
-        sleep_center = spec.sleep_mean + spec.sleep_between_sd * z_sleep
-        walk_center = spec.walk_mean + spec.walk_between_sd * z_walk
+            z_pos, z_neg, z_sleep, z_walk = rng.normal(size=4)
+            q_pos = float(np.clip(q_pos_base + spec.arousal_between_sd * z_pos, 0.0, 0.45))
+            q_neg = float(np.clip(q_neg_base + spec.arousal_between_sd * z_neg, 0.0, 0.45))
+            sleep_center = spec.sleep_mean + spec.sleep_between_sd * z_sleep
+            walk_center = spec.walk_mean + spec.walk_between_sd * z_walk
 
-        pos_affect = int(np.clip(round(30 + spec.label_coupling_pos * z_pos
-                                       + rng.normal(0, spec.label_noise_affect)), 10, 50))
-        neg_affect = int(np.clip(round(30 + spec.label_coupling_neg * z_neg
-                                       + rng.normal(0, spec.label_noise_affect)), 10, 50))
-        swls = float(np.clip(round(4.0 + spec.label_coupling_swls * z_sleep
-                                   + rng.normal(0, spec.label_noise_swls), 1), 1.0, 7.0))
-        cohort.profiles[pid] = ParticipantProfile(pid, shift, unit, pos_affect, neg_affect, swls)
+            pos_affect = int(np.clip(round(30 + spec.label_coupling_pos * z_pos
+                                           + rng.normal(0, spec.label_noise_affect)), 10, 50))
+            neg_affect = int(np.clip(round(30 + spec.label_coupling_neg * z_neg
+                                           + rng.normal(0, spec.label_noise_affect)), 10, 50))
+            swls = float(np.clip(round(4.0 + spec.label_coupling_swls * z_sleep
+                                       + rng.normal(0, spec.label_noise_swls), 1), 1.0, 7.0))
+            cohort.profiles[pid] = ParticipantProfile(pid, shift, unit, pos_affect, neg_affect, swls)
 
-        mu = {name: m + s * rng.normal() for name, (m, s, _) in _FRAME_MODEL.items()}
-        deltas = {
-            "pos": {w: getattr(spec, f"pos_delta_{group}_{w}") for w in ("start", "middle", "end")},
-            "neg": {w: getattr(spec, f"neg_delta_{group}_{w}") for w in ("start", "middle", "end")},
-        }
+            mu = {name: m + s * rng.normal() for name, (m, s, _) in _FRAME_MODEL.items()}
+            deltas = {
+                "pos": {w: getattr(spec, f"pos_delta_{group}_{w}") for w in ("start", "middle", "end")},
+                "neg": {w: getattr(spec, f"neg_delta_{group}_{w}") for w in ("start", "middle", "end")},
+            }
 
-        for s in range(spec.n_shifts):
-            shift_date = start_date + timedelta(days=s)
-            rooms = _room_chain(rng, stationary, spec.room_stickiness)
-            rssi.append(_emit_rssi(rng, spec, codes[pid], shift_date, rooms))
-            minutes = [m for run in _session_minutes(rng, gap_median, spec.inter_session_sd, gt1min) for m in run]
-            if minutes:
-                states = _draw_states(rng, minutes, q_pos, q_neg, deltas)
-                n = len(minutes)
-                table = RecordingTable(np.full(n, codes[pid]), np.full(n, shift_date, dtype="datetime64[D]"),
-                                       minutes, np.full(n, spec.frames_per_recording), np.zeros(n, bool))
-                recordings.append((table, _emit_frames(rng, spec, mu, states)))
-            walk = float(np.clip(round(rng.normal(walk_center, spec.walk_within_sd), GRID_DECIMALS), 0.0, 1.0))
-            sleep = float(np.clip(round(rng.normal(sleep_center, spec.sleep_within_sd), GRID_DECIMALS), 0.0, 24.0))
-            physiology.append((codes[pid], shift_date, walk, sleep))
+            for s in range(spec.n_shifts):
+                shift_date = start_date + timedelta(days=s)
+                rooms = _room_chain(rng, stationary, spec.room_stickiness)
+                rssi.append(_emit_rssi(rng, spec, codes[pid], shift_date, rooms))
+                minutes = [m for run in _session_minutes(rng, gap_median, spec.inter_session_sd, gt1min) for m in run]
+                if minutes:
+                    states = _draw_states(rng, minutes, q_pos, q_neg, deltas)
+                    n = len(minutes)
+                    table = RecordingTable(np.full(n, codes[pid]), np.full(n, shift_date, dtype="datetime64[D]"),
+                                           minutes, np.full(n, spec.frames_per_recording), np.zeros(n, bool))
+                    recordings.append(table)
+                    frames.append(table, _emit_frames(rng, spec, mu, states))
+                walk = float(np.clip(round(rng.normal(walk_center, spec.walk_within_sd), GRID_DECIMALS), 0.0, 1.0))
+                sleep = float(np.clip(round(rng.normal(sleep_center, spec.sleep_within_sd), GRID_DECIMALS), 0.0, 24.0))
+                physiology.append((codes[pid], shift_date, walk, sleep))
 
-        truth_participants[pid] = ParticipantTruth(
-            participant_id=pid,
-            shift_type=shift.value,
-            unit_type=unit.value,
-            inter_session_median=gap_median,
-            gt1min_ratio=gt1min,
-            q_pos=q_pos,
-            q_neg=q_neg,
-            z_pos=float(z_pos),
-            z_neg=float(z_neg),
-            z_sleep=float(z_sleep),
-            occupancy=occupancy,
-        )
+            truth_participants[pid] = ParticipantTruth(
+                participant_id=pid,
+                shift_type=shift.value,
+                unit_type=unit.value,
+                inter_session_median=gap_median,
+                gt1min_ratio=gt1min,
+                q_pos=q_pos,
+                q_neg=q_neg,
+                z_pos=float(z_pos),
+                z_neg=float(z_neg),
+                z_sleep=float(z_sleep),
+                occupancy=occupancy,
+            )
 
-    if recordings:
-        cohort.recordings, cohort.frames = _join_recordings(recordings)
-    cohort.rssi = RssiTable.concat(rssi)
-    cohort.physiology = PhysiologyTable(*zip(*physiology))
-    write_cohort(cohort, out)
+        cohort.recordings = RecordingTable.concat(recordings)
+        cohort.rssi = RssiTable.concat(rssi)
+        cohort.physiology = PhysiologyTable(*zip(*physiology))
+        cohort.frames = write_cohort(cohort, out, frames)
     truth = GroundTruth(
         seed=spec.seed,
         knobs={f.name: getattr(spec, f.name) for f in fields(CohortSpec)},
@@ -502,9 +519,10 @@ def _emit_frames(
     spec: CohortSpec,
     mu: dict[str, float],
     states: np.ndarray,
-) -> dict[str, np.ndarray]:
-    """Frames for all of one shift's recordings, drawn in one batch, end to
-    end by FrameBlock field; none is labelled."""
+) -> list[np.ndarray]:
+    """Frames for all of one shift's recordings, drawn in one batch: a column
+    per FrameBlock field, in field order, the recordings end to end; none is
+    labelled."""
     n_rec = len(states)
     n = spec.frames_per_recording
     fg = rng.random((n_rec, n)) < spec.foreground_fraction
@@ -517,30 +535,4 @@ def _emit_frames(
     log_pitch = _to_grid(np.where(voiced, cols["log_pitch"], np.nan))
     intensity = _to_grid(cols["intensity"])
     hf_lf = _to_grid(np.maximum(cols["hf_lf_ratio"], 0.0))
-    columns = {"log_pitch": log_pitch, "intensity": intensity, "hf_lf_ratio": hf_lf, "foreground_prob": prob,
-               "foreground": np.zeros((n_rec, n), bool)}
-    return {name: _paged(values.ravel()) for name, values in columns.items()}
-
-
-def _paged(values: np.ndarray) -> np.ndarray:
-    """values copied into mapped memory (model.mapped)."""
-    out = mapped(len(values), values.dtype)
-    out[...] = values
-    return out
-
-
-def _join_recordings(parts: list[tuple[RecordingTable, dict[str, np.ndarray]]]) -> tuple[RecordingTable, FrameBlock]:
-    """The rows of every part (at least one) and their frames, end to end. A
-    part is a table and a FrameBlock field -> paged column dict; each part
-    is copied into one mapped column and dropped as it goes, so no frame
-    column is ever held twice."""
-    n = sum(len(f["log_pitch"]) for _, f in parts)
-    columns = {}
-    for name in FRAME_FIELDS:
-        columns[name] = mapped(n, parts[0][1][name].dtype)
-        at = 0
-        for _, f in parts:
-            part = f.pop(name)
-            columns[name][at:at + len(part)] = part
-            at += len(part)
-    return RecordingTable.concat([t for t, _ in parts]), FrameBlock(**columns)
+    return [values.ravel() for values in (log_pitch, intensity, hf_lf, prob, np.zeros((n_rec, n), bool))]

@@ -88,6 +88,19 @@ def test_simulate_spec_knob_that_no_draw_can_use_exits_2(tmp_path, capsys, line)
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("lines, knob", [
+    ("occ_icu_ns = -0.1\nocc_icu_pat = 0.91\n", "occ_icu_ns=-0.1"),  # the icu profile still sums to 1
+    ("occ_non_icu_outside = 1.12\nocc_non_icu_ns = 0.0\nocc_non_icu_pat = -0.26\n", "occ_non_icu_pat=-0.26"),
+    ("occ_icu_pat = 1.5\nocc_icu_ns = -0.5\nocc_icu_lounge_med = 0.0\nocc_icu_outside = 0.0\n",
+     "occ_icu_ns=-0.5"),
+])
+def test_simulate_occupancy_knob_outside_0_1_exits_2(tmp_path, capsys, lines, knob):
+    spec = write_spec(tmp_path, SPEC + lines)
+    assert main(["simulate", str(spec), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {knob} outside [0, 1]\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_simulate_deterministic_checksums(tmp_path):
     spec = write_spec(tmp_path)
     a, b = tmp_path / "a", tmp_path / "b"
@@ -289,6 +302,40 @@ def test_no_stage_imports_numpy_ma(tmp_path):
         [stage, "False"] for stage in ("simulate", "extract", "compare", "predict", "verify", "report")]
 
 
+def test_simulate_and_extract_peaks_grow_by_less_than_half_the_added_frame_bytes(tmp_path):
+    """Four times the frames per recording: each stage's peak RSS, in a
+    fresh process, grows by less than half of what frames.bin grows by, as
+    simulate writes each shift's frames as it draws them, and extract walks
+    the read-only map of frames.bin a window or a speaker at a time. A stage
+    that held every frame would grow by at least the added bytes."""
+    script = ("import resource, sys\n"
+              "from shifttalk.cli import main\n"
+              "assert main(sys.argv[1:]) == 0\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")  # KiB
+    # a process started by another starts with its starter's resident size as
+    # ru_maxrss, so a small launcher, not this test process, starts each stage
+    launch = [sys.executable, "-c", "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"]
+    src = str(Path(shifttalk.__file__).parents[1])
+    peaks, frame_bytes = {}, {}
+    for n in (200, 800):
+        # the frames_heavy benchmark workload's shape: 12 speakers, ~1.5 k recordings
+        root = tmp_path / str(n)
+        root.mkdir()
+        spec = write_spec(root, f"n_per_cell = 3\nn_shifts = 1\nframes_per_recording = {n}\nseed = 11\n")
+        data, out = root / "data", root / "out"
+        stages = {"simulate": ["simulate", str(spec), "--out", str(data)],
+                  "extract": ["extract", "--input", str(data), "--out", str(out), "--min-frames", "100",
+                              "--min-days", "1"]}
+        for stage, argv in stages.items():
+            run = subprocess.run([*launch, sys.executable, "-c", script, *argv], env={**os.environ, "PYTHONPATH": src},
+                                 capture_output=True, text=True, check=True)
+            peaks[stage, n] = int(run.stdout.split()[-1]) * 1024
+        frame_bytes[n] = (data / "frames.bin").stat().st_size
+    added = frame_bytes[800] - frame_bytes[200]
+    for stage in ("simulate", "extract"):
+        assert peaks[stage, 800] - peaks[stage, 200] < added / 2, (stage, peaks, added)
+
+
 def test_verify_subcommand(pipeline_dirs, tmp_path):
     _, data, out = pipeline_dirs
     verification = tmp_path / "verification.json"
@@ -314,6 +361,20 @@ def test_verify_truth_that_is_no_ground_truth_exits_2(pipeline_dirs, tmp_path, c
     assert capsys.readouterr().err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("entry", ["5", "[]", '{"participant_id": "p001"}'])
+def test_verify_truth_with_a_participant_entry_that_is_no_truth_object_exits_2(pipeline_dirs, tmp_path, capsys, entry):
+    _, data, out = pipeline_dirs
+    payload = json.loads((data / "ground_truth.json").read_text())
+    first = sorted(payload["participants"])[0]
+    payload["participants"][first] = json.loads(entry)
+    truth = tmp_path / "ground_truth.json"
+    truth.write_text(json.dumps(payload))
+    assert main(["verify", "--truth", str(truth), "--features", str(out / "features.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ground_truth.json:1: participant {first!r} is not an object with the keys ")
+    assert err.count("\n") == 1
+
+
 BROKEN_REPORT = '{\n  "label": "pos_affect",\n  "cv_micro_f1": 0.5,,\n}\n'
 BROKEN_REPORT_ERROR = "error: report.json:3: invalid JSON: Expecting property name enclosed in double quotes\n"
 
@@ -324,6 +385,30 @@ def test_verify_report_that_does_not_parse_exits_2(pipeline_dirs, tmp_path, caps
     assert main(["verify", "--truth", str(data / "ground_truth.json"), "--features", str(out / "features.csv"),
                  "--report", str(tmp_path / "report.json")]) == 2
     assert capsys.readouterr().err == BROKEN_REPORT_ERROR
+
+
+NOT_UTF8 = b'{\n  "label": "pos_affect",\r\n  "cv_micro_f1": \xff0.5\n}\n'  # the byte 0xff on line 3
+NOT_UTF8_ERROR = "error: {}:3: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("where", ["report", "verify --truth", "verify --report"])
+def test_json_file_that_is_not_utf8_exits_2_at_its_line(pipeline_dirs, tmp_path, capsys, where):
+    _, data, out = pipeline_dirs
+    name = "ground_truth.json" if where == "verify --truth" else "report.json"
+    (tmp_path / name).write_bytes(NOT_UTF8)
+    truth = tmp_path / name if where == "verify --truth" else data / "ground_truth.json"
+    argv = {"report": ["report", str(tmp_path)],
+            "verify --truth": ["verify", "--truth", str(truth), "--features", str(out / "features.csv")],
+            "verify --report": ["verify", "--truth", str(truth), "--features", str(out / "features.csv"),
+                                "--report", str(tmp_path / name)]}[where]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == NOT_UTF8_ERROR.format(name)
+
+
+def test_report_json_that_starts_with_a_byte_that_is_not_utf8_exits_2(tmp_path, capsys):
+    (tmp_path / "report.json").write_bytes(b"\xff" + BROKEN_REPORT.encode())
+    assert main(["report", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: report.json:1: not UTF-8 text\n"
 
 
 def test_report_subcommand(pipeline_dirs, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import shutil
 from dataclasses import replace
 from datetime import date
 from pathlib import Path
@@ -20,8 +21,9 @@ from shifttalk.ingest import (
     parse_cohort,
     write_cohort,
 )
-from shifttalk.model import (FRAME_COLUMNS, RSSI_MAX, RSSI_MIN, Cohort, FrameBlock, HubCategory, HubRecord,
-                             LocationCategory, RecordingSegment, RecordingTable, line_blocks, write_csv)
+from shifttalk.model import (FRAME_COLUMNS, FRAME_FIELDS, FRAME_WINDOW, RSSI_MAX, RSSI_MIN, Cohort, FrameBlock,
+                             HubCategory, HubRecord, LocationCategory, RecordingSegment, RecordingTable, line_blocks,
+                             write_csv)
 
 from conftest import (D0, assert_cohorts_equal, decoded, listed_timelines, profile, recording, rssi_rows, segments,
                       tiny_cohort, with_recordings)
@@ -1133,6 +1135,121 @@ def test_first_bad_frame_raises_with_its_first_rule(tmp_path, faults, error):
     assert str(err.value) == error
 
 
+def windows_cohort() -> Cohort:
+    """tiny_cohort with recordings of FRAME_WINDOW, FRAME_WINDOW and 10
+    frames: the first window of frames.bin ends with the first recording,
+    and the third window holds the last recording alone."""
+    return with_recordings(tiny_cohort(), [recording("p1", minute=0, n_frames=FRAME_WINDOW),
+                                           recording("p1", minute=1, n_frames=FRAME_WINDOW),
+                                           recording("p1", minute=4, n_frames=10, shift_date=date(2022, 3, 2))])
+
+
+# frames at the edges of frames.bin's windows, and where a refusal names them
+WINDOW_EDGES = {
+    "last frame of the first window": (FRAME_WINDOW - 1, "recordings.jsonl:1: frames.bin: {} in recording p1 "
+                                                         "2022-03-01 minute 0"),
+    "first frame of the second window": (FRAME_WINDOW, "recordings.jsonl:2: frames.bin: {} in recording p1 "
+                                                       "2022-03-01 minute 1"),
+}
+
+
+@pytest.mark.parametrize("k, value, rule", [(1, math.inf, NON_FINITE), (2, -1.0, "hf_lf_ratio negative"),
+                                            (3, 1.5, "foreground_prob outside [0, 1]")])
+@pytest.mark.parametrize("edge", list(WINDOW_EDGES))
+def test_frame_value_at_a_window_edge_is_refused_at_its_recordings_line(tmp_path, k, value, rule, edge):
+    write_cohort(windows_cohort(), tmp_path)
+    with (tmp_path / "frames.bin").open("rb") as fh:
+        arrays = [np.load(fh) for _ in range(5)]
+    place, error = WINDOW_EDGES[edge]
+    arrays[k][place] = value
+    arrays[1][2 * FRAME_WINDOW + 3] = math.nan  # a later bad frame, in the last window
+    (tmp_path / "frames.bin").write_bytes(saved(*arrays))
+    with pytest.raises(MalformedRow) as err:
+        parse_cohort(tmp_path)
+    assert str(err.value) == error.format(rule)
+
+
+@pytest.mark.parametrize("faults, error", [
+    # across windows, the first bad frame in file order raises, whatever its array
+    ([(0, FRAME_WINDOW, math.inf), (3, FRAME_WINDOW - 1, -0.5)], WINDOW_EDGES["last frame of the first window"][1]
+     .format("foreground_prob outside [0, 1]")),
+    ([(2, 2 * FRAME_WINDOW, -1.0), (1, FRAME_WINDOW, math.nan)], WINDOW_EDGES["first frame of the second window"][1]
+     .format(NON_FINITE)),
+])
+def test_first_bad_frame_across_windows_raises(tmp_path, faults, error):
+    write_cohort(windows_cohort(), tmp_path)
+    with (tmp_path / "frames.bin").open("rb") as fh:
+        arrays = [np.load(fh) for _ in range(5)]
+    for k, i, value in faults:
+        arrays[k][i] = value
+    (tmp_path / "frames.bin").write_bytes(saved(*arrays))
+    with pytest.raises(MalformedRow) as err:
+        parse_cohort(tmp_path)
+    assert str(err.value) == error
+
+
+@pytest.mark.parametrize("place", [2 * FRAME_WINDOW + 9, FRAME_WINDOW + 1])
+def test_label_byte_2_in_a_later_window_is_refused(tmp_path, place):
+    write_cohort(windows_cohort(), tmp_path)
+    with (tmp_path / "frames.bin").open("rb") as fh:
+        arrays = [np.load(fh) for _ in range(5)]
+    labels = arrays[4].view(np.uint8).copy()
+    labels[place] = 2
+    arrays[1][0] = math.nan  # a bad frame value is refused only after the label bytes
+    (tmp_path / "frames.bin").write_bytes(column(arrays, 4, labels.view(bool)))
+    with pytest.raises(MalformedRow) as err:
+        parse_cohort(tmp_path)
+    assert str(err.value) == "frames.bin:5: foreground holds a byte other than 0 and 1"
+
+
+def test_parsed_frames_are_read_only_views_and_labels_a_copy(tmp_path):
+    cohort = windows_cohort()
+    labels = np.arange(len(cohort.frames)) % 3 == 0
+    cohort.frames.foreground = labels
+    cohort.recordings.labelled[1:] = True  # labels from inside the second window on
+    write_cohort(cohort, tmp_path)
+    parsed = parse_cohort(tmp_path).frames
+    for name in FRAME_COLUMNS:
+        column = getattr(parsed, name)
+        assert not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1.0
+    assert parsed.foreground.flags.writeable
+    np.testing.assert_array_equal(parsed.foreground, labels & (np.arange(len(labels)) >= FRAME_WINDOW))
+    parsed.foreground[:] = True  # the file is left as it was
+    assert_cohorts_equal(parse_cohort(tmp_path), replace(cohort, frames=replace(
+        cohort.frames, foreground=labels & (np.arange(len(labels)) >= FRAME_WINDOW))))
+
+
+def test_frames_appended_in_chunks_write_the_bytes_of_one_chunk(tmp_path):
+    cohort = windows_cohort()
+    write_cohort(cohort, tmp_path / "one")
+    table, block = cohort.recordings, cohort.frames
+    ends = np.cumsum(table.n_frames)
+    with ingest.FrameWriter(tmp_path / "chunks", sorted(cohort.profiles)) as writer:
+        for rows in ([0], [1, 2]):  # the recordings of a chunk are end to end
+            frames = slice(int(ends[rows[0]] - table.n_frames[rows[0]]), int(ends[rows[-1]]))
+            writer.append(table.select(np.isin(np.arange(len(table)), rows)),
+                          [getattr(block, name)[frames] for name in FRAME_FIELDS])
+        written_frames = write_cohort(cohort, tmp_path / "chunks", writer)
+    assert written(tmp_path / "chunks") == written(tmp_path / "one")
+    assert_cohorts_equal(replace(cohort, frames=written_frames), parse_cohort(tmp_path / "one"))
+
+
+def test_refused_chunk_leaves_the_directory_as_it_was(tmp_path):
+    root = tmp_path / "data"
+    write_cohort(cohort_to_write(), root)
+    before = written(root)
+    good, bad = tiny_cohort(), tiny_cohort()
+    segments(bad)[2].frames.hf_lf_ratio[1] = -1.0
+    with pytest.raises(ValueError) as err:
+        with ingest.FrameWriter(root, sorted(good.profiles)) as writer:
+            for cohort in (good, bad):  # the second chunk is refused after the first is written
+                writer.append(cohort.recordings, [getattr(cohort.frames, name) for name in FRAME_FIELDS])
+    assert str(err.value) == "hf_lf_ratio negative in recording p1 2022-03-02 minute 4"
+    assert written(root) == before
+
+
 def test_frames_bin_refuses_n_frames_that_do_not_sum_to_its_frames(tmp_path):
     root, _ = frames_bin_files(tmp_path)
     path = root / "recordings.jsonl"
@@ -1284,7 +1401,8 @@ def test_interrupted_write_leaves_no_file(tmp_path, monkeypatch):
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(np, "save", interrupted)
+    # while frames.bin is put together: after its part files and the first csv files
+    monkeypatch.setattr(shutil, "copyfileobj", interrupted)
     with pytest.raises(KeyboardInterrupt):
         write_cohort(cohort_to_write(), tmp_path / "data")
     assert written(tmp_path / "data") == {}

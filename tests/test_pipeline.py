@@ -30,6 +30,7 @@ from shifttalk.model import (
 from shifttalk.pipeline import ExtractionConfig, filter_frames, is_valid_recording, run_extraction
 from shifttalk.sessions import SessionTable, build_sessions
 
+import reference
 from conftest import D0, decoded, listed_timelines, profile, rssi_table, segments, with_recordings
 
 
@@ -122,11 +123,10 @@ def reference_extraction(cohort: Cohort, config: ExtractionConfig):
     return rated, weights, sessions, features, matrix
 
 
-def test_run_extraction_matches_per_recording_chain():
-    import hypothesis
+def _drawn_cohorts():
+    """A hypothesis strategy of (cohort, config): up to four speakers, their
+    recordings interleaved in the table."""
     from hypothesis import strategies as st
-
-    import reference
 
     # few distinct values so medians, pools and scores tie often
     value = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 3.0, 62.5])
@@ -195,20 +195,52 @@ def test_run_extraction_matches_per_recording_chain():
                         physiology=PhysiologyTable(*zip(*days)))
         return with_recordings(cohort, recs), config
 
+    return cohorts()
+
+
+def _assert_matches_reference(cohort: Cohort, config: ExtractionConfig, run_on: Cohort | None = None) -> None:
+    """run_extraction of run_on (the cohort itself by default), bit for bit
+    the per-recording chain of the cohort."""
+    rated, weights, sessions, features, matrix = reference_extraction(cohort, config)
+    result = run_extraction(cohort if run_on is None else run_on, config)
+    table = result.rated
+    p = _bits(np.column_stack([table.p_pitch, table.p_intensity, table.p_hflf]))
+    assert list(zip(table.participant_id.tolist(), table.shift_date.tolist(), table.minute_index.tolist(),
+                    p, _bits(table.fused))) == rated
+    assert {pid: (_bits(w.w), _bits(w.r), w.fallback) for pid, w in result.weights.items()} == weights
+    assert list(zip(*(getattr(result.sessions, name).tolist() for name in SessionTable.columns()))) == sessions
+    assert [_shift_feature_bits(sf) for sf in reference.shift_features(result)] == features
+    assert _bits(result.matrix) == matrix
+
+
+def test_run_extraction_matches_per_recording_chain():
+    import hypothesis
+
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(cohorts())
+    @hypothesis.given(_drawn_cohorts())
+    def check(drawn) -> None:
+        _assert_matches_reference(*drawn)
+
+    check()
+
+
+def test_run_extraction_of_a_written_cohort_matches_per_recording_chain(tmp_path, monkeypatch):
+    """The cohort written to frames.bin, speakers interleaved, and parsed
+    back: the pass over the file's map, walked in windows of 3 frames that
+    cut across recordings, gives what the chain gives in memory."""
+    import hypothesis
+
+    from shifttalk import model
+    from shifttalk.ingest import parse_cohort, write_cohort
+
+    monkeypatch.setattr(model, "FRAME_WINDOW", 3)
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(_drawn_cohorts())
     def check(drawn) -> None:
         cohort, config = drawn
-        rated, weights, sessions, features, matrix = reference_extraction(cohort, config)
-        result = run_extraction(cohort, config)
-        table = result.rated
-        p = _bits(np.column_stack([table.p_pitch, table.p_intensity, table.p_hflf]))
-        assert list(zip(table.participant_id.tolist(), table.shift_date.tolist(), table.minute_index.tolist(),
-                        p, _bits(table.fused))) == rated
-        assert {pid: (_bits(w.w), _bits(w.r), w.fallback) for pid, w in result.weights.items()} == weights
-        assert list(zip(*(getattr(result.sessions, name).tolist() for name in SessionTable.columns()))) == sessions
-        assert [_shift_feature_bits(sf) for sf in reference.shift_features(result)] == features
-        assert _bits(result.matrix) == matrix
+        write_cohort(cohort, tmp_path)
+        _assert_matches_reference(cohort, config, run_on=parse_cohort(tmp_path))
 
     check()
 

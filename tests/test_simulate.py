@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from shifttalk import simulate
 from shifttalk.errors import InvalidSpec
 from shifttalk.foreground import ForegroundFilter
 from shifttalk import ingest
@@ -21,6 +22,8 @@ from shifttalk.simulate import (
     load_spec,
     verify_against_truth,
 )
+
+from conftest import assert_cohorts_equal
 
 TINY = dict(n_per_cell=1, n_shifts=5, seed=3, frames_per_recording=24)
 
@@ -90,6 +93,30 @@ def test_generation_is_byte_deterministic(tmp_path):
     generate(CohortSpec(**TINY), b)
     for name in list(CANONICAL_FILES) + [ingest.FRAMES_FILE, "ground_truth.json"]:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_generate_returns_the_cohort_that_it_wrote(tmp_path):
+    cohort, _ = generate(CohortSpec(**TINY), tmp_path)
+    assert_cohorts_equal(cohort, parse_cohort(tmp_path))
+    assert not any(getattr(cohort.frames, name).flags.writeable for name in FRAME_COLUMNS)  # a map of frames.bin
+
+
+def test_interrupted_generate_leaves_the_directory_as_it_was(tmp_path, monkeypatch):
+    generate(CohortSpec(**TINY), tmp_path)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    shifts = []
+
+    def interrupted(*args):  # on the third shift with recordings, after two were written
+        shifts.append(args)
+        if len(shifts) == 3:
+            raise KeyboardInterrupt
+        return emit_frames(*args)
+
+    emit_frames = simulate._emit_frames
+    monkeypatch.setattr(simulate, "_emit_frames", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        generate(CohortSpec(**{**TINY, "seed": 4}), tmp_path)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_seed_changes_output(tmp_path):

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import math
+import mmap
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from shifttalk import reports
 from shifttalk.aggregate import FEATURE_COLUMNS, BlockTable
 from shifttalk.arousal import RatedTable
 from shifttalk.errors import MalformedRow
-from shifttalk.model import RssiTable, read_columns, write_csv
+from shifttalk import model
+from shifttalk.model import RssiTable, mapped, read_columns, release, window_repeat, write_csv
 from shifttalk.sessions import SessionTable
 from shifttalk.stats import ComparisonTable
 
@@ -270,3 +272,29 @@ def test_rows_are_numbered_by_the_line_they_start_on(tmp_path, bad_cell, bad_byt
     with pytest.raises(MalformedRow) as err:
         SessionTable.read_csv(path)
     assert str(err.value).startswith(message), str(err.value)
+
+
+def test_window_repeat_is_the_window_of_np_repeat(monkeypatch):
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 3, 7):
+        monkeypatch.setattr(model, "FRAME_WINDOW", size)
+        for _ in range(200):
+            n = rng.integers(0, 5, rng.integers(1, 8))  # recordings of no frame too
+            values = rng.integers(0, 100, len(n))
+            full = np.repeat(values, n)
+            windows = list(model.frame_windows(len(full)))
+            assert [w.start for w in windows] == list(range(0, len(full), size))
+            parts = [window_repeat(values, np.cumsum(n), window) for window in windows]
+            assert np.concatenate([full[:0], *parts]).tolist() == full.tolist()
+
+
+def test_release_drops_only_read_only_file_maps(tmp_path):
+    path = tmp_path / "values.bin"
+    np.arange(1 << 12, dtype=np.float64).tofile(path)
+    with path.open("rb") as fh:
+        file_map = np.frombuffer(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
+    anonymous = mapped(1 << 12)
+    anonymous[:] = 7.0
+    release(file_map[10:20], anonymous, np.ones(3))
+    assert file_map.tolist() == list(range(1 << 12))  # read again from the file
+    assert (anonymous == 7.0).all()  # a writable map keeps its values
