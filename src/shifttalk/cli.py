@@ -260,6 +260,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:  # e.g. an output path blocked by a file or a directory
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except BadParameter as exc:  # named by its option
         print(f"error: {_OPTIONS.get(exc.name, '--' + exc.name.replace('_', '-'))}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,7 +4,9 @@ The deep foreground classifier that produced the original labels is replaced
 by a pluggable per-frame predicate. The default baseline thresholds the
 ingested foreground probability; ExternalScores mode trusts a precomputed
 boolean frame label where the input carried one and falls back to the
-threshold for frames without it.
+threshold for frames without it. ForegroundFilter.mask holds that rule for
+the per-recording reference (filter_frames) and for the rating pass, which
+applies it to one speaker's frames at a time (pipeline._rate_cohort).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BadParameter
-from .model import FrameBlock, RecordingSegment, RecordingTable, frame_windows, mapped, release, window_repeat
+from .model import FrameBlock, RecordingSegment
 
 MIN_FOREGROUND_FRAMES = 200  # ~10% of a 20 s capture at 10 ms hop
 
@@ -36,30 +38,17 @@ class ForegroundFilter:
         if not 0.0 <= self.threshold <= 1.0:
             raise BadParameter("threshold", self.threshold, "in [0, 1]")
 
-    def mask(self, frames: FrameBlock) -> np.ndarray:
-        """Boolean keep-mask over the block's frames."""
-        by_threshold = frames.foreground_prob >= self.threshold
+    def mask(self, frames: FrameBlock, at: np.ndarray | slice = slice(None),
+             labelled: np.ndarray | bool = True) -> np.ndarray:
+        """Boolean keep-mask over the frames ``at`` of the block: a frame is
+        kept when its foreground_prob reaches the threshold, except that
+        under EXTERNAL_SCORES a frame of a labelled recording (``labelled``,
+        one flag per frame or one for all) keeps its foreground label. The
+        labels are read only under EXTERNAL_SCORES."""
+        keep = frames.foreground_prob[at] >= self.threshold
         if self.kind is FilterKind.EXTERNAL_SCORES and frames.foreground is not None:
-            return frames.foreground.copy()
-        return by_threshold
-
-
-def cohort_mask(recordings: RecordingTable, frames: FrameBlock, f: ForegroundFilter) -> np.ndarray:
-    """Keep-mask over a cohort's frames (``frames``, end to end for the rows
-    of ``recordings``): ``f.mask``'s rule for every recording at once, so
-    under EXTERNAL_SCORES a labelled recording keeps its own labels. The
-    frames are walked a window at a time (model.frame_windows), the pages
-    of a mapped frames.bin released after each (model.release)."""
-    keep = mapped(len(frames), bool)
-    external = f.kind is FilterKind.EXTERNAL_SCORES and recordings.labelled.any()
-    ends = np.cumsum(recordings.n_frames)
-    for window in frame_windows(len(frames)):
-        np.greater_equal(frames.foreground_prob[window], f.threshold, out=keep[window])
-        if external:
-            labelled = window_repeat(recordings.labelled, ends, window)
-            keep[window][labelled] = frames.foreground[window][labelled]
-        release(frames.foreground_prob)
-    return keep
+            keep = np.where(labelled, frames.foreground[at], keep)
+        return keep
 
 
 def filter_frames(recording: RecordingSegment, f: ForegroundFilter) -> RecordingSegment:

@@ -14,7 +14,8 @@ Canonical files (all UTF-8):
 - frames.bin (binary): the frames of every recording, in line order, as five
   NEP 1 .npy arrays back to back, each over all frames: log_pitch, intensity,
   hf_lf_ratio and foreground_prob as little-endian float64, then foreground
-  as bool (read only for a recording whose head says "labelled": true).
+  as bool (used only for a recording whose head says "labelled": true; the
+  rating pass, not the parse, applies that rule).
 
 All six files are required; a missing one raises FileNotFoundError naming it.
 
@@ -23,14 +24,13 @@ bad magic, any dtype but that exact one, a shape other than 1-D with the
 n_frames' sum, an array the file ends inside, a label byte other than 0 and
 1, and any byte after the last array, each as MalformedRow("frames.bin", k,
 reason) with the array's number k (1-5) in place of a line. It walks the
-five headers, then maps the file once, read-only: the four value columns of
-the parsed FrameBlock are views of that map, and foreground is a copy of
-its own (model.mapped). The label bytes and the frame values are checked a
-window of frames at a time (model.frame_windows), and the map's pages are
-released after each window (model.release), so the frames resident at once
-are one window's whatever the file's size. FrameWriter writes frames.bin a
-chunk of recordings at a time (simulate appends each shift's frames as it
-draws them), through one temporary file per array.
+five headers, then maps the file once, read-only: the parsed FrameBlock is
+the five arrays as views of that map. The label bytes and the frame values
+are checked a window of frames at a time (model.frame_windows), and the
+map's pages are released after each window (model.release), so the frames
+resident at once are one window's whatever the file's size. FrameWriter
+writes frames.bin a chunk of recordings at a time (simulate appends each
+shift's frames as it draws them), through one temporary file per array.
 
 Validation is strict (typed fields, range checks, referenced ids must exist)
 except for RSSI values, which are clamped into [136, 193] with a warning
@@ -115,7 +115,6 @@ from .model import (
     release,
     shift_codes,
     shift_parts,
-    window_repeat,
     write_csv,
 )
 
@@ -506,12 +505,13 @@ def _head_rows(heads: list, lines: np.ndarray, refusal: MalformedRow | None, ran
 
 
 def _read_frames(path: Path, recordings: RecordingTable, profiles: dict, lines: np.ndarray) -> FrameBlock:
-    """frames.bin's arrays as _frame_block holds them, once the file has
-    passed its checks: the walk of the five headers (_array_start), the
-    label bytes, and the frame values (_value_refusal), which raise
-    MalformedRow at a bad value's recording's line of recordings.jsonl. The
-    label bytes are walked a window at a time as the values are, the
-    pages of the map released after each (model.release)."""
+    """frames.bin's five arrays as views of one read-only map of the file
+    (_map_arrays), once the file has passed its checks: the walk of the
+    five headers (_array_start), the label bytes, and the frame values
+    (_value_refusal), which raise MalformedRow at a bad value's recording's
+    line of recordings.jsonl. The label bytes are walked a window at a time
+    as the values are, the pages of the map released after each
+    (model.release)."""
     n = sum(recordings.n_frames.tolist())
     with path.open("rb") as fh:
         starts = [_array_start(fh, path.name, k, name, dtype, n)
@@ -530,7 +530,7 @@ def _read_frames(path: Path, recordings: RecordingTable, profiles: dict, lines: 
     if refusal is not None:
         i, reason = _refused_recording(recordings, sorted(profiles), refusal)
         raise MalformedRow(RECORDINGS_FILE, int(lines[i]), f"{path.name}: {reason}")
-    return _frame_block(columns, recordings)
+    return FrameBlock(*columns)
 
 
 def _array_start(fh: BinaryIO, file: str, k: int, name: str, dtype: np.dtype, n: int) -> int:
@@ -561,24 +561,6 @@ def _map_arrays(fh: BinaryIO, starts: list[int], n: int) -> list[np.ndarray]:
     with them; no page is read until a view is touched."""
     file_map = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     return [np.frombuffer(file_map, dtype, n, start) for dtype, start in zip(_FRAME_DTYPES, starts)]
-
-
-def _frame_block(columns: list[np.ndarray], recordings: RecordingTable) -> FrameBlock:
-    """The FrameBlock of frames.bin's mapped arrays (_map_arrays) for the
-    rows of recordings: the four value columns as they are, and foreground
-    in memory of its own (model.mapped), the file's labels where a
-    recording is labelled and False elsewhere. Only the windows that hold a
-    labelled recording's frames are read."""
-    *values, labels = columns
-    foreground = mapped(len(labels), bool)
-    if recordings.labelled.any():
-        ends = np.cumsum(recordings.n_frames)
-        for window in frame_windows(len(labels)):
-            labelled = window_repeat(recordings.labelled, ends, window)
-            if labelled.any():
-                np.logical_and(labels[window], labelled, out=foreground[window])
-                release(labels)
-    return FrameBlock(*values, foreground)
 
 
 def parse_cohort(dir_path: str | Path) -> Cohort:
@@ -663,8 +645,8 @@ _COPY_BYTES = 1 << 20  # bytes of a part file that FrameWriter.assemble copies a
 
 def write_cohort(cohort: Cohort, dir_path: str | Path, frames: FrameWriter | None = None) -> FrameBlock:
     """Write a cohort back out as the five canonical files and frames.bin
-    (deterministic bytes), and return the frames as written (_frame_block
-    of a map of frames.bin).
+    (deterministic bytes), and return the frames as written: the five
+    arrays of frames.bin as views of a read-only map of it.
 
     The frames are those appended to frames, a FrameWriter of the
     directory, when it is given (cohort.frames is then not read), else
@@ -678,7 +660,6 @@ def write_cohort(cohort: Cohort, dir_path: str | Path, frames: FrameWriter | Non
         with FrameWriter(dir_path, sorted(cohort.profiles)) as frames:
             frames.append(cohort.recordings, [getattr(cohort.frames, name) for name in FRAME_FIELDS])
             return write_cohort(cohort, dir_path, frames)
-    recordings = cohort.recordings
     root = Path(dir_path)
     root.mkdir(parents=True, exist_ok=True)
     temporary = {name: root / f"{name}.tmp" for name in CANONICAL_FILES + (FRAMES_FILE,)}
@@ -692,7 +673,7 @@ def write_cohort(cohort: Cohort, dir_path: str | Path, frames: FrameWriter | Non
         rssi = cohort.rssi
         write_csv(temporary[RSSI_FILE], RSSI_HEADER,
                   [ids[rssi.participant], rssi.shift_date, rssi.minute_index, hubs[rssi.hub], rssi.rssi])
-        _write_heads(temporary[RECORDINGS_FILE], recordings, ids)
+        _write_heads(temporary[RECORDINGS_FILE], cohort.recordings, ids)
         starts = frames.assemble(temporary[FRAMES_FILE])
         physiology = cohort.physiology
         write_csv(temporary[PHYSIOLOGY_FILE], PHYSIOLOGY_HEADER,
@@ -704,7 +685,7 @@ def write_cohort(cohort: Cohort, dir_path: str | Path, frames: FrameWriter | Non
     for name, path in temporary.items():
         os.replace(path, root / name)
     with (root / FRAMES_FILE).open("rb") as fh:
-        return _frame_block(_map_arrays(fh, starts, frames.n), recordings)
+        return FrameBlock(*_map_arrays(fh, starts, frames.n))
 
 
 def _columns(rows: list[tuple], dtypes: tuple) -> list[np.ndarray]:

@@ -6,16 +6,17 @@ schedule, so the analytic code never touches wall clocks.
 
 The input rows live in parallel numpy columns from parse to features: one
 RssiTable, one RecordingTable with one FrameBlock holding every recording's
-frames end to end, and one PhysiologyTable. A parsed FrameBlock's values
-are views of a read-only map of frames.bin; a pass over whole frame
-columns walks them FRAME_WINDOW frames at a time (frame_windows) and
-releases the map's pages after each window (release). Filters select rows
-with boolean masks. Every CSV output table is a ColumnTable of that kind. The
-row tables name a participant, and an RSSI row its hub, by an integer code
-from the parse on: a participant's code is its id's rank among the sorted
-profile ids, a hub's its id's rank among the sorted hub ids. A shift's key
-is one int64, made here alone, that sorts as its (participant code, date)
-pair. Id strings live only in the profiles, the hubs and the outputs.
+frames end to end, and one PhysiologyTable. A parsed FrameBlock is the five
+arrays of frames.bin as read-only views of one map of the file; a pass over
+whole frame columns walks them FRAME_WINDOW frames at a time
+(frame_windows) and releases the map's pages after each window (release).
+Filters select rows with boolean masks. Every CSV output table is a
+ColumnTable of that kind. The row tables name a participant, and an RSSI
+row its hub, by an integer code from the parse on: a participant's code is
+its id's rank among the sorted profile ids, a hub's its id's rank among the
+sorted hub ids. A shift's key is one int64, made here alone, that sorts as
+its (participant code, date) pair. Id strings live only in the profiles,
+the hubs and the outputs.
 
 The one CSV rule of the package lives here. csv_rows reads a file under an
 exact header, one field per column, and a bad row raises MalformedRow naming
@@ -43,7 +44,6 @@ import re
 from dataclasses import dataclass, field, fields
 from datetime import date
 from enum import Enum, IntEnum
-from itertools import islice
 from pathlib import Path
 from typing import BinaryIO, Iterator, Sequence
 
@@ -124,40 +124,36 @@ def parse_date(text: str, file: str, line: int) -> date:
 def csv_rows(path: Path, header: Sequence[str]):
     """(line number, fields) of each non-blank row of a csv file whose
     header is exactly ``header`` and whose rows have one field per column;
-    a row's number is the physical line it starts on. The text is decoded
-    8 KB ahead of the rows; after a byte that is not UTF-8, the file is read
-    again a line at a time past the rows read, so the row that holds it
-    raises MalformedRow in its turn."""
+    a row's number is the physical line it starts on. A byte that is not
+    UTF-8 is read as its lone surrogate (errors="surrogateescape"), so the
+    row that holds one raises MalformedRow as not UTF-8 text, before its
+    other checks; only a row that is not ASCII is searched for one."""
     expected = list(header)
-    rows, lines = 0, None  # the rows read so far (the header's among them); the lines read again
-    with path.open(newline="", encoding="utf-8") as fh:
+    rows = 0  # the rows read so far, the header's among them
+    with path.open(newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
-        while True:
-            line = reader.line_num + 1  # where the next row starts
-            try:
-                for row in reader:
-                    rows += 1
-                    if rows == 1:
-                        if row != expected:
-                            raise MalformedRow(path.name, line, f"bad header {row!r}, expected {expected!r}")
-                    elif row:
-                        if len(row) != len(expected):
-                            raise MalformedRow(path.name, line, f"expected {len(expected)} fields, got {len(row)}")
-                        yield line, row
-                    line = reader.line_num + 1
-                break
-            except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
-                raise MalformedRow(path.name, line, str(exc)) from None
-            except UnicodeDecodeError:
-                if lines is not None:
-                    raise MalformedRow(path.name, line, "not UTF-8 text") from None
-                fh.buffer.seek(0)
-                lines = (piece.decode("utf-8") for raw in fh.buffer for piece in raw.splitlines(keepends=True))
-                reader = csv.reader(lines)
-                for _ in islice(reader, rows):  # past the rows read
-                    pass
+        line = 1  # where the next row starts
+        try:
+            for row in reader:
+                rows += 1
+                text = "".join(row)
+                if not text.isascii() and _ESCAPED.search(text):
+                    raise MalformedRow(path.name, line, "not UTF-8 text")
+                if rows == 1:
+                    if row != expected:
+                        raise MalformedRow(path.name, line, f"bad header {row!r}, expected {expected!r}")
+                elif row:
+                    if len(row) != len(expected):
+                        raise MalformedRow(path.name, line, f"expected {len(expected)} fields, got {len(row)}")
+                    yield line, row
+                line = reader.line_num + 1
+        except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+            raise MalformedRow(path.name, line, str(exc)) from None
     if rows == 0:
         raise MalformedRow(path.name, 1, "missing header")
+
+
+_ESCAPED = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, as surrogateescape reads it
 
 
 def line_blocks(fh: BinaryIO, batch_rows: int,
@@ -505,8 +501,12 @@ class FrameBlock:
     """Columnar storage for frames: a cohort's, or one recording's.
 
     Recordings routinely hold thousands of frames, so frames live in parallel
-    numpy arrays rather than object lists. ``foreground`` is None when the
-    frames carry no external own-speech labels.
+    numpy arrays rather than object lists. A cohort's block holds a label
+    byte per frame in ``foreground``, but a recording's labels count only
+    where its RecordingTable row is labelled (ForegroundFilter.mask); a
+    parsed block is frames.bin's five arrays, read-only views of its map. A
+    recording's block has ``foreground`` None when it carries no external
+    own-speech labels.
     """
 
     log_pitch: np.ndarray  # float64, NaN = unvoiced
@@ -526,9 +526,15 @@ class FrameBlock:
         return len(self.log_pitch)
 
     def select(self, mask: np.ndarray) -> "FrameBlock":
-        """New block holding only the frames where mask is True (order kept)."""
-        columns = map(self.__dict__.get, FRAME_FIELDS)
-        return FrameBlock(*(None if column is None else column[mask] for column in columns))
+        """New block holding only the frames where mask is True (order kept).
+        The pages of a read-only file map are released after each column
+        is read (release), so a mapped frames.bin is resident one column
+        at a time, beside the copy."""
+        selected = []
+        for column in map(self.__dict__.get, FRAME_FIELDS):
+            selected.append(None if column is None else column[mask])
+            release(column)
+        return FrameBlock(*selected)
 
 
 FRAME_FIELDS = tuple(f.name for f in fields(FrameBlock))
@@ -538,7 +544,8 @@ FRAME_COLUMNS = FRAME_FIELDS[:4]  # the frame values, the foreground labels asid
 @dataclass(eq=False)
 class RecordingTable(ColumnTable):
     """Recordings in file order; the cohort's FrameBlock holds their frames
-    end to end in this order. Only a labelled recording's foreground is read."""
+    end to end in this order. Only a labelled recording's foreground labels
+    are used, by the rating pass (ForegroundFilter.mask)."""
 
     participant: np.ndarray = ()  # int64 code, as RssiTable's
     shift_date: np.ndarray = ()  # datetime64[D]
@@ -583,9 +590,8 @@ def median(values: np.ndarray) -> float:
 def mapped(n: int, dtype=np.float64) -> np.ndarray:
     """n zero values in memory mapped for them alone, which goes back to the
     system when the array is dropped; malloc keeps freed blocks this small resident.
-    The row columns of a parse are gathered into such memory, and so are the
-    1-byte-per-frame foreground labels and keep masks; frame values are never
-    copied into it (frames.bin is mapped read-only instead, see release).
+    The row columns of a parse are gathered into such memory; frames are
+    never copied into it (frames.bin is mapped read-only instead, see release).
     The mapping is private: a shared anonymous one is backed by shmem, whose
     pages cost more to fault in."""
     return np.frombuffer(mmap.mmap(-1, max(n * np.dtype(dtype).itemsize, 1), flags=mmap.MAP_PRIVATE), dtype, n)
@@ -597,15 +603,6 @@ FRAME_WINDOW = 1 << 16  # frames that a pass over whole frame columns takes at o
 def frame_windows(n: int) -> Iterator[slice]:
     """Slices of at most FRAME_WINDOW frames, in order, that cover n frames."""
     return (slice(a, min(a + FRAME_WINDOW, n)) for a in range(0, n, FRAME_WINDOW))
-
-
-def window_repeat(values: np.ndarray, ends: np.ndarray, window: slice) -> np.ndarray:
-    """``np.repeat(values, n)[window]`` with ``ends = np.cumsum(n)``: each
-    frame's recording's value, for the frames of a non-empty window alone."""
-    first = int(np.searchsorted(ends, window.start, side="right"))  # the recording of the window's first frame
-    last = int(np.searchsorted(ends, window.stop, side="left"))  # and of its last
-    counts = np.diff(np.clip(ends[first:last + 1], window.start, window.stop), prepend=window.start)
-    return np.repeat(values[first:last + 1], counts)
 
 
 _DONTNEED = getattr(mmap, "MADV_DONTNEED", None)

@@ -11,15 +11,16 @@ participants, and the arousal pass loops over speakers:
 
 - Location timelines for every shift come from one pass over the cohort's
   RssiTable, as one (shifts, 720) array.
-- Foreground filtering is one mask over the cohort's frames, walked a
-  window of frames at a time (foreground.cohort_mask). Validity, neutral
-  pools and recording scores are array passes over one speaker's frames at
-  a time, so that no temporary spans more frames than one speaker's. When
-  the frames are views of a map of frames.bin (ingest), the pages read are
-  released after each window and each speaker (model.release), so the
-  frames resident at once are one window's or one speaker's. The
-  speaker's kept-frame counts come from one ``np.add.reduceat``. For each feature, one ``argsort`` gives the pool,
-  and one sort of ``recording * len(pool) + position`` lists each
+- Foreground filtering, validity, neutral pools and recording scores are
+  array passes over one speaker's frames at a time, so that no temporary
+  spans more frames than one speaker's. The foreground rule is
+  ForegroundFilter.mask of the speaker's frames; under EXTERNAL_SCORES
+  their labels are gathered too, and used for a labelled recording's frames
+  alone. When the frames are views of a map of frames.bin (ingest), the
+  pages read are released after each speaker (model.release), so the frames
+  resident at once are one speaker's. The speaker's kept-frame counts come
+  from one ``np.add.reduceat``. For each feature, one ``argsort`` gives the
+  pool, and one sort of ``recording * len(pool) + position`` lists each
   recording's values in order: its median is the middle value, or the mean
   of the two middle values as ``np.median`` takes it. Percentile scores
   come from one ``searchsorted`` pair. Neutral baselines are frozen per
@@ -72,7 +73,7 @@ from .aggregate import (  # noqa: F401  references; perfbench traces them here
 )
 from .arousal import AROUSAL_THRESHOLD, FEATURE_NAMES, FusionWeights, RatedTable, fuse, speaker_fusion_weights
 from .errors import BadParameter
-from .foreground import MIN_FOREGROUND_FRAMES, ForegroundFilter, cohort_mask
+from .foreground import MIN_FOREGROUND_FRAMES, FilterKind, ForegroundFilter
 from .foreground import filter_frames, is_valid_recording  # noqa: F401  reference; perfbench traces them here
 from .ingest import MIN_DAYS, filter_min_days, filter_shift_window
 from .locate import RSSI_FLOOR, estimate_timeline
@@ -182,7 +183,7 @@ def _rate_cohort(
     each rated speaker's weights.
     """
     recordings, speaker = cohort.recordings, cohort.recordings.participant
-    keep = cohort_mask(recordings, cohort.frames, config.foreground)
+    external = config.foreground.kind is FilterKind.EXTERNAL_SCORES
     first = np.cumsum(recordings.n_frames) - recordings.n_frames  # each recording's first frame
     order = np.argsort(speaker, kind="stable")
     by_speaker = np.flatnonzero(np.diff(speaker[order], prepend=-1, append=-1))
@@ -197,10 +198,12 @@ def _rate_cohort(
         ends = np.cumsum(n)
         # the speaker's frames, recording by recording, then its kept frames
         frames = np.repeat(first[recs] - ends + n, n) + np.arange(ends[-1])
-        kept = keep[frames]
+        labelled = np.repeat(recordings.labelled[recs], n) if external else False
+        kept = config.foreground.mask(cohort.frames, frames, labelled)
         counts = np.add.reduceat(kept, ends - n, dtype=np.int64)
         ok = counts >= config.min_frames
         if not ok.any():
+            release(*vars(cohort.frames).values())  # the pages of this speaker's frames
             continue
         kept &= np.repeat(ok, n)
         frames = frames[kept]
@@ -216,7 +219,7 @@ def _rate_cohort(
             p[:, j] = _percentile_scores(values, owner, len(recs))
         valid.append(recs)
         scores.append(p)
-        release(*(getattr(cohort.frames, name) for name in FEATURE_NAMES))  # the pages of this speaker's frames
+        release(*vars(cohort.frames).values())  # the pages of this speaker's frames
     if not valid:
         return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 3)), np.zeros(0), {}
     valid, p, voiced_speakers = np.concatenate(valid), np.concatenate(scores), np.array(voiced_speakers)

@@ -64,14 +64,15 @@ def recording(pid: str = "p1", minute: int = 0, n_frames: int = 5, shift_date: d
 def with_recordings(cohort: Cohort, recordings: list[RecordingSegment]) -> Cohort:
     """The cohort with these per-recording segments as its recording table,
     each participant_id coded among the cohort's profiles, and frames (a
-    minute beyond 64 bits becomes the nearest 64-bit value, as in the parse)."""
+    minute beyond 64 bits becomes the nearest 64-bit value, as in the parse).
+    An unlabelled recording's label bytes are 1, which no pass may use."""
     table = RecordingTable(
         coded(cohort.profiles, [r.participant_id for r in recordings]), [r.shift_date for r in recordings],
         [min(max(r.minute_index, _INT64.min), _INT64.max) for r in recordings],
         [len(r.frames) for r in recordings], [r.frames.foreground is not None for r in recordings])
     if not recordings:
         return replace(cohort, recordings=table, frames=Cohort().frames)
-    labels = [np.zeros(len(r.frames), bool) if r.frames.foreground is None else r.frames.foreground
+    labels = [np.ones(len(r.frames), bool) if r.frames.foreground is None else r.frames.foreground
               for r in recordings]
     columns = {name: np.concatenate([getattr(r.frames, name) for r in recordings]) for name in FRAME_COLUMNS}
     return replace(cohort, recordings=table, frames=FrameBlock(**columns, foreground=np.concatenate(labels)))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -302,20 +303,28 @@ def test_no_stage_imports_numpy_ma(tmp_path):
         [stage, "False"] for stage in ("simulate", "extract", "compare", "predict", "verify", "report")]
 
 
+def peak_rss(argv: list[str]) -> int:
+    """The peak resident bytes (ru_maxrss) of the CLI run on argv in a
+    fresh process. A process started by another starts with its starter's
+    resident size as ru_maxrss, so a small launcher, not this test process,
+    starts it."""
+    script = ("import resource, sys\n"
+              "from shifttalk.cli import main\n"
+              "assert main(sys.argv[1:]) == 0\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")  # KiB
+    launch = [sys.executable, "-c", "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"]
+    src = str(Path(shifttalk.__file__).parents[1])
+    run = subprocess.run([*launch, sys.executable, "-c", script, *argv], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    return int(run.stdout.split()[-1]) * 1024
+
+
 def test_simulate_and_extract_peaks_grow_by_less_than_half_the_added_frame_bytes(tmp_path):
     """Four times the frames per recording: each stage's peak RSS, in a
     fresh process, grows by less than half of what frames.bin grows by, as
     simulate writes each shift's frames as it draws them, and extract walks
     the read-only map of frames.bin a window or a speaker at a time. A stage
     that held every frame would grow by at least the added bytes."""
-    script = ("import resource, sys\n"
-              "from shifttalk.cli import main\n"
-              "assert main(sys.argv[1:]) == 0\n"
-              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")  # KiB
-    # a process started by another starts with its starter's resident size as
-    # ru_maxrss, so a small launcher, not this test process, starts each stage
-    launch = [sys.executable, "-c", "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"]
-    src = str(Path(shifttalk.__file__).parents[1])
     peaks, frame_bytes = {}, {}
     for n in (200, 800):
         # the frames_heavy benchmark workload's shape: 12 speakers, ~1.5 k recordings
@@ -323,17 +332,81 @@ def test_simulate_and_extract_peaks_grow_by_less_than_half_the_added_frame_bytes
         root.mkdir()
         spec = write_spec(root, f"n_per_cell = 3\nn_shifts = 1\nframes_per_recording = {n}\nseed = 11\n")
         data, out = root / "data", root / "out"
-        stages = {"simulate": ["simulate", str(spec), "--out", str(data)],
-                  "extract": ["extract", "--input", str(data), "--out", str(out), "--min-frames", "100",
-                              "--min-days", "1"]}
-        for stage, argv in stages.items():
-            run = subprocess.run([*launch, sys.executable, "-c", script, *argv], env={**os.environ, "PYTHONPATH": src},
-                                 capture_output=True, text=True, check=True)
-            peaks[stage, n] = int(run.stdout.split()[-1]) * 1024
+        peaks["simulate", n] = peak_rss(["simulate", str(spec), "--out", str(data)])
+        peaks["extract", n] = peak_rss(["extract", "--input", str(data), "--out", str(out), "--min-frames", "100",
+                                        "--min-days", "1"])
         frame_bytes[n] = (data / "frames.bin").stat().st_size
     added = frame_bytes[800] - frame_bytes[200]
     for stage in ("simulate", "extract"):
         assert peaks[stage, 800] - peaks[stage, 200] < added / 2, (stage, peaks, added)
+
+
+def test_extract_peak_with_a_dropped_participant_grows_by_less_than_1_5_times_the_added_frame_bytes(tmp_path):
+    """--min-days 2 drops two speakers of one recording each, so the filter
+    copies nearly every frame; the map of frames.bin is released a column
+    at a time as the copy is made (FrameBlock.select), so extract's peak
+    grows by about the copy. Holding the whole map beside the copy would
+    grow it by about twice the added bytes."""
+    peaks, frame_bytes = {}, {}
+    for n in (200, 800):
+        root = tmp_path / str(n)
+        root.mkdir()
+        spec = write_spec(root, f"n_per_cell = 3\nn_shifts = 2\nframes_per_recording = {n}\nseed = 11\n"
+                                "inter_session_median_night = 1000\n")
+        data, out = root / "data", root / "out"
+        assert main(["simulate", str(spec), "--out", str(data)]) == 0
+        peaks[n] = peak_rss(["extract", "--input", str(data), "--out", str(out), "--min-frames", "100",
+                             "--min-days", "2"])
+        frame_bytes[n] = (data / "frames.bin").stat().st_size
+        assert len((out / "features.csv").read_text().splitlines()) == 1 + 10  # 2 of 12 participants dropped
+    added = frame_bytes[800] - frame_bytes[200]
+    assert peaks[800] - peaks[200] < 1.5 * added, (peaks, added)
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("simulate", "file"), ("extract", "file"), ("compare", "dir"), ("predict", "file/x.json"),
+    ("verify", "file/x.json"),
+])
+def test_output_path_blocked_by_a_file_or_directory_exits_2(pipeline_dirs, tmp_path, capsys, command, blocked):
+    _, data, out = pipeline_dirs
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    target, features = str(tmp_path / blocked), str(out / "features.csv")
+    argv = {
+        "simulate": ["simulate", str(write_spec(tmp_path)), "--out", target],
+        "extract": ["extract", "--input", str(data), "--out", target, "--min-frames", "6"],
+        "compare": ["compare", features, "--factor", "unit", "--out", target],
+        "predict": ["predict", features, "--label", "neg_affect", "--folds", "2", "--n-trees", "5", "--out", target],
+        "verify": ["verify", "--truth", str(data / "ground_truth.json"), "--features", features, "--out", target],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.endswith(f"{target!r}\n") and err.count("\n") == 1, err
+
+
+def test_extract_external_scores_ignores_an_unlabelled_recordings_label_bytes(pipeline_dirs, tmp_path):
+    """Half the recordings labelled, the same labels in both directories;
+    the other half's label bytes 0 in one and 1 in the other."""
+    _, data, _ = pipeline_dirs
+    heads = (data / "recordings.jsonl").read_bytes().splitlines(keepends=True)
+    labelled = np.arange(len(heads)) % 2 == 0
+    heads = [head.replace(b"}", b',"labelled":true}') if flag else head for head, flag in zip(heads, labelled)]
+    of_labelled = np.repeat(labelled, [json.loads(head)["n_frames"] for head in heads])
+    with (data / FRAMES_FILE).open("rb") as fh:
+        arrays = [np.load(fh) for _ in range(5)]
+    outs = []
+    for byte in (False, True):
+        root = tmp_path / str(int(byte))
+        shutil.copytree(data, root / "data")
+        (root / "data" / "recordings.jsonl").write_bytes(b"".join(heads))
+        arrays[4] = np.where(of_labelled, arrays[3] < 0.7, byte)  # labels that disagree with the threshold
+        with (root / "data" / FRAMES_FILE).open("wb") as fh:
+            for array in arrays:
+                np.save(fh, array)
+        assert main(["extract", "--input", str(root / "data"), "--out", str(root / "out"), "--min-frames", "6",
+                     "--external-scores"]) == 0
+        outs.append(checksum_dir(root / "out"))
+    assert outs[0] == outs[1]
 
 
 def test_verify_subcommand(pipeline_dirs, tmp_path):

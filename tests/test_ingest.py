@@ -661,12 +661,11 @@ def test_head_reader_matches_json_loads_property(tmp_path):
         data = "".join(body + end for body, end in lines).encode()
         want = loaded(data)
         n = int(want.n_frames.sum())
-        # every frame labelled in the file, so only the heads decide which labels are kept
-        arrays = [np.full(n, 4.7), np.arange(n, dtype=float), np.full(n, 0.8), np.full(n, 0.9), np.ones(n, bool)]
+        # labels that differ from frame to frame, labelled recording or not
+        arrays = [np.full(n, 4.7), np.arange(n, dtype=float), np.full(n, 0.8), np.full(n, 0.9), np.arange(n) % 3 == 0]
         path.write_bytes(data)
         (root / "frames.bin").write_bytes(saved(*arrays))
         recordings, frames = ingest.parse_recordings(path, profiles)
-        arrays[4] = np.repeat(want.labelled, want.n_frames)
         assert_cohorts_equal(Cohort(recordings=recordings, frames=frames),
                              Cohort(recordings=want, frames=FrameBlock(*arrays)))
 
@@ -955,7 +954,7 @@ def test_rows_are_read_a_block_at_a_time(tmp_path, file):
 
 def test_writer_emits_head_lines_and_frames_bin(tmp_path):
     recs = [recording("p1", minute=0, n_frames=2, log_pitch=math.nan),
-            recording("p\0é\"", minute=3, n_frames=1, foreground=[True])]
+            recording("p\0é\"", minute=3, n_frames=1, foreground=[False])]
     cohort = with_recordings(tiny_cohort("p\0é\""), recs)
     write_cohort(cohort, tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(CANONICAL_FILES + ("frames.bin",))
@@ -967,7 +966,7 @@ def test_writer_emits_head_lines_and_frames_bin(tmp_path):
         arrays = [np.load(fh, allow_pickle=False) for _ in range(5)]
         assert fh.read() == b""
     assert [a.dtype.str for a in arrays] == ["<f8"] * 4 + ["|b1"]
-    assert [a.tolist() for a in arrays[1:]] == [[60.0] * 3, [0.8] * 3, [1.0] * 3, [False, False, True]]
+    assert [a.tolist() for a in arrays[1:]] == [[60.0] * 3, [0.8] * 3, [1.0] * 3, [True, True, False]]
     assert np.isnan(arrays[0][:2]).all() and arrays[0][2] == 4.7
     assert_cohorts_equal(parse_cohort(tmp_path), cohort)
 
@@ -1202,23 +1201,20 @@ def test_label_byte_2_in_a_later_window_is_refused(tmp_path, place):
     assert str(err.value) == "frames.bin:5: foreground holds a byte other than 0 and 1"
 
 
-def test_parsed_frames_are_read_only_views_and_labels_a_copy(tmp_path):
+def test_parsed_frames_are_read_only_views_of_frames_bin(tmp_path):
     cohort = windows_cohort()
-    labels = np.arange(len(cohort.frames)) % 3 == 0
-    cohort.frames.foreground = labels
+    cohort.frames.foreground = np.arange(len(cohort.frames)) % 3 == 0
     cohort.recordings.labelled[1:] = True  # labels from inside the second window on
-    write_cohort(cohort, tmp_path)
-    parsed = parse_cohort(tmp_path).frames
-    for name in FRAME_COLUMNS:
-        column = getattr(parsed, name)
+    write_cohort(cohort, tmp_path / "a")
+    parsed = parse_cohort(tmp_path / "a")
+    for name in FRAME_FIELDS:
+        column = getattr(parsed.frames, name)
         assert not column.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            column[0] = 1.0
-    assert parsed.foreground.flags.writeable
-    np.testing.assert_array_equal(parsed.foreground, labels & (np.arange(len(labels)) >= FRAME_WINDOW))
-    parsed.foreground[:] = True  # the file is left as it was
-    assert_cohorts_equal(parse_cohort(tmp_path), replace(cohort, frames=replace(
-        cohort.frames, foreground=labels & (np.arange(len(labels)) >= FRAME_WINDOW))))
+            column[0] = 1
+    assert_cohorts_equal(parsed, cohort)  # the label bytes of the unlabelled recording too
+    write_cohort(parsed, tmp_path / "b")
+    assert written(tmp_path / "b") == written(tmp_path / "a")
 
 
 def test_frames_appended_in_chunks_write_the_bytes_of_one_chunk(tmp_path):
@@ -1259,16 +1255,23 @@ def test_frames_bin_refuses_n_frames_that_do_not_sum_to_its_frames(tmp_path):
     assert str(err.value) == "frames.bin:1: log_pitch holds 9 frames, but the n_frames of recordings.jsonl sum to 10"
 
 
-def test_frames_bin_keeps_only_a_labelled_recordings_foreground(tmp_path):
+def test_frames_bin_labels_count_only_for_a_labelled_recording(tmp_path):
+    """The parse keeps every label byte of the file; the rating pass uses a
+    recording's labels only where its head says labelled."""
+    from shifttalk.foreground import FilterKind, ForegroundFilter
+    from shifttalk.pipeline import ExtractionConfig, _rate_cohort
+
     root, arrays = frames_bin_files(tmp_path)
-    (root / "frames.bin").write_bytes(column(arrays, 4, np.ones(9, bool)))
+    (root / "frames.bin").write_bytes(saved(*arrays[:3], np.zeros(9), np.ones(9, bool)))  # below any threshold
     path = root / "recordings.jsonl"
     lines = path.read_bytes().splitlines(keepends=True)
     lines[1] = lines[1].replace(b"}", b',"labelled":true}')
     path.write_bytes(b"".join(lines))
     cohort = parse_cohort(root)
     assert cohort.recordings.labelled.tolist() == [False, True, False]
-    assert cohort.frames.foreground.tolist() == [False] * 3 + [True] * 3 + [False] * 3
+    assert cohort.frames.foreground.tolist() == [True] * 9
+    config = ExtractionConfig(ForegroundFilter(FilterKind.EXTERNAL_SCORES), min_frames=1, min_days=1)
+    assert _rate_cohort(cohort, config)[0].tolist() == [1]  # the valid recordings
 
 
 def test_parse_serialize_parse_idempotent(tmp_path):
@@ -1486,7 +1489,7 @@ def test_filters_return_recordings_and_frames_that_lose_no_row_themselves():
     kept = filter_min_days(cohort, 2)  # p1 has two dates, p2 one
     assert_cohorts_equal(kept, with_recordings(replace(cohort, profiles={"p1": cohort.profiles["p1"]}), recs[1:]))
     assert kept.frames.intensity.tolist() == [10.0, 11.0, 12.0, 20.0, 21.0, 22.0]
-    assert kept.frames.foreground.tolist() == [True, False, True] + [False] * 3
+    assert kept.frames.foreground.tolist() == [True, False, True] + [True] * 3  # label bytes kept as they are
 
 
 def test_filters_do_not_mutate_input():

@@ -17,7 +17,7 @@ from shifttalk.aggregate import FEATURE_COLUMNS, BlockTable
 from shifttalk.arousal import RatedTable
 from shifttalk.errors import MalformedRow
 from shifttalk import model
-from shifttalk.model import RssiTable, mapped, read_columns, release, window_repeat, write_csv
+from shifttalk.model import RssiTable, mapped, read_columns, release, write_csv
 from shifttalk.sessions import SessionTable
 from shifttalk.stats import ComparisonTable
 
@@ -274,18 +274,13 @@ def test_rows_are_numbered_by_the_line_they_start_on(tmp_path, bad_cell, bad_byt
     assert str(err.value).startswith(message), str(err.value)
 
 
-def test_window_repeat_is_the_window_of_np_repeat(monkeypatch):
-    rng = np.random.default_rng(5)
+def test_frame_windows_cover_the_frames_in_order(monkeypatch):
     for size in (1, 2, 3, 7):
         monkeypatch.setattr(model, "FRAME_WINDOW", size)
-        for _ in range(200):
-            n = rng.integers(0, 5, rng.integers(1, 8))  # recordings of no frame too
-            values = rng.integers(0, 100, len(n))
-            full = np.repeat(values, n)
-            windows = list(model.frame_windows(len(full)))
-            assert [w.start for w in windows] == list(range(0, len(full), size))
-            parts = [window_repeat(values, np.cumsum(n), window) for window in windows]
-            assert np.concatenate([full[:0], *parts]).tolist() == full.tolist()
+        for n in range(20):
+            windows = list(model.frame_windows(n))
+            assert [w.start for w in windows] == list(range(0, n, size))
+            assert [i for w in windows for i in range(n)[w]] == list(range(n))
 
 
 def test_release_drops_only_read_only_file_maps(tmp_path):
