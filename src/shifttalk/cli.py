@@ -75,9 +75,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
     reports.write_arousal_csv(out / reports.AROUSAL_FILE, result.rated)
     reports.write_blocks_csv(out / reports.BLOCKS_FILE, result.blocks)
     reports.write_features_csv(out / reports.FEATURES_FILE, result.participant_ids, labels, result.matrix)
-    print(f"parsed rows: {result.cohort.counts}")
-    if result.cohort.warnings:
-        print(f"warnings: {result.cohort.warnings}")
+    print(f"parsed rows: {cohort.counts}")
+    if cohort.warnings:
+        print(f"warnings: {cohort.warnings}")
     print(f"dropped outside shift window: {result.dropped}")
     print(f"extracted {len(result.participant_ids)} participants, "
           f"{len(result.sessions)} sessions, {len(result.rated)} rated recordings -> {out}")
@@ -129,9 +129,6 @@ def depth(text: str) -> int | None:
 def cmd_predict(args: argparse.Namespace) -> int:
     grid = _grid_from_args(args)
     ids, labels, X, names = reports.read_features_csv(args.features)
-    if args.label not in labels:
-        print(f"error: unknown label {args.label!r}", file=sys.stderr)
-        return EXIT_USAGE
     y = binarize_label(labels[args.label])
     report = cross_validate(X, y, names, grid=grid, k=args.folds, seed=args.seed, label_name=args.label)
     reports.write_report_json(args.out, report)

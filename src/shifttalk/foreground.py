@@ -2,11 +2,12 @@
 
 The deep foreground classifier that produced the original labels is replaced
 by a pluggable per-frame predicate. The default baseline thresholds the
-ingested foreground probability; ExternalScores mode trusts a precomputed
-boolean frame label where the input carried one and falls back to the
-threshold for frames without it. ForegroundFilter.mask holds that rule for
-the per-recording reference (filter_frames) and for the rating pass, which
-applies it to one speaker's frames at a time (pipeline._rate_cohort).
+ingested foreground probability; ExternalScores mode trusts the boolean
+frame label of a recording that carries labels (labelled) and falls back to
+the threshold for the frames of one that does not. ForegroundFilter.mask
+holds that rule for the per-recording reference (filter_frames) and for the
+rating pass, which applies it to one speaker's frames at a time
+(pipeline._rate_cohort).
 """
 
 from __future__ import annotations
@@ -38,22 +39,21 @@ class ForegroundFilter:
         if not 0.0 <= self.threshold <= 1.0:
             raise BadParameter("threshold", self.threshold, "in [0, 1]")
 
-    def mask(self, frames: FrameBlock, at: np.ndarray | slice = slice(None),
-             labelled: np.ndarray | bool = True) -> np.ndarray:
+    def mask(self, frames: FrameBlock, at: np.ndarray | slice, labelled: np.ndarray | bool) -> np.ndarray:
         """Boolean keep-mask over the frames ``at`` of the block: a frame is
         kept when its foreground_prob reaches the threshold, except that
         under EXTERNAL_SCORES a frame of a labelled recording (``labelled``,
         one flag per frame or one for all) keeps its foreground label. The
         labels are read only under EXTERNAL_SCORES."""
         keep = frames.foreground_prob[at] >= self.threshold
-        if self.kind is FilterKind.EXTERNAL_SCORES and frames.foreground is not None:
+        if self.kind is FilterKind.EXTERNAL_SCORES:
             keep = np.where(labelled, frames.foreground[at], keep)
         return keep
 
 
 def filter_frames(recording: RecordingSegment, f: ForegroundFilter) -> RecordingSegment:
     """New recording holding only foreground frames, order preserved."""
-    keep = f.mask(recording.frames)
+    keep = f.mask(recording.frames, slice(None), recording.labelled)
     return replace(recording, frames=recording.frames.select(keep))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParameter, SingleClassInput
-from .model import distinct
+from .model import ColumnTable, distinct
 
 
 @dataclass(frozen=True)
@@ -37,15 +37,18 @@ class ForestParams:
         return f"n_trees={self.n_trees},max_depth={depth},min_leaf={self.min_leaf}"
 
 
-@dataclass
-class Tree:
-    """Array-encoded binary tree; children index into the same arrays."""
+@dataclass(eq=False)
+class Tree(ColumnTable):
+    """Binary tree as a table of nodes, root first; children index its rows."""
 
-    feature: np.ndarray  # int, -1 for leaves
-    threshold: np.ndarray  # float
-    left: np.ndarray  # int child index
-    right: np.ndarray
-    counts: np.ndarray  # (n_nodes, 2) class counts of training rows
+    feature: np.ndarray = ()  # intp, -1 for leaves
+    threshold: np.ndarray = ()  # float64
+    left: np.ndarray = ()  # intp child row
+    right: np.ndarray = ()  # intp child row
+    n0: np.ndarray = ()  # int64 class-0 training rows
+    n1: np.ndarray = ()  # int64 class-1 training rows
+
+    DTYPES = (np.intp, np.float64, np.intp, np.intp, np.int64, np.int64)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         node = np.zeros(len(X), dtype=np.intp)
@@ -56,8 +59,7 @@ class Tree:
             go_left = X[rows, self.feature[nd]] <= self.threshold[nd]
             node[rows] = np.where(go_left, self.left[nd], self.right[nd])
             active = self.feature[node] >= 0
-        counts = self.counts[node]
-        return (counts[:, 1] > counts[:, 0]).astype(np.uint8)
+        return (self.n1[node] > self.n0[node]).astype(np.uint8)
 
 
 def _grow_tree(
@@ -73,19 +75,10 @@ def _grow_tree(
     Xb = X[boot]
     yb = y[boot]
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    counts: list[tuple[int, int]] = []
-
-    # stack of (row index array, depth, slot in the node arrays)
+    # one row per node in Tree's column order, a leaf until it splits;
+    # stack of (row index array, depth, node)
+    nodes: list[list] = [[-1, 0.0, -1, -1, 0, 0]]
     stack: list[tuple[np.ndarray, int, int]] = [(np.arange(n), 0, 0)]
-    feature.append(-1)
-    threshold.append(0.0)
-    left.append(-1)
-    right.append(-1)
-    counts.append((0, 0))
 
     while stack:
         rows, depth, slot = stack.pop()
@@ -93,7 +86,7 @@ def _grow_tree(
         m = len(rows)
         n1 = int(yn.sum())
         n0 = m - n1
-        counts[slot] = (n0, n1)
+        nodes[slot][4:] = n0, n1
         depth_stop = params.max_depth is not None and depth >= params.max_depth
         if n0 == 0 or n1 == 0 or depth_stop or m < 2 * params.min_leaf:
             continue
@@ -128,28 +121,13 @@ def _grow_tree(
         importance[feat] += (m / n) * (gini_node - best)
 
         go_left = Xb[rows, feat] <= thr
-        slot_left = len(feature)
-        slot_right = slot_left + 1
-        feature[slot] = feat
-        threshold[slot] = thr
-        left[slot] = slot_left
-        right[slot] = slot_right
-        for _ in range(2):
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            counts.append((0, 0))
-        stack.append((rows[~go_left], depth + 1, slot_right))
+        slot_left = len(nodes)
+        nodes[slot][:4] = feat, thr, slot_left, slot_left + 1
+        nodes += [[-1, 0.0, -1, -1, 0, 0], [-1, 0.0, -1, -1, 0, 0]]
+        stack.append((rows[~go_left], depth + 1, slot_left + 1))
         stack.append((rows[go_left], depth + 1, slot_left))
 
-    return Tree(
-        feature=np.asarray(feature, dtype=np.intp),
-        threshold=np.asarray(threshold, dtype=float),
-        left=np.asarray(left, dtype=np.intp),
-        right=np.asarray(right, dtype=np.intp),
-        counts=np.asarray(counts, dtype=float),
-    )
+    return Tree(*zip(*nodes))
 
 
 @dataclass

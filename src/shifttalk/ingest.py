@@ -89,8 +89,6 @@ from .model import (
     RSSI_MIN,
     SHIFT_MINUTES,
     Cohort,
-    FRAME_COLUMNS,
-    FRAME_FIELDS,
     FrameBlock,
     HubCategory,
     HubRecord,
@@ -328,12 +326,12 @@ def parse_physiology(path: Path, profiles: dict[str, ParticipantProfile]) -> Phy
     return PhysiologyTable(*_columns(rows, PhysiologyTable.DTYPES))
 
 
-# frames.bin's arrays, one per FrameBlock field in field order
-_FRAME_DTYPES = (np.dtype("<f8"),) * len(FRAME_COLUMNS) + (np.dtype(bool),)
+# frames.bin's arrays, one per FrameBlock column in column order
+_FRAME_DTYPES = (np.dtype("<f8"),) * 4 + (np.dtype(bool),)
 
 
 def _value_refusal(feats: list[np.ndarray]) -> tuple[int, str] | None:
-    """The first frame (an index into the FRAME_COLUMNS arrays feats) that
+    """The first frame (an index into the frame value arrays feats) that
     breaks a frame value rule, with the first rule it breaks; None when every
     frame keeps them. Values are finite, except NaN as an unvoiced pitch;
     foreground_prob lies in [0, 1] and hf_lf_ratio is non-negative. The
@@ -515,7 +513,7 @@ def _read_frames(path: Path, recordings: RecordingTable, profiles: dict, lines: 
     n = sum(recordings.n_frames.tolist())
     with path.open("rb") as fh:
         starts = [_array_start(fh, path.name, k, name, dtype, n)
-                  for k, (name, dtype) in enumerate(zip(FRAME_FIELDS, _FRAME_DTYPES), start=1)]
+                  for k, (name, dtype) in enumerate(zip(FrameBlock.columns(), _FRAME_DTYPES), start=1)]
         after = os.fstat(fh.fileno()).st_size > fh.tell()
         columns = _map_arrays(fh, starts, n)
     labels = columns[-1].view(np.uint8)
@@ -523,7 +521,7 @@ def _read_frames(path: Path, recordings: RecordingTable, profiles: dict, lines: 
         bad = labels[window].max() > 1
         release(labels)
         if bad:
-            raise MalformedRow(path.name, len(columns), f"{FRAME_FIELDS[-1]} holds a byte other than 0 and 1")
+            raise MalformedRow(path.name, len(columns), f"{FrameBlock.columns()[-1]} holds a byte other than 0 and 1")
     if after:
         raise MalformedRow(path.name, len(columns), "bytes after the last array")
     refusal = _value_refusal(columns[:4])
@@ -586,8 +584,8 @@ def parse_cohort(dir_path: str | Path) -> Cohort:
 class FrameWriter:
     """frames.bin written a chunk of recordings at a time, its memory that of
     one chunk: append puts each chunk's five columns at the end of one
-    temporary sibling file per FrameBlock field, and assemble writes
-    frames.bin from them (each field's .npy header, then its file). Used as
+    temporary sibling file per FrameBlock column, and assemble writes
+    frames.bin from them (each column's .npy header, then its file). Used as
     a context manager, it removes its files on exit, whatever happened.
 
     A chunk with a frame value that the reader would refuse (_value_refusal)
@@ -597,7 +595,7 @@ class FrameWriter:
 
     def __init__(self, root: str | Path, ids: list[str]) -> None:
         self.root, self.ids, self.n = Path(root), ids, 0
-        self.parts = {name: self.root / f"{FRAMES_FILE}.{name}.tmp" for name in FRAME_FIELDS}
+        self.parts = {name: self.root / f"{FRAMES_FILE}.{name}.tmp" for name in FrameBlock.columns()}
         self.files: list[BinaryIO] = []
 
     def __enter__(self) -> "FrameWriter":
@@ -609,9 +607,9 @@ class FrameWriter:
         for path in self.parts.values():
             path.unlink(missing_ok=True)
 
-    def append(self, recordings: RecordingTable, columns: list[np.ndarray]) -> None:
-        """Write the frames of the rows of recordings, given by FrameBlock
-        field in field order, after those appended before."""
+    def append(self, recordings: RecordingTable, frames: FrameBlock) -> None:
+        """Write the frames of the rows of recordings after those appended before."""
+        columns = [getattr(frames, name) for name in frames.columns()]
         refusal = _value_refusal(columns[:4])
         if refusal is not None:
             raise ValueError(_refused_recording(recordings, self.ids, refusal)[1])
@@ -630,7 +628,7 @@ class FrameWriter:
             fh.flush()
         starts = []
         with path.open("wb") as out:
-            for name, dtype in zip(FRAME_FIELDS, _FRAME_DTYPES):
+            for name, dtype in zip(FrameBlock.columns(), _FRAME_DTYPES):
                 npy.write_array_header_1_0(out, {"descr": npy.dtype_to_descr(dtype), "fortran_order": False,
                                                  "shape": (self.n,)})  # as np.save writes it
                 starts.append(out.tell())
@@ -658,7 +656,7 @@ def write_cohort(cohort: Cohort, dir_path: str | Path, frames: FrameWriter | Non
     """
     if frames is None:
         with FrameWriter(dir_path, sorted(cohort.profiles)) as frames:
-            frames.append(cohort.recordings, [getattr(cohort.frames, name) for name in FRAME_FIELDS])
+            frames.append(cohort.recordings, cohort.frames)
             return write_cohort(cohort, dir_path, frames)
     root = Path(dir_path)
     root.mkdir(parents=True, exist_ok=True)

@@ -438,7 +438,7 @@ class ColumnTable:
 
     def __post_init__(self) -> None:
         names = self.columns()
-        for name, dtype in zip(names, self.DTYPES):
+        for name, dtype in zip(names, self.DTYPES, strict=True):
             setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
         if len({len(getattr(self, name)) for name in names}) != 1:
             raise ValueError(f"{type(self).__name__} columns must have equal length")
@@ -458,8 +458,15 @@ class ColumnTable:
         return len(getattr(self, self.columns()[0]))
 
     def select(self, mask: np.ndarray) -> "ColumnTable":
-        """New table holding only the rows where mask is True (order kept)."""
-        return type(self)(*(getattr(self, name)[mask] for name in self.columns()))
+        """New table holding only the rows where mask is True (order kept).
+        The pages of a read-only file map are released after each column
+        is read (release), so a mapped table, such as a parsed FrameBlock,
+        is resident one column at a time, beside the copy."""
+        selected = []
+        for name in self.columns():
+            selected.append(getattr(self, name)[mask])
+            release(getattr(self, name))
+        return type(self)(*selected)
 
     def write_csv(self, path: str | Path) -> None:
         """One csv row per table row, under the column names."""
@@ -496,49 +503,25 @@ class PhysiologyTable(ColumnTable):
     DTYPES = (np.int64, "datetime64[D]", np.float64, np.float64)
 
 
-@dataclass
-class FrameBlock:
-    """Columnar storage for frames: a cohort's, or one recording's.
+@dataclass(eq=False)
+class FrameBlock(ColumnTable):
+    """Frames, a cohort's or one recording's, one row per frame.
 
     Recordings routinely hold thousands of frames, so frames live in parallel
-    numpy arrays rather than object lists. A cohort's block holds a label
-    byte per frame in ``foreground``, but a recording's labels count only
-    where its RecordingTable row is labelled (ForegroundFilter.mask); a
-    parsed block is frames.bin's five arrays, read-only views of its map. A
-    recording's block has ``foreground`` None when it carries no external
-    own-speech labels.
+    numpy arrays rather than object lists. Every frame carries a label byte
+    in ``foreground``, but a recording's labels count only where it is
+    labelled (RecordingTable.labelled, RecordingSegment.labelled; see
+    ForegroundFilter.mask). A parsed block is frames.bin's five arrays,
+    read-only views of its map.
     """
 
-    log_pitch: np.ndarray  # float64, NaN = unvoiced
-    intensity: np.ndarray
-    hf_lf_ratio: np.ndarray
-    foreground_prob: np.ndarray
-    foreground: np.ndarray | None = None  # bool, optional external labels
+    log_pitch: np.ndarray = ()  # float64, NaN = unvoiced
+    intensity: np.ndarray = ()  # float64
+    hf_lf_ratio: np.ndarray = ()  # float64
+    foreground_prob: np.ndarray = ()  # float64
+    foreground: np.ndarray = ()  # bool: the external own-speech label
 
-    def __post_init__(self) -> None:
-        n = len(self.log_pitch)
-        if not (len(self.intensity) == len(self.hf_lf_ratio) == len(self.foreground_prob) == n):
-            raise ValueError("frame columns must have equal length")
-        if self.foreground is not None and len(self.foreground) != n:
-            raise ValueError("foreground column length mismatch")
-
-    def __len__(self) -> int:
-        return len(self.log_pitch)
-
-    def select(self, mask: np.ndarray) -> "FrameBlock":
-        """New block holding only the frames where mask is True (order kept).
-        The pages of a read-only file map are released after each column
-        is read (release), so a mapped frames.bin is resident one column
-        at a time, beside the copy."""
-        selected = []
-        for column in map(self.__dict__.get, FRAME_FIELDS):
-            selected.append(None if column is None else column[mask])
-            release(column)
-        return FrameBlock(*selected)
-
-
-FRAME_FIELDS = tuple(f.name for f in fields(FrameBlock))
-FRAME_COLUMNS = FRAME_FIELDS[:4]  # the frame values, the foreground labels aside
+    DTYPES = (np.float64,) * 4 + (bool,)
 
 
 @dataclass(eq=False)
@@ -634,6 +617,7 @@ class RecordingSegment:
     shift_date: date
     minute_index: int
     frames: FrameBlock
+    labelled: bool  # the input carried foreground labels (frames.foreground)
 
 
 @dataclass
@@ -643,8 +627,7 @@ class Cohort:
     profiles: dict[str, ParticipantProfile] = field(default_factory=dict)
     hubs: dict[str, HubRecord] = field(default_factory=dict)
     recordings: RecordingTable = field(default_factory=RecordingTable)
-    frames: FrameBlock = field(  # every recording's, in table order
-        default_factory=lambda: FrameBlock(*np.empty((4, 0)), np.empty(0, bool)))
+    frames: FrameBlock = field(default_factory=FrameBlock)  # every recording's, in table order
     rssi: RssiTable = field(default_factory=RssiTable)
     physiology: PhysiologyTable = field(default_factory=PhysiologyTable)
     warnings: dict[str, int] = field(default_factory=dict)

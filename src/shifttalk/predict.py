@@ -13,12 +13,12 @@ criterion 7's cohort report.json was byte-identical with and without one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadParameter, DegenerateLabel, LengthMismatch, TooFewSamples
-from .forest import ForestModel, ForestParams, train_forest
+from .forest import ForestParams, train_forest
 from .model import median
 
 DEFAULT_GRID: list[ForestParams] = [
@@ -89,7 +89,6 @@ class CvReport:
     per_config: list[tuple[ForestParams, float]]
     importances: list[tuple[str, float]]  # sorted descending, sums to 1
     seed: int
-    final_model: ForestModel = field(repr=False, default=None)  # type: ignore[assignment]
 
 
 def cross_validate(
@@ -138,5 +137,4 @@ def cross_validate(
         per_config=per_config,
         importances=importances,
         seed=seed,
-        final_model=final,
     )

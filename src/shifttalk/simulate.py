@@ -32,6 +32,7 @@ from .errors import InvalidSpec, MalformedRow
 from .ingest import FrameWriter, write_cohort
 from .model import (
     Cohort,
+    FrameBlock,
     HubCategory,
     HubRecord,
     ParticipantProfile,
@@ -519,10 +520,9 @@ def _emit_frames(
     spec: CohortSpec,
     mu: dict[str, float],
     states: np.ndarray,
-) -> list[np.ndarray]:
-    """Frames for all of one shift's recordings, drawn in one batch: a column
-    per FrameBlock field, in field order, the recordings end to end; none is
-    labelled."""
+) -> FrameBlock:
+    """Frames for all of one shift's recordings, drawn in one batch, the
+    recordings end to end; none is labelled."""
     n_rec = len(states)
     n = spec.frames_per_recording
     fg = rng.random((n_rec, n)) < spec.foreground_fraction
@@ -535,4 +535,4 @@ def _emit_frames(
     log_pitch = _to_grid(np.where(voiced, cols["log_pitch"], np.nan))
     intensity = _to_grid(cols["intensity"])
     hf_lf = _to_grid(np.maximum(cols["hf_lf_ratio"], 0.0))
-    return [values.ravel() for values in (log_pitch, intensity, hf_lf, prob, np.zeros((n_rec, n), bool))]
+    return FrameBlock(log_pitch.ravel(), intensity.ravel(), hf_lf.ravel(), prob.ravel(), np.zeros(n_rec * n, bool))

@@ -10,8 +10,6 @@ import pytest
 
 from shifttalk.locate import RSSI_FLOOR, estimate_timeline
 from shifttalk.model import (
-    FRAME_COLUMNS,
-    FRAME_FIELDS,
     Cohort,
     FrameBlock,
     HubCategory,
@@ -48,17 +46,19 @@ def frames(
     hf_lf: float = 0.8,
     foreground: list[bool] | None = None,
 ) -> FrameBlock:
+    """n equal frames; with no foreground labels given, every label byte is 1."""
     return FrameBlock(
         log_pitch=np.full(n, log_pitch),
         intensity=np.full(n, intensity),
         hf_lf_ratio=np.full(n, hf_lf),
         foreground_prob=np.full(n, foreground_prob),
-        foreground=None if foreground is None else np.asarray(foreground, dtype=bool),
+        foreground=np.ones(n, bool) if foreground is None else np.asarray(foreground, dtype=bool),
     )
 
 
 def recording(pid: str = "p1", minute: int = 0, n_frames: int = 5, shift_date: date = D0, **kw) -> RecordingSegment:
-    return RecordingSegment(pid, shift_date, minute, frames(n_frames, **kw))
+    """A recording of frames(n_frames, **kw), labelled when given foreground labels."""
+    return RecordingSegment(pid, shift_date, minute, frames(n_frames, **kw), kw.get("foreground") is not None)
 
 
 def with_recordings(cohort: Cohort, recordings: list[RecordingSegment]) -> Cohort:
@@ -69,24 +69,20 @@ def with_recordings(cohort: Cohort, recordings: list[RecordingSegment]) -> Cohor
     table = RecordingTable(
         coded(cohort.profiles, [r.participant_id for r in recordings]), [r.shift_date for r in recordings],
         [min(max(r.minute_index, _INT64.min), _INT64.max) for r in recordings],
-        [len(r.frames) for r in recordings], [r.frames.foreground is not None for r in recordings])
-    if not recordings:
-        return replace(cohort, recordings=table, frames=Cohort().frames)
-    labels = [np.ones(len(r.frames), bool) if r.frames.foreground is None else r.frames.foreground
+        [len(r.frames) for r in recordings], [r.labelled for r in recordings])
+    blocks = [r.frames if r.labelled else replace(r.frames, foreground=np.ones(len(r.frames), bool))
               for r in recordings]
-    columns = {name: np.concatenate([getattr(r.frames, name) for r in recordings]) for name in FRAME_COLUMNS}
-    return replace(cohort, recordings=table, frames=FrameBlock(**columns, foreground=np.concatenate(labels)))
+    return replace(cohort, recordings=table, frames=FrameBlock.concat(blocks))
 
 
 def segments(cohort: Cohort) -> list[RecordingSegment]:
     """The cohort's recordings, one segment each, named by participant_id;
-    their frame columns are views of cohort.frames, and only labelled ones
-    carry foreground."""
+    their frame columns are views of cohort.frames."""
     table, block = cohort.recordings, cohort.frames
     ends = np.cumsum(table.n_frames).tolist()
     return [
-        RecordingSegment(pid, day, minute, FrameBlock(*(getattr(block, name)[start:end] for name in FRAME_COLUMNS),
-                                                      block.foreground[start:end] if labelled else None))
+        RecordingSegment(pid, day, minute, FrameBlock(*(getattr(block, name)[start:end] for name in block.columns())),
+                         labelled)
         for pid, day, minute, labelled, start, end in zip(
             decoded(cohort.profiles, table.participant), table.shift_date.tolist(), table.minute_index.tolist(),
             table.labelled.tolist(), [0] + ends[:-1], ends)
@@ -112,7 +108,7 @@ def assert_cohorts_equal(a: Cohort, b: Cohort) -> None:
         for name in x.columns():
             got, want = getattr(x, name), getattr(y, name)
             assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
-    for name in FRAME_FIELDS:
+    for name in FrameBlock.columns():
         got, want = getattr(a.frames, name), getattr(b.frames, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 

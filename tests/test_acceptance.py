@@ -88,7 +88,7 @@ def test_criterion_2_session_oracle_equivalence():
         for _ in range(1000):
             size = int(rng.integers(0, SHIFT_MINUTES + 1))
             minutes = rng.permutation(SHIFT_MINUTES)[:size].tolist()
-            recs = [RecordingSegment("p1", D0, m, block) for m in minutes]
+            recs = [RecordingSegment("p1", D0, m, block, False) for m in minutes]
             got = [s.minute_indices for s in build_sessions(recs, empty_timeline("p1", D0))]
             assert got == oracle_runs(minutes)
     report_line("2 session oracle equivalence (1000 sets)", t.elapsed < 5.0, t.elapsed)

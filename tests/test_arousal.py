@@ -26,6 +26,7 @@ def make_block(pitch, intensity, hf) -> FrameBlock:
         intensity=np.asarray(intensity, dtype=float),
         hf_lf_ratio=np.asarray(hf, dtype=float),
         foreground_prob=np.ones(n),
+        foreground=np.ones(n, bool),
     )
 
 

@@ -14,7 +14,7 @@ import pytest
 import shifttalk
 from shifttalk import reports
 from shifttalk.cli import main
-from shifttalk.ingest import CANONICAL_FILES, FRAMES_FILE
+from shifttalk.ingest import CANONICAL_FILES, FRAMES_FILE, parse_cohort
 
 SPEC = """\
 n_per_cell = 2
@@ -102,6 +102,18 @@ def test_simulate_occupancy_knob_outside_0_1_exits_2(tmp_path, capsys, lines, kn
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("line, error", [
+    ("n_per_cell 2", "{spec}:8: expected key = value"),
+    ("n_per_cell = 0", "n_per_cell, n_shifts and frames_per_recording must be >= 1"),
+    ("inter_session_median_night = 0.5", "inter-session medians must be >= 1 minute"),
+])
+def test_simulate_spec_that_breaks_a_rule_exits_2_naming_it(tmp_path, capsys, line, error):
+    spec = write_spec(tmp_path, SPEC + line + "\n")  # the line after SPEC's seven
+    assert main(["simulate", str(spec), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {error.format(spec=spec)}\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_simulate_deterministic_checksums(tmp_path):
     spec = write_spec(tmp_path)
     a, b = tmp_path / "a", tmp_path / "b"
@@ -121,6 +133,19 @@ def test_extract_empty_cohort_exits_3(pipeline_dirs, tmp_path):
     _, data, _ = pipeline_dirs
     assert main(["extract", "--input", str(data), "--out", str(tmp_path / "o"),
                  "--min-frames", "6", "--min-days", "9"]) == 3
+
+
+def test_extract_prints_the_row_counts_of_the_parse_before_any_filter(tmp_path, capsys):
+    # the night shifts hold almost no recording, so --min-days 2 drops participants
+    spec = write_spec(tmp_path, "n_per_cell = 2\nn_shifts = 2\nseed = 5\nframes_per_recording = 24\n"
+                                "inter_session_median_night = 1000\n")
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert main(["simulate", str(spec), "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["extract", "--input", str(data), "--out", str(out), "--min-frames", "6", "--min-days", "2"]) == 0
+    counts = parse_cohort(data).counts
+    assert f"parsed rows: {counts}\n" in capsys.readouterr().out
+    assert counts["participants"] == 8 > len(reports.read_features_csv(out / "features.csv")[0])
 
 
 def test_extract_min_frames_below_one_exits_2(pipeline_dirs, tmp_path, capsys):

@@ -15,9 +15,9 @@ def block(probs: list[float], foreground: list[bool] | None = None) -> Recording
         intensity=np.full(n, 60.0),
         hf_lf_ratio=np.full(n, 0.8),
         foreground_prob=np.asarray(probs, dtype=float),
-        foreground=None if foreground is None else np.asarray(foreground),
+        foreground=np.ones(n, bool) if foreground is None else np.asarray(foreground),
     )
-    return RecordingSegment("p1", D0, 0, fb)
+    return RecordingSegment("p1", D0, 0, fb, foreground is not None)
 
 
 def test_all_foreground_kept_unchanged():

@@ -21,7 +21,7 @@ from shifttalk.ingest import (
     parse_cohort,
     write_cohort,
 )
-from shifttalk.model import (FRAME_COLUMNS, FRAME_FIELDS, FRAME_WINDOW, RSSI_MAX, RSSI_MIN, Cohort, FrameBlock,
+from shifttalk.model import (FRAME_WINDOW, RSSI_MAX, RSSI_MIN, Cohort, FrameBlock,
                              HubCategory, HubRecord, LocationCategory, RecordingSegment, RecordingTable, line_blocks,
                              write_csv)
 
@@ -157,6 +157,8 @@ def test_rssi_byte_that_is_not_utf8_raises_at_its_line(tmp_path, earlier, error)
 @pytest.mark.parametrize("earlier, error", [
     (None, "participants.csv:3: not UTF-8 text"),
     ("p1,day,icu,30,25,9.0", "participants.csv:2: life_satisfaction 9.0 outside [1, 7]"),
+    ("p1,day,ward,30,25,4.2", "participants.csv:2: bad unit_type 'ward'"),
+    ("p1,day,icu,30,51,4.2", "participants.csv:2: neg_affect 51 outside [10, 50]"),
 ])
 def test_participants_byte_that_is_not_utf8_raises_at_its_line(tmp_path, earlier, error):
     rows = ["p1,day,icu,30,25,4.2", "p2,day,icu,30,25,4.2", "p3,day,icu,30,25,4.2"]
@@ -255,6 +257,20 @@ def test_rssi_errors_name_their_line(tmp_path, monkeypatch, rows, message, batch
 def test_number_cells_refuse_what_the_writers_never_write(tmp_path, file, row, message):
     with pytest.raises(MalformedRow) as err:
         parse_cohort(write_dir(tmp_path, **{file: [row]}))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("file, rows, message", [
+    ("hubs.csv", ["h_ns,ns", "h_ns,pat"], "hubs.csv:3: duplicate hub_id 'h_ns'"),
+    ("hubs.csv", ["h_ns,kitchen"], "hubs.csv:2: bad location_category 'kitchen'"),
+    ("physiology.csv", ["p1,2022-03-01,0.4,7.0", "ghost,2022-03-01,0.4,7.0"],
+     "physiology.csv:3: unknown participant_id 'ghost'"),
+    ("physiology.csv", ["p1,2022-03-01,1.5,7.0"], "physiology.csv:2: walk_ratio 1.5 outside [0, 1]"),
+    ("physiology.csv", ["p1,2022-03-01,0.4,24.5"], "physiology.csv:2: sleep_hours 24.5 outside [0, 24]"),
+])
+def test_hub_and_physiology_rows_that_break_a_rule_raise_at_their_line(tmp_path, file, rows, message):
+    with pytest.raises(MalformedRow) as err:
+        parse_cohort(write_dir(tmp_path, **{file: rows}))
     assert str(err.value) == message
 
 
@@ -972,16 +988,18 @@ def test_writer_emits_head_lines_and_frames_bin(tmp_path):
 
 
 def test_writer_widens_float32_columns_exactly(tmp_path):
+    values = FrameBlock.columns()[:4]
     recs = [
         RecordingSegment(r.participant_id, r.shift_date, r.minute_index,
-                         FrameBlock(*(getattr(r.frames, name).astype(np.float32) for name in FRAME_COLUMNS)))
+                         FrameBlock(*(getattr(r.frames, name).astype(np.float32) for name in values),
+                                    r.frames.foreground), r.labelled)
         for r in segments(tiny_cohort())
     ]
     cohort = with_recordings(tiny_cohort(), recs)
-    assert cohort.frames.log_pitch.dtype == np.float32
+    assert cohort.frames.log_pitch.dtype == np.float64  # widened as the blocks were built
     write_cohort(cohort, tmp_path)
     frames = parse_cohort(tmp_path).frames
-    for name in FRAME_COLUMNS:
+    for name in values:
         assert getattr(frames, name).tolist() == getattr(cohort.frames, name).astype(np.float64).tolist()
     assert frames.log_pitch[0] == 4.699999809265137
 
@@ -1106,7 +1124,7 @@ def test_frame_value_refused_at_its_recordings_line(tmp_path, k, value, rule, pl
 def test_frame_value_on_a_rule_boundary_is_read_exactly(tmp_path, k, value):
     root, arrays = frames_bin_files(tmp_path)
     (root / "frames.bin").write_bytes(frame(arrays, k, 5, value))
-    read = getattr(parse_cohort(root).frames, ingest.FRAME_FIELDS[k])
+    read = getattr(parse_cohort(root).frames, FrameBlock.columns()[k])
     assert read[5].tobytes() == np.float64(value).tobytes()  # the sign of -0.0 and NaN's bits too
     np.testing.assert_array_equal(np.delete(read, 5), np.delete(arrays[k], 5))
 
@@ -1207,7 +1225,7 @@ def test_parsed_frames_are_read_only_views_of_frames_bin(tmp_path):
     cohort.recordings.labelled[1:] = True  # labels from inside the second window on
     write_cohort(cohort, tmp_path / "a")
     parsed = parse_cohort(tmp_path / "a")
-    for name in FRAME_FIELDS:
+    for name in FrameBlock.columns():
         column = getattr(parsed.frames, name)
         assert not column.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -1225,8 +1243,7 @@ def test_frames_appended_in_chunks_write_the_bytes_of_one_chunk(tmp_path):
     with ingest.FrameWriter(tmp_path / "chunks", sorted(cohort.profiles)) as writer:
         for rows in ([0], [1, 2]):  # the recordings of a chunk are end to end
             frames = slice(int(ends[rows[0]] - table.n_frames[rows[0]]), int(ends[rows[-1]]))
-            writer.append(table.select(np.isin(np.arange(len(table)), rows)),
-                          [getattr(block, name)[frames] for name in FRAME_FIELDS])
+            writer.append(table.select(np.isin(np.arange(len(table)), rows)), block.select(frames))
         written_frames = write_cohort(cohort, tmp_path / "chunks", writer)
     assert written(tmp_path / "chunks") == written(tmp_path / "one")
     assert_cohorts_equal(replace(cohort, frames=written_frames), parse_cohort(tmp_path / "one"))
@@ -1241,7 +1258,7 @@ def test_refused_chunk_leaves_the_directory_as_it_was(tmp_path):
     with pytest.raises(ValueError) as err:
         with ingest.FrameWriter(root, sorted(good.profiles)) as writer:
             for cohort in (good, bad):  # the second chunk is refused after the first is written
-                writer.append(cohort.recordings, [getattr(cohort.frames, name) for name in FRAME_FIELDS])
+                writer.append(cohort.recordings, cohort.frames)
     assert str(err.value) == "hf_lf_ratio negative in recording p1 2022-03-02 minute 4"
     assert written(root) == before
 
@@ -1313,8 +1330,8 @@ def test_recordings_round_trip_property(tmp_path):
 
         fg = draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=n, max_size=n)))
         block = FrameBlock(column(pitch), column(finite), column(non_negative), column(probability),
-                           None if fg is None else np.array(fg, dtype=bool))
-        return RecordingSegment(draw(st.sampled_from(ids)), D0, minute, block)
+                           np.ones(n, bool) if fg is None else np.array(fg, dtype=bool))
+        return RecordingSegment(draw(st.sampled_from(ids)), D0, minute, block, fg is not None)
 
     cohorts = st.integers(0, 4).flatmap(lambda k: st.tuples(*(recordings(minute) for minute in range(k))))
     names = CANONICAL_FILES + ("frames.bin",)
@@ -1478,7 +1495,7 @@ def test_filters_return_recordings_and_frames_that_lose_no_row_themselves():
     # a dropped recording: new columns, its frames dropped with it
     recs = segments(cohort)
     recs[0].participant_id, recs[0].minute_index = "p2", 720
-    recs[1].frames.foreground = np.array([True, False, True])
+    recs[1].frames.foreground, recs[1].labelled = np.array([True, False, True]), True
     for i, rec in enumerate(recs):
         rec.frames.intensity[:] = np.arange(3) + 10 * i
     cohort = with_recordings(replace(cohort, profiles={**cohort.profiles, "p2": profile("p2")}), recs)

@@ -152,9 +152,9 @@ def _drawn_cohorts():
         log_pitch = np.full(n, math.nan) if mute or draw(st.booleans()) and n < 4 else column(pitch)
         labels = draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=n, max_size=n)))
         block = FrameBlock(log_pitch, column(value), column(value), column(prob),
-                           None if labels is None else np.array(labels, dtype=bool))
+                           np.ones(n, bool) if labels is None else np.array(labels, dtype=bool))
         day = D0 + timedelta(days=draw(st.integers(0, 2)))  # several shifts per participant
-        return RecordingSegment(pid, day, draw(minute), block)
+        return RecordingSegment(pid, day, draw(minute), block, labels is not None)
 
     @st.composite
     def rssi(draw, recs):
@@ -279,15 +279,18 @@ def test_no_object_per_recording_from_simulate_to_write(tmp_path, monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", counted)
 
-    def run(n_per_cell: int) -> tuple[int, dict]:
+    def run(n_per_cell: int) -> tuple[int, int, dict]:
         before = dict(built)
         root = tmp_path / str(n_per_cell)
         generate(CohortSpec(n_per_cell=n_per_cell, n_shifts=2, frames_per_recording=4, seed=5), root / "data")
         cohort = parse_cohort(root / "data")
         result = run_extraction(cohort, ExtractionConfig(min_frames=2, min_days=2))
         write_cohort(result.cohort, root / "again")
-        return len(cohort.recordings), {cls.__name__: built[cls] - before[cls] for cls in built}
+        shifts = len(set(zip(cohort.recordings.participant.tolist(), cohort.recordings.shift_date.tolist())))
+        return len(cohort.recordings), shifts, {cls.__name__: built[cls] - before[cls] for cls in built}
 
-    (few, few_built), (many, many_built) = run(1), run(3)
-    assert many > 2 * few
-    assert many_built == few_built
+    (few, few_shifts, few_built), (many, many_shifts, many_built) = run(1), run(3)
+    assert many - few > 2 * (many_shifts - few_shifts) > 0
+    # the simulator draws each shift's frames as one FrameBlock; nothing is built per recording
+    assert many_built == {"FrameBlock": few_built["FrameBlock"] + many_shifts - few_shifts,
+                          "RecordingSegment": few_built["RecordingSegment"]}

@@ -12,7 +12,7 @@ from shifttalk.errors import InvalidSpec
 from shifttalk.foreground import ForegroundFilter
 from shifttalk import ingest
 from shifttalk.ingest import CANONICAL_FILES, parse_cohort
-from shifttalk.model import FRAME_COLUMNS
+from shifttalk.model import FrameBlock
 from shifttalk.pipeline import ExtractionConfig, run_extraction
 from shifttalk.simulate import (
     GRID_DECIMALS,
@@ -37,7 +37,7 @@ def spec_text(**overrides) -> str:
 def test_simulated_frames_lie_on_the_grid(tmp_path):
     generate(CohortSpec(**TINY), tmp_path)
     frames = parse_cohort(tmp_path).frames
-    for name in FRAME_COLUMNS:
+    for name in FrameBlock.columns()[:4]:
         values = getattr(frames, name)
         values = values[~np.isnan(values)]
         assert len(values) and np.array_equal(np.round(values, GRID_DECIMALS), values), name
@@ -98,7 +98,8 @@ def test_generation_is_byte_deterministic(tmp_path):
 def test_generate_returns_the_cohort_that_it_wrote(tmp_path):
     cohort, _ = generate(CohortSpec(**TINY), tmp_path)
     assert_cohorts_equal(cohort, parse_cohort(tmp_path))
-    assert not any(getattr(cohort.frames, name).flags.writeable for name in FRAME_COLUMNS)  # a map of frames.bin
+    # a map of frames.bin
+    assert not any(getattr(cohort.frames, name).flags.writeable for name in FrameBlock.columns()[:4])
 
 
 def test_interrupted_generate_leaves_the_directory_as_it_was(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import math
 import mmap
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -293,3 +294,46 @@ def test_release_drops_only_read_only_file_maps(tmp_path):
     release(file_map[10:20], anonymous, np.ones(3))
     assert file_map.tolist() == list(range(1 << 12))  # read again from the file
     assert (anonymous == 7.0).all()  # a writable map keeps its values
+
+
+def column_tables(cls=model.ColumnTable):
+    """Every subclass of cls defined in the package, and theirs."""
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("shifttalk."):
+            yield sub
+        yield from column_tables(sub)
+
+
+def test_every_column_table_has_one_dtype_per_column():
+    import shifttalk.cli  # noqa: F401  imports every module, so every table is defined
+
+    tables = {cls.__name__: cls for cls in column_tables()}
+    assert set(tables) == {"RssiTable", "PhysiologyTable", "FrameBlock", "RecordingTable", "Tree", "SessionTable",
+                           "RatedTable", "ComparisonTable", "BlockTable"}
+    for name, cls in tables.items():
+        assert len(cls.DTYPES) == len(cls.columns()), name
+        empty = cls()
+        assert len(empty) == 0, name
+        assert [getattr(empty, column).dtype for column in cls.columns()] == list(map(np.dtype, cls.DTYPES)), name
+
+
+def test_a_table_with_a_dtype_missing_is_refused():
+    @dataclass(eq=False)
+    class Short(model.ColumnTable):
+        a: np.ndarray = ()
+        b: np.ndarray = ()
+
+        DTYPES = (np.int64,)
+
+    with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is shorter than argument 1$"):
+        Short([1], [2])
+
+
+@pytest.mark.parametrize("table, columns, message", [
+    (RssiTable, ([0], [DAYS[0]], [0], [0], [160, 161]), "RssiTable columns must have equal length"),
+    (model.FrameBlock, ([4.7], [60.0], [0.8], [1.0], []), "FrameBlock columns must have equal length"),
+])
+def test_columns_of_unequal_length_are_refused(table, columns, message):
+    with pytest.raises(ValueError) as err:
+        table(*columns)
+    assert str(err.value) == message
