@@ -317,11 +317,14 @@ def cohort_feature_matrix(
     owner: np.ndarray,
     shifts: ShiftColumns,
     physiology: PhysiologyTable,
+    kept: np.ndarray,
 ) -> tuple[np.ndarray, list[str], list[str]]:
-    """build_feature_matrix of every profile's participant_vector, by sorted
-    participant id, from grouped passes over the shifts' columns (shift i
-    belongs to the participant whose code is ``owner[i]``) and over the
-    physiology rows, grouped by their participant codes.
+    """build_feature_matrix of the participant_vector of every profile where
+    the mask ``kept`` (by participant code) is True, by sorted participant
+    id, from grouped passes over the shifts' columns (shift i belongs to the
+    participant whose code is ``owner[i]``) and over the physiology rows,
+    grouped by their participant codes. The other participants' rows are
+    dropped before the column medians are taken.
 
     Each mean and std is one np.mean / np.std per distinct value count over
     a (participants, count) matrix, which gives the bits of one call per
@@ -352,7 +355,7 @@ def cohort_feature_matrix(
 
     X[:, column["shift_night"]] = [profiles[pid].shift_type is ShiftType.NIGHT for pid in ids]
     X[:, column["unit_icu"]] = [profiles[pid].unit_type is UnitType.ICU for pid in ids]
-    return _impute_medians(X), list(FEATURE_COLUMNS), ids
+    return _impute_medians(X[kept]), list(FEATURE_COLUMNS), [pid for pid, k in zip(ids, kept.tolist()) if k]
 
 
 def _group_mean_std(group: np.ndarray, values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:

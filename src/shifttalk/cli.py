@@ -68,7 +68,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     labels = {
-        name: [getattr(result.cohort.profiles[pid], name) for pid in result.participant_ids]
+        name: [getattr(cohort.profiles[pid], name) for pid in result.participant_ids]
         for name in LABEL_COLUMNS
     }
     reports.write_sessions_csv(out / reports.SESSIONS_FILE, result.sessions)

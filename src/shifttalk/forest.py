@@ -132,8 +132,6 @@ def _grow_tree(
 
 @dataclass
 class ForestModel:
-    params: ForestParams
-    seed: int
     trees: list[Tree] = field(default_factory=list)
     importances: np.ndarray | None = None  # normalized, sums to 1
 
@@ -154,7 +152,7 @@ def train_forest(X: np.ndarray, y: np.ndarray, params: ForestParams, seed: int) 
         raise SingleClassInput("training labels contain a single class")
     n, d = X.shape
     mtry = min(d, math.ceil(math.sqrt(d)))
-    model = ForestModel(params=params, seed=seed)
+    model = ForestModel()
     importance_sum = np.zeros(d)
     for seq in np.random.SeedSequence(seed).spawn(params.n_trees):
         rng = np.random.default_rng(seq)

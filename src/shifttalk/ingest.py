@@ -1,4 +1,4 @@
-"""Parse, validate and write the canonical input directory, plus cohort filters.
+"""Parse, validate and write the canonical input directory, plus the cohort filters' masks.
 
 Canonical files (all UTF-8):
 
@@ -35,7 +35,7 @@ shift's frames as it draws them), through one temporary file per array.
 Validation is strict (typed fields, range checks, referenced ids must exist)
 except for RSSI values, which are clamped into [136, 193] with a warning
 count, and minute indices, which may fall outside the shift window here and
-are dropped later by filter_shift_window. In recordings.jsonl this means
+are masked out later (filter_shift_window). In recordings.jsonl this means
 that participant_id is a JSON string, shift_date a YYYY-MM-DD string (as in
 every file), and minute_index and n_frames JSON integers (true and false
 are not integers, and neither are the literals NaN and Infinity).
@@ -63,9 +63,10 @@ PhysiologyTable. The three tables name a participant, and an RSSI row its
 hub, by a code (model), its id's rank among the sorted ids (_ranks);
 write_cohort writes the ids again. In an RSSI row or a recording, a
 minute_index beyond the 64-bit integer range is stored as the nearest
-64-bit value, so filter_shift_window still drops it. An integer or number cell must be written as the writers write one
-(model's _int_cell, _int_cells and _float_cell): no surrounding spaces,
-leading "+", "_" separators or non-ASCII digits.
+64-bit value, so it still falls outside the shift window. An integer or
+number cell must be written as the writers write one (model's _int_cell,
+_int_cells and _float_cell): no surrounding spaces, leading "+", "_"
+separators or non-ASCII digits.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ import json
 import mmap
 import os
 import shutil
-from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
@@ -707,48 +707,27 @@ def _write_heads(path: Path, recordings: RecordingTable, ids: np.ndarray) -> Non
 # --- cohort filters ---
 
 
-def filter_shift_window(cohort: Cohort) -> tuple[Cohort, dict[str, int]]:
-    """Keep only events inside the 12-hour shift window [0, 720).
+def filter_shift_window(cohort: Cohort) -> tuple[np.ndarray, dict[str, int]]:
+    """The mask of the recordings inside the 12-hour shift window [0, 720),
+    and the counts of the recordings and RSSI rows outside it.
 
-    minute_index 0 is the shift start for both day and night schedules. The
-    returned dict counts the dropped events; drops are never fatal.
+    minute_index 0 is the shift start for both day and night schedules.
+    Drops are never fatal. An RSSI row outside the window is only counted:
+    estimate_timeline ignores its minute.
     """
     recordings, rssi = cohort.recordings.minute_index, cohort.rssi.minute_index
-    kept = _select(cohort, (recordings >= 0) & (recordings < SHIFT_MINUTES), (rssi >= 0) & (rssi < SHIFT_MINUTES))
+    inside = (recordings >= 0) & (recordings < SHIFT_MINUTES)
     dropped = {
-        "recordings_dropped": len(cohort.recordings) - len(kept.recordings),
-        "rssi_dropped": len(cohort.rssi) - len(kept.rssi),
+        "recordings_dropped": len(inside) - int(np.count_nonzero(inside)),
+        "rssi_dropped": int(np.count_nonzero((rssi < 0) | (rssi >= SHIFT_MINUTES))),
     }
-    return kept, dropped
+    return inside, dropped
 
 
-def _select(cohort: Cohort, recordings: np.ndarray, rssi: np.ndarray, **changes) -> Cohort:
-    """The cohort with the changes and only the recordings (with their frames)
-    and RSSI rows where the masks are True. A table that loses no row is
-    kept as it is, not copied, and so are the frames."""
-    if not recordings.all():
-        changes.update(recordings=cohort.recordings.select(recordings),
-                       frames=cohort.frames.select(np.repeat(recordings, cohort.recordings.n_frames)))
-    return replace(cohort, rssi=cohort.rssi if rssi.all() else cohort.rssi.select(rssi), **changes)
-
-
-def filter_min_days(cohort: Cohort, min_days: int = MIN_DAYS) -> Cohort:
-    """Keep participants with recordings on at least min_days distinct shift
-    dates, and the rows of each table that are theirs. The kept keep their
-    order, so their codes become 0, 1, ... in it."""
-    if min_days < 1:
-        raise ValueError("min_days must be >= 1")
-    recordings, rssi = cohort.recordings.participant, cohort.rssi.participant
-    owners, _ = shift_parts(distinct(shift_codes(recordings, cohort.recordings.shift_date)))
-    keep = np.bincount(owners, minlength=len(cohort.profiles)) >= min_days
-    ids = {pid for pid, k in zip(sorted(cohort.profiles), keep.tolist()) if k}
-    kept = _select(cohort, keep[recordings], keep[rssi],
-                   profiles={pid: p for pid, p in cohort.profiles.items() if pid in ids}, hubs=dict(cohort.hubs),
-                   warnings=dict(cohort.warnings))
-    if not keep.all():
-        code = np.cumsum(keep) - 1  # a kept participant's code among the kept
-        kept.physiology = cohort.physiology.select(keep[cohort.physiology.participant])
-        for name in ("recordings", "rssi", "physiology"):
-            table = getattr(kept, name)
-            setattr(kept, name, replace(table, participant=code[table.participant]))
-    return kept
+def filter_min_days(cohort: Cohort, recordings: np.ndarray, min_days: int = MIN_DAYS) -> np.ndarray:
+    """The mask, over participant codes, of the participants with recordings
+    on at least min_days distinct shift dates, counting only the recordings
+    where the mask ``recordings`` is True."""
+    table = cohort.recordings
+    owners, _ = shift_parts(distinct(shift_codes(table.participant[recordings], table.shift_date[recordings])))
+    return np.bincount(owners, minlength=len(cohort.profiles)) >= min_days

@@ -10,10 +10,12 @@ frames end to end, and one PhysiologyTable. A parsed FrameBlock is the five
 arrays of frames.bin as read-only views of one map of the file; a pass over
 whole frame columns walks them FRAME_WINDOW frames at a time
 (frame_windows) and releases the map's pages after each window (release).
-Filters select rows with boolean masks. Every CSV output table is a
-ColumnTable of that kind. The row tables name a participant, and an RSSI
-row its hub, by an integer code from the parse on: a participant's code is
-its id's rank among the sorted profile ids, a hub's its id's rank among the
+The cohort filters return boolean masks, over the recordings and over the
+participant codes; the parsed tables are read in place, and no frame is
+copied. Every CSV output table is a ColumnTable. The row tables name a
+participant, and an RSSI row its hub, by an integer code from the parse
+on, which keeps its meaning to the features: a participant's code is its
+id's rank among the sorted profile ids, a hub's its id's rank among the
 sorted hub ids. A shift's key is one int64, made here alone, that sorts as
 its (participant code, date) pair. Id strings live only in the profiles,
 the hubs and the outputs.
@@ -458,15 +460,8 @@ class ColumnTable:
         return len(getattr(self, self.columns()[0]))
 
     def select(self, mask: np.ndarray) -> "ColumnTable":
-        """New table holding only the rows where mask is True (order kept).
-        The pages of a read-only file map are released after each column
-        is read (release), so a mapped table, such as a parsed FrameBlock,
-        is resident one column at a time, beside the copy."""
-        selected = []
-        for name in self.columns():
-            selected.append(getattr(self, name)[mask])
-            release(getattr(self, name))
-        return type(self)(*selected)
+        """New table holding only the rows where mask is True (order kept)."""
+        return type(self)(*(getattr(self, name)[mask] for name in self.columns()))
 
     def write_csv(self, path: str | Path) -> None:
         """One csv row per table row, under the column names."""
@@ -622,7 +617,8 @@ class RecordingSegment:
 
 @dataclass
 class Cohort:
-    """Everything parsed from one canonical input directory."""
+    """Everything parsed from one canonical input directory, as parsed: the
+    extraction reads it through the filters' masks and never rebuilds it."""
 
     profiles: dict[str, ParticipantProfile] = field(default_factory=dict)
     hubs: dict[str, HubRecord] = field(default_factory=dict)

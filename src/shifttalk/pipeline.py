@@ -3,8 +3,10 @@
 
 Every layer but the arousal pass runs over the whole cohort at once: over
 the columns of its RecordingTable and of the one FrameBlock that holds every
-recording's frames end to end. Each recording, RSSI and physiology row
-carries its participant's code from the parse on, and a recording or RSSI
+recording's frames end to end, read in place: the filters' masks (shift
+window, min days) pick the recordings, selected only when one drops, and
+no frame is copied. Each recording, RSSI and physiology row carries its
+participant's code from the parse to the features, and a recording or RSSI
 row so its shift's index among the sorted shift codes (model.shift_codes);
 each layer groups by those integers instead of looping over shifts or
 participants, and the arousal pass loops over speakers:
@@ -100,13 +102,12 @@ class ExtractionConfig:
 
 @dataclass
 class ExtractionResult:
-    cohort: Cohort
     sessions: SessionTable
     rated: RatedTable
     blocks: BlockTable
     weights: dict[str, FusionWeights]
     shifts: ShiftColumns  # a row per key of shift_keys
-    shift_keys: np.ndarray  # the sorted shift codes (model.shift_codes)
+    shift_keys: np.ndarray  # the sorted shift codes (model.shift_codes), by the parse's participant codes
     matrix: np.ndarray
     feature_names: list[str]
     participant_ids: list[str]
@@ -114,25 +115,28 @@ class ExtractionResult:
 
 
 def run_extraction(cohort: Cohort, config: ExtractionConfig | None = None) -> ExtractionResult:
-    """Run the full feature-extraction pipeline on a parsed cohort.
+    """Run the full feature-extraction pipeline on a parsed cohort, read in
+    place: the filters' masks pick its rows, and no frame is copied.
 
     Returns an empty-cohort result (zero participants) if no participant
     survives the minimum-days filter; callers decide whether that is fatal.
     """
     config = config or ExtractionConfig()
 
-    windowed, dropped = filter_shift_window(cohort)
-    kept = filter_min_days(windowed, config.min_days)
+    in_window, dropped = filter_shift_window(cohort)
+    kept = filter_min_days(cohort, in_window, config.min_days)  # by participant code
+    rows = in_window & kept[cohort.recordings.participant]
+    recordings = cohort.recordings if rows.all() else cohort.recordings.select(rows)
 
     # each recording's and RSSI row's shift: its index in the sorted shift codes
-    shift_keys, shift = np.unique(shift_codes(kept.recordings.participant, kept.recordings.shift_date),
-                                  return_inverse=True)
-    slots = estimate_timeline(kept.rssi, _rssi_shifts(kept, shift_keys), len(shift_keys), kept.hubs, config.rssi_floor)
+    shift_keys, shift = np.unique(shift_codes(recordings.participant, recordings.shift_date), return_inverse=True)
+    slots = estimate_timeline(cohort.rssi, _rssi_shifts(cohort, shift_keys), len(shift_keys), cohort.hubs,
+                              config.rssi_floor)
     key_speaker, key_days = shift_parts(shift_keys)
-    key_pids = np.array(sorted(kept.profiles), dtype=object)[key_speaker]
-    minute = kept.recordings.minute_index
+    key_pids = np.array(sorted(cohort.profiles), dtype=object)[key_speaker]
+    minute = recordings.minute_index
 
-    valid, rated_rows, p, fused, weights_by_speaker = _rate_cohort(kept, config)
+    valid, rated_rows, p, fused, weights_by_speaker = _rate_cohort(cohort, rows, config)
 
     session_columns = cohort_sessions(shift[valid], minute[valid], slots)
     session_shift, start, duration, location_minutes = session_columns
@@ -146,10 +150,9 @@ def run_extraction(cohort: Cohort, config: ExtractionConfig | None = None) -> Ex
     shift_columns = cohort_shift_features(
         len(shift_keys), slots, session_columns, (rated_shift, rated_minute, fused), config.arousal_threshold
     )
-    matrix, names, ids = cohort_feature_matrix(kept.profiles, key_speaker, shift_columns, kept.physiology)
+    matrix, names, ids = cohort_feature_matrix(cohort.profiles, key_speaker, shift_columns, cohort.physiology, kept)
 
     return ExtractionResult(
-        cohort=kept,
         sessions=sessions,
         rated=rated,
         blocks=block_table(key_pids, key_days, shift_columns),
@@ -163,28 +166,30 @@ def run_extraction(cohort: Cohort, config: ExtractionConfig | None = None) -> Ex
     )
 
 
-def _rssi_shifts(kept: Cohort, shift_keys: np.ndarray) -> np.ndarray:
+def _rssi_shifts(cohort: Cohort, shift_keys: np.ndarray) -> np.ndarray:
     """Each RSSI row's shift: its index in the sorted shift codes, or -1.
     Its temporaries, each as long as the table, are dropped on return."""
-    codes = shift_codes(kept.rssi.participant, kept.rssi.shift_date)
+    codes = shift_codes(cohort.rssi.participant, cohort.rssi.shift_date)
     at = np.searchsorted(shift_keys, codes)
     return np.where(np.append(shift_keys, -1)[at] == codes, at, -1)  # -1 is no shift's code
 
 
 def _rate_cohort(
-    cohort: Cohort, config: ExtractionConfig
+    cohort: Cohort, rows: np.ndarray, config: ExtractionConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[str, FusionWeights]]:
-    """Valid and rated recordings, their scores and per-speaker weights.
+    """Valid and rated recordings among the rows of ``cohort.recordings``
+    where the mask ``rows`` is True, their scores and per-speaker weights.
+    Their frames are read in place, in ``cohort.frames``.
 
-    Returns the valid
-    recordings (rows of ``cohort.recordings``) in rated-row order, speaker
-    then file order; which of them are rated (positions among the valid);
-    the rated rows' feature scores ``p`` (rows, 3) and fused ratings; and
-    each rated speaker's weights.
+    Returns the valid recordings (positions among the rows) in rated-row
+    order, speaker then file order; which of them are rated (positions
+    among the valid); the rated rows' feature scores ``p`` (rows, 3) and
+    fused ratings; and each rated speaker's weights.
     """
-    recordings, speaker = cohort.recordings, cohort.recordings.participant
+    recordings = cohort.recordings
+    first = (np.cumsum(recordings.n_frames) - recordings.n_frames)[rows]  # each row's first frame
+    n_frames, speaker, labelled = recordings.n_frames[rows], recordings.participant[rows], recordings.labelled[rows]
     external = config.foreground.kind is FilterKind.EXTERNAL_SCORES
-    first = np.cumsum(recordings.n_frames) - recordings.n_frames  # each recording's first frame
     order = np.argsort(speaker, kind="stable")
     by_speaker = np.flatnonzero(np.diff(speaker[order], prepend=-1, append=-1))
 
@@ -194,12 +199,11 @@ def _rate_cohort(
     valid, scores, voiced_speakers = [], [], []
     for a, b in zip(by_speaker[:-1].tolist(), by_speaker[1:].tolist()):
         recs = order[a:b]
-        n = recordings.n_frames[recs]
+        n = n_frames[recs]
         ends = np.cumsum(n)
         # the speaker's frames, recording by recording, then its kept frames
         frames = np.repeat(first[recs] - ends + n, n) + np.arange(ends[-1])
-        labelled = np.repeat(recordings.labelled[recs], n) if external else False
-        kept = config.foreground.mask(cohort.frames, frames, labelled)
+        kept = config.foreground.mask(cohort.frames, frames, np.repeat(labelled[recs], n) if external else False)
         counts = np.add.reduceat(kept, ends - n, dtype=np.int64)
         ok = counts >= config.min_frames
         if not ok.any():
@@ -231,8 +235,8 @@ def _rate_cohort(
     segment = np.repeat(np.arange(len(weights)), np.diff(bounds))  # each valid recording's speaker
     fused = fuse(np.array([wt.w for wt in weights])[segment].T, p.T)
 
-    rows = np.flatnonzero(voiced_speakers[segment])
-    return valid, rows, p[rows], fused[rows], weights_by_speaker
+    rated = np.flatnonzero(voiced_speakers[segment])
+    return valid, rated, p[rated], fused[rated], weights_by_speaker
 
 
 def _percentile_scores(values: np.ndarray, recording: np.ndarray, n: int) -> np.ndarray:

@@ -168,8 +168,8 @@ def shift_records(shifts: ShiftColumns, keys: Iterable[tuple[str, date]]) -> lis
     return out
 
 
-def shift_features(result: ExtractionResult) -> list[ShiftFeatures]:
-    """One ShiftFeatures per shift of an extraction."""
+def shift_features(result: ExtractionResult, profiles: Iterable[str]) -> list[ShiftFeatures]:
+    """One ShiftFeatures per shift of an extraction of a cohort with these
+    profile ids, which its shift keys name by the parse's codes."""
     participant, days = shift_parts(result.shift_keys)
-    return shift_records(result.shifts, zip(np.array(result.participant_ids, object)[participant].tolist(),
-                                            days.tolist()))
+    return shift_records(result.shifts, zip(np.array(sorted(profiles), object)[participant].tolist(), days.tolist()))

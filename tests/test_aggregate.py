@@ -224,9 +224,10 @@ def test_mean_of_ratios_stays_in_unit_interval():
 
 def test_cohort_feature_matrix_matches_participant_vectors():
     """The grouped participant pass gives the bits of participant_vector per
-    participant, then build_feature_matrix: shift scalars and hour blocks
-    missing at random or throughout, tied values, 0 to 130 shifts and
-    physiology days per participant (numpy sums pairwise from 8 values on)."""
+    kept participant, then build_feature_matrix: shift scalars and hour
+    blocks missing at random or throughout, tied values, 0 to 130 shifts and
+    physiology days per participant (numpy sums pairwise from 8 values on),
+    and participants dropped at random, their rows left out of the medians."""
     import hypothesis
     from hypothesis import strategies as st
 
@@ -255,20 +256,22 @@ def test_cohort_feature_matrix_matches_participant_vectors():
         rows = [(code, D0, float(rng.choice(pool[:8])), float(rng.random() * 12))
                 for code in range(len(ids)) for _ in range(draw(count))]
         rng.shuffle(rows)  # each participant's days interleaved with the others'
-        return profiles, keys, shifts, PhysiologyTable(*zip(*rows))
+        kept = np.array(draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids))), bool)
+        return profiles, keys, shifts, PhysiologyTable(*zip(*rows)), kept
 
     @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @hypothesis.given(cohorts())
     def check(drawn) -> None:
-        profiles, keys, shifts, physiology = drawn
+        profiles, keys, shifts, physiology, kept = drawn
         by_pid: dict[str, list[ShiftFeatures]] = {}
         for sf in reference.shift_records(shifts, keys):
             by_pid.setdefault(sf.participant_id, []).append(sf)
         vectors = [participant_vector(profiles[pid], by_pid.get(pid, []),
                                       physiology.select(physiology.participant == code))
-                   for code, pid in enumerate(sorted(profiles))]
-        X, names, ids = cohort_feature_matrix(profiles, coded(profiles, [pid for pid, _ in keys]), shifts, physiology)
-        assert names == FEATURE_COLUMNS and ids == sorted(profiles)
+                   for code, pid in enumerate(sorted(profiles)) if kept[code]]
+        X, names, ids = cohort_feature_matrix(profiles, coded(profiles, [pid for pid, _ in keys]), shifts, physiology,
+                                              kept)
+        assert names == FEATURE_COLUMNS and ids == [pid for pid, k in zip(sorted(profiles), kept.tolist()) if k]
         if not vectors:
             assert X.shape == (0, len(FEATURE_COLUMNS))
             return

@@ -296,8 +296,7 @@ def test_minute_beyond_64_bits_is_kept_and_dropped_by_the_window(tmp_path):
             "p1,2022-03-01,5,h_ns,160"]
     cohort = parse_cohort(write_dir(tmp_path, **{"rssi.csv": rows}))
     assert cohort.rssi.minute_index.tolist() == [2**63 - 1, -2**63, 5]
-    windowed, dropped = filter_shift_window(cohort)
-    assert windowed.rssi.minute_index.tolist() == [5]
+    _, dropped = filter_shift_window(cohort)
     assert dropped["rssi_dropped"] == 2
 
 
@@ -312,8 +311,8 @@ def test_ids_with_trailing_nul_kept_exactly(tmp_path):
     slots = listed_timelines(cohort.rssi, cohort.hubs, [("p1\0", D0), ("p1", D0)], profiles=cohort.profiles)
     assert slots[0, 0] == LocationCategory.PATIENT_ROOM
     assert slots[1, 1] == LocationCategory.NURSING_STATION
-    kept = filter_min_days(cohort, 1)  # p1\0 has no recordings
-    assert decoded(kept.profiles, kept.rssi.participant) == ["p1"]
+    kept = filter_min_days(cohort, np.ones(len(cohort.recordings), bool), 1)  # p1\0 has no recordings
+    assert [pid for pid, k in zip(sorted(cohort.profiles), kept.tolist()) if k] == ["p1"]
     write_cohort(cohort, tmp_path / "out")
     assert (tmp_path / "out" / "rssi.csv").read_text().splitlines()[1:] == rows
 
@@ -1288,7 +1287,7 @@ def test_frames_bin_labels_count_only_for_a_labelled_recording(tmp_path):
     assert cohort.recordings.labelled.tolist() == [False, True, False]
     assert cohort.frames.foreground.tolist() == [True] * 9
     config = ExtractionConfig(ForegroundFilter(FilterKind.EXTERNAL_SCORES), min_frames=1, min_days=1)
-    assert _rate_cohort(cohort, config)[0].tolist() == [1]  # the valid recordings
+    assert _rate_cohort(cohort, np.ones(3, bool), config)[0].tolist() == [1]  # the valid recordings
 
 
 def test_parse_serialize_parse_idempotent(tmp_path):
@@ -1432,87 +1431,42 @@ def test_shift_window_boundaries():
     recs = [recording("p1", minute=719), recording("p1", minute=720), recording("p1", minute=-1)]
     rssi = rssi_rows(("p1", 300, "h_ns", 160), ("p1", 900, "h_ns", 160), ("p1", -1, "h_ns", 160),
                      ("p1", 719, "h_ns", 161), hubs={"h_ns"})
-    kept, dropped = filter_shift_window(with_recordings(Cohort({"p1": profile("p1")}, rssi=rssi), recs))
-    assert kept.recordings.minute_index.tolist() == [719]
-    assert len(kept.frames) == 5
-    assert kept.rssi.minute_index.tolist() == [300, 719]
-    assert kept.rssi.rssi.tolist() == [160, 161]
+    inside, dropped = filter_shift_window(with_recordings(Cohort({"p1": profile("p1")}, rssi=rssi), recs))
+    assert inside.tolist() == [True, False, False]
     assert dropped == {"recordings_dropped": 2, "rssi_dropped": 2}
+
+
+def _all(cohort: Cohort) -> np.ndarray:
+    return np.ones(len(cohort.recordings), bool)
 
 
 def test_min_days_keeps_exactly_at_threshold():
     cohort = with_recordings(tiny_cohort(), [recording("p1", minute=i, shift_date=date(2022, 3, 1 + i))
                                              for i in range(5)])
-    kept = filter_min_days(cohort, min_days=5)
-    assert "p1" in kept.profiles
+    assert filter_min_days(cohort, _all(cohort), min_days=5).tolist() == [True]
 
 
 def test_min_days_removes_single_date_participant():
-    cohort = with_recordings(tiny_cohort(), [recording("p1", minute=i) for i in range(10)])  # one date
-    kept = filter_min_days(cohort, min_days=5)
-    assert kept.profiles == {}
-    assert len(kept.recordings) == 0 and len(kept.frames) == 0
-    assert len(kept.rssi) == 0
-    assert kept.counts == {"participants": 0, "hubs": 1, "rssi": 0, "recordings": 0, "physiology": 0}
+    cohort = with_recordings(tiny_cohort("p2"), [recording("p1", minute=i) for i in range(10)])  # one date
+    assert filter_min_days(cohort, _all(cohort), min_days=5).tolist() == [False, False]  # p2 has no recording
 
 
 def test_min_days_degenerate_threshold():
     cohort = tiny_cohort()
-    kept = filter_min_days(cohort, min_days=1)
-    assert "p1" in kept.profiles
+    assert filter_min_days(cohort, _all(cohort), min_days=1).tolist() == [True]
 
 
-def test_min_days_idempotent():
-    cohort = tiny_cohort()
-    once = filter_min_days(cohort, 2)
-    twice = filter_min_days(once, 2)
-    assert once.profiles == twice.profiles
-    assert len(once.recordings) == len(twice.recordings)
-
-
-def test_filters_return_an_rssi_table_that_loses_no_row_itself():
-    cohort = tiny_cohort()
-    windowed, dropped = filter_shift_window(cohort)
-    assert windowed.rssi is cohort.rssi and dropped["rssi_dropped"] == 0
-    kept = filter_min_days(cohort, 1)
-    assert kept.rssi is cohort.rssi
-    assert kept.counts == cohort.counts
-    # one dropped row: a new table
-    late = replace(cohort, rssi=rssi_rows(("p1", 0, "h_ns", 160), ("p1", 720, "h_ns", 155), hubs=cohort.hubs))
-    windowed, dropped = filter_shift_window(late)
-    rssi = windowed.rssi
-    assert rssi is not late.rssi and rssi.minute_index.tolist() == [0] and dropped["rssi_dropped"] == 1
-    assert filter_min_days(late, 99).rssi is not late.rssi
-
-
-def test_filters_return_recordings_and_frames_that_lose_no_row_themselves():
-    cohort = tiny_cohort()
-    windowed, dropped = filter_shift_window(cohort)
-    assert dropped["recordings_dropped"] == 0
-    assert windowed.recordings is cohort.recordings and windowed.frames is cohort.frames
-    kept = filter_min_days(cohort, 2)
-    assert kept.recordings is cohort.recordings and kept.frames is cohort.frames
-    # a dropped recording: new columns, its frames dropped with it
-    recs = segments(cohort)
-    recs[0].participant_id, recs[0].minute_index = "p2", 720
-    recs[1].frames.foreground, recs[1].labelled = np.array([True, False, True]), True
-    for i, rec in enumerate(recs):
-        rec.frames.intensity[:] = np.arange(3) + 10 * i
-    cohort = with_recordings(replace(cohort, profiles={**cohort.profiles, "p2": profile("p2")}), recs)
-    windowed, dropped = filter_shift_window(cohort)
-    assert dropped["recordings_dropped"] == 1
-    assert windowed.recordings is not cohort.recordings and windowed.frames is not cohort.frames
-    assert_cohorts_equal(windowed, with_recordings(cohort, recs[1:]))
-    kept = filter_min_days(cohort, 2)  # p1 has two dates, p2 one
-    assert_cohorts_equal(kept, with_recordings(replace(cohort, profiles={"p1": cohort.profiles["p1"]}), recs[1:]))
-    assert kept.frames.intensity.tolist() == [10.0, 11.0, 12.0, 20.0, 21.0, 22.0]
-    assert kept.frames.foreground.tolist() == [True, False, True] + [True] * 3  # label bytes kept as they are
+def test_min_days_counts_the_dates_of_the_masked_recordings_only():
+    cohort = tiny_cohort()  # p1's recordings: two on 2022-03-01, one on 2022-03-02
+    assert filter_min_days(cohort, _all(cohort), 2).tolist() == [True]
+    assert filter_min_days(cohort, np.array([True, True, False]), 2).tolist() == [False]
+    assert filter_min_days(cohort, np.array([False, True, True]), 2).tolist() == [True]
 
 
 def test_filters_do_not_mutate_input():
     cohort = tiny_cohort()
     n_rec = len(cohort.recordings)
-    filter_min_days(cohort, 99)
+    filter_min_days(cohort, _all(cohort), 99)
     filter_shift_window(cohort)
     assert len(cohort.recordings) == n_rec
     assert len(cohort.rssi) == 2

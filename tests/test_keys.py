@@ -1,5 +1,5 @@
-"""The integer shift keys of model.py, held to a tuple oracle, and the cohort
-filter that renumbers the participant codes of the rows it keeps."""
+"""The integer shift keys of model.py, held to a tuple oracle, and the
+outputs of a cohort that loses a participant to the min-days filter."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from shifttalk.model import shift_codes, shift_parts
 from shifttalk.pipeline import ExtractionConfig, run_extraction
 from shifttalk.simulate import CohortSpec, generate
 
-from conftest import assert_cohorts_equal, coded, decoded
+from conftest import coded, decoded
 
 
 def test_shift_codes_order_and_inverse_match_sorted_tuples():
@@ -46,11 +46,11 @@ def test_shift_codes_order_and_inverse_match_sorted_tuples():
     check()
 
 
-def test_dropping_a_participant_between_two_kept_ones_renumbers_the_codes(tmp_path):
+def test_dropping_a_participant_between_two_kept_ones_gives_the_outputs_of_the_cohort_without_it(tmp_path):
     """filter_min_days drops p002, whose id sorts between p001 and p003, for
-    its one shift date; every output of run_extraction, and the kept cohort,
-    equals that of the same cohort written without p002. The kept rows of
-    each table, physiology's among them, name p003 and p004 by codes one lower."""
+    its one shift date; every output of run_extraction equals that of the
+    same cohort written without p002, and the shift keys name the same
+    shifts, each by its own parse's codes."""
     generate(CohortSpec(n_per_cell=1, n_shifts=2, frames_per_recording=40, seed=4), tmp_path / "all")
     cohort = parse_cohort(tmp_path / "all")
     ids = sorted(cohort.profiles)
@@ -73,18 +73,22 @@ def test_dropping_a_participant_between_two_kept_ones_renumbers_the_codes(tmp_pa
                       recordings=kept_recordings, frames=cohort.frames.select(np.repeat(~mine, recordings.n_frames)),
                       rssi=kept_rssi, physiology=kept_physiology)
     write_cohort(without, tmp_path / "without")
+    parsed = parse_cohort(tmp_path / "without")
 
     config = ExtractionConfig(min_frames=6, min_days=2)
-    got, want = run_extraction(one_date, config), run_extraction(parse_cohort(tmp_path / "without"), config)
-    assert "p002" not in got.cohort.profiles and got.participant_ids == ["p001", "p003", "p004"]
-    assert sorted(set(got.cohort.physiology.participant.tolist())) == [0, 1, 2]
-    assert decoded(got.cohort.profiles, got.cohort.physiology.participant) == [
-        pid for pid in decoded(ids, physiology.participant) if pid != "p002"]
-    assert_cohorts_equal(got.cohort, want.cohort)
+    got, want = run_extraction(one_date, config), run_extraction(parsed, config)
+    assert got.participant_ids == ["p001", "p003", "p004"] == want.participant_ids
     for name in ("sessions", "rated", "blocks"):
         a, b = getattr(got, name), getattr(want, name)
         for column in a.columns():
             assert getattr(a, column).tolist() == getattr(b, column).tolist(), (name, column)
-    assert got.weights == want.weights and got.shift_keys.tolist() == want.shift_keys.tolist()
+    assert got.weights == want.weights
+
+    def named(shift_keys, profiles):  # each shift as (participant id, date)
+        owners, days = shift_parts(shift_keys)
+        return list(zip(decoded(profiles, owners), days.tolist()))
+
+    assert named(got.shift_keys, cohort.profiles) == named(want.shift_keys, parsed.profiles)
+    assert sorted(set(shift_parts(got.shift_keys)[0].tolist())) == [0, 2, 3]  # p001, p003 and p004 as parsed
     assert got.matrix.tobytes() == want.matrix.tobytes() and got.feature_names == want.feature_names
     assert got.dropped == want.dropped

@@ -51,6 +51,13 @@ def test_rssi_tie_resolves_by_category_precedence(hub_table):
     assert timeline.category(4) is LocationCategory.NURSING_STATION
 
 
+@pytest.mark.parametrize("n", [0, SHIFT_MINUTES - 1, SHIFT_MINUTES + 1])
+def test_timeline_refuses_other_than_720_slots(n):
+    with pytest.raises(ValueError) as err:
+        LocationTimeline("p1", D0, np.zeros(n, np.uint8))
+    assert str(err.value) == "timeline must have 720 slots"
+
+
 def test_empty_timeline_is_all_outside():
     timeline = empty_timeline("p1", D0)
     assert all(timeline.category(m) is LocationCategory.OUTSIDE_UNIT for m in range(0, 720, 37))

@@ -20,6 +20,7 @@ from shifttalk.locate import LocationTimeline
 from shifttalk.model import (
     SHIFT_MINUTES,
     Cohort,
+    ColumnTable,
     FrameBlock,
     HubCategory,
     HubRecord,
@@ -31,7 +32,8 @@ from shifttalk.pipeline import ExtractionConfig, filter_frames, is_valid_recordi
 from shifttalk.sessions import SessionTable, build_sessions
 
 import reference
-from conftest import D0, decoded, listed_timelines, profile, rssi_table, segments, with_recordings
+from conftest import (D0, coded, decoded, listed_timelines, profile, recording, rssi_table, segments, tiny_cohort,
+                      with_recordings)
 
 
 @pytest.mark.parametrize("min_frames", [0, -1])
@@ -123,9 +125,9 @@ def reference_extraction(cohort: Cohort, config: ExtractionConfig):
     return rated, weights, sessions, features, matrix
 
 
-def _drawn_cohorts():
+def _drawn_cohorts(min_days: tuple[int, ...] = (1,)):
     """A hypothesis strategy of (cohort, config): up to four speakers, their
-    recordings interleaved in the table."""
+    recordings interleaved in the table, and config.min_days one of min_days."""
     from hypothesis import strategies as st
 
     # few distinct values so medians, pools and scores tie often
@@ -188,7 +190,7 @@ def _drawn_cohorts():
             foreground=ForegroundFilter(draw(st.sampled_from(list(FilterKind))),
                                         draw(st.sampled_from([0.0, 0.5, 0.7]))),
             min_frames=draw(st.integers(1, 4)),
-            min_days=1,
+            min_days=draw(st.sampled_from(min_days)),
             arousal_threshold=draw(st.sampled_from([0.0, 0.25, 0.5])),
         )
         cohort = Cohort(profiles, hubs, rssi=rssi_table(draw(rssi(recs)), profiles, hubs),
@@ -209,7 +211,7 @@ def _assert_matches_reference(cohort: Cohort, config: ExtractionConfig, run_on: 
                     p, _bits(table.fused))) == rated
     assert {pid: (_bits(w.w), _bits(w.r), w.fallback) for pid, w in result.weights.items()} == weights
     assert list(zip(*(getattr(result.sessions, name).tolist() for name in SessionTable.columns()))) == sessions
-    assert [_shift_feature_bits(sf) for sf in reference.shift_features(result)] == features
+    assert [_shift_feature_bits(sf) for sf in reference.shift_features(result, cohort.profiles)] == features
     assert _bits(result.matrix) == matrix
 
 
@@ -245,6 +247,81 @@ def test_run_extraction_of_a_written_cohort_matches_per_recording_chain(tmp_path
     check()
 
 
+def _without_drops(cohort: Cohort, min_days: int) -> tuple[Cohort, dict[str, int]]:
+    """The cohort with the rows that the filters drop removed by hand, and the
+    counts of the rows outside the shift window: the recordings and RSSI
+    rows outside the window go, and so does every row and the profile of a
+    participant whose recordings inside it fall on fewer than min_days
+    dates. The kept participants are coded among themselves."""
+    recs = [r for r in segments(cohort) if 0 <= r.minute_index < SHIFT_MINUTES]
+    dates: dict[str, set] = {}
+    for r in recs:
+        dates.setdefault(r.participant_id, set()).add(r.shift_date)
+    profiles = {pid: p for pid, p in cohort.profiles.items() if len(dates.get(pid, ())) >= min_days}
+    rssi, physiology = cohort.rssi, cohort.physiology
+    rows = list(zip(decoded(cohort.profiles, rssi.participant), rssi.shift_date.tolist(), rssi.minute_index.tolist(),
+                    decoded(cohort.hubs, rssi.hub), rssi.rssi.tolist()))
+    inside = [row for row in rows if 0 <= row[2] < SHIFT_MINUTES]
+    days = [row for row in zip(decoded(cohort.profiles, physiology.participant), physiology.shift_date.tolist(),
+                               physiology.walk_ratio.tolist(), physiology.sleep_hours.tolist()) if row[0] in profiles]
+    pids, *columns = zip(*days) if days else ((),) * 4
+    without = Cohort(profiles, cohort.hubs, rssi=rssi_table([row for row in inside if row[0] in profiles], profiles,
+                                                            cohort.hubs),
+                     physiology=PhysiologyTable(coded(profiles, pids), *columns))
+    dropped = {"recordings_dropped": len(cohort.recordings) - len(recs), "rssi_dropped": len(rows) - len(inside)}
+    return with_recordings(without, [r for r in recs if r.participant_id in profiles]), dropped
+
+
+def _column_bits(table) -> dict[str, list]:
+    """Each column's values, floats as bits."""
+    columns = {name: getattr(table, name) for name in table.columns()}
+    return {name: _bits(c) if c.dtype.kind == "f" else c.tolist() for name, c in columns.items()}
+
+
+def test_run_extraction_of_a_cohort_with_drops_equals_that_of_the_cohort_without_them():
+    """The filters' masks read the parsed cohort in place: with recordings and
+    RSSI rows outside the shift window and participants under min_days (1,
+    2 or 3), every output equals that of the cohort with those rows removed
+    and its participants coded among the kept, bit for bit."""
+    import hypothesis
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(_drawn_cohorts(min_days=(1, 2, 3)))
+    def check(drawn) -> None:
+        cohort, config = drawn
+        without, dropped = _without_drops(cohort, config.min_days)
+        got, want = run_extraction(cohort, config), run_extraction(without, config)
+        for name in ("sessions", "rated", "blocks"):
+            assert _column_bits(getattr(got, name)) == _column_bits(getattr(want, name)), name
+        assert {pid: (_bits(w.w), _bits(w.r), w.fallback) for pid, w in got.weights.items()} == {
+            pid: (_bits(w.w), _bits(w.r), w.fallback) for pid, w in want.weights.items()}
+        assert [_shift_feature_bits(sf) for sf in reference.shift_features(got, cohort.profiles)] == [
+            _shift_feature_bits(sf) for sf in reference.shift_features(want, without.profiles)]
+        assert _bits(got.matrix) == _bits(want.matrix) and got.participant_ids == want.participant_ids
+        assert got.dropped == dropped and want.dropped == {"recordings_dropped": 0, "rssi_dropped": 0}
+
+    check()
+
+
+def test_run_extraction_selects_the_recordings_only_when_one_drops_and_never_a_frame(monkeypatch):
+    selected, original = [], ColumnTable.select
+
+    def select(table, mask):
+        selected.append(type(table).__name__)
+        return original(table, mask)
+
+    monkeypatch.setattr(ColumnTable, "select", select)
+    cohort = tiny_cohort("p2")  # p2 has no recording
+    run_extraction(cohort, ExtractionConfig(min_frames=1, min_days=2))
+    assert selected == []
+    late = with_recordings(cohort, [*segments(cohort), recording("p1", minute=SHIFT_MINUTES)])
+    result = run_extraction(late, ExtractionConfig(min_frames=1, min_days=2))
+    assert selected == ["RecordingTable"] and result.dropped["recordings_dropped"] == 1
+    selected.clear()
+    run_extraction(cohort, ExtractionConfig(min_frames=1, min_days=3))  # p1 has two dates
+    assert selected == ["RecordingTable"]
+
+
 def test_rating_pass_peaks_below_a_quarter_of_the_frame_bytes(tmp_path):
     """The arousal pass's temporaries span one speaker's frames, not the
     cohort's; tracemalloc counts numpy's allocations, so the peak repeats."""
@@ -259,7 +336,8 @@ def test_rating_pass_peaks_below_a_quarter_of_the_frame_bytes(tmp_path):
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        valid, *_ = _rate_cohort(cohort, ExtractionConfig(min_frames=100, min_days=1))
+        valid, *_ = _rate_cohort(cohort, np.ones(len(cohort.recordings), bool),
+                                 ExtractionConfig(min_frames=100, min_days=1))
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
@@ -285,7 +363,7 @@ def test_no_object_per_recording_from_simulate_to_write(tmp_path, monkeypatch):
         generate(CohortSpec(n_per_cell=n_per_cell, n_shifts=2, frames_per_recording=4, seed=5), root / "data")
         cohort = parse_cohort(root / "data")
         result = run_extraction(cohort, ExtractionConfig(min_frames=2, min_days=2))
-        write_cohort(result.cohort, root / "again")
+        write_cohort(cohort, root / "again")
         shifts = len(set(zip(cohort.recordings.participant.tolist(), cohort.recordings.shift_date.tolist())))
         return len(cohort.recordings), shifts, {cls.__name__: built[cls] - before[cls] for cls in built}
 

@@ -25,9 +25,15 @@ def test_binarize_even_split():
     np.testing.assert_array_equal(binarize_label([1.0, 2.0, 3.0, 4.0]), [0, 0, 1, 1])
 
 
-def test_binarize_degenerate():
-    with pytest.raises(DegenerateLabel):
-        binarize_label([5.0, 5.0, 5.0])
+@pytest.mark.parametrize("values, error, message", [
+    ([5.0, 5.0, 5.0], DegenerateLabel, "all label values identical"),
+    ([1.0, 2.0, 2.0, 2.0], DegenerateLabel, "median split produced a single class"),  # the median is 2.0
+    ([3.0], TooFewSamples, "need at least two values to binarize"),
+])
+def test_binarize_degenerate(values, error, message):
+    with pytest.raises(error) as err:
+        binarize_label(values)
+    assert str(err.value) == message
 
 
 def test_binarize_median_ties_go_low():
@@ -81,11 +87,16 @@ def test_forest_single_class_raises():
         train_forest(X, np.zeros(10, dtype=np.uint8), ForestParams(n_trees=5), seed=0)
 
 
-def test_stump_predicts_majority():
+@pytest.mark.parametrize("constant, params", [
+    (False, ForestParams(n_trees=1, max_depth=0)),
+    (True, ForestParams(n_trees=3)),  # both classes at the root, but no drawn column splits them
+])
+def test_stump_predicts_majority(constant, params):
     rng = np.random.default_rng(4)
-    X = rng.normal(size=(30, 3))
+    X = np.zeros((30, 3)) if constant else rng.normal(size=(30, 3))
     y = np.array([1] * 20 + [0] * 10, dtype=np.uint8)
-    model = train_forest(X, y, ForestParams(n_trees=1, max_depth=0), seed=0)
+    model = train_forest(X, y, params, seed=0)
+    assert [len(tree.feature) for tree in model.trees] == [1] * params.n_trees
     assert np.all(model.predict(X) == 1)
 
 

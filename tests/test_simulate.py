@@ -150,7 +150,7 @@ def test_deterministic_gaps_recover_exactly(tmp_path):
     col = names.index("inter_session_time_mean")
     gt1 = names.index("gt1min_ratio_all_mean")
     for i, pid in enumerate(result.participant_ids):
-        expected = 6.0 if result.cohort.profiles[pid].shift_type.value == "day" else 9.0
+        expected = 6.0 if cohort.profiles[pid].shift_type.value == "day" else 9.0
         assert result.matrix[i, col] == pytest.approx(expected, abs=1e-12)
         assert result.matrix[i, gt1] == 0.0
 
@@ -164,13 +164,29 @@ def test_knob_recovery_with_many_shifts(tmp_path):
     result = run_extraction(cohort, ExtractionConfig(min_frames=6))
     names = result.feature_names
     X = result.matrix
-    day = np.array([result.cohort.profiles[p].shift_type.value == "day" for p in result.participant_ids])
+    day = np.array([cohort.profiles[p].shift_type.value == "day" for p in result.participant_ids])
     inter = X[:, names.index("inter_session_time_mean")]
     gt1 = X[:, names.index("gt1min_ratio_all_mean")]
     assert abs(np.median(inter[day]) - 6.0) / 6.0 < 0.10
     assert abs(np.median(inter[~day]) - 9.0) / 9.0 < 0.10
     assert abs(np.median(gt1[day]) - 0.38) / 0.38 < 0.10
     assert abs(np.median(gt1[~day]) - 0.31) / 0.31 < 0.10
+
+
+def test_window_deltas_move_the_arousal_ratios_of_their_window(tmp_path):
+    """neg_delta_day_end raises the day shifts' negative-arousal share in the
+    last four hours, and pos_delta_night_start the night shifts' positive
+    share in the first four, against the other end of the same shift."""
+    spec = CohortSpec(n_per_cell=2, n_shifts=3, seed=23, frames_per_recording=24,
+                      neg_delta_day_end=0.3, pos_delta_night_start=0.3)
+    generate(spec, tmp_path)
+    cohort = parse_cohort(tmp_path)
+    result = run_extraction(cohort, ExtractionConfig(min_frames=6, min_days=1))
+    assert len(result.participant_ids) == 8
+    column = {name: result.matrix[:, j] for j, name in enumerate(result.feature_names)}
+    day = np.array([cohort.profiles[pid].shift_type.value == "day" for pid in result.participant_ids])
+    assert (column["neg_ratio_end"] - column["neg_ratio_start"])[day].min() > 0.1
+    assert (column["pos_ratio_start"] - column["pos_ratio_end"])[~day].min() > 0.1
 
 
 def test_verify_against_truth_reports_recovery(tmp_path):
@@ -181,7 +197,7 @@ def test_verify_against_truth_reports_recovery(tmp_path):
     cohort = parse_cohort(tmp_path / "data")
     result = run_extraction(cohort, ExtractionConfig(min_frames=6))
     labels = {
-        name: [getattr(result.cohort.profiles[pid], name) for pid in result.participant_ids]
+        name: [getattr(cohort.profiles[pid], name) for pid in result.participant_ids]
         for name in ("pos_affect", "neg_affect", "life_satisfaction")
     }
     features_path = tmp_path / "features.csv"

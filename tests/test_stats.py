@@ -98,9 +98,15 @@ def test_spearman_perfect_monotone():
     assert spearman_rho(x, [8.0, 6.0, 4.0, 2.0]) == pytest.approx(-1.0)
 
 
-def test_spearman_constant_raises():
-    with pytest.raises(ConstantInput):
-        spearman_rho([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("x, y, error, message", [
+    ([1.0, 1.0, 1.0], [1.0, 2.0, 3.0], ConstantInput, "constant vector has no rank ordering"),
+    ([1.0, 2.0, 3.0], [1.0, 2.0], ValueError, "spearman_rho needs two equal-length vectors of length >= 2"),
+    ([1.0], [1.0], ValueError, "spearman_rho needs two equal-length vectors of length >= 2"),
+])
+def test_spearman_constant_raises(x, y, error, message):
+    with pytest.raises(error) as err:
+        spearman_rho(x, y)
+    assert str(err.value) == message
 
 
 def test_spearman_matches_oracle_with_ties():
@@ -283,9 +289,14 @@ def test_empty_sample_raises():
         mann_whitney_u([], [1.0])
 
 
-def test_exact_with_ties_rejected():
-    with pytest.raises(ValueError):
-        mann_whitney_u([1.0, 1.0], [1.0, 2.0], method="exact")
+@pytest.mark.parametrize("method, message", [
+    ("exact", "exact enumeration requires untied data"),
+    ("bogus", "unknown method 'bogus'"),
+])
+def test_exact_with_ties_rejected(method, message):
+    with pytest.raises(ValueError) as err:
+        mann_whitney_u([1.0, 1.0], [1.0, 2.0], method=method)
+    assert str(err.value) == message
 
 
 def test_group_summaries():
